@@ -33,10 +33,13 @@ JUMP_DIFFUSION = {
 
 # Sizes. The lowerbound size keeps the c05 check (5% between the ratio
 # functional and the delay) more than 4 standard errors wide for every pair.
+# The in-control run lengths are near exponential. For the gamma pair the
+# mean is about 47, and at horizon 600 about one lowerbound job in sixty
+# censored a run; at 1500 the chance is below one in 10^9.
 LOG_BARRIER = 2.0
 DELTA = 0.1
 ARL_N_REP = 2000
-ARL_HORIZON = 600.0
+ARL_HORIZON = 1500.0
 LOWERBOUND_N_REP = 6000
 GAMMA_TARGET = 50.0
 REL_TOL = 0.02

@@ -8,9 +8,11 @@ Usage (from the root of a checkout):
 The seed generates the experiment configs. Set-up is timed in fresh
 interpreters; then a single-threaded workload process runs the job list in a
 closed loop for S seconds on the numpy kernels and checks every output. With
---trace 0 the result carries the end-to-end metrics; with --trace 1 the
-untraced and traced passes alternate and the result carries the per-layer
-metrics. The last line of standard output is the JSON result.
+--trace 0 the result carries the end-to-end metrics; the pass time among them
+is scaled to a fixed machine speed (see worker.run_pass), because the raw
+wall time drifts with the shared host. With --trace 1 the untraced and traced
+passes alternate and the result carries the per-layer metrics. The last line
+of standard output is the JSON result.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ SETUP_SAMPLES = 7            # fresh interpreters timed per run, worker included
 WORK_ROOT = ".perfbench_work"
 PROCESS_TIMEOUT = 150.0
 
-END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
+END_TO_END = ("setup_s", "norm_wall_s", "peak_rss_mb")
 PER_LAYER = {
     "import_s": "s", "config.load_s": "s", "model.build_s": "s", "rng.setup_s": "s",
     "engine.sample_s": "s", "evaluate.self_s": "s", "report.write_s": "s",
@@ -114,6 +116,8 @@ def summarize(result: dict, trace: bool) -> tuple:
                     f"median of {len(result['setup_samples'])} interpreters"),
         "wall_s": (wall, "s", f"median of {len(walls)} untraced passes, "
                               f"{min(walls):.3f} to {max(walls):.3f}"),
+        "norm_wall_s": (statistics.median(result["norm_walls"]), "s",
+                        "median pass scaled to the nominal machine speed"),
         "peak_rss_mb": (result["peak_rss_mb"], "MB", ""),
         "fail_frac": (failed / attempted, "",
                       f"{failed} of {attempted} jobs, {result['jobs']} per pass"),

@@ -24,6 +24,13 @@ import time
 from jobs import DELTA, LOG_BARRIER, PIPELINE_SR_LOG_BARRIER, check_cli, check_pipeline
 
 ARTIFACTS = ("report.csv", "stops.csv", "summary.json")
+# The speed of a shared host drifts by a third or more over minutes, and all
+# code slows together. Job times are therefore also reported scaled to a
+# fixed machine speed: the one at which a reference sample takes
+# NOMINAL_REFERENCE_S (about its median on a 2-vCPU Xeon KVM guest).
+NOMINAL_REFERENCE_S = 0.018
+REFERENCE_SAMPLES = 5
+REFERENCE_SEED = 20161105
 
 
 def setup(jobs: list) -> dict:
@@ -85,19 +92,48 @@ def run_job(job: dict, out_dir: str):
                      "--out", out_dir])
 
 
-def run_pass(jobs: list, pass_dir: str, tracer=None):
-    """Run the job list once; returns (wall seconds, outcomes). With a tracer
-    each job is a root span, so the layer self times sum to the wall time."""
+def reference_s(gen) -> float:
+    """Current machine speed for the kind of work the jobs do: the median of
+    REFERENCE_SAMPLES timings of a fixed numpy kernel that calls nothing in
+    levydetect. Each sample draws a 64 x 8,000 block of Philox normals (4 MB,
+    large enough to leave the core's cache, as the jobs' arrays do), takes
+    cumulative sums and running minima along the rows and finds each row's
+    first crossing."""
+    import numpy as np
+    samples = []
+    for _ in range(REFERENCE_SAMPLES):
+        t0 = time.perf_counter()
+        u = np.cumsum(gen.standard_normal((64, 8000)), axis=1)
+        (u - np.minimum.accumulate(u, axis=1) > 3.0).argmax(axis=1)
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples)
+
+
+def run_pass(jobs: list, pass_dir: str, gen, tracer=None):
+    """Run the job list once; returns (wall seconds, normalised seconds,
+    outcomes). The wall time is the sum of the job times. The reference
+    kernel is timed before the first job and after each one, outside the job
+    times; each job's time is scaled by NOMINAL_REFERENCE_S over the mean of
+    the two reference timings around it, and the normalised time is the sum.
+    With a tracer each job is a root span, so the layer self times sum to the
+    wall time."""
     outcomes = []
     runner = run_job if tracer is None else tracer.span("bench", run_job)
-    t0 = time.perf_counter()
+    wall = norm = 0.0
+    ref = reference_s(gen)
     for i, job in enumerate(jobs):
         out_dir = os.path.join(pass_dir, f"job{i:02d}")
+        t0 = time.perf_counter()
         try:
             outcomes.append((runner(job, out_dir), None))
         except Exception as exc:  # a failed job is counted, not fatal
             outcomes.append((None, f"{type(exc).__name__}: {exc}"))
-    return time.perf_counter() - t0, outcomes
+        elapsed = time.perf_counter() - t0
+        ref_after = reference_s(gen)
+        wall += elapsed
+        norm += elapsed * NOMINAL_REFERENCE_S / ((ref + ref_after) / 2.0)
+        ref = ref_after
+    return wall, norm, outcomes
 
 
 def check_pass(jobs: list, pass_dir: str, outcomes: list) -> tuple:
@@ -154,7 +190,9 @@ def measure(manifest: dict) -> dict:
         from tracer import EXACT_COUNTERS, Tracer
         tracer = Tracer()
 
-    walls, traced_walls, layer_runs = [], [], []
+    import numpy as np
+    gen = np.random.Generator(np.random.Philox(REFERENCE_SEED))
+    walls, norm_walls, traced_walls, layer_runs = [], [], [], []
     attempted = failed = 0
     problems_seen, reference_digests, identical = {}, None, True
     start = time.perf_counter()
@@ -166,12 +204,13 @@ def measure(manifest: dict) -> dict:
         if with_trace:
             tracer.reset()
             with tracer.installed():
-                wall, outcomes = run_pass(jobs, pass_dir, tracer)
+                wall, _, outcomes = run_pass(jobs, pass_dir, gen, tracer)
             traced_walls.append(wall)
             layer_runs.append(tracer.layer_metrics())
         else:
-            wall, outcomes = run_pass(jobs, pass_dir)
+            wall, norm, outcomes = run_pass(jobs, pass_dir, gen)
             walls.append(wall)
+            norm_walls.append(norm)
         problems, digests = check_pass(jobs, pass_dir, outcomes)
         shutil.rmtree(pass_dir, ignore_errors=True)
         attempted += len(jobs)
@@ -185,7 +224,8 @@ def measure(manifest: dict) -> dict:
         k += 1
 
     result.update(
-        walls=walls, attempted=attempted, failed=failed, problems=problems_seen,
+        walls=walls, norm_walls=norm_walls, attempted=attempted, failed=failed,
+        problems=problems_seen,
         artifacts_identical=identical, artifact_files=len(reference_digests),
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         meta=metadata(manifest["seed"]))
