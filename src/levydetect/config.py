@@ -46,7 +46,6 @@ DEFAULTS = {
         "n_rep_calibrate": 4000,
     },
     "output": {
-        "dump_path": False,
         "dump_llr": False,
     },
 }

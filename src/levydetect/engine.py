@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from .rng import RngStream, stream_id
 
 __all__ = ["RuleSpec", "PathRunResult", "make_u_sampler", "run_paths", "run_dyadic"]
 
-CHUNK = 4096          # scan-chunk width in steps (fixed; not a tuning knob)
+CHUNK = 4096          # draw-chunk width in steps (fixed; not a tuning knob)
+SUB_BLOCK = 64        # first scan sub-block of a chunk; later ones double
 BATCH = 1024          # replications per work item
 
 _INT_MAX = np.iinfo(np.int64).max
@@ -197,36 +198,45 @@ def _run_batch(sampler, rule: RuleSpec, dt: float, n_steps: int, seeds, result,
     stop = np.full(b, -1, dtype=np.int64)
     stat = np.full(b, np.nan)
     pos = 0
+    drawn = 0                        # steps drawn so far for the live rows
 
     fixed_total = rule.fixed_steps if rule.kind == "fixed" else None
     total_steps = n_steps if fixed_total is None else min(n_steps, fixed_total)
 
     while alive.size and pos < total_steps:
-        w = min(chunk, total_steps - pos)
-        inc = np.empty((alive.size, w))
-        for j, idx in enumerate(alive):
-            inc[j] = sampler(gens[idx], w)
+        if pos == drawn:
+            w = min(chunk, total_steps - pos)
+            inc = np.empty((alive.size, w))
+            for j, idx in enumerate(alive):
+                inc[j] = sampler(gens[idx], w)
+            rows, base, width = np.arange(alive.size), pos, SUB_BLOCK
+            drawn = pos + w
+        # scan the chunk in geometric sub-blocks, dropping stopped rows in
+        # between; every carry is a sequential accumulate, so the split
+        # leaves the results bit-identical
+        end = min(pos + width, drawn)
+        inc_b = inc[rows, pos - base:end - base]
 
         if rule.kind == "cusum":
             cu, cm, cl = u[alive], mn[alive], lastref[alive]
             if collect_lb:
                 cn, cd = num[alive], den[alive]
-                off, st, ye = kernels.lb_cusum_scan(inc, cu, cm, cn, cd, pos,
+                off, st, ye = kernels.lb_cusum_scan(inc_b, cu, cm, cn, cd, pos,
                                                     rule.log_barrier)
                 num[alive], den[alive] = cn, cd
             else:
-                off, st, ye = kernels.cusum_scan(inc, cu, cm, cl, pos,
+                off, st, ye = kernels.cusum_scan(inc_b, cu, cm, cl, pos,
                                                  rule.log_barrier)
             u[alive], mn[alive], lastref[alive] = cu, cm, cl
         elif rule.kind == "sr":
             cu, ca = u[alive], logA[alive]
-            off, st, ye = kernels.sr_scan(inc, cu, ca, pos, rule.log_barrier)
+            off, st, ye = kernels.sr_scan(inc_b, cu, ca, pos, rule.log_barrier)
             u[alive], logA[alive] = cu, ca
             if collect_lb:
                 stops_here = np.where(off >= 0, pos + 1 + off, _INT_MAX)
                 lu, lm = u_lb[alive], mn_lb[alive]
                 ln, ld = num[alive], den[alive]
-                kernels.lb_until_scan(inc, lu, lm, ln, ld, pos, stops_here)
+                kernels.lb_until_scan(inc_b, lu, lm, ln, ld, pos, stops_here)
                 u_lb[alive], mn_lb[alive] = lu, lm
                 num[alive], den[alive] = ln, ld
         else:  # fixed
@@ -237,17 +247,16 @@ def _run_batch(sampler, rule: RuleSpec, dt: float, n_steps: int, seeds, result,
                 stops_here = np.full(alive.size, fixed_total, dtype=np.int64)
                 lu, lm = u_lb[alive], mn_lb[alive]
                 ln, ld = num[alive], den[alive]
-                kernels.lb_until_scan(inc, lu, lm, ln, ld, pos, stops_here)
+                kernels.lb_until_scan(inc_b, lu, lm, ln, ld, pos, stops_here)
                 u_lb[alive], mn_lb[alive] = lu, lm
                 num[alive], den[alive] = ln, ld
 
         done = off >= 0
         stat[alive] = np.where(done, st, ye)   # censored rows keep the last value
         if done.any():
-            rows = alive[done]
-            stop[rows] = pos + 1 + off[done]
-            alive = alive[~done]
-        pos += w
+            stop[alive[done]] = pos + 1 + off[done]
+            alive, rows = alive[~done], rows[~done]
+        pos, width = end, 2 * width
 
     if fixed_total is not None:
         stop[:] = fixed_total

@@ -30,6 +30,7 @@ from .errors import (
     DegenerateRuleError,
     InfeasibleTargetError,
     NumericalError,
+    SpecValidationError,
 )
 from .model import ChangeModel
 from .report import EvalReport, Provenance
@@ -70,8 +71,21 @@ def phi_lattice_constant(model: ChangeModel) -> Optional[float]:
     return None
 
 
+_HARNESS_RULES = {"cusum_grid": "cusum", "shiryaev_roberts": "sr"}
+
+
+def _harness_kind(rule: str) -> str:
+    """Engine rule kind of a rule the harness can run: the harness monitors
+    on a grid of step delta only."""
+    if rule not in _HARNESS_RULES:
+        raise SpecValidationError(
+            f"rule {rule!r} (detector.rule or experiment.rules) is not run "
+            f"by the Monte Carlo harness; use one of {sorted(_HARNESS_RULES)}")
+    return _HARNESS_RULES[rule]
+
+
 def _effective_barrier(model: ChangeModel, config: DetectorConfig) -> float:
-    if config.rule in ("cusum_continuous", "cusum_grid"):
+    if _harness_kind(config.rule) == "cusum":
         lattice = phi_lattice_constant(model)
         if lattice is not None:
             return lattice_safe_barrier(config.log_barrier, lattice)
@@ -80,16 +94,9 @@ def _effective_barrier(model: ChangeModel, config: DetectorConfig) -> float:
 
 def _engine_rule(model: ChangeModel, config: DetectorConfig) -> Tuple[RuleSpec, float]:
     """Map a detector config onto an engine rule and its monitoring step."""
-    config.validate()
+    kind = _harness_kind(config.rule)
+    config.validate()                # both harness rules require delta
     barrier = _effective_barrier(model, config)
-    if config.rule in ("cusum_continuous", "cusum_grid"):
-        kind = "cusum"
-    elif config.rule == "shiryaev_roberts":
-        kind = "sr"
-    else:
-        raise ContractError(f"rule {config.rule!r} is not a path-law rule")
-    if config.delta is None:
-        raise ContractError("harness rules need a monitoring step delta")
     return RuleSpec(kind=kind, log_barrier=barrier), float(config.delta)
 
 

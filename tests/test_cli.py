@@ -144,6 +144,18 @@ class TestArl:
         code, _ = _run(tmp_path, "arl", payload, "bad")
         assert code == 3
 
+    @pytest.mark.parametrize("sub", ["arl", "lorden", "lowerbound", "calibrate"])
+    @pytest.mark.parametrize("rule", ["cusum_continuous", "cusum_iid"])
+    def test_non_harness_rule_exits_two(self, tmp_path, capsys, sub, rule):
+        """The harness monitors on the delta grid only; a rule it would not
+        run as named is a config error, not a relabelled grid run."""
+        detector = dict(self.PAYLOAD["detector"], rule=rule, gamma=20.0)
+        code, out = _run(tmp_path, sub, dict(self.PAYLOAD, detector=detector),
+                         f"{sub}_{rule}")
+        assert code == 2
+        assert "detector.rule" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "report.csv"))
+
 
 class TestConverge:
     def test_monotone_levels(self, tmp_path):

@@ -1,9 +1,11 @@
 import math
+import typing
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from levydetect import engine, kernels
 from levydetect.engine import RuleSpec, make_u_sampler, run_dyadic, run_paths
 from levydetect.errors import ContractError
 from levydetect.likelihood import llr_path
@@ -92,6 +94,28 @@ class TestRunPaths:
         est = res.stop_times.mean()
         assert 0.8 * 200.0 * dt <= est <= 1.6 * 200.0 * dt
 
+    @pytest.mark.parametrize("regime", ["pre", "post"])
+    @pytest.mark.parametrize("kind,collect_lb", [
+        ("cusum", False), ("cusum", True), ("sr", True), ("fixed", True)])
+    def test_chunk_width_does_not_change_results(self, brownian_model, regime,
+                                                  kind, collect_lb):
+        """Chunk and scan sub-block boundaries fall at different steps for
+        each width; the outputs must not move by a single bit."""
+        rule = {"cusum": RuleSpec(kind="cusum", log_barrier=3.0),
+                "sr": RuleSpec(kind="sr", log_barrier=math.log(150.0)),
+                "fixed": RuleSpec(kind="fixed", fixed_steps=150)}[kind]
+        runs = [run_paths(brownian_model, regime, rule, 0.1, 600, 300, SEED,
+                          "arl", collect_lb=collect_lb, chunk=c)
+                for c in (37, 64, 4096)]
+        if kind != "fixed" and regime == "pre":
+            assert runs[0].censored.any() and not runs[0].censored.all()
+        for other in runs[1:]:
+            assert np.array_equal(runs[0].stop_steps, other.stop_steps)
+            assert np.array_equal(runs[0].stat, other.stat, equal_nan=True)
+            assert np.array_equal(runs[0].last_reflect, other.last_reflect)
+            assert np.array_equal(runs[0].lb_num, other.lb_num)
+            assert np.array_equal(runs[0].lb_den, other.lb_den)
+
     def test_invalid_rule_rejected(self):
         with pytest.raises(ContractError):
             RuleSpec(kind="nope").validate()
@@ -104,6 +128,11 @@ class TestRunDyadic:
         with pytest.raises(ContractError):
             run_dyadic(brownian_model, "post", 2.0, 0.1, 101, [4, 2, 1], 10, SEED)
 
+    def test_annotations_resolve(self):
+        hints = typing.get_type_hints(engine.run_dyadic)
+        assert hints["return"] == typing.Tuple[typing.List[np.ndarray],
+                                               typing.List[np.ndarray]]
+
     def test_matches_run_paths_at_stride_one(self, brownian_model):
         stops, strict = run_dyadic(brownian_model, "post", 2.0, 0.1, 400, [1],
                                    500, SEED, purpose="arl")
@@ -112,6 +141,142 @@ class TestRunDyadic:
         assert np.allclose(stops[0], res.stop_times)
         # continuous increment laws: the two stopping conventions coincide
         assert np.array_equal(stops[0], strict[0])
+
+
+def _cusum_oracle(row, hbar):
+    """Plain-loop reflected statistic: (0-based stop index or -1, statistic
+    at the stop, last 1-based step with statistic <= 0)."""
+    ui, mi, ref = 0.0, 0.0, 0
+    for k, x in enumerate(row):
+        ui += x
+        y = ui - mi
+        if y <= 0.0:
+            ref = k + 1
+        if y >= hbar:
+            return k, y, ref
+        mi = min(mi, ui)
+    return -1, math.nan, ref
+
+
+def _lb_oracle(row, stop_step):
+    """Plain-loop lower-bound sums over global steps 1 .. stop_step - 1
+    (k = 0 contributes 1 to each)."""
+    num, den, ui, mi = 1.0, 1.0, 0.0, 0.0
+    for k, x in enumerate(row):
+        if k + 1 >= stop_step:
+            break
+        ui += x
+        s = math.exp(ui - mi)
+        num += max(s, 1.0)
+        den += max(1.0 - s, 0.0)
+        mi = min(mi, ui)
+    return num, den
+
+
+def _fresh_state(n):
+    return np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
+
+
+class TestScanKernels:
+    def test_cusum_sequential_oracle(self):
+        rng = np.random.default_rng(3)
+        inc = rng.normal(-0.05, 0.3, size=(32, 400))
+        hbar = 3.0
+        u, mn, lref = _fresh_state(32)
+        off, st, _ = kernels.cusum_scan(inc, u, mn, lref, 0, hbar)
+        for i in range(32):
+            stop, stat, ref = _cusum_oracle(inc[i], hbar)
+            assert off[i] == stop
+            if stop >= 0:
+                assert st[i] == stat
+            assert lref[i] == ref
+        assert (off >= 0).any() and (off < 0).any()
+
+    def test_multi_chunk_carry(self):
+        """Scanning 300-step chunks and dropping stopped rows gives the
+        first stops, statistics and last reflections of one whole scan."""
+        rng = np.random.default_rng(7)
+        inc = rng.normal(-0.05, 0.4, size=(16, 900))
+        for hbar in (0.8, 2.5):
+            u, mn, lref = _fresh_state(16)
+            stops = np.full(16, -1, dtype=np.int64)
+            stats = np.full(16, np.nan)
+            alive = np.arange(16)
+            for lo in range(0, 900, 300):
+                cu, cm, cl = u[alive], mn[alive], lref[alive]
+                o, s, _ = kernels.cusum_scan(inc[alive, lo:lo + 300], cu, cm, cl,
+                                             lo, hbar)
+                u[alive], mn[alive], lref[alive] = cu, cm, cl
+                done = o >= 0
+                stops[alive[done]] = lo + 1 + o[done]
+                stats[alive[done]] = s[done]
+                alive = alive[~done]
+            u1, m1, l1 = _fresh_state(16)
+            o1, s1, _ = kernels.cusum_scan(inc, u1, m1, l1, 0, hbar)
+            assert np.array_equal(stops, np.where(o1 >= 0, o1 + 1, -1))
+            assert np.array_equal(stats, s1, equal_nan=True)
+            assert np.array_equal(lref, l1)
+            for i in range(16):
+                stop, stat, ref = _cusum_oracle(inc[i], hbar)
+                assert stops[i] == (stop + 1 if stop >= 0 else -1)
+                assert lref[i] == ref
+
+    def test_sr_recursion_oracle(self):
+        rng = np.random.default_rng(5)
+        inc = rng.normal(0.0, 0.3, size=(4, 200))
+        u, a = np.zeros(4), np.zeros(4)
+        off, _, rend = kernels.sr_scan(inc[:, :77], u, a, 0, math.log(1e9))
+        assert np.all(off == -1)
+        off, _, rend = kernels.sr_scan(inc[:, 77:], u, a, 77, math.log(1e9))
+        assert np.all(off == -1)
+        for i in range(4):
+            r = 0.0
+            for x in inc[i]:
+                r = (1.0 + r) * math.exp(x)
+            assert rend[i] == pytest.approx(math.log(r), rel=1e-10)
+
+    def test_sr_stops_at_first_crossing(self):
+        rng = np.random.default_rng(11)
+        inc = rng.normal(-0.02, 0.3, size=(64, 257))
+        u, a = np.zeros(64), np.zeros(64)
+        log_thresh = math.log(30.0)
+        off, st, _ = kernels.sr_scan(inc, u, a, 0, log_thresh)
+        assert (off >= 0).any()
+        for i in range(64):
+            r, stop, stat = 0.0, -1, math.nan
+            for k, x in enumerate(inc[i]):
+                r = (1.0 + r) * math.exp(x)
+                if math.log(r) >= log_thresh:
+                    stop, stat = k, math.log(r)
+                    break
+            assert off[i] == stop
+            if stop >= 0:
+                assert st[i] == pytest.approx(stat, rel=1e-12)
+
+    def test_lb_until_oracle(self):
+        rng = np.random.default_rng(17)
+        inc = rng.normal(-0.05, 0.4, size=(8, 120))
+        stop_steps = rng.integers(1, 121, size=8).astype(np.int64)
+        state = (np.zeros(8), np.zeros(8), np.ones(8), np.ones(8))
+        kernels.lb_until_scan(inc, *state, 0, stop_steps)
+        for i in range(8):
+            num, den = _lb_oracle(inc[i], stop_steps[i])
+            assert state[2][i] == pytest.approx(num, rel=1e-12)
+            assert state[3][i] == pytest.approx(den, rel=1e-12)
+
+    def test_lb_cusum_oracle(self):
+        rng = np.random.default_rng(13)
+        inc = rng.normal(-0.02, 0.3, size=(64, 257))
+        state = (np.zeros(64), np.zeros(64), np.ones(64), np.ones(64))
+        off, _, _ = kernels.lb_cusum_scan(inc, *state, 0, 1.2)
+        assert (off >= 0).any()
+        for i in range(64):
+            stop, _, _ = _cusum_oracle(inc[i], 1.2)
+            assert off[i] == stop
+            # sums cover steps strictly before the stop
+            num, den = _lb_oracle(inc[i], stop + 1 if stop >= 0 else 258)
+            assert state[2][i] == pytest.approx(num, rel=1e-12)
+            assert state[3][i] == pytest.approx(den, rel=1e-12)
 
 
 def _phi_cdf(x):
