@@ -70,7 +70,10 @@ def _report_rows(reports) -> list:
     return [r.to_row() for r in reports]
 
 
-def _stops_rows(cfg: ExperimentConfig, config: DetectorConfig, result) -> list:
+def _stops_rows(cfg: ExperimentConfig, config: DetectorConfig, result,
+                purpose: str, block: int) -> list:
+    """One row per replication; replication i ran on the Philox stream
+    (seed, stream_id(purpose, i, block))."""
     seed = cfg.simulation["master_seed"]
     censored = result.censored
     stop_times = result.stop_times
@@ -86,7 +89,7 @@ def _stops_rows(cfg: ExperimentConfig, config: DetectorConfig, result) -> list:
             "stat_at_stop": float(result.stat[i]),
             "tau_hat": float(tau_hat[i]) if config.rule.startswith("cusum") else math.nan,
             "seed": seed,
-            "stream_id": i,
+            "stream_id": stream_id(purpose, i, block),
         })
     return rows
 
@@ -167,12 +170,14 @@ def _cmd_arl(cfg: ExperimentConfig, out: str) -> int:
     model.require_admissible()
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
     config = cfg.detector_config()
+    purpose, block = "arl", 0
     report, result = estimate_arl(
         model, config, exp["regime"], sim["n_rep"], sim["horizon"],
-        sim["master_seed"], threads=sim["threads"], return_raw=True)
+        sim["master_seed"], threads=sim["threads"], block=block, purpose=purpose,
+        return_raw=True)
     write_csv(os.path.join(out, "report.csv"), _report_rows([report]))
-    write_csv(os.path.join(out, "stops.csv"), _stops_rows(cfg, config, result),
-              columns=STOP_COLUMNS)
+    write_csv(os.path.join(out, "stops.csv"),
+              _stops_rows(cfg, config, result, purpose, block), columns=STOP_COLUMNS)
     body = {"report": report.to_dict()}
     write_json(os.path.join(out, "summary.json"),
                _summary_payload(cfg, "arl", body))

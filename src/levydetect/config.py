@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .detector import DetectorConfig
 from .errors import SpecValidationError
+from .evaluate import REGIMES
 from .families import LevySpec
 from .model import ChangeModel, build_change_model
 
@@ -76,13 +78,31 @@ class ExperimentConfig:
         model = data["model"]
         if "pre" not in model or "post" not in model:
             raise SpecValidationError("model block needs 'pre' and 'post' entries")
-        return cls(
+        cfg = cls(
             model=copy.deepcopy(model),
             simulation=_merge(DEFAULTS["simulation"], data.get("simulation")),
             detector=_merge(DEFAULTS["detector"], data.get("detector")),
             experiment=_merge(DEFAULTS["experiment"], data.get("experiment")),
             output=_merge(DEFAULTS["output"], data.get("output")),
         )
+        cfg._check_fields()
+        return cfg
+
+    def _check_fields(self) -> None:
+        regime = self.experiment["regime"]
+        if regime not in REGIMES:
+            raise SpecValidationError(
+                f"experiment.regime must be one of {REGIMES}, got {regime!r}")
+        n_rep = self.simulation["n_rep"]
+        if isinstance(n_rep, bool) or not isinstance(n_rep, int) or n_rep < 1:
+            raise SpecValidationError(
+                f"simulation.n_rep must be an integer >= 1, got {n_rep!r}")
+        delta = self.detector["delta"]
+        if delta is not None and (isinstance(delta, bool)
+                                  or not isinstance(delta, (int, float))
+                                  or not math.isfinite(delta) or delta <= 0.0):
+            raise SpecValidationError(
+                f"detector.delta must be a finite number > 0, got {delta!r}")
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":

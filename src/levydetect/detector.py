@@ -26,6 +26,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     AlignmentError,
     ContractError,
@@ -102,8 +103,7 @@ def cusum_update(state: CusumState, log_l: float) -> CusumState:
 
 def drawup(llr: LLRPath) -> np.ndarray:
     """The log-likelihood path minus its running minimum (inclusive); >= 0."""
-    u = llr.u_values
-    return u - np.minimum.accumulate(u)
+    return np.maximum(cusum_log_stats(llr.u_values), 0.0)
 
 
 def cusum_log_stats(u_values: np.ndarray) -> np.ndarray:
@@ -113,12 +113,16 @@ def cusum_log_stats(u_values: np.ndarray) -> np.ndarray:
     values; entry 0 is the -inf sentinel (S_0 = 0).
     """
     u = np.asarray(u_values, dtype=float)
-    prev = np.empty_like(u)
-    prev[0] = u[0]
-    prev[1:] = u[:-1]
-    stats = u - np.minimum.accumulate(prev)
-    stats[0] = -math.inf
-    return stats
+    return _after_origin(kernels.reflected, u, u[0])
+
+
+def _after_origin(stat, u: np.ndarray, carry: float) -> np.ndarray:
+    """A kernel statistic over the points after u[0], one row whose carry
+    starts at ``carry``; entry 0 is the -inf sentinel."""
+    out = np.full(len(u), -math.inf)
+    if len(u) > 1:
+        out[1:] = stat(u[None, 1:], np.array([carry]))[0]
+    return out
 
 
 def first_passage(y: Sequence[float], log_barrier: float, grid_dt: float,
@@ -133,9 +137,8 @@ def first_passage(y: Sequence[float], log_barrier: float, grid_dt: float,
     y = np.asarray(y, dtype=float)
     horizon = (len(y) - 1) * grid_dt
     sub = y[::monitor_stride]
-    crossed = sub >= log_barrier
-    if crossed.any():
-        k = int(crossed.argmax())
+    k = int(kernels.first_crossing(sub[None, :] >= log_barrier)[0])
+    if k >= 0:
         return StopResult(stop_time=k * monitor_stride * grid_dt, censored=False,
                           stat_at_stop=float(sub[k]), steps_taken=k)
     return StopResult(stop_time=horizon, censored=True,
@@ -149,17 +152,6 @@ def _stride_for(llr: LLRPath, delta: float) -> int:
         raise AlignmentError(
             f"delta {delta} is not a multiple of the path grid {llr.grid_dt}")
     return stride
-
-
-def _grid_stop(stats: np.ndarray, log_barrier: float, delta: float) -> StopResult:
-    crossed = stats >= log_barrier
-    crossed[0] = False          # sentinel never triggers
-    if crossed.any():
-        k = int(crossed.argmax())
-        return StopResult(stop_time=k * delta, censored=False,
-                          stat_at_stop=float(stats[k]), steps_taken=k)
-    return StopResult(stop_time=(len(stats) - 1) * delta, censored=True,
-                      stat_at_stop=float(stats[-1]), steps_taken=len(stats) - 1)
 
 
 def run_rule(config: DetectorConfig,
@@ -176,28 +168,19 @@ def run_rule(config: DetectorConfig,
         delta = stride * data.grid_dt
         u = data.u_values[::stride]
         if config.rule == "cusum_grid":
-            return _grid_stop(cusum_log_stats(u), config.log_barrier, delta)
+            return first_passage(cusum_log_stats(u), config.log_barrier, delta)
         # shiryaev_roberts: log R_k = u_k + log sum_{m<k} exp(-u_m); R_0 = 0
-        log_r = np.empty_like(u)
-        log_r[0] = -math.inf
-        if len(u) > 1:
-            log_r[1:] = u[1:] + np.logaddexp.accumulate(-u[:-1])
-        return _grid_stop(log_r, config.log_barrier, delta)
+        return first_passage(_after_origin(kernels.sr_log, u, -u[0]),
+                             config.log_barrier, delta)
 
     # cusum_iid over an increment series
     if not isinstance(data, IncrementSeries):
         raise ContractError("rule 'cusum_iid' takes an increment series")
     q0, q1 = config.iid_laws
-    logs = llr_increment_iid(q0, q1, data.values)
-    state = CusumState()
-    for k, log_l in enumerate(np.atleast_1d(logs), start=1):
-        state = cusum_update(state, float(log_l))
-        if state.log_stat >= config.log_barrier:
-            return StopResult(stop_time=k * data.delta, censored=False,
-                              stat_at_stop=state.log_stat, steps_taken=k)
-    n = len(data.values)
-    return StopResult(stop_time=n * data.delta, censored=True,
-                      stat_at_stop=state.log_stat, steps_taken=n)
+    # log S_k = max(log S_{k-1}, 0) + log L_k is the grid statistic of the
+    # cumulative log-likelihood started at 0
+    u = np.concatenate([[0.0], np.cumsum(llr_increment_iid(q0, q1, data.values))])
+    return first_passage(cusum_log_stats(u), config.log_barrier, data.delta)
 
 
 def mle_changepoint(s_path: Sequence[float], stop: StopResult) -> float:

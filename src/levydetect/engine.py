@@ -33,9 +33,6 @@ CHUNK = 4096          # draw-chunk width in steps (fixed; not a tuning knob)
 SUB_BLOCK = 64        # first scan sub-block of a chunk; later ones double
 BATCH = 1024          # replications per work item
 
-_INT_MAX = np.iinfo(np.int64).max
-
-
 @dataclass(frozen=True)
 class RuleSpec:
     """Stopping rule run by the engine.
@@ -69,7 +66,8 @@ class PathRunResult:
     n_steps: int
     stop_steps: np.ndarray        # global step of the stop; -1 = censored
     stat: np.ndarray              # log statistic at the stop (NaN if censored/fixed)
-    last_reflect: np.ndarray      # last step with log-statistic <= 0 (cusum only)
+    last_reflect: np.ndarray      # last step with log-statistic <= 0 (cusum, with or
+                                  # without collect_lb; 0 for sr and fixed)
     lb_num: Optional[np.ndarray] = None
     lb_den: Optional[np.ndarray] = None
 
@@ -184,22 +182,25 @@ def _run_batch(sampler, rule: RuleSpec, dt: float, n_steps: int, seeds, result,
     """Run replications [lo, lo + len(seeds)) and write results in place."""
     b = len(seeds)
     gens = [s.generator() for s in seeds]
+    sl = slice(lo, lo + b)
+    stop, stat, out_ref = result.stop_steps[sl], result.stat[sl], result.last_reflect[sl]
+    stop[:], stat[:] = -1, np.nan
 
-    u = np.zeros(b)
-    mn = np.zeros(b)
+    # carries of the live rows only, filtered as rows stop
+    u, mn, logA = np.zeros(b), np.zeros(b), np.zeros(b)
     lastref = np.zeros(b, dtype=np.int64)
-    logA = np.zeros(b)               # SR carry: log sum exp(-u_m), m <= last step
-    u_lb = np.zeros(b)
-    mn_lb = np.zeros(b)
-    num = np.ones(b) if collect_lb else None   # k = 0 terms: max(S_0,1) = 1
-    den = np.ones(b) if collect_lb else None   # and (1 - S_0)^+ = 1
-
+    num, den = np.ones(b), np.ones(b)   # k = 0 terms: max(S_0,1) = 1 and (1 - S_0)^+ = 1
     alive = np.arange(b)
-    stop = np.full(b, -1, dtype=np.int64)
-    stat = np.full(b, np.nan)
+
+    def settle(sel) -> None:
+        """Write the final carries of the live rows ``sel``."""
+        out_ref[alive[sel]] = lastref[sel]
+        if collect_lb:
+            result.lb_num[sl][alive[sel]] = num[sel]
+            result.lb_den[sl][alive[sel]] = den[sel]
+
     pos = 0
     drawn = 0                        # steps drawn so far for the live rows
-
     fixed_total = rule.fixed_steps if rule.kind == "fixed" else None
     total_steps = n_steps if fixed_total is None else min(n_steps, fixed_total)
 
@@ -218,56 +219,39 @@ def _run_batch(sampler, rule: RuleSpec, dt: float, n_steps: int, seeds, result,
         inc_b = inc[rows, pos - base:end - base]
 
         if rule.kind == "cusum":
-            cu, cm, cl = u[alive], mn[alive], lastref[alive]
             if collect_lb:
-                cn, cd = num[alive], den[alive]
-                off, st, ye = kernels.lb_cusum_scan(inc_b, cu, cm, cn, cd, pos,
-                                                    rule.log_barrier)
-                num[alive], den[alive] = cn, cd
+                off, st, ye = kernels.lb_cusum_scan(inc_b, u, mn, lastref, num, den,
+                                                    pos, rule.log_barrier)
             else:
-                off, st, ye = kernels.cusum_scan(inc_b, cu, cm, cl, pos,
+                off, st, ye = kernels.cusum_scan(inc_b, u, mn, lastref, pos,
                                                  rule.log_barrier)
-            u[alive], mn[alive], lastref[alive] = cu, cm, cl
         elif rule.kind == "sr":
-            cu, ca = u[alive], logA[alive]
-            off, st, ye = kernels.sr_scan(inc_b, cu, ca, pos, rule.log_barrier)
-            u[alive], logA[alive] = cu, ca
+            u_prev = u.copy()        # both scans advance u from this value
+            off, st, ye = kernels.sr_scan(inc_b, u, logA, pos, rule.log_barrier)
             if collect_lb:
-                stops_here = np.where(off >= 0, pos + 1 + off, _INT_MAX)
-                lu, lm = u_lb[alive], mn_lb[alive]
-                ln, ld = num[alive], den[alive]
-                kernels.lb_until_scan(inc_b, lu, lm, ln, ld, pos, stops_here)
-                u_lb[alive], mn_lb[alive] = lu, lm
-                num[alive], den[alive] = ln, ld
+                kernels.lb_until_scan(inc_b, u_prev, mn, num, den, pos,
+                                      kernels.crossing_steps(off, pos))
         else:  # fixed
             off = np.full(alive.size, -1, dtype=np.int64)
-            st = np.full(alive.size, np.nan)
-            ye = st
+            st = ye = np.full(alive.size, np.nan)
             if collect_lb:
-                stops_here = np.full(alive.size, fixed_total, dtype=np.int64)
-                lu, lm = u_lb[alive], mn_lb[alive]
-                ln, ld = num[alive], den[alive]
-                kernels.lb_until_scan(inc_b, lu, lm, ln, ld, pos, stops_here)
-                u_lb[alive], mn_lb[alive] = lu, lm
-                num[alive], den[alive] = ln, ld
+                kernels.lb_until_scan(inc_b, u, mn, num, den, pos,
+                                      np.full(alive.size, fixed_total, dtype=np.int64))
 
         done = off >= 0
         stat[alive] = np.where(done, st, ye)   # censored rows keep the last value
         if done.any():
             stop[alive[done]] = pos + 1 + off[done]
-            alive, rows = alive[~done], rows[~done]
+            settle(done)
+            keep = ~done
+            alive, rows = alive[keep], rows[keep]
+            u, mn, logA, lastref, num, den = (
+                c[keep] for c in (u, mn, logA, lastref, num, den))
         pos, width = end, 2 * width
 
+    settle(slice(None))
     if fixed_total is not None:
         stop[:] = fixed_total
-
-    sl = slice(lo, lo + b)
-    result.stop_steps[sl] = stop
-    result.stat[sl] = stat
-    result.last_reflect[sl] = lastref
-    if collect_lb:
-        result.lb_num[sl] = num
-        result.lb_den[sl] = den
 
 
 def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
@@ -346,17 +330,11 @@ def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
             inc[j] = sampler(gen, n_steps)
         uu = np.cumsum(inc, axis=1)
         for li, s in enumerate(strides):
-            us = uu[:, s - 1::s]
-            prev = np.empty_like(us)
-            prev[:, 0] = 0.0
-            prev[:, 1:] = us[:, :-1]
-            y = us - np.minimum.accumulate(prev, axis=1)
+            y = kernels.reflected(uu[:, s - 1::s], np.zeros(b))
             for stops, crossed in ((out[li], y >= log_barrier),
                                    (out_strict[li], y > log_barrier)):
-                any_cross = crossed.any(axis=1)
-                first = crossed.argmax(axis=1)
-                stop = np.where(any_cross, (first + 1) * s * dt, n_steps * dt)
-                stops[lo:hi] = stop
+                first = kernels.first_crossing(crossed)
+                stops[lo:hi] = np.where(first >= 0, (first + 1) * s * dt, n_steps * dt)
 
     spans = [(lo, min(lo + 256, n_rep)) for lo in range(0, n_rep, 256)]
     if threads <= 1 or len(spans) == 1:

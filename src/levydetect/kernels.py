@@ -1,23 +1,33 @@
-"""Path-scan kernels of the batch engine (numpy).
+"""Scan kernels: the one place the detection statistics are computed (numpy).
 
-Each kernel processes one block of log-likelihood increments per call and
-carries per-path state across blocks:
+Every statistic is a function of the *cumulative* log-likelihood values of a
+path. The primitives below take 2-D blocks of those values, one row per path,
+and advance per-row carries in place:
 
-* ``u``       cumulative log-likelihood value at the last processed step;
-* ``mn``      minimum of the cumulative value over all *previous* monitored
-              points (the reflection barrier of the detection statistic);
-* ``lastref`` last global step index with log-statistic <= 0 (0 = origin);
-* ``logA``    log of the accumulated inverse likelihood sum for the
-              Shiryaev-Roberts recursion.
+* :func:`cumulative` -- cumulative values of an increment block; carry ``u``,
+  the value at the last processed point.
+* :func:`reflected` -- the CUSUM log statistic, each value minus the minimum
+  over *strictly earlier* points; carry ``mn``, the minimum over every point
+  so far (the reflection barrier).
+* :func:`sr_log` -- the Shiryaev-Roberts log statistic
+  log R_k = u_k + log sum_{m<k} exp(-u_m); carry ``logA``, the log sum over
+  every point so far.
+* :func:`first_crossing` -- block position of each row's first crossing.
+* :func:`last_reflection` -- carry ``lastref``, the last global step at or
+  before the stop with log statistic <= 0 (0 = origin).
+* :func:`lb_sums` -- carries ``num``/``den``, the lower-bound sums
+  sum max(S_k, 1) and sum (1 - S_k)^+ over steps strictly before the stop.
 
 Steps are numbered globally from 1; a block of width m covers steps
-``start_step + 1 .. start_step + m``. After a row crosses its barrier the
-carries of that row are unspecified (callers drop stopped rows), except that
-``lastref`` never counts steps past the crossing.
+``start_step + 1 .. start_step + m``. Every carry is a sequential accumulate
+(cumulative values prepend their carry), so splitting a path into blocks at
+any points gives bit-identical results. After a row crosses its barrier its
+``u``/``mn``/``logA`` carries are unspecified (callers drop stopped rows).
 
-Every carry is a sequential accumulate (cumulative sums are built by
-prepending the carry), so splitting a path into blocks at any points gives
-bit-identical results.
+The four scans the engine runs on increment blocks (:func:`cusum_scan`,
+:func:`lb_cusum_scan`, :func:`sr_scan`, :func:`lb_until_scan`) are
+compositions of these primitives; the detector runs the same primitives on
+one row.
 """
 
 from __future__ import annotations
@@ -32,19 +42,79 @@ def backend() -> str:
     return "python"
 
 
-def _cumulative(inc: np.ndarray, carry: np.ndarray) -> np.ndarray:
+# --------------------------------------------------------------------------- #
+# primitives
+# --------------------------------------------------------------------------- #
+
+def cumulative(inc: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Cumulative values of an increment block continuing from ``u``."""
     ext = np.empty((inc.shape[0], inc.shape[1] + 1), dtype=np.float64)
-    ext[:, 0] = carry
+    ext[:, 0] = u
     ext[:, 1:] = inc
-    return np.cumsum(ext, axis=1)[:, 1:]
+    uu = np.cumsum(ext, axis=1)[:, 1:]
+    u[:] = uu[:, -1]
+    return uu
 
 
-def _prev_min(uu: np.ndarray, mn: np.ndarray) -> np.ndarray:
-    prev = np.empty_like(uu)
-    prev[:, 0] = mn
-    prev[:, 1:] = uu[:, :-1]
-    return np.minimum.accumulate(prev, axis=1)
+def reflected(uu: np.ndarray, mn: np.ndarray) -> np.ndarray:
+    """Each value minus the minimum of ``mn`` and the earlier block values."""
+    y = np.empty_like(uu)               # strict-past minima, then the statistic
+    y[:, 0] = mn
+    y[:, 1:] = uu[:, :-1]
+    np.minimum.accumulate(y, axis=1, out=y)
+    mn[:] = np.minimum(y[:, -1], uu[:, -1])
+    return np.subtract(uu, y, out=y)
 
+
+def sr_log(uu: np.ndarray, logA: np.ndarray) -> np.ndarray:
+    """log R = value + log(exp(logA) + sum of exp(-earlier block values))."""
+    logr = np.empty_like(uu)            # log sums over earlier points, then log R
+    logr[:, 0] = logA
+    np.negative(uu[:, :-1], out=logr[:, 1:])
+    np.logaddexp.accumulate(logr, axis=1, out=logr)
+    logA[:] = np.logaddexp(logr[:, -1], -uu[:, -1])
+    return np.add(uu, logr, out=logr)
+
+
+def first_crossing(crossed: np.ndarray) -> np.ndarray:
+    """0-based block position of each row's first True (-1 if none)."""
+    return np.where(crossed.any(axis=1), crossed.argmax(axis=1).astype(np.int64),
+                    np.int64(-1))
+
+
+def value_at(y: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """y at each row's block position ``off`` (NaN where off < 0)."""
+    return np.where(off >= 0, y[np.arange(y.shape[0]), np.maximum(off, 0)], np.nan)
+
+
+def crossing_steps(off: np.ndarray, start_step: int) -> np.ndarray:
+    """Global step of each row's crossing (int64 max where none)."""
+    return np.where(off >= 0, start_step + 1 + off, _INT_MAX)
+
+
+def _steps(start_step: int, m: int) -> np.ndarray:
+    return start_step + 1 + np.arange(m, dtype=np.int64)
+
+
+def last_reflection(y, start_step, stop, lastref) -> None:
+    """Advance ``lastref`` to the last step <= ``stop`` with y <= 0."""
+    gidx = _steps(start_step, y.shape[1])
+    refl = (y <= 0.0) & (gidx[None, :] <= stop[:, None])
+    np.maximum(lastref, np.max(np.where(refl, gidx[None, :], np.int64(-1)), axis=1),
+               out=lastref)
+
+
+def lb_sums(y, start_step, stop, num, den) -> None:
+    """Add max(S, 1) and (1 - S)^+, S = exp(y), over steps < ``stop``."""
+    valid = _steps(start_step, y.shape[1])[None, :] < stop[:, None]
+    s = np.exp(np.minimum(y, 700.0))
+    cumulative(np.where(valid, np.maximum(s, 1.0), 0.0), num)
+    cumulative(np.where(valid, np.maximum(1.0 - s, 0.0), 0.0), den)
+
+
+# --------------------------------------------------------------------------- #
+# engine scans over increment blocks
+# --------------------------------------------------------------------------- #
 
 def cusum_scan(inc, u, mn, lastref, start_step, hbar):
     """Advance the reflected log-likelihood statistic; detect barrier crossing.
@@ -53,99 +123,33 @@ def cusum_scan(inc, u, mn, lastref, start_step, hbar):
     first step with statistic >= hbar (-1 if none), stat the statistic there,
     yend the statistic at the last block step (for censor reporting).
     """
-    n, m = inc.shape
-    uu = _cumulative(inc, u)
-    mn_prev = _prev_min(uu, mn)
-    y = uu - mn_prev
+    y = reflected(cumulative(inc, u), mn)
+    off = first_crossing(y >= hbar)
+    last_reflection(y, start_step, crossing_steps(off, start_step), lastref)
+    return off, value_at(y, off), y[:, -1].copy()
 
-    crossed = y >= hbar
-    any_cross = crossed.any(axis=1)
-    off = np.where(any_cross, crossed.argmax(axis=1).astype(np.int64), np.int64(-1))
 
-    gidx = start_step + 1 + np.arange(m, dtype=np.int64)
-    stop_g = np.where(any_cross, start_step + 1 + off, _INT_MAX)
-    refl = (y <= 0.0) & (gidx[None, :] <= stop_g[:, None])
-    ref_idx = np.max(np.where(refl, gidx[None, :], np.int64(-1)), axis=1)
-    np.maximum(lastref, ref_idx, out=lastref)
-
-    rows = np.arange(n)
-    stat = np.where(any_cross, y[rows, np.maximum(off, 0)], np.nan)
-    yend = y[:, -1].copy()
-
-    u[:] = uu[:, -1]
-    mn[:] = np.minimum(mn_prev[:, -1], uu[:, -1])
-    return off, stat, yend
+def lb_cusum_scan(inc, u, mn, lastref, num, den, start_step, hbar):
+    """:func:`cusum_scan` that also accumulates the lower-bound sums over
+    steps strictly before the stop."""
+    y = reflected(cumulative(inc, u), mn)
+    off = first_crossing(y >= hbar)
+    stop = crossing_steps(off, start_step)
+    last_reflection(y, start_step, stop, lastref)
+    lb_sums(y, start_step, stop, num, den)
+    return off, value_at(y, off), y[:, -1].copy()
 
 
 def sr_scan(inc, u, logA, start_step, log_thresh):
-    """Advance the Shiryaev-Roberts statistic log R_k = u_k + logA_k where
-    A_k accumulates exp(-u_m) over past points; detect log R >= log_thresh."""
-    n, m = inc.shape
-    uu = _cumulative(inc, u)
-    prev = np.empty_like(uu)
-    prev[:, 0] = logA
-    prev[:, 1:] = -uu[:, :-1]
-    logA_seq = np.logaddexp.accumulate(prev, axis=1)
-    logr = uu + logA_seq
-
-    crossed = logr >= log_thresh
-    any_cross = crossed.any(axis=1)
-    off = np.where(any_cross, crossed.argmax(axis=1).astype(np.int64), np.int64(-1))
-    rows = np.arange(n)
-    stat = np.where(any_cross, logr[rows, np.maximum(off, 0)], np.nan)
-    rend = logr[:, -1].copy()
-
-    u[:] = uu[:, -1]
-    logA[:] = np.logaddexp(logA_seq[:, -1], -uu[:, -1])
-    return off, stat, rend
+    """Advance the Shiryaev-Roberts statistic; detect log R >= log_thresh.
+    Returns (offset, stat, rend) as :func:`cusum_scan` does."""
+    logr = sr_log(cumulative(inc, u), logA)
+    off = first_crossing(logr >= log_thresh)
+    return off, value_at(logr, off), logr[:, -1].copy()
 
 
-def lb_cusum_scan(inc, u, mn, num, den, start_step, hbar):
-    """Like :func:`cusum_scan` but also accumulates the two lower-bound sums
-    sum max(S_k, 1) and sum (1 - S_k)^+ over steps strictly before the stop."""
-    n, m = inc.shape
-    uu = _cumulative(inc, u)
-    mn_prev = _prev_min(uu, mn)
-    y = uu - mn_prev
-
-    crossed = y >= hbar
-    any_cross = crossed.any(axis=1)
-    off = np.where(any_cross, crossed.argmax(axis=1).astype(np.int64), np.int64(-1))
-    gidx = start_step + 1 + np.arange(m, dtype=np.int64)
-    stop_g = np.where(any_cross, start_step + 1 + off, _INT_MAX)
-    valid = gidx[None, :] < stop_g[:, None]
-
-    s = np.exp(np.minimum(y, 700.0))
-    term_num = np.where(valid, np.maximum(s, 1.0), 0.0)
-    term_den = np.where(valid, np.maximum(1.0 - s, 0.0), 0.0)
-    num[:] = _cumulative(term_num, num)[:, -1]
-    den[:] = _cumulative(term_den, den)[:, -1]
-
-    rows = np.arange(n)
-    stat = np.where(any_cross, y[rows, np.maximum(off, 0)], np.nan)
-    yend = y[:, -1].copy()
-    u[:] = uu[:, -1]
-    mn[:] = np.minimum(mn_prev[:, -1], uu[:, -1])
-    return off, stat, yend
-
-
-def lb_until_scan(inc, u, mn, num, den, start_step, stop_steps):
-    """Accumulate the lower-bound sums up to externally supplied stop steps
-    (global, exclusive); used when the stopping rule is not the reflected
+def lb_until_scan(inc, u, mn, num, den, start_step, stop):
+    """Accumulate the lower-bound sums up to externally supplied global stop
+    steps (exclusive); used when the stopping rule is not the reflected
     statistic itself (fixed-time rules, Shiryaev-Roberts)."""
-    uu = _cumulative(inc, u)
-    mn_prev = _prev_min(uu, mn)
-    y = uu - mn_prev
-
-    m = inc.shape[1]
-    gidx = start_step + 1 + np.arange(m, dtype=np.int64)
-    valid = gidx[None, :] < stop_steps[:, None]
-
-    s = np.exp(np.minimum(y, 700.0))
-    term_num = np.where(valid, np.maximum(s, 1.0), 0.0)
-    term_den = np.where(valid, np.maximum(1.0 - s, 0.0), 0.0)
-    num[:] = _cumulative(term_num, num)[:, -1]
-    den[:] = _cumulative(term_den, den)[:, -1]
-
-    u[:] = uu[:, -1]
-    mn[:] = np.minimum(mn_prev[:, -1], uu[:, -1])
+    lb_sums(reflected(cumulative(inc, u), mn), start_step, stop, num, den)

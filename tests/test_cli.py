@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 
 import pytest
 
 from levydetect.cli import main
+from levydetect.rng import PURPOSE
 
 BM_MODEL = {
     "pre": {"family": "brownian", "sigma": 1.0, "drift": 0.0},
@@ -96,6 +98,20 @@ class TestArl:
         assert len(stops) == 1201
         assert stops[0].split(",")[:3] == ["rule", "h_bar", "delta"]
 
+    def test_stops_rows_name_their_stream(self, tmp_path):
+        """stream_id is the composed Philox id: purpose code in the top
+        byte, then the block, then the replication index."""
+        code, out = _run(tmp_path, "arl", self.PAYLOAD, "sid")
+        assert code == 0
+        with open(os.path.join(out, "stops.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        codes = {v: k for k, v in PURPOSE.items()}
+        for i in (0, 1, len(rows) - 1):
+            sid = int(rows[i]["stream_id"])
+            assert codes[sid >> 56] == "arl"
+            assert (sid >> 40) & 0xFFFF == 0
+            assert sid & ((1 << 40) - 1) == i
+
     def test_rerun_is_byte_identical(self, tmp_path):
         code1, out1 = _run(tmp_path, "arl", self.PAYLOAD, "arl1")
         code2, out2 = _run(tmp_path, "arl", self.PAYLOAD, "arl2")
@@ -155,6 +171,21 @@ class TestArl:
         assert code == 2
         assert "detector.rule" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "report.csv"))
+
+
+@pytest.mark.parametrize("block,field,value", [
+    ("experiment", "regime", "sideways"),
+    ("simulation", "n_rep", 0),
+    ("detector", "delta", -0.1),
+])
+def test_bad_config_field_exits_two_and_names_it(tmp_path, capsys, block, field,
+                                                 value):
+    payload = dict(TestArl.PAYLOAD)
+    payload[block] = dict(payload[block], **{field: value})
+    code, out = _run(tmp_path, "arl", payload, f"{block}_{field}")
+    assert code == 2
+    assert f"{block}.{field}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.csv"))
 
 
 class TestConverge:

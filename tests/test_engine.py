@@ -1,5 +1,6 @@
 import math
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +116,19 @@ class TestRunPaths:
             assert np.array_equal(runs[0].last_reflect, other.last_reflect)
             assert np.array_equal(runs[0].lb_num, other.lb_num)
             assert np.array_equal(runs[0].lb_den, other.lb_den)
+
+    @pytest.mark.parametrize("regime", ["pre", "post"])
+    def test_collect_lb_does_not_change_cusum_outputs(self, brownian_model, regime):
+        """Accumulating the lower-bound sums rides along the same scan: stops,
+        statistics and last reflections equal those of the plain run."""
+        rule = RuleSpec(kind="cusum", log_barrier=2.0)
+        plain, lb = (run_paths(brownian_model, regime, rule, 0.1, 600, 300, SEED,
+                               "arl", collect_lb=c) for c in (False, True))
+        assert (plain.last_reflect > 0).any()
+        assert np.array_equal(plain.stop_steps, lb.stop_steps)
+        assert np.array_equal(plain.stat, lb.stat, equal_nan=True)
+        assert np.array_equal(plain.last_reflect, lb.last_reflect)
+        assert np.array_equal(plain.tau_hat, lb.tau_hat, equal_nan=True)
 
     def test_invalid_rule_rejected(self):
         with pytest.raises(ContractError):
@@ -267,17 +281,29 @@ class TestScanKernels:
     def test_lb_cusum_oracle(self):
         rng = np.random.default_rng(13)
         inc = rng.normal(-0.02, 0.3, size=(64, 257))
-        state = (np.zeros(64), np.zeros(64), np.ones(64), np.ones(64))
+        state = (*_fresh_state(64), np.ones(64), np.ones(64))
         off, _, _ = kernels.lb_cusum_scan(inc, *state, 0, 1.2)
         assert (off >= 0).any()
         for i in range(64):
-            stop, _, _ = _cusum_oracle(inc[i], 1.2)
+            stop, _, ref = _cusum_oracle(inc[i], 1.2)
             assert off[i] == stop
+            assert state[2][i] == ref
             # sums cover steps strictly before the stop
             num, den = _lb_oracle(inc[i], stop + 1 if stop >= 0 else 258)
-            assert state[2][i] == pytest.approx(num, rel=1e-12)
-            assert state[3][i] == pytest.approx(den, rel=1e-12)
+            assert state[3][i] == pytest.approx(num, rel=1e-12)
+            assert state[4][i] == pytest.approx(den, rel=1e-12)
 
 
 def _phi_cdf(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def test_statistics_are_computed_only_in_kernels():
+    """The running minimum and the Shiryaev-Roberts log-sum accumulate live
+    in kernels.py alone; every other module calls its primitives."""
+    pkg = Path(__file__).resolve().parents[1] / "src" / "levydetect"
+    offenders = [f"{path.name}: {pattern}"
+                 for path in sorted(pkg.glob("*.py")) if path.name != "kernels.py"
+                 for pattern in ("np.minimum.accumulate", "np.logaddexp.accumulate")
+                 if pattern in path.read_text()]
+    assert (pkg / "kernels.py").exists() and offenders == []
