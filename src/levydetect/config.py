@@ -53,6 +53,12 @@ DEFAULTS = {
 }
 
 
+def _is_finite(value) -> bool:
+    """A JSON number (not a bool) with a finite value."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _merge(defaults: dict, given: Optional[dict]) -> dict:
     out = copy.deepcopy(defaults)
     if given:
@@ -89,20 +95,31 @@ class ExperimentConfig:
         return cfg
 
     def _check_fields(self) -> None:
-        regime = self.experiment["regime"]
+        exp, det = self.experiment, self.detector
+        regime = exp["regime"]
         if regime not in REGIMES:
             raise SpecValidationError(
                 f"experiment.regime must be one of {REGIMES}, got {regime!r}")
-        n_rep = self.simulation["n_rep"]
-        if isinstance(n_rep, bool) or not isinstance(n_rep, int) or n_rep < 1:
-            raise SpecValidationError(
-                f"simulation.n_rep must be an integer >= 1, got {n_rep!r}")
-        delta = self.detector["delta"]
-        if delta is not None and (isinstance(delta, bool)
-                                  or not isinstance(delta, (int, float))
-                                  or not math.isfinite(delta) or delta <= 0.0):
+        for name, value in (("simulation.n_rep", self.simulation["n_rep"]),
+                            ("experiment.n_rep_calibrate", exp["n_rep_calibrate"]),
+                            ("experiment.dyadic_levels", exp["dyadic_levels"])):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise SpecValidationError(
+                    f"{name} must be an integer >= 1, got {value!r}")
+        delta = det["delta"]
+        if delta is not None and not (_is_finite(delta) and delta > 0.0):
             raise SpecValidationError(
                 f"detector.delta must be a finite number > 0, got {delta!r}")
+        barrier = det["log_barrier"]
+        if not _is_finite(barrier):
+            raise SpecValidationError(
+                f"detector.log_barrier must be a finite number, got {barrier!r}")
+        taus = exp["tau_grid"]
+        if not (isinstance(taus, (list, tuple)) and taus
+                and all(_is_finite(t) and t >= 0.0 for t in taus)):
+            raise SpecValidationError(
+                "experiment.tau_grid must be a non-empty list of finite numbers >= 0, "
+                f"got {taus!r}")
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":

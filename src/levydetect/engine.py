@@ -2,15 +2,22 @@
 
 The detection statistics are grid functionals of the log-likelihood process,
 and for every catalogue family the law of its increments over a monitoring
-step is known exactly, so runs are simulated directly on the monitoring grid:
-each replication owns a counter-based stream (reproducible from its index
-alone), increments are drawn chunk by chunk, and a scan kernel advances the
-statistic until the barrier is crossed or the horizon censors the run.
+step is known exactly, so runs are simulated directly on the monitoring grid.
+Each replication owns a counter-based stream (reproducible from its index
+alone) and draws each kind of variate from its own substream: Brownian
+normals, jump counts and jump marks never share a generator. A draw is
+therefore a function of its step index only, so the engine can draw in any
+schedule without moving a value. It draws, for the paths still running,
+exactly the sub-block it scans next (64, 128, 256, ... steps, capped at the
+chunk width), and a scan kernel advances the statistic until the barrier is
+crossed or the horizon censors the run. A path costs draws and scan time
+only up to about twice its stopping step.
 
 Per-replication streams make three properties structural rather than
-incidental: results do not depend on the worker count, common random numbers
-across barrier candidates hold pathwise (a path consumes the same draws no
-matter where the barrier sits), and any single replication can be replayed.
+incidental: results do not depend on the worker count or the chunk width,
+common random numbers across barrier candidates hold pathwise (a path
+consumes the same draws no matter where the barrier sits), and any single
+replication can be replayed.
 """
 
 from __future__ import annotations
@@ -27,11 +34,15 @@ from .errors import ContractError
 from .model import ChangeModel
 from .rng import RngStream, stream_id
 
-__all__ = ["RuleSpec", "PathRunResult", "make_u_sampler", "run_paths", "run_dyadic"]
+__all__ = ["RuleSpec", "PathRunResult", "make_u_sampler", "substream_components",
+           "sample_u_increments", "run_paths", "run_dyadic"]
 
-CHUNK = 4096          # draw-chunk width in steps (fixed; not a tuning knob)
-SUB_BLOCK = 64        # first scan sub-block of a chunk; later ones double
+CHUNK = 4096          # widest draw-and-scan sub-block in steps (not a tuning knob)
+SUB_BLOCK = 64        # first sub-block of a path; later ones double up to CHUNK
 BATCH = 1024          # replications per work item
+
+# substream components (see rng.RngStream): what a sampler draws from each
+BM, COUNT, MARK, COUNT_NEG, MARK_NEG = range(5)
 
 @dataclass(frozen=True)
 class RuleSpec:
@@ -89,12 +100,32 @@ class PathRunResult:
 # exact per-step increment samplers for the log-likelihood process
 # --------------------------------------------------------------------------- #
 
+def _bm_sd(model: ChangeModel, dt: float) -> float:
+    return abs(model.alpha) * model.sigma * math.sqrt(dt)
+
+
+def substream_components(model: ChangeModel, dt: float) -> Tuple[int, ...]:
+    """The substream components the increment sampler of ``model`` draws
+    from, in increasing order."""
+    if model.phi is None or model.pre.family == "gamma":
+        return (BM,)
+    jumps = (COUNT, MARK, COUNT_NEG, MARK_NEG) \
+        if model.pre.jumps.kind == "two_sided_exponential" else (COUNT, MARK)
+    return ((BM,) if _bm_sd(model, dt) > 0.0 else ()) + jumps
+
+
 def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     """Exact sampler for log-likelihood increments over one monitoring step.
 
     ``regime`` is 'pre' (no change yet) or 'post' (changed from the start).
-    Draw order within a step is part of the stream contract: Brownian normals,
-    then jump counts, then jump magnitudes.
+    The sampler is called as ``sampler(gens, size)``, ``gens`` being one
+    replication's substream generators indexed by component
+    (:meth:`RngStream.substreams` of :func:`substream_components`). Each
+    component feeds one kind of variate, one value per step: BM the Brownian
+    normals (and the gamma family's gamma variates), COUNT the jump counts,
+    MARK the jump marks, COUNT_NEG/MARK_NEG the negative side of a two-sided
+    law. That assignment is the stream contract; it makes the increments of
+    successive calls continue one sequence whatever the call sizes.
     """
     model.require_admissible()
     if regime not in ("pre", "post"):
@@ -102,12 +133,12 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     spec = model.pre if regime == "pre" else model.post
     alpha, sigma = model.alpha, model.sigma
 
-    bm_sd = abs(alpha) * sigma * math.sqrt(dt)
+    bm_sd = _bm_sd(model, dt)
     bm_mean = (0.5 if regime == "post" else -0.5) * (alpha * sigma) ** 2 * dt
 
     if model.phi is None:
-        def draw(gen: np.random.Generator, size) -> np.ndarray:
-            return bm_mean + bm_sd * gen.standard_normal(size)
+        def draw(gens, size: int) -> np.ndarray:
+            return bm_mean + bm_sd * gens[BM].standard_normal(size)
         return draw
 
     comp_dt = model.comp_rate * dt
@@ -118,23 +149,26 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
         theta = spec.scale
         c1 = phi.pos[1]
 
-        def draw(gen: np.random.Generator, size) -> np.ndarray:
-            return c1 * gen.gamma(shape, theta, size) - comp_dt
+        def draw(gens, size: int) -> np.ndarray:
+            return c1 * gens[BM].gamma(shape, theta, size) - comp_dt
         return draw
 
     lam_dt = spec.intensity * dt
     law = spec.jumps
     has_bm = bm_sd > 0.0
 
+    def brownian(gens, size: int) -> np.ndarray:
+        return bm_mean + bm_sd * gens[BM].standard_normal(size) if has_bm \
+            else np.full(size, bm_mean)
+
     if law.kind == "gaussian":
         c0, c1 = phi.pos
         mean, sd = law.mean, law.sd
 
-        def draw(gen: np.random.Generator, size) -> np.ndarray:
-            out = bm_mean + bm_sd * gen.standard_normal(size) if has_bm \
-                else np.full(size, bm_mean)
-            n = gen.poisson(lam_dt, size)
-            z = gen.standard_normal(size)
+        def draw(gens, size: int) -> np.ndarray:
+            out = brownian(gens, size)
+            n = gens[COUNT].poisson(lam_dt, size)
+            z = gens[MARK].standard_normal(size)
             out += c0 * n + c1 * (mean * n + sd * np.sqrt(n) * z)
             return out - comp_dt
         return draw
@@ -143,11 +177,10 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
         c0, c1 = phi.pos
         rate = law.rate
 
-        def draw(gen: np.random.Generator, size) -> np.ndarray:
-            out = bm_mean + bm_sd * gen.standard_normal(size) if has_bm \
-                else np.full(size, bm_mean)
-            n = gen.poisson(lam_dt, size)
-            out += c0 * n + (c1 / rate) * gen.standard_gamma(n)
+        def draw(gens, size: int) -> np.ndarray:
+            out = brownian(gens, size)
+            n = gens[COUNT].poisson(lam_dt, size)
+            out += c0 * n + (c1 / rate) * gens[MARK].standard_gamma(n)
             return out - comp_dt
         return draw
 
@@ -156,13 +189,12 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     w = law.weight_pos
     rp, rn = law.rate_pos, law.rate_neg
 
-    def draw(gen: np.random.Generator, size) -> np.ndarray:
-        out = bm_mean + bm_sd * gen.standard_normal(size) if has_bm \
-            else np.full(size, bm_mean)
-        npos = gen.poisson(lam_dt * w, size)
-        nneg = gen.poisson(lam_dt * (1.0 - w), size)
-        out += c0p * npos + (c1p / rp) * gen.standard_gamma(npos)
-        out += c0n * nneg - (c1n / rn) * gen.standard_gamma(nneg)
+    def draw(gens, size: int) -> np.ndarray:
+        out = brownian(gens, size)
+        npos = gens[COUNT].poisson(lam_dt * w, size)
+        nneg = gens[COUNT_NEG].poisson(lam_dt * (1.0 - w), size)
+        out += c0p * npos + (c1p / rp) * gens[MARK].standard_gamma(npos)
+        out += c0n * nneg - (c1n / rn) * gens[MARK_NEG].standard_gamma(nneg)
         return out - comp_dt
     return draw
 
@@ -170,18 +202,19 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
 def sample_u_increments(model: ChangeModel, regime: str, dt: float,
                         n: int, rng: RngStream) -> np.ndarray:
     """n independent log-likelihood increments over one step (one stream)."""
-    return make_u_sampler(model, regime, dt)(rng.generator(), n)
+    gens = rng.substreams(substream_components(model, dt))
+    return make_u_sampler(model, regime, dt)(gens, n)
 
 
 # --------------------------------------------------------------------------- #
-# chunked scan driver
+# draw-and-scan driver
 # --------------------------------------------------------------------------- #
 
-def _run_batch(sampler, rule: RuleSpec, dt: float, n_steps: int, seeds, result,
-               lo: int, collect_lb: bool, chunk: int) -> None:
+def _run_batch(sampler, components, rule: RuleSpec, dt: float, n_steps: int, seeds,
+               result, lo: int, collect_lb: bool, chunk: int) -> None:
     """Run replications [lo, lo + len(seeds)) and write results in place."""
     b = len(seeds)
-    gens = [s.generator() for s in seeds]
+    gens = [s.substreams(components) for s in seeds]
     sl = slice(lo, lo + b)
     stop, stat, out_ref = result.stop_steps[sl], result.stat[sl], result.last_reflect[sl]
     stop[:], stat[:] = -1, np.nan
@@ -199,43 +232,37 @@ def _run_batch(sampler, rule: RuleSpec, dt: float, n_steps: int, seeds, result,
             result.lb_num[sl][alive[sel]] = num[sel]
             result.lb_den[sl][alive[sel]] = den[sel]
 
-    pos = 0
-    drawn = 0                        # steps drawn so far for the live rows
     fixed_total = rule.fixed_steps if rule.kind == "fixed" else None
     total_steps = n_steps if fixed_total is None else min(n_steps, fixed_total)
+    pos, width = 0, min(SUB_BLOCK, chunk)
 
     while alive.size and pos < total_steps:
-        if pos == drawn:
-            w = min(chunk, total_steps - pos)
-            inc = np.empty((alive.size, w))
-            for j, idx in enumerate(alive):
-                inc[j] = sampler(gens[idx], w)
-            rows, base, width = np.arange(alive.size), pos, SUB_BLOCK
-            drawn = pos + w
-        # scan the chunk in geometric sub-blocks, dropping stopped rows in
-        # between; every carry is a sequential accumulate, so the split
-        # leaves the results bit-identical
-        end = min(pos + width, drawn)
-        inc_b = inc[rows, pos - base:end - base]
+        # draw the live rows' next sub-block, scan it and drop the rows that
+        # stopped; every carry is a sequential accumulate and every draw a
+        # function of its step, so the split leaves the results bit-identical
+        end = min(pos + width, total_steps)
+        inc = np.empty((alive.size, end - pos))
+        for j, idx in enumerate(alive):
+            inc[j] = sampler(gens[idx], inc.shape[1])
 
         if rule.kind == "cusum":
             if collect_lb:
-                off, st, ye = kernels.lb_cusum_scan(inc_b, u, mn, lastref, num, den,
+                off, st, ye = kernels.lb_cusum_scan(inc, u, mn, lastref, num, den,
                                                     pos, rule.log_barrier)
             else:
-                off, st, ye = kernels.cusum_scan(inc_b, u, mn, lastref, pos,
+                off, st, ye = kernels.cusum_scan(inc, u, mn, lastref, pos,
                                                  rule.log_barrier)
         elif rule.kind == "sr":
             u_prev = u.copy()        # both scans advance u from this value
-            off, st, ye = kernels.sr_scan(inc_b, u, logA, pos, rule.log_barrier)
+            off, st, ye = kernels.sr_scan(inc, u, logA, pos, rule.log_barrier)
             if collect_lb:
-                kernels.lb_until_scan(inc_b, u_prev, mn, num, den, pos,
+                kernels.lb_until_scan(inc, u_prev, mn, num, den, pos,
                                       kernels.crossing_steps(off, pos))
         else:  # fixed
             off = np.full(alive.size, -1, dtype=np.int64)
             st = ye = np.full(alive.size, np.nan)
             if collect_lb:
-                kernels.lb_until_scan(inc_b, u, mn, num, den, pos,
+                kernels.lb_until_scan(inc, u, mn, num, den, pos,
                                       np.full(alive.size, fixed_total, dtype=np.int64))
 
         done = off >= 0
@@ -244,10 +271,10 @@ def _run_batch(sampler, rule: RuleSpec, dt: float, n_steps: int, seeds, result,
             stop[alive[done]] = pos + 1 + off[done]
             settle(done)
             keep = ~done
-            alive, rows = alive[keep], rows[keep]
+            alive = alive[keep]
             u, mn, logA, lastref, num, den = (
                 c[keep] for c in (u, mn, logA, lastref, num, den))
-        pos, width = end, 2 * width
+        pos, width = end, min(2 * width, chunk)
 
     settle(slice(None))
     if fixed_total is not None:
@@ -260,15 +287,17 @@ def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
               chunk: int = CHUNK) -> PathRunResult:
     """Monte Carlo run of a stopping rule over ``n_rep`` monitored paths.
 
-    Results are bit-identical for any ``threads`` value: replication i always
-    uses the stream (master_seed, purpose/block/i) and aggregation is by
-    fixed slices.
+    Results are bit-identical for any ``threads`` value and any ``chunk``
+    (the widest sub-block drawn and scanned at once): replication i always
+    uses the stream (master_seed, purpose/block/i), each of its draws depends
+    on its step alone, and aggregation is by fixed slices.
     """
     rule.validate()
     if rule.kind == "fixed" and rule.fixed_steps > n_steps:
         raise ContractError(
             f"fixed rule of {rule.fixed_steps} steps exceeds the {n_steps}-step horizon")
     sampler = make_u_sampler(model, regime, dt)
+    components = substream_components(model, dt)
     result = PathRunResult(
         dt=dt, n_steps=n_steps,
         stop_steps=np.empty(n_rep, dtype=np.int64),
@@ -286,12 +315,12 @@ def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
 
     if threads <= 1 or len(batches) == 1:
         for seeds, lo in batches:
-            _run_batch(sampler, rule, dt, n_steps, seeds, result, lo,
+            _run_batch(sampler, components, rule, dt, n_steps, seeds, result, lo,
                        collect_lb, chunk)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_batch, sampler, rule, dt, n_steps,
-                                   seeds, result, lo, collect_lb, chunk)
+            futures = [pool.submit(_run_batch, sampler, components, rule, dt,
+                                   n_steps, seeds, result, lo, collect_lb, chunk)
                        for seeds, lo in batches]
             for f in futures:
                 f.result()
@@ -319,6 +348,7 @@ def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
         if n_steps % s:
             raise ContractError(f"n_steps {n_steps} not divisible by stride {s}")
     sampler = make_u_sampler(model, regime, dt)
+    components = substream_components(model, dt)
     out = [np.empty(n_rep) for _ in strides]
     out_strict = [np.empty(n_rep) for _ in strides]
 
@@ -326,8 +356,9 @@ def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
         b = hi - lo
         inc = np.empty((b, n_steps))
         for j, i in enumerate(range(lo, hi)):
-            gen = RngStream(master_seed, stream_id(purpose, i, block)).generator()
-            inc[j] = sampler(gen, n_steps)
+            gens = RngStream(master_seed, stream_id(purpose, i, block)).substreams(
+                components)
+            inc[j] = sampler(gens, n_steps)
         uu = np.cumsum(inc, axis=1)
         for li, s in enumerate(strides):
             y = kernels.reflected(uu[:, s - 1::s], np.zeros(b))

@@ -188,6 +188,26 @@ def test_bad_config_field_exits_two_and_names_it(tmp_path, capsys, block, field,
     assert not os.path.exists(os.path.join(out, "report.csv"))
 
 
+@pytest.mark.parametrize("sub,block,field,value", [
+    ("lorden", "experiment", "tau_grid", []),
+    ("converge", "experiment", "dyadic_levels", 0),
+    ("calibrate", "experiment", "n_rep_calibrate", 0),
+    ("arl", "detector", "log_barrier", "x"),
+])
+def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
+                                                          block, field, value):
+    """Each value reached the command that reads it and ended in a traceback
+    or a NaN report; the config check must reject it before any work."""
+    payload = dict(TestArl.PAYLOAD, simulation=dict(TestArl.PAYLOAD["simulation"],
+                                                    n_rep=50))
+    payload["detector"] = dict(payload["detector"], gamma=20.0)
+    payload[block] = dict(payload[block], **{field: value})
+    code, out = _run(tmp_path, sub, payload, f"{block}_{field}")
+    assert code == 2
+    assert f"{block}.{field}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.csv"))
+
+
 class TestConverge:
     def test_monotone_levels(self, tmp_path):
         payload = {

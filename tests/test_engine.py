@@ -7,20 +7,21 @@ import pytest
 from scipy.stats import ks_2samp
 
 from levydetect import engine, kernels
-from levydetect.engine import RuleSpec, make_u_sampler, run_dyadic, run_paths
+from levydetect.engine import RuleSpec, run_dyadic, run_paths, sample_u_increments
 from levydetect.errors import ContractError
 from levydetect.likelihood import llr_path
 from levydetect.paths import sample_changed_path
-from levydetect.rng import RngStream
+from levydetect.rng import RngStream, stream_id
 
 SEED = 8086
 
 
+MODEL_FIXTURES = ["brownian_model", "poisson_model", "jump_diffusion_model",
+                  "gamma_model", "exponential_model", "two_sided_model"]
+
+
 class TestSamplers:
-    @pytest.mark.parametrize("fixture", [
-        "brownian_model", "poisson_model", "jump_diffusion_model",
-        "gamma_model", "exponential_model", "two_sided_model",
-    ])
+    @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
     @pytest.mark.parametrize("regime", ["pre", "post"])
     def test_increment_law_matches_path_route(self, fixture, regime, request):
         """One-step law from the exact sampler agrees with the per-path
@@ -32,14 +33,12 @@ class TestSamplers:
             llr_path(model, sample_changed_path(
                 model, tau, dt, dt, RngStream(SEED, i))).u_values[-1]
             for i in range(n)])
-        fast_u = make_u_sampler(model, regime, dt)(
-            RngStream(SEED + 1, 0).generator(), n)
+        fast_u = sample_u_increments(model, regime, dt, n, RngStream(SEED + 1, 0))
         assert ks_2samp(path_u, fast_u).pvalue > 0.005
 
     def test_mean_matches_drift(self, gamma_model):
         n = 200000
-        u = make_u_sampler(gamma_model, "pre", 1.0)(
-            RngStream(SEED + 2, 0).generator(), n)
+        u = sample_u_increments(gamma_model, "pre", 1.0, n, RngStream(SEED + 2, 0))
         se = u.std(ddof=1) / math.sqrt(n)
         assert abs(u.mean() - gamma_model.beta_pre) <= 3.0 * se
 
@@ -98,24 +97,51 @@ class TestRunPaths:
     @pytest.mark.parametrize("regime", ["pre", "post"])
     @pytest.mark.parametrize("kind,collect_lb", [
         ("cusum", False), ("cusum", True), ("sr", True), ("fixed", True)])
-    def test_chunk_width_does_not_change_results(self, brownian_model, regime,
-                                                  kind, collect_lb):
-        """Chunk and scan sub-block boundaries fall at different steps for
-        each width; the outputs must not move by a single bit."""
+    def test_chunk_width_does_not_change_results(self, regime, kind, collect_lb,
+                                                  request):
+        """Draw-and-scan sub-block boundaries fall at different steps for
+        each width; the outputs of every family must not move by a single
+        bit."""
         rule = {"cusum": RuleSpec(kind="cusum", log_barrier=3.0),
                 "sr": RuleSpec(kind="sr", log_barrier=math.log(150.0)),
                 "fixed": RuleSpec(kind="fixed", fixed_steps=150)}[kind]
-        runs = [run_paths(brownian_model, regime, rule, 0.1, 600, 300, SEED,
-                          "arl", collect_lb=collect_lb, chunk=c)
-                for c in (37, 64, 4096)]
-        if kind != "fixed" and regime == "pre":
-            assert runs[0].censored.any() and not runs[0].censored.all()
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].stop_steps, other.stop_steps)
-            assert np.array_equal(runs[0].stat, other.stat, equal_nan=True)
-            assert np.array_equal(runs[0].last_reflect, other.last_reflect)
-            assert np.array_equal(runs[0].lb_num, other.lb_num)
-            assert np.array_equal(runs[0].lb_den, other.lb_den)
+        for fixture in MODEL_FIXTURES:
+            model = request.getfixturevalue(fixture)
+            runs = [run_paths(model, regime, rule, 0.1, 600, 300, SEED,
+                              "arl", collect_lb=collect_lb, chunk=c)
+                    for c in (37, 64, 4096)]
+            if kind != "fixed" and regime == "pre":
+                assert runs[0].censored.any() and not runs[0].censored.all(), fixture
+            for other in runs[1:]:
+                assert np.array_equal(runs[0].stop_steps, other.stop_steps), fixture
+                assert np.array_equal(runs[0].stat, other.stat, equal_nan=True), fixture
+                assert np.array_equal(runs[0].last_reflect, other.last_reflect), fixture
+                assert np.array_equal(runs[0].lb_num, other.lb_num), fixture
+                assert np.array_equal(runs[0].lb_den, other.lb_den), fixture
+
+    @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
+    def test_draws_stay_within_twice_the_consumed_steps(self, fixture, request,
+                                                        monkeypatch):
+        """A path draws only the sub-blocks it scans: 64 steps, then blocks
+        that double, so at most twice its stopping step plus one first block
+        (a censored path consumes the whole horizon)."""
+        drawn = []
+        make_u_sampler = engine.make_u_sampler
+
+        def counting_make_u_sampler(*args):
+            draw = make_u_sampler(*args)
+
+            def sampler(gens, size):
+                drawn.append(size)
+                return draw(gens, size)
+            return sampler
+        monkeypatch.setattr(engine, "make_u_sampler", counting_make_u_sampler)
+        n_steps, n_rep = 5000, 1500
+        res = run_paths(request.getfixturevalue(fixture), "pre",
+                        RuleSpec(kind="cusum", log_barrier=2.0), 0.05, n_steps,
+                        n_rep, SEED, "arl")
+        consumed = int(np.where(res.censored, n_steps, res.stop_steps).sum())
+        assert 0 < sum(drawn) <= 2 * consumed + 64 * n_rep
 
     @pytest.mark.parametrize("regime", ["pre", "post"])
     def test_collect_lb_does_not_change_cusum_outputs(self, brownian_model, regime):
@@ -307,3 +333,33 @@ def test_statistics_are_computed_only_in_kernels():
                  for pattern in ("np.minimum.accumulate", "np.logaddexp.accumulate")
                  if pattern in path.read_text()]
     assert (pkg / "kernels.py").exists() and offenders == []
+
+
+def test_stream_is_the_philox_key_and_components_are_counter_offsets():
+    """Component 0 of RngStream(s, i) is Philox keyed [s, i], so rows of an
+    old stops.csv for the Brownian and gamma families still replay; component
+    c starts that key at counter [0, 0, 0, c]. A change in how numpy seeds
+    Philox fails here first."""
+    s, i = 8086, stream_id("arl", 123, 2)
+
+    def draws(gen):
+        return gen.standard_normal(16)
+    assert np.array_equal(draws(RngStream(s, i).generator()),
+                          draws(np.random.Generator(np.random.Philox(key=[s, i]))))
+    for c in range(1, 5):
+        expected = np.random.Generator(np.random.Philox(key=[s, i], counter=[0, 0, 0, c]))
+        assert np.array_equal(draws(RngStream(s, i, c).generator()), draws(expected))
+    gens = RngStream(s, i).substreams((1, 2))
+    assert gens[0] is None
+    assert np.array_equal(draws(gens[2]), draws(RngStream(s, i, 2).generator()))
+
+
+def test_philox_streams_are_built_only_in_rng():
+    """Every generator comes from RngStream, so the stream contract lives in
+    rng.py alone."""
+    pkg = Path(__file__).resolve().parents[1] / "src" / "levydetect"
+    offenders = [f"{path.name}: {pattern}"
+                 for path in sorted(pkg.glob("*.py")) if path.name != "rng.py"
+                 for pattern in ("np.random.Philox", "np.random.Generator(")
+                 if pattern in path.read_text()]
+    assert "np.random.Philox" in (pkg / "rng.py").read_text() and offenders == []
