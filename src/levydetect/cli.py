@@ -21,6 +21,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .detector import DetectorConfig
 from .errors import (
+    ContractError,
     InfeasibleTargetError,
     LevyDetectError,
     NumericalError,
@@ -31,6 +32,9 @@ from .evaluate import (
     calibrate_barrier,
     compare,
     convergence_study,
+    dyadic_base_stride,
+    dyadic_horizon_steps,
+    dyadic_strides,
     estimate_arl,
     lorden_delay,
     lower_bound_ratio,
@@ -262,15 +266,30 @@ def _cmd_lowerbound(cfg: ExperimentConfig, out: str) -> int:
     return EXIT_OK
 
 
+def _field_check(field: str, check, *args):
+    """Run a library check on config values, naming the field if it fails."""
+    try:
+        return check(*args)
+    except ContractError as exc:
+        raise SpecValidationError(f"{field}: {exc}") from exc
+
+
 def _cmd_converge(cfg: ExperimentConfig, out: str) -> int:
     model = cfg.change_model()
     model.require_admissible()
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
-    base_delta = exp.get("base_delta") or det["delta"]
+    base_field = "experiment.base_delta" if exp["base_delta"] else "detector.delta"
+    base_delta = exp["base_delta"] or det["delta"]
+    if base_delta is None:
+        raise SpecValidationError("converge needs experiment.base_delta or detector.delta")
+    grid_dt, horizon = float(sim["grid_dt"]), float(sim["horizon"])
+    # the study's own checks, run first so that a failure names its field
+    base_stride = _field_check(base_field, dyadic_base_stride, base_delta, grid_dt)
+    _field_check("simulation.horizon", dyadic_horizon_steps, horizon, grid_dt, base_stride)
+    _field_check(base_field, dyadic_strides, base_stride, exp["dyadic_levels"])
     res = convergence_study(model, float(det["log_barrier"]),
                             int(exp["dyadic_levels"]), sim["n_rep"],
-                            sim["master_seed"], float(base_delta),
-                            float(sim["grid_dt"]), float(sim["horizon"]),
+                            sim["master_seed"], float(base_delta), grid_dt, horizon,
                             regime=exp["regime"], threads=sim["threads"])
     rows = [{"delta": lv.delta, "stride": lv.stride, "mean_stop": lv.mean_stop,
              "std_error": lv.std_error, "mean_gap": lv.mean_gap}
@@ -353,6 +372,7 @@ def main(argv=None) -> int:
             cfg.simulation["master_seed"] = args.seed
         if args.threads is not None:
             cfg.simulation["threads"] = args.threads
+        cfg._check_fields()          # the flags obey the config's own checks
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.subcommand](cfg, args.out)
     except (SpecValidationError, UnsupportedPairError) as exc:

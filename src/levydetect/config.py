@@ -12,7 +12,6 @@ import copy
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .detector import DetectorConfig
 from .errors import SpecValidationError
@@ -59,11 +58,12 @@ def _is_finite(value) -> bool:
             and math.isfinite(value))
 
 
-def _merge(defaults: dict, given: Optional[dict]) -> dict:
-    out = copy.deepcopy(defaults)
-    if given:
-        for key, value in given.items():
-            out[key] = value
+def _merge(name: str, given) -> dict:
+    """The defaults of block ``name`` updated by the given block."""
+    if not isinstance(given, dict):
+        raise SpecValidationError(f"{name} must be a JSON object, got {given!r}")
+    out = copy.deepcopy(DEFAULTS[name])
+    out.update(given)
     return out
 
 
@@ -86,30 +86,40 @@ class ExperimentConfig:
             raise SpecValidationError("model block needs 'pre' and 'post' entries")
         cfg = cls(
             model=copy.deepcopy(model),
-            simulation=_merge(DEFAULTS["simulation"], data.get("simulation")),
-            detector=_merge(DEFAULTS["detector"], data.get("detector")),
-            experiment=_merge(DEFAULTS["experiment"], data.get("experiment")),
-            output=_merge(DEFAULTS["output"], data.get("output")),
+            simulation=_merge("simulation", data.get("simulation", {})),
+            detector=_merge("detector", data.get("detector", {})),
+            experiment=_merge("experiment", data.get("experiment", {})),
+            output=_merge("output", data.get("output", {})),
         )
         cfg._check_fields()
         return cfg
 
     def _check_fields(self) -> None:
-        exp, det = self.experiment, self.detector
+        sim, exp, det = self.simulation, self.experiment, self.detector
         regime = exp["regime"]
         if regime not in REGIMES:
             raise SpecValidationError(
                 f"experiment.regime must be one of {REGIMES}, got {regime!r}")
-        for name, value in (("simulation.n_rep", self.simulation["n_rep"]),
+        for name, value in (("simulation.n_rep", sim["n_rep"]),
+                            ("simulation.threads", sim["threads"]),
                             ("experiment.n_rep_calibrate", exp["n_rep_calibrate"]),
                             ("experiment.dyadic_levels", exp["dyadic_levels"])):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise SpecValidationError(
                     f"{name} must be an integer >= 1, got {value!r}")
-        delta = det["delta"]
-        if delta is not None and not (_is_finite(delta) and delta > 0.0):
+        seed = sim["master_seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
             raise SpecValidationError(
-                f"detector.delta must be a finite number > 0, got {delta!r}")
+                f"simulation.master_seed must be an integer in [0, 2^64), got {seed!r}")
+        for name in ("horizon", "grid_dt"):
+            if not (_is_finite(sim[name]) and sim[name] > 0.0):
+                raise SpecValidationError(
+                    f"simulation.{name} must be a finite number > 0, got {sim[name]!r}")
+        for name, delta in (("detector.delta", det["delta"]),
+                            ("experiment.base_delta", exp["base_delta"])):
+            if delta is not None and not (_is_finite(delta) and delta > 0.0):
+                raise SpecValidationError(
+                    f"{name} must be a finite number > 0, got {delta!r}")
         barrier = det["log_barrier"]
         if not _is_finite(barrier):
             raise SpecValidationError(

@@ -28,13 +28,12 @@ import numpy as np
 
 from . import kernels
 from .errors import (
-    AlignmentError,
     ContractError,
     SpecValidationError,
     UndefinedEstimateError,
 )
 from .likelihood import IncrementLaw, LLRPath, llr_increment_iid
-from .paths import IncrementSeries
+from .paths import IncrementSeries, _stride_of
 
 __all__ = [
     "RULES",
@@ -145,15 +144,6 @@ def first_passage(y: Sequence[float], log_barrier: float, grid_dt: float,
                       stat_at_stop=float(sub[-1]), steps_taken=len(sub) - 1)
 
 
-def _stride_for(llr: LLRPath, delta: float) -> int:
-    k = delta / llr.grid_dt
-    stride = int(round(k))
-    if stride < 1 or abs(k - stride) > 1e-9 * max(1.0, abs(k)):
-        raise AlignmentError(
-            f"delta {delta} is not a multiple of the path grid {llr.grid_dt}")
-    return stride
-
-
 def run_rule(config: DetectorConfig,
              data: Union[LLRPath, IncrementSeries]) -> StopResult:
     """Run the configured stopping rule over a path or increment series."""
@@ -164,7 +154,7 @@ def run_rule(config: DetectorConfig,
             raise ContractError(f"rule {config.rule!r} takes a log-likelihood path")
         if config.rule == "cusum_continuous":
             return first_passage(drawup(data), config.log_barrier, data.grid_dt)
-        stride = _stride_for(data, config.delta) if config.delta else 1
+        stride = _stride_of(config.delta, data.grid_dt) if config.delta else 1
         delta = stride * data.grid_dt
         u = data.u_values[::stride]
         if config.rule == "cusum_grid":

@@ -4,20 +4,19 @@ The detection statistics are grid functionals of the log-likelihood process,
 and for every catalogue family the law of its increments over a monitoring
 step is known exactly, so runs are simulated directly on the monitoring grid.
 Each replication owns a counter-based stream (reproducible from its index
-alone) and draws each kind of variate from its own substream: Brownian
-normals, jump counts and jump marks never share a generator. A draw is
-therefore a function of its step index only, so the engine can draw in any
-schedule without moving a value. It draws, for the paths still running,
-exactly the sub-block it scans next (64, 128, 256, ... steps, capped at the
-chunk width), and a scan kernel advances the statistic until the barrier is
-crossed or the horizon censors the run. A path costs draws and scan time
-only up to about twice its stopping step.
+alone) and draws each kind of variate from its own substream, so every draw
+is a function of its step index only, whatever the schedule that draws it.
 
-Per-replication streams make three properties structural rather than
-incidental: results do not depend on the worker count or the chunk width,
-common random numbers across barrier candidates hold pathwise (a path
-consumes the same draws no matter where the barrier sits), and any single
-replication can be replayed.
+One draw-and-scan loop serves both runs. For the paths still running it
+draws exactly the sub-block it scans next (64, 128, 256, ... steps, capped at
+the chunk width) and drops the paths that stopped, so a path costs draws and
+scan time only up to about twice its stopping step. :func:`run_paths` scans
+one stopping rule; :func:`run_dyadic` scans several monitoring strides of one
+fine path, in sub-blocks scaled to the least common multiple of the strides.
+
+Per-replication streams make results independent of the worker count and
+the chunk width, make common random numbers across barrier candidates hold
+pathwise, and let any single replication be replayed.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -207,14 +207,53 @@ def sample_u_increments(model: ChangeModel, regime: str, dt: float,
 
 
 # --------------------------------------------------------------------------- #
-# draw-and-scan driver
+# the draw-and-scan loop of run_paths and run_dyadic
 # --------------------------------------------------------------------------- #
 
-def _run_batch(sampler, components, rule: RuleSpec, dt: float, n_steps: int, seeds,
-               result, lo: int, collect_lb: bool, chunk: int) -> None:
-    """Run replications [lo, lo + len(seeds)) and write results in place."""
-    b = len(seeds)
-    gens = [s.substreams(components) for s in seeds]
+def _sub_blocks(total: int, unit: int, chunk: int):
+    """(start, end) sub-blocks covering steps [0, total): SUB_BLOCK * unit
+    steps, then doubling up to ``chunk`` steps rounded down to whole units.
+    Every bound is a multiple of ``unit`` when ``total`` is."""
+    cap = max(unit, chunk - chunk % unit)
+    start, width = 0, min(SUB_BLOCK * unit, cap)
+    while start < total:
+        end = min(start + width, total)
+        yield start, end
+        start, width = end, min(2 * width, cap)
+
+
+def _draw(sampler, gens, rows: np.ndarray, start: int, end: int) -> np.ndarray:
+    """Increments of steps start + 1 .. end for the batch rows ``rows``."""
+    inc = np.empty((rows.size, end - start))
+    for j, idx in enumerate(rows):
+        inc[j] = sampler(gens[idx], end - start)
+    return inc
+
+
+def _dispatch(run_batch, components, n_rep: int, master_seed: int, purpose: str,
+              block: int, threads: int) -> None:
+    """Call ``run_batch(gens, lo)`` on each slice [lo, lo + BATCH) of the
+    replications, inline or on ``threads`` workers. ``gens`` holds the
+    substreams of each replication i, stream (master_seed, purpose/block/i)."""
+    def work(lo: int) -> None:
+        streams = (RngStream(master_seed, stream_id(purpose, i, block))
+                   for i in range(lo, min(lo + BATCH, n_rep)))
+        run_batch([s.substreams(components) for s in streams], lo)
+
+    starts = range(0, n_rep, BATCH)
+    if threads <= 1 or len(starts) <= 1:
+        for lo in starts:
+            work(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for f in [pool.submit(work, lo) for lo in starts]:
+                f.result()
+
+
+def _run_batch(sampler, rule: RuleSpec, n_steps: int, result, collect_lb: bool,
+               chunk: int, gens, lo: int) -> None:
+    """Run replications [lo, lo + len(gens)) and write results in place."""
+    b = len(gens)
     sl = slice(lo, lo + b)
     stop, stat, out_ref = result.stop_steps[sl], result.stat[sl], result.last_reflect[sl]
     stop[:], stat[:] = -1, np.nan
@@ -234,16 +273,13 @@ def _run_batch(sampler, components, rule: RuleSpec, dt: float, n_steps: int, see
 
     fixed_total = rule.fixed_steps if rule.kind == "fixed" else None
     total_steps = n_steps if fixed_total is None else min(n_steps, fixed_total)
-    pos, width = 0, min(SUB_BLOCK, chunk)
 
-    while alive.size and pos < total_steps:
-        # draw the live rows' next sub-block, scan it and drop the rows that
-        # stopped; every carry is a sequential accumulate and every draw a
-        # function of its step, so the split leaves the results bit-identical
-        end = min(pos + width, total_steps)
-        inc = np.empty((alive.size, end - pos))
-        for j, idx in enumerate(alive):
-            inc[j] = sampler(gens[idx], inc.shape[1])
+    for pos, end in _sub_blocks(total_steps, 1, chunk):
+        if not alive.size:
+            break
+        # every carry is a sequential accumulate and every draw a function of
+        # its step, so the split into sub-blocks leaves the results bit-identical
+        inc = _draw(sampler, gens, alive, pos, end)
 
         if rule.kind == "cusum":
             if collect_lb:
@@ -274,7 +310,6 @@ def _run_batch(sampler, components, rule: RuleSpec, dt: float, n_steps: int, see
             alive = alive[keep]
             u, mn, logA, lastref, num, den = (
                 c[keep] for c in (u, mn, logA, lastref, num, den))
-        pos, width = end, min(2 * width, chunk)
 
     settle(slice(None))
     if fixed_total is not None:
@@ -297,7 +332,6 @@ def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
         raise ContractError(
             f"fixed rule of {rule.fixed_steps} steps exceeds the {n_steps}-step horizon")
     sampler = make_u_sampler(model, regime, dt)
-    components = substream_components(model, dt)
     result = PathRunResult(
         dt=dt, n_steps=n_steps,
         stop_steps=np.empty(n_rep, dtype=np.int64),
@@ -306,30 +340,11 @@ def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
         lb_num=np.empty(n_rep) if collect_lb else None,
         lb_den=np.empty(n_rep) if collect_lb else None,
     )
-    batches = []
-    for lo in range(0, n_rep, BATCH):
-        hi = min(lo + BATCH, n_rep)
-        seeds = [RngStream(master_seed, stream_id(purpose, i, block))
-                 for i in range(lo, hi)]
-        batches.append((seeds, lo))
-
-    if threads <= 1 or len(batches) == 1:
-        for seeds, lo in batches:
-            _run_batch(sampler, components, rule, dt, n_steps, seeds, result, lo,
-                       collect_lb, chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_batch, sampler, components, rule, dt,
-                                   n_steps, seeds, result, lo, collect_lb, chunk)
-                       for seeds, lo in batches]
-            for f in futures:
-                f.result()
+    _dispatch(partial(_run_batch, sampler, rule, n_steps, result, collect_lb, chunk),
+              substream_components(model, dt), n_rep, master_seed, purpose, block,
+              threads)
     return result
 
-
-# --------------------------------------------------------------------------- #
-# nested-grid runs over a shared fine path
-# --------------------------------------------------------------------------- #
 
 def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
                n_steps: int, strides: Sequence[int], n_rep: int,
@@ -343,37 +358,35 @@ def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
     (they part ways only when the statistic lands exactly on the barrier).
     Censored runs report the horizon. All strides see identical trajectories,
     so nested-grid comparisons hold pathwise, not just in distribution.
+    The sub-blocks are aligned to the least common multiple of the strides,
+    and a path stops drawing once every stride has stopped under both
+    conventions.
     """
     for s in strides:
         if n_steps % s:
             raise ContractError(f"n_steps {n_steps} not divisible by stride {s}")
     sampler = make_u_sampler(model, regime, dt)
-    components = substream_components(model, dt)
-    out = [np.empty(n_rep) for _ in strides]
-    out_strict = [np.empty(n_rep) for _ in strides]
+    # global fine step of each stop by convention (>=, >) and stride; -1 = none yet
+    stops = np.full((2, len(strides), n_rep), -1, dtype=np.int64)
 
-    def do_batch(lo: int, hi: int) -> None:
-        b = hi - lo
-        inc = np.empty((b, n_steps))
-        for j, i in enumerate(range(lo, hi)):
-            gens = RngStream(master_seed, stream_id(purpose, i, block)).substreams(
-                components)
-            inc[j] = sampler(gens, n_steps)
-        uu = np.cumsum(inc, axis=1)
-        for li, s in enumerate(strides):
-            y = kernels.reflected(uu[:, s - 1::s], np.zeros(b))
-            for stops, crossed in ((out[li], y >= log_barrier),
-                                   (out_strict[li], y > log_barrier)):
-                first = kernels.first_crossing(crossed)
-                stops[lo:hi] = np.where(first >= 0, (first + 1) * s * dt, n_steps * dt)
+    def run_batch(gens, lo: int) -> None:
+        stop = stops[:, :, lo:lo + len(gens)]
+        alive = np.arange(len(gens))
+        u, mins = np.zeros(alive.size), np.zeros((len(strides), alive.size))
+        for start, end in _sub_blocks(n_steps, math.lcm(*strides), CHUNK):
+            if not alive.size:
+                break
+            uu = kernels.cumulative(_draw(sampler, gens, alive, start, end), u)
+            for li, s in enumerate(strides):
+                y = kernels.reflected(uu[:, s - 1::s], mins[li])
+                for conv, crossed in enumerate((y >= log_barrier, y > log_barrier)):
+                    first = kernels.first_crossing(crossed)
+                    new = (first >= 0) & (stop[conv, li, alive] < 0)
+                    stop[conv, li, alive[new]] = start + (first[new] + 1) * s
+            keep = (stop[:, :, alive] < 0).any(axis=(0, 1))
+            alive, u, mins = alive[keep], u[keep], mins[:, keep]
 
-    spans = [(lo, min(lo + 256, n_rep)) for lo in range(0, n_rep, 256)]
-    if threads <= 1 or len(spans) == 1:
-        for lo, hi in spans:
-            do_batch(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(do_batch, lo, hi) for lo, hi in spans]
-            for f in futures:
-                f.result()
-    return out, out_strict
+    _dispatch(run_batch, substream_components(model, dt), n_rep, master_seed, purpose,
+              block, threads)
+    times = np.where(stops >= 0, stops * dt, n_steps * dt)
+    return list(times[0]), list(times[1])

@@ -312,6 +312,36 @@ class ConvergenceResult:
     n_rep: int
 
 
+def dyadic_base_stride(base_delta: float, grid_dt: float) -> int:
+    """The coarsest monitoring step of a convergence study in fine steps."""
+    stride = int(round(base_delta / grid_dt))
+    if abs(stride * grid_dt - base_delta) > 1e-9 * base_delta or stride < 1:
+        raise ContractError("base_delta must be an integer multiple of grid_dt")
+    return stride
+
+
+def dyadic_horizon_steps(horizon: float, grid_dt: float, base_stride: int) -> int:
+    """The horizon in fine steps, trimmed to whole base steps (at least one)."""
+    n_steps = int(round(horizon / grid_dt))
+    n_steps -= n_steps % base_stride
+    if n_steps < 1:
+        raise ContractError(f"horizon {horizon} is shorter than one base step "
+                            f"of {base_stride} fine steps")
+    return n_steps
+
+
+def dyadic_strides(base_stride: int, dyadic_levels: int) -> List[int]:
+    """The base stride halved level by level, coarsest first."""
+    strides = []
+    for level in range(dyadic_levels):
+        s = base_stride >> level
+        if s < 1 or base_stride != s << level:
+            raise ContractError(
+                f"base stride {base_stride} does not halve {dyadic_levels} times")
+        strides.append(s)
+    return strides
+
+
 def convergence_study(model: ChangeModel, h_bar: float, dyadic_levels: int,
                       n_rep: int, seed: int, base_delta: float, grid_dt: float,
                       horizon: float, regime: str = "out_of_control",
@@ -329,21 +359,12 @@ def convergence_study(model: ChangeModel, h_bar: float, dyadic_levels: int,
     model.require_admissible()
     if regime not in REGIMES:
         raise ContractError(f"regime must be one of {REGIMES}")
-    base_stride = int(round(base_delta / grid_dt))
-    if abs(base_stride * grid_dt - base_delta) > 1e-9 * base_delta or base_stride < 1:
-        raise ContractError("base_delta must be an integer multiple of grid_dt")
-    strides = []
-    for level in range(dyadic_levels):
-        s = base_stride >> level
-        if s < 1 or base_stride != s << level:
-            raise ContractError(
-                f"base stride {base_stride} does not halve {dyadic_levels} times")
-        strides.append(s)
+    base_stride = dyadic_base_stride(base_delta, grid_dt)
+    n_steps = dyadic_horizon_steps(horizon, grid_dt, base_stride)
+    strides = dyadic_strides(base_stride, dyadic_levels)
     has_ref = strides[-1] > 1
     if has_ref:
         strides.append(1)      # finest monitored rule as the reference
-    n_steps = int(round(horizon / grid_dt))
-    n_steps -= n_steps % base_stride
     barrier = _effective_barrier(
         model, DetectorConfig(rule="cusum_grid", log_barrier=h_bar, delta=base_delta))
 

@@ -83,6 +83,3 @@ class RngStream:
         for c in components:
             gens[c] = RngStream(self.master_seed, self.stream_id, c).generator()
         return tuple(gens)
-
-    def child(self, purpose: str, replication: int, block: int = 0) -> "RngStream":
-        return RngStream(self.master_seed, stream_id(purpose, replication, block))

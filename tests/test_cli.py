@@ -193,6 +193,12 @@ def test_bad_config_field_exits_two_and_names_it(tmp_path, capsys, block, field,
     ("converge", "experiment", "dyadic_levels", 0),
     ("calibrate", "experiment", "n_rep_calibrate", 0),
     ("arl", "detector", "log_barrier", "x"),
+    ("arl", "simulation", "horizon", "NaN"),
+    ("converge", "simulation", "grid_dt", 0),
+    ("arl", "simulation", "threads", "two"),
+    ("arl", "simulation", "master_seed", -1),
+    ("converge", "experiment", "base_delta", 0.1),
+    ("converge", "simulation", "horizon", 0.01),
 ])
 def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
                                                           block, field, value):
@@ -205,6 +211,23 @@ def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
     code, out = _run(tmp_path, sub, payload, f"{block}_{field}")
     assert code == 2
     assert f"{block}.{field}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.csv"))
+
+
+@pytest.mark.parametrize("block,value", [("simulation", [1]), ("detector", None)])
+def test_block_that_is_not_an_object_exits_two(tmp_path, capsys, block, value):
+    code, out = _run(tmp_path, "arl", dict(TestArl.PAYLOAD, **{block: value}), block)
+    assert code == 2
+    assert f"{block} must be a JSON object" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.csv"))
+
+
+@pytest.mark.parametrize("flag,value,field", [("--seed", "-1", "simulation.master_seed"),
+                                              ("--threads", "0", "simulation.threads")])
+def test_flags_are_checked_like_the_config_fields(tmp_path, capsys, flag, value, field):
+    code, out = _run(tmp_path, "arl", TestArl.PAYLOAD, "flag", extra=[flag, value])
+    assert code == 2
+    assert field in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "report.csv"))
 
 

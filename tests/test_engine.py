@@ -182,6 +182,79 @@ class TestRunDyadic:
         # continuous increment laws: the two stopping conventions coincide
         assert np.array_equal(stops[0], strict[0])
 
+    @pytest.mark.parametrize("regime", ["pre", "post"])
+    @pytest.mark.parametrize("strides,n_steps", [([20, 10, 1], 1200), ([3, 2, 1], 600)])
+    def test_matches_whole_horizon_oracle(self, regime, strides, n_steps, request):
+        """Drawing and scanning in sub-blocks aligned to the lcm of the
+        strides (6 for [3, 2, 1], which does not nest) gives the bits of one
+        whole-horizon draw per path scanned at once; censored rows report the
+        horizon."""
+        censored = stopped = False
+        for fixture in MODEL_FIXTURES:
+            model = request.getfixturevalue(fixture)
+            got = run_dyadic(model, regime, 2.0, 0.01, n_steps, strides, 60, SEED)
+            expected = _whole_horizon_dyadic(model, regime, 2.0, 0.01, n_steps,
+                                             strides, 60)
+            for g, e in zip(got[0] + got[1], expected[0] + expected[1]):
+                assert np.array_equal(g, e), fixture
+                censored |= bool((g == n_steps * 0.01).any())
+                stopped |= bool((g < n_steps * 0.01).any())
+        assert censored and stopped
+
+    @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
+    def test_draws_stop_once_every_stride_has_stopped(self, fixture, request,
+                                                      monkeypatch):
+        """A path draws sub-blocks of SUB_BLOCK * lcm steps, then doubling,
+        only until its last stop over strides and conventions: at most twice
+        that step plus one first block."""
+        drawn = []
+        make_u_sampler = engine.make_u_sampler
+
+        def counting_make_u_sampler(*args):
+            draw = make_u_sampler(*args)
+
+            def sampler(gens, size):
+                drawn.append(size)
+                return draw(gens, size)
+            return sampler
+        monkeypatch.setattr(engine, "make_u_sampler", counting_make_u_sampler)
+        dt, strides, n_rep = 0.01, [20, 10, 1], 300
+        stops, strict = run_dyadic(request.getfixturevalue(fixture), "post", 2.0, dt,
+                                   6000, strides, n_rep, SEED)
+        needed = np.rint(np.max(stops + strict, axis=0) / dt).astype(np.int64)
+        assert 0 < sum(drawn) <= 2 * needed.sum() + engine.SUB_BLOCK * 20 * n_rep
+
+    def test_threads_do_not_change_results(self, jump_diffusion_model):
+        n_rep = engine.BATCH + 76          # two batches
+        runs = [run_dyadic(jump_diffusion_model, "pre", 2.0, 0.05, 400, [4, 2, 1],
+                           n_rep, SEED, threads=t) for t in (1, 2)]
+        for a, b in zip(runs[0][0] + runs[0][1], runs[1][0] + runs[1][1]):
+            assert np.array_equal(a, b)
+
+    def test_one_thread_dispatcher(self):
+        """run_paths and run_dyadic share one batch dispatcher, so the
+        package starts a thread pool in one place."""
+        pkg = Path(__file__).resolve().parents[1] / "src" / "levydetect"
+        assert sum(path.read_text().count("ThreadPoolExecutor(")
+                   for path in pkg.glob("*.py")) == 1
+
+
+def _whole_horizon_dyadic(model, regime, log_barrier, dt, n_steps, strides, n_rep):
+    """run_dyadic over whole-horizon draws: one sampler call per path, the
+    cumulative sum of all its increments, then the reflected statistic at
+    each stride under both stopping conventions."""
+    sampler = engine.make_u_sampler(model, regime, dt)
+    components = engine.substream_components(model, dt)
+    uu = np.cumsum([sampler(RngStream(SEED, stream_id("converge", i)).substreams(
+        components), n_steps) for i in range(n_rep)], axis=1)
+    out, out_strict = [], []
+    for s in strides:
+        y = kernels.reflected(uu[:, s - 1::s], np.zeros(n_rep))
+        for stops, crossed in ((out, y >= log_barrier), (out_strict, y > log_barrier)):
+            first = kernels.first_crossing(crossed)
+            stops.append(np.where(first >= 0, (first + 1) * s * dt, n_steps * dt))
+    return out, out_strict
+
 
 def _cusum_oracle(row, hbar):
     """Plain-loop reflected statistic: (0-based stop index or -1, statistic

@@ -188,6 +188,13 @@ class TestConvergence:
             convergence_study(brownian_model, 2.0, 4, 10, SEED,
                               base_delta=0.15, grid_dt=0.01, horizon=10.0)
 
+    def test_horizon_without_a_base_step_rejected(self, brownian_model):
+        """Trimmed to whole base steps (8 fine steps), a 0.05 horizon holds
+        none; the study must say so instead of reporting every stop as 0."""
+        with pytest.raises(ContractError, match="horizon"):
+            convergence_study(brownian_model, 2.0, 4, 10, SEED,
+                              base_delta=0.08, grid_dt=0.01, horizon=0.05)
+
 
 class TestCompare:
     def test_single_rule_table(self, brownian_model):
