@@ -38,6 +38,7 @@ from .evaluate import (
     estimate_arl,
     lorden_delay,
     lower_bound_ratio,
+    monitoring_steps,
 )
 from .kernels import backend
 from .likelihood import llr_path
@@ -96,6 +97,22 @@ def _stops_rows(cfg: ExperimentConfig, config: DetectorConfig, result,
             "stream_id": stream_id(purpose, i, block),
         })
     return rows
+
+
+def _field_check(field: str, check, *args):
+    """Run a library check on config values, naming the field if it fails."""
+    try:
+        return check(*args)
+    except ContractError as exc:
+        raise SpecValidationError(f"{field}: {exc}") from exc
+
+
+def _check_horizon(cfg: ExperimentConfig) -> None:
+    """The horizon must hold one monitoring step of detector.delta."""
+    delta = cfg.detector["delta"]
+    if delta is not None:
+        _field_check("simulation.horizon", monitoring_steps,
+                     cfg.simulation["horizon"], float(delta))
 
 
 # --------------------------------------------------------------------------- #
@@ -170,6 +187,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
 
 
 def _cmd_arl(cfg: ExperimentConfig, out: str) -> int:
+    _check_horizon(cfg)
     model = cfg.change_model()
     model.require_admissible()
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
@@ -221,6 +239,7 @@ def _cmd_calibrate(cfg: ExperimentConfig, out: str) -> int:
 
 
 def _cmd_lorden(cfg: ExperimentConfig, out: str) -> int:
+    _check_horizon(cfg)
     model = cfg.change_model()
     model.require_admissible()
     sim, exp = cfg.simulation, cfg.experiment
@@ -243,6 +262,7 @@ def _cmd_lorden(cfg: ExperimentConfig, out: str) -> int:
 
 
 def _cmd_lowerbound(cfg: ExperimentConfig, out: str) -> int:
+    _check_horizon(cfg)
     model = cfg.change_model()
     model.require_admissible()
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
@@ -264,14 +284,6 @@ def _cmd_lowerbound(cfg: ExperimentConfig, out: str) -> int:
         f"delay estimate = {delay.estimate:.6g} +- {delay.std_error:.2g}",
     ])
     return EXIT_OK
-
-
-def _field_check(field: str, check, *args):
-    """Run a library check on config values, naming the field if it fails."""
-    try:
-        return check(*args)
-    except ContractError as exc:
-        raise SpecValidationError(f"{field}: {exc}") from exc
 
 
 def _cmd_converge(cfg: ExperimentConfig, out: str) -> int:
@@ -317,7 +329,7 @@ def _cmd_compare(cfg: ExperimentConfig, out: str) -> int:
     gamma = det.get("gamma")
     if gamma is None:
         raise SpecValidationError("compare needs detector.gamma")
-    rules = [(str(r), float(d)) for r, d in exp["rules"]]
+    rules = [(r, float(d)) for r, d in exp["rules"]]
     res = compare(model, float(gamma), rules, sim["n_rep"],
                   sim["master_seed"], rel_tol=float(det["rel_tol"]),
                   tau_grid=exp["tau_grid"], threads=sim["threads"],

@@ -130,6 +130,13 @@ class ExperimentConfig:
             raise SpecValidationError(
                 "experiment.tau_grid must be a non-empty list of finite numbers >= 0, "
                 f"got {taus!r}")
+        rules = exp["rules"]
+        if not (isinstance(rules, (list, tuple)) and rules
+                and all(isinstance(r, (list, tuple)) and len(r) == 2 and isinstance(r[0], str)
+                        and _is_finite(r[1]) and r[1] > 0.0 for r in rules)):
+            raise SpecValidationError(
+                "experiment.rules must be a non-empty list of [rule, delta] pairs with "
+                f"delta a finite number > 0, got {rules!r}")
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
@@ -150,9 +157,13 @@ class ExperimentConfig:
         }
 
     def change_model(self) -> ChangeModel:
-        pre = LevySpec.from_dict(self.model["pre"])
-        post = LevySpec.from_dict(self.model["post"])
-        return build_change_model(pre, post)
+        specs = []
+        for side in ("pre", "post"):
+            try:
+                specs.append(LevySpec.from_dict(self.model[side]))
+            except SpecValidationError as exc:
+                raise SpecValidationError(f"model.{side}: {exc}") from exc
+        return build_change_model(*specs)
 
     def detector_config(self) -> DetectorConfig:
         det = self.detector

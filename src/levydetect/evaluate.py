@@ -37,6 +37,7 @@ from .report import EvalReport, Provenance
 
 __all__ = [
     "estimate_arl",
+    "monitoring_steps",
     "calibrate_barrier",
     "CalibrationResult",
     "lorden_delay",
@@ -114,6 +115,14 @@ def _report(result: PathRunResult, model: ChangeModel, config: DetectorConfig,
                       provenance=prov, label=label)
 
 
+def monitoring_steps(horizon: float, dt: float) -> int:
+    """The horizon in monitoring steps of width dt (at least one)."""
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1:
+        raise ContractError(f"horizon {horizon} is shorter than one monitoring step {dt}")
+    return n_steps
+
+
 def estimate_arl(model: ChangeModel, config: DetectorConfig, regime: str,
                  n_rep: int, horizon: float, seed: int, threads: int = 1,
                  block: int = 0, purpose: str = "arl",
@@ -127,9 +136,7 @@ def estimate_arl(model: ChangeModel, config: DetectorConfig, regime: str,
     if regime not in REGIMES:
         raise ContractError(f"regime must be one of {REGIMES}, got {regime!r}")
     rule, dt = _engine_rule(model, config)
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1:
-        raise ContractError("horizon shorter than one monitoring step")
+    n_steps = monitoring_steps(horizon, dt)
     result = run_paths(model, _ENGINE_REGIME[regime], rule, dt, n_steps, n_rep,
                        seed, purpose, block=block, threads=threads)
     report = _report(result, model, config, regime, seed, block,
@@ -233,7 +240,7 @@ def lorden_delay(model: ChangeModel, config: DetectorConfig,
     """
     model.require_admissible()
     rule, dt = _engine_rule(model, config)
-    n_steps = int(round(horizon / dt))
+    n_steps = monitoring_steps(horizon, dt)
     reports = []
     samples = []
     for i, tau in enumerate(tau_grid):
@@ -271,7 +278,7 @@ def lower_bound_ratio(model: ChangeModel, config: Optional[DetectorConfig],
     else:
         rule, dt = _engine_rule(model, config)
         rule_name = config.rule
-    n_steps = int(round(horizon / dt))
+    n_steps = monitoring_steps(horizon, dt)
     result = run_paths(model, "pre", rule, dt, n_steps, n_rep, seed,
                        "lower_bound", block=block, threads=threads,
                        collect_lb=True)

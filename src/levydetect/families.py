@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import SpecValidationError
 
@@ -34,6 +33,12 @@ __all__ = [
     "JumpLaw",
     "LevySpec",
 ]
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _std_normal_pdf(z):
+    return np.exp(-z ** 2 / 2.0) / _SQRT_2PI
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,7 @@ class GaussianJumps:
             raise SpecValidationError("gaussian jump mean must be finite")
 
     def density(self, x):
-        return norm.pdf(x, loc=self.mean, scale=self.sd)
+        return _std_normal_pdf((np.asarray(x, dtype=float) - self.mean) / self.sd) / self.sd
 
     def mean_value(self) -> float:
         return self.mean
@@ -62,7 +67,8 @@ class GaussianJumps:
         """E[X 1{|X| <= 1}] in closed form via the standard normal cdf/pdf."""
         a = (-1.0 - self.mean) / self.sd
         b = (1.0 - self.mean) / self.sd
-        return self.mean * (norm.cdf(b) - norm.cdf(a)) - self.sd * (norm.pdf(b) - norm.pdf(a))
+        mass = 0.5 * (math.erfc(-b / math.sqrt(2.0)) - math.erfc(-a / math.sqrt(2.0)))
+        return self.mean * mass - self.sd * (_std_normal_pdf(b) - _std_normal_pdf(a))
 
 
 @dataclass(frozen=True)
@@ -284,41 +290,62 @@ class LevySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LevySpec":
-        try:
-            family = data["family"]
-        except KeyError as exc:
-            raise SpecValidationError("process block needs a 'family' key") from exc
+        if not isinstance(data, dict):
+            raise SpecValidationError(f"process block must be a JSON object, got {data!r}")
+        if "family" not in data:
+            raise SpecValidationError("process block needs a 'family' key")
+        family = data["family"]
         if family == "brownian":
-            spec = cls.brownian(sigma=data.get("sigma", 1.0), drift=data.get("drift", 0.0))
+            spec = cls.brownian(sigma=_number(data, "sigma", 1.0),
+                                drift=_number(data, "drift", 0.0))
         elif family in ("compound_poisson", "jump_diffusion"):
             jumps = _jump_law_from_dict(data.get("jumps"))
             if family == "compound_poisson":
-                spec = cls.compound_poisson(intensity=data.get("intensity", 0.0),
-                                            jumps=jumps, drift=data.get("drift", 0.0))
+                spec = cls.compound_poisson(intensity=_number(data, "intensity", 0.0),
+                                            jumps=jumps, drift=_number(data, "drift", 0.0))
             else:
-                spec = cls.jump_diffusion(sigma=data.get("sigma", 0.0),
-                                          intensity=data.get("intensity", 0.0),
-                                          jumps=jumps, drift=data.get("drift", 0.0))
+                spec = cls.jump_diffusion(sigma=_number(data, "sigma", 0.0),
+                                          intensity=_number(data, "intensity", 0.0),
+                                          jumps=jumps, drift=_number(data, "drift", 0.0))
         elif family == "gamma":
-            spec = cls.gamma_subordinator(activity=data.get("activity", 0.0),
-                                          scale=data.get("scale", 0.0),
-                                          drift=data.get("drift"))
+            spec = cls.gamma_subordinator(activity=_number(data, "activity", 0.0),
+                                          scale=_number(data, "scale", 0.0),
+                                          drift=_number(data, "drift", None))
         else:
             raise SpecValidationError(f"unknown family {family!r}")
         spec.validate()
         return spec
 
 
+def _number(block: dict, key: str, default: Optional[float],
+            prefix: str = "") -> Optional[float]:
+    """``block[key]`` as a float, or ``default`` when the key is absent; the
+    value must be a finite JSON number (not a bool, a string or null)."""
+    if key not in block:
+        return default
+    value = block[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise SpecValidationError(f"{prefix}{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _jump_law_from_dict(block: Optional[dict]) -> JumpLaw:
     if not block:
         raise SpecValidationError("jump family requires a 'jumps' block")
+    if not isinstance(block, dict):
+        raise SpecValidationError(f"jumps must be a JSON object, got {block!r}")
+
+    def number(key: str, default: float) -> float:
+        return _number(block, key, default, prefix="jumps.")
+
     kind = block.get("kind")
     if kind == "gaussian":
-        return GaussianJumps(mean=float(block.get("mean", 0.0)), sd=float(block.get("sd", 1.0)))
+        return GaussianJumps(mean=number("mean", 0.0), sd=number("sd", 1.0))
     if kind == "exponential":
-        return ExponentialJumps(rate=float(block.get("rate", 1.0)))
+        return ExponentialJumps(rate=number("rate", 1.0))
     if kind == "two_sided_exponential":
-        return TwoSidedExponentialJumps(rate_pos=float(block.get("rate_pos", 1.0)),
-                                        rate_neg=float(block.get("rate_neg", 1.0)),
-                                        weight_pos=float(block.get("weight_pos", 0.5)))
+        return TwoSidedExponentialJumps(rate_pos=number("rate_pos", 1.0),
+                                        rate_neg=number("rate_neg", 1.0),
+                                        weight_pos=number("weight_pos", 0.5))
     raise SpecValidationError(f"unknown jump kind {kind!r}")

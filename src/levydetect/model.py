@@ -13,8 +13,9 @@ absolutely continuous, which for Levy processes reduces to three checks:
 
 The catalogue is restricted to pairs whose density ratio is affine per
 half-line, so ``phi``, the integrability integral, and the drift constants of
-the log-likelihood process all have closed forms; adaptive quadrature is kept
-as an independent cross-check.
+the log-likelihood process all have closed forms, and building a model runs no
+quadrature. The quadrature twins at the end of the module import scipy lazily
+and serve only as independent cross-checks of those closed forms.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     InadmissibleModelError,
@@ -54,12 +53,6 @@ COND_VOLATILITY = "volatility-mismatch"
 COND_EQUIVALENCE = "jump-measure-equivalence"
 COND_INTEGRABILITY = "jump-integrability"
 COND_DRIFT = "drift-incompatibility"
-
-# Integrability check thresholds (operational definition of "finite"):
-# declare divergence when the partial integral exceeds DIVERGENCE_CAP or fails
-# to stabilize across refinement of the inner cutoff.
-DIVERGENCE_CAP = 1.0e6
-_CUTOFFS = [10.0 ** (-k) for k in range(2, 13, 2)]
 
 
 @dataclass(frozen=True)
@@ -89,16 +82,6 @@ class DensityRatio:
             bad = x[np.isnan(out)][0]
             raise SupportError(f"point {bad} lies outside the common jump support")
         return float(out[0]) if scalar else out
-
-    def exp(self, x):
-        return np.exp(self(x))
-
-    def contains(self, x: float) -> bool:
-        if x > 0.0:
-            return self.pos is not None
-        if x < 0.0:
-            return self.neg is not None
-        return False
 
 
 @dataclass(frozen=True)
@@ -199,60 +182,37 @@ def _build_phi(pre: LevySpec, post: LevySpec) -> Tuple[Optional[DensityRatio], O
 
 
 # --------------------------------------------------------------------------- #
-# integrability of the density ratio
+# closed forms: integrability and the moments of phi
 # --------------------------------------------------------------------------- #
 
-def _log_levy_density(spec: LevySpec, x):
-    with np.errstate(divide="ignore"):
-        return np.log(spec.levy_density(x))
+def _exp_hellinger(c0: float, r0: float, c1: float, r1: float) -> float:
+    """integral (sqrt(dnu_post) - sqrt(dnu_pre))^2 for nu_i = c_i Exp(r_i) on
+    one half-line, written without cancellation between near-equal laws."""
+    return ((math.sqrt(c1) - math.sqrt(c0)) ** 2
+            + 2.0 * math.sqrt(c0 * c1) * (math.sqrt(r1) - math.sqrt(r0)) ** 2 / (r0 + r1))
 
 
-def _integrability_check(pre: LevySpec, phi: DensityRatio) -> Tuple[bool, float]:
-    """Numerically test  integral (e^{phi/2} - 1)^2 dnu_pre < infinity.
+def _integrability(pre: LevySpec, post: LevySpec) -> float:
+    """Closed form of  integral (e^{phi/2} - 1)^2 dnu_pre
+    = nu_pre(R) + nu_post(R) - 2 integral sqrt(dnu_pre dnu_post);
+    ``math.inf`` when it diverges (gamma activities differ)."""
+    if pre.family == "gamma":
+        if pre.activity != post.activity:
+            return math.inf
+        p0, p1 = 1.0 / pre.scale, 1.0 / post.scale
+        return pre.activity * math.log1p((p0 - p1) ** 2 / (4.0 * p0 * p1))
+    lam0, lam1 = pre.intensity, post.intensity
+    j0, j1 = pre.jumps, post.jumps
+    if j0.kind == "gaussian":
+        shift = (j1.mean - j0.mean) / j0.sd
+        return ((math.sqrt(lam1) - math.sqrt(lam0)) ** 2
+                - 2.0 * math.sqrt(lam0 * lam1) * math.expm1(-shift ** 2 / 8.0))
+    if j0.kind == "exponential":
+        return _exp_hellinger(lam0, j0.rate, lam1, j1.rate)
+    w0, w1 = j0.weight_pos, j1.weight_pos
+    return (_exp_hellinger(lam0 * w0, j0.rate_pos, lam1 * w1, j1.rate_pos)
+            + _exp_hellinger(lam0 * (1.0 - w0), j0.rate_neg, lam1 * (1.0 - w1), j1.rate_neg))
 
-    The integrand is expanded as e^{phi + l} - 2 e^{phi/2 + l} + e^{l} with
-    l the log jump-measure density, so large phi never overflows. The
-    integral is split per half-line with the inner cutoff refined toward the
-    origin; divergence is declared when the running value blows past
-    DIVERGENCE_CAP or keeps growing without stabilizing.
-    """
-
-    def integrand(x):
-        p = phi(x)
-        l = _log_levy_density(pre, x)
-        return np.exp(p + l) - 2.0 * np.exp(0.5 * p + l) + np.exp(l)
-
-    def side_value(sign: float) -> Tuple[bool, float]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            tail, _ = integrate.quad(lambda u: integrand(sign * u), 1.0, np.inf,
-                                     limit=200)
-            prev = None
-            for lo in _CUTOFFS:
-                inner, _ = integrate.quad(lambda u: integrand(sign * u), lo, 1.0,
-                                          limit=200)
-                total = tail + inner
-                if total > DIVERGENCE_CAP:
-                    return False, total
-                if prev is not None and abs(total - prev) <= max(1e-9, 1e-6 * abs(total)):
-                    return True, total
-                prev = total
-        return False, prev if prev is not None else tail
-
-    total = 0.0
-    for sign, piece in ((1.0, phi.pos), (-1.0, phi.neg)):
-        if piece is None:
-            continue
-        ok, value = side_value(sign)
-        if not ok:
-            return False, value
-        total += value
-    return True, total
-
-
-# --------------------------------------------------------------------------- #
-# closed-form moments of phi under the two jump measures
-# --------------------------------------------------------------------------- #
 
 def _phi_moments(pre: LevySpec, post: LevySpec, phi: DensityRatio) -> Tuple[float, float, float]:
     """Return (comp_rate, phi_mean_pre, phi_mean_post) in closed form.
@@ -298,6 +258,8 @@ def _quad_over_support(pre: LevySpec, phi: DensityRatio, combine) -> float:
     ``combine(p, a, b)`` receives the log ratio p, the tilted density
     a = e^p * (pre density), and the raw density b, all evaluated stably.
     """
+    from scipy import integrate
+
     total = 0.0
     for sign, piece in ((1.0, phi.pos), (-1.0, phi.neg)):
         if piece is None:
@@ -306,7 +268,8 @@ def _quad_over_support(pre: LevySpec, phi: DensityRatio, combine) -> float:
         def g(u):
             x = sign * u
             p = phi(x)
-            l = _log_levy_density(pre, x)
+            with np.errstate(divide="ignore"):
+                l = np.log(pre.levy_density(x))
             return combine(p, np.exp(p + l), np.exp(l))
 
         inner, inner_err = integrate.quad(g, 1e-12, 1.0, limit=200)
@@ -324,10 +287,19 @@ def comp_rate_quadrature(model: ChangeModel) -> float:
     return _quad_over_support(model.pre, model.phi, lambda p, a, b: a - b)
 
 
+def integrability_quadrature(model: ChangeModel) -> float:
+    """Quadrature value of integral (e^{phi/2} - 1)^2 dnu_pre."""
+    model.require_admissible()
+    return _quad_over_support(model.pre, model.phi,
+                              lambda p, a, b: a - 2.0 * np.sqrt(a * b) + b)
+
+
 def truncated_moment_quadrature(spec: LevySpec) -> float:
     """Quadrature value of integral_{|x|<=1} x dnu(x) (cross-check)."""
     if not spec.has_jumps:
         return 0.0
+    from scipy import integrate
+
     lo = 1e-12 if spec.family == "gamma" else 0.0
     pos, _ = integrate.quad(lambda x: x * float(spec.levy_density(x)), lo, 1.0, limit=200)
     neg = 0.0
@@ -386,11 +358,12 @@ def build_change_model(pre: LevySpec, post: LevySpec) -> ChangeModel:
             return rejected(cond,
                             f"jump supports differ ({pre.jump_support()} vs "
                             f"{post.jump_support()}); measures are not equivalent")
-        finite, integ_value = _integrability_check(pre, phi)
-        if not finite:
+        integ_value = _integrability(pre, post)
+        if math.isinf(integ_value):
             return rejected(COND_INTEGRABILITY,
-                            "integral of (e^(phi/2)-1)^2 against the pre-change jump "
-                            f"measure diverges (partial value {integ_value:.4g})",
+                            f"gamma activities differ ({pre.activity} vs {post.activity}); "
+                            "the integral of (e^(phi/2)-1)^2 against the pre-change "
+                            "jump measure diverges",
                             phi=phi, integrability_value=integ_value)
         comp, mean_pre, mean_post = _phi_moments(pre, post, phi)
 
@@ -410,14 +383,11 @@ def build_change_model(pre: LevySpec, post: LevySpec) -> ChangeModel:
     # total mean drift of the log-likelihood process: the Brownian exposure
     # contributes -+ alpha^2 sigma^2 / 2, the jump part (phi integrals) the rest
     bm_drift = 0.5 * alpha ** 2 * sigma ** 2
-    jump_pre = (mean_pre - comp) if phi is not None else 0.0
-    jump_post = (mean_post - comp) if phi is not None else 0.0
-
     return ChangeModel(pre=pre, post=post, admissible=True,
                        message="admissible", alpha=alpha, phi=phi,
-                       beta_pre=-bm_drift + jump_pre,
-                       beta_post=bm_drift + jump_post,
-                       comp_rate=comp if phi is not None else 0.0,
+                       beta_pre=-bm_drift + (mean_pre - comp),
+                       beta_post=bm_drift + (mean_post - comp),
+                       comp_rate=comp,
                        phi_mean_pre=mean_pre if phi is not None else math.nan,
                        phi_mean_post=mean_post if phi is not None else math.nan,
                        integrability_value=integ_value)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import AlignmentError, SpecValidationError
 from .families import LevySpec
@@ -98,6 +97,8 @@ def gamma_ledger_threshold(activity: float, scale: float,
     activity * E1(eps/scale), stays within ``rate_budget``; E1 is inverted by
     bisection on its monotone tail.
     """
+    from scipy.special import exp1
+
     target = rate_budget / activity
     if exp1(_MIN_THRESHOLD / scale) <= target:
         return _MIN_THRESHOLD

@@ -199,6 +199,11 @@ def test_bad_config_field_exits_two_and_names_it(tmp_path, capsys, block, field,
     ("arl", "simulation", "master_seed", -1),
     ("converge", "experiment", "base_delta", 0.1),
     ("converge", "simulation", "horizon", 0.01),
+    ("compare", "experiment", "rules", [["cusum_grid"]]),
+    ("compare", "experiment", "rules", [["cusum_grid", "x"]]),
+    ("arl", "simulation", "horizon", 0.001),
+    ("lorden", "simulation", "horizon", 0.001),
+    ("lowerbound", "simulation", "horizon", 0.001),
 ])
 def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
                                                           block, field, value):
@@ -211,6 +216,26 @@ def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
     code, out = _run(tmp_path, sub, payload, f"{block}_{field}")
     assert code == 2
     assert f"{block}.{field}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.csv"))
+
+
+@pytest.mark.parametrize("model,expected", [
+    ({"pre": dict(BM_MODEL["pre"], sigma="abc"), "post": BM_MODEL["post"]},
+     "model.pre: sigma must be a finite number"),
+    ({"pre": dict(POISSON_MODEL["pre"], jumps=3), "post": POISSON_MODEL["post"]},
+     "model.pre: jumps must be a JSON object"),
+    ({"pre": [1], "post": BM_MODEL["post"]},
+     "model.pre: process block must be a JSON object"),
+    ({"pre": POISSON_MODEL["pre"],
+      "post": dict(POISSON_MODEL["post"], jumps={"kind": "gaussian", "mean": 0.0, "sd": "x"})},
+     "model.post: jumps.sd must be a finite number"),
+])
+def test_bad_model_field_exits_two_and_names_it(tmp_path, capsys, model, expected):
+    payload = dict(TestArl.PAYLOAD, model=model,
+                   simulation=dict(TestArl.PAYLOAD["simulation"], n_rep=50))
+    code, out = _run(tmp_path, "arl", payload, "model")
+    assert code == 2
+    assert expected in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "report.csv"))
 
 

@@ -114,6 +114,13 @@ class TestLordenDelay:
         combined = math.hypot(res.per_tau[0].std_error, arl0.std_error)
         assert abs(res.per_tau[0].estimate - arl0.estimate) <= 3.0 * combined
 
+    def test_horizon_without_a_monitoring_step_rejected(self, brownian_model):
+        """A horizon below one step of delta used to yield an all-censored
+        report of worst delay 0."""
+        with pytest.raises(ContractError, match="horizon"):
+            lorden_delay(brownian_model, _grid_cfg(2.0), [0.0], 50,
+                         horizon=0.001, seed=SEED)
+
 
 class TestLowerBound:
     def test_one_step_rule_is_exactly_delta(self, brownian_model):

@@ -25,6 +25,7 @@ from levydetect.model import (
     build_change_model,
     comp_rate_quadrature,
     drift_constants,
+    integrability_quadrature,
     phi_eval,
     truncated_moment_quadrature,
 )
@@ -220,6 +221,33 @@ class TestIntegrabilityProbe:
                                LevySpec.gamma_subordinator(1.7, 1.0))
         assert not m.admissible
         assert m.violated == COND_INTEGRABILITY
+
+    @pytest.mark.parametrize("fixture", [
+        "poisson_model", "gaussian_shift_model", "jump_diffusion_model",
+        "gamma_model", "gamma_model_mild", "exponential_model", "two_sided_model",
+    ])
+    def test_closed_form_matches_quadrature(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        assert model.integrability_value == pytest.approx(
+            integrability_quadrature(model), rel=1e-9)
+
+    def test_high_intensity_pair_is_integrable(self):
+        """Every finite-activity pair is integrable; here the integral is
+        (sqrt(9e6) - sqrt(1e6))^2 = 4e6."""
+        m = build_change_model(
+            LevySpec.jump_diffusion(1.0, 1e6, GaussianJumps(0.0, 1.0)),
+            LevySpec.jump_diffusion(1.0, 9e6, GaussianJumps(0.0, 1.0)))
+        assert m.admissible
+        assert m.integrability_value == 4e6
+
+    def test_narrow_mark_shift_value(self):
+        """Marks of sd 0.01 shifted by 0.5 barely overlap: the integral is
+        2 (1 - e^{-0.5^2 / (8 * 0.01^2)})."""
+        m = build_change_model(
+            LevySpec.jump_diffusion(1.0, 1.0, GaussianJumps(0.0, 0.01)),
+            LevySpec.jump_diffusion(1.0, 1.0, GaussianJumps(0.5, 0.01)))
+        assert m.admissible
+        assert m.integrability_value == pytest.approx(2.0 * (1.0 - math.exp(-312.5)))
 
 
 @settings(max_examples=50, deadline=None)
