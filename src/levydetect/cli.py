@@ -20,6 +20,7 @@ import sys
 from . import __version__
 from .config import ExperimentConfig
 from .detector import DetectorConfig
+from .engine import RuleSpec
 from .errors import (
     ContractError,
     InfeasibleTargetError,
@@ -107,12 +108,10 @@ def _field_check(field: str, check, *args):
         raise SpecValidationError(f"{field}: {exc}") from exc
 
 
-def _check_horizon(cfg: ExperimentConfig) -> None:
-    """The horizon must hold one monitoring step of detector.delta."""
-    delta = cfg.detector["delta"]
-    if delta is not None:
-        _field_check("simulation.horizon", monitoring_steps,
-                     cfg.simulation["horizon"], float(delta))
+def _check_horizon(cfg: ExperimentConfig) -> int:
+    """The horizon in monitoring steps of detector.delta (at least one)."""
+    return _field_check("simulation.horizon", monitoring_steps,
+                        cfg.simulation["horizon"], float(cfg.detector["delta"]))
 
 
 # --------------------------------------------------------------------------- #
@@ -150,12 +149,10 @@ def _cmd_validate(cfg: ExperimentConfig, out: str) -> int:
 def _cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
     model = cfg.change_model()
     model.require_admissible()
-    sim = cfg.simulation
-    tau = cfg.experiment.get("tau", math.inf)
-    if tau is None:
-        tau = math.inf
+    sim, tau = cfg.simulation, cfg.experiment["tau"]
     rng = RngStream(sim["master_seed"], stream_id("path", 0))
-    path = sample_changed_path(model, tau, sim["horizon"], sim["grid_dt"], rng)
+    path = sample_changed_path(model, math.inf if tau is None else tau,
+                               sim["horizon"], sim["grid_dt"], rng)
     write_csv(os.path.join(out, "path_dump.csv"),
               [{"t": float(tt), "x": float(xx)}
                for tt, xx in zip(path.times, path.values)],
@@ -164,7 +161,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
               [{"t": float(tt), "jump_size": float(ss)}
                for tt, ss in zip(path.jump_times, path.jump_sizes)],
               columns=["t", "jump_size"])
-    if cfg.output.get("dump_llr", False):
+    if cfg.output["dump_llr"]:
         llr = llr_path(model, path)
         write_csv(os.path.join(out, "llr_dump.csv"),
                   [{"t": float(tt), "u": float(uu)}
@@ -214,13 +211,13 @@ def _cmd_calibrate(cfg: ExperimentConfig, out: str) -> int:
     model = cfg.change_model()
     model.require_admissible()
     sim, det = cfg.simulation, cfg.detector
-    gamma = det.get("gamma")
+    gamma = det["gamma"]
     if gamma is None:
         raise SpecValidationError("calibrate needs detector.gamma")
     cal = calibrate_barrier(model, det["rule"], float(gamma),
                             float(det["rel_tol"]), sim["master_seed"],
                             delta=float(det["delta"]),
-                            n_rep=int(cfg.experiment["n_rep_calibrate"]),
+                            n_rep=cfg.experiment["n_rep_calibrate"],
                             threads=sim["threads"])
     probe_rows = [{"h_bar": h, "arl": v} for h, v in cal.probes]
     probe_rows.append({"h_bar": cal.h_bar, "arl": cal.report.estimate})
@@ -262,12 +259,15 @@ def _cmd_lorden(cfg: ExperimentConfig, out: str) -> int:
 
 
 def _cmd_lowerbound(cfg: ExperimentConfig, out: str) -> int:
-    _check_horizon(cfg)
+    n_steps = _check_horizon(cfg)
+    sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
+    fixed_steps = exp["fixed_steps"]
+    if fixed_steps is not None:
+        _field_check("experiment.fixed_steps",
+                     RuleSpec(kind="fixed", fixed_steps=fixed_steps).check_horizon, n_steps)
     model = cfg.change_model()
     model.require_admissible()
-    sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
     config = cfg.detector_config()
-    fixed_steps = exp.get("fixed_steps")
     lb = lower_bound_ratio(model, None if fixed_steps else config,
                            float(det["delta"]), sim["n_rep"], sim["horizon"],
                            sim["master_seed"], threads=sim["threads"],
@@ -292,15 +292,13 @@ def _cmd_converge(cfg: ExperimentConfig, out: str) -> int:
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
     base_field = "experiment.base_delta" if exp["base_delta"] else "detector.delta"
     base_delta = exp["base_delta"] or det["delta"]
-    if base_delta is None:
-        raise SpecValidationError("converge needs experiment.base_delta or detector.delta")
     grid_dt, horizon = float(sim["grid_dt"]), float(sim["horizon"])
     # the study's own checks, run first so that a failure names its field
     base_stride = _field_check(base_field, dyadic_base_stride, base_delta, grid_dt)
     _field_check("simulation.horizon", dyadic_horizon_steps, horizon, grid_dt, base_stride)
     _field_check(base_field, dyadic_strides, base_stride, exp["dyadic_levels"])
     res = convergence_study(model, float(det["log_barrier"]),
-                            int(exp["dyadic_levels"]), sim["n_rep"],
+                            exp["dyadic_levels"], sim["n_rep"],
                             sim["master_seed"], float(base_delta), grid_dt, horizon,
                             regime=exp["regime"], threads=sim["threads"])
     rows = [{"delta": lv.delta, "stride": lv.stride, "mean_stop": lv.mean_stop,
@@ -326,14 +324,14 @@ def _cmd_compare(cfg: ExperimentConfig, out: str) -> int:
     model = cfg.change_model()
     model.require_admissible()
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
-    gamma = det.get("gamma")
+    gamma = det["gamma"]
     if gamma is None:
         raise SpecValidationError("compare needs detector.gamma")
     rules = [(r, float(d)) for r, d in exp["rules"]]
     res = compare(model, float(gamma), rules, sim["n_rep"],
                   sim["master_seed"], rel_tol=float(det["rel_tol"]),
                   tau_grid=exp["tau_grid"], threads=sim["threads"],
-                  n_rep_calibrate=int(exp["n_rep_calibrate"]))
+                  n_rep_calibrate=exp["n_rep_calibrate"])
     rows = [{"rule": r.rule, "delta": r.delta, "h_bar": r.h_bar,
              "gamma_achieved": r.gamma_achieved, "gamma_se": r.gamma_se,
              "worst_delay": r.worst_delay, "delay_se": r.delay_se,

@@ -1,61 +1,97 @@
 """Experiment configuration: one JSON file describes one experiment.
 
-Only the model block is mandatory; every other field has a documented
-default. A summary.json written by the CLI embeds the fully resolved config
-under ``resolved_config`` and can itself be passed back as a config file,
-which is how byte-identical reruns are produced.
+Only the model block is mandatory. ``FIELDS`` is the contract for every other
+block: each field's kind (what its value must be) and its default. The
+defaults, the checks and the rejection of unknown keys all come from that
+table, and every violation names its field. A summary.json written by the
+CLI embeds the fully resolved config under ``resolved_config`` and can itself
+be passed back as a config file, which is how byte-identical reruns are
+produced.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 from .detector import DetectorConfig
 from .errors import SpecValidationError
-from .evaluate import REGIMES
-from .families import LevySpec
+from .evaluate import HARNESS_RULES, REGIMES
+from .families import LevySpec, reject_unknown_keys
 from .model import ChangeModel, build_change_model
 
-__all__ = ["ExperimentConfig", "DEFAULTS"]
-
-DEFAULTS = {
-    "simulation": {
-        "horizon": 100.0,
-        "grid_dt": 0.01,
-        "n_rep": 1000,
-        "master_seed": 12345,
-        "threads": 1,
-    },
-    "detector": {
-        "rule": "cusum_grid",
-        "delta": 0.1,
-        "log_barrier": 2.0,
-        "gamma": None,
-        "rel_tol": 0.02,
-    },
-    "experiment": {
-        "regime": "in_control",
-        "tau": 5.0,
-        "tau_grid": [0.0, 1.0, 5.0],
-        "dyadic_levels": 4,
-        "base_delta": None,
-        "rules": [["cusum_grid", 0.1], ["shiryaev_roberts", 0.1]],
-        "fixed_steps": None,
-        "n_rep_calibrate": 4000,
-    },
-    "output": {
-        "dump_llr": False,
-    },
-}
+__all__ = ["ExperimentConfig", "DEFAULTS", "FIELDS"]
 
 
 def _is_finite(value) -> bool:
-    """A JSON number (not a bool) with a finite value."""
+    """A JSON number (not a bool) whose value is a finite float."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# A kind is (description, check): a value is in the kind when check(value).
+POSITIVE = ("a finite number > 0", lambda v: _is_finite(v) and v > 0.0)
+NONNEG = ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0.0)
+FINITE = ("a finite number", _is_finite)
+COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+SEED = ("an integer in [0, 2^64)", lambda v: _is_int(v) and 0 <= v < 2 ** 64)
+BOOL = ("true or false", lambda v: isinstance(v, bool))
+RULE = (f"one of {HARNESS_RULES}", lambda v: isinstance(v, str) and v in HARNESS_RULES)
+REGIME = (f"one of {REGIMES}", lambda v: isinstance(v, str) and v in REGIMES)
+
+
+def _or_null(kind):
+    return (f"null or {kind[0]}", lambda v: v is None or kind[1](v))
+
+
+def _list_of(noun: str, check):
+    return (f"a non-empty list of {noun}",
+            lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(check, v)))
+
+
+TAU_GRID = _list_of("finite numbers >= 0", NONNEG[1])
+RULE_PAIRS = _list_of(f"[rule, delta] pairs with rule {RULE[0]} and delta {POSITIVE[0]}",
+                      lambda r: isinstance(r, (list, tuple)) and len(r) == 2
+                      and RULE[1](r[0]) and POSITIVE[1](r[1]))
+
+FIELDS = {
+    "simulation": {
+        "horizon": (POSITIVE, 100.0),
+        "grid_dt": (POSITIVE, 0.01),
+        "n_rep": (COUNT, 1000),
+        "master_seed": (SEED, 12345),
+        "threads": (COUNT, 1),
+    },
+    "detector": {
+        "rule": (RULE, "cusum_grid"),
+        "delta": (POSITIVE, 0.1),
+        "log_barrier": (FINITE, 2.0),
+        "gamma": (_or_null(POSITIVE), None),
+        "rel_tol": (POSITIVE, 0.02),
+    },
+    "experiment": {
+        "regime": (REGIME, "in_control"),
+        "tau": (_or_null(NONNEG), 5.0),          # null: no change
+        "tau_grid": (TAU_GRID, [0.0, 1.0, 5.0]),
+        "dyadic_levels": (COUNT, 4),
+        "base_delta": (_or_null(POSITIVE), None),  # null: detector.delta
+        "rules": (RULE_PAIRS, [["cusum_grid", 0.1], ["shiryaev_roberts", 0.1]]),
+        "fixed_steps": (_or_null(COUNT), None),
+        "n_rep_calibrate": (COUNT, 4000),
+    },
+    "output": {
+        "dump_llr": (BOOL, False),
+    },
+}
+
+DEFAULTS = {block: {key: default for key, (_, default) in rows.items()}
+            for block, rows in FIELDS.items()}
 
 
 def _merge(name: str, given) -> dict:
@@ -77,66 +113,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if "resolved_config" in data:      # a summary.json round-trips
+        if isinstance(data, dict) and "resolved_config" in data:  # a summary.json round-trips
             data = data["resolved_config"]
-        if "model" not in data or not isinstance(data["model"], dict):
+        if not isinstance(data, dict) or not isinstance(data.get("model"), dict):
             raise SpecValidationError("config needs a 'model' block")
+        reject_unknown_keys(data, ("model", *FIELDS))
         model = data["model"]
         if "pre" not in model or "post" not in model:
             raise SpecValidationError("model block needs 'pre' and 'post' entries")
-        cfg = cls(
-            model=copy.deepcopy(model),
-            simulation=_merge("simulation", data.get("simulation", {})),
-            detector=_merge("detector", data.get("detector", {})),
-            experiment=_merge("experiment", data.get("experiment", {})),
-            output=_merge("output", data.get("output", {})),
-        )
+        reject_unknown_keys(model, ("pre", "post"), "model.")
+        cfg = cls(model=copy.deepcopy(model),
+                  **{block: _merge(block, data.get(block, {})) for block in FIELDS})
         cfg._check_fields()
         return cfg
 
     def _check_fields(self) -> None:
-        sim, exp, det = self.simulation, self.experiment, self.detector
-        regime = exp["regime"]
-        if regime not in REGIMES:
-            raise SpecValidationError(
-                f"experiment.regime must be one of {REGIMES}, got {regime!r}")
-        for name, value in (("simulation.n_rep", sim["n_rep"]),
-                            ("simulation.threads", sim["threads"]),
-                            ("experiment.n_rep_calibrate", exp["n_rep_calibrate"]),
-                            ("experiment.dyadic_levels", exp["dyadic_levels"])):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise SpecValidationError(
-                    f"{name} must be an integer >= 1, got {value!r}")
-        seed = sim["master_seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-            raise SpecValidationError(
-                f"simulation.master_seed must be an integer in [0, 2^64), got {seed!r}")
-        for name in ("horizon", "grid_dt"):
-            if not (_is_finite(sim[name]) and sim[name] > 0.0):
-                raise SpecValidationError(
-                    f"simulation.{name} must be a finite number > 0, got {sim[name]!r}")
-        for name, delta in (("detector.delta", det["delta"]),
-                            ("experiment.base_delta", exp["base_delta"])):
-            if delta is not None and not (_is_finite(delta) and delta > 0.0):
-                raise SpecValidationError(
-                    f"{name} must be a finite number > 0, got {delta!r}")
-        barrier = det["log_barrier"]
-        if not _is_finite(barrier):
-            raise SpecValidationError(
-                f"detector.log_barrier must be a finite number, got {barrier!r}")
-        taus = exp["tau_grid"]
-        if not (isinstance(taus, (list, tuple)) and taus
-                and all(_is_finite(t) and t >= 0.0 for t in taus)):
-            raise SpecValidationError(
-                "experiment.tau_grid must be a non-empty list of finite numbers >= 0, "
-                f"got {taus!r}")
-        rules = exp["rules"]
-        if not (isinstance(rules, (list, tuple)) and rules
-                and all(isinstance(r, (list, tuple)) and len(r) == 2 and isinstance(r[0], str)
-                        and _is_finite(r[1]) and r[1] > 0.0 for r in rules)):
-            raise SpecValidationError(
-                "experiment.rules must be a non-empty list of [rule, delta] pairs with "
-                f"delta a finite number > 0, got {rules!r}")
+        for block, rows in FIELDS.items():
+            values = getattr(self, block)
+            reject_unknown_keys(values, rows, f"{block}.")
+            for key, ((description, check), _) in rows.items():
+                if not check(values[key]):
+                    raise SpecValidationError(
+                        f"{block}.{key} must be {description}, got {values[key]!r}")
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
@@ -148,13 +146,8 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def resolved(self) -> dict:
-        return {
-            "model": copy.deepcopy(self.model),
-            "simulation": copy.deepcopy(self.simulation),
-            "detector": copy.deepcopy(self.detector),
-            "experiment": copy.deepcopy(self.experiment),
-            "output": copy.deepcopy(self.output),
-        }
+        return {block: copy.deepcopy(getattr(self, block))
+                for block in ("model", *FIELDS)}
 
     def change_model(self) -> ChangeModel:
         specs = []
@@ -169,4 +162,4 @@ class ExperimentConfig:
         det = self.detector
         return DetectorConfig(rule=det["rule"],
                               log_barrier=float(det["log_barrier"]),
-                              delta=det.get("delta"))
+                              delta=det["delta"])

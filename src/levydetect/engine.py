@@ -68,6 +68,12 @@ class RuleSpec:
         if self.kind == "fixed" and self.fixed_steps < 1:
             raise ContractError("fixed rule needs at least one step")
 
+    def check_horizon(self, n_steps: int) -> None:
+        """A fixed rule must stop within the ``n_steps``-step horizon."""
+        if self.kind == "fixed" and self.fixed_steps > n_steps:
+            raise ContractError(
+                f"fixed rule of {self.fixed_steps} steps exceeds the {n_steps}-step horizon")
+
 
 @dataclass
 class PathRunResult:
@@ -328,9 +334,7 @@ def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
     on its step alone, and aggregation is by fixed slices.
     """
     rule.validate()
-    if rule.kind == "fixed" and rule.fixed_steps > n_steps:
-        raise ContractError(
-            f"fixed rule of {rule.fixed_steps} steps exceeds the {n_steps}-step horizon")
+    rule.check_horizon(n_steps)
     sampler = make_u_sampler(model, regime, dt)
     result = PathRunResult(
         dt=dt, n_steps=n_steps,

@@ -72,17 +72,18 @@ def phi_lattice_constant(model: ChangeModel) -> Optional[float]:
     return None
 
 
-_HARNESS_RULES = {"cusum_grid": "cusum", "shiryaev_roberts": "sr"}
+_HARNESS_KINDS = {"cusum_grid": "cusum", "shiryaev_roberts": "sr"}
+HARNESS_RULES = tuple(_HARNESS_KINDS)      # the rules the Monte Carlo harness runs
 
 
 def _harness_kind(rule: str) -> str:
     """Engine rule kind of a rule the harness can run: the harness monitors
     on a grid of step delta only."""
-    if rule not in _HARNESS_RULES:
+    if rule not in _HARNESS_KINDS:
         raise SpecValidationError(
             f"rule {rule!r} (detector.rule or experiment.rules) is not run "
-            f"by the Monte Carlo harness; use one of {sorted(_HARNESS_RULES)}")
-    return _HARNESS_RULES[rule]
+            f"by the Monte Carlo harness; use one of {list(HARNESS_RULES)}")
+    return _HARNESS_KINDS[rule]
 
 
 def _effective_barrier(model: ChangeModel, config: DetectorConfig) -> float:

@@ -19,7 +19,8 @@ likelihood object has a closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "TwoSidedExponentialJumps",
     "JumpLaw",
     "LevySpec",
+    "reject_unknown_keys",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -274,47 +276,56 @@ class LevySpec:
     def to_dict(self) -> dict:
         out: dict = {"family": self.family, "sigma": self.sigma, "drift": self.drift_b}
         if self.family in ("compound_poisson", "jump_diffusion"):
-            j = self.jumps
-            block = {"kind": j.kind}
-            if isinstance(j, GaussianJumps):
-                block.update(mean=j.mean, sd=j.sd)
-            elif isinstance(j, ExponentialJumps):
-                block.update(rate=j.rate)
-            else:
-                block.update(rate_pos=j.rate_pos, rate_neg=j.rate_neg,
-                             weight_pos=j.weight_pos)
-            out.update(intensity=self.intensity, jumps=block)
+            out.update(intensity=self.intensity,
+                       jumps={"kind": self.jumps.kind, **asdict(self.jumps)})
         if self.family == "gamma":
             out.update(activity=self.activity, scale=self.scale)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "LevySpec":
+        """Read a process block; every family reads ``sigma`` and ``drift``,
+        so a nonzero sigma on a pure-jump family is rejected, not dropped."""
         if not isinstance(data, dict):
             raise SpecValidationError(f"process block must be a JSON object, got {data!r}")
         if "family" not in data:
             raise SpecValidationError("process block needs a 'family' key")
         family = data["family"]
+        if not isinstance(family, str) or family not in _FAMILY_KEYS:
+            raise SpecValidationError(f"unknown family {family!r}")
+        reject_unknown_keys(data, ("family", "sigma", "drift", *_FAMILY_KEYS[family]))
+        sigma = _number(data, "sigma", 1.0 if family == "brownian" else 0.0)
+        drift = _number(data, "drift", None if family == "gamma" else 0.0)
         if family == "brownian":
-            spec = cls.brownian(sigma=_number(data, "sigma", 1.0),
-                                drift=_number(data, "drift", 0.0))
-        elif family in ("compound_poisson", "jump_diffusion"):
-            jumps = _jump_law_from_dict(data.get("jumps"))
-            if family == "compound_poisson":
-                spec = cls.compound_poisson(intensity=_number(data, "intensity", 0.0),
-                                            jumps=jumps, drift=_number(data, "drift", 0.0))
-            else:
-                spec = cls.jump_diffusion(sigma=_number(data, "sigma", 0.0),
-                                          intensity=_number(data, "intensity", 0.0),
-                                          jumps=jumps, drift=_number(data, "drift", 0.0))
+            spec = cls.brownian(sigma, drift)
         elif family == "gamma":
             spec = cls.gamma_subordinator(activity=_number(data, "activity", 0.0),
-                                          scale=_number(data, "scale", 0.0),
-                                          drift=_number(data, "drift", None))
+                                          scale=_number(data, "scale", 0.0), drift=drift)
         else:
-            raise SpecValidationError(f"unknown family {family!r}")
+            spec = cls.jump_diffusion(sigma, _number(data, "intensity", 0.0),
+                                      _jump_law_from_dict(data.get("jumps")), drift)
+        # the family and sigma as written, so validate() sees a sigma the family cannot carry
+        spec = replace(spec, family=family, sigma=sigma)
         spec.validate()
         return spec
+
+
+# the keys each family reads besides family, sigma and drift
+_FAMILY_KEYS = {"brownian": (), "compound_poisson": ("intensity", "jumps"),
+                "jump_diffusion": ("intensity", "jumps"), "gamma": ("activity", "scale")}
+
+# each jump law and the defaults of the keys it reads besides kind
+_JUMP_LAWS = {"gaussian": (GaussianJumps, {"mean": 0.0, "sd": 1.0}),
+              "exponential": (ExponentialJumps, {"rate": 1.0}),
+              "two_sided_exponential": (TwoSidedExponentialJumps,
+                                        {"rate_pos": 1.0, "rate_neg": 1.0, "weight_pos": 0.5})}
+
+
+def reject_unknown_keys(block: dict, known, prefix: str = "") -> None:
+    """Raise naming the first key of ``block`` that is not in ``known``."""
+    for key in block:
+        if key not in known:
+            raise SpecValidationError(f"unknown key '{prefix}{key}'")
 
 
 def _number(block: dict, key: str, default: Optional[float],
@@ -325,7 +336,7 @@ def _number(block: dict, key: str, default: Optional[float],
         return default
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+            or not abs(value) <= sys.float_info.max:
         raise SpecValidationError(f"{prefix}{key} must be a finite number, got {value!r}")
     return float(value)
 
@@ -335,17 +346,10 @@ def _jump_law_from_dict(block: Optional[dict]) -> JumpLaw:
         raise SpecValidationError("jump family requires a 'jumps' block")
     if not isinstance(block, dict):
         raise SpecValidationError(f"jumps must be a JSON object, got {block!r}")
-
-    def number(key: str, default: float) -> float:
-        return _number(block, key, default, prefix="jumps.")
-
     kind = block.get("kind")
-    if kind == "gaussian":
-        return GaussianJumps(mean=number("mean", 0.0), sd=number("sd", 1.0))
-    if kind == "exponential":
-        return ExponentialJumps(rate=number("rate", 1.0))
-    if kind == "two_sided_exponential":
-        return TwoSidedExponentialJumps(rate_pos=number("rate_pos", 1.0),
-                                        rate_neg=number("rate_neg", 1.0),
-                                        weight_pos=number("weight_pos", 0.5))
-    raise SpecValidationError(f"unknown jump kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _JUMP_LAWS:
+        raise SpecValidationError(f"unknown jump kind {kind!r}")
+    law, defaults = _JUMP_LAWS[kind]
+    reject_unknown_keys(block, ("kind", *defaults), "jumps.")
+    return law(**{key: _number(block, key, default, prefix="jumps.")
+                  for key, default in defaults.items()})

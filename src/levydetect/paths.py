@@ -224,7 +224,8 @@ def sample_changed_path(model: ChangeModel, tau: float, horizon: float,
     n = grid_steps(horizon, grid_dt)
     horizon = n * grid_dt
     gen = rng.generator()
-    tau_t = math.inf if math.isinf(tau) else min(round(tau / grid_dt), n) * grid_dt
+    tau_t = (math.inf if math.isinf(tau)
+             else min(round(min(tau, horizon) / grid_dt), n) * grid_dt)
 
     pieces = []
     if math.isinf(tau_t):

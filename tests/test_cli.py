@@ -204,6 +204,18 @@ def test_bad_config_field_exits_two_and_names_it(tmp_path, capsys, block, field,
     ("arl", "simulation", "horizon", 0.001),
     ("lorden", "simulation", "horizon", 0.001),
     ("lowerbound", "simulation", "horizon", 0.001),
+    ("lowerbound", "detector", "delta", None),
+    ("calibrate", "detector", "delta", None),
+    ("lowerbound", "experiment", "fixed_steps", "x"),
+    ("lowerbound", "experiment", "fixed_steps", 0),
+    ("lowerbound", "experiment", "fixed_steps", 1000000),
+    ("calibrate", "detector", "rel_tol", "x"),
+    ("calibrate", "detector", "rel_tol", -1),
+    ("calibrate", "detector", "gamma", "x"),
+    ("compare", "detector", "gamma", True),
+    ("simulate", "experiment", "tau", "x"),
+    ("simulate", "output", "dump_llr", "no"),
+    ("arl", "simulation", "hoizon", 5),
 ])
 def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
                                                           block, field, value):
@@ -212,7 +224,7 @@ def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
     payload = dict(TestArl.PAYLOAD, simulation=dict(TestArl.PAYLOAD["simulation"],
                                                     n_rep=50))
     payload["detector"] = dict(payload["detector"], gamma=20.0)
-    payload[block] = dict(payload[block], **{field: value})
+    payload[block] = dict(payload.get(block, {}), **{field: value})
     code, out = _run(tmp_path, sub, payload, f"{block}_{field}")
     assert code == 2
     assert f"{block}.{field}" in capsys.readouterr().err
@@ -229,6 +241,15 @@ def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
     ({"pre": POISSON_MODEL["pre"],
       "post": dict(POISSON_MODEL["post"], jumps={"kind": "gaussian", "mean": 0.0, "sd": "x"})},
      "model.post: jumps.sd must be a finite number"),
+    ({"pre": BM_MODEL["pre"], "post": dict(BM_MODEL["post"], sigm=3.0)},
+     "model.post: unknown key 'sigm'"),
+    ({"pre": dict(POISSON_MODEL["pre"], jumps={"kind": "gaussian", "mean": 0.0, "sdd": 1.0}),
+      "post": POISSON_MODEL["post"]},
+     "model.pre: unknown key 'jumps.sdd'"),
+    ({"pre": POISSON_MODEL["pre"], "post": dict(POISSON_MODEL["post"], sigma=0.7)},
+     "model.post: compound_poisson has sigma = 0"),
+    ({"pre": BM_MODEL["pre"], "post": BM_MODEL["post"], "mid": BM_MODEL["pre"]},
+     "unknown key 'model.mid'"),
 ])
 def test_bad_model_field_exits_two_and_names_it(tmp_path, capsys, model, expected):
     payload = dict(TestArl.PAYLOAD, model=model,

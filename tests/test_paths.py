@@ -32,6 +32,13 @@ class TestShapeAndLedger:
         assert p.values[0] == 0.0
         assert p.horizon == pytest.approx(10.0)
 
+    def test_change_point_far_past_the_horizon(self, poisson_model):
+        """A finite tau whose grid index overflows is a change at the horizon."""
+        far, never = (sample_changed_path(poisson_model, tau, 10.0, 0.001,
+                                          RngStream(SEED, 0)) for tau in (1e308, math.inf))
+        assert far.change_point == pytest.approx(10.0)
+        assert np.array_equal(far.values, never.values)
+
     def test_jump_times_sorted_within_horizon(self, poisson_model):
         for p in _paths(poisson_model, 5.0, 10.0, 0.01, 20):
             assert np.all(np.diff(p.jump_times) >= 0.0)
