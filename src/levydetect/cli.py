@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from .config import ExperimentConfig
-from .detector import DetectorConfig
+from .detector import DetectorConfig, check_log_barrier
 from .engine import RuleSpec
 from .errors import (
     ContractError,
@@ -104,8 +104,16 @@ def _field_check(field: str, check, *args):
     """Run a library check on config values, naming the field if it fails."""
     try:
         return check(*args)
-    except ContractError as exc:
+    except (ContractError, SpecValidationError) as exc:
         raise SpecValidationError(f"{field}: {exc}") from exc
+
+
+def _detector_config(cfg: ExperimentConfig) -> DetectorConfig:
+    """The detector block as a rule, its log barrier checked for that rule."""
+    config = cfg.detector_config()
+    _field_check("detector.log_barrier", check_log_barrier, config.rule,
+                 config.log_barrier)
+    return config
 
 
 def _check_horizon(cfg: ExperimentConfig) -> int:
@@ -188,7 +196,7 @@ def _cmd_arl(cfg: ExperimentConfig, out: str) -> int:
     model = cfg.change_model()
     model.require_admissible()
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
-    config = cfg.detector_config()
+    config = _detector_config(cfg)
     purpose, block = "arl", 0
     report, result = estimate_arl(
         model, config, exp["regime"], sim["n_rep"], sim["horizon"],
@@ -219,7 +227,9 @@ def _cmd_calibrate(cfg: ExperimentConfig, out: str) -> int:
                             delta=float(det["delta"]),
                             n_rep=cfg.experiment["n_rep_calibrate"],
                             threads=sim["threads"])
-    probe_rows = [{"h_bar": h, "arl": v} for h, v in cal.probes]
+    # the bracket-top probe settles only arl >= gamma: its value is a lower bound
+    probe_rows = [{"h_bar": h, "arl": f">={v!r}" if i == cal.lower_bound else v}
+                  for i, (h, v) in enumerate(cal.probes)]
     probe_rows.append({"h_bar": cal.h_bar, "arl": cal.report.estimate})
     write_csv(os.path.join(out, "report.csv"), probe_rows,
               columns=["h_bar", "arl"])
@@ -240,7 +250,7 @@ def _cmd_lorden(cfg: ExperimentConfig, out: str) -> int:
     model = cfg.change_model()
     model.require_admissible()
     sim, exp = cfg.simulation, cfg.experiment
-    config = cfg.detector_config()
+    config = _detector_config(cfg)
     res = lorden_delay(model, config, exp["tau_grid"], sim["n_rep"],
                        sim["horizon"], sim["master_seed"],
                        threads=sim["threads"])
@@ -267,7 +277,7 @@ def _cmd_lowerbound(cfg: ExperimentConfig, out: str) -> int:
                      RuleSpec(kind="fixed", fixed_steps=fixed_steps).check_horizon, n_steps)
     model = cfg.change_model()
     model.require_admissible()
-    config = cfg.detector_config()
+    config = _detector_config(cfg)
     lb = lower_bound_ratio(model, None if fixed_steps else config,
                            float(det["delta"]), sim["n_rep"], sim["horizon"],
                            sim["master_seed"], threads=sim["threads"],
@@ -290,6 +300,9 @@ def _cmd_converge(cfg: ExperimentConfig, out: str) -> int:
     model = cfg.change_model()
     model.require_admissible()
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
+    # the study runs the CUSUM grid rule whatever detector.rule says
+    _field_check("detector.log_barrier", check_log_barrier, "cusum_grid",
+                 float(det["log_barrier"]))
     base_field = "experiment.base_delta" if exp["base_delta"] else "detector.delta"
     base_delta = exp["base_delta"] or det["delta"]
     grid_dt, horizon = float(sim["grid_dt"]), float(sim["horizon"])

@@ -38,6 +38,7 @@ from .paths import IncrementSeries, _stride_of
 __all__ = [
     "RULES",
     "DetectorConfig",
+    "check_log_barrier",
     "CusumState",
     "StopResult",
     "drawup",
@@ -50,6 +51,15 @@ __all__ = [
 ]
 
 RULES = ("cusum_continuous", "cusum_grid", "cusum_iid", "shiryaev_roberts")
+
+
+def check_log_barrier(rule: str, log_barrier: float) -> None:
+    """A log barrier must be finite, and >= 0 (barrier h >= 1) for the CUSUM
+    rules; Shiryaev-Roberts takes any finite one."""
+    if not math.isfinite(log_barrier):
+        raise SpecValidationError("log_barrier must be finite")
+    if rule != "shiryaev_roberts" and log_barrier < 0.0:
+        raise SpecValidationError("log_barrier must be >= 0 (barrier h >= 1)")
 
 
 @dataclass(frozen=True)
@@ -68,10 +78,7 @@ class DetectorConfig:
     def validate(self) -> None:
         if self.rule not in RULES:
             raise SpecValidationError(f"unknown rule {self.rule!r}")
-        if not math.isfinite(self.log_barrier):
-            raise SpecValidationError("log_barrier must be finite")
-        if self.rule != "shiryaev_roberts" and self.log_barrier < 0.0:
-            raise SpecValidationError("log_barrier must be >= 0 (barrier h >= 1)")
+        check_log_barrier(self.rule, self.log_barrier)
         if self.rule in ("cusum_grid", "shiryaev_roberts") and self.delta is None:
             raise SpecValidationError(f"rule {self.rule!r} needs a delta")
         if self.rule == "cusum_iid" and self.iid_laws is None:

@@ -7,24 +7,19 @@ Each replication owns a counter-based stream (reproducible from its index
 alone) and draws each kind of variate from its own substream, so every draw
 is a function of its step index only, whatever the schedule that draws it.
 
-One draw-and-scan loop serves both runs. For the paths still running it
-draws exactly the sub-block it scans next (64, 128, 256, ... steps, capped at
-the chunk width) and drops the paths that stopped, so a path costs draws and
-scan time only up to about twice its stopping step. :func:`run_paths` scans
-one stopping rule; :func:`run_dyadic` scans several monitoring strides of one
-fine path, in sub-blocks scaled to the least common multiple of the strides.
-
-Per-replication streams make results independent of the worker count and
-the chunk width, make common random numbers across barrier candidates hold
-pathwise, and let any single replication be replayed.
-"""
+A :class:`BatchState` holds one batch's streams, carries and steps. It
+advances its rows to a step, or until each reaches a barrier, drawing and
+scanning exactly the sub-blocks they need (64, 128, 256, ... steps, capped at
+the chunk width), so a path costs up to about twice its stopping step and can
+be resumed at any step. :func:`run_paths` drives it for one stopping rule;
+:func:`run_dyadic` scans several monitoring strides of one fine path in its
+own loop. Results depend on neither the worker count nor the chunk width."""
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,8 +29,9 @@ from .errors import ContractError
 from .model import ChangeModel
 from .rng import RngStream, stream_id
 
-__all__ = ["RuleSpec", "PathRunResult", "make_u_sampler", "substream_components",
-           "sample_u_increments", "run_paths", "run_dyadic"]
+__all__ = ["RuleSpec", "PathRunResult", "BatchState", "make_u_sampler",
+           "substream_components", "sample_u_increments", "block_end", "batch_states",
+           "advance", "run_paths", "run_dyadic"]
 
 CHUNK = 4096          # widest draw-and-scan sub-block in steps (not a tuning knob)
 SUB_BLOCK = 64        # first sub-block of a path; later ones double up to CHUNK
@@ -60,11 +56,10 @@ class RuleSpec:
     def validate(self) -> None:
         if self.kind not in ("cusum", "sr", "fixed"):
             raise ContractError(f"unknown rule kind {self.kind!r}")
-        if self.kind in ("cusum", "sr"):
-            if not math.isfinite(self.log_barrier):
-                raise ContractError("rule needs a finite log barrier")
-            if self.kind == "cusum" and self.log_barrier < 0.0:
-                raise ContractError("cusum log barrier must be >= 0")
+        if self.kind in ("cusum", "sr") and not math.isfinite(self.log_barrier):
+            raise ContractError("rule needs a finite log barrier")
+        if self.kind == "cusum" and self.log_barrier < 0.0:
+            raise ContractError("cusum log barrier must be >= 0")
         if self.kind == "fixed" and self.fixed_steps < 1:
             raise ContractError("fixed rule needs at least one step")
 
@@ -137,10 +132,8 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     if regime not in ("pre", "post"):
         raise ContractError(f"regime must be 'pre' or 'post', got {regime!r}")
     spec = model.pre if regime == "pre" else model.post
-    alpha, sigma = model.alpha, model.sigma
-
     bm_sd = _bm_sd(model, dt)
-    bm_mean = (0.5 if regime == "post" else -0.5) * (alpha * sigma) ** 2 * dt
+    bm_mean = (0.5 if regime == "post" else -0.5) * (model.alpha * model.sigma) ** 2 * dt
 
     if model.phi is None:
         def draw(gens, size: int) -> np.ndarray:
@@ -151,25 +144,20 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     phi = model.phi
 
     if spec.family == "gamma":
-        shape = spec.activity * dt
-        theta = spec.scale
-        c1 = phi.pos[1]
+        shape, theta, c1 = spec.activity * dt, spec.scale, phi.pos[1]
 
         def draw(gens, size: int) -> np.ndarray:
             return c1 * gens[BM].gamma(shape, theta, size) - comp_dt
         return draw
 
-    lam_dt = spec.intensity * dt
-    law = spec.jumps
-    has_bm = bm_sd > 0.0
+    lam_dt, law, has_bm = spec.intensity * dt, spec.jumps, bm_sd > 0.0
 
     def brownian(gens, size: int) -> np.ndarray:
         return bm_mean + bm_sd * gens[BM].standard_normal(size) if has_bm \
             else np.full(size, bm_mean)
 
     if law.kind == "gaussian":
-        c0, c1 = phi.pos
-        mean, sd = law.mean, law.sd
+        (c0, c1), mean, sd = phi.pos, law.mean, law.sd
 
         def draw(gens, size: int) -> np.ndarray:
             out = brownian(gens, size)
@@ -180,8 +168,7 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
         return draw
 
     if law.kind == "exponential":
-        c0, c1 = phi.pos
-        rate = law.rate
+        (c0, c1), rate = phi.pos, law.rate
 
         def draw(gens, size: int) -> np.ndarray:
             out = brownian(gens, size)
@@ -190,10 +177,8 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
             return out - comp_dt
         return draw
 
-    c0p, c1p = phi.pos
-    c0n, c1n = phi.neg
-    w = law.weight_pos
-    rp, rn = law.rate_pos, law.rate_neg
+    (c0p, c1p), (c0n, c1n) = phi.pos, phi.neg
+    w, rp, rn = law.weight_pos, law.rate_pos, law.rate_neg
 
     def draw(gens, size: int) -> np.ndarray:
         out = brownian(gens, size)
@@ -213,19 +198,17 @@ def sample_u_increments(model: ChangeModel, regime: str, dt: float,
 
 
 # --------------------------------------------------------------------------- #
-# the draw-and-scan loop of run_paths and run_dyadic
+# the draw-and-scan loop: a resumable batch state and its drivers
 # --------------------------------------------------------------------------- #
 
-def _sub_blocks(total: int, unit: int, chunk: int):
-    """(start, end) sub-blocks covering steps [0, total): SUB_BLOCK * unit
-    steps, then doubling up to ``chunk`` steps rounded down to whole units.
-    Every bound is a multiple of ``unit`` when ``total`` is."""
+def block_end(pos: int, chunk: int = CHUNK, unit: int = 1) -> int:
+    """End of the sub-block holding step pos + 1. Sub-blocks are SUB_BLOCK *
+    unit steps, then double up to ``chunk`` steps rounded down to whole units."""
     cap = max(unit, chunk - chunk % unit)
     start, width = 0, min(SUB_BLOCK * unit, cap)
-    while start < total:
-        end = min(start + width, total)
-        yield start, end
-        start, width = end, min(2 * width, cap)
+    while start + width <= pos and width < cap:
+        start, width = start + width, min(2 * width, cap)
+    return start + width * ((pos - start) // width + 1)
 
 
 def _draw(sampler, gens, rows: np.ndarray, start: int, end: int) -> np.ndarray:
@@ -236,90 +219,107 @@ def _draw(sampler, gens, rows: np.ndarray, start: int, end: int) -> np.ndarray:
     return inc
 
 
-def _dispatch(run_batch, components, n_rep: int, master_seed: int, purpose: str,
-              block: int, threads: int) -> None:
-    """Call ``run_batch(gens, lo)`` on each slice [lo, lo + BATCH) of the
-    replications, inline or on ``threads`` workers. ``gens`` holds the
-    substreams of each replication i, stream (master_seed, purpose/block/i)."""
-    def work(lo: int) -> None:
-        streams = (RngStream(master_seed, stream_id(purpose, i, block))
-                   for i in range(lo, min(lo + BATCH, n_rep)))
-        run_batch([s.substreams(components) for s in streams], lo)
+class BatchState:
+    """One batch of replications, resumable at any step: the substream
+    generators, each row's carries (``CARRIES``), its step ``pos`` and the
+    first crossing (``stop``, -1 if none; ``stat``) of the barrier it was last
+    advanced under. With ``records`` it also keeps each row's running maximum
+    ``best`` and ``ladder`` of record highs (row, step, value), so a row can go
+    on under a higher barrier and the step it reached a lower one is a lookup."""
 
-    starts = range(0, n_rep, BATCH)
-    if threads <= 1 or len(starts) <= 1:
-        for lo in starts:
-            work(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for f in [pool.submit(work, lo) for lo in starts]:
-                f.result()
+    CARRIES = ("u", "mn", "logA", "lastref", "num", "den")
+
+    def __init__(self, sampler, rule: RuleSpec, gens, collect_lb: bool = False,
+                 records: bool = False, chunk: int = CHUNK):
+        b = len(gens)
+        self.sampler, self.rule, self.gens = sampler, rule, gens
+        self.collect_lb, self.chunk, self.ladder = collect_lb, chunk, []
+        self.pos, self.lastref = np.zeros(b, dtype=np.int64), np.zeros(b, dtype=np.int64)
+        self.stop, self.stat = np.full(b, -1, dtype=np.int64), np.full(b, np.nan)
+        self.u, self.mn, self.logA = np.zeros(b), np.zeros(b), np.zeros(b)
+        self.num, self.den = np.ones(b), np.ones(b)   # k = 0: max(S_0,1) = (1 - S_0)^+ = 1
+        self.best = np.full(b, -np.inf) if records else None
+
+    def advance(self, target: int, barrier: float) -> None:
+        """Advance each row that has not reached ``barrier`` to step ``target``,
+        or to the end of the sub-block in which it does. Rows at one step are
+        drawn and scanned together, going on with the schedule from there.
+        Every carry is a sequential accumulate and every draw a function of
+        its step, so results do not depend on where a run stops and resumes."""
+        while True:
+            done = self.stop >= 0 if self.best is None else self.best >= barrier
+            live = np.flatnonzero((self.pos < target) & ~done)
+            if not live.size:
+                return
+            start = int(self.pos[live].min())
+            rows = live[self.pos[live] == start]
+            self._scan(rows, start, min(block_end(start, self.chunk), target), barrier)
+
+    def _scan(self, rows: np.ndarray, start: int, end: int, barrier: float) -> None:
+        inc = _draw(self.sampler, self.gens, rows, start, end)
+        u, mn, logA, lastref, num, den = carries = [getattr(self, c)[rows]
+                                                    for c in self.CARRIES]
+        rec = () if self.best is None else (self.best[rows],)
+        kind, lb = self.rule.kind, self.collect_lb
+        if kind == "fixed":
+            out = np.full(rows.size, -1, dtype=np.int64), np.nan, np.nan
+            if lb:
+                kernels.lb_until_scan(inc, u, mn, num, den, start,
+                                      np.full(rows.size, self.rule.fixed_steps))
+        elif kind == "cusum" and lb:
+            out = kernels.lb_cusum_scan(inc, u, mn, lastref, num, den, start, barrier)
+        else:
+            u_prev = u.copy() if lb else None   # both sr scans advance u from this value
+            out = kernels.cusum_scan(inc, u, mn, lastref, start, barrier, *rec) \
+                if kind == "cusum" else kernels.sr_scan(inc, u, logA, start, barrier, *rec)
+            if lb:
+                kernels.lb_until_scan(inc, u_prev, mn, num, den, start,
+                                      kernels.crossing_steps(out[0], start))
+        for c, value in zip(self.CARRIES, carries):
+            getattr(self, c)[rows] = value
+        if rec:
+            self.best[rows] = rec[0]
+            self.ladder.append((rows[out[3][0]],) + out[3][1:])
+        off, st, ye = out[:3]
+        self.stop[rows] = np.where(off >= 0, start + 1 + off, -1)
+        self.stat[rows] = np.where(off >= 0, st, ye)   # censored rows keep the last value
+        self.pos[rows] = end
 
 
-def _run_batch(sampler, rule: RuleSpec, n_steps: int, result, collect_lb: bool,
-               chunk: int, gens, lo: int) -> None:
-    """Run replications [lo, lo + len(gens)) and write results in place."""
-    b = len(gens)
-    sl = slice(lo, lo + b)
-    stop, stat, out_ref = result.stop_steps[sl], result.stat[sl], result.last_reflect[sl]
-    stop[:], stat[:] = -1, np.nan
+def _pool_map(fn, items, threads: int) -> list:
+    """``fn`` over ``items``, inline or on ``threads`` workers, in order."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
-    # carries of the live rows only, filtered as rows stop
-    u, mn, logA = np.zeros(b), np.zeros(b), np.zeros(b)
-    lastref = np.zeros(b, dtype=np.int64)
-    num, den = np.ones(b), np.ones(b)   # k = 0 terms: max(S_0,1) = 1 and (1 - S_0)^+ = 1
-    alive = np.arange(b)
 
-    def settle(sel) -> None:
-        """Write the final carries of the live rows ``sel``."""
-        out_ref[alive[sel]] = lastref[sel]
-        if collect_lb:
-            result.lb_num[sl][alive[sel]] = num[sel]
-            result.lb_den[sl][alive[sel]] = den[sel]
+def _dispatch(work, components, n_rep: int, master_seed: int, purpose: str,
+              block: int, threads: int, first: int = 0) -> list:
+    """``work(gens, lo)`` on each slice [lo, lo + BATCH) of replications first ..
+    n_rep - 1, ``gens`` the substreams of stream (master_seed, purpose/block/i)."""
+    def batch(lo: int):
+        return work([RngStream(master_seed, stream_id(purpose, i, block)).substreams(
+            components) for i in range(lo, min(lo + BATCH, n_rep))], lo)
+    return _pool_map(batch, range(first, n_rep, BATCH), threads)
 
-    fixed_total = rule.fixed_steps if rule.kind == "fixed" else None
-    total_steps = n_steps if fixed_total is None else min(n_steps, fixed_total)
 
-    for pos, end in _sub_blocks(total_steps, 1, chunk):
-        if not alive.size:
-            break
-        # every carry is a sequential accumulate and every draw a function of
-        # its step, so the split into sub-blocks leaves the results bit-identical
-        inc = _draw(sampler, gens, alive, pos, end)
+def batch_states(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
+                 n_rep: int, master_seed: int, purpose: str,
+                 block: int = 0, threads: int = 1, first: int = 0,
+                 records: bool = False) -> List[BatchState]:
+    """Fresh states of the replications first .. n_rep - 1, one per slice of
+    :func:`_dispatch`, on the streams :func:`run_paths` gives them."""
+    rule.validate()
+    sampler = make_u_sampler(model, regime, dt)
+    return _dispatch(lambda gens, lo: BatchState(sampler, rule, gens, records=records),
+                     substream_components(model, dt), n_rep, master_seed, purpose,
+                     block, threads, first)
 
-        if rule.kind == "cusum":
-            if collect_lb:
-                off, st, ye = kernels.lb_cusum_scan(inc, u, mn, lastref, num, den,
-                                                    pos, rule.log_barrier)
-            else:
-                off, st, ye = kernels.cusum_scan(inc, u, mn, lastref, pos,
-                                                 rule.log_barrier)
-        elif rule.kind == "sr":
-            u_prev = u.copy()        # both scans advance u from this value
-            off, st, ye = kernels.sr_scan(inc, u, logA, pos, rule.log_barrier)
-            if collect_lb:
-                kernels.lb_until_scan(inc, u_prev, mn, num, den, pos,
-                                      kernels.crossing_steps(off, pos))
-        else:  # fixed
-            off = np.full(alive.size, -1, dtype=np.int64)
-            st = ye = np.full(alive.size, np.nan)
-            if collect_lb:
-                kernels.lb_until_scan(inc, u, mn, num, den, pos,
-                                      np.full(alive.size, fixed_total, dtype=np.int64))
 
-        done = off >= 0
-        stat[alive] = np.where(done, st, ye)   # censored rows keep the last value
-        if done.any():
-            stop[alive[done]] = pos + 1 + off[done]
-            settle(done)
-            keep = ~done
-            alive = alive[keep]
-            u, mn, logA, lastref, num, den = (
-                c[keep] for c in (u, mn, logA, lastref, num, den))
-
-    settle(slice(None))
-    if fixed_total is not None:
-        stop[:] = fixed_total
+def advance(states, target: int, barrier: float, threads: int = 1) -> None:
+    """:meth:`BatchState.advance` on every state, inline or on ``threads`` workers."""
+    _pool_map(lambda s: s.advance(target, barrier), states, threads)
 
 
 def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
@@ -336,17 +336,22 @@ def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
     rule.validate()
     rule.check_horizon(n_steps)
     sampler = make_u_sampler(model, regime, dt)
-    result = PathRunResult(
-        dt=dt, n_steps=n_steps,
-        stop_steps=np.empty(n_rep, dtype=np.int64),
-        stat=np.empty(n_rep),
-        last_reflect=np.empty(n_rep, dtype=np.int64),
-        lb_num=np.empty(n_rep) if collect_lb else None,
-        lb_den=np.empty(n_rep) if collect_lb else None,
-    )
-    _dispatch(partial(_run_batch, sampler, rule, n_steps, result, collect_lb, chunk),
-              substream_components(model, dt), n_rep, master_seed, purpose, block,
-              threads)
+    fixed = rule.kind == "fixed"
+    lb = (lambda: np.empty(n_rep)) if collect_lb else (lambda: None)
+    result = PathRunResult(dt, n_steps, np.empty(n_rep, dtype=np.int64), np.empty(n_rep),
+                           np.empty(n_rep, dtype=np.int64), lb(), lb())
+
+    def work(gens, lo: int) -> None:
+        state = BatchState(sampler, rule, gens, collect_lb, chunk=chunk)
+        state.advance(rule.fixed_steps if fixed else n_steps, rule.log_barrier)
+        sl = slice(lo, lo + len(gens))
+        result.stop_steps[sl] = rule.fixed_steps if fixed else state.stop
+        result.stat[sl], result.last_reflect[sl] = state.stat, state.lastref
+        if collect_lb:
+            result.lb_num[sl], result.lb_den[sl] = state.num, state.den
+
+    _dispatch(work, substream_components(model, dt), n_rep, master_seed, purpose,
+              block, threads)
     return result
 
 
@@ -355,17 +360,13 @@ def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
                master_seed: int, purpose: str = "converge", block: int = 0,
                threads: int = 1) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Stop times of the grid rule at several monitoring strides over one
-    shared fine path per replication.
-
-    Returns two lists of per-stride stop-time arrays: for the usual
-    ``statistic >= barrier`` stop and for the strict ``> barrier`` variant
+    shared fine path per replication: two lists of per-stride arrays, for the
+    usual ``statistic >= barrier`` stop and the strict ``> barrier`` variant
     (they part ways only when the statistic lands exactly on the barrier).
     Censored runs report the horizon. All strides see identical trajectories,
-    so nested-grid comparisons hold pathwise, not just in distribution.
-    The sub-blocks are aligned to the least common multiple of the strides,
-    and a path stops drawing once every stride has stopped under both
-    conventions.
-    """
+    so nested-grid comparisons hold pathwise. Sub-blocks are aligned to the
+    least common multiple of the strides; a path stops drawing once every
+    stride has stopped under both conventions."""
     for s in strides:
         if n_steps % s:
             raise ContractError(f"n_steps {n_steps} not divisible by stride {s}")
@@ -375,11 +376,10 @@ def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
 
     def run_batch(gens, lo: int) -> None:
         stop = stops[:, :, lo:lo + len(gens)]
-        alive = np.arange(len(gens))
+        alive, start = np.arange(len(gens)), 0
         u, mins = np.zeros(alive.size), np.zeros((len(strides), alive.size))
-        for start, end in _sub_blocks(n_steps, math.lcm(*strides), CHUNK):
-            if not alive.size:
-                break
+        while start < n_steps and alive.size:
+            end = min(block_end(start, unit=math.lcm(*strides)), n_steps)
             uu = kernels.cumulative(_draw(sampler, gens, alive, start, end), u)
             for li, s in enumerate(strides):
                 y = kernels.reflected(uu[:, s - 1::s], mins[li])
@@ -388,7 +388,7 @@ def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
                     new = (first >= 0) & (stop[conv, li, alive] < 0)
                     stop[conv, li, alive[new]] = start + (first[new] + 1) * s
             keep = (stop[:, :, alive] < 0).any(axis=(0, 1))
-            alive, u, mins = alive[keep], u[keep], mins[:, keep]
+            alive, u, mins, start = alive[keep], u[keep], mins[:, keep], end
 
     _dispatch(run_batch, substream_components(model, dt), n_rep, master_seed, purpose,
               block, threads)

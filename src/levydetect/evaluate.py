@@ -11,8 +11,10 @@ Conventions
   for Shiryaev-Roberts) and taking the maximum over the change-point grid;
 * every estimate is censored at an explicit horizon and the censored count is
   carried in the report, never dropped;
-* calibration bisects the barrier against the in-control mean under common
-  random numbers, which makes the empirical map monotone pathwise.
+* calibration bisects the barrier against the in-control mean on one set of
+  in-control paths: the statistic paths do not depend on the barrier, so each
+  probe reads its stops off the paths' record highs, and the empirical map is
+  monotone pathwise.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .detector import DetectorConfig, lattice_safe_barrier
-from .engine import PathRunResult, RuleSpec, run_dyadic, run_paths
+from .engine import (BatchState, PathRunResult, RuleSpec, advance, batch_states,
+                     block_end, run_dyadic, run_paths)
 from .errors import (
     ContractError,
     DegenerateRuleError,
@@ -150,10 +153,26 @@ class CalibrationResult:
     h_bar: float
     report: EvalReport
     probes: Tuple[Tuple[float, float], ...]
+    lower_bound: int           # index of the probe whose value is a lower bound
 
     @property
     def achieved(self) -> float:
         return self.report.estimate
+
+
+def _first_reach(state: BatchState, barrier: float) -> np.ndarray:
+    """Each row's first step with statistic >= barrier among the steps it has
+    scanned (-1 if none): the step of its first record high at or above the
+    barrier. A state kept without records was advanced under one barrier."""
+    if state.best is None:
+        return state.stop
+    if len(state.ladder) > 1:
+        state.ladder[:] = [tuple(np.concatenate(c) for c in zip(*state.ladder))]
+    rows, steps, values = state.ladder[0]
+    hit = values >= barrier
+    first = np.full(state.pos.size, np.iinfo(np.int64).max)
+    np.minimum.at(first, rows[hit], steps[hit])
+    return np.where(state.best >= barrier, first, -1)
 
 
 def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
@@ -162,10 +181,18 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
                       horizon: Optional[float] = None,
                       max_iter: int = 60) -> CalibrationResult:
     """Bisect the log barrier until the in-control mean run length matches
-    gamma within rel_tol, using common random numbers across candidates.
+    gamma within rel_tol, on one set of in-control paths.
 
-    The final acceptance probe runs at four times the probe budget and its
-    report is returned.
+    The statistic paths do not depend on the barrier, so each path is
+    simulated once, as far as the highest barrier probed needs, and a probe
+    at h reads every stop off the path's ladder of record highs. A probe
+    equals :func:`estimate_arl` at h on the same streams (purpose
+    'calibrate'), except the bracket top: only ``value >= gamma`` matters
+    there, so the paths advance together and stop as soon as their mean run
+    length truncated at the common step reaches gamma. That truncated mean,
+    a lower bound, is its probe value (``lower_bound`` is its index). The
+    final acceptance probe runs at four times the probe budget, on the probe
+    paths plus 3 * n_rep new ones, and its report is returned.
     """
     model.require_admissible()
     if gamma < delta:
@@ -174,36 +201,66 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
             "randomized rules are out of scope")
     if horizon is None:
         horizon = HORIZON_FACTOR * gamma
-    config = DetectorConfig(rule=rule, log_barrier=0.0, delta=delta)
+
+    def config(h: float) -> DetectorConfig:
+        return DetectorConfig(rule=rule, log_barrier=h, delta=delta)
+
+    spec, dt = _engine_rule(model, config(0.0))
+    n_steps = monitoring_steps(horizon, dt)
+    paths = batch_states(model, "pre", spec, dt, n_rep, seed, "calibrate", block=block,
+                         threads=threads, records=True)
+
+    def stops(h: float, until: int = n_steps) -> np.ndarray:
+        barrier = _engine_rule(model, config(h))[0].log_barrier
+        advance(paths, until, barrier, threads)
+        return np.concatenate([_first_reach(p, barrier) for p in paths])
+
+    def arl_at(h: float) -> EvalReport:
+        result = PathRunResult(dt, n_steps, stops(h), stat=None, last_reflect=None)
+        return _report(result, model, config(h), "in_control", seed, block,
+                       label="arl_in_control")
+
+    def at_least_gamma(h: float) -> float:
+        """The mean run length at h, or a lower bound of it once that
+        reaches gamma: the mean truncated at a common step t. Each round
+        moves t to the end of the sub-block holding the first step at which
+        that mean could reach gamma (per step it grows by at most the
+        fraction of paths still running)."""
+        t, val, running = 0, 0.0, 1.0
+        while t < n_steps and running > 0.0:
+            t = min(n_steps, block_end(t + math.ceil((gamma - val) / (running * dt)) - 1))
+            st = stops(h, t)
+            hit = (st >= 0) & (st <= t)
+            val = float((np.where(hit, st, t) * dt).mean())
+            if val >= gamma:
+                break
+            running = 1.0 - float(hit.mean())
+        return val
+
     probes: List[Tuple[float, float]] = []
-
-    def arl_at(h: float, reps: int) -> EvalReport:
-        cfg = DetectorConfig(rule=rule, log_barrier=h, delta=delta)
-        return estimate_arl(model, cfg, "in_control", reps, horizon, seed,
-                            threads=threads, block=block, purpose="calibrate")
-
-    lo, lo_val = 0.0, arl_at(0.0, n_rep).estimate
+    lo, lo_val = 0.0, arl_at(0.0).estimate
     probes.append((lo, lo_val))
     if lo_val >= gamma * (1.0 + rel_tol):
         raise InfeasibleTargetError(
             f"even a zero barrier overshoots the target ({lo_val:.4g} >= {gamma})")
 
     hi = max(1.0, math.log(max(gamma / delta, 2.0)))
-    hi_val = arl_at(hi, n_rep).estimate
+    hi_val = at_least_gamma(hi)
     probes.append((hi, hi_val))
     doublings = 0
     while hi_val < gamma and doublings < 40:
         hi *= 2.0
-        hi_val = arl_at(hi, n_rep).estimate
+        hi_val = at_least_gamma(hi)
         probes.append((hi, hi_val))
         doublings += 1
     if hi_val < gamma:
         raise NumericalError("failed to bracket the target run length")
+    top = len(probes) - 1
 
     h = hi
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        val = arl_at(mid, n_rep).estimate
+        val = arl_at(mid).estimate
         probes.append((mid, val))
         if abs(val - gamma) <= rel_tol * gamma:
             h = mid
@@ -216,8 +273,10 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
     else:
         h = 0.5 * (lo + hi)
 
-    final = arl_at(h, 4 * n_rep)
-    return CalibrationResult(h_bar=h, report=final, probes=tuple(probes))
+    paths += batch_states(model, "pre", spec, dt, 4 * n_rep, seed, "calibrate",
+                          block=block, threads=threads, first=n_rep)
+    return CalibrationResult(h_bar=h, report=arl_at(h), probes=tuple(probes),
+                             lower_bound=top)
 
 
 @dataclass(frozen=True)
@@ -373,8 +432,9 @@ def convergence_study(model: ChangeModel, h_bar: float, dyadic_levels: int,
     has_ref = strides[-1] > 1
     if has_ref:
         strides.append(1)      # finest monitored rule as the reference
-    barrier = _effective_barrier(
-        model, DetectorConfig(rule="cusum_grid", log_barrier=h_bar, delta=base_delta))
+    config = DetectorConfig(rule="cusum_grid", log_barrier=h_bar, delta=base_delta)
+    config.validate()
+    barrier = _effective_barrier(model, config)
 
     stops, stops_strict = run_dyadic(model, _ENGINE_REGIME[regime], barrier,
                                      grid_dt, n_steps, strides, n_rep, seed,

@@ -17,6 +17,8 @@ and advance per-row carries in place:
   before the stop with log statistic <= 0 (0 = origin).
 * :func:`lb_sums` -- carries ``num``/``den``, the lower-bound sums
   sum max(S_k, 1) and sum (1 - S_k)^+ over steps strictly before the stop.
+* :func:`record_highs` -- carry ``best``, the running maximum of the
+  statistic; returns the points that raise it (the ladder of record highs).
 
 Steps are numbered globally from 1; a block of width m covers steps
 ``start_step + 1 .. start_step + m``. Every carry is a sequential accumulate
@@ -104,6 +106,20 @@ def last_reflection(y, start_step, stop, lastref) -> None:
                out=lastref)
 
 
+def record_highs(y, start_step, best):
+    """Points above ``best`` and every earlier block point: (row, global step,
+    value) of each, row by row in step order; advances ``best``. The first
+    step at which a row's statistic reaches a barrier is the first of its
+    record highs at or above it."""
+    prev = np.empty_like(y)             # running maxima over strictly earlier points
+    prev[:, 0] = best
+    prev[:, 1:] = y[:, :-1]
+    np.maximum.accumulate(prev, axis=1, out=prev)
+    best[:] = np.maximum(prev[:, -1], y[:, -1])
+    rows, cols = np.nonzero(y > prev)
+    return rows, start_step + 1 + cols, y[rows, cols]
+
+
 def lb_sums(y, start_step, stop, num, den) -> None:
     """Add max(S, 1) and (1 - S)^+, S = exp(y), over steps < ``stop``."""
     valid = _steps(start_step, y.shape[1])[None, :] < stop[:, None]
@@ -116,17 +132,23 @@ def lb_sums(y, start_step, stop, num, den) -> None:
 # engine scans over increment blocks
 # --------------------------------------------------------------------------- #
 
-def cusum_scan(inc, u, mn, lastref, start_step, hbar):
+def _outcome(y, off, start_step, best):
+    out = off, value_at(y, off), y[:, -1].copy()
+    return out if best is None else out + (record_highs(y, start_step, best),)
+
+
+def cusum_scan(inc, u, mn, lastref, start_step, hbar, best=None):
     """Advance the reflected log-likelihood statistic; detect barrier crossing.
 
     Returns (offset, stat, yend): offset is the 0-based block position of the
     first step with statistic >= hbar (-1 if none), stat the statistic there,
-    yend the statistic at the last block step (for censor reporting).
+    yend the statistic at the last block step (for censor reporting). Given
+    the carry ``best``, a fourth item holds the block's :func:`record_highs`.
     """
     y = reflected(cumulative(inc, u), mn)
     off = first_crossing(y >= hbar)
     last_reflection(y, start_step, crossing_steps(off, start_step), lastref)
-    return off, value_at(y, off), y[:, -1].copy()
+    return _outcome(y, off, start_step, best)
 
 
 def lb_cusum_scan(inc, u, mn, lastref, num, den, start_step, hbar):
@@ -140,12 +162,13 @@ def lb_cusum_scan(inc, u, mn, lastref, num, den, start_step, hbar):
     return off, value_at(y, off), y[:, -1].copy()
 
 
-def sr_scan(inc, u, logA, start_step, log_thresh):
+def sr_scan(inc, u, logA, start_step, log_thresh, best=None):
     """Advance the Shiryaev-Roberts statistic; detect log R >= log_thresh.
-    Returns (offset, stat, rend) as :func:`cusum_scan` does."""
+    Returns (offset, stat, rend), and the record highs, as :func:`cusum_scan`
+    does."""
     logr = sr_log(cumulative(inc, u), logA)
     off = first_crossing(logr >= log_thresh)
-    return off, value_at(logr, off), logr[:, -1].copy()
+    return _outcome(logr, off, start_step, best)
 
 
 def lb_until_scan(inc, u, mn, num, den, start_step, stop):

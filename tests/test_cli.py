@@ -216,6 +216,10 @@ def test_bad_config_field_exits_two_and_names_it(tmp_path, capsys, block, field,
     ("simulate", "experiment", "tau", "x"),
     ("simulate", "output", "dump_llr", "no"),
     ("arl", "simulation", "hoizon", 5),
+    ("arl", "detector", "log_barrier", -1),
+    ("lorden", "detector", "log_barrier", -1),
+    ("lowerbound", "detector", "log_barrier", -1),
+    ("converge", "detector", "log_barrier", -1),
 ])
 def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
                                                           block, field, value):
@@ -229,6 +233,17 @@ def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
     assert code == 2
     assert f"{block}.{field}" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "report.csv"))
+
+
+def test_shiryaev_roberts_takes_a_negative_log_barrier(tmp_path):
+    """R crosses exp(h) for any finite h, so only the CUSUM rules need h >= 0."""
+    payload = dict(TestArl.PAYLOAD, simulation=dict(TestArl.PAYLOAD["simulation"],
+                                                    n_rep=50))
+    payload["detector"] = dict(payload["detector"], rule="shiryaev_roberts",
+                               log_barrier=-1.0)
+    code, out = _run(tmp_path, "arl", payload, "sr_negative")
+    assert code == 0
+    assert os.path.exists(os.path.join(out, "report.csv"))
 
 
 @pytest.mark.parametrize("model,expected", [

@@ -9,6 +9,7 @@ from scipy.stats import ks_2samp
 from levydetect import engine, kernels
 from levydetect.engine import RuleSpec, run_dyadic, run_paths, sample_u_increments
 from levydetect.errors import ContractError
+from levydetect.evaluate import _first_reach, calibrate_barrier
 from levydetect.likelihood import llr_path
 from levydetect.paths import sample_changed_path
 from levydetect.rng import RngStream, stream_id
@@ -239,6 +240,61 @@ class TestRunDyadic:
                    for path in pkg.glob("*.py")) == 1
 
 
+class TestBatchState:
+    @pytest.mark.parametrize("regime", ["pre", "post"])
+    @pytest.mark.parametrize("kind,collect_lb", [
+        ("cusum", False), ("cusum", True), ("sr", True)])
+    def test_stopping_and_resuming_matches_one_run(self, regime, kind, collect_lb,
+                                                   request):
+        """Advancing a batch in pieces to arbitrary steps gives the outputs
+        of one uninterrupted run_paths, bit for bit, for every family."""
+        rule = {"cusum": RuleSpec(kind="cusum", log_barrier=3.0),
+                "sr": RuleSpec(kind="sr", log_barrier=math.log(150.0))}[kind]
+        for fixture in MODEL_FIXTURES:
+            model = request.getfixturevalue(fixture)
+            whole = run_paths(model, regime, rule, 0.1, 600, 300, SEED, "arl",
+                              collect_lb=collect_lb)
+            components = engine.substream_components(model, 0.1)
+            state = engine.BatchState(
+                engine.make_u_sampler(model, regime, 0.1), rule,
+                [RngStream(SEED, stream_id("arl", i)).substreams(components)
+                 for i in range(300)], collect_lb)
+            for target in (1, 37, 64, 65, 200, 333, 599, 600):
+                engine.advance([state], target, rule.log_barrier)
+            assert np.array_equal(state.stop, whole.stop_steps), fixture
+            assert np.array_equal(state.stat, whole.stat, equal_nan=True), fixture
+            assert np.array_equal(state.lastref, whole.last_reflect), fixture
+            if collect_lb:
+                assert np.array_equal(state.num, whole.lb_num), fixture
+                assert np.array_equal(state.den, whole.lb_den), fixture
+
+    @pytest.mark.parametrize("regime", ["pre", "post"])
+    @pytest.mark.parametrize("kind", ["cusum", "sr"])
+    def test_resuming_under_a_higher_barrier_matches_one_run(self, regime, kind,
+                                                             request):
+        """Run until a low barrier, on to a step, then until a high barrier:
+        the record-high ladders give the stops of both barriers' own runs."""
+        low, high = {"cusum": (1.0, 3.0), "sr": (math.log(20.0), math.log(150.0))}[kind]
+        for fixture in MODEL_FIXTURES:
+            model = request.getfixturevalue(fixture)
+            runs = {h: run_paths(model, regime, RuleSpec(kind=kind, log_barrier=h),
+                                 0.1, 600, 300, SEED, "arl") for h in (low, high)}
+            states = engine.batch_states(model, regime, RuleSpec(kind=kind, log_barrier=low),
+                                         0.1, 300, SEED, "arl", records=True)
+            engine.advance(states, 600, low)
+            engine.advance(states, 150, high)
+            engine.advance(states, 600, high)
+            for h, run in runs.items():
+                assert np.array_equal(_first_reach(states[0], h), run.stop_steps), fixture
+
+    def test_calibration_does_not_depend_on_threads(self, brownian_model):
+        """1500 replications span two batches, advanced on one or two workers."""
+        cals = [calibrate_barrier(brownian_model, "cusum_grid", 8.0, 0.02, SEED,
+                                  delta=0.1, n_rep=1500, threads=t) for t in (1, 2)]
+        assert 1500 > engine.BATCH
+        assert cals[0] == cals[1]
+
+
 def _whole_horizon_dyadic(model, regime, log_barrier, dt, n_steps, strides, n_rep):
     """run_dyadic over whole-horizon draws: one sampler call per path, the
     cumulative sum of all its increments, then the reflected statistic at
@@ -333,6 +389,30 @@ class TestScanKernels:
                 stop, stat, ref = _cusum_oracle(inc[i], hbar)
                 assert stops[i] == (stop + 1 if stop >= 0 else -1)
                 assert lref[i] == ref
+
+    def test_record_highs_oracle(self):
+        """Scanned in blocks, the record highs of each row are the steps whose
+        statistic is above the statistic at every earlier step."""
+        rng = np.random.default_rng(19)
+        inc = rng.normal(-0.05, 0.4, size=(8, 300))
+        u, mn, lref = _fresh_state(8)
+        best = np.full(8, -np.inf)
+        got = [[] for _ in range(8)]
+        for lo, hi in ((0, 64), (64, 200), (200, 300)):
+            *_, (rows, steps, values) = kernels.cusum_scan(inc[:, lo:hi], u, mn, lref,
+                                                            lo, math.inf, best)
+            for r, k, v in zip(rows, steps, values):
+                got[r].append((k, v))
+        for i in range(8):
+            ui, mi, top, want = 0.0, 0.0, -math.inf, []
+            for k, x in enumerate(inc[i]):
+                ui += x
+                if ui - mi > top:
+                    top = ui - mi
+                    want.append((k + 1, top))
+                mi = min(mi, ui)
+            assert got[i] == want
+            assert best[i] == top
 
     def test_sr_recursion_oracle(self):
         rng = np.random.default_rng(5)

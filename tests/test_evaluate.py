@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from levydetect.detector import DetectorConfig
+from levydetect.detector import DetectorConfig, lattice_safe_barrier
 from levydetect.errors import ContractError, InfeasibleTargetError
 from levydetect.evaluate import (
+    HORIZON_FACTOR,
     calibrate_barrier,
     compare,
     convergence_study,
@@ -91,6 +92,44 @@ class TestCalibration:
         cal = calibrate_barrier(brownian_model, "cusum_grid", dt / p, 0.05,
                                 SEED, delta=dt, n_rep=3000)
         assert cal.h_bar < 0.3
+
+
+class TestCalibrationProbes:
+    """Probes read their stops off one set of paths instead of re-running
+    them; each must still be the estimate a fresh run would give."""
+
+    @pytest.mark.parametrize("fixture,rule", [
+        ("brownian_model", "cusum_grid"),
+        ("brownian_model", "shiryaev_roberts"),
+        ("poisson_model", "cusum_grid"),
+    ])
+    def test_probes_equal_fresh_estimates(self, fixture, rule, request):
+        """Every probe but the bracket top equals estimate_arl on the
+        calibration streams bit for bit, the bracket top is a lower bound of
+        it, and the final report is estimate_arl at four times the budget.
+        At gamma 6.4 and delta 0.1 the bracket top log(64) and the first
+        midpoint sit on the lattice k * log 2 of the intensity-only pair."""
+        model = request.getfixturevalue(fixture)
+        gamma, delta, n_rep, block = 6.4, 0.1, 700, 3
+        cal = calibrate_barrier(model, rule, gamma, 0.02, SEED, delta=delta,
+                                n_rep=n_rep, block=block)
+
+        def fresh(h, reps):
+            return estimate_arl(model, DetectorConfig(rule, h, delta=delta),
+                                "in_control", reps, HORIZON_FACTOR * gamma, SEED,
+                                block=block, purpose="calibrate")
+        assert 0 <= cal.lower_bound < len(cal.probes)
+        for i, (h, value) in enumerate(cal.probes):
+            full = fresh(h, n_rep).estimate
+            if i == cal.lower_bound:
+                assert gamma <= value <= full, h
+            else:
+                assert value == full, h
+        assert cal.report == fresh(cal.h_bar, 4 * n_rep)
+        if fixture == "poisson_model":
+            nudged = [h for h, _ in cal.probes
+                      if lattice_safe_barrier(h, math.log(2.0)) != h]
+            assert len(nudged) >= 2
 
 
 class TestLordenDelay:
