@@ -1,9 +1,11 @@
 """Config-driven command-line front end.
 
-Every subcommand reads one JSON config, writes its artifacts (report.csv and
-summary.json, plus optional path/llr dumps) into the output directory, and
-prints a one-screen summary. Exit codes: 0 success, 2 config problems,
-3 inadmissible model (the violated condition is named), 4 numerical failure.
+Every subcommand reads one JSON config and returns an :class:`Outcome`: its
+CSV files (report.csv, plus stops.csv or the path/llr dumps), the summary
+body, a one-screen summary and the exit code. :func:`main` alone writes them
+into the output directory, with summary.json, so a subcommand that raises
+writes nothing. Exit codes: 0 success, 2 config problems, 3 inadmissible
+model (the violated condition is named), 4 numerical failure.
 
 The summary embeds the fully resolved config and master seed; re-running with
 the summary as config reproduces byte-identical numeric columns, and the
@@ -16,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+from typing import NamedTuple
 
 from . import __version__
 from .config import ExperimentConfig
@@ -56,24 +59,14 @@ STOP_COLUMNS = ["rule", "h_bar", "delta", "stop_time", "censored",
                 "stat_at_stop", "tau_hat", "seed", "stream_id"]
 
 
-def _summary_payload(cfg: ExperimentConfig, subcommand: str, body: dict) -> dict:
-    return {
-        "subcommand": subcommand,
-        "package_version": __version__,
-        "kernel_backend": backend(),
-        "resolved_config": cfg.resolved(),
-        "results": body,
-    }
+class Outcome(NamedTuple):
+    """What a subcommand produced; :func:`main` writes it."""
 
-
-def _print_block(title: str, lines) -> None:
-    print(title)
-    for line in lines:
-        print(f"  {line}")
-
-
-def _report_rows(reports) -> list:
-    return [r.to_row() for r in reports]
+    files: dict        # CSV name -> (rows, columns; None takes the first row's keys)
+    body: dict         # the "results" of summary.json
+    title: str         # the screen block: a title line
+    lines: list        # and lines printed indented under it
+    code: int = EXIT_OK
 
 
 def _stops_rows(cfg: ExperimentConfig, config: DetectorConfig, result,
@@ -126,96 +119,81 @@ def _check_horizon(cfg: ExperimentConfig) -> int:
 # subcommands
 # --------------------------------------------------------------------------- #
 
-def _cmd_validate(cfg: ExperimentConfig, out: str) -> int:
+def _cmd_validate(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
     body = {
         "admissible": model.admissible,
         "violated_condition": model.violated,
         "message": model.message,
     }
-    if model.admissible:
-        body.update(alpha=model.alpha, beta_pre=model.beta_pre,
-                    beta_post=model.beta_post, comp_rate=model.comp_rate,
-                    model_digest=model.digest())
-    write_json(os.path.join(out, "summary.json"),
-               _summary_payload(cfg, "validate", body))
-    if model.admissible:
-        _print_block("model admissible", [
-            f"alpha     = {model.alpha:.6g}",
-            f"beta_pre  = {model.beta_pre:.6g}",
-            f"beta_post = {model.beta_post:.6g}",
-            f"comp_rate = {model.comp_rate:.6g}",
-        ])
-        return EXIT_OK
-    _print_block("model inadmissible", [
-        f"condition = {model.violated}",
-        f"reason    = {model.message}",
+    if not model.admissible:
+        return Outcome({}, body, "model inadmissible", [
+            f"condition = {model.violated}",
+            f"reason    = {model.message}",
+        ], EXIT_INADMISSIBLE)
+    body.update(alpha=model.alpha, beta_pre=model.beta_pre,
+                beta_post=model.beta_post, comp_rate=model.comp_rate,
+                model_digest=model.digest())
+    return Outcome({}, body, "model admissible", [
+        f"alpha     = {model.alpha:.6g}",
+        f"beta_pre  = {model.beta_pre:.6g}",
+        f"beta_post = {model.beta_post:.6g}",
+        f"comp_rate = {model.comp_rate:.6g}",
     ])
-    return EXIT_INADMISSIBLE
 
 
-def _cmd_simulate(cfg: ExperimentConfig, out: str) -> int:
+def _cmd_simulate(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
     model.require_admissible()
     sim, tau = cfg.simulation, cfg.experiment["tau"]
     rng = RngStream(sim["master_seed"], stream_id("path", 0))
     path = sample_changed_path(model, math.inf if tau is None else tau,
                                sim["horizon"], sim["grid_dt"], rng)
-    write_csv(os.path.join(out, "path_dump.csv"),
-              [{"t": float(tt), "x": float(xx)}
-               for tt, xx in zip(path.times, path.values)],
-              columns=["t", "x"])
-    write_csv(os.path.join(out, "jump_ledger.csv"),
-              [{"t": float(tt), "jump_size": float(ss)}
-               for tt, ss in zip(path.jump_times, path.jump_sizes)],
-              columns=["t", "jump_size"])
+    files = {
+        "path_dump.csv": ([{"t": float(tt), "x": float(xx)}
+                           for tt, xx in zip(path.times, path.values)], ["t", "x"]),
+        "jump_ledger.csv": ([{"t": float(tt), "jump_size": float(ss)}
+                             for tt, ss in zip(path.jump_times, path.jump_sizes)],
+                            ["t", "jump_size"]),
+    }
     if cfg.output["dump_llr"]:
         llr = llr_path(model, path)
-        write_csv(os.path.join(out, "llr_dump.csv"),
-                  [{"t": float(tt), "u": float(uu)}
-                   for tt, uu in zip(llr.times, llr.u_values)],
-                  columns=["t", "u"])
+        files["llr_dump.csv"] = ([{"t": float(tt), "u": float(uu)}
+                                  for tt, uu in zip(llr.times, llr.u_values)], ["t", "u"])
     body = {
         "n_grid_points": len(path.values),
         "n_ledger_jumps": int(len(path.jump_times)),
         "change_point": path.change_point,
         "terminal_value": float(path.values[-1]),
     }
-    write_json(os.path.join(out, "summary.json"),
-               _summary_payload(cfg, "simulate", body))
-    _print_block("simulated one path", [
+    return Outcome(files, body, "simulated one path", [
         f"grid points  = {len(path.values)}",
         f"ledger jumps = {len(path.jump_times)}",
         f"X(horizon)   = {path.values[-1]:.6g}",
     ])
-    return EXIT_OK
 
 
-def _cmd_arl(cfg: ExperimentConfig, out: str) -> int:
+def _cmd_arl(cfg: ExperimentConfig) -> Outcome:
     _check_horizon(cfg)
     model = cfg.change_model()
     model.require_admissible()
-    sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
+    sim, exp = cfg.simulation, cfg.experiment
     config = _detector_config(cfg)
     purpose, block = "arl", 0
     report, result = estimate_arl(
         model, config, exp["regime"], sim["n_rep"], sim["horizon"],
         sim["master_seed"], threads=sim["threads"], block=block, purpose=purpose,
         return_raw=True)
-    write_csv(os.path.join(out, "report.csv"), _report_rows([report]))
-    write_csv(os.path.join(out, "stops.csv"),
-              _stops_rows(cfg, config, result, purpose, block), columns=STOP_COLUMNS)
+    files = {"report.csv": ([report.to_row()], None),
+             "stops.csv": (_stops_rows(cfg, config, result, purpose, block), STOP_COLUMNS)}
     body = {"report": report.to_dict()}
-    write_json(os.path.join(out, "summary.json"),
-               _summary_payload(cfg, "arl", body))
-    _print_block(f"run length under {exp['regime']}", [
+    return Outcome(files, body, f"run length under {exp['regime']}", [
         f"estimate = {report.estimate:.6g} +- {report.std_error:.2g}",
         f"censored = {report.n_censored}/{report.n_rep}",
     ])
-    return EXIT_OK
 
 
-def _cmd_calibrate(cfg: ExperimentConfig, out: str) -> int:
+def _cmd_calibrate(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
     model.require_admissible()
     sim, det = cfg.simulation, cfg.detector
@@ -231,21 +209,17 @@ def _cmd_calibrate(cfg: ExperimentConfig, out: str) -> int:
     probe_rows = [{"h_bar": h, "arl": f">={v!r}" if i == cal.lower_bound else v}
                   for i, (h, v) in enumerate(cal.probes)]
     probe_rows.append({"h_bar": cal.h_bar, "arl": cal.report.estimate})
-    write_csv(os.path.join(out, "report.csv"), probe_rows,
-              columns=["h_bar", "arl"])
     body = {"h_bar": cal.h_bar, "achieved": cal.report.estimate,
             "std_error": cal.report.std_error,
             "report": cal.report.to_dict()}
-    write_json(os.path.join(out, "summary.json"),
-               _summary_payload(cfg, "calibrate", body))
-    _print_block("calibrated barrier", [
+    files = {"report.csv": (probe_rows, ["h_bar", "arl"])}
+    return Outcome(files, body, "calibrated barrier", [
         f"h_bar    = {cal.h_bar:.6g}",
         f"achieved = {cal.report.estimate:.6g} (target {gamma})",
     ])
-    return EXIT_OK
 
 
-def _cmd_lorden(cfg: ExperimentConfig, out: str) -> int:
+def _cmd_lorden(cfg: ExperimentConfig) -> Outcome:
     _check_horizon(cfg)
     model = cfg.change_model()
     model.require_admissible()
@@ -254,21 +228,17 @@ def _cmd_lorden(cfg: ExperimentConfig, out: str) -> int:
     res = lorden_delay(model, config, exp["tau_grid"], sim["n_rep"],
                        sim["horizon"], sim["master_seed"],
                        threads=sim["threads"])
-    rows = _report_rows(list(res.per_tau) + [res.worst])
-    write_csv(os.path.join(out, "report.csv"), rows)
+    rows = [r.to_row() for r in list(res.per_tau) + [res.worst]]
     body = {"worst_delay": res.worst.estimate,
             "worst_se": res.worst.std_error,
             "per_tau": [r.to_dict() for r in res.per_tau]}
-    write_json(os.path.join(out, "summary.json"),
-               _summary_payload(cfg, "lorden", body))
-    _print_block("worst-case delay", [
+    return Outcome({"report.csv": (rows, None)}, body, "worst-case delay", [
         f"tau grid = {list(res.tau_grid)}",
         f"worst    = {res.worst.estimate:.6g} +- {res.worst.std_error:.2g}",
     ])
-    return EXIT_OK
 
 
-def _cmd_lowerbound(cfg: ExperimentConfig, out: str) -> int:
+def _cmd_lowerbound(cfg: ExperimentConfig) -> Outcome:
     n_steps = _check_horizon(cfg)
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
     fixed_steps = exp["fixed_steps"]
@@ -285,18 +255,15 @@ def _cmd_lowerbound(cfg: ExperimentConfig, out: str) -> int:
     delay = estimate_arl(model, config, "out_of_control", sim["n_rep"],
                          sim["horizon"], sim["master_seed"],
                          threads=sim["threads"], block=1)
-    write_csv(os.path.join(out, "report.csv"), _report_rows([lb, delay]))
     body = {"lower_bound": lb.to_dict(), "delay": delay.to_dict()}
-    write_json(os.path.join(out, "summary.json"),
-               _summary_payload(cfg, "lowerbound", body))
-    _print_block("lower-bound functional", [
+    files = {"report.csv": ([lb.to_row(), delay.to_row()], None)}
+    return Outcome(files, body, "lower-bound functional", [
         f"d_bar          = {lb.estimate:.6g} +- {lb.std_error:.2g}",
         f"delay estimate = {delay.estimate:.6g} +- {delay.std_error:.2g}",
     ])
-    return EXIT_OK
 
 
-def _cmd_converge(cfg: ExperimentConfig, out: str) -> int:
+def _cmd_converge(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
     model.require_admissible()
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
@@ -317,23 +284,19 @@ def _cmd_converge(cfg: ExperimentConfig, out: str) -> int:
     rows = [{"delta": lv.delta, "stride": lv.stride, "mean_stop": lv.mean_stop,
              "std_error": lv.std_error, "mean_gap": lv.mean_gap}
             for lv in list(res.levels) + [res.reference]]
-    write_csv(os.path.join(out, "report.csv"), rows,
-              columns=["delta", "stride", "mean_stop", "std_error", "mean_gap"])
     body = {"monotone_fraction": res.monotone_fraction,
             "convention_agreement": res.convention_agreement,
             "levels": rows}
-    write_json(os.path.join(out, "summary.json"),
-               _summary_payload(cfg, "converge", body))
-    _print_block("discretization convergence", [
+    columns = ["delta", "stride", "mean_stop", "std_error", "mean_gap"]
+    return Outcome({"report.csv": (rows, columns)}, body, "discretization convergence", [
         f"levels               = {len(res.levels)} (+ reference)",
         f"monotone fraction    = {res.monotone_fraction:.4f}",
         f"convention agreement = {res.convention_agreement:.4f}",
         f"finest mean stop     = {res.reference.mean_stop:.6g}",
     ])
-    return EXIT_OK
 
 
-def _cmd_compare(cfg: ExperimentConfig, out: str) -> int:
+def _cmd_compare(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
     model.require_admissible()
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
@@ -349,18 +312,15 @@ def _cmd_compare(cfg: ExperimentConfig, out: str) -> int:
              "gamma_achieved": r.gamma_achieved, "gamma_se": r.gamma_se,
              "worst_delay": r.worst_delay, "delay_se": r.delay_se,
              "calibrated": r.calibrated} for r in res.rows]
-    write_csv(os.path.join(out, "report.csv"), rows,
-              columns=["rule", "delta", "h_bar", "gamma_achieved", "gamma_se",
-                       "worst_delay", "delay_se", "calibrated"])
+    columns = ["rule", "delta", "h_bar", "gamma_achieved", "gamma_se",
+               "worst_delay", "delay_se", "calibrated"]
     body = {"gamma": res.gamma, "rows": rows,
             "cusum_leads": res.cusum_leads()}
-    write_json(os.path.join(out, "summary.json"),
-               _summary_payload(cfg, "compare", body))
     lines = [f"{r.rule:<20} delay = {r.worst_delay:.6g} +- {r.delay_se:.2g}"
              for r in res.rows]
     lines.append(f"cusum leads: {res.cusum_leads()}")
-    _print_block(f"comparison at gamma = {gamma}", lines)
-    return EXIT_OK
+    return Outcome({"report.csv": (rows, columns)}, body,
+                   f"comparison at gamma = {gamma}", lines)
 
 
 _COMMANDS = {
@@ -396,8 +356,7 @@ def main(argv=None) -> int:
         if args.threads is not None:
             cfg.simulation["threads"] = args.threads
         cfg._check_fields()          # the flags obey the config's own checks
-        os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.subcommand](cfg, args.out)
+        done = _COMMANDS[args.subcommand](cfg)
     except (SpecValidationError, UnsupportedPairError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -408,6 +367,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
 
+    # the artifact contract: a subcommand that raised above writes nothing
+    os.makedirs(args.out, exist_ok=True)
+    for name, (rows, columns) in done.files.items():
+        write_csv(os.path.join(args.out, name), rows, columns=columns)
+    write_json(os.path.join(args.out, "summary.json"), {
+        "subcommand": args.subcommand,
+        "package_version": __version__,
+        "kernel_backend": backend(),
+        "resolved_config": cfg.resolved(),
+        "results": done.body,
+    })
+    print(done.title)
+    for line in done.lines:
+        print(f"  {line}")
+    return done.code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -6,6 +6,9 @@ step is known exactly, so runs are simulated directly on the monitoring grid.
 Each replication owns a counter-based stream (reproducible from its index
 alone) and draws each kind of variate from its own substream, so every draw
 is a function of its step index only, whatever the schedule that draws it.
+For the jump families one table, :func:`_jump_sides`, names the substreams
+of each side of the jump law; the sampler and :func:`substream_components`
+both read it.
 
 A :class:`BatchState` holds one batch's streams, carries and steps. It
 advances its rows to a step, or until each reaches a barrier, drawing and
@@ -26,6 +29,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ContractError
+from .families import LevySpec
 from .model import ChangeModel
 from .rng import RngStream, stream_id
 
@@ -105,14 +109,35 @@ def _bm_sd(model: ChangeModel, dt: float) -> float:
     return abs(model.alpha) * model.sigma * math.sqrt(dt)
 
 
+def _jump_sides(model: ChangeModel, spec: LevySpec, dt: float) -> list:
+    """The stream contract of a compound-Poisson or jump-diffusion pair: one
+    row per side of the jump law of ``spec``, (count component, mark
+    component, jump rate * dt, phi's c0 on that side, marks). ``marks(gen,
+    n)`` draws the marks of ``n`` jumps per step from ``gen`` and returns the
+    c1 part of their phi-sum, so a step's jumps add c0 * n + marks(gen, n)."""
+    law, lam_dt, (c0, c1) = spec.jumps, spec.intensity * dt, model.phi.pos
+
+    def gamma_sum(scale: float) -> Callable:      # sum of n Exp(1) marks, scaled
+        return lambda gen, n: scale * gen.standard_gamma(n)
+
+    if law.kind == "gaussian":
+        mean, sd = law.mean, law.sd
+        return [(COUNT, MARK, lam_dt, c0, lambda gen, n: c1 * (
+            mean * n + sd * np.sqrt(n) * gen.standard_normal(n.size)))]
+    if law.kind == "exponential":
+        return [(COUNT, MARK, lam_dt, c0, gamma_sum(c1 / law.rate))]
+    (c0n, c1n), w = model.phi.neg, law.weight_pos
+    return [(COUNT, MARK, lam_dt * w, c0, gamma_sum(c1 / law.rate_pos)),
+            (COUNT_NEG, MARK_NEG, lam_dt * (1.0 - w), c0n, gamma_sum(-(c1n / law.rate_neg)))]
+
+
 def substream_components(model: ChangeModel, dt: float) -> Tuple[int, ...]:
     """The substream components the increment sampler of ``model`` draws
     from, in increasing order."""
     if model.phi is None or model.pre.family == "gamma":
         return (BM,)
-    jumps = (COUNT, MARK, COUNT_NEG, MARK_NEG) \
-        if model.pre.jumps.kind == "two_sided_exponential" else (COUNT, MARK)
-    return ((BM,) if _bm_sd(model, dt) > 0.0 else ()) + jumps
+    jumps = sorted(c for side in _jump_sides(model, model.pre, dt) for c in side[:2])
+    return ((BM,) if _bm_sd(model, dt) > 0.0 else ()) + tuple(jumps)
 
 
 def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
@@ -123,10 +148,10 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     replication's substream generators indexed by component
     (:meth:`RngStream.substreams` of :func:`substream_components`). Each
     component feeds one kind of variate, one value per step: BM the Brownian
-    normals (and the gamma family's gamma variates), COUNT the jump counts,
-    MARK the jump marks, COUNT_NEG/MARK_NEG the negative side of a two-sided
-    law. That assignment is the stream contract; it makes the increments of
-    successive calls continue one sequence whatever the call sizes.
+    normals (and the gamma family's gamma variates), and each side of a jump
+    law its counts and its marks (:func:`_jump_sides`). That assignment is the
+    stream contract; it makes the increments of successive calls continue one
+    sequence whatever the call sizes.
     """
     model.require_admissible()
     if regime not in ("pre", "post"):
@@ -141,51 +166,21 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
         return draw
 
     comp_dt = model.comp_rate * dt
-    phi = model.phi
 
     if spec.family == "gamma":
-        shape, theta, c1 = spec.activity * dt, spec.scale, phi.pos[1]
+        shape, theta, c1 = spec.activity * dt, spec.scale, model.phi.pos[1]
 
         def draw(gens, size: int) -> np.ndarray:
             return c1 * gens[BM].gamma(shape, theta, size) - comp_dt
         return draw
 
-    lam_dt, law, has_bm = spec.intensity * dt, spec.jumps, bm_sd > 0.0
-
-    def brownian(gens, size: int) -> np.ndarray:
-        return bm_mean + bm_sd * gens[BM].standard_normal(size) if has_bm \
-            else np.full(size, bm_mean)
-
-    if law.kind == "gaussian":
-        (c0, c1), mean, sd = phi.pos, law.mean, law.sd
-
-        def draw(gens, size: int) -> np.ndarray:
-            out = brownian(gens, size)
-            n = gens[COUNT].poisson(lam_dt, size)
-            z = gens[MARK].standard_normal(size)
-            out += c0 * n + c1 * (mean * n + sd * np.sqrt(n) * z)
-            return out - comp_dt
-        return draw
-
-    if law.kind == "exponential":
-        (c0, c1), rate = phi.pos, law.rate
-
-        def draw(gens, size: int) -> np.ndarray:
-            out = brownian(gens, size)
-            n = gens[COUNT].poisson(lam_dt, size)
-            out += c0 * n + (c1 / rate) * gens[MARK].standard_gamma(n)
-            return out - comp_dt
-        return draw
-
-    (c0p, c1p), (c0n, c1n) = phi.pos, phi.neg
-    w, rp, rn = law.weight_pos, law.rate_pos, law.rate_neg
+    sides, has_bm = _jump_sides(model, spec, dt), bm_sd > 0.0
 
     def draw(gens, size: int) -> np.ndarray:
-        out = brownian(gens, size)
-        npos = gens[COUNT].poisson(lam_dt * w, size)
-        nneg = gens[COUNT_NEG].poisson(lam_dt * (1.0 - w), size)
-        out += c0p * npos + (c1p / rp) * gens[MARK].standard_gamma(npos)
-        out += c0n * nneg - (c1n / rn) * gens[MARK_NEG].standard_gamma(nneg)
+        out = bm_mean + bm_sd * gens[BM].standard_normal(size) if has_bm else bm_mean
+        for count, mark, rate_dt, c0, marks in sides:
+            n = gens[count].poisson(rate_dt, size)
+            out = out + (c0 * n + marks(gens[mark], n))
         return out - comp_dt
     return draw
 
@@ -225,7 +220,8 @@ class BatchState:
     first crossing (``stop``, -1 if none; ``stat``) of the barrier it was last
     advanced under. With ``records`` it also keeps each row's running maximum
     ``best`` and ``ladder`` of record highs (row, step, value), so a row can go
-    on under a higher barrier and the step it reached a lower one is a lookup."""
+    on under a higher barrier and the step it reached a lower one is a lookup
+    (:meth:`first_reach`)."""
 
     CARRIES = ("u", "mn", "logA", "lastref", "num", "den")
 
@@ -254,6 +250,21 @@ class BatchState:
             start = int(self.pos[live].min())
             rows = live[self.pos[live] == start]
             self._scan(rows, start, min(block_end(start, self.chunk), target), barrier)
+
+    def first_reach(self, barrier: float) -> np.ndarray:
+        """Each row's first step with statistic >= barrier among the steps it
+        has scanned (-1 if none): the step of its first record high at or
+        above the barrier. A state kept without records was advanced under
+        one barrier."""
+        if self.best is None:
+            return self.stop
+        if len(self.ladder) > 1:
+            self.ladder[:] = [tuple(np.concatenate(c) for c in zip(*self.ladder))]
+        rows, steps, values = self.ladder[0]
+        hit = values >= barrier
+        first = np.full(self.pos.size, np.iinfo(np.int64).max)
+        np.minimum.at(first, rows[hit], steps[hit])
+        return np.where(self.best >= barrier, first, -1)
 
     def _scan(self, rows: np.ndarray, start: int, end: int, barrier: float) -> None:
         inc = _draw(self.sampler, self.gens, rows, start, end)

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .detector import DetectorConfig, lattice_safe_barrier
-from .engine import (BatchState, PathRunResult, RuleSpec, advance, batch_states,
+from .engine import (PathRunResult, RuleSpec, advance, batch_states,
                      block_end, run_dyadic, run_paths)
 from .errors import (
     ContractError,
@@ -160,21 +160,6 @@ class CalibrationResult:
         return self.report.estimate
 
 
-def _first_reach(state: BatchState, barrier: float) -> np.ndarray:
-    """Each row's first step with statistic >= barrier among the steps it has
-    scanned (-1 if none): the step of its first record high at or above the
-    barrier. A state kept without records was advanced under one barrier."""
-    if state.best is None:
-        return state.stop
-    if len(state.ladder) > 1:
-        state.ladder[:] = [tuple(np.concatenate(c) for c in zip(*state.ladder))]
-    rows, steps, values = state.ladder[0]
-    hit = values >= barrier
-    first = np.full(state.pos.size, np.iinfo(np.int64).max)
-    np.minimum.at(first, rows[hit], steps[hit])
-    return np.where(state.best >= barrier, first, -1)
-
-
 def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
                       rel_tol: float, seed: int, delta: float,
                       n_rep: int = 4000, threads: int = 1, block: int = 0,
@@ -211,9 +196,9 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
                          threads=threads, records=True)
 
     def stops(h: float, until: int = n_steps) -> np.ndarray:
-        barrier = _engine_rule(model, config(h))[0].log_barrier
+        barrier = _effective_barrier(model, config(h))
         advance(paths, until, barrier, threads)
-        return np.concatenate([_first_reach(p, barrier) for p in paths])
+        return np.concatenate([p.first_reach(barrier) for p in paths])
 
     def arl_at(h: float) -> EvalReport:
         result = PathRunResult(dt, n_steps, stops(h), stat=None, last_reflect=None)

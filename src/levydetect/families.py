@@ -62,9 +62,6 @@ class GaussianJumps:
     def density(self, x):
         return _std_normal_pdf((np.asarray(x, dtype=float) - self.mean) / self.sd) / self.sd
 
-    def mean_value(self) -> float:
-        return self.mean
-
     def truncated_mean(self) -> float:
         """E[X 1{|X| <= 1}] in closed form via the standard normal cdf/pdf."""
         a = (-1.0 - self.mean) / self.sd
@@ -89,9 +86,6 @@ class ExponentialJumps:
     def density(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0.0, self.rate * np.exp(-self.rate * np.abs(x)), 0.0)
-
-    def mean_value(self) -> float:
-        return 1.0 / self.rate
 
     def truncated_mean(self) -> float:
         r = self.rate
@@ -121,9 +115,6 @@ class TwoSidedExponentialJumps:
         pos = self.weight_pos * self.rate_pos * np.exp(-self.rate_pos * np.abs(x))
         neg = (1.0 - self.weight_pos) * self.rate_neg * np.exp(-self.rate_neg * np.abs(x))
         return np.where(x > 0.0, pos, np.where(x < 0.0, neg, 0.0))
-
-    def mean_value(self) -> float:
-        return self.weight_pos / self.rate_pos - (1.0 - self.weight_pos) / self.rate_neg
 
     def truncated_mean(self) -> float:
         def one_sided(rate: float) -> float:

@@ -63,37 +63,30 @@ def llr_path(model: ChangeModel, path: SamplePath) -> LLRPath:
 
     t = path.times
     values = path.values
-    u = np.zeros_like(values)
-
     if model.pre.family == "gamma":
         c1 = model.phi.pos[1]
         d0 = model.pre.linear_drift()
         u = c1 * (values - d0 * t) - model.comp_rate * t
-        u[0] = 0.0
-        return LLRPath(grid_dt=path.grid_dt, u_values=u,
-                       source_change_point=path.change_point,
-                       source_horizon=path.horizon,
-                       source_stream=path.stream,
-                       model_digest=model.digest())
-
-    # cumulative jump sums aligned to grid points (jump at t_k counts at t_k)
-    if len(path.jump_times):
-        counts = np.searchsorted(path.jump_times, t, side="right")
-        cum_phi = np.concatenate([[0.0], np.cumsum(model.phi(path.jump_sizes))]) \
-            if model.phi is not None else np.zeros(len(path.jump_times) + 1)
-        cum_size = np.concatenate([[0.0], np.cumsum(path.jump_sizes)])
-        jump_phi = cum_phi[counts]
-        jump_mass = cum_size[counts]
     else:
-        jump_phi = np.zeros_like(values)
-        jump_mass = np.zeros_like(values)
+        u = np.zeros_like(values)
+        # cumulative jump sums aligned to grid points (jump at t_k counts at t_k)
+        if len(path.jump_times):
+            counts = np.searchsorted(path.jump_times, t, side="right")
+            cum_phi = np.concatenate([[0.0], np.cumsum(model.phi(path.jump_sizes))]) \
+                if model.phi is not None else np.zeros(len(path.jump_times) + 1)
+            cum_size = np.concatenate([[0.0], np.cumsum(path.jump_sizes)])
+            jump_phi = cum_phi[counts]
+            jump_mass = cum_size[counts]
+        else:
+            jump_phi = np.zeros_like(values)
+            jump_mass = np.zeros_like(values)
 
-    alpha, sigma = model.alpha, model.sigma
-    if alpha != 0.0 and sigma > 0.0:
-        d0 = model.pre.linear_drift()
-        u += alpha * (values - jump_mass - d0 * t) - 0.5 * (alpha * sigma) ** 2 * t
-    if model.phi is not None:
-        u += jump_phi - model.comp_rate * t
+        alpha, sigma = model.alpha, model.sigma
+        if alpha != 0.0 and sigma > 0.0:
+            d0 = model.pre.linear_drift()
+            u += alpha * (values - jump_mass - d0 * t) - 0.5 * (alpha * sigma) ** 2 * t
+        if model.phi is not None:
+            u += jump_phi - model.comp_rate * t
     u[0] = 0.0
     return LLRPath(grid_dt=path.grid_dt, u_values=u,
                    source_change_point=path.change_point,

@@ -45,10 +45,6 @@ class EvalReport:
         return abs(self.estimate - target) <= n_se * self.std_error
 
     @property
-    def biased(self) -> bool:
-        return self.n_censored > 0
-
-    @property
     def usable(self) -> bool:
         """False when every replication censored (estimate carries no signal)."""
         return self.n_censored < self.n_rep

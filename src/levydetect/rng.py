@@ -31,7 +31,6 @@ PURPOSE = {
     "martingale": 4,
     "converge": 5,
     "calibrate": 6,
-    "generic": 7,
 }
 
 _BLOCK_BITS = 40

@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp
 from levydetect import engine, kernels
 from levydetect.engine import RuleSpec, run_dyadic, run_paths, sample_u_increments
 from levydetect.errors import ContractError
-from levydetect.evaluate import _first_reach, calibrate_barrier
+from levydetect.evaluate import calibrate_barrier
 from levydetect.likelihood import llr_path
 from levydetect.paths import sample_changed_path
 from levydetect.rng import RngStream, stream_id
@@ -21,7 +21,82 @@ MODEL_FIXTURES = ["brownian_model", "poisson_model", "jump_diffusion_model",
                   "gamma_model", "exponential_model", "two_sided_model"]
 
 
+def _per_family_increments(model, regime, dt, gens, size):
+    """The per-family sampler expressions that the engine's table of jump
+    sides replaced, with their order of operations: component 0 Brownian
+    normals (or gamma variates), 1 jump counts, 2 marks, 3 and 4 the
+    negative side of a two-sided law."""
+    spec = model.pre if regime == "pre" else model.post
+    bm_sd = abs(model.alpha) * model.sigma * math.sqrt(dt)
+    bm_mean = (0.5 if regime == "post" else -0.5) * (model.alpha * model.sigma) ** 2 * dt
+    if model.phi is None:
+        return bm_mean + bm_sd * gens[0].standard_normal(size)
+    comp_dt = model.comp_rate * dt
+    if spec.family == "gamma":
+        return model.phi.pos[1] * gens[0].gamma(spec.activity * dt, spec.scale, size) \
+            - comp_dt
+    lam_dt, law, (c0, c1) = spec.intensity * dt, spec.jumps, model.phi.pos
+    out = bm_mean + bm_sd * gens[0].standard_normal(size) if bm_sd > 0.0 \
+        else np.full(size, bm_mean)
+    if law.kind == "gaussian":
+        n = gens[1].poisson(lam_dt, size)
+        z = gens[2].standard_normal(size)
+        out += c0 * n + c1 * (law.mean * n + law.sd * np.sqrt(n) * z)
+    elif law.kind == "exponential":
+        n = gens[1].poisson(lam_dt, size)
+        out += c0 * n + (c1 / law.rate) * gens[2].standard_gamma(n)
+    else:
+        (c0n, c1n), w = model.phi.neg, law.weight_pos
+        npos = gens[1].poisson(lam_dt * w, size)
+        nneg = gens[3].poisson(lam_dt * (1.0 - w), size)
+        out += c0 * npos + (c1 / law.rate_pos) * gens[2].standard_gamma(npos)
+        out += c0n * nneg - (c1n / law.rate_neg) * gens[4].standard_gamma(nneg)
+    return out - comp_dt
+
+
+class _RecordingGenerator:
+    """A generator that notes whether anything was drawn from it."""
+
+    def __init__(self, gen):
+        self.gen, self.used = gen, False
+
+    def __getattr__(self, name):
+        self.used = True
+        return getattr(self.gen, name)
+
+
 class TestSamplers:
+    @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
+    @pytest.mark.parametrize("regime", ["pre", "post"])
+    @pytest.mark.parametrize("dt", [0.1, 0.5])
+    def test_sampler_matches_the_per_family_formula(self, fixture, regime, dt, request):
+        """Bit for bit, over two successive calls, against the written-out
+        per-family expression on fresh generators of the same substreams."""
+        model = request.getfixturevalue(fixture)
+        rng = RngStream(SEED, stream_id("arl", 5))
+        gens = rng.substreams(engine.substream_components(model, dt))
+        sampler = engine.make_u_sampler(model, regime, dt)
+        got = np.concatenate([sampler(gens, 700), sampler(gens, 1300)])
+        fresh = [RngStream(SEED, rng.stream_id, c).generator() for c in range(5)]
+        assert np.array_equal(got, _per_family_increments(model, regime, dt, fresh, 2000))
+
+    @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
+    @pytest.mark.parametrize("regime", ["pre", "post"])
+    @pytest.mark.parametrize("dt", [0.1, 0.5])
+    def test_sampler_draws_from_exactly_its_components(self, fixture, regime, dt,
+                                                       request):
+        """Given generators at exactly substream_components and None at
+        every other index, the sampler draws from each of them and from
+        nothing else."""
+        model = request.getfixturevalue(fixture)
+        components = engine.substream_components(model, dt)
+        assert list(components) == sorted(set(components))
+        gens = tuple(None if g is None else _RecordingGenerator(g)
+                     for g in RngStream(SEED, 9).substreams(components))
+        assert [c for c, g in enumerate(gens) if g is not None] == list(components)
+        engine.make_u_sampler(model, regime, dt)(gens, 500)
+        assert all(gens[c].used for c in components)
+
     @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
     @pytest.mark.parametrize("regime", ["pre", "post"])
     def test_increment_law_matches_path_route(self, fixture, regime, request):
@@ -285,7 +360,7 @@ class TestBatchState:
             engine.advance(states, 150, high)
             engine.advance(states, 600, high)
             for h, run in runs.items():
-                assert np.array_equal(_first_reach(states[0], h), run.stop_steps), fixture
+                assert np.array_equal(states[0].first_reach(h), run.stop_steps), fixture
 
     def test_calibration_does_not_depend_on_threads(self, brownian_model):
         """1500 replications span two batches, advanced on one or two workers."""
