@@ -5,7 +5,8 @@ CSV files (report.csv, plus stops.csv or the path/llr dumps), the summary
 body, a one-screen summary and the exit code. :func:`main` alone writes them
 into the output directory, with summary.json, so a subcommand that raises
 writes nothing. Exit codes: 0 success, 2 config problems, 3 inadmissible
-model (the violated condition is named), 4 numerical failure.
+model (the violated condition is named), 4 numerical failure (for
+``calibrate`` also a bisection that missed ``rel_tol``).
 
 The summary embeds the fully resolved config and master seed; re-running with
 the summary as config reproduces byte-identical numeric columns, and the
@@ -205,6 +206,11 @@ def _cmd_calibrate(cfg: ExperimentConfig) -> Outcome:
                             delta=float(det["delta"]),
                             n_rep=cfg.experiment["n_rep_calibrate"],
                             threads=sim["threads"])
+    if not cal.converged:
+        raise NumericalError(
+            f"calibration missed the target: achieved {cal.report.estimate:.6g} for "
+            f"target {gamma} within rel_tol {det['rel_tol']} (barrier {cal.h_bar:.6g} "
+            f"after {len(cal.probes)} probes)")
     # the bracket-top probe settles only arl >= gamma: its value is a lower bound
     probe_rows = [{"h_bar": h, "arl": f">={v!r}" if i == cal.lower_bound else v}
                   for i, (h, v) in enumerate(cal.probes)]
@@ -317,7 +323,7 @@ def _cmd_compare(cfg: ExperimentConfig) -> Outcome:
     body = {"gamma": res.gamma, "rows": rows,
             "cusum_leads": res.cusum_leads()}
     lines = [f"{r.rule:<20} delay = {r.worst_delay:.6g} +- {r.delay_se:.2g}"
-             for r in res.rows]
+             + ("" if r.calibrated else "  (not calibrated)") for r in res.rows]
     lines.append(f"cusum leads: {res.cusum_leads()}")
     return Outcome({"report.csv": (rows, columns)}, body,
                    f"comparison at gamma = {gamma}", lines)

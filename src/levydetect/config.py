@@ -40,6 +40,7 @@ POSITIVE = ("a finite number > 0", lambda v: _is_finite(v) and v > 0.0)
 NONNEG = ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0.0)
 FINITE = ("a finite number", _is_finite)
 COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+REPLICATIONS = ("an integer >= 2", lambda v: _is_int(v) and v >= 2)   # a standard error needs two
 SEED = ("an integer in [0, 2^64)", lambda v: _is_int(v) and 0 <= v < 2 ** 64)
 BOOL = ("true or false", lambda v: isinstance(v, bool))
 RULE = (f"one of {HARNESS_RULES}", lambda v: isinstance(v, str) and v in HARNESS_RULES)
@@ -64,7 +65,7 @@ FIELDS = {
     "simulation": {
         "horizon": (POSITIVE, 100.0),
         "grid_dt": (POSITIVE, 0.01),
-        "n_rep": (COUNT, 1000),
+        "n_rep": (REPLICATIONS, 1000),
         "master_seed": (SEED, 12345),
         "threads": (COUNT, 1),
     },

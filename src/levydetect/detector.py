@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 RULES = ("cusum_continuous", "cusum_grid", "cusum_iid", "shiryaev_roberts")
+BARRIER_NUDGE = 1e-6      # how far lattice_safe_barrier moves a barrier off the lattice
 
 
 def check_log_barrier(rule: str, log_barrier: float) -> None:
@@ -194,8 +195,7 @@ def mle_changepoint(s_path: Sequence[float], stop: StopResult) -> float:
     return float(idx[-1] * delta)
 
 
-def lattice_safe_barrier(log_barrier: float, phi_constant: float,
-                         nudge: float = 1e-6) -> float:
+def lattice_safe_barrier(log_barrier: float, phi_constant: float) -> float:
     """Move a barrier off the lattice {k * phi_constant} of a constant
     density-ratio model (intensity-only change), where the reflected statistic
     can land exactly on the barrier and the two stopping conventions
@@ -203,6 +203,6 @@ def lattice_safe_barrier(log_barrier: float, phi_constant: float,
     if phi_constant <= 0.0:
         return log_barrier
     k = round(log_barrier / phi_constant)
-    if k > 0 and abs(log_barrier - k * phi_constant) < nudge:
-        return k * phi_constant + nudge
+    if k > 0 and abs(log_barrier - k * phi_constant) < BARRIER_NUDGE:
+        return k * phi_constant + BARRIER_NUDGE
     return log_barrier

@@ -7,8 +7,8 @@ Each replication owns a counter-based stream (reproducible from its index
 alone) and draws each kind of variate from its own substream, so every draw
 is a function of its step index only, whatever the schedule that draws it.
 For the jump families one table, :func:`_jump_sides`, names the substreams
-of each side of the jump law; the sampler and :func:`substream_components`
-both read it.
+of each side of the jump law, whose closed forms come from the law itself;
+the sampler and :func:`substream_components` both read it.
 
 A :class:`BatchState` holds one batch's streams, carries and steps. It
 advances its rows to a step, or until each reaches a barrier, drawing and
@@ -111,24 +111,14 @@ def _bm_sd(model: ChangeModel, dt: float) -> float:
 
 def _jump_sides(model: ChangeModel, spec: LevySpec, dt: float) -> list:
     """The stream contract of a compound-Poisson or jump-diffusion pair: one
-    row per side of the jump law of ``spec``, (count component, mark
-    component, jump rate * dt, phi's c0 on that side, marks). ``marks(gen,
-    n)`` draws the marks of ``n`` jumps per step from ``gen`` and returns the
-    c1 part of their phi-sum, so a step's jumps add c0 * n + marks(gen, n)."""
-    law, lam_dt, (c0, c1) = spec.jumps, spec.intensity * dt, model.phi.pos
-
-    def gamma_sum(scale: float) -> Callable:      # sum of n Exp(1) marks, scaled
-        return lambda gen, n: scale * gen.standard_gamma(n)
-
-    if law.kind == "gaussian":
-        mean, sd = law.mean, law.sd
-        return [(COUNT, MARK, lam_dt, c0, lambda gen, n: c1 * (
-            mean * n + sd * np.sqrt(n) * gen.standard_normal(n.size)))]
-    if law.kind == "exponential":
-        return [(COUNT, MARK, lam_dt, c0, gamma_sum(c1 / law.rate))]
-    (c0n, c1n), w = model.phi.neg, law.weight_pos
-    return [(COUNT, MARK, lam_dt * w, c0, gamma_sum(c1 / law.rate_pos)),
-            (COUNT_NEG, MARK_NEG, lam_dt * (1.0 - w), c0n, gamma_sum(-(c1n / law.rate_neg)))]
+    row per side of the jump law of ``spec``, positive side first, (count
+    component, mark component, jump rate * dt, and the law's c0 and marks of
+    the side). ``marks(gen, n)`` draws the marks of ``n`` jumps per step from
+    ``gen``; a step's jumps add c0 * n + marks(gen, n) to its phi-sum."""
+    lam_dt = spec.intensity * dt
+    return [(count, mark, lam_dt * weight, c0, marks)
+            for (count, mark), (weight, c0, marks)
+            in zip(((COUNT, MARK), (COUNT_NEG, MARK_NEG)), spec.jumps.step_sides(model.phi))]
 
 
 def substream_components(model: ChangeModel, dt: float) -> Tuple[int, ...]:

@@ -57,7 +57,8 @@ __all__ = [
 REGIMES = ("in_control", "out_of_control")
 _ENGINE_REGIME = {"in_control": "pre", "out_of_control": "post"}
 DEFAULT_TAU_GRID = (0.0, 1.0, 5.0)
-HORIZON_FACTOR = 20.0      # default in-control censoring horizon: 20 x target
+HORIZON_FACTOR = 20.0      # censoring horizon of calibration and comparison: 20 x target
+MAX_BISECTIONS = 60        # bisection steps of calibration after the bracket
 
 
 def phi_lattice_constant(model: ChangeModel) -> Optional[float]:
@@ -154,6 +155,7 @@ class CalibrationResult:
     report: EvalReport
     probes: Tuple[Tuple[float, float], ...]
     lower_bound: int           # index of the probe whose value is a lower bound
+    converged: bool            # a probe met rel_tol; else h_bar is the last midpoint
 
     @property
     def achieved(self) -> float:
@@ -162,9 +164,8 @@ class CalibrationResult:
 
 def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
                       rel_tol: float, seed: int, delta: float,
-                      n_rep: int = 4000, threads: int = 1, block: int = 0,
-                      horizon: Optional[float] = None,
-                      max_iter: int = 60) -> CalibrationResult:
+                      n_rep: int = 4000, threads: int = 1,
+                      block: int = 0) -> CalibrationResult:
     """Bisect the log barrier until the in-control mean run length matches
     gamma within rel_tol, on one set of in-control paths.
 
@@ -177,15 +178,16 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
     length truncated at the common step reaches gamma. That truncated mean,
     a lower bound, is its probe value (``lower_bound`` is its index). The
     final acceptance probe runs at four times the probe budget, on the probe
-    paths plus 3 * n_rep new ones, and its report is returned.
+    paths plus 3 * n_rep new ones, and its report is returned. When no
+    probe of MAX_BISECTIONS meets rel_tol, the result takes the last
+    bracket's midpoint and says so (``converged`` false).
     """
     model.require_admissible()
     if gamma < delta:
         raise InfeasibleTargetError(
             f"target {gamma} is below one monitoring step {delta}; "
             "randomized rules are out of scope")
-    if horizon is None:
-        horizon = HORIZON_FACTOR * gamma
+    horizon = HORIZON_FACTOR * gamma
 
     def config(h: float) -> DetectorConfig:
         return DetectorConfig(rule=rule, log_barrier=h, delta=delta)
@@ -242,26 +244,24 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
         raise NumericalError("failed to bracket the target run length")
     top = len(probes) - 1
 
-    h = hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        val = arl_at(mid).estimate
-        probes.append((mid, val))
-        if abs(val - gamma) <= rel_tol * gamma:
-            h = mid
+    for _ in range(MAX_BISECTIONS):
+        h = 0.5 * (lo + hi)
+        val = arl_at(h).estimate
+        probes.append((h, val))
+        converged = abs(val - gamma) <= rel_tol * gamma
+        if converged:
             break
         if val < gamma:
-            lo = mid
+            lo = h
         else:
-            hi = mid
-        h = hi
+            hi = h
     else:
         h = 0.5 * (lo + hi)
 
     paths += batch_states(model, "pre", spec, dt, 4 * n_rep, seed, "calibrate",
                           block=block, threads=threads, first=n_rep)
     return CalibrationResult(h_bar=h, report=arl_at(h), probes=tuple(probes),
-                             lower_bound=top)
+                             lower_bound=top, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -483,7 +483,9 @@ def compare(model: ChangeModel, gamma: float, rules: Sequence[Tuple[str, float]]
             threads: int = 1, n_rep_calibrate: int = 4000) -> CompareResult:
     """Calibrate each rule to the same false-alarm budget and compare
     worst-case delays. Calibration failures flag the row instead of
-    aborting the table."""
+    aborting the table: a rule that cannot be calibrated gets NaN numbers,
+    and one whose bisection missed rel_tol keeps its numbers at the last
+    midpoint."""
     rows = []
     for i, (rule, delta) in enumerate(rules):
         try:
@@ -499,7 +501,7 @@ def compare(model: ChangeModel, gamma: float, rules: Sequence[Tuple[str, float]]
                                    gamma_se=cal.report.std_error,
                                    worst_delay=res.worst.estimate,
                                    delay_se=res.worst.std_error,
-                                   calibrated=True))
+                                   calibrated=cal.converged))
         except (InfeasibleTargetError, NumericalError):
             rows.append(CompareRow(rule=rule, delta=delta, h_bar=math.nan,
                                    gamma_achieved=math.nan, gamma_se=math.nan,

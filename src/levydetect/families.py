@@ -13,7 +13,13 @@ Compound-Poisson jump sizes come from one of three parametric laws
 (:class:`GaussianJumps`, :class:`ExponentialJumps`,
 :class:`TwoSidedExponentialJumps`); these are exactly the laws whose
 jump-measure density ratios are affine per half-line, so every downstream
-likelihood object has a closed form.
+likelihood object has a closed form. Each law owns its closed forms against
+a law of its own kind: the pieces (c0, c1) of phi = c0 + c1 * x per side,
+positive side first, without the log-intensity term (``phi_pieces``); the
+Hellinger integral at two intensities; the phi-mean; per side the (weight,
+c0, marks) triple of one step's phi-sum (``step_sides``); and ledger jump
+sizes. ``phi`` arguments are the pair's density ratio, whose ``pos``/``neg``
+pieces include the log-intensity term.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import SpecValidationError
+from .errors import SpecValidationError, UnsupportedPairError
 
 __all__ = [
     "GaussianJumps",
@@ -69,9 +75,90 @@ class GaussianJumps:
         mass = 0.5 * (math.erfc(-b / math.sqrt(2.0)) - math.erfc(-a / math.sqrt(2.0)))
         return self.mean * mass - self.sd * (_std_normal_pdf(b) - _std_normal_pdf(a))
 
+    def phi_pieces(self, other: "GaussianJumps") -> list:
+        """One affine piece on both half-lines; only a mean shift is affine."""
+        if self.sd != other.sd:
+            raise UnsupportedPairError(
+                "gaussian jump pairs must share the sd (affine catalogue)")
+        s2 = self.sd ** 2
+        piece = ((self.mean ** 2 - other.mean ** 2) / (2.0 * s2),
+                 (other.mean - self.mean) / s2)
+        return [piece, piece]
+
+    def hellinger(self, lam: float, other: "GaussianJumps", other_lam: float) -> float:
+        """(sqrt(lam1) - sqrt(lam0))^2 + 2 sqrt(lam0 lam1) (1 - e^{-shift^2/8})."""
+        shift = (other.mean - self.mean) / self.sd
+        return ((math.sqrt(other_lam) - math.sqrt(lam)) ** 2
+                - 2.0 * math.sqrt(lam * other_lam) * math.expm1(-shift ** 2 / 8.0))
+
+    def phi_mean(self, phi) -> float:
+        c0, c1 = phi.pos
+        return c0 + c1 * self.mean
+
+    def step_sides(self, phi) -> list:
+        """The c1 part of n marks' phi-sum is c1 times an N(mean n, sd^2 n) draw."""
+        (c0, c1), mean, sd = phi.pos, self.mean, self.sd
+        return [(1.0, c0, lambda gen, n: c1 * (
+            mean * n + sd * np.sqrt(n) * gen.standard_normal(n.size)))]
+
+    def jump_sizes(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        return gen.normal(self.mean, self.sd, size=n)
+
+
+def _exp_hellinger(c0: float, r0: float, c1: float, r1: float) -> float:
+    """integral (sqrt(dnu_post) - sqrt(dnu_pre))^2 for nu_i = c_i Exp(r_i) on
+    one half-line, written without cancellation between near-equal laws."""
+    return ((math.sqrt(c1) - math.sqrt(c0)) ** 2
+            + 2.0 * math.sqrt(c0 * c1) * (math.sqrt(r1) - math.sqrt(r0)) ** 2 / (r0 + r1))
+
+
+class _ExponentialSides:
+    """The closed forms of a law with an Exp(rate) magnitude on each side it
+    charges. ``sides`` holds one (sign, weight, rate) per side, the positive
+    side first; the exponential law is the single side (1.0, 1.0, rate)."""
+
+    def density(self, x):
+        x = np.asarray(x, dtype=float)
+        out = 0.0
+        for sign, weight, rate in self.sides:
+            out = np.where(sign * x > 0.0, weight * rate * np.exp(-rate * np.abs(x)), out)
+        return out
+
+    def truncated_mean(self) -> float:
+        def one_sided(rate: float) -> float:      # E[X 1{X <= 1}], X ~ Exp(rate)
+            return (1.0 - math.exp(-rate) * (1.0 + rate)) / rate
+
+        return sum(sign * (weight * one_sided(rate)) for sign, weight, rate in self.sides)
+
+    def phi_pieces(self, other) -> list:
+        return [(math.log((w1 * r1) / (w0 * r0)), s * r0 - s * r1)
+                for (s, w0, r0), (_, w1, r1) in zip(self.sides, other.sides)]
+
+    def hellinger(self, lam: float, other, other_lam: float) -> float:
+        return sum(_exp_hellinger(lam * w0, r0, other_lam * w1, r1)
+                   for (_, w0, r0), (_, w1, r1) in zip(self.sides, other.sides))
+
+    def phi_mean(self, phi) -> float:
+        return sum(w * (c0 + s * c1 / r)
+                   for (s, w, r), (c0, c1) in zip(self.sides, (phi.pos, phi.neg)))
+
+    def step_sides(self, phi) -> list:
+        """A sum of n Exp(rate) marks is a Gamma(n) draw over the rate."""
+        def gamma_sum(scale: float):
+            return lambda gen, n: scale * gen.standard_gamma(n)
+
+        return [(w, c0, gamma_sum(s * (c1 / r)))
+                for (s, w, r), (c0, c1) in zip(self.sides, (phi.pos, phi.neg))]
+
+    def jump_sizes(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """A side by weight (drawn only when there are two), then a magnitude."""
+        up = gen.random(n) < self.sides[0][1] if len(self.sides) > 1 else True
+        mags = [sign * gen.exponential(1.0 / rate, size=n) for sign, _, rate in self.sides]
+        return np.where(up, mags[0], mags[-1])
+
 
 @dataclass(frozen=True)
-class ExponentialJumps:
+class ExponentialJumps(_ExponentialSides):
     """Jump sizes Exp(rate), supported on (0, inf)."""
 
     rate: float
@@ -83,17 +170,13 @@ class ExponentialJumps:
         if not (self.rate > 0.0) or not math.isfinite(self.rate):
             raise SpecValidationError(f"exponential jump rate must be positive, got {self.rate}")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0.0, self.rate * np.exp(-self.rate * np.abs(x)), 0.0)
-
-    def truncated_mean(self) -> float:
-        r = self.rate
-        return (1.0 - math.exp(-r) * (1.0 + r)) / r
+    @property
+    def sides(self) -> tuple:
+        return ((1.0, 1.0, self.rate),)
 
 
 @dataclass(frozen=True)
-class TwoSidedExponentialJumps:
+class TwoSidedExponentialJumps(_ExponentialSides):
     """Mixture of an Exp(rate_pos) jump up (weight_pos) and an Exp(rate_neg) jump down."""
 
     rate_pos: float
@@ -110,18 +193,10 @@ class TwoSidedExponentialJumps:
             raise SpecValidationError(
                 f"two-sided exponential weight must lie in (0, 1), got {self.weight_pos}")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        pos = self.weight_pos * self.rate_pos * np.exp(-self.rate_pos * np.abs(x))
-        neg = (1.0 - self.weight_pos) * self.rate_neg * np.exp(-self.rate_neg * np.abs(x))
-        return np.where(x > 0.0, pos, np.where(x < 0.0, neg, 0.0))
-
-    def truncated_mean(self) -> float:
-        def one_sided(rate: float) -> float:
-            return (1.0 - math.exp(-rate) * (1.0 + rate)) / rate
-
-        return (self.weight_pos * one_sided(self.rate_pos)
-                - (1.0 - self.weight_pos) * one_sided(self.rate_neg))
+    @property
+    def sides(self) -> tuple:
+        return ((1.0, self.weight_pos, self.rate_pos),
+                (-1.0, 1.0 - self.weight_pos, self.rate_neg))
 
 
 JumpLaw = Union[GaussianJumps, ExponentialJumps, TwoSidedExponentialJumps]

@@ -14,8 +14,9 @@ absolutely continuous, which for Levy processes reduces to three checks:
 The catalogue is restricted to pairs whose density ratio is affine per
 half-line, so ``phi``, the integrability integral, and the drift constants of
 the log-likelihood process all have closed forms, and building a model runs no
-quadrature. The quadrature twins at the end of the module import scipy lazily
-and serve only as independent cross-checks of those closed forms.
+quadrature; the jump-size laws of :mod:`levydetect.families` own theirs. The
+quadrature twins at the end of the module import scipy lazily and serve only
+as independent cross-checks of those closed forms.
 """
 
 from __future__ import annotations
@@ -135,117 +136,34 @@ class ChangeModel:
 
 
 # --------------------------------------------------------------------------- #
-# density ratio construction
+# closed forms: phi, integrability and the moments of phi
 # --------------------------------------------------------------------------- #
 
-def _build_phi(pre: LevySpec, post: LevySpec) -> Tuple[Optional[DensityRatio], Optional[str]]:
-    """Return (phi, violated-condition) for the jump parts.
-
-    Raises UnsupportedPairError for equivalent pairs outside the affine
-    catalogue (different jump kinds on a shared support, unequal Gaussian sd).
-    """
+def _jump_closed_forms(pre: LevySpec, post: LevySpec) -> tuple:
+    """(phi, integrability, comp_rate, phi_mean_pre, phi_mean_post) of two
+    jump parts on one support: the integrals of (e^{phi/2} - 1)^2 (``inf``
+    when gamma activities differ) and of e^phi - 1 against nu_pre, and of phi
+    against each nu_i. Raises UnsupportedPairError outside the affine
+    catalogue (different jump kinds, unequal Gaussian sd)."""
     if pre.family == "gamma":
-        a0, t0 = pre.activity, pre.scale
-        a1, t1 = post.activity, post.scale
-        c0 = math.log(a1 / a0)
-        c1 = 1.0 / t0 - 1.0 / t1
-        return DensityRatio(pos=(c0, c1)), None
+        a, t0, t1 = pre.activity, pre.scale, post.scale
+        p0, p1 = 1.0 / t0, 1.0 / t1
+        c1 = p0 - p1
+        integ = (a * math.log1p((p0 - p1) ** 2 / (4.0 * p0 * p1))
+                 if a == post.activity else math.inf)
+        return (DensityRatio(pos=(math.log(post.activity / a), c1)), integ,
+                a * math.log(t1 / t0), c1 * a * t0, c1 * a * t1)   # comp: Frullani
 
     j0, j1 = pre.jumps, post.jumps
-    lam0, lam1 = pre.intensity, post.intensity
-    if j0.support != j1.support:
-        return None, COND_EQUIVALENCE
     if j0.kind != j1.kind:
         raise UnsupportedPairError(
             f"jump kinds {j0.kind!r} and {j1.kind!r} share a support but their "
             "density ratio is not affine; pair is outside the catalogue")
+    lam0, lam1 = pre.intensity, post.intensity
     log_lam = math.log(lam1 / lam0)
-    if j0.kind == "gaussian":
-        if j0.sd != j1.sd:
-            raise UnsupportedPairError(
-                "gaussian jump pairs must share the sd (affine catalogue)")
-        s2 = j0.sd ** 2
-        c1 = (j1.mean - j0.mean) / s2
-        c0 = log_lam + (j0.mean ** 2 - j1.mean ** 2) / (2.0 * s2)
-        return DensityRatio(pos=(c0, c1), neg=(c0, c1)), None
-    if j0.kind == "exponential":
-        c0 = log_lam + math.log(j1.rate / j0.rate)
-        c1 = j0.rate - j1.rate
-        return DensityRatio(pos=(c0, c1)), None
-    # two-sided exponential
-    c0p = log_lam + math.log((j1.weight_pos * j1.rate_pos) / (j0.weight_pos * j0.rate_pos))
-    c1p = j0.rate_pos - j1.rate_pos
-    c0n = log_lam + math.log(((1.0 - j1.weight_pos) * j1.rate_neg)
-                             / ((1.0 - j0.weight_pos) * j0.rate_neg))
-    c1n = j1.rate_neg - j0.rate_neg
-    return DensityRatio(pos=(c0p, c1p), neg=(c0n, c1n)), None
-
-
-# --------------------------------------------------------------------------- #
-# closed forms: integrability and the moments of phi
-# --------------------------------------------------------------------------- #
-
-def _exp_hellinger(c0: float, r0: float, c1: float, r1: float) -> float:
-    """integral (sqrt(dnu_post) - sqrt(dnu_pre))^2 for nu_i = c_i Exp(r_i) on
-    one half-line, written without cancellation between near-equal laws."""
-    return ((math.sqrt(c1) - math.sqrt(c0)) ** 2
-            + 2.0 * math.sqrt(c0 * c1) * (math.sqrt(r1) - math.sqrt(r0)) ** 2 / (r0 + r1))
-
-
-def _integrability(pre: LevySpec, post: LevySpec) -> float:
-    """Closed form of  integral (e^{phi/2} - 1)^2 dnu_pre
-    = nu_pre(R) + nu_post(R) - 2 integral sqrt(dnu_pre dnu_post);
-    ``math.inf`` when it diverges (gamma activities differ)."""
-    if pre.family == "gamma":
-        if pre.activity != post.activity:
-            return math.inf
-        p0, p1 = 1.0 / pre.scale, 1.0 / post.scale
-        return pre.activity * math.log1p((p0 - p1) ** 2 / (4.0 * p0 * p1))
-    lam0, lam1 = pre.intensity, post.intensity
-    j0, j1 = pre.jumps, post.jumps
-    if j0.kind == "gaussian":
-        shift = (j1.mean - j0.mean) / j0.sd
-        return ((math.sqrt(lam1) - math.sqrt(lam0)) ** 2
-                - 2.0 * math.sqrt(lam0 * lam1) * math.expm1(-shift ** 2 / 8.0))
-    if j0.kind == "exponential":
-        return _exp_hellinger(lam0, j0.rate, lam1, j1.rate)
-    w0, w1 = j0.weight_pos, j1.weight_pos
-    return (_exp_hellinger(lam0 * w0, j0.rate_pos, lam1 * w1, j1.rate_pos)
-            + _exp_hellinger(lam0 * (1.0 - w0), j0.rate_neg, lam1 * (1.0 - w1), j1.rate_neg))
-
-
-def _phi_moments(pre: LevySpec, post: LevySpec, phi: DensityRatio) -> Tuple[float, float, float]:
-    """Return (comp_rate, phi_mean_pre, phi_mean_post) in closed form.
-
-    comp_rate   = integral (e^phi - 1) dnu_pre
-    phi_mean_i  = integral phi dnu_i
-    """
-    if pre.family == "gamma":
-        a, t0 = pre.activity, pre.scale
-        t1 = post.scale
-        c1 = phi.pos[1]
-        comp = a * math.log(t1 / t0)          # Frullani integral
-        return comp, c1 * a * t0, c1 * a * t1
-
-    lam0, lam1 = pre.intensity, post.intensity
-    comp = lam1 - lam0
-    j0, j1 = pre.jumps, post.jumps
-
-    def mean_under(spec_intensity, jump_law):
-        if jump_law.kind == "gaussian":
-            c0, c1 = phi.pos
-            return spec_intensity * (c0 + c1 * jump_law.mean)
-        if jump_law.kind == "exponential":
-            c0, c1 = phi.pos
-            return spec_intensity * (c0 + c1 / jump_law.rate)
-        c0p, c1p = phi.pos
-        c0n, c1n = phi.neg
-        w = jump_law.weight_pos
-        pos = w * (c0p + c1p / jump_law.rate_pos)
-        neg = (1.0 - w) * (c0n - c1n / jump_law.rate_neg)
-        return spec_intensity * (pos + neg)
-
-    return comp, mean_under(lam0, j0), mean_under(lam1, j1)
+    phi = DensityRatio(*((log_lam + c0, c1) for c0, c1 in j0.phi_pieces(j1)))
+    return (phi, j0.hellinger(lam0, j1, lam1), lam1 - lam0,
+            lam0 * j0.phi_mean(phi), lam1 * j1.phi_mean(phi))
 
 
 # --------------------------------------------------------------------------- #
@@ -344,28 +262,23 @@ def build_change_model(pre: LevySpec, post: LevySpec) -> ChangeModel:
 
     # jump-measure equivalence and integrability
     phi: Optional[DensityRatio] = None
-    comp = 0.0
-    mean_pre = 0.0
-    mean_post = 0.0
-    integ_value = 0.0
+    comp = mean_pre = mean_post = integ_value = 0.0
     if pre.has_jumps != post.has_jumps:
         return rejected(COND_EQUIVALENCE,
                         "one side has a jump component and the other does not; "
                         "the jump measures cannot be equivalent")
     if pre.has_jumps:
-        phi, cond = _build_phi(pre, post)
-        if cond is not None:
-            return rejected(cond,
+        if pre.jump_support() != post.jump_support():
+            return rejected(COND_EQUIVALENCE,
                             f"jump supports differ ({pre.jump_support()} vs "
                             f"{post.jump_support()}); measures are not equivalent")
-        integ_value = _integrability(pre, post)
+        phi, integ_value, comp, mean_pre, mean_post = _jump_closed_forms(pre, post)
         if math.isinf(integ_value):
             return rejected(COND_INTEGRABILITY,
                             f"gamma activities differ ({pre.activity} vs {post.activity}); "
                             "the integral of (e^(phi/2)-1)^2 against the pre-change "
                             "jump measure diverges",
                             phi=phi, integrability_value=integ_value)
-        comp, mean_pre, mean_post = _phi_moments(pre, post, phi)
 
     # drift condition
     gap = post.drift_b - pre.drift_b - (post.jump_truncated_mean() - pre.jump_truncated_mean())

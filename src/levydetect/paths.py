@@ -89,17 +89,16 @@ def grid_steps(horizon: float, grid_dt: float) -> int:
     return int(math.floor(horizon / grid_dt + 1e-9))
 
 
-def gamma_ledger_threshold(activity: float, scale: float,
-                           rate_budget: float = GAMMA_LEDGER_RATE) -> float:
+def gamma_ledger_threshold(activity: float, scale: float) -> float:
     """Smallest recorded jump size for a gamma subordinator ledger.
 
     Chosen so the expected number of recorded jumps per unit time,
-    activity * E1(eps/scale), stays within ``rate_budget``; E1 is inverted by
+    activity * E1(eps/scale), stays within GAMMA_LEDGER_RATE; E1 is inverted by
     bisection on its monotone tail.
     """
     from scipy.special import exp1
 
-    target = rate_budget / activity
+    target = GAMMA_LEDGER_RATE / activity
     if exp1(_MIN_THRESHOLD / scale) <= target:
         return _MIN_THRESHOLD
     lo, hi = _MIN_THRESHOLD / scale, 100.0
@@ -126,25 +125,6 @@ def _poisson_events(gen: np.random.Generator, rate: float, t0: float,
     if n == 0:
         return np.empty(0)
     return t0 + np.sort(1.0 - gen.random(n)) * span
-
-
-def _jump_sizes(gen: np.random.Generator, law, n: int) -> np.ndarray:
-    if n == 0:
-        return np.empty(0)
-    if law.kind == "gaussian":
-        return gen.normal(law.mean, law.sd, size=n)
-    if law.kind == "exponential":
-        return gen.exponential(1.0 / law.rate, size=n)
-    up = gen.random(n) < law.weight_pos
-    mags = np.where(up, gen.exponential(1.0 / law.rate_pos, size=n),
-                    gen.exponential(1.0 / law.rate_neg, size=n))
-    return np.where(up, mags, -mags)
-
-
-def _compound_poisson_ledger(gen, spec: LevySpec, t0: float, t1: float):
-    times = _poisson_events(gen, spec.intensity, t0, t1)
-    sizes = _jump_sizes(gen, spec.jumps, len(times))
-    return times, sizes
 
 
 def _gamma_step_jumps(gen: np.random.Generator, increment: float, shape: float,
@@ -182,7 +162,8 @@ def _simulate_piece(gen: np.random.Generator, spec: LevySpec, t0: float, t1: flo
             inc = gen.normal(drift * grid_dt, spec.sigma * math.sqrt(grid_dt), size=n)
         else:
             inc = np.full(n, drift * grid_dt)
-        times, sizes = _compound_poisson_ledger(gen, spec, t0, t1)
+        times = _poisson_events(gen, spec.intensity, t0, t1)
+        sizes = spec.jumps.jump_sizes(gen, len(times))
         # embed jumps exactly into the covering step increments
         idx = np.ceil((times - t0) / grid_dt - 1e-12).astype(int) - 1
         idx = np.clip(idx, 0, n - 1)

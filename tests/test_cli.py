@@ -220,6 +220,9 @@ def test_bad_config_field_exits_two_and_names_it(tmp_path, capsys, block, field,
     ("lorden", "detector", "log_barrier", -1),
     ("lowerbound", "detector", "log_barrier", -1),
     ("converge", "detector", "log_barrier", -1),
+    ("arl", "simulation", "n_rep", 1),
+    ("lowerbound", "simulation", "n_rep", 1),
+    ("converge", "simulation", "n_rep", 1),
 ])
 def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
                                                           block, field, value):
@@ -348,3 +351,31 @@ class TestCalibrate:
         assert code == 0
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert abs(summary["results"]["achieved"] - 10.0) < 1.5
+
+
+# Twenty replications per probe leave steps in the empirical run-length map
+# wider than the 2% window at gamma 50: the bisection runs out (seed 42).
+MISSED_TOLERANCE = {
+    "model": BM_MODEL,
+    "simulation": {"horizon": 200.0, "n_rep": 200, "master_seed": 42},
+    "detector": {"rule": "cusum_grid", "delta": 0.1, "gamma": 50.0, "rel_tol": 0.02},
+    "experiment": {"n_rep_calibrate": 20},
+}
+
+
+def test_calibrate_that_misses_rel_tol_exits_four(tmp_path, capsys):
+    code, out = _run(tmp_path, "calibrate", MISSED_TOLERANCE, "cal")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "achieved 44.7662" in err and "target 50.0" in err
+    assert not os.path.exists(out)
+
+
+def test_compare_flags_a_row_that_misses_rel_tol(tmp_path):
+    code, out = _run(tmp_path, "compare", MISSED_TOLERANCE, "cmp")
+    assert code == 0
+    rows = list(csv.DictReader(open(os.path.join(out, "report.csv"))))
+    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    assert rows[0]["rule"] == "cusum_grid" and rows[0]["calibrated"] == "false"
+    assert summary["results"]["rows"][0]["calibrated"] is False
+    assert float(rows[0]["gamma_achieved"]) == pytest.approx(44.7662, abs=1e-4)

@@ -29,6 +29,7 @@ from levydetect.model import (
     phi_eval,
     truncated_moment_quadrature,
 )
+from levydetect.rng import RngStream
 
 
 class TestAdmissibility:
@@ -272,3 +273,139 @@ def test_random_gaussian_pairs_admissible_with_consistent_alpha(
     if mean_shift != 0.0 or abs(lam0 - lam1) > 1e-9 * lam0:
         jp, jq = drift_constants(m)
         assert jp < 0.0 < jq
+
+
+# --------------------------------------------------------------------------- #
+# the catalogue, bit for bit against the per-kind expressions it replaced
+# --------------------------------------------------------------------------- #
+
+JUMP_FIXTURES = ["poisson_model", "gaussian_shift_model", "jump_diffusion_model",
+                 "gamma_model", "gamma_model_mild", "exponential_model", "two_sided_model"]
+GRID = np.concatenate([np.linspace(-3.0, 3.0, 61), [0.0, -0.0, 1e-9, -1e-9]])
+
+
+def _one_sided(rate):
+    return (1.0 - math.exp(-rate) * (1.0 + rate)) / rate
+
+
+def _exp_hellinger(c0, r0, c1, r1):
+    return ((math.sqrt(c1) - math.sqrt(c0)) ** 2
+            + 2.0 * math.sqrt(c0 * c1) * (math.sqrt(r1) - math.sqrt(r0)) ** 2 / (r0 + r1))
+
+
+def _per_kind_law(law, gen, n):
+    """(truncated mean, density on GRID, n ledger jump sizes from gen) of a
+    jump law, by the per-kind expressions with their order of operations."""
+    x = GRID
+    if law.kind == "gaussian":
+        a, b = (-1.0 - law.mean) / law.sd, (1.0 - law.mean) / law.sd
+        pdf = lambda z: np.exp(-z ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
+        mass = 0.5 * (math.erfc(-b / math.sqrt(2.0)) - math.erfc(-a / math.sqrt(2.0)))
+        return (law.mean * mass - law.sd * (pdf(b) - pdf(a)),
+                pdf((x - law.mean) / law.sd) / law.sd, gen.normal(law.mean, law.sd, size=n))
+    if law.kind == "exponential":
+        return (_one_sided(law.rate),
+                np.where(x > 0.0, law.rate * np.exp(-law.rate * np.abs(x)), 0.0),
+                gen.exponential(1.0 / law.rate, size=n))
+    w, rp, rn = law.weight_pos, law.rate_pos, law.rate_neg
+    pos = w * rp * np.exp(-rp * np.abs(x))
+    neg = (1.0 - w) * rn * np.exp(-rn * np.abs(x))
+    up = gen.random(n) < w
+    mags = np.where(up, gen.exponential(1.0 / rp, size=n), gen.exponential(1.0 / rn, size=n))
+    return (w * _one_sided(rp) - (1.0 - w) * _one_sided(rn),
+            np.where(x > 0.0, pos, np.where(x < 0.0, neg, 0.0)), np.where(up, mags, -mags))
+
+
+def _per_kind_pair(pre, post):
+    """(phi.pos, phi.neg, integrability, comp_rate, phi_mean_pre,
+    phi_mean_post) of an admissible jump pair by the per-kind expressions."""
+    if pre.family == "gamma":
+        a, t0, t1 = pre.activity, pre.scale, post.scale
+        c1 = 1.0 / t0 - 1.0 / t1
+        p0, p1 = 1.0 / t0, 1.0 / t1
+        return ((math.log(post.activity / a), c1), None,
+                a * math.log1p((p0 - p1) ** 2 / (4.0 * p0 * p1)),
+                a * math.log(t1 / t0), c1 * a * t0, c1 * a * t1)
+    j0, j1, lam0, lam1 = pre.jumps, post.jumps, pre.intensity, post.intensity
+    log_lam = math.log(lam1 / lam0)
+    if j0.kind == "gaussian":
+        s2 = j0.sd ** 2
+        c1 = (j1.mean - j0.mean) / s2
+        c0 = log_lam + (j0.mean ** 2 - j1.mean ** 2) / (2.0 * s2)
+        shift = (j1.mean - j0.mean) / j0.sd
+        integ = ((math.sqrt(lam1) - math.sqrt(lam0)) ** 2
+                 - 2.0 * math.sqrt(lam0 * lam1) * math.expm1(-shift ** 2 / 8.0))
+        return ((c0, c1), (c0, c1), integ, lam1 - lam0,
+                lam0 * (c0 + c1 * j0.mean), lam1 * (c0 + c1 * j1.mean))
+    if j0.kind == "exponential":
+        c0 = log_lam + math.log(j1.rate / j0.rate)
+        c1 = j0.rate - j1.rate
+        return ((c0, c1), None, _exp_hellinger(lam0, j0.rate, lam1, j1.rate),
+                lam1 - lam0, lam0 * (c0 + c1 / j0.rate), lam1 * (c0 + c1 / j1.rate))
+    w0, w1 = j0.weight_pos, j1.weight_pos
+    c0p = log_lam + math.log((w1 * j1.rate_pos) / (w0 * j0.rate_pos))
+    c1p = j0.rate_pos - j1.rate_pos
+    c0n = log_lam + math.log(((1.0 - w1) * j1.rate_neg) / ((1.0 - w0) * j0.rate_neg))
+    c1n = j1.rate_neg - j0.rate_neg
+    integ = (_exp_hellinger(lam0 * w0, j0.rate_pos, lam1 * w1, j1.rate_pos)
+             + _exp_hellinger(lam0 * (1.0 - w0), j0.rate_neg, lam1 * (1.0 - w1), j1.rate_neg))
+
+    def mean_under(lam, law):
+        w = law.weight_pos
+        return lam * (w * (c0p + c1p / law.rate_pos)
+                      + (1.0 - w) * (c0n - c1n / law.rate_neg))
+    return ((c0p, c1p), (c0n, c1n), integ, lam1 - lam0,
+            mean_under(lam0, j0), mean_under(lam1, j1))
+
+
+def _assert_catalogue_matches(model):
+    pre, post = model.pre, model.post
+    pos, neg, integ, comp, mean_pre, mean_post = _per_kind_pair(pre, post)
+    assert (model.phi.pos, model.phi.neg) == (pos, neg)
+    assert (model.integrability_value, model.comp_rate) == (integ, comp)
+    assert (model.phi_mean_pre, model.phi_mean_post) == (mean_pre, mean_post)
+    bm = 0.5 * model.alpha ** 2 * model.sigma ** 2
+    assert model.beta_pre == -bm + (mean_pre - comp)
+    assert model.beta_post == bm + (mean_post - comp)
+    for i, spec in enumerate((pre, post)):
+        if spec.family == "gamma":
+            a, t = spec.activity, spec.scale
+            safe = np.where(GRID > 0.0, GRID, 1.0)
+            assert spec.jump_truncated_mean() == a * t * (1.0 - math.exp(-1.0 / t))
+            assert np.array_equal(spec.levy_density(GRID), np.where(
+                GRID > 0.0, a * np.exp(-safe / t) / safe, 0.0))
+            continue
+        for n in (0, 1, 257):
+            fresh = RngStream(8086, 10 * i + n).generator
+            mean, density, sizes = _per_kind_law(spec.jumps, fresh(), n)
+            assert np.array_equal(spec.jumps.jump_sizes(fresh(), n), sizes)
+        assert spec.jumps.truncated_mean() == mean
+        assert spec.jump_truncated_mean() == spec.intensity * mean
+        assert np.array_equal(spec.levy_density(GRID), spec.intensity * density)
+
+
+class TestCatalogue:
+    """Each jump law owns its closed forms; the model constants, truncated
+    means, densities and ledger jump sizes built from them must equal the
+    per-kind expressions they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("fixture", JUMP_FIXTURES)
+    def test_fixture_matches_the_per_kind_formulas(self, fixture, request):
+        _assert_catalogue_matches(request.getfixturevalue(fixture))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "exponential", "two_sided_exponential"]),
+           lams=st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)),
+           params=st.tuples(*[st.tuples(st.floats(0.05, 8.0), st.floats(0.05, 8.0),
+                                        st.floats(0.01, 0.99), st.floats(-3.0, 3.0))] * 2))
+    def test_random_laws_match_the_per_kind_formulas(self, kind, lams, params):
+        """Jump diffusions (sigma 1 absorbs any drift gap), so every pair
+        of one kind is admissible; Gaussian pairs share the sd."""
+        (r0, q0, w0, m0), (r1, q1, w1, m1) = params
+        laws = {"gaussian": (GaussianJumps(m0, r0), GaussianJumps(m1, r0)),
+                "exponential": (ExponentialJumps(r0), ExponentialJumps(r1)),
+                "two_sided_exponential": (TwoSidedExponentialJumps(r0, q0, w0),
+                                          TwoSidedExponentialJumps(r1, q1, w1))}[kind]
+        pre, post = (LevySpec.jump_diffusion(1.0, lam, law, drift=0.5 * i)
+                     for i, (lam, law) in enumerate(zip(lams, laws)))
+        _assert_catalogue_matches(build_change_model(pre, post))
