@@ -26,14 +26,7 @@ from .families import (
     TwoSidedExponentialJumps,
 )
 from .kernels import backend as kernel_backend
-from .likelihood import (
-    GaussianIncrements,
-    LLRPath,
-    PoissonCounts,
-    llr_increment_iid,
-    llr_path,
-    martingale_check,
-)
+from .likelihood import LLRPath, llr_path, martingale_check
 from .model import (
     ChangeModel,
     DensityRatio,
@@ -41,7 +34,7 @@ from .model import (
     drift_constants,
     phi_eval,
 )
-from .paths import IncrementSeries, SamplePath, restrict_to_grid, sample_changed_path
+from .paths import SamplePath, sample_changed_path
 from .report import EvalReport, Provenance
 from .rng import RngStream
 
@@ -59,15 +52,10 @@ __all__ = [
     "drift_constants",
     "RngStream",
     "SamplePath",
-    "IncrementSeries",
     "sample_changed_path",
-    "restrict_to_grid",
     "LLRPath",
     "llr_path",
-    "llr_increment_iid",
     "martingale_check",
-    "GaussianIncrements",
-    "PoissonCounts",
     "DetectorConfig",
     "CusumState",
     "StopResult",

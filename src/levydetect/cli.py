@@ -47,7 +47,7 @@ from .evaluate import (
 )
 from .kernels import backend
 from .likelihood import llr_path
-from .paths import sample_changed_path
+from .paths import grid_steps, sample_changed_path
 from .report import write_csv, write_json
 from .rng import RngStream, stream_id
 
@@ -147,6 +147,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
     model.require_admissible()
     sim, tau = cfg.simulation, cfg.experiment["tau"]
+    _field_check("simulation.horizon", grid_steps, sim["horizon"], sim["grid_dt"])
     rng = RngStream(sim["master_seed"], stream_id("path", 0))
     path = sample_changed_path(model, math.inf if tau is None else tau,
                                sim["horizon"], sim["grid_dt"], rng)
@@ -320,11 +321,11 @@ def _cmd_compare(cfg: ExperimentConfig) -> Outcome:
              "calibrated": r.calibrated} for r in res.rows]
     columns = ["rule", "delta", "h_bar", "gamma_achieved", "gamma_se",
                "worst_delay", "delay_se", "calibrated"]
-    body = {"gamma": res.gamma, "rows": rows,
-            "cusum_leads": res.cusum_leads()}
+    leads = res.cusum_leads()
+    body = {"gamma": res.gamma, "rows": rows, "cusum_leads": leads}
     lines = [f"{r.rule:<20} delay = {r.worst_delay:.6g} +- {r.delay_se:.2g}"
              + ("" if r.calibrated else "  (not calibrated)") for r in res.rows]
-    lines.append(f"cusum leads: {res.cusum_leads()}")
+    lines.append(f"cusum leads: {'undecided' if leads is None else leads}")
     return Outcome({"report.csv": (rows, columns)}, body,
                    f"comparison at gamma = {gamma}", lines)
 

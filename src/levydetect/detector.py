@@ -1,4 +1,4 @@
-"""Stopping rules over log-likelihood paths and increment series.
+"""Stopping rules over log-likelihood paths.
 
 Rules
 -----
@@ -8,8 +8,6 @@ Rules
 * ``cusum_grid``: the grid rule on a coarse step delta; its statistic at step
   k is the coarse value minus the minimum over *strictly earlier* coarse
   points (the k = 0 state is the zero sentinel, so one step is always needed).
-* ``cusum_iid``: the classical recursion max(S, 1) * likelihood over an
-  increment series with explicit increment laws.
 * ``shiryaev_roberts``: R_k = (1 + R_{k-1}) L_k run in the log domain,
   crossing exp(log_barrier).
 
@@ -22,18 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import (
+    AlignmentError,
     ContractError,
     SpecValidationError,
     UndefinedEstimateError,
 )
-from .likelihood import IncrementLaw, LLRPath, llr_increment_iid
-from .paths import IncrementSeries, _stride_of
+from .likelihood import LLRPath
 
 __all__ = [
     "RULES",
@@ -50,7 +48,7 @@ __all__ = [
     "lattice_safe_barrier",
 ]
 
-RULES = ("cusum_continuous", "cusum_grid", "cusum_iid", "shiryaev_roberts")
+RULES = ("cusum_continuous", "cusum_grid", "shiryaev_roberts")
 BARRIER_NUDGE = 1e-6      # how far lattice_safe_barrier moves a barrier off the lattice
 
 
@@ -74,7 +72,6 @@ class DetectorConfig:
     rule: str
     log_barrier: float
     delta: Optional[float] = None
-    iid_laws: Optional[Tuple[IncrementLaw, IncrementLaw]] = None
 
     def validate(self) -> None:
         if self.rule not in RULES:
@@ -82,8 +79,6 @@ class DetectorConfig:
         check_log_barrier(self.rule, self.log_barrier)
         if self.rule in ("cusum_grid", "shiryaev_roberts") and self.delta is None:
             raise SpecValidationError(f"rule {self.rule!r} needs a delta")
-        if self.rule == "cusum_iid" and self.iid_laws is None:
-            raise SpecValidationError("cusum_iid needs the increment law pair")
 
 
 @dataclass(frozen=True)
@@ -132,53 +127,43 @@ def _after_origin(stat, u: np.ndarray, carry: float) -> np.ndarray:
     return out
 
 
-def first_passage(y: Sequence[float], log_barrier: float, grid_dt: float,
-                  monitor_stride: int = 1) -> StopResult:
-    """First monitored time with statistic >= log_barrier, else censored.
-
-    Monitored indices are multiples of ``monitor_stride`` (index 0 included);
-    the censored stop time is the path horizon.
-    """
-    if monitor_stride < 1:
-        raise SpecValidationError("monitor_stride must be >= 1")
+def first_passage(y: Sequence[float], log_barrier: float,
+                  grid_dt: float) -> StopResult:
+    """First index with statistic >= log_barrier, else censored at the path
+    horizon."""
     y = np.asarray(y, dtype=float)
-    horizon = (len(y) - 1) * grid_dt
-    sub = y[::monitor_stride]
-    k = int(kernels.first_crossing(sub[None, :] >= log_barrier)[0])
+    k = int(kernels.first_crossing(y[None, :] >= log_barrier)[0])
     if k >= 0:
-        return StopResult(stop_time=k * monitor_stride * grid_dt, censored=False,
-                          stat_at_stop=float(sub[k]), steps_taken=k)
-    return StopResult(stop_time=horizon, censored=True,
-                      stat_at_stop=float(sub[-1]), steps_taken=len(sub) - 1)
+        return StopResult(stop_time=k * grid_dt, censored=False,
+                          stat_at_stop=float(y[k]), steps_taken=k)
+    return StopResult(stop_time=(len(y) - 1) * grid_dt, censored=True,
+                      stat_at_stop=float(y[-1]), steps_taken=len(y) - 1)
 
 
-def run_rule(config: DetectorConfig,
-             data: Union[LLRPath, IncrementSeries]) -> StopResult:
-    """Run the configured stopping rule over a path or increment series."""
+def _stride_of(delta: float, grid_dt: float) -> int:
+    k = delta / grid_dt
+    stride = int(round(k))
+    if stride < 1 or abs(k - stride) > 1e-9 * max(1.0, abs(k)):
+        raise AlignmentError(
+            f"delta {delta} is not an integer multiple of grid_dt {grid_dt}")
+    return stride
+
+
+def run_rule(config: DetectorConfig, llr: LLRPath) -> StopResult:
+    """Run the configured stopping rule over a log-likelihood path."""
     config.validate()
-
-    if config.rule in ("cusum_continuous", "cusum_grid", "shiryaev_roberts"):
-        if not isinstance(data, LLRPath):
-            raise ContractError(f"rule {config.rule!r} takes a log-likelihood path")
-        if config.rule == "cusum_continuous":
-            return first_passage(drawup(data), config.log_barrier, data.grid_dt)
-        stride = _stride_of(config.delta, data.grid_dt) if config.delta else 1
-        delta = stride * data.grid_dt
-        u = data.u_values[::stride]
-        if config.rule == "cusum_grid":
-            return first_passage(cusum_log_stats(u), config.log_barrier, delta)
-        # shiryaev_roberts: log R_k = u_k + log sum_{m<k} exp(-u_m); R_0 = 0
-        return first_passage(_after_origin(kernels.sr_log, u, -u[0]),
-                             config.log_barrier, delta)
-
-    # cusum_iid over an increment series
-    if not isinstance(data, IncrementSeries):
-        raise ContractError("rule 'cusum_iid' takes an increment series")
-    q0, q1 = config.iid_laws
-    # log S_k = max(log S_{k-1}, 0) + log L_k is the grid statistic of the
-    # cumulative log-likelihood started at 0
-    u = np.concatenate([[0.0], np.cumsum(llr_increment_iid(q0, q1, data.values))])
-    return first_passage(cusum_log_stats(u), config.log_barrier, data.delta)
+    if not isinstance(llr, LLRPath):
+        raise ContractError(f"rule {config.rule!r} takes a log-likelihood path")
+    if config.rule == "cusum_continuous":
+        return first_passage(drawup(llr), config.log_barrier, llr.grid_dt)
+    stride = _stride_of(config.delta, llr.grid_dt)
+    delta = stride * llr.grid_dt
+    u = llr.u_values[::stride]
+    if config.rule == "cusum_grid":
+        return first_passage(cusum_log_stats(u), config.log_barrier, delta)
+    # shiryaev_roberts: log R_k = u_k + log sum_{m<k} exp(-u_m); R_0 = 0
+    return first_passage(_after_origin(kernels.sr_log, u, -u[0]),
+                         config.log_barrier, delta)
 
 
 def mle_changepoint(s_path: Sequence[float], stop: StopResult) -> float:
@@ -190,9 +175,10 @@ def mle_changepoint(s_path: Sequence[float], stop: StopResult) -> float:
     if stop.steps_taken >= len(stats):
         raise ContractError("statistic path shorter than the stopping step")
     delta = stop.stop_time / stop.steps_taken if stop.steps_taken else 0.0
-    upto = stats[:stop.steps_taken + 1]
-    idx = np.nonzero(upto <= 0.0)[0]
-    return float(idx[-1] * delta)
+    lastref = np.zeros(1, dtype=np.int64)       # the origin reflects
+    # one row whose block starts at the origin: step k is entry k
+    kernels.last_reflection(stats[None, :], -1, np.array([stop.steps_taken]), lastref)
+    return float(lastref[0] * delta)
 
 
 def lattice_safe_barrier(log_barrier: float, phi_constant: float) -> float:

@@ -36,6 +36,7 @@ from .errors import (
     SpecValidationError,
 )
 from .model import ChangeModel
+from .paths import step_ratio
 from .report import EvalReport, Provenance
 
 __all__ = [
@@ -122,7 +123,7 @@ def _report(result: PathRunResult, model: ChangeModel, config: DetectorConfig,
 
 def monitoring_steps(horizon: float, dt: float) -> int:
     """The horizon in monitoring steps of width dt (at least one)."""
-    n_steps = int(round(horizon / dt))
+    n_steps = int(round(step_ratio(horizon, dt)))
     if n_steps < 1:
         raise ContractError(f"horizon {horizon} is shorter than one monitoring step {dt}")
     return n_steps
@@ -193,7 +194,11 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
         return DetectorConfig(rule=rule, log_barrier=h, delta=delta)
 
     spec, dt = _engine_rule(model, config(0.0))
-    n_steps = monitoring_steps(horizon, dt)
+    try:
+        n_steps = monitoring_steps(horizon, dt)
+    except ContractError as exc:
+        raise InfeasibleTargetError(
+            f"target {gamma} needs a censoring horizon of {horizon}: {exc}") from exc
     paths = batch_states(model, "pre", spec, dt, n_rep, seed, "calibrate", block=block,
                          threads=threads, records=True)
 
@@ -374,7 +379,7 @@ def dyadic_base_stride(base_delta: float, grid_dt: float) -> int:
 
 def dyadic_horizon_steps(horizon: float, grid_dt: float, base_stride: int) -> int:
     """The horizon in fine steps, trimmed to whole base steps (at least one)."""
-    n_steps = int(round(horizon / grid_dt))
+    n_steps = int(round(step_ratio(horizon, grid_dt)))
     n_steps -= n_steps % base_stride
     if n_steps < 1:
         raise ContractError(f"horizon {horizon} is shorter than one base step "
@@ -464,13 +469,16 @@ class CompareResult:
     gamma: float
     rows: Tuple[CompareRow, ...]
 
-    def cusum_leads(self, n_se: float = 3.0) -> bool:
+    def cusum_leads(self, n_se: float = 3.0) -> Optional[bool]:
         """Does every competitor's worst delay dominate the CUSUM's, within
-        the combined Monte Carlo uncertainty?"""
-        cusum = [r for r in self.rows if r.rule.startswith("cusum")]
-        others = [r for r in self.rows if not r.rule.startswith("cusum")]
+        the combined Monte Carlo uncertainty? Only rows calibrated to the
+        common budget, with a finite delay, are weighed; None when no such
+        CUSUM row or no such competitor is left."""
+        rows = [r for r in self.rows if r.calibrated and math.isfinite(r.worst_delay)]
+        cusum = [r for r in rows if r.rule.startswith("cusum")]
+        others = [r for r in rows if not r.rule.startswith("cusum")]
         if not cusum or not others:
-            return True
+            return None
         c = min(cusum, key=lambda r: r.worst_delay)
         return all(c.worst_delay <= o.worst_delay
                    + n_se * math.hypot(c.delay_se, o.delay_se)

@@ -1,4 +1,4 @@
-"""Log-likelihood-ratio paths and per-increment log-likelihoods.
+"""Log-likelihood-ratio paths.
 
 ``llr_path`` turns a simulated trajectory into the log-likelihood-ratio
 process U on the same grid. The Brownian exposure reads the continuous part
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -27,10 +27,6 @@ from .rng import RngStream
 __all__ = [
     "LLRPath",
     "llr_path",
-    "GaussianIncrements",
-    "PoissonCounts",
-    "IncrementLaw",
-    "llr_increment_iid",
     "martingale_check",
 ]
 
@@ -93,49 +89,6 @@ def llr_path(model: ChangeModel, path: SamplePath) -> LLRPath:
                    source_horizon=path.horizon,
                    source_stream=path.stream,
                    model_digest=model.digest())
-
-
-# --------------------------------------------------------------------------- #
-# i.i.d. increment laws for the discrete-time engine
-# --------------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class GaussianIncrements:
-    mean: float
-    sd: float
-    kind = "gaussian"
-
-
-@dataclass(frozen=True)
-class PoissonCounts:
-    rate: float
-    kind = "poisson"
-
-
-IncrementLaw = Union[GaussianIncrements, PoissonCounts]
-
-
-def llr_increment_iid(q0: IncrementLaw, q1: IncrementLaw, x):
-    """log dQ1/dQ0 at x for equivalent parametric increment laws.
-
-    Supported pairs: Gaussians with a common sd, and Poisson counts.
-    """
-    if q0.kind != q1.kind:
-        raise SpecValidationError(
-            f"increment laws {q0.kind!r} and {q1.kind!r} are not equivalent here")
-    x = np.asarray(x, dtype=float)
-    if q0.kind == "gaussian":
-        if q0.sd != q1.sd:
-            raise SpecValidationError("gaussian increment laws must share the sd")
-        if not (q0.sd > 0.0):
-            raise SpecValidationError("gaussian sd must be positive")
-        s2 = q0.sd ** 2
-        out = (q1.mean - q0.mean) / s2 * (x - 0.5 * (q0.mean + q1.mean))
-    else:
-        if not (q0.rate > 0.0 and q1.rate > 0.0):
-            raise SpecValidationError("poisson rates must be positive")
-        out = x * math.log(q1.rate / q0.rate) - (q1.rate - q0.rate)
-    return float(out) if out.ndim == 0 else out
 
 
 def martingale_check(model: ChangeModel, delta: float, n_rep: int,

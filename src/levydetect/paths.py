@@ -18,16 +18,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import AlignmentError, SpecValidationError
+from .errors import ContractError, SpecValidationError
 from .families import LevySpec
 from .model import ChangeModel
 from .rng import RngStream
 
 __all__ = [
     "SamplePath",
-    "IncrementSeries",
     "sample_changed_path",
-    "restrict_to_grid",
     "gamma_ledger_threshold",
 ]
 
@@ -66,27 +64,20 @@ class SamplePath:
         return len(self.values) - 1
 
 
-@dataclass(frozen=True)
-class IncrementSeries:
-    """Increments of a path over an equispaced coarse grid."""
-
-    delta: float
-    values: np.ndarray            # increments, one per coarse step
-
-
-def _stride_of(delta: float, grid_dt: float) -> int:
-    k = delta / grid_dt
-    stride = int(round(k))
-    if stride < 1 or abs(k - stride) > 1e-9 * max(1.0, abs(k)):
-        raise AlignmentError(
-            f"delta {delta} is not an integer multiple of grid_dt {grid_dt}")
-    return stride
+def step_ratio(horizon: float, dt: float) -> float:
+    """horizon / dt, which a step count rounds; it must be finite and below
+    2^63 so that the count fits an int64."""
+    ratio = horizon / dt
+    if not ratio < 2.0 ** 63:
+        raise ContractError(
+            f"horizon {horizon} is not a finite number of steps {dt} below 2^63")
+    return ratio
 
 
 def grid_steps(horizon: float, grid_dt: float) -> int:
     """Number of whole grid steps covering [0, horizon] (floor, with an
     epsilon guard against n*dt representing as a hair above horizon)."""
-    return int(math.floor(horizon / grid_dt + 1e-9))
+    return int(math.floor(step_ratio(horizon, grid_dt) + 1e-9))
 
 
 def gamma_ledger_threshold(activity: float, scale: float) -> float:
@@ -235,14 +226,3 @@ def sample_changed_path(model: ChangeModel, tau: float, horizon: float,
                       change_point=tau_t, horizon=horizon,
                       model_digest=model.digest(),
                       stream=(rng.master_seed, rng.stream_id))
-
-
-def restrict_to_grid(path: SamplePath, delta: float) -> IncrementSeries:
-    """Increments of the path over an equispaced coarse grid.
-
-    The coarse step must be an integer multiple of the simulation step; no
-    interpolation is ever performed.
-    """
-    stride = _stride_of(delta, path.grid_dt)
-    coarse = path.values[::stride]
-    return IncrementSeries(delta=stride * path.grid_dt, values=np.diff(coarse))

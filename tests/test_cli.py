@@ -223,6 +223,11 @@ def test_bad_config_field_exits_two_and_names_it(tmp_path, capsys, block, field,
     ("arl", "simulation", "n_rep", 1),
     ("lowerbound", "simulation", "n_rep", 1),
     ("converge", "simulation", "n_rep", 1),
+    ("arl", "simulation", "horizon", 1e308),
+    ("lorden", "simulation", "horizon", 1e308),
+    ("lowerbound", "simulation", "horizon", 1e308),
+    ("simulate", "simulation", "horizon", 1e308),
+    ("converge", "simulation", "horizon", 1e308),
 ])
 def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
                                                           block, field, value):
@@ -371,7 +376,30 @@ def test_calibrate_that_misses_rel_tol_exits_four(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_compare_flags_a_row_that_misses_rel_tol(tmp_path):
+# gamma 1e308 puts the censoring horizon 20 * gamma past any step count
+BEYOND_ANY_HORIZON = dict(MISSED_TOLERANCE,
+                          detector=dict(MISSED_TOLERANCE["detector"], gamma=1e308))
+
+
+def test_calibrate_to_a_target_beyond_any_horizon_exits_four(tmp_path, capsys):
+    code, out = _run(tmp_path, "calibrate", BEYOND_ANY_HORIZON, "cal")
+    assert code == 4
+    assert "target 1e+308 needs a censoring horizon" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_compare_flags_rows_whose_target_is_beyond_any_horizon(tmp_path):
+    code, out = _run(tmp_path, "compare", BEYOND_ANY_HORIZON, "cmp")
+    assert code == 0
+    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    assert [r["calibrated"] for r in summary["results"]["rows"]] == [False, False]
+    assert summary["results"]["cusum_leads"] is None
+
+
+def test_compare_flags_a_row_that_misses_rel_tol(tmp_path, capsys):
+    """The same run as examples_config/compare.json at n_rep 200 and
+    n_rep_calibrate 20. Both rows are flagged; their delays sit at other
+    false-alarm rates, so they decide nothing."""
     code, out = _run(tmp_path, "compare", MISSED_TOLERANCE, "cmp")
     assert code == 0
     rows = list(csv.DictReader(open(os.path.join(out, "report.csv"))))
@@ -379,3 +407,6 @@ def test_compare_flags_a_row_that_misses_rel_tol(tmp_path):
     assert rows[0]["rule"] == "cusum_grid" and rows[0]["calibrated"] == "false"
     assert summary["results"]["rows"][0]["calibrated"] is False
     assert float(rows[0]["gamma_achieved"]) == pytest.approx(44.7662, abs=1e-4)
+    assert [r["calibrated"] for r in summary["results"]["rows"]] == [False, False]
+    assert summary["results"]["cusum_leads"] is None
+    assert "cusum leads: undecided" in capsys.readouterr().out

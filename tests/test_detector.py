@@ -18,8 +18,8 @@ from levydetect.detector import (
     run_rule,
 )
 from levydetect.errors import ContractError, SpecValidationError, UndefinedEstimateError
-from levydetect.likelihood import GaussianIncrements, LLRPath, llr_path
-from levydetect.paths import IncrementSeries, sample_changed_path
+from levydetect.likelihood import LLRPath, llr_path
+from levydetect.paths import SamplePath, sample_changed_path
 from levydetect.rng import RngStream
 
 SEED = 5150
@@ -59,8 +59,8 @@ class TestFirstPassage:
     def test_stride_checks_only_every_kth_point(self):
         y = np.zeros(11)
         y[3] = 5.0          # spike visible only to stride-1 monitoring
-        fine = first_passage(y, 1.0, 1.0, monitor_stride=1)
-        coarse = first_passage(y, 1.0, 1.0, monitor_stride=5)
+        fine = first_passage(y, 1.0, 1.0)
+        coarse = first_passage(y[::5], 1.0, 5.0)
         assert fine.stop_time == pytest.approx(3.0)
         assert coarse.censored
 
@@ -190,22 +190,21 @@ class TestRunRule:
         assert math.exp(res.stat_at_stop) >= 20.0
 
     def test_iid_rule(self):
-        laws = (GaussianIncrements(0.0, 1.0), GaussianIncrements(1.0, 1.0))
-        series = IncrementSeries(delta=1.0, values=np.array([0.5, -1.0, 2.0, 2.0]))
-        res = run_rule(DetectorConfig("cusum_iid", 1.4, iid_laws=laws), series)
+        """I.i.d. observations 0.5, -1.0, 2.0, 2.0 under N(0,1) -> N(1,1): the
+        grid rule on their cumulative log-likelihoods (log l = x - 1/2) is the
+        classical recursion log S' = max(log S, 0) + log l."""
+        u = np.concatenate([[0.0], np.cumsum(np.array([0.5, -1.0, 2.0, 2.0]) - 0.5)])
+        res = run_rule(DetectorConfig("cusum_grid", 1.4, delta=1.0), _llr(u))
         assert not res.censored
         assert res.steps_taken == 3
         assert res.stat_at_stop == pytest.approx(1.5)
 
     def test_contract_errors(self):
-        with pytest.raises(ContractError):
-            run_rule(DetectorConfig("cusum_grid", 1.0, delta=1.0),
-                     IncrementSeries(delta=1.0, values=np.zeros(3)))
-        with pytest.raises(ContractError):
-            run_rule(DetectorConfig(
-                "cusum_iid", 1.0,
-                iid_laws=(GaussianIncrements(0.0, 1.0), GaussianIncrements(1.0, 1.0))),
-                _llr([0.0, 1.0]))
+        path = SamplePath(grid_dt=1.0, values=np.zeros(3), jump_times=np.empty(0),
+                          jump_sizes=np.empty(0), change_point=math.inf, horizon=2.0)
+        for rule in ("cusum_continuous", "cusum_grid", "shiryaev_roberts"):
+            with pytest.raises(ContractError):
+                run_rule(DetectorConfig(rule, 1.0, delta=1.0), path)
         with pytest.raises(SpecValidationError):
             DetectorConfig("cusum_grid", -1.0, delta=1.0).validate()
         with pytest.raises(SpecValidationError):

@@ -248,7 +248,7 @@ class TestCompare:
                       n_rep_calibrate=1500)
         assert len(res.rows) == 1
         assert res.rows[0].calibrated
-        assert res.cusum_leads()
+        assert res.cusum_leads() is None        # no competitor to weigh
 
     def test_cusum_beats_shiryaev_roberts(self, brownian_model):
         res = compare(brownian_model, 15.0,

@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from levydetect.errors import ContractError, SpecValidationError
+from levydetect.errors import ContractError
 from levydetect.families import LevySpec
-from levydetect.likelihood import (
-    GaussianIncrements,
-    PoissonCounts,
-    llr_increment_iid,
-    llr_path,
-    martingale_check,
-)
+from levydetect.likelihood import llr_path, martingale_check
 from levydetect.model import build_change_model
 from levydetect.paths import sample_changed_path
 from levydetect.rng import RngStream
@@ -152,33 +146,17 @@ class TestSlopes:
 
 
 class TestIncrementLaws:
-    def test_gaussian_values(self):
-        q0, q1 = GaussianIncrements(0.0, 1.0), GaussianIncrements(1.0, 1.0)
-        assert llr_increment_iid(q0, q1, 0.5) == pytest.approx(0.0, abs=1e-15)
-        assert llr_increment_iid(q0, q1, -1.0) == pytest.approx(-1.5)
-
-    def test_poisson_values(self):
-        q0, q1 = PoissonCounts(1.0), PoissonCounts(2.0)
-        assert llr_increment_iid(q0, q1, 3) == pytest.approx(3 * math.log(2.0) - 1.0)
-
-    def test_mixed_laws_rejected(self):
-        with pytest.raises(SpecValidationError):
-            llr_increment_iid(GaussianIncrements(0.0, 1.0), PoissonCounts(1.0), 0.0)
-        with pytest.raises(SpecValidationError):
-            llr_increment_iid(GaussianIncrements(0.0, 1.0),
-                              GaussianIncrements(0.0, 2.0), 0.0)
-
     def test_consistency_with_path_llr(self, brownian_model):
-        """exp(sum of per-increment log-likelihoods) equals exp(U) on the
-        Brownian family where both routes exist."""
+        """At the coarse points of step delta, U is the running sum of the
+        Brownian increment log-likelihoods: N(0, delta) -> N(delta, delta)
+        gives log l(x) = (mu1 - mu0) / sd^2 * (x - (mu0 + mu1) / 2) on each
+        coarse increment x of the path."""
         p = sample_changed_path(brownian_model, math.inf, 2.0, 0.01, RngStream(SEED, 8))
         u = llr_path(brownian_model, p).u_values
         delta = 0.1
-        from levydetect.paths import restrict_to_grid
-        series = restrict_to_grid(p, delta)
-        q0 = GaussianIncrements(0.0, math.sqrt(delta))
-        q1 = GaussianIncrements(1.0 * delta, math.sqrt(delta))
-        logs = llr_increment_iid(q0, q1, series.values)
+        mu0, mu1, sd = 0.0, 1.0 * delta, math.sqrt(delta)
+        x = np.diff(p.values[::10])
+        logs = (mu1 - mu0) / sd ** 2 * (x - 0.5 * (mu0 + mu1))
         total = np.cumsum(logs)
         coarse_u = u[10::10]
         assert np.allclose(total, coarse_u, rtol=1e-10, atol=1e-10)

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from levydetect.detector import (
+    CusumState,
+    DetectorConfig,
+    cusum_log_stats,
+    cusum_update,
+    first_passage,
+    run_rule,
+)
 from levydetect.errors import AlignmentError, InadmissibleModelError, SpecValidationError
 from levydetect.families import LevySpec
+from levydetect.likelihood import LLRPath, llr_path
 from levydetect.model import build_change_model
-from levydetect.paths import (
-    IncrementSeries,
-    SamplePath,
-    gamma_ledger_threshold,
-    restrict_to_grid,
-    sample_changed_path,
-)
+from levydetect.paths import gamma_ledger_threshold, sample_changed_path
 from levydetect.rng import RngStream
 
 SEED = 20260808
@@ -147,43 +150,59 @@ class TestChangeInjection:
 
 
 class TestRestrictToGrid:
+    """A grid rule reads the path at the multiples of its stride delta /
+    grid_dt; no interpolation is ever performed."""
+
+    @staticmethod
+    def _grid(llr, delta, log_barrier=1.0):
+        return run_rule(DetectorConfig("cusum_grid", log_barrier, delta=delta), llr)
+
     def test_identity_at_simulation_step(self, brownian_model):
         p = sample_changed_path(brownian_model, math.inf, 2.0, 0.1,
                                 RngStream(SEED, 7))
-        series = restrict_to_grid(p, 0.1)
-        assert np.array_equal(series.values, np.diff(p.values))
+        llr = llr_path(brownian_model, p)
+        assert self._grid(llr, 0.1) == first_passage(cusum_log_stats(llr.u_values),
+                                                     1.0, 0.1)
 
     def test_single_increment_at_horizon(self, brownian_model):
         p = sample_changed_path(brownian_model, math.inf, 2.0, 0.1,
                                 RngStream(SEED, 7))
-        series = restrict_to_grid(p, 2.0)
-        assert len(series.values) == 1
-        assert series.values[0] == pytest.approx(p.values[-1] - p.values[0])
+        llr = llr_path(brownian_model, p)
+        res = self._grid(llr, 2.0, log_barrier=0.0)
+        assert res.steps_taken == 1
+        assert res.stop_time == pytest.approx(2.0)
+        assert res.stat_at_stop == pytest.approx(llr.u_values[-1] - llr.u_values[0])
 
     def test_small_example(self):
-        p = SamplePath(grid_dt=1.0, values=np.array([0.0, 1.0, 3.0, 6.0]),
-                       jump_times=np.empty(0), jump_sizes=np.empty(0),
-                       change_point=math.inf, horizon=3.0)
         with pytest.raises(AlignmentError):
-            restrict_to_grid(p, 1.5)
-        series = restrict_to_grid(SamplePath(
-            grid_dt=1.0, values=np.array([0.0, 1.0, 3.0, 6.0, 10.0]),
-            jump_times=np.empty(0), jump_sizes=np.empty(0),
-            change_point=math.inf, horizon=4.0), 2.0)
-        assert np.array_equal(series.values, [3.0, 7.0])
+            self._grid(LLRPath(grid_dt=1.0, u_values=np.array([0.0, 1.0, 3.0, 6.0])), 1.5)
+        llr = LLRPath(grid_dt=1.0, u_values=np.array([0.0, 1.0, 3.0, 6.0, 10.0]))
+        res = self._grid(llr, 2.0, log_barrier=5.0)
+        assert (res.steps_taken, res.stop_time, res.stat_at_stop) == (2, 4.0, 10.0)
 
     def test_reconstruction(self, jump_diffusion_model):
+        """The grid rule at delta is the discrete-time CUSUM recursion over
+        the path's increments of U across the coarse steps."""
         p = sample_changed_path(jump_diffusion_model, 1.0, 4.0, 0.01,
                                 RngStream(SEED, 3))
-        series = restrict_to_grid(p, 0.2)
-        rebuilt = np.concatenate([[0.0], np.cumsum(series.values)])
-        coarse = p.values[::20]
-        assert np.allclose(rebuilt, coarse, rtol=1e-12, atol=1e-12)
+        llr = llr_path(jump_diffusion_model, p)
+        res = self._grid(llr, 0.2)
+        state = CusumState()
+        for log_l in np.diff(llr.u_values[::20]):
+            state = cusum_update(state, log_l)
+            if state.log_stat >= 1.0:
+                break
+        assert not res.censored
+        assert res.steps_taken == state.steps
+        assert res.stat_at_stop == pytest.approx(state.log_stat, rel=1e-12, abs=1e-12)
 
     def test_nested_grid_consistency(self, jump_diffusion_model):
+        """Restricting to 0.1 and then to 0.2 is restricting to 0.2."""
         p = sample_changed_path(jump_diffusion_model, 1.0, 4.0, 0.01,
                                 RngStream(SEED, 3))
-        fine = restrict_to_grid(p, 0.1)
-        twice = fine.values.reshape(-1, 2).sum(axis=1)
-        coarse = restrict_to_grid(p, 0.2)
-        assert np.allclose(twice, coarse.values, rtol=1e-12, atol=1e-12)
+        llr = llr_path(jump_diffusion_model, p)
+        fine = LLRPath(grid_dt=0.1, u_values=llr.u_values[::10])
+        once, twice = self._grid(llr, 0.2), self._grid(fine, 0.2)
+        assert (once.steps_taken, once.stat_at_stop) == (twice.steps_taken,
+                                                          twice.stat_at_stop)
+        assert once.stop_time == pytest.approx(twice.stop_time)
