@@ -147,10 +147,14 @@ def _cmd_simulate(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
     model.require_admissible()
     sim, tau = cfg.simulation, cfg.experiment["tau"]
-    _field_check("simulation.horizon", grid_steps, sim["horizon"], sim["grid_dt"])
+    n = _field_check("simulation.horizon", grid_steps, sim["horizon"], sim["grid_dt"])
     rng = RngStream(sim["master_seed"], stream_id("path", 0))
-    path = sample_changed_path(model, math.inf if tau is None else tau,
-                               sim["horizon"], sim["grid_dt"], rng)
+    try:
+        path = sample_changed_path(model, math.inf if tau is None else tau,
+                                   sim["horizon"], sim["grid_dt"], rng)
+    except MemoryError as exc:
+        raise SpecValidationError(f"simulation.horizon: path of {n + 1} grid points "
+                                  "does not fit in memory") from exc
     files = {
         "path_dump.csv": ([{"t": float(tt), "x": float(xx)}
                            for tt, xx in zip(path.times, path.values)], ["t", "x"]),

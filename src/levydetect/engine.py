@@ -8,15 +8,18 @@ alone) and draws each kind of variate from its own substream, so every draw
 is a function of its step index only, whatever the schedule that draws it.
 For the jump families one table, :func:`_jump_sides`, names the substreams
 of each side of the jump law, whose closed forms come from the law itself;
-the sampler and :func:`substream_components` both read it.
+the sampler and :func:`substream_components` both read it. The sampler
+fills a whole (rows, steps) block per call: only the generator calls run
+per row, writing into the block, and the arithmetic runs once per block, so
+a block holds the bits of its rows drawn one by one.
 
 A :class:`BatchState` holds one batch's streams, carries and steps. It
 advances its rows to a step, or until each reaches a barrier, drawing and
 scanning exactly the sub-blocks they need (64, 128, 256, ... steps, capped at
-the chunk width), so a path costs up to about twice its stopping step and can
-be resumed at any step. :func:`run_paths` drives it for one stopping rule;
-:func:`run_dyadic` scans several monitoring strides of one fine path in its
-own loop. Results depend on neither the worker count nor the chunk width."""
+the chunk width) with one sampler call per sub-block, so a path costs up to
+about twice its stopping step and can be resumed at any step.
+:func:`run_paths` drives it for one stopping rule; :func:`run_dyadic` scans
+several monitoring strides of one fine path in its own loop. Results depend on neither the worker count nor the chunk width."""
 
 from __future__ import annotations
 
@@ -113,8 +116,9 @@ def _jump_sides(model: ChangeModel, spec: LevySpec, dt: float) -> list:
     """The stream contract of a compound-Poisson or jump-diffusion pair: one
     row per side of the jump law of ``spec``, positive side first, (count
     component, mark component, jump rate * dt, and the law's c0 and marks of
-    the side). ``marks(gen, n)`` draws the marks of ``n`` jumps per step from
-    ``gen``; a step's jumps add c0 * n + marks(gen, n) to its phi-sum."""
+    the side). ``marks(gens, n)`` draws a block of the marks of ``n`` jumps
+    per step, row j from ``gens[j]``; a step's jumps add c0 * n + marks to
+    its phi-sum."""
     lam_dt = spec.intensity * dt
     return [(count, mark, lam_dt * weight, c0, marks)
             for (count, mark), (weight, c0, marks)
@@ -134,14 +138,19 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     """Exact sampler for log-likelihood increments over one monitoring step.
 
     ``regime`` is 'pre' (no change yet) or 'post' (changed from the start).
-    The sampler is called as ``sampler(gens, size)``, ``gens`` being one
-    replication's substream generators indexed by component
-    (:meth:`RngStream.substreams` of :func:`substream_components`). Each
-    component feeds one kind of variate, one value per step: BM the Brownian
-    normals (and the gamma family's gamma variates), and each side of a jump
-    law its counts and its marks (:func:`_jump_sides`). That assignment is the
-    stream contract; it makes the increments of successive calls continue one
-    sequence whatever the call sizes.
+    The sampler is called as ``sampler(gens_rows, (rows, steps))`` and
+    returns a ``(rows, steps)`` block: row j holds the next ``steps``
+    increments of the replication whose substream generators, indexed by
+    component (:meth:`RngStream.substreams` of :func:`substream_components`),
+    are ``gens_rows[j]``. Each component feeds one kind of variate, one value
+    per step: BM the Brownian normals (and the gamma family's gamma
+    variates), and each side of a jump law its counts and its marks
+    (:func:`_jump_sides`). That assignment is the stream contract; it makes
+    the increments of successive calls continue one sequence per row whatever
+    the call sizes and whichever rows share a call. Only the generator calls
+    run per row, each writing into its row of the block; the arithmetic then
+    runs once on the block, in place, in the order of operations of the
+    one-row expression.
     """
     model.require_admissible()
     if regime not in ("pre", "post"):
@@ -150,28 +159,56 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     bm_sd = _bm_sd(model, dt)
     bm_mean = (0.5 if regime == "post" else -0.5) * (model.alpha * model.sigma) ** 2 * dt
 
+    def brownian(gens_rows, size) -> np.ndarray:    # bm_mean + bm_sd * z
+        z = np.empty(size)
+        for gens, row in zip(gens_rows, z):
+            gens[BM].standard_normal(out=row)
+        z *= bm_sd
+        z += bm_mean
+        return z
+
     if model.phi is None:
-        def draw(gens, size: int) -> np.ndarray:
-            return bm_mean + bm_sd * gens[BM].standard_normal(size)
-        return draw
+        return brownian
 
     comp_dt = model.comp_rate * dt
 
     if spec.family == "gamma":
         shape, theta, c1 = spec.activity * dt, spec.scale, model.phi.pos[1]
 
-        def draw(gens, size: int) -> np.ndarray:
-            return c1 * gens[BM].gamma(shape, theta, size) - comp_dt
+        def draw(gens_rows, size) -> np.ndarray:    # c1 * gamma(shape, theta) - comp_dt
+            g = np.empty(size)
+            for gens, row in zip(gens_rows, g):
+                gens[BM].standard_gamma(shape, out=row)
+            g *= theta                      # gamma(shape, theta), bit for bit
+            g *= c1
+            g -= comp_dt
+            return g
         return draw
 
     sides, has_bm = _jump_sides(model, spec, dt), bm_sd > 0.0
 
-    def draw(gens, size: int) -> np.ndarray:
-        out = bm_mean + bm_sd * gens[BM].standard_normal(size) if has_bm else bm_mean
-        for count, mark, rate_dt, c0, marks in sides:
-            n = gens[count].poisson(rate_dt, size)
-            out = out + (c0 * n + marks(gens[mark], n))
-        return out - comp_dt
+    def side_sum(gens_rows, size, count, mark, rate_dt, c0, marks) -> np.ndarray:
+        n = np.empty(size)                          # counts, exact in a float block
+        for gens, row in zip(gens_rows, n):
+            row[:] = gens[count].poisson(rate_dt, size[1])
+        m = marks([gens[mark] for gens in gens_rows], n)
+        n *= c0
+        n += m
+        return n                                    # c0 * n + marks
+
+    def draw(gens_rows, size) -> np.ndarray:
+        # (bm + side_0) + side_1 ... - comp_dt: the sides are drawn first, so
+        # no more than three blocks are held at once
+        parts = [side_sum(gens_rows, size, *side) for side in sides]
+        if has_bm:
+            out = brownian(gens_rows, size)
+        else:
+            out = parts.pop(0)
+            out += bm_mean
+        for part in parts:
+            out += part
+        out -= comp_dt
+        return out
     return draw
 
 
@@ -179,7 +216,7 @@ def sample_u_increments(model: ChangeModel, regime: str, dt: float,
                         n: int, rng: RngStream) -> np.ndarray:
     """n independent log-likelihood increments over one step (one stream)."""
     gens = rng.substreams(substream_components(model, dt))
-    return make_u_sampler(model, regime, dt)(gens, n)
+    return make_u_sampler(model, regime, dt)([gens], (1, n))[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -197,11 +234,9 @@ def block_end(pos: int, chunk: int = CHUNK, unit: int = 1) -> int:
 
 
 def _draw(sampler, gens, rows: np.ndarray, start: int, end: int) -> np.ndarray:
-    """Increments of steps start + 1 .. end for the batch rows ``rows``."""
-    inc = np.empty((rows.size, end - start))
-    for j, idx in enumerate(rows):
-        inc[j] = sampler(gens[idx], end - start)
-    return inc
+    """Increments of steps start + 1 .. end for the batch rows ``rows``: one
+    sampler call for the whole block."""
+    return sampler([gens[i] for i in rows.tolist()], (rows.size, end - start))
 
 
 class BatchState:

@@ -17,9 +17,11 @@ likelihood object has a closed form. Each law owns its closed forms against
 a law of its own kind: the pieces (c0, c1) of phi = c0 + c1 * x per side,
 positive side first, without the log-intensity term (``phi_pieces``); the
 Hellinger integral at two intensities; the phi-mean; per side the (weight,
-c0, marks) triple of one step's phi-sum (``step_sides``); and ledger jump
-sizes. ``phi`` arguments are the pair's density ratio, whose ``pos``/``neg``
-pieces include the log-intensity term.
+c0, marks) triple of one step's phi-sum (``step_sides``), whose ``marks(gens,
+n)`` draws the marks of a whole block of jump counts ``n``, row j from
+generator ``gens[j]``; and ledger jump sizes. ``phi`` arguments are the
+pair's density ratio, whose ``pos``/``neg`` pieces include the log-intensity
+term.
 """
 
 from __future__ import annotations
@@ -96,10 +98,22 @@ class GaussianJumps:
         return c0 + c1 * self.mean
 
     def step_sides(self, phi) -> list:
-        """The c1 part of n marks' phi-sum is c1 times an N(mean n, sd^2 n) draw."""
+        """The c1 part of n marks' phi-sum is c1 times an N(mean n, sd^2 n)
+        draw: c1 * (mean * n + sd * sqrt(n) * z), z standard normal."""
         (c0, c1), mean, sd = phi.pos, self.mean, self.sd
-        return [(1.0, c0, lambda gen, n: c1 * (
-            mean * n + sd * np.sqrt(n) * gen.standard_normal(n.size)))]
+
+        def marks(gens, n: np.ndarray) -> np.ndarray:
+            z = np.empty_like(n)
+            for gen, row in zip(gens, z):
+                gen.standard_normal(out=row)
+            t = np.sqrt(n)
+            t *= sd
+            t *= z
+            np.multiply(n, mean, out=z)
+            z += t
+            z *= c1
+            return z
+        return [(1.0, c0, marks)]
 
     def jump_sizes(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.normal(self.mean, self.sd, size=n)
@@ -145,7 +159,13 @@ class _ExponentialSides:
     def step_sides(self, phi) -> list:
         """A sum of n Exp(rate) marks is a Gamma(n) draw over the rate."""
         def gamma_sum(scale: float):
-            return lambda gen, n: scale * gen.standard_gamma(n)
+            def marks(gens, n: np.ndarray) -> np.ndarray:
+                g = np.empty_like(n)
+                for gen, shape, row in zip(gens, n, g):
+                    gen.standard_gamma(shape, out=row)
+                g *= scale
+                return g
+            return marks
 
         return [(w, c0, gamma_sum(s * (c1 / r)))
                 for (s, w, r), (c0, c1) in zip(self.sides, (phi.pos, phi.neg))]

@@ -15,6 +15,7 @@ alone: the values do not depend on how many steps are drawn per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,11 +54,22 @@ class _Key(ISeedSequence):
 
     __slots__ = ("key",)
 
-    def __init__(self, key: np.ndarray):
+    def __init__(self, key: Tuple[int, int]):
         self.key = key
 
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.key        # Philox asks for exactly its two uint64 key words
+    def generate_state(self, n_words, dtype=np.uint32) -> Tuple[int, int]:
+        # Philox asks for exactly its two uint64 key words and copies them
+        # one by one, so plain ints (range-checked there) need no array
+        return self.key
+
+
+@lru_cache(maxsize=16)
+def _counter(component: int) -> np.ndarray:
+    """The Philox counter [0, 0, 0, component], built once per component;
+    Philox copies it, so one read-only array serves every stream."""
+    counter = np.array([0, 0, 0, component], dtype=np.uint64)
+    counter.flags.writeable = False
+    return counter
 
 
 @dataclass(frozen=True)
@@ -70,9 +82,8 @@ class RngStream:
     component: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-        counter = np.array([0, 0, 0, self.component], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(_Key(key), counter=counter))
+        return np.random.Generator(np.random.Philox(
+            _Key((self.master_seed, self.stream_id)), counter=_counter(self.component)))
 
     def substreams(self, components: Sequence[int]
                    ) -> Tuple[Optional[np.random.Generator], ...]:

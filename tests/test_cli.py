@@ -78,6 +78,18 @@ class TestSimulate:
         first = open(os.path.join(out, "path_dump.csv")).readline().strip()
         assert first == "t,x"
 
+    def test_path_beyond_memory_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        """Horizon 1e15 at grid 0.01 asks for about 700 PiB of grid points,
+        which no allocator grants, so the request fails at once."""
+        examples = os.path.join(os.path.dirname(__file__), "..", "examples_config")
+        payload = json.loads(open(os.path.join(examples, "brownian.json")).read())
+        payload["simulation"]["horizon"] = 1e15
+        code, out = _run(tmp_path, "simulate", payload, "huge")
+        assert code == 2
+        assert ("simulation.horizon: path of 100000000000000001 grid points does not "
+                "fit in memory") in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestArl:
     PAYLOAD = {

@@ -76,7 +76,7 @@ class TestSamplers:
         rng = RngStream(SEED, stream_id("arl", 5))
         gens = rng.substreams(engine.substream_components(model, dt))
         sampler = engine.make_u_sampler(model, regime, dt)
-        got = np.concatenate([sampler(gens, 700), sampler(gens, 1300)])
+        got = np.concatenate([sampler([gens], (1, 700))[0], sampler([gens], (1, 1300))[0]])
         fresh = [RngStream(SEED, rng.stream_id, c).generator() for c in range(5)]
         assert np.array_equal(got, _per_family_increments(model, regime, dt, fresh, 2000))
 
@@ -94,8 +94,27 @@ class TestSamplers:
         gens = tuple(None if g is None else _RecordingGenerator(g)
                      for g in RngStream(SEED, 9).substreams(components))
         assert [c for c, g in enumerate(gens) if g is not None] == list(components)
-        engine.make_u_sampler(model, regime, dt)(gens, 500)
+        engine.make_u_sampler(model, regime, dt)([gens], (1, 500))
         assert all(gens[c].used for c in components)
+
+    @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
+    @pytest.mark.parametrize("regime", ["pre", "post"])
+    def test_block_call_equals_single_row_calls(self, fixture, regime, request):
+        """A call over b rows gives, bit for bit, the b rows of single-row
+        calls, also when successive calls draw different subsets of rows."""
+        model = request.getfixturevalue(fixture)
+        components = engine.substream_components(model, 0.1)
+        sampler = engine.make_u_sampler(model, regime, 0.1)
+
+        def streams():
+            return [RngStream(SEED, stream_id("arl", i)).substreams(components)
+                    for i in range(6)]
+        block_gens, row_gens = streams(), streams()
+        for rows, steps in (([0, 1, 2, 3, 4, 5], 64), ([4, 1], 128), ([5, 0, 4], 37)):
+            block = sampler([block_gens[i] for i in rows], (len(rows), steps))
+            assert block.shape == (len(rows), steps)
+            for j, i in enumerate(rows):
+                assert np.array_equal(block[j], sampler([row_gens[i]], (1, steps))[0])
 
     @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
     @pytest.mark.parametrize("regime", ["pre", "post"])
@@ -200,24 +219,18 @@ class TestRunPaths:
                                                         monkeypatch):
         """A path draws only the sub-blocks it scans: 64 steps, then blocks
         that double, so at most twice its stopping step plus one first block
-        (a censored path consumes the whole horizon)."""
-        drawn = []
-        make_u_sampler = engine.make_u_sampler
-
-        def counting_make_u_sampler(*args):
-            draw = make_u_sampler(*args)
-
-            def sampler(gens, size):
-                drawn.append(size)
-                return draw(gens, size)
-            return sampler
-        monkeypatch.setattr(engine, "make_u_sampler", counting_make_u_sampler)
+        (a censored path consumes the whole horizon). Each sampler call draws
+        every row of one scanned sub-block, so there are no more calls than
+        scans."""
+        drawn = _count_draws(monkeypatch)
+        scans = _count_calls(monkeypatch, kernels, "cusum_scan")
         n_steps, n_rep = 5000, 1500
         res = run_paths(request.getfixturevalue(fixture), "pre",
                         RuleSpec(kind="cusum", log_barrier=2.0), 0.05, n_steps,
                         n_rep, SEED, "arl")
         consumed = int(np.where(res.censored, n_steps, res.stop_steps).sum())
         assert 0 < sum(drawn) <= 2 * consumed + 64 * n_rep
+        assert 0 < len(drawn) <= len(scans) < n_rep
 
     @pytest.mark.parametrize("regime", ["pre", "post"])
     def test_collect_lb_does_not_change_cusum_outputs(self, brownian_model, regime):
@@ -282,23 +295,16 @@ class TestRunDyadic:
                                                       monkeypatch):
         """A path draws sub-blocks of SUB_BLOCK * lcm steps, then doubling,
         only until its last stop over strides and conventions: at most twice
-        that step plus one first block."""
-        drawn = []
-        make_u_sampler = engine.make_u_sampler
-
-        def counting_make_u_sampler(*args):
-            draw = make_u_sampler(*args)
-
-            def sampler(gens, size):
-                drawn.append(size)
-                return draw(gens, size)
-            return sampler
-        monkeypatch.setattr(engine, "make_u_sampler", counting_make_u_sampler)
+        that step plus one first block. Each sampler call draws every live
+        row of one sub-block, so there are no more calls than scans."""
+        drawn = _count_draws(monkeypatch)
+        scans = _count_calls(monkeypatch, kernels, "cumulative")
         dt, strides, n_rep = 0.01, [20, 10, 1], 300
         stops, strict = run_dyadic(request.getfixturevalue(fixture), "post", 2.0, dt,
                                    6000, strides, n_rep, SEED)
         needed = np.rint(np.max(stops + strict, axis=0) / dt).astype(np.int64)
         assert 0 < sum(drawn) <= 2 * needed.sum() + engine.SUB_BLOCK * 20 * n_rep
+        assert 0 < len(drawn) <= len(scans) < n_rep
 
     def test_threads_do_not_change_results(self, jump_diffusion_model):
         n_rep = engine.BATCH + 76          # two batches
@@ -370,14 +376,41 @@ class TestBatchState:
         assert cals[0] == cals[1]
 
 
+def _count_draws(monkeypatch) -> list:
+    """The number of increments each sampler call of the engine draws."""
+    drawn = []
+    make_u_sampler = engine.make_u_sampler
+
+    def counting_make_u_sampler(*args):
+        draw = make_u_sampler(*args)
+
+        def sampler(gens_rows, size):
+            drawn.append(math.prod(size))
+            return draw(gens_rows, size)
+        return sampler
+    monkeypatch.setattr(engine, "make_u_sampler", counting_make_u_sampler)
+    return drawn
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """One entry per call of ``module.name``."""
+    calls, fn = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(None)
+        return fn(*args)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def _whole_horizon_dyadic(model, regime, log_barrier, dt, n_steps, strides, n_rep):
     """run_dyadic over whole-horizon draws: one sampler call per path, the
     cumulative sum of all its increments, then the reflected statistic at
     each stride under both stopping conventions."""
     sampler = engine.make_u_sampler(model, regime, dt)
     components = engine.substream_components(model, dt)
-    uu = np.cumsum([sampler(RngStream(SEED, stream_id("converge", i)).substreams(
-        components), n_steps) for i in range(n_rep)], axis=1)
+    uu = np.cumsum([sampler([RngStream(SEED, stream_id("converge", i)).substreams(
+        components)], (1, n_steps))[0] for i in range(n_rep)], axis=1)
     out, out_strict = [], []
     for s in strides:
         y = kernels.reflected(uu[:, s - 1::s], np.zeros(n_rep))
