@@ -288,10 +288,15 @@ def _cmd_converge(cfg: ExperimentConfig) -> Outcome:
     base_stride = _field_check(base_field, dyadic_base_stride, base_delta, grid_dt)
     _field_check("simulation.horizon", dyadic_horizon_steps, horizon, grid_dt, base_stride)
     _field_check(base_field, dyadic_strides, base_stride, exp["dyadic_levels"])
-    res = convergence_study(model, float(det["log_barrier"]),
-                            exp["dyadic_levels"], sim["n_rep"],
-                            sim["master_seed"], float(base_delta), grid_dt, horizon,
-                            regime=exp["regime"], threads=sim["threads"])
+    try:
+        res = convergence_study(model, float(det["log_barrier"]),
+                                exp["dyadic_levels"], sim["n_rep"],
+                                sim["master_seed"], float(base_delta), grid_dt, horizon,
+                                regime=exp["regime"], threads=sim["threads"])
+    except MemoryError as exc:
+        # every sub-block the study draws is at least one base step wide
+        raise SpecValidationError(f"{base_field}: a base step of {base_stride} grid "
+                                  "steps per path does not fit in memory") from exc
     rows = [{"delta": lv.delta, "stride": lv.stride, "mean_stop": lv.mean_stop,
              "std_error": lv.std_error, "mean_gap": lv.mean_gap}
             for lv in list(res.levels) + [res.reference]]

@@ -8,18 +8,23 @@ alone) and draws each kind of variate from its own substream, so every draw
 is a function of its step index only, whatever the schedule that draws it.
 For the jump families one table, :func:`_jump_sides`, names the substreams
 of each side of the jump law, whose closed forms come from the law itself;
-the sampler and :func:`substream_components` both read it. The sampler
-fills a whole (rows, steps) block per call: only the generator calls run
-per row, writing into the block, and the arithmetic runs once per block, so
-a block holds the bits of its rows drawn one by one.
+the sampler and :func:`substream_components` both read it; a side whose
+mark coefficient is 0 has no mark substream, so nothing is drawn only to be
+multiplied by 0. The sampler fills a whole (rows, steps) block per call:
+only the generator calls run per row, writing into the block, and the
+arithmetic runs once per block, so a block holds the bits of its rows drawn
+one by one.
 
 A :class:`BatchState` holds one batch's streams, carries and steps. It
 advances its rows to a step, or until each reaches a barrier, drawing and
-scanning exactly the sub-blocks they need (64, 128, 256, ... steps, capped at
-the chunk width) with one sampler call per sub-block, so a path costs up to
-about twice its stopping step and can be resumed at any step.
-:func:`run_paths` drives it for one stopping rule; :func:`run_dyadic` scans
-several monitoring strides of one fine path in its own loop. Results depend on neither the worker count nor the chunk width."""
+scanning exactly the sub-blocks they need with one sampler call per
+sub-block, and can be resumed at any step. Sub-blocks are 64 steps wide up
+to step 256 and their width doubles each time the step quadruples (128 up to
+1024, 256 up to 4096, ...), capped at the chunk width: a path that stops at
+step k draws at most max(64, sqrt(64 k)) steps past it, in about
+3 sqrt(k / 64) sampler calls. :func:`run_paths` drives it for one stopping rule;
+:func:`run_dyadic` scans several monitoring strides of one fine path in its
+own loop. Results depend on neither the worker count nor the chunk width."""
 
 from __future__ import annotations
 
@@ -85,8 +90,9 @@ class PathRunResult:
     n_steps: int
     stop_steps: np.ndarray        # global step of the stop; -1 = censored
     stat: np.ndarray              # log statistic at the stop (NaN if censored/fixed)
-    last_reflect: np.ndarray      # last step with log-statistic <= 0 (cusum, with or
-                                  # without collect_lb; 0 for sr and fixed)
+    last_reflect: Optional[np.ndarray]  # last step with log-statistic <= 0 (cusum,
+                                  # with or without collect_lb; 0 for sr and fixed);
+                                  # None unless the run kept it (run_paths' last_reflect)
     lb_num: Optional[np.ndarray] = None
     lb_den: Optional[np.ndarray] = None
 
@@ -101,6 +107,8 @@ class PathRunResult:
 
     @property
     def tau_hat(self) -> np.ndarray:
+        if self.last_reflect is None:
+            raise ContractError("tau_hat needs a run that kept its last reflections")
         return np.where(self.censored, np.nan, self.last_reflect * self.dt)
 
 
@@ -116,9 +124,10 @@ def _jump_sides(model: ChangeModel, spec: LevySpec, dt: float) -> list:
     """The stream contract of a compound-Poisson or jump-diffusion pair: one
     row per side of the jump law of ``spec``, positive side first, (count
     component, mark component, jump rate * dt, and the law's c0 and marks of
-    the side). ``marks(gens, n)`` draws a block of the marks of ``n`` jumps
-    per step, row j from ``gens[j]``; a step's jumps add c0 * n + marks to
-    its phi-sum."""
+    the side). ``marks(gens, n)`` draws the c1 part of the phi-sum of a
+    block of ``n`` jumps per step, row j from ``gens[j]``; a step's jumps
+    add c0 * n + marks to its phi-sum. A side whose c1 is 0 has no marks
+    (None): its phi-sum is c0 * n and its mark component is not drawn from."""
     lam_dt = spec.intensity * dt
     return [(count, mark, lam_dt * weight, c0, marks)
             for (count, mark), (weight, c0, marks)
@@ -130,7 +139,8 @@ def substream_components(model: ChangeModel, dt: float) -> Tuple[int, ...]:
     from, in increasing order."""
     if model.phi is None or model.pre.family == "gamma":
         return (BM,)
-    jumps = sorted(c for side in _jump_sides(model, model.pre, dt) for c in side[:2])
+    jumps = sorted(c for count, mark, *_, marks in _jump_sides(model, model.pre, dt)
+                   for c in ((count,) if marks is None else (count, mark)))
     return ((BM,) if _bm_sd(model, dt) > 0.0 else ()) + tuple(jumps)
 
 
@@ -191,6 +201,9 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
         n = np.empty(size)                          # counts, exact in a float block
         for gens, row in zip(gens_rows, n):
             row[:] = gens[count].poisson(rate_dt, size[1])
+        if marks is None:                           # c1 = 0: no mark is drawn
+            n *= c0
+            return n                                # c0 * n
         m = marks([gens[mark] for gens in gens_rows], n)
         n *= c0
         n += m
@@ -224,12 +237,17 @@ def sample_u_increments(model: ChangeModel, regime: str, dt: float,
 # --------------------------------------------------------------------------- #
 
 def block_end(pos: int, chunk: int = CHUNK, unit: int = 1) -> int:
-    """End of the sub-block holding step pos + 1. Sub-blocks are SUB_BLOCK *
-    unit steps, then double up to ``chunk`` steps rounded down to whole units."""
+    """End of the sub-block holding step pos + 1. Sub-blocks are w = SUB_BLOCK
+    * unit steps wide up to step 4w, and their width doubles each time the
+    step quadruples (2w up to step 16w, 4w up to 64w, ...), capped at
+    ``chunk`` steps rounded down to whole units. From step 4w on, the width
+    at step k is at most sqrt(w * k): a path that stops at step k draws at
+    most max(w, sqrt(w * k)) steps past it, in about 3 sqrt(k / w) sub-blocks."""
     cap = max(unit, chunk - chunk % unit)
     start, width = 0, min(SUB_BLOCK * unit, cap)
-    while start + width <= pos and width < cap:
-        start, width = start + width, min(2 * width, cap)
+    end = 4 * width                 # where the width next doubles
+    while width < cap and pos >= end:
+        start, width, end = end, min(2 * width, cap), 4 * end
     return start + width * ((pos - start) // width + 1)
 
 
@@ -243,22 +261,26 @@ class BatchState:
     """One batch of replications, resumable at any step: the substream
     generators, each row's carries (``CARRIES``), its step ``pos`` and the
     first crossing (``stop``, -1 if none; ``stat``) of the barrier it was last
-    advanced under. With ``records`` it also keeps each row's running maximum
-    ``best`` and ``ladder`` of record highs (row, step, value), so a row can go
-    on under a higher barrier and the step it reached a lower one is a lookup
+    advanced under. The carries ``lastref`` (with ``last_reflect``) and
+    ``num``/``den`` (with ``collect_lb``) are None unless asked for. With
+    ``records`` it also keeps each row's running maximum ``best`` and
+    ``ladder`` of record highs (row, step, value), so a row can go on under a
+    higher barrier and the step it reached a lower one is a lookup
     (:meth:`first_reach`)."""
 
     CARRIES = ("u", "mn", "logA", "lastref", "num", "den")
 
     def __init__(self, sampler, rule: RuleSpec, gens, collect_lb: bool = False,
-                 records: bool = False, chunk: int = CHUNK):
+                 records: bool = False, chunk: int = CHUNK, last_reflect: bool = False):
         b = len(gens)
         self.sampler, self.rule, self.gens = sampler, rule, gens
         self.collect_lb, self.chunk, self.ladder = collect_lb, chunk, []
-        self.pos, self.lastref = np.zeros(b, dtype=np.int64), np.zeros(b, dtype=np.int64)
+        self.pos = np.zeros(b, dtype=np.int64)
+        self.lastref = np.zeros(b, dtype=np.int64) if last_reflect else None
         self.stop, self.stat = np.full(b, -1, dtype=np.int64), np.full(b, np.nan)
         self.u, self.mn, self.logA = np.zeros(b), np.zeros(b), np.zeros(b)
-        self.num, self.den = np.ones(b), np.ones(b)   # k = 0: max(S_0,1) = (1 - S_0)^+ = 1
+        # k = 0: max(S_0, 1) = (1 - S_0)^+ = 1
+        self.num, self.den = (np.ones(b), np.ones(b)) if collect_lb else (None, None)
         self.best = np.full(b, -np.inf) if records else None
 
     def advance(self, target: int, barrier: float) -> None:
@@ -293,8 +315,8 @@ class BatchState:
 
     def _scan(self, rows: np.ndarray, start: int, end: int, barrier: float) -> None:
         inc = _draw(self.sampler, self.gens, rows, start, end)
-        u, mn, logA, lastref, num, den = carries = [getattr(self, c)[rows]
-                                                    for c in self.CARRIES]
+        u, mn, logA, lastref, num, den = carries = [
+            None if (v := getattr(self, c)) is None else v[rows] for c in self.CARRIES]
         rec = () if self.best is None else (self.best[rows],)
         kind, lb = self.rule.kind, self.collect_lb
         if kind == "fixed":
@@ -312,7 +334,8 @@ class BatchState:
                 kernels.lb_until_scan(inc, u_prev, mn, num, den, start,
                                       kernels.crossing_steps(out[0], start))
         for c, value in zip(self.CARRIES, carries):
-            getattr(self, c)[rows] = value
+            if value is not None:
+                getattr(self, c)[rows] = value
         if rec:
             self.best[rows] = rec[0]
             self.ladder.append((rows[out[3][0]],) + out[3][1:])
@@ -361,9 +384,11 @@ def advance(states, target: int, barrier: float, threads: int = 1) -> None:
 def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
               n_steps: int, n_rep: int, master_seed: int, purpose: str,
               block: int = 0, threads: int = 1, collect_lb: bool = False,
-              chunk: int = CHUNK) -> PathRunResult:
+              chunk: int = CHUNK, last_reflect: bool = False) -> PathRunResult:
     """Monte Carlo run of a stopping rule over ``n_rep`` monitored paths.
 
+    Each row's last reflection (``PathRunResult.last_reflect``, read by
+    ``tau_hat``) is kept only with ``last_reflect``; it is None otherwise.
     Results are bit-identical for any ``threads`` value and any ``chunk``
     (the widest sub-block drawn and scanned at once): replication i always
     uses the stream (master_seed, purpose/block/i), each of its draws depends
@@ -375,14 +400,18 @@ def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
     fixed = rule.kind == "fixed"
     lb = (lambda: np.empty(n_rep)) if collect_lb else (lambda: None)
     result = PathRunResult(dt, n_steps, np.empty(n_rep, dtype=np.int64), np.empty(n_rep),
-                           np.empty(n_rep, dtype=np.int64), lb(), lb())
+                           np.empty(n_rep, dtype=np.int64) if last_reflect else None,
+                           lb(), lb())
 
     def work(gens, lo: int) -> None:
-        state = BatchState(sampler, rule, gens, collect_lb, chunk=chunk)
+        state = BatchState(sampler, rule, gens, collect_lb, chunk=chunk,
+                           last_reflect=last_reflect)
         state.advance(rule.fixed_steps if fixed else n_steps, rule.log_barrier)
         sl = slice(lo, lo + len(gens))
         result.stop_steps[sl] = rule.fixed_steps if fixed else state.stop
-        result.stat[sl], result.last_reflect[sl] = state.stat, state.lastref
+        result.stat[sl] = state.stat
+        if last_reflect:
+            result.last_reflect[sl] = state.lastref
         if collect_lb:
             result.lb_num[sl], result.lb_den[sl] = state.num, state.den
 

@@ -136,7 +136,8 @@ def estimate_arl(model: ChangeModel, config: DetectorConfig, regime: str,
     """Mean run length of a rule under the in- or out-of-control regime.
 
     Censored replications contribute the horizon (downward bias; flagged via
-    the censored count in the report).
+    the censored count in the report). With ``return_raw`` the engine's
+    :class:`PathRunResult` comes too, its last reflections kept for ``tau_hat``.
     """
     model.require_admissible()
     if regime not in REGIMES:
@@ -144,7 +145,8 @@ def estimate_arl(model: ChangeModel, config: DetectorConfig, regime: str,
     rule, dt = _engine_rule(model, config)
     n_steps = monitoring_steps(horizon, dt)
     result = run_paths(model, _ENGINE_REGIME[regime], rule, dt, n_steps, n_rep,
-                       seed, purpose, block=block, threads=threads)
+                       seed, purpose, block=block, threads=threads,
+                       last_reflect=return_raw)
     report = _report(result, model, config, regime, seed, block,
                      label=f"arl_{regime}")
     return (report, result) if return_raw else report

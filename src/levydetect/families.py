@@ -18,10 +18,11 @@ a law of its own kind: the pieces (c0, c1) of phi = c0 + c1 * x per side,
 positive side first, without the log-intensity term (``phi_pieces``); the
 Hellinger integral at two intensities; the phi-mean; per side the (weight,
 c0, marks) triple of one step's phi-sum (``step_sides``), whose ``marks(gens,
-n)`` draws the marks of a whole block of jump counts ``n``, row j from
-generator ``gens[j]``; and ledger jump sizes. ``phi`` arguments are the
-pair's density ratio, whose ``pos``/``neg`` pieces include the log-intensity
-term.
+n)`` draws the c1 part of the phi-sum of a whole block of jump counts ``n``,
+row j from generator ``gens[j]`` (``marks`` is None where c1 is 0: the
+phi-sum is then c0 * n and no mark is drawn); and ledger jump sizes.
+``phi`` arguments are the pair's density ratio, whose ``pos``/``neg`` pieces
+include the log-intensity term.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ class GaussianJumps:
         """The c1 part of n marks' phi-sum is c1 times an N(mean n, sd^2 n)
         draw: c1 * (mean * n + sd * sqrt(n) * z), z standard normal."""
         (c0, c1), mean, sd = phi.pos, self.mean, self.sd
+        if c1 == 0.0:
+            return [(1.0, c0, None)]
 
         def marks(gens, n: np.ndarray) -> np.ndarray:
             z = np.empty_like(n)
@@ -167,7 +170,7 @@ class _ExponentialSides:
                 return g
             return marks
 
-        return [(w, c0, gamma_sum(s * (c1 / r)))
+        return [(w, c0, gamma_sum(s * (c1 / r)) if c1 != 0.0 else None)
                 for (s, w, r), (c0, c1) in zip(self.sides, (phi.pos, phi.neg))]
 
     def jump_sizes(self, gen: np.random.Generator, n: int) -> np.ndarray:

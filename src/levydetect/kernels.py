@@ -14,7 +14,8 @@ and advance per-row carries in place:
   every point so far.
 * :func:`first_crossing` -- block position of each row's first crossing.
 * :func:`last_reflection` -- carry ``lastref``, the last global step at or
-  before the stop with log statistic <= 0 (0 = origin).
+  before the stop with log statistic <= 0 (0 = origin); the CUSUM scans
+  skip it when ``lastref`` is None.
 * :func:`lb_sums` -- carries ``num``/``den``, the lower-bound sums
   sum max(S_k, 1) and sum (1 - S_k)^+ over steps strictly before the stop.
 * :func:`record_highs` -- carry ``best``, the running maximum of the
@@ -120,12 +121,22 @@ def record_highs(y, start_step, best):
     return rows, start_step + 1 + cols, y[rows, cols]
 
 
+def _add_terms(terms, invalid, total) -> None:
+    """Add each row's terms, zeroed where ``invalid``, to ``total`` in place:
+    the sequential order of :func:`cumulative`, keeping only the sum."""
+    np.copyto(terms, 0.0, where=invalid)
+    terms[:, 0] += total
+    np.add.accumulate(terms, axis=1, out=terms)
+    total[:] = terms[:, -1]
+
+
 def lb_sums(y, start_step, stop, num, den) -> None:
     """Add max(S, 1) and (1 - S)^+, S = exp(y), over steps < ``stop``."""
-    valid = _steps(start_step, y.shape[1])[None, :] < stop[:, None]
+    invalid = _steps(start_step, y.shape[1])[None, :] >= stop[:, None]
     s = np.exp(np.minimum(y, 700.0))
-    cumulative(np.where(valid, np.maximum(s, 1.0), 0.0), num)
-    cumulative(np.where(valid, np.maximum(1.0 - s, 0.0), 0.0), den)
+    _add_terms(np.maximum(s, 1.0), invalid, num)
+    np.subtract(1.0, s, out=s)
+    _add_terms(np.maximum(s, 0.0, out=s), invalid, den)
 
 
 # --------------------------------------------------------------------------- #
@@ -144,10 +155,12 @@ def cusum_scan(inc, u, mn, lastref, start_step, hbar, best=None):
     first step with statistic >= hbar (-1 if none), stat the statistic there,
     yend the statistic at the last block step (for censor reporting). Given
     the carry ``best``, a fourth item holds the block's :func:`record_highs`.
+    The carry ``lastref`` may be None: the last reflection is then not kept.
     """
     y = reflected(cumulative(inc, u), mn)
     off = first_crossing(y >= hbar)
-    last_reflection(y, start_step, crossing_steps(off, start_step), lastref)
+    if lastref is not None:
+        last_reflection(y, start_step, crossing_steps(off, start_step), lastref)
     return _outcome(y, off, start_step, best)
 
 
@@ -157,7 +170,8 @@ def lb_cusum_scan(inc, u, mn, lastref, num, den, start_step, hbar):
     y = reflected(cumulative(inc, u), mn)
     off = first_crossing(y >= hbar)
     stop = crossing_steps(off, start_step)
-    last_reflection(y, start_step, stop, lastref)
+    if lastref is not None:
+        last_reflection(y, start_step, stop, lastref)
     lb_sums(y, start_step, stop, num, den)
     return off, value_at(y, off), y[:, -1].copy()
 

@@ -330,6 +330,26 @@ class TestConverge:
         means = [r["mean_stop"] for r in rows]
         assert all(a >= b for a, b in zip(means, means[1:]))
 
+    @pytest.mark.parametrize("field", ["experiment.base_delta", "detector.delta"])
+    def test_base_step_beyond_memory_exits_two_and_writes_nothing(self, tmp_path,
+                                                                  capsys, field):
+        """A base step of 2^40 grid steps: every sub-block is at least that
+        wide, so the first one asks for 1024 paths x 8 TiB, which no
+        allocator grants, and the request fails at once."""
+        payload = {
+            "model": BM_MODEL,
+            "simulation": {"horizon": 1024.0, "grid_dt": 2.0 ** -30, "n_rep": 1024,
+                           "master_seed": 17},
+            "detector": {"rule": "cusum_grid", "delta": 1024.0, "log_barrier": 2.0},
+            "experiment": {"regime": "out_of_control", "dyadic_levels": 4,
+                           "base_delta": 1024.0 if field.startswith("exp") else None},
+        }
+        code, out = _run(tmp_path, "converge", payload, "huge")
+        assert code == 2
+        assert (f"{field}: a base step of {2 ** 40} grid steps per path does not fit "
+                "in memory") in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestLowerbound:
     def test_reports_ratio_and_delay(self, tmp_path):

@@ -7,10 +7,14 @@ import pytest
 from scipy.stats import ks_2samp
 
 from levydetect import engine, kernels
+from levydetect.detector import DetectorConfig
 from levydetect.engine import RuleSpec, run_dyadic, run_paths, sample_u_increments
 from levydetect.errors import ContractError
-from levydetect.evaluate import calibrate_barrier
+from levydetect.evaluate import (calibrate_barrier, estimate_arl, lorden_delay,
+                                 lower_bound_ratio)
+from levydetect.families import ExponentialJumps, LevySpec, TwoSidedExponentialJumps
 from levydetect.likelihood import llr_path
+from levydetect.model import build_change_model
 from levydetect.paths import sample_changed_path
 from levydetect.rng import RngStream, stream_id
 
@@ -65,6 +69,29 @@ class _RecordingGenerator:
         return getattr(self.gen, name)
 
 
+def _equal_rates():
+    """Exponential jumps at one rate, intensity 1 -> 2: c1 is exactly 0."""
+    pre, jumps = LevySpec.compound_poisson(1.0, ExponentialJumps(1.5)), ExponentialJumps(1.5)
+    drift = (pre.drift_b - pre.jump_truncated_mean()) + 2.0 * jumps.truncated_mean()
+    return (build_change_model(pre, LevySpec.compound_poisson(2.0, jumps, drift=drift)),
+            (engine.COUNT,))
+
+
+def _equal_negative_rates():
+    """Two-sided exponential jumps whose negative side keeps its rate: c1 is
+    0 on that side only."""
+    pre = LevySpec.compound_poisson(1.0, TwoSidedExponentialJumps(1.0, 2.0, 0.5))
+    jumps = TwoSidedExponentialJumps(1.5, 2.0, 0.6)
+    drift = (pre.drift_b - pre.jump_truncated_mean()) + 1.2 * jumps.truncated_mean()
+    return (build_change_model(pre, LevySpec.compound_poisson(1.2, jumps, drift=drift)),
+            (engine.COUNT, engine.MARK, engine.COUNT_NEG))
+
+
+# pairs with a zero mark coefficient: builders of (model, the components it draws from)
+_ZERO_WEIGHT_PAIRS = {"equal_rates": _equal_rates,
+                      "equal_negative_rates": _equal_negative_rates}
+
+
 class TestSamplers:
     @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
     @pytest.mark.parametrize("regime", ["pre", "post"])
@@ -115,6 +142,33 @@ class TestSamplers:
             assert block.shape == (len(rows), steps)
             for j, i in enumerate(rows):
                 assert np.array_equal(block[j], sampler([row_gens[i]], (1, steps))[0])
+
+    @pytest.mark.parametrize("pair", ["poisson_model", *_ZERO_WEIGHT_PAIRS])
+    def test_zero_weight_marks_are_never_drawn(self, pair, request, monkeypatch):
+        """A jump side whose mark coefficient c1 is 0 adds c0 times its count:
+        it lists no mark component, builds no mark generator and draws no
+        mark, and its increments are still the per-family formula's, bit for
+        bit, in both regimes."""
+        model, components = _ZERO_WEIGHT_PAIRS[pair]() if pair in _ZERO_WEIGHT_PAIRS \
+            else (request.getfixturevalue(pair), (engine.COUNT,))
+        assert engine.substream_components(model, 0.1) == components
+        for regime in ("pre", "post"):
+            gens = [_RecordingGenerator(RngStream(SEED, 4, c).generator())
+                    for c in range(5)]
+            got = engine.make_u_sampler(model, regime, 0.1)([gens], (1, 3000))[0]
+            assert [c for c, g in enumerate(gens) if g.used] == list(components)
+            fresh = [RngStream(SEED, 4, c).generator() for c in range(5)]
+            assert np.array_equal(got, _per_family_increments(model, regime, 0.1,
+                                                              fresh, 3000))
+        built, generator = [], RngStream.generator
+
+        def counting_generator(stream):
+            built.append(stream.component)
+            return generator(stream)
+        monkeypatch.setattr(RngStream, "generator", counting_generator)
+        run_paths(model, "pre", RuleSpec(kind="cusum", log_barrier=2.0), 0.1, 300, 40,
+                  SEED, "arl")
+        assert sorted(set(built)) == list(components) and len(built) == 40 * len(components)
 
     @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
     @pytest.mark.parametrize("regime", ["pre", "post"])
@@ -203,7 +257,7 @@ class TestRunPaths:
         for fixture in MODEL_FIXTURES:
             model = request.getfixturevalue(fixture)
             runs = [run_paths(model, regime, rule, 0.1, 600, 300, SEED,
-                              "arl", collect_lb=collect_lb, chunk=c)
+                              "arl", collect_lb=collect_lb, chunk=c, last_reflect=True)
                     for c in (37, 64, 4096)]
             if kind != "fixed" and regime == "pre":
                 assert runs[0].censored.any() and not runs[0].censored.all(), fixture
@@ -217,20 +271,20 @@ class TestRunPaths:
     @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
     def test_draws_stay_within_twice_the_consumed_steps(self, fixture, request,
                                                         monkeypatch):
-        """A path draws only the sub-blocks it scans: 64 steps, then blocks
-        that double, so at most twice its stopping step plus one first block
-        (a censored path consumes the whole horizon). Each sampler call draws
-        every row of one scanned sub-block, so there are no more calls than
-        scans."""
-        drawn = _count_draws(monkeypatch)
+        """A path draws only the sub-blocks it scans, so it overdraws by less
+        than the width of the sub-block holding its stop: at most
+        max(SUB_BLOCK, sqrt(SUB_BLOCK * stop)) steps (a censored path draws
+        the whole horizon and no more). Each sampler call draws every row of
+        one scanned sub-block, so there are no more calls than scans."""
+        calls = _count_draws(monkeypatch)
         scans = _count_calls(monkeypatch, kernels, "cusum_scan")
         n_steps, n_rep = 5000, 1500
         res = run_paths(request.getfixturevalue(fixture), "pre",
                         RuleSpec(kind="cusum", log_barrier=2.0), 0.05, n_steps,
                         n_rep, SEED, "arl")
-        consumed = int(np.where(res.censored, n_steps, res.stop_steps).sum())
-        assert 0 < sum(drawn) <= 2 * consumed + 64 * n_rep
-        assert 0 < len(drawn) <= len(scans) < n_rep
+        consumed = np.where(res.censored, n_steps, res.stop_steps)
+        _assert_overdraw_within_sub_block(_row_draws(calls, n_rep), consumed, n_steps, 1)
+        assert 0 < len(calls) <= len(scans) < n_rep
 
     @pytest.mark.parametrize("regime", ["pre", "post"])
     def test_collect_lb_does_not_change_cusum_outputs(self, brownian_model, regime):
@@ -238,12 +292,54 @@ class TestRunPaths:
         statistics and last reflections equal those of the plain run."""
         rule = RuleSpec(kind="cusum", log_barrier=2.0)
         plain, lb = (run_paths(brownian_model, regime, rule, 0.1, 600, 300, SEED,
-                               "arl", collect_lb=c) for c in (False, True))
+                               "arl", collect_lb=c, last_reflect=True)
+                     for c in (False, True))
         assert (plain.last_reflect > 0).any()
         assert np.array_equal(plain.stop_steps, lb.stop_steps)
         assert np.array_equal(plain.stat, lb.stat, equal_nan=True)
         assert np.array_equal(plain.last_reflect, lb.last_reflect)
         assert np.array_equal(plain.tau_hat, lb.tau_hat, equal_nan=True)
+
+    def test_last_reflection_is_kept_only_when_read(self, brownian_model, monkeypatch):
+        """Only a raw estimate_arl result (tau_hat, for stops.csv) keeps the
+        last reflections; estimates, calibration probes, Lorden runs and the
+        lower bound skip that scan, and skipping it moves no stop."""
+        calls = _count_calls(monkeypatch, kernels, "last_reflection")
+        config = DetectorConfig(rule="cusum_grid", log_barrier=2.0, delta=0.1)
+        estimate_arl(brownian_model, config, "in_control", 300, 200.0, SEED)
+        lorden_delay(brownian_model, config, (0.0, 1.0), 300, 200.0, SEED)
+        lower_bound_ratio(brownian_model, config, 0.1, 300, 200.0, SEED)
+        calibrate_barrier(brownian_model, "cusum_grid", 8.0, 0.05, SEED, delta=0.1,
+                          n_rep=300)
+        assert calls == []
+        _, raw = estimate_arl(brownian_model, config, "in_control", 300, 200.0, SEED,
+                              return_raw=True)
+        assert calls and (raw.tau_hat > 0).any()
+        rule = RuleSpec(kind="cusum", log_barrier=2.0)
+        kept, skipped = (run_paths(brownian_model, "pre", rule, 0.1, 2000, 300, SEED,
+                                   "arl", last_reflect=k) for k in (True, False))
+        assert skipped.last_reflect is None and np.array_equal(kept.last_reflect,
+                                                                raw.last_reflect)
+        assert np.array_equal(kept.stop_steps, skipped.stop_steps)
+        assert np.array_equal(kept.stat, skipped.stat, equal_nan=True)
+        with pytest.raises(ContractError):
+            skipped.tau_hat
+
+    @pytest.mark.parametrize("unit,chunk,ends", [
+        (1, engine.CHUNK, {0: 64, 255: 256, 256: 384, 1023: 1024, 1024: 1280,
+                           4096: 4608, 100000: 100352, 262144: 266240}),
+        (3, engine.CHUNK, {0: 192, 255: 384, 256: 384, 1023: 1152, 1024: 1152,
+                           4096: 4608}),
+        (16, engine.CHUNK, {0: 1024, 255: 1024, 256: 1024, 1023: 1024, 1024: 2048,
+                            4096: 6144}),
+        (1, 100, {0: 64, 255: 256, 256: 356, 1023: 1056, 1024: 1056, 4096: 4156}),
+        (1, 37, {0: 37, 255: 259, 256: 259, 1023: 1036, 1024: 1036, 4096: 4107})])
+    def test_block_end_schedule(self, unit, chunk, ends):
+        """Sub-blocks of w = SUB_BLOCK * unit steps up to step 4w, then twice
+        as wide each time the step quadruples, capped at the chunk width in
+        whole units: with unit 1, 64 wide up to step 256, 128 up to 1024, 256
+        up to 4096, and so on up to 4096 wide from step 262144."""
+        assert {pos: engine.block_end(pos, chunk, unit) for pos in ends} == ends
 
     def test_invalid_rule_rejected(self):
         with pytest.raises(ContractError):
@@ -293,18 +389,20 @@ class TestRunDyadic:
     @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
     def test_draws_stop_once_every_stride_has_stopped(self, fixture, request,
                                                       monkeypatch):
-        """A path draws sub-blocks of SUB_BLOCK * lcm steps, then doubling,
-        only until its last stop over strides and conventions: at most twice
-        that step plus one first block. Each sampler call draws every live
-        row of one sub-block, so there are no more calls than scans."""
-        drawn = _count_draws(monkeypatch)
+        """A path draws sub-blocks in units of the lcm of the strides only
+        until its last stop over strides and conventions, overdrawing by
+        less than the width of the sub-block holding that stop: at most
+        max(w, sqrt(w * stop)) steps, w = SUB_BLOCK * lcm. Each sampler call
+        draws every live row of one sub-block, so there are no more calls
+        than scans."""
+        calls = _count_draws(monkeypatch)
         scans = _count_calls(monkeypatch, kernels, "cumulative")
-        dt, strides, n_rep = 0.01, [20, 10, 1], 300
+        dt, strides, n_steps, n_rep = 0.002, [4, 2, 1], 30000, 300
         stops, strict = run_dyadic(request.getfixturevalue(fixture), "post", 2.0, dt,
-                                   6000, strides, n_rep, SEED)
+                                   n_steps, strides, n_rep, SEED)
         needed = np.rint(np.max(stops + strict, axis=0) / dt).astype(np.int64)
-        assert 0 < sum(drawn) <= 2 * needed.sum() + engine.SUB_BLOCK * 20 * n_rep
-        assert 0 < len(drawn) <= len(scans) < n_rep
+        _assert_overdraw_within_sub_block(_row_draws(calls, n_rep), needed, n_steps, 4)
+        assert 0 < len(calls) <= len(scans) < n_rep
 
     def test_threads_do_not_change_results(self, jump_diffusion_model):
         n_rep = engine.BATCH + 76          # two batches
@@ -334,12 +432,12 @@ class TestBatchState:
         for fixture in MODEL_FIXTURES:
             model = request.getfixturevalue(fixture)
             whole = run_paths(model, regime, rule, 0.1, 600, 300, SEED, "arl",
-                              collect_lb=collect_lb)
+                              collect_lb=collect_lb, last_reflect=True)
             components = engine.substream_components(model, 0.1)
             state = engine.BatchState(
                 engine.make_u_sampler(model, regime, 0.1), rule,
                 [RngStream(SEED, stream_id("arl", i)).substreams(components)
-                 for i in range(300)], collect_lb)
+                 for i in range(300)], collect_lb, last_reflect=True)
             for target in (1, 37, 64, 65, 200, 333, 599, 600):
                 engine.advance([state], target, rule.log_barrier)
             assert np.array_equal(state.stop, whole.stop_steps), fixture
@@ -377,19 +475,46 @@ class TestBatchState:
 
 
 def _count_draws(monkeypatch) -> list:
-    """The number of increments each sampler call of the engine draws."""
-    drawn = []
-    make_u_sampler = engine.make_u_sampler
+    """Per sampler call of the engine, the replications of its rows and its
+    number of steps. Replications are numbered in the order their substreams
+    are built, which on one thread is the order of their indices."""
+    calls, built = [], {}
+    substreams, make_u_sampler = RngStream.substreams, engine.make_u_sampler
+
+    def numbered_substreams(stream, components):
+        gens = substreams(stream, components)
+        built[id(gens)] = (len(built), gens)      # kept alive, so ids stay unique
+        return gens
 
     def counting_make_u_sampler(*args):
         draw = make_u_sampler(*args)
 
         def sampler(gens_rows, size):
-            drawn.append(math.prod(size))
+            calls.append(([built[id(g)][0] for g in gens_rows], size[1]))
             return draw(gens_rows, size)
         return sampler
+    monkeypatch.setattr(RngStream, "substreams", numbered_substreams)
     monkeypatch.setattr(engine, "make_u_sampler", counting_make_u_sampler)
+    return calls
+
+
+def _row_draws(calls, n_rep: int) -> np.ndarray:
+    """The steps drawn for each replication over the calls of :func:`_count_draws`."""
+    drawn = np.zeros(n_rep, dtype=np.int64)
+    for rows, steps in calls:
+        drawn[rows] += steps
     return drawn
+
+
+def _assert_overdraw_within_sub_block(drawn, needed, n_steps: int, unit: int) -> None:
+    """Each path draws the steps it needs, and less than one more sub-block:
+    under the square-root schedule the sub-block holding step k is at most
+    max(w, sqrt(w * k)) wide, w = SUB_BLOCK * unit."""
+    w = engine.SUB_BLOCK * unit
+    assert (needed < n_steps).any() and (needed > 4 * w).any()
+    assert np.all(drawn >= needed)
+    assert np.all(drawn <= n_steps)
+    assert np.all(drawn - needed < np.maximum(w, np.sqrt(w * needed)))
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:
