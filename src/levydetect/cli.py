@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .config import ExperimentConfig
-from .detector import DetectorConfig, check_log_barrier
+from .detector import DetectorConfig, check_log_barrier, grid_stride
 from .engine import RuleSpec
 from .errors import (
     ContractError,
@@ -37,7 +37,6 @@ from .evaluate import (
     calibrate_barrier,
     compare,
     convergence_study,
-    dyadic_base_stride,
     dyadic_horizon_steps,
     dyadic_strides,
     estimate_arl,
@@ -285,7 +284,7 @@ def _cmd_converge(cfg: ExperimentConfig) -> Outcome:
     base_delta = exp["base_delta"] or det["delta"]
     grid_dt, horizon = float(sim["grid_dt"]), float(sim["horizon"])
     # the study's own checks, run first so that a failure names its field
-    base_stride = _field_check(base_field, dyadic_base_stride, base_delta, grid_dt)
+    base_stride = _field_check(base_field, grid_stride, base_delta, grid_dt)
     _field_check("simulation.horizon", dyadic_horizon_steps, horizon, grid_dt, base_stride)
     _field_check(base_field, dyadic_strides, base_stride, exp["dyadic_levels"])
     try:

@@ -43,6 +43,7 @@ __all__ = [
     "first_passage",
     "cusum_update",
     "cusum_log_stats",
+    "grid_stride",
     "run_rule",
     "mle_changepoint",
     "lattice_safe_barrier",
@@ -140,7 +141,8 @@ def first_passage(y: Sequence[float], log_barrier: float,
                       stat_at_stop=float(y[-1]), steps_taken=len(y) - 1)
 
 
-def _stride_of(delta: float, grid_dt: float) -> int:
+def grid_stride(delta: float, grid_dt: float) -> int:
+    """``delta`` in whole steps of ``grid_dt`` (to 1e-9 relative), else AlignmentError."""
     k = delta / grid_dt
     stride = int(round(k))
     if stride < 1 or abs(k - stride) > 1e-9 * max(1.0, abs(k)):
@@ -156,7 +158,7 @@ def run_rule(config: DetectorConfig, llr: LLRPath) -> StopResult:
         raise ContractError(f"rule {config.rule!r} takes a log-likelihood path")
     if config.rule == "cusum_continuous":
         return first_passage(drawup(llr), config.log_barrier, llr.grid_dt)
-    stride = _stride_of(config.delta, llr.grid_dt)
+    stride = grid_stride(config.delta, llr.grid_dt)
     delta = stride * llr.grid_dt
     u = llr.u_values[::stride]
     if config.rule == "cusum_grid":

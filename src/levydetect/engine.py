@@ -20,11 +20,12 @@ advances its rows to a step, or until each reaches a barrier, drawing and
 scanning exactly the sub-blocks they need with one sampler call per
 sub-block, and can be resumed at any step. Sub-blocks are 64 steps wide up
 to step 256 and their width doubles each time the step quadruples (128 up to
-1024, 256 up to 4096, ...), capped at the chunk width: a path that stops at
-step k draws at most max(64, sqrt(64 k)) steps past it, in about
-3 sqrt(k / 64) sampler calls. :func:`run_paths` drives it for one stopping rule;
-:func:`run_dyadic` scans several monitoring strides of one fine path in its
-own loop. Results depend on neither the worker count nor the chunk width."""
+1024, 256 up to 4096, ...), capped at ``CHUNK``: a path that stops at step k
+draws at most max(64, sqrt(64 k)) steps past it, in about 3 sqrt(k / 64)
+sampler calls. :func:`_draw` sums each sub-block once, in place, into the
+cumulative values every scan kernel reads. :func:`run_paths` drives it for one
+stopping rule; :func:`run_dyadic` scans several monitoring strides of one fine
+path in its own loop. Results depend on neither the worker count nor ``CHUNK``."""
 
 from __future__ import annotations
 
@@ -236,14 +237,14 @@ def sample_u_increments(model: ChangeModel, regime: str, dt: float,
 # the draw-and-scan loop: a resumable batch state and its drivers
 # --------------------------------------------------------------------------- #
 
-def block_end(pos: int, chunk: int = CHUNK, unit: int = 1) -> int:
+def block_end(pos: int, unit: int = 1) -> int:
     """End of the sub-block holding step pos + 1. Sub-blocks are w = SUB_BLOCK
     * unit steps wide up to step 4w, and their width doubles each time the
     step quadruples (2w up to step 16w, 4w up to 64w, ...), capped at
-    ``chunk`` steps rounded down to whole units. From step 4w on, the width
+    ``CHUNK`` steps rounded down to whole units. From step 4w on, the width
     at step k is at most sqrt(w * k): a path that stops at step k draws at
     most max(w, sqrt(w * k)) steps past it, in about 3 sqrt(k / w) sub-blocks."""
-    cap = max(unit, chunk - chunk % unit)
+    cap = max(unit, CHUNK - CHUNK % unit)
     start, width = 0, min(SUB_BLOCK * unit, cap)
     end = 4 * width                 # where the width next doubles
     while width < cap and pos >= end:
@@ -251,10 +252,11 @@ def block_end(pos: int, chunk: int = CHUNK, unit: int = 1) -> int:
     return start + width * ((pos - start) // width + 1)
 
 
-def _draw(sampler, gens, rows: np.ndarray, start: int, end: int) -> np.ndarray:
-    """Increments of steps start + 1 .. end for the batch rows ``rows``: one
-    sampler call for the whole block."""
-    return sampler([gens[i] for i in rows.tolist()], (rows.size, end - start))
+def _draw(sampler, gens, rows: np.ndarray, start: int, end: int, u) -> np.ndarray:
+    """Cumulative values of steps start + 1 .. end for the batch rows ``rows``
+    from their carry ``u``: one sampler call, summed once in place."""
+    inc = sampler([gens[i] for i in rows.tolist()], (rows.size, end - start))
+    return kernels.cumulative(inc, u)
 
 
 class BatchState:
@@ -262,7 +264,9 @@ class BatchState:
     generators, each row's carries (``CARRIES``), its step ``pos`` and the
     first crossing (``stop``, -1 if none; ``stat``) of the barrier it was last
     advanced under. The carries ``lastref`` (with ``last_reflect``) and
-    ``num``/``den`` (with ``collect_lb``) are None unless asked for. With
+    ``num``/``den`` (with ``lb_horizon``: the lower-bound sums over steps
+    strictly before each row's stop or step ``lb_horizon``, whichever comes
+    first) are None unless asked for. With
     ``records`` it also keeps each row's running maximum ``best`` and
     ``ladder`` of record highs (row, step, value), so a row can go on under a
     higher barrier and the step it reached a lower one is a lookup
@@ -270,17 +274,17 @@ class BatchState:
 
     CARRIES = ("u", "mn", "logA", "lastref", "num", "den")
 
-    def __init__(self, sampler, rule: RuleSpec, gens, collect_lb: bool = False,
-                 records: bool = False, chunk: int = CHUNK, last_reflect: bool = False):
+    def __init__(self, sampler, rule: RuleSpec, gens, lb_horizon: Optional[int] = None,
+                 records: bool = False, last_reflect: bool = False):
         b = len(gens)
         self.sampler, self.rule, self.gens = sampler, rule, gens
-        self.collect_lb, self.chunk, self.ladder = collect_lb, chunk, []
+        self.lb_horizon, self.ladder = lb_horizon, []
         self.pos = np.zeros(b, dtype=np.int64)
         self.lastref = np.zeros(b, dtype=np.int64) if last_reflect else None
         self.stop, self.stat = np.full(b, -1, dtype=np.int64), np.full(b, np.nan)
         self.u, self.mn, self.logA = np.zeros(b), np.zeros(b), np.zeros(b)
         # k = 0: max(S_0, 1) = (1 - S_0)^+ = 1
-        self.num, self.den = (np.ones(b), np.ones(b)) if collect_lb else (None, None)
+        self.num, self.den = (None, None) if lb_horizon is None else (np.ones(b), np.ones(b))
         self.best = np.full(b, -np.inf) if records else None
 
     def advance(self, target: int, barrier: float) -> None:
@@ -296,7 +300,7 @@ class BatchState:
                 return
             start = int(self.pos[live].min())
             rows = live[self.pos[live] == start]
-            self._scan(rows, start, min(block_end(start, self.chunk), target), barrier)
+            self._scan(rows, start, min(block_end(start), target), barrier)
 
     def first_reach(self, barrier: float) -> np.ndarray:
         """Each row's first step with statistic >= barrier among the steps it
@@ -314,25 +318,23 @@ class BatchState:
         return np.where(self.best >= barrier, first, -1)
 
     def _scan(self, rows: np.ndarray, start: int, end: int, barrier: float) -> None:
-        inc = _draw(self.sampler, self.gens, rows, start, end)
         u, mn, logA, lastref, num, den = carries = [
             None if (v := getattr(self, c)) is None else v[rows] for c in self.CARRIES]
+        uu = _draw(self.sampler, self.gens, rows, start, end, u)
         rec = () if self.best is None else (self.best[rows],)
-        kind, lb = self.rule.kind, self.collect_lb
-        if kind == "fixed":
-            out = np.full(rows.size, -1, dtype=np.int64), np.nan, np.nan
-            if lb:
-                kernels.lb_until_scan(inc, u, mn, num, den, start,
-                                      np.full(rows.size, self.rule.fixed_steps))
-        elif kind == "cusum" and lb:
-            out = kernels.lb_cusum_scan(inc, u, mn, lastref, num, den, start, barrier)
+        kind, horizon = self.rule.kind, self.lb_horizon
+        if kind == "cusum" and horizon is not None:
+            out = kernels.lb_cusum_scan(uu, mn, lastref, num, den, start, barrier, horizon)
         else:
-            u_prev = u.copy() if lb else None   # both sr scans advance u from this value
-            out = kernels.cusum_scan(inc, u, mn, lastref, start, barrier, *rec) \
-                if kind == "cusum" else kernels.sr_scan(inc, u, logA, start, barrier, *rec)
-            if lb:
-                kernels.lb_until_scan(inc, u_prev, mn, num, den, start,
-                                      kernels.crossing_steps(out[0], start))
+            if kind == "fixed":
+                out = np.full(rows.size, -1, dtype=np.int64), np.nan, np.nan
+            elif kind == "cusum":
+                out = kernels.cusum_scan(uu, mn, lastref, start, barrier, *rec)
+            else:
+                out = kernels.sr_scan(uu, logA, start, barrier, *rec)
+            if horizon is not None:
+                kernels.lb_until_scan(uu, mn, num, den, start, np.minimum(
+                    kernels.crossing_steps(out[0], start), horizon))
         for c, value in zip(self.CARRIES, carries):
             if value is not None:
                 getattr(self, c)[rows] = value
@@ -384,12 +386,13 @@ def advance(states, target: int, barrier: float, threads: int = 1) -> None:
 def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
               n_steps: int, n_rep: int, master_seed: int, purpose: str,
               block: int = 0, threads: int = 1, collect_lb: bool = False,
-              chunk: int = CHUNK, last_reflect: bool = False) -> PathRunResult:
+              last_reflect: bool = False) -> PathRunResult:
     """Monte Carlo run of a stopping rule over ``n_rep`` monitored paths.
 
     Each row's last reflection (``PathRunResult.last_reflect``, read by
     ``tau_hat``) is kept only with ``last_reflect``; it is None otherwise.
-    Results are bit-identical for any ``threads`` value and any ``chunk``
+    A censored run's lower-bound sums (``collect_lb``) stop at the horizon.
+    Results are bit-identical for any ``threads`` value and any ``CHUNK``
     (the widest sub-block drawn and scanned at once): replication i always
     uses the stream (master_seed, purpose/block/i), each of its draws depends
     on its step alone, and aggregation is by fixed slices.
@@ -398,15 +401,16 @@ def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
     rule.check_horizon(n_steps)
     sampler = make_u_sampler(model, regime, dt)
     fixed = rule.kind == "fixed"
+    target = rule.fixed_steps if fixed else n_steps
     lb = (lambda: np.empty(n_rep)) if collect_lb else (lambda: None)
     result = PathRunResult(dt, n_steps, np.empty(n_rep, dtype=np.int64), np.empty(n_rep),
                            np.empty(n_rep, dtype=np.int64) if last_reflect else None,
                            lb(), lb())
 
     def work(gens, lo: int) -> None:
-        state = BatchState(sampler, rule, gens, collect_lb, chunk=chunk,
+        state = BatchState(sampler, rule, gens, target if collect_lb else None,
                            last_reflect=last_reflect)
-        state.advance(rule.fixed_steps if fixed else n_steps, rule.log_barrier)
+        state.advance(target, rule.log_barrier)
         sl = slice(lo, lo + len(gens))
         result.stop_steps[sl] = rule.fixed_steps if fixed else state.stop
         result.stat[sl] = state.stat
@@ -445,7 +449,7 @@ def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
         u, mins = np.zeros(alive.size), np.zeros((len(strides), alive.size))
         while start < n_steps and alive.size:
             end = min(block_end(start, unit=math.lcm(*strides)), n_steps)
-            uu = kernels.cumulative(_draw(sampler, gens, alive, start, end), u)
+            uu = _draw(sampler, gens, alive, start, end, u)
             for li, s in enumerate(strides):
                 y = kernels.reflected(uu[:, s - 1::s], mins[li])
                 for conv, crossed in enumerate((y >= log_barrier, y > log_barrier)):

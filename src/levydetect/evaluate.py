@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .detector import DetectorConfig, lattice_safe_barrier
+from .detector import DetectorConfig, grid_stride, lattice_safe_barrier
 from .engine import (PathRunResult, RuleSpec, advance, batch_states,
                      block_end, run_dyadic, run_paths)
 from .errors import (
@@ -318,7 +318,7 @@ def lower_bound_ratio(model: ChangeModel, config: Optional[DetectorConfig],
 
         delta * E[ sum max(S_k, 1) ] / E[ sum (1 - S_k)^+ ],
 
-    sums over monitored steps strictly before the stop (k = 0 included).
+    sums over monitored steps strictly before the stop or horizon (k = 0 included).
     The standard error comes from the first-order delta method on the paired
     per-replication sums.
     """
@@ -371,14 +371,6 @@ class ConvergenceResult:
     n_rep: int
 
 
-def dyadic_base_stride(base_delta: float, grid_dt: float) -> int:
-    """The coarsest monitoring step of a convergence study in fine steps."""
-    stride = int(round(base_delta / grid_dt))
-    if abs(stride * grid_dt - base_delta) > 1e-9 * base_delta or stride < 1:
-        raise ContractError("base_delta must be an integer multiple of grid_dt")
-    return stride
-
-
 def dyadic_horizon_steps(horizon: float, grid_dt: float, base_stride: int) -> int:
     """The horizon in fine steps, trimmed to whole base steps (at least one)."""
     n_steps = int(round(step_ratio(horizon, grid_dt)))
@@ -418,7 +410,7 @@ def convergence_study(model: ChangeModel, h_bar: float, dyadic_levels: int,
     model.require_admissible()
     if regime not in REGIMES:
         raise ContractError(f"regime must be one of {REGIMES}")
-    base_stride = dyadic_base_stride(base_delta, grid_dt)
+    base_stride = grid_stride(base_delta, grid_dt)
     n_steps = dyadic_horizon_steps(horizon, grid_dt, base_stride)
     strides = dyadic_strides(base_stride, dyadic_levels)
     has_ref = strides[-1] > 1

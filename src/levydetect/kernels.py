@@ -4,8 +4,8 @@ Every statistic is a function of the *cumulative* log-likelihood values of a
 path. The primitives below take 2-D blocks of those values, one row per path,
 and advance per-row carries in place:
 
-* :func:`cumulative` -- cumulative values of an increment block; carry ``u``,
-  the value at the last processed point.
+* :func:`cumulative` -- sums an increment block in place into cumulative
+  values, once per drawn block; carry ``u``, the value at the last point.
 * :func:`reflected` -- the CUSUM log statistic, each value minus the minimum
   over *strictly earlier* points; carry ``mn``, the minimum over every point
   so far (the reflection barrier).
@@ -23,14 +23,15 @@ and advance per-row carries in place:
 
 Steps are numbered globally from 1; a block of width m covers steps
 ``start_step + 1 .. start_step + m``. Every carry is a sequential accumulate
-(cumulative values prepend their carry), so splitting a path into blocks at
-any points gives bit-identical results. After a row crosses its barrier its
-``u``/``mn``/``logA`` carries are unspecified (callers drop stopped rows).
+(cumulative values continue from their carry), so splitting a path into
+blocks at any points gives bit-identical results. After a row crosses its
+barrier its ``u``/``mn``/``logA`` carries are unspecified (callers drop
+stopped rows).
 
-The four scans the engine runs on increment blocks (:func:`cusum_scan`,
-:func:`lb_cusum_scan`, :func:`sr_scan`, :func:`lb_until_scan`) are
-compositions of these primitives; the detector runs the same primitives on
-one row.
+The four scans the engine runs on cumulative values (:func:`cusum_scan`,
+:func:`lb_cusum_scan`, :func:`sr_scan`, :func:`lb_until_scan`) compose these
+primitives and leave their block as it is; the detector runs the same
+primitives on one row.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ def backend() -> str:
 # --------------------------------------------------------------------------- #
 
 def cumulative(inc: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Cumulative values of an increment block continuing from ``u``."""
-    ext = np.empty((inc.shape[0], inc.shape[1] + 1), dtype=np.float64)
-    ext[:, 0] = u
-    ext[:, 1:] = inc
-    uu = np.cumsum(ext, axis=1)[:, 1:]
-    u[:] = uu[:, -1]
-    return uu
+    """Sum an increment block in place into cumulative values continuing
+    from ``u``, in the order of a cumsum with ``u`` prepended; advances ``u``
+    and returns ``inc``."""
+    inc[:, 0] += u
+    np.cumsum(inc, axis=1, out=inc)
+    u[:] = inc[:, -1]
+    return inc
 
 
 def reflected(uu: np.ndarray, mn: np.ndarray) -> np.ndarray:
@@ -140,7 +141,7 @@ def lb_sums(y, start_step, stop, num, den) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# engine scans over increment blocks
+# engine scans over blocks of cumulative values
 # --------------------------------------------------------------------------- #
 
 def _outcome(y, off, start_step, best):
@@ -148,7 +149,7 @@ def _outcome(y, off, start_step, best):
     return out if best is None else out + (record_highs(y, start_step, best),)
 
 
-def cusum_scan(inc, u, mn, lastref, start_step, hbar, best=None):
+def cusum_scan(uu, mn, lastref, start_step, hbar, best=None):
     """Advance the reflected log-likelihood statistic; detect barrier crossing.
 
     Returns (offset, stat, yend): offset is the 0-based block position of the
@@ -157,36 +158,37 @@ def cusum_scan(inc, u, mn, lastref, start_step, hbar, best=None):
     the carry ``best``, a fourth item holds the block's :func:`record_highs`.
     The carry ``lastref`` may be None: the last reflection is then not kept.
     """
-    y = reflected(cumulative(inc, u), mn)
+    y = reflected(uu, mn)
     off = first_crossing(y >= hbar)
     if lastref is not None:
         last_reflection(y, start_step, crossing_steps(off, start_step), lastref)
     return _outcome(y, off, start_step, best)
 
 
-def lb_cusum_scan(inc, u, mn, lastref, num, den, start_step, hbar):
+def lb_cusum_scan(uu, mn, lastref, num, den, start_step, hbar, horizon):
     """:func:`cusum_scan` that also accumulates the lower-bound sums over
-    steps strictly before the stop."""
-    y = reflected(cumulative(inc, u), mn)
+    steps strictly before the stop, or before step ``horizon`` if the row
+    has not stopped by then."""
+    y = reflected(uu, mn)
     off = first_crossing(y >= hbar)
     stop = crossing_steps(off, start_step)
     if lastref is not None:
         last_reflection(y, start_step, stop, lastref)
-    lb_sums(y, start_step, stop, num, den)
+    lb_sums(y, start_step, np.minimum(stop, horizon), num, den)
     return off, value_at(y, off), y[:, -1].copy()
 
 
-def sr_scan(inc, u, logA, start_step, log_thresh, best=None):
+def sr_scan(uu, logA, start_step, log_thresh, best=None):
     """Advance the Shiryaev-Roberts statistic; detect log R >= log_thresh.
     Returns (offset, stat, rend), and the record highs, as :func:`cusum_scan`
     does."""
-    logr = sr_log(cumulative(inc, u), logA)
+    logr = sr_log(uu, logA)
     off = first_crossing(logr >= log_thresh)
     return _outcome(logr, off, start_step, best)
 
 
-def lb_until_scan(inc, u, mn, num, den, start_step, stop):
+def lb_until_scan(uu, mn, num, den, start_step, stop):
     """Accumulate the lower-bound sums up to externally supplied global stop
     steps (exclusive); used when the stopping rule is not the reflected
     statistic itself (fixed-time rules, Shiryaev-Roberts)."""
-    lb_sums(reflected(cumulative(inc, u), mn), start_step, stop, num, den)
+    lb_sums(reflected(uu, mn), start_step, stop, num, den)

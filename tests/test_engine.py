@@ -247,18 +247,21 @@ class TestRunPaths:
     @pytest.mark.parametrize("kind,collect_lb", [
         ("cusum", False), ("cusum", True), ("sr", True), ("fixed", True)])
     def test_chunk_width_does_not_change_results(self, regime, kind, collect_lb,
-                                                  request):
+                                                  request, monkeypatch):
         """Draw-and-scan sub-block boundaries fall at different steps for
         each width; the outputs of every family must not move by a single
         bit."""
         rule = {"cusum": RuleSpec(kind="cusum", log_barrier=3.0),
                 "sr": RuleSpec(kind="sr", log_barrier=math.log(150.0)),
                 "fixed": RuleSpec(kind="fixed", fixed_steps=150)}[kind]
+
+        def run(model, chunk):
+            monkeypatch.setattr(engine, "CHUNK", chunk)
+            return run_paths(model, regime, rule, 0.1, 600, 300, SEED, "arl",
+                             collect_lb=collect_lb, last_reflect=True)
         for fixture in MODEL_FIXTURES:
             model = request.getfixturevalue(fixture)
-            runs = [run_paths(model, regime, rule, 0.1, 600, 300, SEED,
-                              "arl", collect_lb=collect_lb, chunk=c, last_reflect=True)
-                    for c in (37, 64, 4096)]
+            runs = [run(model, c) for c in (37, 64, 4096)]
             if kind != "fixed" and regime == "pre":
                 assert runs[0].censored.any() and not runs[0].censored.all(), fixture
             for other in runs[1:]:
@@ -267,6 +270,39 @@ class TestRunPaths:
                 assert np.array_equal(runs[0].last_reflect, other.last_reflect), fixture
                 assert np.array_equal(runs[0].lb_num, other.lb_num), fixture
                 assert np.array_equal(runs[0].lb_den, other.lb_den), fixture
+
+    @pytest.mark.parametrize("n_steps", [5, 300])
+    def test_censored_lb_sums_stop_at_the_horizon(self, n_steps, request):
+        """A CUSUM or SR rule that no path can reach runs to the horizon n
+        and reports the stop time n * dt, as the fixed rule at n steps does;
+        its lower-bound sums cover the same steps 0 .. n - 1, bit for bit."""
+        def run(model, rule):
+            return run_paths(model, "pre", rule, 0.1, n_steps, 40, SEED, "lower_bound",
+                             collect_lb=True)
+        for fixture in MODEL_FIXTURES:
+            model = request.getfixturevalue(fixture)
+            fixed = run(model, RuleSpec(kind="fixed", fixed_steps=n_steps))
+            for kind in ("cusum", "sr"):
+                res = run(model, RuleSpec(kind=kind, log_barrier=1e300))
+                assert res.censored.all(), fixture
+                assert np.array_equal(res.stop_times, fixed.stop_times), fixture
+                assert np.array_equal(res.lb_num, fixed.lb_num), fixture
+                assert np.array_equal(res.lb_den, fixed.lb_den), fixture
+
+    @pytest.mark.parametrize("kind,collect_lb", [
+        ("cusum", False), ("cusum", True), ("sr", False), ("sr", True), ("fixed", True)])
+    def test_each_drawn_sub_block_is_summed_once(self, brownian_model, kind, collect_lb,
+                                                 monkeypatch):
+        """One cumulative sum per sampler call, whichever scans read the
+        block (the SR rule with lower-bound sums runs two)."""
+        calls = _count_draws(monkeypatch)
+        sums = _count_calls(monkeypatch, kernels, "cumulative")
+        rule = {"cusum": RuleSpec(kind="cusum", log_barrier=3.0),
+                "sr": RuleSpec(kind="sr", log_barrier=math.log(150.0)),
+                "fixed": RuleSpec(kind="fixed", fixed_steps=500)}[kind]
+        run_paths(brownian_model, "pre", rule, 0.1, 600, 300, SEED, "arl",
+                  collect_lb=collect_lb)
+        assert len(calls) > 3 and len(sums) == len(calls)
 
     @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
     def test_draws_stay_within_twice_the_consumed_steps(self, fixture, request,
@@ -334,12 +370,13 @@ class TestRunPaths:
                             4096: 6144}),
         (1, 100, {0: 64, 255: 256, 256: 356, 1023: 1056, 1024: 1056, 4096: 4156}),
         (1, 37, {0: 37, 255: 259, 256: 259, 1023: 1036, 1024: 1036, 4096: 4107})])
-    def test_block_end_schedule(self, unit, chunk, ends):
+    def test_block_end_schedule(self, unit, chunk, ends, monkeypatch):
         """Sub-blocks of w = SUB_BLOCK * unit steps up to step 4w, then twice
         as wide each time the step quadruples, capped at the chunk width in
         whole units: with unit 1, 64 wide up to step 256, 128 up to 1024, 256
         up to 4096, and so on up to 4096 wide from step 262144."""
-        assert {pos: engine.block_end(pos, chunk, unit) for pos in ends} == ends
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        assert {pos: engine.block_end(pos, unit=unit) for pos in ends} == ends
 
     def test_invalid_rule_rejected(self):
         with pytest.raises(ContractError):
@@ -394,7 +431,7 @@ class TestRunDyadic:
         less than the width of the sub-block holding that stop: at most
         max(w, sqrt(w * stop)) steps, w = SUB_BLOCK * lcm. Each sampler call
         draws every live row of one sub-block, so there are no more calls
-        than scans."""
+        than scans, and each drawn sub-block is summed once."""
         calls = _count_draws(monkeypatch)
         scans = _count_calls(monkeypatch, kernels, "cumulative")
         dt, strides, n_steps, n_rep = 0.002, [4, 2, 1], 30000, 300
@@ -403,6 +440,7 @@ class TestRunDyadic:
         needed = np.rint(np.max(stops + strict, axis=0) / dt).astype(np.int64)
         _assert_overdraw_within_sub_block(_row_draws(calls, n_rep), needed, n_steps, 4)
         assert 0 < len(calls) <= len(scans) < n_rep
+        assert len(scans) == len(calls)
 
     def test_threads_do_not_change_results(self, jump_diffusion_model):
         n_rep = engine.BATCH + 76          # two batches
@@ -437,7 +475,7 @@ class TestBatchState:
             state = engine.BatchState(
                 engine.make_u_sampler(model, regime, 0.1), rule,
                 [RngStream(SEED, stream_id("arl", i)).substreams(components)
-                 for i in range(300)], collect_lb, last_reflect=True)
+                 for i in range(300)], 600 if collect_lb else None, last_reflect=True)
             for target in (1, 37, 64, 65, 200, 333, 599, 600):
                 engine.advance([state], target, rule.log_barrier)
             assert np.array_equal(state.stop, whole.stop_steps), fixture
@@ -580,12 +618,28 @@ def _fresh_state(n):
 
 
 class TestScanKernels:
+    def test_cumulative_sums_in_place(self):
+        """The block itself becomes the cumulative values, bit for bit those
+        of a cumsum with the carry prepended, and the carry advances to the
+        last of them."""
+        rng = np.random.default_rng(23)
+        inc, u = rng.normal(-0.05, 0.4, size=(6, 150)), rng.normal(size=6)
+        want = np.cumsum(np.column_stack([u, inc]), axis=1)[:, 1:]
+        block, carry = inc.copy(), u.copy()
+        assert kernels.cumulative(block, carry) is block
+        assert np.array_equal(block, want)
+        assert np.array_equal(carry, want[:, -1])
+        parts = [kernels.cumulative(inc[:, lo:hi].copy(), u)
+                 for lo, hi in ((0, 1), (1, 64), (64, 150))]
+        assert np.array_equal(np.concatenate(parts, axis=1), want)
+        assert np.array_equal(u, want[:, -1])
+
     def test_cusum_sequential_oracle(self):
         rng = np.random.default_rng(3)
         inc = rng.normal(-0.05, 0.3, size=(32, 400))
         hbar = 3.0
         u, mn, lref = _fresh_state(32)
-        off, st, _ = kernels.cusum_scan(inc, u, mn, lref, 0, hbar)
+        off, st, _ = kernels.cusum_scan(kernels.cumulative(inc.copy(), u), mn, lref, 0, hbar)
         for i in range(32):
             stop, stat, ref = _cusum_oracle(inc[i], hbar)
             assert off[i] == stop
@@ -606,15 +660,16 @@ class TestScanKernels:
             alive = np.arange(16)
             for lo in range(0, 900, 300):
                 cu, cm, cl = u[alive], mn[alive], lref[alive]
-                o, s, _ = kernels.cusum_scan(inc[alive, lo:lo + 300], cu, cm, cl,
-                                             lo, hbar)
+                uu = kernels.cumulative(inc[alive, lo:lo + 300].copy(), cu)
+                o, s, _ = kernels.cusum_scan(uu, cm, cl, lo, hbar)
                 u[alive], mn[alive], lref[alive] = cu, cm, cl
                 done = o >= 0
                 stops[alive[done]] = lo + 1 + o[done]
                 stats[alive[done]] = s[done]
                 alive = alive[~done]
             u1, m1, l1 = _fresh_state(16)
-            o1, s1, _ = kernels.cusum_scan(inc, u1, m1, l1, 0, hbar)
+            o1, s1, _ = kernels.cusum_scan(kernels.cumulative(inc.copy(), u1), m1, l1,
+                                           0, hbar)
             assert np.array_equal(stops, np.where(o1 >= 0, o1 + 1, -1))
             assert np.array_equal(stats, s1, equal_nan=True)
             assert np.array_equal(lref, l1)
@@ -632,8 +687,9 @@ class TestScanKernels:
         best = np.full(8, -np.inf)
         got = [[] for _ in range(8)]
         for lo, hi in ((0, 64), (64, 200), (200, 300)):
-            *_, (rows, steps, values) = kernels.cusum_scan(inc[:, lo:hi], u, mn, lref,
-                                                            lo, math.inf, best)
+            uu = kernels.cumulative(inc[:, lo:hi].copy(), u)
+            *_, (rows, steps, values) = kernels.cusum_scan(uu, mn, lref, lo, math.inf,
+                                                            best)
             for r, k, v in zip(rows, steps, values):
                 got[r].append((k, v))
         for i in range(8):
@@ -651,9 +707,11 @@ class TestScanKernels:
         rng = np.random.default_rng(5)
         inc = rng.normal(0.0, 0.3, size=(4, 200))
         u, a = np.zeros(4), np.zeros(4)
-        off, _, rend = kernels.sr_scan(inc[:, :77], u, a, 0, math.log(1e9))
+        off, _, rend = kernels.sr_scan(kernels.cumulative(inc[:, :77].copy(), u), a, 0,
+                                       math.log(1e9))
         assert np.all(off == -1)
-        off, _, rend = kernels.sr_scan(inc[:, 77:], u, a, 77, math.log(1e9))
+        off, _, rend = kernels.sr_scan(kernels.cumulative(inc[:, 77:].copy(), u), a, 77,
+                                       math.log(1e9))
         assert np.all(off == -1)
         for i in range(4):
             r = 0.0
@@ -666,7 +724,7 @@ class TestScanKernels:
         inc = rng.normal(-0.02, 0.3, size=(64, 257))
         u, a = np.zeros(64), np.zeros(64)
         log_thresh = math.log(30.0)
-        off, st, _ = kernels.sr_scan(inc, u, a, 0, log_thresh)
+        off, st, _ = kernels.sr_scan(kernels.cumulative(inc.copy(), u), a, 0, log_thresh)
         assert (off >= 0).any()
         for i in range(64):
             r, stop, stat = 0.0, -1, math.nan
@@ -683,27 +741,28 @@ class TestScanKernels:
         rng = np.random.default_rng(17)
         inc = rng.normal(-0.05, 0.4, size=(8, 120))
         stop_steps = rng.integers(1, 121, size=8).astype(np.int64)
-        state = (np.zeros(8), np.zeros(8), np.ones(8), np.ones(8))
-        kernels.lb_until_scan(inc, *state, 0, stop_steps)
+        u, state = np.zeros(8), (np.zeros(8), np.ones(8), np.ones(8))
+        kernels.lb_until_scan(kernels.cumulative(inc.copy(), u), *state, 0, stop_steps)
         for i in range(8):
             num, den = _lb_oracle(inc[i], stop_steps[i])
-            assert state[2][i] == pytest.approx(num, rel=1e-12)
-            assert state[3][i] == pytest.approx(den, rel=1e-12)
+            assert state[1][i] == pytest.approx(num, rel=1e-12)
+            assert state[2][i] == pytest.approx(den, rel=1e-12)
 
     def test_lb_cusum_oracle(self):
         rng = np.random.default_rng(13)
         inc = rng.normal(-0.02, 0.3, size=(64, 257))
-        state = (*_fresh_state(64), np.ones(64), np.ones(64))
-        off, _, _ = kernels.lb_cusum_scan(inc, *state, 0, 1.2)
+        u, *state = (*_fresh_state(64), np.ones(64), np.ones(64))
+        off, _, _ = kernels.lb_cusum_scan(kernels.cumulative(inc.copy(), u), *state, 0,
+                                          1.2, 258)
         assert (off >= 0).any()
         for i in range(64):
             stop, _, ref = _cusum_oracle(inc[i], 1.2)
             assert off[i] == stop
-            assert state[2][i] == ref
+            assert state[1][i] == ref
             # sums cover steps strictly before the stop
             num, den = _lb_oracle(inc[i], stop + 1 if stop >= 0 else 258)
-            assert state[3][i] == pytest.approx(num, rel=1e-12)
-            assert state[4][i] == pytest.approx(den, rel=1e-12)
+            assert state[2][i] == pytest.approx(num, rel=1e-12)
+            assert state[3][i] == pytest.approx(den, rel=1e-12)
 
 
 def _phi_cdf(x):

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from levydetect.detector import DetectorConfig, lattice_safe_barrier
-from levydetect.errors import ContractError, InfeasibleTargetError
+from levydetect.errors import AlignmentError, ContractError, InfeasibleTargetError
 from levydetect.evaluate import (
     HORIZON_FACTOR,
     calibrate_barrier,
@@ -233,6 +233,10 @@ class TestConvergence:
         with pytest.raises(ContractError):
             convergence_study(brownian_model, 2.0, 4, 10, SEED,
                               base_delta=0.15, grid_dt=0.01, horizon=10.0)
+        # the base step is checked as run_rule checks a monitoring step
+        with pytest.raises(AlignmentError, match="not an integer multiple"):
+            convergence_study(brownian_model, 2.0, 4, 10, SEED,
+                              base_delta=0.085, grid_dt=0.01, horizon=10.0)
 
     def test_horizon_without_a_base_step_rejected(self, brownian_model):
         """Trimmed to whole base steps (8 fine steps), a 0.05 horizon holds

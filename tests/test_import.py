@@ -1,6 +1,9 @@
+import math
 import os
 import subprocess
 import sys
+
+import pytest
 
 import levydetect
 
@@ -35,3 +38,28 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         assert detector.run_rule is not run_rule
     assert kernels.cusum_scan is scan
     assert detector.run_rule is run_rule
+
+
+@pytest.mark.parametrize("kind,collect_lb,scans_per_draw", [
+    ("cusum", False, 1), ("cusum", True, 1), ("sr", False, 1), ("sr", True, 2),
+    ("fixed", True, 1)])
+def test_benchmark_tracer_counts_each_scan_of_a_drawn_step(brownian_model, monkeypatch,
+                                                           kind, collect_lb, scans_per_draw):
+    """The tracer counts the size of the first argument of each scan kernel
+    as steps scanned: every drawn step is scanned once, twice by the SR rule
+    with lower-bound sums (the SR scan and the lower-bound scan)."""
+    from levydetect import engine
+
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir,
+                                              "perfbench"))
+    from tracer import Tracer
+
+    rule = {"cusum": engine.RuleSpec(kind="cusum", log_barrier=3.0),
+            "sr": engine.RuleSpec(kind="sr", log_barrier=math.log(150.0)),
+            "fixed": engine.RuleSpec(kind="fixed", fixed_steps=500)}[kind]
+    with Tracer().installed() as tracer:
+        engine.run_paths(brownian_model, "pre", rule, 0.1, 600, 300, 8086, "arl",
+                         collect_lb=collect_lb)
+    draws = tracer.counts["engine.paths.draws"]
+    assert draws > 0 and tracer.counts["engine.chunks"] > 0
+    assert tracer.counts["kernels.steps_scanned"] == scans_per_draw * draws
