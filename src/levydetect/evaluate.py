@@ -8,7 +8,8 @@ Conventions
   from the start);
 * worst-case delays are measured by restarting the statistic from its least
   favorable value at the change instant (S = 1 for CUSUM-type rules, R = 0
-  for Shiryaev-Roberts) and taking the maximum over the change-point grid;
+  for Shiryaev-Roberts); that delay does not depend on the change point, so
+  one run gives it for the whole change-point grid;
 * every estimate is censored at an explicit horizon and the censored count is
   carried in the report, never dropped;
 * calibration bisects the barrier against the in-control mean on one set of
@@ -273,41 +274,48 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
 
 @dataclass(frozen=True)
 class LordenResult:
+    """Lorden's worst-case delay (``worst``) and the same report at each
+    change point of ``tau_grid`` (``per_tau``, labelled ``delay_tau_{tau:g}``);
+    ``sample`` holds the restart run's stop times when asked for."""
     per_tau: Tuple[EvalReport, ...]
     worst: EvalReport
     tau_grid: Tuple[float, ...]
-    samples: Optional[Tuple[np.ndarray, ...]] = None
+    sample: Optional[np.ndarray] = None
 
 
 def lorden_delay(model: ChangeModel, config: DetectorConfig,
                  tau_grid: Sequence[float], n_rep: int, horizon: float,
                  seed: int, threads: int = 1,
-                 return_samples: bool = False) -> LordenResult:
-    """Worst-case expected detection delay over a grid of change points.
+                 return_sample: bool = False) -> LordenResult:
+    """Lorden's worst-case expected detection delay, reported at every
+    change point of a grid.
 
-    For each tau the statistic restarts from its least favorable value at the
-    change instant, so the delay sample is a fresh post-change run; the grid
-    entries share a law for CUSUM (the equalizer structure) and the maximum is
-    reported as the worst case.
+    Lorden's worst case at a change point tau is the delay from the least
+    favorable state at tau: the restart (S = 1 for CUSUM, R = 0 for
+    Shiryaev-Roberts). Both recursions are monotone in their start, so from
+    any other state a path stops no later (Lorden 1971; Moustakides 1986).
+    The restart delay has one law whatever tau is, so one post-change run
+    of ``n_rep`` paths (purpose 'delay', stream block 0) gives it: that
+    run's report is ``worst`` and every ``per_tau`` entry. The grid must
+    hold at least one change point, each a finite number >= 0.
     """
     model.require_admissible()
+    grid = tuple(float(t) for t in tau_grid)
+    if not grid:
+        raise ContractError("tau_grid is empty: give at least one change point")
+    for tau in grid:
+        if not (math.isfinite(tau) and tau >= 0.0):
+            raise ContractError(f"tau_grid entry {tau!r} is not a finite number >= 0")
     rule, dt = _engine_rule(model, config)
     n_steps = monitoring_steps(horizon, dt)
-    reports = []
-    samples = []
-    for i, tau in enumerate(tau_grid):
-        result = run_paths(model, "post", rule, dt, n_steps, n_rep, seed,
-                           "delay", block=i, threads=threads)
-        rep = _report(result, model, config, "out_of_control", seed, i,
-                      label=f"delay_tau_{tau:g}")
-        reports.append(rep)
-        if return_samples:
-            samples.append(result.stop_times)
-    worst_idx = int(np.argmax([r.estimate for r in reports]))
-    worst = replace(reports[worst_idx], label="delay_worst")
-    return LordenResult(per_tau=tuple(reports), worst=worst,
-                        tau_grid=tuple(float(t) for t in tau_grid),
-                        samples=tuple(samples) if return_samples else None)
+    result = run_paths(model, "post", rule, dt, n_steps, n_rep, seed, "delay",
+                       block=0, threads=threads)
+    worst = _report(result, model, config, "out_of_control", seed, 0,
+                    label="delay_worst")
+    return LordenResult(
+        per_tau=tuple(replace(worst, label=f"delay_tau_{tau:g}") for tau in grid),
+        worst=worst, tau_grid=grid,
+        sample=result.stop_times if return_sample else None)
 
 
 def lower_bound_ratio(model: ChangeModel, config: Optional[DetectorConfig],

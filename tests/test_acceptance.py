@@ -7,19 +7,21 @@ lines. Every test is fully seeded; rerunning reproduces identical numbers.
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
 
 from levydetect.cli import main as cli_main
 from levydetect.detector import CusumState, DetectorConfig, cusum_update
+from levydetect.engine import RuleSpec, advance, batch_states
 from levydetect.evaluate import (
     compare,
     convergence_study,
     estimate_arl,
     lorden_delay,
     lower_bound_ratio,
+    monitoring_steps,
 )
 from levydetect.families import GaussianJumps, LevySpec
 from levydetect.likelihood import martingale_check
@@ -123,21 +125,41 @@ def test_c03_brownian_run_length_oracle(models):
 
 
 def test_c04_equalizer_property(models):
-    """Delay distributions for change points {0, 1, 5} with the statistic
-    restarted at its least favorable value pass pairwise KS at level 0.01."""
-    cfg = DetectorConfig(rule="cusum_grid", log_barrier=2.0, delta=0.05)
-    res = lorden_delay(models["brownian"], cfg, [0.0, 1.0, 5.0], 10000,
-                       horizon=60.0, seed=SEED, return_samples=True)
-    pvals = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            p = ks_2samp(res.samples[i], res.samples[j]).pvalue
-            pvals.append(p)
-            assert p > 0.01, f"KS between tau={res.tau_grid[i]} and {res.tau_grid[j]}: p={p}"
-    for rep in res.per_tau:
-        assert rep.n_censored == 0
-    _announce("criterion 4",
-              "pairwise KS p-values " + ", ".join(f"{p:.3f}" for p in pvals))
+    """The restart is Lorden's least favorable state, path by path: on
+    common streams every path started from a raised statistic (CUSUM log
+    statistic w, Shiryaev-Roberts R = r) stops no later than from the
+    restart, and the mean stop is strictly earlier. So the restart delay is
+    the worst case at every change point, and the Lorden delay reports its
+    one run, uncensored, at each of {0, 1, 5}."""
+    model, delta, n_rep, horizon = models["brownian"], 0.05, 10000, 60.0
+    n_steps = monitoring_steps(horizon, delta)
+    lines = []
+    for rule, kind, h, carry, starts in (
+            ("cusum_grid", "cusum", 2.0, "mn", {f"w={w:g}": -w for w in (0.5, 1.0, 1.5)}),
+            ("shiryaev_roberts", "sr", math.log(150.0), "logA",
+             {f"r={r:g}": math.log1p(r) for r in (1.0, 3.0)})):
+        cfg = DetectorConfig(rule=rule, log_barrier=h, delta=delta)
+        res = lorden_delay(model, cfg, [0.0, 1.0, 5.0], n_rep, horizon=horizon,
+                           seed=SEED, return_sample=True)
+        assert res.worst.n_censored == 0
+        assert all(replace(rep, label=res.worst.label) == res.worst
+                   for rep in res.per_tau)
+
+        def stops(start: float) -> np.ndarray:
+            states = batch_states(model, "post", RuleSpec(kind=kind, log_barrier=h),
+                                  delta, n_rep, SEED, "delay")
+            for state in states:
+                getattr(state, carry)[:] = start
+            advance(states, n_steps, h)
+            return np.concatenate([state.stop for state in states])
+
+        for name, start in starts.items():
+            raised = stops(start)
+            assert np.all((raised >= 0) & (raised * delta <= res.sample)), f"{rule} {name}"
+            assert (raised * delta).mean() < res.sample.mean(), f"{rule} {name}"
+            lines.append(f"{rule} {name}: {(raised * delta).mean():.3f} < "
+                         f"{res.worst.estimate:.3f}")
+    _announce("criterion 4", "; ".join(lines))
 
 
 def test_c05_lower_bound_equality(models):

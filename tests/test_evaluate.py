@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
 
+from levydetect import evaluate
 from levydetect.detector import DetectorConfig, lattice_safe_barrier
 from levydetect.errors import AlignmentError, ContractError, InfeasibleTargetError
 from levydetect.evaluate import (
@@ -133,17 +134,44 @@ class TestCalibrationProbes:
 
 
 class TestLordenDelay:
-    def test_equalizer_across_change_points(self, brownian_model):
-        res = lorden_delay(brownian_model, _grid_cfg(2.0), [0.0, 1.0, 5.0],
-                           4000, horizon=60.0, seed=SEED, return_samples=True)
-        ests = [r.estimate for r in res.per_tau]
-        ses = [r.std_error for r in res.per_tau]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                combined = math.hypot(ses[i], ses[j])
-                assert abs(ests[i] - ests[j]) <= 3.0 * combined
-                assert ks_2samp(res.samples[i], res.samples[j]).pvalue > 0.01
-        assert res.worst.estimate == max(ests)
+    @pytest.mark.parametrize("grid", [(0.0,), (0.0, 1.0, 5.0),
+                                      (0.0, 0.5, 1.0, 5.0, 20.0)],
+                             ids=["tau1", "tau3", "tau5"])
+    def test_one_run_serves_every_change_point(self, brownian_model, grid,
+                                               monkeypatch):
+        """Lorden's worst case is the restart delay at every change point:
+        one post-change run on stream block 0, whatever the grid's length,
+        bit for bit the out-of-control run of that block."""
+        calls, run = [], evaluate.run_paths
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return run(*args, **kwargs)
+        monkeypatch.setattr(evaluate, "run_paths", counting)
+        res = lorden_delay(brownian_model, _grid_cfg(2.0), grid, 4000,
+                           horizon=60.0, seed=SEED)
+        assert len(calls) == 1
+        arl0 = estimate_arl(brownian_model, _grid_cfg(2.0), "out_of_control",
+                            4000, horizon=60.0, seed=SEED, purpose="delay", block=0)
+        worst = res.worst
+        assert (worst.estimate, worst.std_error, worst.n_censored) == \
+            (arl0.estimate, arl0.std_error, arl0.n_censored)
+        assert worst.label == "delay_worst" and worst.provenance.stream_block == 0
+        assert res.tau_grid == grid
+        assert [r.label for r in res.per_tau] == [f"delay_tau_{t:g}" for t in grid]
+        assert all(replace(r, label=worst.label) == worst for r in res.per_tau)
+
+    @pytest.mark.parametrize("grid, bad", [([], "empty"), ([0.0, -1.0], "-1.0"),
+                                           ([0.0, math.nan], "nan"),
+                                           ([math.inf], "inf"),
+                                           ([-1.0, math.nan], "-1.0")],
+                             ids=["empty", "negative", "nan", "inf", "negative_and_nan"])
+    def test_bad_change_point_grid_rejected(self, brownian_model, grid, bad):
+        """An empty grid used to end in numpy's argmax error, and a negative
+        or non-finite change point was reported (as delay_tau_nan)."""
+        with pytest.raises(ContractError, match=bad):
+            lorden_delay(brownian_model, _grid_cfg(2.0), grid, 50,
+                         horizon=60.0, seed=SEED)
 
     def test_tau_zero_matches_out_of_control_arl(self, brownian_model):
         res = lorden_delay(brownian_model, _grid_cfg(2.0), [0.0], 4000,
