@@ -9,11 +9,9 @@ lower-bound / nested-grid structure underneath the CUSUM optimality theory.
 """
 
 from .detector import (
-    CusumState,
     DetectorConfig,
     StopResult,
     cusum_log_stats,
-    cusum_update,
     drawup,
     first_passage,
     mle_changepoint,
@@ -57,9 +55,7 @@ __all__ = [
     "llr_path",
     "martingale_check",
     "DetectorConfig",
-    "CusumState",
     "StopResult",
-    "cusum_update",
     "cusum_log_stats",
     "drawup",
     "first_passage",

@@ -321,7 +321,7 @@ def _cmd_compare(cfg: ExperimentConfig) -> Outcome:
     rules = [(r, float(d)) for r, d in exp["rules"]]
     res = compare(model, float(gamma), rules, sim["n_rep"],
                   sim["master_seed"], rel_tol=float(det["rel_tol"]),
-                  tau_grid=exp["tau_grid"], threads=sim["threads"],
+                  threads=sim["threads"],
                   n_rep_calibrate=exp["n_rep_calibrate"])
     rows = [{"rule": r.rule, "delta": r.delta, "h_bar": r.h_bar,
              "gamma_achieved": r.gamma_achieved, "gamma_se": r.gamma_se,

@@ -37,11 +37,9 @@ __all__ = [
     "RULES",
     "DetectorConfig",
     "check_log_barrier",
-    "CusumState",
     "StopResult",
     "drawup",
     "first_passage",
-    "cusum_update",
     "cusum_log_stats",
     "grid_stride",
     "run_rule",
@@ -83,25 +81,11 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class CusumState:
-    """Running CUSUM statistic in the log domain; -inf encodes S = 0."""
-
-    log_stat: float = -math.inf
-    steps: int = 0
-
-
-@dataclass(frozen=True)
 class StopResult:
     stop_time: float
     censored: bool
     stat_at_stop: float
     steps_taken: int
-
-
-def cusum_update(state: CusumState, log_l: float) -> CusumState:
-    """One step of log S' = max(log S, 0) + log_l (max(-inf, 0) = 0)."""
-    base = max(state.log_stat, 0.0)
-    return CusumState(log_stat=base + log_l, steps=state.steps + 1)
 
 
 def drawup(llr: LLRPath) -> np.ndarray:

@@ -15,8 +15,8 @@ The catalogue is restricted to pairs whose density ratio is affine per
 half-line, so ``phi``, the integrability integral, and the drift constants of
 the log-likelihood process all have closed forms, and building a model runs no
 quadrature; the jump-size laws of :mod:`levydetect.families` own theirs. The
-quadrature twins at the end of the module import scipy lazily and serve only
-as independent cross-checks of those closed forms.
+quadrature cross-checks of those closed forms live in :mod:`levydetect.oracle`,
+which no run imports.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import (
     InadmissibleModelError,
-    NumericalError,
     SpecValidationError,
     SupportError,
     UnsupportedPairError,
@@ -167,66 +166,6 @@ def _jump_closed_forms(pre: LevySpec, post: LevySpec) -> tuple:
 
 
 # --------------------------------------------------------------------------- #
-# quadrature twins (independent of the closed forms; used as cross-checks)
-# --------------------------------------------------------------------------- #
-
-def _quad_over_support(pre: LevySpec, phi: DensityRatio, combine) -> float:
-    """Integrate combine(phi, e^phi dnu_pre, dnu_pre) over the common support.
-
-    ``combine(p, a, b)`` receives the log ratio p, the tilted density
-    a = e^p * (pre density), and the raw density b, all evaluated stably.
-    """
-    from scipy import integrate
-
-    total = 0.0
-    for sign, piece in ((1.0, phi.pos), (-1.0, phi.neg)):
-        if piece is None:
-            continue
-
-        def g(u):
-            x = sign * u
-            p = phi(x)
-            with np.errstate(divide="ignore"):
-                l = np.log(pre.levy_density(x))
-            return combine(p, np.exp(p + l), np.exp(l))
-
-        inner, inner_err = integrate.quad(g, 1e-12, 1.0, limit=200)
-        tail, tail_err = integrate.quad(g, 1.0, np.inf, limit=200)
-        if inner_err + tail_err > 1e-6 * max(1.0, abs(inner + tail)):
-            raise NumericalError(
-                f"quadrature residual {inner_err + tail_err:.3e} too large")
-        total += inner + tail
-    return total
-
-
-def comp_rate_quadrature(model: ChangeModel) -> float:
-    """Quadrature value of integral (e^phi - 1) dnu_pre."""
-    model.require_admissible()
-    return _quad_over_support(model.pre, model.phi, lambda p, a, b: a - b)
-
-
-def integrability_quadrature(model: ChangeModel) -> float:
-    """Quadrature value of integral (e^{phi/2} - 1)^2 dnu_pre."""
-    model.require_admissible()
-    return _quad_over_support(model.pre, model.phi,
-                              lambda p, a, b: a - 2.0 * np.sqrt(a * b) + b)
-
-
-def truncated_moment_quadrature(spec: LevySpec) -> float:
-    """Quadrature value of integral_{|x|<=1} x dnu(x) (cross-check)."""
-    if not spec.has_jumps:
-        return 0.0
-    from scipy import integrate
-
-    lo = 1e-12 if spec.family == "gamma" else 0.0
-    pos, _ = integrate.quad(lambda x: x * float(spec.levy_density(x)), lo, 1.0, limit=200)
-    neg = 0.0
-    if spec.jump_support() in ("real", "two_sided"):
-        neg, _ = integrate.quad(lambda x: x * float(spec.levy_density(x)), -1.0, 0.0, limit=200)
-    return pos + neg
-
-
-# --------------------------------------------------------------------------- #
 # public operations
 # --------------------------------------------------------------------------- #
 
@@ -314,26 +253,17 @@ def phi_eval(model: ChangeModel, x):
     return model.phi(x)
 
 
-def drift_constants(model: ChangeModel, method: str = "closed") -> Tuple[float, float]:
+def drift_constants(model: ChangeModel) -> Tuple[float, float]:
     """Jump-part drifts of the log-likelihood process before and after the change:
 
         beta_pre  = - integral (e^phi - 1 - phi) dnu_pre        (< 0)
         beta_post = beta_pre + integral phi (e^phi - 1) dnu_pre (> 0)
 
-    ``method='closed'`` uses the stored phi moments; ``method='quadrature'``
-    recomputes both integrals numerically (raises NumericalError if the
-    quadrature residual is too large). The ``beta_pre``/``beta_post`` fields on
+    read from the stored phi moments. The ``beta_pre``/``beta_post`` fields on
     the model additionally include the Brownian drift -+ alpha^2 sigma^2 / 2.
     """
     model.require_admissible()
     if model.phi is None:
         raise InadmissibleModelError("drift constants require a jump component")
-    if method == "closed":
-        return (model.phi_mean_pre - model.comp_rate,
-                model.phi_mean_post - model.comp_rate)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    pre, phi = model.pre, model.phi
-    beta_pre = -_quad_over_support(pre, phi, lambda p, a, b: a - b - p * b)
-    beta_post = beta_pre + _quad_over_support(pre, phi, lambda p, a, b: p * (a - b))
-    return beta_pre, beta_post
+    return (model.phi_mean_pre - model.comp_rate,
+            model.phi_mean_post - model.comp_rate)

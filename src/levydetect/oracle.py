@@ -1,0 +1,88 @@
+"""Adaptive quadrature over the jump measures' densities: independent
+cross-checks of the closed forms in :mod:`levydetect.model`, for tests and
+acceptance checks. No run imports this module, and scipy is imported only
+when a function is called.
+"""
+
+from __future__ import annotations
+
+from typing import Tuple
+
+import numpy as np
+
+from .errors import NumericalError
+from .families import LevySpec
+from .model import ChangeModel, DensityRatio
+
+__all__ = [
+    "comp_rate_quadrature",
+    "integrability_quadrature",
+    "truncated_moment_quadrature",
+    "drift_constants_quadrature",
+]
+
+
+def _quad_over_support(pre: LevySpec, phi: DensityRatio, combine) -> float:
+    """Integrate combine(phi, e^phi dnu_pre, dnu_pre) over the common support.
+
+    ``combine(p, a, b)`` receives the log ratio p, the tilted density
+    a = e^p * (pre density), and the raw density b, all evaluated stably.
+    """
+    from scipy import integrate
+
+    total = 0.0
+    for sign, piece in ((1.0, phi.pos), (-1.0, phi.neg)):
+        if piece is None:
+            continue
+
+        def g(u):
+            x = sign * u
+            p = phi(x)
+            with np.errstate(divide="ignore"):
+                l = np.log(pre.levy_density(x))
+            return combine(p, np.exp(p + l), np.exp(l))
+
+        inner, inner_err = integrate.quad(g, 1e-12, 1.0, limit=200)
+        tail, tail_err = integrate.quad(g, 1.0, np.inf, limit=200)
+        if inner_err + tail_err > 1e-6 * max(1.0, abs(inner + tail)):
+            raise NumericalError(
+                f"quadrature residual {inner_err + tail_err:.3e} too large")
+        total += inner + tail
+    return total
+
+
+def comp_rate_quadrature(model: ChangeModel) -> float:
+    """Quadrature value of integral (e^phi - 1) dnu_pre."""
+    model.require_admissible()
+    return _quad_over_support(model.pre, model.phi, lambda p, a, b: a - b)
+
+
+def integrability_quadrature(model: ChangeModel) -> float:
+    """Quadrature value of integral (e^{phi/2} - 1)^2 dnu_pre."""
+    model.require_admissible()
+    return _quad_over_support(model.pre, model.phi,
+                              lambda p, a, b: a - 2.0 * np.sqrt(a * b) + b)
+
+
+def truncated_moment_quadrature(spec: LevySpec) -> float:
+    """Quadrature value of integral_{|x|<=1} x dnu(x)."""
+    if not spec.has_jumps:
+        return 0.0
+    from scipy import integrate
+
+    lo = 1e-12 if spec.family == "gamma" else 0.0
+    pos, _ = integrate.quad(lambda x: x * float(spec.levy_density(x)), lo, 1.0, limit=200)
+    neg = 0.0
+    if spec.jump_support() in ("real", "two_sided"):
+        neg, _ = integrate.quad(lambda x: x * float(spec.levy_density(x)), -1.0, 0.0, limit=200)
+    return pos + neg
+
+
+def drift_constants_quadrature(model: ChangeModel) -> Tuple[float, float]:
+    """Quadrature values of the two integrals of
+    :func:`levydetect.model.drift_constants`."""
+    model.require_admissible()
+    pre, phi = model.pre, model.phi
+    beta_pre = -_quad_over_support(pre, phi, lambda p, a, b: a - b - p * b)
+    beta_post = beta_pre + _quad_over_support(pre, phi, lambda p, a, b: p * (a - b))
+    return beta_pre, beta_post

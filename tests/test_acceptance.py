@@ -12,8 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from levydetect import kernels
 from levydetect.cli import main as cli_main
-from levydetect.detector import CusumState, DetectorConfig, cusum_update
+from levydetect.detector import DetectorConfig
 from levydetect.engine import RuleSpec, advance, batch_states
 from levydetect.evaluate import (
     compare,
@@ -29,8 +30,8 @@ from levydetect.model import (
     COND_INTEGRABILITY,
     COND_VOLATILITY,
     build_change_model,
-    comp_rate_quadrature,
 )
+from levydetect.oracle import comp_rate_quadrature
 from levydetect.rng import RngStream, stream_id
 
 SEED = 20260808
@@ -59,24 +60,52 @@ def _announce(criterion: str, detail: str) -> None:
     print(f"\n[{criterion}] PASS - {detail}")
 
 
-def test_c01_recursion_equals_exhaustive_definition():
-    """The multiplicative recursion reproduces the explicit maximum over all
-    restart points, to relative 1e-12, over 1000 random sequences."""
+def _c01_worst_error(reflected) -> float:
+    """Worst relative error of a reflected-statistic kernel against the
+    explicit maximum over all restart points, max_{m<k} (c_k - c_m), over
+    1000 random sequences. Each sequence is split into blocks at 0-3 random
+    points; :func:`kernels.cumulative` sums each block carrying ``u``, and
+    the kernel scans it carrying ``mn``, as the engine does."""
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 51))
         logs = rng.normal(0.0, 1.5, size=n)
         c = np.concatenate([[0.0], np.cumsum(logs)])
-        state = CusumState()
+        cuts = np.sort(rng.integers(1, n + 1, size=int(rng.integers(0, 4))))
+        u, mn, stats = np.zeros(1), np.zeros(1), []
+        for block in np.split(logs, cuts):
+            if len(block):
+                uu = kernels.cumulative(block[None, :].copy(), u)
+                stats.extend(reflected(uu, mn)[0])
         for k in range(1, n + 1):
-            state = cusum_update(state, logs[k - 1])
             brute = np.max(c[k] - c[:k])
-            err = abs(state.log_stat - brute) / max(1.0, abs(brute))
-            worst = max(worst, err)
-        assert worst <= 1e-12
+            worst = max(worst, abs(stats[k - 1] - brute) / max(1.0, abs(brute)))
+    return worst
+
+
+def test_c01_recursion_equals_exhaustive_definition():
+    """The reflected CUSUM statistic every run computes, scanned block by
+    block with its carries, reproduces the explicit maximum over all restart
+    points, to relative 1e-12, over 1000 random sequences."""
+    worst = _c01_worst_error(kernels.reflected)
+    assert worst <= 1e-12
     _announce("criterion 1",
-              f"recursion matches the exhaustive maximum (worst rel err {worst:.2e})")
+              f"kernels.reflected matches the exhaustive maximum (worst rel err {worst:.2e})")
+
+
+def test_c01_fails_on_a_broken_reflection():
+    """Criterion 1 can fail: minima shifted by 0.25, or an ``mn`` carry
+    dropped between blocks, each miss the exhaustive maximum by far more
+    than 1e-12."""
+    def shifted(uu, mn):
+        return kernels.reflected(uu, mn) - 0.25
+
+    def no_carry(uu, mn):
+        return kernels.reflected(uu, np.zeros_like(mn))
+
+    for mutant in (shifted, no_carry):
+        assert _c01_worst_error(mutant) > 1e-12, mutant.__name__
 
 
 def test_c02_martingale_normalization(models):

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levydetect import kernels
 from levydetect.detector import (
-    CusumState,
     DetectorConfig,
     StopResult,
     cusum_log_stats,
-    cusum_update,
     drawup,
     first_passage,
     lattice_safe_barrier,
@@ -80,38 +79,40 @@ class TestFirstPassage:
                 math.ceil(first_event / dt - 1e-12) * dt, abs=1e-12)
 
 
+def _one_step_stats(logs):
+    """Log statistic after each increment: one-column scans of
+    kernels.reflected, carrying ``u`` and ``mn`` from step to step."""
+    u, mn, out = np.zeros(1), np.zeros(1), []
+    for ll in logs:
+        out.append(kernels.reflected(kernels.cumulative(np.array([[ll]]), u), mn)[0, 0])
+    return out
+
+
 class TestCusumUpdate:
+    """The one-step CUSUM update log S' = max(log S, 0) + log l is a
+    one-column scan of kernels.reflected."""
+
     def test_zero_state_step(self):
-        state = cusum_update(CusumState(), 0.0)
-        assert state.log_stat == 0.0
-        assert state.steps == 1
+        assert _one_step_stats([0.0]) == [0.0]
 
     def test_known_sequence(self):
         # observations 0.5, -1.0, 2.0 under N(0,1) -> N(1,1): log l = x - 1/2
-        state = CusumState()
-        stats = []
-        for x in (0.5, -1.0, 2.0):
-            state = cusum_update(state, x - 0.5)
-            stats.append(math.exp(state.log_stat))
+        stats = [math.exp(y) for y in _one_step_stats([x - 0.5 for x in (0.5, -1.0, 2.0)])]
         assert stats[0] == pytest.approx(1.0)
         assert stats[1] == pytest.approx(math.exp(-1.5))
         assert stats[2] == pytest.approx(math.exp(1.5))
 
     def test_multiplicative_form(self):
-        state = CusumState(log_stat=math.log(2.0), steps=5)
-        state = cusum_update(state, math.log(3.0))
-        assert math.exp(state.log_stat) == pytest.approx(6.0)
+        u, mn = np.array([math.log(2.0)]), np.zeros(1)      # S = 2 so far
+        y = kernels.reflected(kernels.cumulative(np.array([[math.log(3.0)]]), u), mn)
+        assert math.exp(y[0, 0]) == pytest.approx(6.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=50))
     def test_recursion_equals_brute_force_sup(self, logs):
-        """The recursion reproduces the explicit maximum over restart points
-        of the partial likelihood products."""
-        state = CusumState()
-        rec = []
-        for ll in logs:
-            state = cusum_update(state, ll)
-            rec.append(state.log_stat)
+        """The one-step scans reproduce the explicit maximum over restart
+        points of the partial likelihood products."""
+        rec = _one_step_stats(logs)
         c = np.concatenate([[0.0], np.cumsum(logs)])
         for k in range(1, len(c)):
             brute = max(c[k] - c[m] for m in range(k))
@@ -120,11 +121,11 @@ class TestCusumUpdate:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=60))
     def test_recursion_matches_strict_drawup(self, logs):
-        state = CusumState()
-        rec = []
+        """cusum_log_stats over the whole path is the scalar recursion."""
+        s, rec = -math.inf, []
         for ll in logs:
-            state = cusum_update(state, ll)
-            rec.append(state.log_stat)
+            s = max(s, 0.0) + ll
+            rec.append(s)
         stats = cusum_log_stats(np.concatenate([[0.0], np.cumsum(logs)]))
         assert np.allclose(rec, stats[1:], rtol=1e-12, atol=1e-12)
 

@@ -10,8 +10,8 @@ from levydetect import engine, kernels
 from levydetect.detector import DetectorConfig
 from levydetect.engine import RuleSpec, run_dyadic, run_paths, sample_u_increments
 from levydetect.errors import ContractError
-from levydetect.evaluate import (calibrate_barrier, compare, estimate_arl,
-                                 lorden_delay, lower_bound_ratio)
+from levydetect.evaluate import (calibrate_barrier, estimate_arl, lorden_delay,
+                                 lower_bound_ratio)
 from levydetect.families import ExponentialJumps, LevySpec, TwoSidedExponentialJumps
 from levydetect.likelihood import llr_path
 from levydetect.model import build_change_model
@@ -360,22 +360,6 @@ class TestRunPaths:
         assert np.array_equal(kept.stat, skipped.stat, equal_nan=True)
         with pytest.raises(ContractError):
             skipped.tau_hat
-
-    def test_compare_draws_as_many_steps_for_any_tau_grid(self, brownian_model,
-                                                          monkeypatch):
-        """The worst-case delay is one restart run, however many change
-        points the grid holds: a longer grid draws no more steps and moves
-        no number."""
-        calls = _count_draws(monkeypatch)
-        rules = [("cusum_grid", 0.1), ("shiryaev_roberts", 0.1)]
-        drawn, results = [], []
-        for grid in ((0.0,), (0.0, 1.0, 5.0, 10.0, 20.0)):
-            calls.clear()
-            results.append(compare(brownian_model, 10.0, rules, 1000, SEED,
-                                   tau_grid=grid, n_rep_calibrate=1000))
-            drawn.append(sum(len(rows) * steps for rows, steps in calls))
-        assert drawn[0] > 0 and drawn[0] == drawn[1]
-        assert results[0] == results[1]
 
     @pytest.mark.parametrize("unit,chunk,ends", [
         (1, engine.CHUNK, {0: 64, 255: 256, 256: 384, 1023: 1024, 1024: 1280,

@@ -11,10 +11,12 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(levydetect.__file__)))
 
 
 def test_import_loads_no_scipy():
-    """scipy serves only the quadrature cross-checks and the gamma ledger,
-    which import it when called; importing the package and its CLI must not."""
+    """scipy serves only the quadrature cross-checks of levydetect.oracle and
+    the gamma ledger, which import it when called; importing the package and
+    its CLI loads neither scipy nor the oracle."""
     code = ("import levydetect, levydetect.cli, sys; "
-            "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))")
+            "print(sorted(k for k in sys.modules if k in ('scipy', 'levydetect.oracle')"
+            " or k.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=_SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -23,10 +23,13 @@ from levydetect.model import (
     COND_INTEGRABILITY,
     COND_VOLATILITY,
     build_change_model,
-    comp_rate_quadrature,
     drift_constants,
-    integrability_quadrature,
     phi_eval,
+)
+from levydetect.oracle import (
+    comp_rate_quadrature,
+    drift_constants_quadrature,
+    integrability_quadrature,
     truncated_moment_quadrature,
 )
 from levydetect.rng import RngStream
@@ -162,7 +165,7 @@ class TestDriftConstants:
     def test_closed_forms_match_quadrature(self, fixture, request):
         model = request.getfixturevalue(fixture)
         closed = drift_constants(model)
-        quad = drift_constants(model, method="quadrature")
+        quad = drift_constants_quadrature(model)
         assert closed[0] == pytest.approx(quad[0], abs=1e-8)
         assert closed[1] == pytest.approx(quad[1], abs=1e-8)
 
@@ -173,7 +176,7 @@ class TestDriftConstants:
     def test_sign_structure(self, fixture, request):
         """Jump-part drifts are negative before and positive after the change."""
         model = request.getfixturevalue(fixture)
-        jump_pre, jump_post = drift_constants(model, method="quadrature")
+        jump_pre, jump_post = drift_constants_quadrature(model)
         assert jump_pre < -1e-8
         assert jump_post > 1e-8
         assert model.beta_pre < 0.0 < model.beta_post
