@@ -250,7 +250,7 @@ def _cmd_lorden(cfg: ExperimentConfig) -> Outcome:
 
 def _cmd_lowerbound(cfg: ExperimentConfig) -> Outcome:
     n_steps = _check_horizon(cfg)
-    sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
+    sim, exp = cfg.simulation, cfg.experiment
     fixed_steps = exp["fixed_steps"]
     if fixed_steps is not None:
         _field_check("experiment.fixed_steps",
@@ -258,8 +258,7 @@ def _cmd_lowerbound(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
     model.require_admissible()
     config = _detector_config(cfg)
-    lb = lower_bound_ratio(model, None if fixed_steps else config,
-                           float(det["delta"]), sim["n_rep"], sim["horizon"],
+    lb = lower_bound_ratio(model, config, sim["n_rep"], sim["horizon"],
                            sim["master_seed"], threads=sim["threads"],
                            fixed_steps=fixed_steps)
     delay = estimate_arl(model, config, "out_of_control", sim["n_rep"],

@@ -426,8 +426,8 @@ def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
 
 def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
                n_steps: int, strides: Sequence[int], n_rep: int,
-               master_seed: int, purpose: str = "converge", block: int = 0,
-               threads: int = 1) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+               master_seed: int, threads: int = 1
+               ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Stop times of the grid rule at several monitoring strides over one
     shared fine path per replication: two lists of per-stride arrays, for the
     usual ``statistic >= barrier`` stop and the strict ``> barrier`` variant
@@ -435,7 +435,8 @@ def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
     Censored runs report the horizon. All strides see identical trajectories,
     so nested-grid comparisons hold pathwise. Sub-blocks are aligned to the
     least common multiple of the strides; a path stops drawing once every
-    stride has stopped under both conventions."""
+    stride has stopped under both conventions. Replication i runs on stream
+    (master_seed, converge/0/i), the streams of ``convergence_study``."""
     for s in strides:
         if n_steps % s:
             raise ContractError(f"n_steps {n_steps} not divisible by stride {s}")
@@ -459,7 +460,7 @@ def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
             keep = (stop[:, :, alive] < 0).any(axis=(0, 1))
             alive, u, mins, start = alive[keep], u[keep], mins[:, keep], end
 
-    _dispatch(run_batch, substream_components(model, dt), n_rep, master_seed, purpose,
-              block, threads)
+    _dispatch(run_batch, substream_components(model, dt), n_rep, master_seed,
+              "converge", 0, threads)
     times = np.where(stops >= 0, stops * dt, n_steps * dt)
     return list(times[0]), list(times[1])

@@ -274,18 +274,15 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
 @dataclass(frozen=True)
 class LordenResult:
     """Lorden's worst-case delay (``worst``) and the same report at each
-    change point of ``tau_grid`` (``per_tau``, labelled ``delay_tau_{tau:g}``);
-    ``sample`` holds the restart run's stop times when asked for."""
+    change point of ``tau_grid`` (``per_tau``, labelled ``delay_tau_{tau:g}``)."""
     per_tau: Tuple[EvalReport, ...]
     worst: EvalReport
     tau_grid: Tuple[float, ...]
-    sample: Optional[np.ndarray] = None
 
 
 def lorden_delay(model: ChangeModel, config: DetectorConfig,
                  tau_grid: Sequence[float], n_rep: int, horizon: float,
-                 seed: int, threads: int = 1,
-                 return_sample: bool = False) -> LordenResult:
+                 seed: int, threads: int = 1) -> LordenResult:
     """Lorden's worst-case expected detection delay, reported at every
     change point of a grid.
 
@@ -293,10 +290,10 @@ def lorden_delay(model: ChangeModel, config: DetectorConfig,
     favorable state at tau: the restart (S = 1 for CUSUM, R = 0 for
     Shiryaev-Roberts). Both recursions are monotone in their start, so from
     any other state a path stops no later (Lorden 1971; Moustakides 1986).
-    The restart delay has one law whatever tau is, so one post-change run
-    of ``n_rep`` paths (purpose 'delay', stream block 0) gives it: that
-    run's report is ``worst`` and every ``per_tau`` entry. The grid must
-    hold at least one change point, each a finite number >= 0.
+    The restart delay has one law whatever tau is, so it is the
+    out-of-control :func:`estimate_arl` of ``n_rep`` paths on the 'delay'
+    streams (block 0), relabelled: ``worst`` and every ``per_tau`` entry.
+    The grid must hold at least one change point, each a finite number >= 0.
     """
     model.require_admissible()
     grid = tuple(float(t) for t in tau_grid)
@@ -305,42 +302,38 @@ def lorden_delay(model: ChangeModel, config: DetectorConfig,
     for tau in grid:
         if not (math.isfinite(tau) and tau >= 0.0):
             raise ContractError(f"tau_grid entry {tau!r} is not a finite number >= 0")
-    rule, dt = _engine_rule(model, config)
-    n_steps = monitoring_steps(horizon, dt)
-    result = run_paths(model, "post", rule, dt, n_steps, n_rep, seed, "delay",
-                       block=0, threads=threads)
-    worst = _report(result, model, config, "out_of_control", seed, 0,
+    worst = replace(estimate_arl(model, config, "out_of_control", n_rep, horizon, seed,
+                                 threads=threads, block=0, purpose="delay"),
                     label="delay_worst")
     return LordenResult(
         per_tau=tuple(replace(worst, label=f"delay_tau_{tau:g}") for tau in grid),
-        worst=worst, tau_grid=grid,
-        sample=result.stop_times if return_sample else None)
+        worst=worst, tau_grid=grid)
 
 
-def lower_bound_ratio(model: ChangeModel, config: Optional[DetectorConfig],
-                      delta: float, n_rep: int, horizon: float, seed: int,
-                      threads: int = 1, fixed_steps: Optional[int] = None,
-                      block: int = 0) -> EvalReport:
+def lower_bound_ratio(model: ChangeModel, config: DetectorConfig, n_rep: int,
+                      horizon: float, seed: int, threads: int = 1,
+                      fixed_steps: Optional[int] = None) -> EvalReport:
     """The in-control lower-bound functional of a grid stopping rule:
 
         delta * E[ sum max(S_k, 1) ] / E[ sum (1 - S_k)^+ ],
 
     sums over monitored steps strictly before the stop or horizon (k = 0 included).
-    The standard error comes from the first-order delta method on the paired
-    per-replication sums.
+    The step delta is ``config.delta``. With ``fixed_steps`` the rule is the
+    fixed rule stopping after that many steps (provenance ``fixed_<m>``);
+    otherwise it is ``config``'s rule. The standard error comes from the
+    first-order delta method on the paired per-replication sums.
     """
     model.require_admissible()
     if fixed_steps is not None:
         rule = RuleSpec(kind="fixed", fixed_steps=fixed_steps)
-        dt = float(delta)
+        dt = float(config.delta)
         rule_name = f"fixed_{fixed_steps}"
     else:
         rule, dt = _engine_rule(model, config)
         rule_name = config.rule
     n_steps = monitoring_steps(horizon, dt)
     result = run_paths(model, "pre", rule, dt, n_steps, n_rep, seed,
-                       "lower_bound", block=block, threads=threads,
-                       collect_lb=True)
+                       "lower_bound", threads=threads, collect_lb=True)
     num, den = result.lb_num, result.lb_den
     nbar, dbar = float(num.mean()), float(den.mean())
     if dbar <= 0.0:
@@ -351,7 +344,7 @@ def lower_bound_ratio(model: ChangeModel, config: Optional[DetectorConfig],
     se = dt * math.sqrt(max(var, 0.0) / n_rep)
     prov = Provenance(master_seed=seed, grid_dt=dt, delta=dt, rule=rule_name,
                       model_digest=model.digest(), regime="in_control",
-                      stream_block=block)
+                      stream_block=0)
     return EvalReport(estimate=dt * ratio, std_error=se, n_rep=n_rep,
                       n_censored=int(result.censored.sum()),
                       horizon=n_steps * dt, provenance=prov,

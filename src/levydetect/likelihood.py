@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -37,10 +36,6 @@ class LLRPath:
 
     grid_dt: float
     u_values: np.ndarray
-    source_change_point: float = math.inf
-    source_horizon: float = math.nan
-    source_stream: Tuple[int, int] = (0, 0)
-    model_digest: str = ""
 
     def __post_init__(self):
         if self.u_values[0] != 0.0:
@@ -84,11 +79,7 @@ def llr_path(model: ChangeModel, path: SamplePath) -> LLRPath:
         if model.phi is not None:
             u += jump_phi - model.comp_rate * t
     u[0] = 0.0
-    return LLRPath(grid_dt=path.grid_dt, u_values=u,
-                   source_change_point=path.change_point,
-                   source_horizon=path.horizon,
-                   source_stream=path.stream,
-                   model_digest=model.digest())
+    return LLRPath(grid_dt=path.grid_dt, u_values=u)
 
 
 def martingale_check(model: ChangeModel, delta: float, n_rep: int,

@@ -113,10 +113,6 @@ class ChangeModel:
     def sigma(self) -> float:
         return self.pre.sigma
 
-    @property
-    def has_jumps(self) -> bool:
-        return self.phi is not None
-
     def require_admissible(self) -> None:
         if not self.admissible:
             raise InadmissibleModelError(self.message)

@@ -45,7 +45,6 @@ class SamplePath:
     change_point: float           # inf allowed
     horizon: float
     model_digest: str = ""        # identity of the generating change model
-    stream: Tuple[int, int] = (0, 0)   # (master_seed, stream_id) that built it
 
     def __post_init__(self):
         n = grid_steps(self.horizon, self.grid_dt)
@@ -145,14 +144,13 @@ def _simulate_piece(gen: np.random.Generator, spec: LevySpec, t0: float, t1: flo
     if n == 0:
         return np.empty(0), np.empty(0), np.empty(0)
     drift = spec.linear_drift()
-    if spec.family == "brownian":
-        inc = gen.normal(drift * grid_dt, spec.sigma * math.sqrt(grid_dt), size=n)
-        return inc, np.empty(0), np.empty(0)
-    if spec.family in ("compound_poisson", "jump_diffusion"):
+    if spec.family != "gamma":
         if spec.sigma > 0.0:
             inc = gen.normal(drift * grid_dt, spec.sigma * math.sqrt(grid_dt), size=n)
         else:
             inc = np.full(n, drift * grid_dt)
+        if spec.jumps is None:           # Brownian: no jump law
+            return inc, np.empty(0), np.empty(0)
         times = _poisson_events(gen, spec.intensity, t0, t1)
         sizes = spec.jumps.jump_sizes(gen, len(times))
         # embed jumps exactly into the covering step increments
@@ -214,9 +212,9 @@ def sample_changed_path(model: ChangeModel, tau: float, horizon: float,
         incs.append(inc)
         times.append(jt)
         sizes.append(js)
-    increments = np.concatenate(incs) if incs else np.empty(0)
-    jump_times = np.concatenate(times) if times else np.empty(0)
-    jump_sizes = np.concatenate(sizes) if sizes else np.empty(0)
+    increments = np.concatenate(incs)
+    jump_times = np.concatenate(times)
+    jump_sizes = np.concatenate(sizes)
 
     values = np.empty(n + 1)
     values[0] = 0.0
@@ -224,5 +222,4 @@ def sample_changed_path(model: ChangeModel, tau: float, horizon: float,
     return SamplePath(grid_dt=grid_dt, values=values, jump_times=jump_times,
                       jump_sizes=jump_sizes,
                       change_point=tau_t, horizon=horizon,
-                      model_digest=model.digest(),
-                      stream=(rng.master_seed, rng.stream_id))
+                      model_digest=model.digest())

@@ -169,10 +169,13 @@ def test_c04_equalizer_property(models):
              {f"r={r:g}": math.log1p(r) for r in (1.0, 3.0)})):
         cfg = DetectorConfig(rule=rule, log_barrier=h, delta=delta)
         res = lorden_delay(model, cfg, [0.0, 1.0, 5.0], n_rep, horizon=horizon,
-                           seed=SEED, return_sample=True)
+                           seed=SEED)
         assert res.worst.n_censored == 0
         assert all(replace(rep, label=res.worst.label) == res.worst
                    for rep in res.per_tau)
+        restart = estimate_arl(model, cfg, "out_of_control", n_rep, horizon, SEED,
+                               block=0, purpose="delay",
+                               return_raw=True)[1].stop_times
 
         def stops(start: float) -> np.ndarray:
             states = batch_states(model, "post", RuleSpec(kind=kind, log_barrier=h),
@@ -184,8 +187,8 @@ def test_c04_equalizer_property(models):
 
         for name, start in starts.items():
             raised = stops(start)
-            assert np.all((raised >= 0) & (raised * delta <= res.sample)), f"{rule} {name}"
-            assert (raised * delta).mean() < res.sample.mean(), f"{rule} {name}"
+            assert np.all((raised >= 0) & (raised * delta <= restart)), f"{rule} {name}"
+            assert (raised * delta).mean() < restart.mean(), f"{rule} {name}"
             lines.append(f"{rule} {name}: {(raised * delta).mean():.3f} < "
                          f"{res.worst.estimate:.3f}")
     _announce("criterion 4", "; ".join(lines))
@@ -199,7 +202,7 @@ def test_c05_lower_bound_equality(models):
     for name, horizon_in, horizon_out in (("brownian", 300.0, 60.0),
                                           ("compound_poisson", 600.0, 60.0)):
         model = models[name]
-        lb = lower_bound_ratio(model, cfg, 0.1, 10000, horizon=horizon_in, seed=SEED)
+        lb = lower_bound_ratio(model, cfg, 10000, horizon=horizon_in, seed=SEED)
         e0 = estimate_arl(model, cfg, "out_of_control", 10000, horizon_out,
                           SEED, block=40)
         rel = abs(lb.estimate - e0.estimate) / e0.estimate
@@ -216,7 +219,7 @@ def test_c06_lower_bound_inequality(models):
     delta = 0.1
     sr_cfg = DetectorConfig(rule="shiryaev_roberts",
                             log_barrier=math.log(150.0), delta=delta)
-    lb_sr = lower_bound_ratio(model, sr_cfg, delta, 10000, horizon=400.0, seed=SEED)
+    lb_sr = lower_bound_ratio(model, sr_cfg, 10000, horizon=400.0, seed=SEED)
     d_sr = lorden_delay(model, sr_cfg, [0.0, 1.0, 5.0], 10000, horizon=60.0,
                         seed=SEED)
     slack_sr = d_sr.worst.estimate + 3.0 * math.hypot(lb_sr.std_error,
@@ -224,7 +227,7 @@ def test_c06_lower_bound_inequality(models):
     assert lb_sr.estimate <= slack_sr
 
     m = 50
-    lb_fx = lower_bound_ratio(model, None, delta, 10000, horizon=50.0,
+    lb_fx = lower_bound_ratio(model, sr_cfg, 10000, horizon=50.0,
                               seed=SEED, fixed_steps=m)
     fixed_delay = m * delta       # deterministic worst case of the fixed rule
     assert lb_fx.estimate <= fixed_delay + 3.0 * lb_fx.std_error

@@ -366,6 +366,23 @@ class TestLowerbound:
         delay = summary["results"]["delay"]["estimate"]
         assert abs(lb - delay) / delay < 0.15
 
+    def test_fixed_rule_steps_at_detector_delta(self, tmp_path):
+        """The fixed one-step rule takes its step from detector.delta, and
+        its ratio functional is exactly that step."""
+        payload = {
+            "model": BM_MODEL,
+            "simulation": {"horizon": 50.0, "n_rep": 300, "master_seed": 23},
+            "detector": {"rule": "cusum_grid", "delta": 0.25, "log_barrier": 2.0},
+            "experiment": {"fixed_steps": 1},
+        }
+        code, out = _run(tmp_path, "lowerbound", payload, "lb_fixed")
+        assert code == 0
+        with open(os.path.join(out, "report.csv")) as fh:
+            lb = next(csv.DictReader(fh))
+        assert lb["label"] == "lower_bound" and lb["prov_rule"] == "fixed_1"
+        assert float(lb["prov_grid_dt"]) == 0.25
+        assert float(lb["estimate"]) == 0.25
+
 
 class TestCalibrate:
     def test_needs_gamma(self, tmp_path):

@@ -344,7 +344,7 @@ class TestRunPaths:
         config = DetectorConfig(rule="cusum_grid", log_barrier=2.0, delta=0.1)
         estimate_arl(brownian_model, config, "in_control", 300, 200.0, SEED)
         lorden_delay(brownian_model, config, (0.0, 1.0), 300, 200.0, SEED)
-        lower_bound_ratio(brownian_model, config, 0.1, 300, 200.0, SEED)
+        lower_bound_ratio(brownian_model, config, 300, 200.0, SEED)
         calibrate_barrier(brownian_model, "cusum_grid", 8.0, 0.05, SEED, delta=0.1,
                           n_rep=300)
         assert calls == []
@@ -397,9 +397,9 @@ class TestRunDyadic:
 
     def test_matches_run_paths_at_stride_one(self, brownian_model):
         stops, strict = run_dyadic(brownian_model, "post", 2.0, 0.1, 400, [1],
-                                   500, SEED, purpose="arl")
+                                   500, SEED)
         res = run_paths(brownian_model, "post", RuleSpec(kind="cusum", log_barrier=2.0),
-                        0.1, 400, 500, SEED, "arl")
+                        0.1, 400, 500, SEED, "converge")
         assert np.allclose(stops[0], res.stop_times)
         # continuous increment laws: the two stopping conventions coincide
         assert np.array_equal(stops[0], strict[0])

@@ -154,9 +154,8 @@ class TestLordenDelay:
         arl0 = estimate_arl(brownian_model, _grid_cfg(2.0), "out_of_control",
                             4000, horizon=60.0, seed=SEED, purpose="delay", block=0)
         worst = res.worst
-        assert (worst.estimate, worst.std_error, worst.n_censored) == \
-            (arl0.estimate, arl0.std_error, arl0.n_censored)
-        assert worst.label == "delay_worst" and worst.provenance.stream_block == 0
+        assert replace(worst, label=arl0.label) == arl0
+        assert worst.label == "delay_worst"
         assert res.tau_grid == grid
         assert [r.label for r in res.per_tau] == [f"delay_tau_{t:g}" for t in grid]
         assert all(replace(r, label=worst.label) == worst for r in res.per_tau)
@@ -191,13 +190,13 @@ class TestLordenDelay:
 
 class TestLowerBound:
     def test_one_step_rule_is_exactly_delta(self, brownian_model):
-        rep = lower_bound_ratio(brownian_model, None, 0.25, 500, horizon=50.0,
-                                seed=SEED, fixed_steps=1)
+        rep = lower_bound_ratio(brownian_model, _grid_cfg(2.0, 0.25), 500,
+                                horizon=50.0, seed=SEED, fixed_steps=1)
         assert rep.estimate == 0.25
         assert rep.std_error == 0.0
 
     def test_equality_for_the_reflected_rule(self, brownian_model):
-        lb = lower_bound_ratio(brownian_model, _grid_cfg(2.0), 0.1, 6000,
+        lb = lower_bound_ratio(brownian_model, _grid_cfg(2.0), 6000,
                                horizon=300.0, seed=SEED)
         delay = estimate_arl(brownian_model, _grid_cfg(2.0), "out_of_control",
                              6000, horizon=60.0, seed=SEED, block=5)
@@ -207,8 +206,8 @@ class TestLowerBound:
         """d-bar of the fixed two-step rule against a direct Monte Carlo of
         both expectations on fresh streams."""
         dt = 0.1
-        rep = lower_bound_ratio(brownian_model, None, dt, 20000, horizon=50.0,
-                                seed=SEED, fixed_steps=2)
+        rep = lower_bound_ratio(brownian_model, _grid_cfg(2.0, dt), 20000,
+                                horizon=50.0, seed=SEED, fixed_steps=2)
         rng = np.random.default_rng(SEED)
         u1 = rng.normal(-0.5 * dt, math.sqrt(dt), size=200000)
         s1 = np.exp(u1)
@@ -220,8 +219,8 @@ class TestLowerBound:
     def test_fixed_rule_bounded_by_its_delay(self, brownian_model):
         """d-bar of a fixed m-step rule never exceeds its worst delay m*dt."""
         dt, m = 0.1, 50
-        rep = lower_bound_ratio(brownian_model, None, dt, 4000, horizon=50.0,
-                                seed=SEED, fixed_steps=m)
+        rep = lower_bound_ratio(brownian_model, _grid_cfg(2.0, dt), 4000,
+                                horizon=50.0, seed=SEED, fixed_steps=m)
         assert rep.estimate <= m * dt + 3.0 * rep.std_error
 
 
