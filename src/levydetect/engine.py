@@ -6,6 +6,9 @@ step is known exactly, so runs are simulated directly on the monitoring grid.
 Each replication owns a counter-based stream (reproducible from its index
 alone) and draws each kind of variate from its own substream, so every draw
 is a function of its step index only, whatever the schedule that draws it.
+A run builds its substream generators once per worker and restarts them in
+place on the streams of each batch (:func:`rng.substream_rows`); a restart
+sets the whole Philox state of a fresh generator, so no value can move.
 For the jump families one table, :func:`_jump_sides`, names the substreams
 of each side of the jump law, whose closed forms come from the law itself;
 the sampler and :func:`substream_components` both read it; a side whose
@@ -30,6 +33,7 @@ path in its own loop. Results depend on neither the worker count nor ``CHUNK``."
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -40,7 +44,7 @@ from . import kernels
 from .errors import ContractError
 from .families import LevySpec
 from .model import ChangeModel
-from .rng import RngStream, stream_id
+from .rng import RngStream, stream_id, substream_rows
 
 __all__ = ["RuleSpec", "PathRunResult", "BatchState", "make_u_sampler",
            "substream_components", "sample_u_increments", "block_end", "batch_states",
@@ -356,12 +360,23 @@ def _pool_map(fn, items, threads: int) -> list:
 
 
 def _dispatch(work, components, n_rep: int, master_seed: int, purpose: str,
-              block: int, threads: int, first: int = 0) -> list:
+              block: int, threads: int, first: int = 0, keep: bool = False) -> list:
     """``work(gens, lo)`` on each slice [lo, lo + BATCH) of replications first ..
-    n_rep - 1, ``gens`` the substreams of stream (master_seed, purpose/block/i)."""
+    n_rep - 1, ``gens`` the substreams of stream (master_seed, purpose/block/i).
+    Each worker builds one set of generators per call and restarts it in
+    place for each of its batches (:func:`rng.substream_rows`), unless
+    ``keep``: then each batch gets generators of its own, for work whose
+    result holds them past its batch."""
+    if n_rep <= first:
+        return []
+    ids = range(stream_id(purpose, first, block), stream_id(purpose, n_rep - 1, block) + 1)
+    local = threading.local()
+
     def batch(lo: int):
-        return work([RngStream(master_seed, stream_id(purpose, i, block)).substreams(
-            components) for i in range(lo, min(lo + BATCH, n_rep))], lo)
+        if keep or not hasattr(local, "rows"):
+            local.rows = []
+        return work(substream_rows(master_seed, ids[lo - first:lo - first + BATCH],
+                                   components, local.rows), lo)
     return _pool_map(batch, range(first, n_rep, BATCH), threads)
 
 
@@ -375,7 +390,7 @@ def batch_states(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
     sampler = make_u_sampler(model, regime, dt)
     return _dispatch(lambda gens, lo: BatchState(sampler, rule, gens, records=records),
                      substream_components(model, dt), n_rep, master_seed, purpose,
-                     block, threads, first)
+                     block, threads, first, keep=True)
 
 
 def advance(states, target: int, barrier: float, threads: int = 1) -> None:

@@ -325,8 +325,11 @@ def lower_bound_ratio(model: ChangeModel, config: DetectorConfig, n_rep: int,
     """
     model.require_admissible()
     if fixed_steps is not None:
+        delta = config.delta
+        if delta is None or not math.isfinite(delta) or delta <= 0.0:
+            raise ContractError(f"fixed rule needs a finite delta > 0, got delta {delta!r}")
         rule = RuleSpec(kind="fixed", fixed_steps=fixed_steps)
-        dt = float(config.delta)
+        dt = float(delta)
         rule_name = f"fixed_{fixed_steps}"
     else:
         rule, dt = _engine_rule(model, config)

@@ -10,6 +10,12 @@ Philox key started at counter [0, 0, 0, c], so component 0 is the stream
 itself. A sampler draws each kind of variate (normals, jump counts, marks)
 from its own component, which makes every draw a function of its step index
 alone: the values do not depend on how many steps are drawn per call.
+
+A generator is restarted on another stream by setting its whole Philox state
+(:func:`substream_rows`): the key, the counter, an empty buffer and no cached
+uint32 are all of a fresh generator's state, so its draws are bit for bit
+those of ``RngStream(...).generator()``, and a run can build its generators
+once per worker and restart them for each batch without moving a value.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["RngStream", "stream_id", "PURPOSE"]
+__all__ = ["RngStream", "stream_id", "substream_rows", "PURPOSE"]
 
 # purpose code -> high bits of the stream id; blocks of 2^40 replications
 PURPOSE = {
@@ -93,3 +99,25 @@ class RngStream:
         for c in components:
             gens[c] = RngStream(self.master_seed, self.stream_id, c).generator()
         return tuple(gens)
+
+
+def substream_rows(master_seed: int, ids: range, components: Sequence[int],
+                   rows: list) -> list:
+    """The substreams of ``components`` of the streams (master_seed, i), i in
+    ``ids``, one tuple per row as :meth:`RngStream.substreams` gives them.
+    The generators of ``rows``, kept from an earlier call with the same
+    components, are restarted in place: each gets the whole state of a fresh
+    build, key [master_seed, i], counter [0, 0, 0, c], an empty buffer
+    (``buffer_pos`` 4) and no cached uint32. Rows it lacks are built and
+    appended to it."""
+    kept = rows[:len(ids)]
+    for c in components:
+        key = [master_seed, ids.start]
+        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, c], "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for gens in kept:
+            gens[c].bit_generator.state = state     # copied, so the key can move on
+            key[1] += 1
+    rows.extend(RngStream(master_seed, i).substreams(components)
+                for i in ids[len(kept):])
+    return rows[:len(ids)]

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import typing
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from levydetect.families import ExponentialJumps, LevySpec, TwoSidedExponentialJ
 from levydetect.likelihood import llr_path
 from levydetect.model import build_change_model
 from levydetect.paths import sample_changed_path
-from levydetect.rng import RngStream, stream_id
+from levydetect.rng import RngStream, stream_id, substream_rows
 
 SEED = 8086
 
@@ -194,9 +196,16 @@ class TestSamplers:
 
 class TestRunPaths:
     def test_threads_do_not_change_results(self, brownian_model):
-        rule = RuleSpec(kind="cusum", log_barrier=2.0)
-        runs = [run_paths(brownian_model, "pre", rule, 0.05, 1000, 2500, SEED,
-                          "arl", threads=t) for t in (1, 2, 4)]
+        """Six batches on up to four workers, each restarting its own
+        generators for its next batch, switching threads every microsecond."""
+        rule, n_rep = RuleSpec(kind="cusum", log_barrier=2.0), 5 * engine.BATCH + 76
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [run_paths(brownian_model, "pre", rule, 0.05, 1000, n_rep, SEED,
+                              "arl", threads=t) for t in (1, 2, 4)]
+        finally:
+            sys.setswitchinterval(interval)
         for other in runs[1:]:
             assert np.array_equal(runs[0].stop_steps, other.stop_steps)
             assert np.array_equal(runs[0].stat, other.stat)
@@ -432,7 +441,7 @@ class TestRunDyadic:
         max(w, sqrt(w * stop)) steps, w = SUB_BLOCK * lcm. Each sampler call
         draws every live row of one sub-block, so there are no more calls
         than scans, and each drawn sub-block is summed once."""
-        calls = _count_draws(monkeypatch)
+        calls = _count_draws(monkeypatch, "converge")
         scans = _count_calls(monkeypatch, kernels, "cumulative")
         dt, strides, n_steps, n_rep = 0.002, [4, 2, 1], 30000, 300
         stops, strict = run_dyadic(request.getfixturevalue(fixture), "post", 2.0, dt,
@@ -512,26 +521,90 @@ class TestBatchState:
         assert cals[0] == cals[1]
 
 
-def _count_draws(monkeypatch) -> list:
-    """Per sampler call of the engine, the replications of its rows and its
-    number of steps. Replications are numbered in the order their substreams
-    are built, which on one thread is the order of their indices."""
-    calls, built = [], {}
-    substreams, make_u_sampler = RngStream.substreams, engine.make_u_sampler
+class TestStreamRestart:
+    def test_restart_equals_a_fresh_build(self):
+        """A generator of each component that has drawn normals, gammas of
+        shape 0.1, Poisson counts and one uint32 (which leaves half a word
+        cached), once restarted, has a fresh build's whole state and draws
+        its bits."""
+        components, i = range(5), stream_id("arl", 77, 3)
 
-    def numbered_substreams(stream, components):
-        gens = substreams(stream, components)
-        built[id(gens)] = (len(built), gens)      # kept alive, so ids stay unique
-        return gens
+        def draws(gen):
+            return (gen.integers(0, 2 ** 32, dtype=np.uint32), gen.standard_normal(9),
+                    gen.standard_gamma(0.1, 9), gen.poisson(2.5, 9))
+        rows = [RngStream(SEED, stream_id("delay", 5)).substreams(components)]
+        for gen in rows[0]:
+            draws(gen)
+        assert substream_rows(SEED, range(i, i + 1), components, rows) == rows
+        for c, gen in enumerate(rows[0]):
+            fresh = RngStream(SEED, i, c).generator()
+            assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
+            for a, b in zip(draws(gen), draws(fresh)):
+                assert np.array_equal(a, b), c
+
+    @pytest.mark.parametrize("fixture", ["brownian_model", "two_sided_model"])
+    def test_run_builds_one_set_of_generators_per_worker(self, fixture, request,
+                                                         monkeypatch):
+        """On one thread, three batches build one batch of generators; the
+        last, short batch runs on restarted ones and equals a batch state on
+        freshly built substreams."""
+        model, rule = request.getfixturevalue(fixture), RuleSpec("cusum", log_barrier=2.0)
+        components = engine.substream_components(model, 0.1)
+        built, generator = [], RngStream.generator
+        monkeypatch.setattr(RngStream, "generator",
+                            lambda stream: built.append(stream) or generator(stream))
+        n_rep = 2 * engine.BATCH + 76
+        res = run_paths(model, "pre", rule, 0.1, 600, n_rep, SEED, "arl", last_reflect=True)
+        assert len(built) <= engine.BATCH * len(components)
+        monkeypatch.undo()
+        state = engine.BatchState(
+            engine.make_u_sampler(model, "pre", 0.1), rule,
+            [RngStream(SEED, stream_id("arl", i)).substreams(components)
+             for i in range(2 * engine.BATCH, n_rep)], last_reflect=True)
+        state.advance(600, rule.log_barrier)
+        assert np.array_equal(res.stop_steps[-76:], state.stop)
+        assert np.array_equal(res.stat[-76:], state.stat, equal_nan=True)
+        assert np.array_equal(res.last_reflect[-76:], state.lastref)
+
+    def test_batch_states_share_no_generator(self, two_sided_model):
+        """Calibration resumes its states after their batch ends, so each
+        state keeps generators of its own."""
+        states = engine.batch_states(two_sided_model, "pre", RuleSpec("cusum", log_barrier=2.0),
+                                     0.1, 2 * engine.BATCH + 76, SEED, "calibrate")
+        gens = [g for state in states for row in state.gens for g in row if g is not None]
+        assert len(states) == 3 and len({id(g) for g in gens}) == len(gens)
+
+    def test_stream_ids_are_range_checked(self, brownian_model):
+        """The last replication's stream id is checked before any batch runs."""
+        rule, top = RuleSpec("cusum", log_barrier=2.0), 1 << 40
+        states = engine.batch_states(brownian_model, "pre", rule, 0.1, top, SEED, "arl",
+                                     first=top - 1)
+        assert len(states) == 1 and len(states[0].gens) == 1
+        with pytest.raises(ValueError, match="replication index out of range"):
+            engine.batch_states(brownian_model, "pre", rule, 0.1, top + 1, SEED, "arl",
+                                first=top - 1)
+
+
+def _count_draws(monkeypatch, purpose: str = "arl") -> list:
+    """Per sampler call of the engine, the replications of its rows and its
+    number of steps. A row's replication is its stream id (its Philox key
+    word 1) less that of replication 0 of ``purpose`` (block 0): the engine
+    restarts one set of generators for each batch, so a row's generator
+    objects do not name its replication."""
+    calls, base = [], stream_id(purpose, 0)
+    make_u_sampler = engine.make_u_sampler
+
+    def replication(gens) -> int:
+        gen = next(g for g in gens if g is not None)
+        return int(gen.bit_generator.state["state"]["key"][1]) - base
 
     def counting_make_u_sampler(*args):
         draw = make_u_sampler(*args)
 
         def sampler(gens_rows, size):
-            calls.append(([built[id(g)][0] for g in gens_rows], size[1]))
+            calls.append(([replication(g) for g in gens_rows], size[1]))
             return draw(gens_rows, size)
         return sampler
-    monkeypatch.setattr(RngStream, "substreams", numbered_substreams)
     monkeypatch.setattr(engine, "make_u_sampler", counting_make_u_sampler)
     return calls
 
@@ -800,11 +873,13 @@ def test_stream_is_the_philox_key_and_components_are_counter_offsets():
 
 
 def test_philox_streams_are_built_only_in_rng():
-    """Every generator comes from RngStream, so the stream contract lives in
-    rng.py alone."""
+    """Every generator comes from RngStream and only rng.py sets a Philox
+    state (the in-place restart of substream_rows), so the stream contract
+    lives in rng.py alone."""
     pkg = Path(__file__).resolve().parents[1] / "src" / "levydetect"
+    patterns = (r"np\.random\.Philox", r"np\.random\.Generator\(", r"\.state\s*=(?!=)")
     offenders = [f"{path.name}: {pattern}"
                  for path in sorted(pkg.glob("*.py")) if path.name != "rng.py"
-                 for pattern in ("np.random.Philox", "np.random.Generator(")
-                 if pattern in path.read_text()]
-    assert "np.random.Philox" in (pkg / "rng.py").read_text() and offenders == []
+                 for pattern in patterns if re.search(pattern, path.read_text())]
+    rng_text = (pkg / "rng.py").read_text()
+    assert all(re.search(pattern, rng_text) for pattern in patterns) and offenders == []

@@ -195,6 +195,15 @@ class TestLowerBound:
         assert rep.estimate == 0.25
         assert rep.std_error == 0.0
 
+    @pytest.mark.parametrize("delta", [None, math.inf, -0.1])
+    def test_fixed_rule_needs_a_positive_delta(self, brownian_model, delta, monkeypatch):
+        """The fixed rule's step is config.delta: a missing, infinite or
+        negative one is named before any run."""
+        monkeypatch.setattr(evaluate, "run_paths", None)
+        with pytest.raises(ContractError, match="delta"):
+            lower_bound_ratio(brownian_model, _grid_cfg(2.0, delta), 500,
+                              horizon=50.0, seed=SEED, fixed_steps=1)
+
     def test_equality_for_the_reflected_rule(self, brownian_model):
         lb = lower_bound_ratio(brownian_model, _grid_cfg(2.0), 6000,
                                horizon=300.0, seed=SEED)
