@@ -28,7 +28,11 @@ draws at most max(64, sqrt(64 k)) steps past it, in about 3 sqrt(k / 64)
 sampler calls. :func:`_draw` sums each sub-block once, in place, into the
 cumulative values every scan kernel reads. :func:`run_paths` drives it for one
 stopping rule; :func:`run_dyadic` scans several monitoring strides of one fine
-path in its own loop. Results depend on neither the worker count nor ``CHUNK``."""
+path in its own loop, on the same schedule counted in fine steps, with each
+width rounded up to whole multiples of the least common multiple of the
+strides (:func:`block_end`; the first sub-block is 64 steps for strides 16,
+8, 4, 2 and 66 for 3, 2, 1). Their results depend on neither the worker
+count, ``CHUNK`` nor ``SUB_BLOCK``."""
 
 from __future__ import annotations
 
@@ -242,14 +246,16 @@ def sample_u_increments(model: ChangeModel, regime: str, dt: float,
 # --------------------------------------------------------------------------- #
 
 def block_end(pos: int, unit: int = 1) -> int:
-    """End of the sub-block holding step pos + 1. Sub-blocks are w = SUB_BLOCK
-    * unit steps wide up to step 4w, and their width doubles each time the
-    step quadruples (2w up to step 16w, 4w up to 64w, ...), capped at
-    ``CHUNK`` steps rounded down to whole units. From step 4w on, the width
-    at step k is at most sqrt(w * k): a path that stops at step k draws at
-    most max(w, sqrt(w * k)) steps past it, in about 3 sqrt(k / w) sub-blocks."""
+    """End of the sub-block holding step pos + 1, a multiple of ``unit``
+    (a count of steps, like every width). Sub-blocks are w steps wide up
+    to step 4w, w = ``SUB_BLOCK`` rounded up to whole units, and their width
+    doubles each time the step quadruples (2w up to step 16w, 4w up to 64w,
+    ...), capped at ``CHUNK`` steps rounded down to whole units. From step 4w
+    on, the width at step k is at most sqrt(w * k): a path that stops at step
+    k draws at most max(w, sqrt(w * k)) steps past it, in about 3 sqrt(k / w)
+    sub-blocks."""
     cap = max(unit, CHUNK - CHUNK % unit)
-    start, width = 0, min(SUB_BLOCK * unit, cap)
+    start, width = 0, min(-(-SUB_BLOCK // unit) * unit, cap)
     end = 4 * width                 # where the width next doubles
     while width < cap and pos >= end:
         start, width, end = end, min(2 * width, cap), 4 * end
@@ -448,9 +454,13 @@ def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
     usual ``statistic >= barrier`` stop and the strict ``> barrier`` variant
     (they part ways only when the statistic lands exactly on the barrier).
     Censored runs report the horizon. All strides see identical trajectories,
-    so nested-grid comparisons hold pathwise. Sub-blocks are aligned to the
-    least common multiple of the strides; a path stops drawing once every
-    stride has stopped under both conventions. Replication i runs on stream
+    so nested-grid comparisons hold pathwise. Sub-blocks follow the schedule
+    of :func:`run_paths` in fine steps, each width rounded up to whole units
+    of the least common multiple of the strides, so every boundary falls on
+    every stride's grid; a path stops drawing once every stride has stopped
+    under both conventions, overdrawing by less than one sub-block. Every
+    draw is a function of its step and every carry a sequential accumulate,
+    so the widths move no result. Replication i runs on stream
     (master_seed, converge/0/i), the streams of ``convergence_study``."""
     for s in strides:
         if n_steps % s:

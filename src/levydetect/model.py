@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -121,6 +122,12 @@ class ChangeModel:
         return {"pre": self.pre.to_dict(), "post": self.post.to_dict()}
 
     def digest(self) -> str:
+        """Identity of the pair: a hash of :meth:`to_dict`, computed once,
+        since the model and its specifications are frozen."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 

@@ -274,11 +274,28 @@ class TestRunPaths:
             if kind != "fixed" and regime == "pre":
                 assert runs[0].censored.any() and not runs[0].censored.all(), fixture
             for other in runs[1:]:
-                assert np.array_equal(runs[0].stop_steps, other.stop_steps), fixture
-                assert np.array_equal(runs[0].stat, other.stat, equal_nan=True), fixture
-                assert np.array_equal(runs[0].last_reflect, other.last_reflect), fixture
-                assert np.array_equal(runs[0].lb_num, other.lb_num), fixture
-                assert np.array_equal(runs[0].lb_den, other.lb_den), fixture
+                _assert_same_run(runs[0], other, fixture)
+
+    @pytest.mark.parametrize("regime", ["pre", "post"])
+    def test_first_sub_block_width_does_not_change_results(self, regime, request,
+                                                            monkeypatch):
+        """SUB_BLOCK moves every sub-block boundary (1 and 7 split a path
+        into many more sub-blocks, 4096 draws it in one), and no output of
+        either rule, the lower-bound sums and last reflections included,
+        moves by a single bit."""
+        rules = (RuleSpec(kind="cusum", log_barrier=3.0),
+                 RuleSpec(kind="sr", log_barrier=math.log(150.0)))
+
+        def run(model, rule, width):
+            monkeypatch.setattr(engine, "SUB_BLOCK", width)
+            return run_paths(model, regime, rule, 0.1, 600, 300, SEED, "arl",
+                             collect_lb=True, last_reflect=True)
+        for fixture in MODEL_FIXTURES:
+            model = request.getfixturevalue(fixture)
+            for rule in rules:
+                runs = [run(model, rule, w) for w in (1, 7, 64, 4096)]
+                for other in runs[1:]:
+                    _assert_same_run(runs[0], other, fixture)
 
     @pytest.mark.parametrize("n_steps", [5, 300])
     def test_censored_lb_sums_stop_at_the_horizon(self, n_steps, request):
@@ -373,17 +390,18 @@ class TestRunPaths:
     @pytest.mark.parametrize("unit,chunk,ends", [
         (1, engine.CHUNK, {0: 64, 255: 256, 256: 384, 1023: 1024, 1024: 1280,
                            4096: 4608, 100000: 100352, 262144: 266240}),
-        (3, engine.CHUNK, {0: 192, 255: 384, 256: 384, 1023: 1152, 1024: 1152,
-                           4096: 4608}),
-        (16, engine.CHUNK, {0: 1024, 255: 1024, 256: 1024, 1023: 1024, 1024: 2048,
-                            4096: 6144}),
+        (3, engine.CHUNK, {0: 66, 255: 264, 256: 264, 1023: 1056, 1024: 1056,
+                           4096: 4224}),
+        (16, engine.CHUNK, {0: 64, 255: 256, 256: 384, 1023: 1024, 1024: 1280,
+                            4096: 4608}),
         (1, 100, {0: 64, 255: 256, 256: 356, 1023: 1056, 1024: 1056, 4096: 4156}),
         (1, 37, {0: 37, 255: 259, 256: 259, 1023: 1036, 1024: 1036, 4096: 4107})])
     def test_block_end_schedule(self, unit, chunk, ends, monkeypatch):
-        """Sub-blocks of w = SUB_BLOCK * unit steps up to step 4w, then twice
-        as wide each time the step quadruples, capped at the chunk width in
-        whole units: with unit 1, 64 wide up to step 256, 128 up to 1024, 256
-        up to 4096, and so on up to 4096 wide from step 262144."""
+        """Sub-blocks of w steps up to step 4w, w = SUB_BLOCK rounded up to
+        whole units, then twice as wide each time the step quadruples, capped
+        at the chunk width in whole units: with unit 1 (and 16), 64 wide up
+        to step 256, 128 up to 1024, 256 up to 4096, and so on up to 4096
+        wide from step 262144; with unit 3, 66 wide up to step 264."""
         monkeypatch.setattr(engine, "CHUNK", chunk)
         assert {pos: engine.block_end(pos, unit=unit) for pos in ends} == ends
 
@@ -432,15 +450,38 @@ class TestRunDyadic:
                 stopped |= bool((g < n_steps * 0.01).any())
         assert censored and stopped
 
+    @pytest.mark.parametrize("strides", [[3, 2, 1], [16, 8, 4, 2]])
+    def test_first_sub_block_width_does_not_change_results(self, strides, request,
+                                                            monkeypatch):
+        """SUB_BLOCK moves every sub-block boundary, which stays on every
+        stride's grid; no stop under either convention moves by a single
+        bit."""
+        censored = stopped = False
+        for fixture in MODEL_FIXTURES:
+            model = request.getfixturevalue(fixture)
+            runs = []
+            for width in (1, 7, 64, 4096):
+                monkeypatch.setattr(engine, "SUB_BLOCK", width)
+                stops, strict = run_dyadic(model, "pre", 2.0, 0.01, 1200, strides, 60,
+                                           SEED)
+                runs.append(stops + strict)
+            for other in runs[1:]:
+                for a, b in zip(runs[0], other):
+                    assert np.array_equal(a, b), fixture
+            censored |= any(bool((a == 12.0).any()) for a in runs[0])
+            stopped |= any(bool((a < 12.0).any()) for a in runs[0])
+        assert censored and stopped
+
     @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
     def test_draws_stop_once_every_stride_has_stopped(self, fixture, request,
                                                       monkeypatch):
-        """A path draws sub-blocks in units of the lcm of the strides only
+        """A path draws sub-blocks aligned to the lcm of the strides only
         until its last stop over strides and conventions, overdrawing by
         less than the width of the sub-block holding that stop: at most
-        max(w, sqrt(w * stop)) steps, w = SUB_BLOCK * lcm. Each sampler call
-        draws every live row of one sub-block, so there are no more calls
-        than scans, and each drawn sub-block is summed once."""
+        max(w, sqrt(w * stop)) steps, w = SUB_BLOCK rounded up to whole lcm
+        units (64 steps for the lcm 4 here, not 64 lcm units). Each sampler
+        call draws every live row of one sub-block, so there are no more
+        calls than scans, and each drawn sub-block is summed once."""
         calls = _count_draws(monkeypatch, "converge")
         scans = _count_calls(monkeypatch, kernels, "cumulative")
         dt, strides, n_steps, n_rep = 0.002, [4, 2, 1], 30000, 300
@@ -620,12 +661,21 @@ def _row_draws(calls, n_rep: int) -> np.ndarray:
 def _assert_overdraw_within_sub_block(drawn, needed, n_steps: int, unit: int) -> None:
     """Each path draws the steps it needs, and less than one more sub-block:
     under the square-root schedule the sub-block holding step k is at most
-    max(w, sqrt(w * k)) wide, w = SUB_BLOCK * unit."""
-    w = engine.SUB_BLOCK * unit
+    max(w, sqrt(w * k)) wide, w = SUB_BLOCK rounded up to whole units."""
+    w = -(-engine.SUB_BLOCK // unit) * unit
     assert (needed < n_steps).any() and (needed > 4 * w).any()
     assert np.all(drawn >= needed)
     assert np.all(drawn <= n_steps)
     assert np.all(drawn - needed < np.maximum(w, np.sqrt(w * needed)))
+
+
+def _assert_same_run(a, b, fixture: str) -> None:
+    """Two engine runs agree bit for bit on every output they kept."""
+    assert np.array_equal(a.stop_steps, b.stop_steps), fixture
+    assert np.array_equal(a.stat, b.stat, equal_nan=True), fixture
+    assert np.array_equal(a.last_reflect, b.last_reflect), fixture
+    assert np.array_equal(a.lb_num, b.lb_num), fixture
+    assert np.array_equal(a.lb_den, b.lb_den), fixture
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from levydetect.families import (
     LevySpec,
     TwoSidedExponentialJumps,
 )
+from levydetect.likelihood import llr_path
 from levydetect.model import (
     COND_DRIFT,
     COND_EQUIVALENCE,
@@ -32,6 +34,7 @@ from levydetect.oracle import (
     integrability_quadrature,
     truncated_moment_quadrature,
 )
+from levydetect.paths import sample_changed_path
 from levydetect.rng import RngStream
 
 
@@ -412,3 +415,28 @@ class TestCatalogue:
         pre, post = (LevySpec.jump_diffusion(1.0, lam, law, drift=0.5 * i)
                      for i, (lam, law) in enumerate(zip(lams, laws)))
         _assert_catalogue_matches(build_change_model(pre, post))
+
+
+class TestDigest:
+    @pytest.mark.parametrize("pre,post,digest", [
+        (LevySpec.brownian(1.0, 0.0), LevySpec.brownian(1.0, 1.0), "b09e007508f3"),
+        (LevySpec.compound_poisson(1.0, GaussianJumps(0.0, 1.0)),
+         LevySpec.compound_poisson(2.0, GaussianJumps(0.0, 1.0)), "4717ac9a69f7")])
+    def test_digest_is_pinned_and_hashed_once(self, pre, post, digest, monkeypatch):
+        """The digest names the pair in every artifact, so its value is
+        pinned (the brownian_model and poisson_model fixtures). The model
+        and its specifications are frozen, so the pair is serialised once,
+        however often a path, its log-likelihood or a report asks."""
+        dumps, calls = json.dumps, []
+
+        def counting_dumps(*args, **kwargs):
+            calls.append(None)
+            return dumps(*args, **kwargs)
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        model = build_change_model(pre, post)
+        for i in range(3):
+            assert model.digest() == digest
+            path = sample_changed_path(model, 0.5, 1.0, 0.01, RngStream(7, i))
+            assert path.model_digest == digest
+            llr_path(model, path)
+        assert len(calls) == 1
