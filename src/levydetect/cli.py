@@ -19,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import NamedTuple
 
 from . import __version__
@@ -27,6 +28,7 @@ from .detector import DetectorConfig, check_log_barrier, grid_stride
 from .engine import RuleSpec
 from .errors import (
     ContractError,
+    InadmissibleModelError,
     InfeasibleTargetError,
     LevyDetectError,
     NumericalError,
@@ -101,14 +103,6 @@ def _field_check(field: str, check, *args):
         raise SpecValidationError(f"{field}: {exc}") from exc
 
 
-def _detector_config(cfg: ExperimentConfig) -> DetectorConfig:
-    """The detector block as a rule, its log barrier checked for that rule."""
-    config = cfg.detector_config()
-    _field_check("detector.log_barrier", check_log_barrier, config.rule,
-                 config.log_barrier)
-    return config
-
-
 def _check_horizon(cfg: ExperimentConfig) -> int:
     """The horizon in monitoring steps of detector.delta (at least one)."""
     return _field_check("simulation.horizon", monitoring_steps,
@@ -120,20 +114,19 @@ def _check_horizon(cfg: ExperimentConfig) -> int:
 # --------------------------------------------------------------------------- #
 
 def _cmd_validate(cfg: ExperimentConfig) -> Outcome:
-    model = cfg.change_model()
-    body = {
-        "admissible": model.admissible,
-        "violated_condition": model.violated,
-        "message": model.message,
-    }
-    if not model.admissible:
+    try:
+        model = cfg.change_model()
+    except InadmissibleModelError as exc:
+        body = {"admissible": False, "violated_condition": exc.violated,
+                "message": str(exc)}
         return Outcome({}, body, "model inadmissible", [
-            f"condition = {model.violated}",
-            f"reason    = {model.message}",
+            f"condition = {exc.violated}",
+            f"reason    = {exc}",
         ], EXIT_INADMISSIBLE)
-    body.update(alpha=model.alpha, beta_pre=model.beta_pre,
-                beta_post=model.beta_post, comp_rate=model.comp_rate,
-                model_digest=model.digest())
+    body = {"admissible": True, "violated_condition": None, "message": "admissible",
+            "alpha": model.alpha, "beta_pre": model.beta_pre,
+            "beta_post": model.beta_post, "comp_rate": model.comp_rate,
+            "model_digest": model.digest()}
     return Outcome({}, body, "model admissible", [
         f"alpha     = {model.alpha:.6g}",
         f"beta_pre  = {model.beta_pre:.6g}",
@@ -144,9 +137,11 @@ def _cmd_validate(cfg: ExperimentConfig) -> Outcome:
 
 def _cmd_simulate(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
-    model.require_admissible()
     sim, tau = cfg.simulation, cfg.experiment["tau"]
     n = _field_check("simulation.horizon", grid_steps, sim["horizon"], sim["grid_dt"])
+    if n == 0:
+        raise SpecValidationError(f"simulation.horizon: {sim['horizon']} is shorter than "
+                                  f"one grid step {sim['grid_dt']}")
     rng = RngStream(sim["master_seed"], stream_id("path", 0))
     try:
         path = sample_changed_path(model, math.inf if tau is None else tau,
@@ -181,9 +176,8 @@ def _cmd_simulate(cfg: ExperimentConfig) -> Outcome:
 def _cmd_arl(cfg: ExperimentConfig) -> Outcome:
     _check_horizon(cfg)
     model = cfg.change_model()
-    model.require_admissible()
     sim, exp = cfg.simulation, cfg.experiment
-    config = _detector_config(cfg)
+    config = _field_check("detector.log_barrier", cfg.detector_config)
     purpose, block = "arl", 0
     report, result = estimate_arl(
         model, config, exp["regime"], sim["n_rep"], sim["horizon"],
@@ -200,7 +194,6 @@ def _cmd_arl(cfg: ExperimentConfig) -> Outcome:
 
 def _cmd_calibrate(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
-    model.require_admissible()
     sim, det = cfg.simulation, cfg.detector
     gamma = det["gamma"]
     if gamma is None:
@@ -232,9 +225,8 @@ def _cmd_calibrate(cfg: ExperimentConfig) -> Outcome:
 def _cmd_lorden(cfg: ExperimentConfig) -> Outcome:
     _check_horizon(cfg)
     model = cfg.change_model()
-    model.require_admissible()
     sim, exp = cfg.simulation, cfg.experiment
-    config = _detector_config(cfg)
+    config = _field_check("detector.log_barrier", cfg.detector_config)
     res = lorden_delay(model, config, exp["tau_grid"], sim["n_rep"],
                        sim["horizon"], sim["master_seed"],
                        threads=sim["threads"])
@@ -256,8 +248,7 @@ def _cmd_lowerbound(cfg: ExperimentConfig) -> Outcome:
         _field_check("experiment.fixed_steps",
                      RuleSpec(kind="fixed", fixed_steps=fixed_steps).check_horizon, n_steps)
     model = cfg.change_model()
-    model.require_admissible()
-    config = _detector_config(cfg)
+    config = _field_check("detector.log_barrier", cfg.detector_config)
     lb = lower_bound_ratio(model, config, sim["n_rep"], sim["horizon"],
                            sim["master_seed"], threads=sim["threads"],
                            fixed_steps=fixed_steps)
@@ -274,7 +265,6 @@ def _cmd_lowerbound(cfg: ExperimentConfig) -> Outcome:
 
 def _cmd_converge(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
-    model.require_admissible()
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
     # the study runs the CUSUM grid rule whatever detector.rule says
     _field_check("detector.log_barrier", check_log_barrier, "cusum_grid",
@@ -295,14 +285,11 @@ def _cmd_converge(cfg: ExperimentConfig) -> Outcome:
         # every sub-block the study draws is at least one base step wide
         raise SpecValidationError(f"{base_field}: a base step of {base_stride} grid "
                                   "steps per path does not fit in memory") from exc
-    rows = [{"delta": lv.delta, "stride": lv.stride, "mean_stop": lv.mean_stop,
-             "std_error": lv.std_error, "mean_gap": lv.mean_gap}
-            for lv in list(res.levels) + [res.reference]]
+    rows = [asdict(lv) for lv in list(res.levels) + [res.reference]]
     body = {"monotone_fraction": res.monotone_fraction,
             "convention_agreement": res.convention_agreement,
             "levels": rows}
-    columns = ["delta", "stride", "mean_stop", "std_error", "mean_gap"]
-    return Outcome({"report.csv": (rows, columns)}, body, "discretization convergence", [
+    return Outcome({"report.csv": (rows, None)}, body, "discretization convergence", [
         f"levels               = {len(res.levels)} (+ reference)",
         f"monotone fraction    = {res.monotone_fraction:.4f}",
         f"convention agreement = {res.convention_agreement:.4f}",
@@ -312,7 +299,6 @@ def _cmd_converge(cfg: ExperimentConfig) -> Outcome:
 
 def _cmd_compare(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
-    model.require_admissible()
     sim, det, exp = cfg.simulation, cfg.detector, cfg.experiment
     gamma = det["gamma"]
     if gamma is None:
@@ -322,18 +308,13 @@ def _cmd_compare(cfg: ExperimentConfig) -> Outcome:
                   sim["master_seed"], rel_tol=float(det["rel_tol"]),
                   threads=sim["threads"],
                   n_rep_calibrate=exp["n_rep_calibrate"])
-    rows = [{"rule": r.rule, "delta": r.delta, "h_bar": r.h_bar,
-             "gamma_achieved": r.gamma_achieved, "gamma_se": r.gamma_se,
-             "worst_delay": r.worst_delay, "delay_se": r.delay_se,
-             "calibrated": r.calibrated} for r in res.rows]
-    columns = ["rule", "delta", "h_bar", "gamma_achieved", "gamma_se",
-               "worst_delay", "delay_se", "calibrated"]
+    rows = [asdict(r) for r in res.rows]
     leads = res.cusum_leads()
     body = {"gamma": res.gamma, "rows": rows, "cusum_leads": leads}
     lines = [f"{r.rule:<20} delay = {r.worst_delay:.6g} +- {r.delay_se:.2g}"
              + ("" if r.calibrated else "  (not calibrated)") for r in res.rows]
     lines.append(f"cusum leads: {'undecided' if leads is None else leads}")
-    return Outcome({"report.csv": (rows, columns)}, body,
+    return Outcome({"report.csv": (rows, None)}, body,
                    f"comparison at gamma = {gamma}", lines)
 
 

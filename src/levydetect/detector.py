@@ -65,14 +65,15 @@ class DetectorConfig:
     """A stopping rule plus its barrier on the log statistic.
 
     ``log_barrier`` bounds log S for the CUSUM rules and log R for
-    Shiryaev-Roberts (so the raw R threshold is exp(log_barrier)).
+    Shiryaev-Roberts (so the raw R threshold is exp(log_barrier)). Checked
+    when built; the grid rules need a delta.
     """
 
     rule: str
     log_barrier: float
     delta: Optional[float] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.rule not in RULES:
             raise SpecValidationError(f"unknown rule {self.rule!r}")
         check_log_barrier(self.rule, self.log_barrier)
@@ -137,7 +138,6 @@ def grid_stride(delta: float, grid_dt: float) -> int:
 
 def run_rule(config: DetectorConfig, llr: LLRPath) -> StopResult:
     """Run the configured stopping rule over a log-likelihood path."""
-    config.validate()
     if not isinstance(llr, LLRPath):
         raise ContractError(f"rule {config.rule!r} takes a log-likelihood path")
     if config.rule == "cusum_continuous":

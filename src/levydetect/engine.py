@@ -68,13 +68,14 @@ class RuleSpec:
     kind 'cusum': reflected log-likelihood statistic crossing ``log_barrier``;
     kind 'sr': Shiryaev-Roberts statistic crossing exp(``log_barrier``);
     kind 'fixed': deterministic stop after ``fixed_steps`` monitoring steps.
+    Checked when built; :meth:`check_horizon` checks it against a horizon.
     """
 
     kind: str
     log_barrier: float = math.nan
     fixed_steps: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in ("cusum", "sr", "fixed"):
             raise ContractError(f"unknown rule kind {self.kind!r}")
         if self.kind in ("cusum", "sr") and not math.isfinite(self.log_barrier):
@@ -171,7 +172,6 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     runs once on the block, in place, in the order of operations of the
     one-row expression.
     """
-    model.require_admissible()
     if regime not in ("pre", "post"):
         raise ContractError(f"regime must be 'pre' or 'post', got {regime!r}")
     spec = model.pre if regime == "pre" else model.post
@@ -392,7 +392,6 @@ def batch_states(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
                  records: bool = False) -> List[BatchState]:
     """Fresh states of the replications first .. n_rep - 1, one per slice of
     :func:`_dispatch`, on the streams :func:`run_paths` gives them."""
-    rule.validate()
     sampler = make_u_sampler(model, regime, dt)
     return _dispatch(lambda gens, lo: BatchState(sampler, rule, gens, records=records),
                      substream_components(model, dt), n_rep, master_seed, purpose,
@@ -418,7 +417,6 @@ def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
     uses the stream (master_seed, purpose/block/i), each of its draws depends
     on its step alone, and aggregation is by fixed slices.
     """
-    rule.validate()
     rule.check_horizon(n_steps)
     sampler = make_u_sampler(model, regime, dt)
     fixed = rule.kind == "fixed"

@@ -1,5 +1,7 @@
 """Exception taxonomy shared across the package."""
 
+from typing import Optional
+
 
 class LevyDetectError(Exception):
     """Base class for all package errors."""
@@ -14,7 +16,13 @@ class UnsupportedPairError(LevyDetectError):
 
 
 class InadmissibleModelError(LevyDetectError):
-    """An operation requires an admissible change model."""
+    """A pre/post pair whose path laws are not mutually absolutely continuous,
+    or an operation the pair's model cannot serve; ``violated`` names the
+    failed admissibility condition (None for the latter)."""
+
+    def __init__(self, message: str, violated: Optional[str] = None):
+        super().__init__(message)
+        self.violated = violated
 
 
 class AlignmentError(SpecValidationError):

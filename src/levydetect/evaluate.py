@@ -102,7 +102,6 @@ def _effective_barrier(model: ChangeModel, config: DetectorConfig) -> float:
 def _engine_rule(model: ChangeModel, config: DetectorConfig) -> Tuple[RuleSpec, float]:
     """Map a detector config onto an engine rule and its monitoring step."""
     kind = _harness_kind(config.rule)
-    config.validate()                # both harness rules require delta
     barrier = _effective_barrier(model, config)
     return RuleSpec(kind=kind, log_barrier=barrier), float(config.delta)
 
@@ -139,7 +138,6 @@ def estimate_arl(model: ChangeModel, config: DetectorConfig, regime: str,
     the censored count in the report). With ``return_raw`` the engine's
     :class:`PathRunResult` comes too, its last reflections kept for ``tau_hat``.
     """
-    model.require_admissible()
     if regime not in REGIMES:
         raise ContractError(f"regime must be one of {REGIMES}, got {regime!r}")
     rule, dt = _engine_rule(model, config)
@@ -159,10 +157,6 @@ class CalibrationResult:
     probes: Tuple[Tuple[float, float], ...]
     lower_bound: int           # index of the probe whose value is a lower bound
     converged: bool            # a probe met rel_tol; else h_bar is the last midpoint
-
-    @property
-    def achieved(self) -> float:
-        return self.report.estimate
 
 
 def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
@@ -185,7 +179,6 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
     probe of MAX_BISECTIONS meets rel_tol, the result takes the last
     bracket's midpoint and says so (``converged`` false).
     """
-    model.require_admissible()
     if gamma < delta:
         raise InfeasibleTargetError(
             f"target {gamma} is below one monitoring step {delta}; "
@@ -295,7 +288,6 @@ def lorden_delay(model: ChangeModel, config: DetectorConfig,
     streams (block 0), relabelled: ``worst`` and every ``per_tau`` entry.
     The grid must hold at least one change point, each a finite number >= 0.
     """
-    model.require_admissible()
     grid = tuple(float(t) for t in tau_grid)
     if not grid:
         raise ContractError("tau_grid is empty: give at least one change point")
@@ -323,7 +315,6 @@ def lower_bound_ratio(model: ChangeModel, config: DetectorConfig, n_rep: int,
     otherwise it is ``config``'s rule. The standard error comes from the
     first-order delta method on the paired per-replication sums.
     """
-    model.require_admissible()
     if fixed_steps is not None:
         delta = config.delta
         if delta is None or not math.isfinite(delta) or delta <= 0.0:
@@ -410,7 +401,6 @@ def convergence_study(model: ChangeModel, h_bar: float, dyadic_levels: int,
     part ways only when the statistic lands exactly on the barrier, which
     barrier nudging keeps a null event).
     """
-    model.require_admissible()
     if regime not in REGIMES:
         raise ContractError(f"regime must be one of {REGIMES}")
     base_stride = grid_stride(base_delta, grid_dt)
@@ -420,7 +410,6 @@ def convergence_study(model: ChangeModel, h_bar: float, dyadic_levels: int,
     if has_ref:
         strides.append(1)      # finest monitored rule as the reference
     config = DetectorConfig(rule="cusum_grid", log_barrier=h_bar, delta=base_delta)
-    config.validate()
     barrier = _effective_barrier(model, config)
 
     stops, stops_strict = run_dyadic(model, _ENGINE_REGIME[regime], barrier,

@@ -23,6 +23,10 @@ row j from generator ``gens[j]`` (``marks`` is None where c1 is 0: the
 phi-sum is then c0 * n and no mark is drawn); and ledger jump sizes.
 ``phi`` arguments are the pair's density ratio, whose ``pos``/``neg`` pieces
 include the log-intensity term.
+
+Every jump law and :class:`LevySpec` checks its parameters when it is built,
+``dataclasses.replace`` included, and raises SpecValidationError for a bad
+one; all are frozen, so one that exists is valid.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ class GaussianJumps:
     kind = "gaussian"
     support = "real"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.sd > 0.0) or not math.isfinite(self.sd):
             raise SpecValidationError(f"gaussian jump sd must be positive, got {self.sd}")
         if not math.isfinite(self.mean):
@@ -189,7 +193,7 @@ class ExponentialJumps(_ExponentialSides):
     kind = "exponential"
     support = "positive"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.rate > 0.0) or not math.isfinite(self.rate):
             raise SpecValidationError(f"exponential jump rate must be positive, got {self.rate}")
 
@@ -209,7 +213,7 @@ class TwoSidedExponentialJumps(_ExponentialSides):
     kind = "two_sided_exponential"
     support = "two_sided"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.rate_pos > 0.0 and self.rate_neg > 0.0):
             raise SpecValidationError("two-sided exponential rates must be positive")
         if not (0.0 < self.weight_pos < 1.0):
@@ -283,10 +287,10 @@ class LevySpec:
                    activity=a, scale=theta)
 
     # ------------------------------------------------------------------ #
-    # validation and derived quantities
+    # checks (run on every construction, replace() included) and derived quantities
     # ------------------------------------------------------------------ #
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.family not in ("brownian", "compound_poisson", "jump_diffusion", "gamma"):
             raise SpecValidationError(f"unknown family {self.family!r}")
         if self.sigma < 0.0 or not math.isfinite(self.sigma):
@@ -304,7 +308,6 @@ class LevySpec:
                     f"jump intensity must be positive, got {self.intensity}")
             if self.jumps is None:
                 raise SpecValidationError("jump size law is required")
-            self.jumps.validate()
             if self.family == "compound_poisson" and self.sigma != 0.0:
                 raise SpecValidationError(
                     "compound_poisson has sigma = 0; use jump_diffusion for sigma > 0")
@@ -393,10 +396,8 @@ class LevySpec:
         else:
             spec = cls.jump_diffusion(sigma, _number(data, "intensity", 0.0),
                                       _jump_law_from_dict(data.get("jumps")), drift)
-        # the family and sigma as written, so validate() sees a sigma the family cannot carry
-        spec = replace(spec, family=family, sigma=sigma)
-        spec.validate()
-        return spec
+        # the family and sigma as written, so a sigma the family cannot carry is rejected
+        return replace(spec, family=family, sigma=sigma)
 
 
 # the keys each family reads besides family, sigma and drift

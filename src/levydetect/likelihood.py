@@ -48,7 +48,6 @@ class LLRPath:
 
 def llr_path(model: ChangeModel, path: SamplePath) -> LLRPath:
     """Log-likelihood-ratio process of a trajectory under the change model."""
-    model.require_admissible()
     if path.model_digest and path.model_digest != model.digest():
         raise ContractError("path was simulated under a different change model")
 
@@ -89,7 +88,6 @@ def martingale_check(model: ChangeModel, delta: float, n_rep: int,
     The estimate should sit within a few standard errors of 1; use
     ``report.within(1.0)`` for the 3-SE test.
     """
-    model.require_admissible()
     u = sample_u_increments(model, "pre", delta, n_rep, rng)
     vals = np.exp(u)
     est = float(vals.mean())

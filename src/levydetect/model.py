@@ -11,6 +11,12 @@ absolutely continuous, which for Levy processes reduces to three checks:
    b_post - b_pre - integral_{|x|<=1} x (nu_post - nu_pre)(dx) = alpha * sigma^2
    for some real alpha, with alpha = 0 forced when sigma = 0.
 
+:func:`build_change_model` raises :class:`InadmissibleModelError` for a pair
+that fails one of them; its ``violated`` is the COND_* constant of the failed
+condition (volatility, jump-measure equivalence, jump integrability, drift).
+So a :class:`ChangeModel` that exists is admissible, and no operation on one
+checks again.
+
 The catalogue is restricted to pairs whose density ratio is affine per
 half-line, so ``phi``, the integrability integral, and the drift constants of
 the log-likelihood process all have closed forms, and building a model runs no
@@ -87,7 +93,8 @@ class DensityRatio:
 
 @dataclass(frozen=True)
 class ChangeModel:
-    """Validated pre/post pair with the derived likelihood quantities.
+    """Admissible pre/post pair with the derived likelihood quantities, as
+    :func:`build_change_model` returns it.
 
     ``alpha`` is the Brownian exposure of the log-likelihood process,
     ``comp_rate`` the jump compensator rate integral (e^phi - 1) dnu_pre,
@@ -98,25 +105,23 @@ class ChangeModel:
 
     pre: LevySpec
     post: LevySpec
-    admissible: bool
-    message: str = ""
-    violated: Optional[str] = None
-    alpha: float = math.nan
-    phi: Optional[DensityRatio] = None
-    beta_pre: float = math.nan
-    beta_post: float = math.nan
-    comp_rate: float = math.nan
-    phi_mean_pre: float = math.nan
-    phi_mean_post: float = math.nan
-    integrability_value: float = math.nan
+    alpha: float
+    phi: Optional[DensityRatio]
+    beta_pre: float
+    beta_post: float
+    comp_rate: float
+    phi_mean_pre: float          # NaN when neither side jumps
+    phi_mean_post: float
+    integrability_value: float
 
     @property
     def sigma(self) -> float:
         return self.pre.sigma
 
     def require_admissible(self) -> None:
-        if not self.admissible:
-            raise InadmissibleModelError(self.message)
+        """Does nothing: :func:`build_change_model` raises for an inadmissible
+        pair, so every ChangeModel is admissible. Kept so that callers outside
+        the package that still call it keep working."""
 
     def to_dict(self) -> dict:
         return {"pre": self.pre.to_dict(), "post": self.post.to_dict()}
@@ -130,11 +135,6 @@ class ChangeModel:
     def _digest(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChangeModel":
-        return build_change_model(LevySpec.from_dict(data["pre"]),
-                                  LevySpec.from_dict(data["post"]))
 
 
 # --------------------------------------------------------------------------- #
@@ -173,15 +173,14 @@ def _jump_closed_forms(pre: LevySpec, post: LevySpec) -> tuple:
 # --------------------------------------------------------------------------- #
 
 def build_change_model(pre: LevySpec, post: LevySpec) -> ChangeModel:
-    """Validate a pre/post pair and derive the likelihood ingredients.
+    """Check a pre/post pair for admissibility and derive the likelihood
+    ingredients.
 
-    Returns an inadmissible ChangeModel (with the violated condition named)
-    when the pair fails one of the absolute-continuity conditions; raises
-    SpecValidationError / UnsupportedPairError for malformed or
-    out-of-catalogue inputs.
+    Raises InadmissibleModelError, whose ``violated`` names the condition,
+    when the pair fails one of the absolute-continuity conditions, and
+    SpecValidationError / UnsupportedPairError for identical or
+    out-of-catalogue pairs.
     """
-    pre.validate()
-    post.validate()
     if pre == post:
         raise SpecValidationError("pre and post specifications are identical; "
                                   "there is no change to detect")
@@ -192,35 +191,30 @@ def build_change_model(pre: LevySpec, post: LevySpec) -> ChangeModel:
         raise UnsupportedPairError(
             f"families {pre.family!r} and {post.family!r} cannot be paired")
 
-    def rejected(cond: str, msg: str, **extra) -> ChangeModel:
-        return ChangeModel(pre=pre, post=post, admissible=False,
-                           violated=cond, message=msg, **extra)
-
     # volatility condition
     if pre.sigma != post.sigma:
-        return rejected(COND_VOLATILITY,
-                        f"Brownian volatilities differ ({pre.sigma} vs {post.sigma}); "
-                        "the path laws are singular")
+        raise InadmissibleModelError(
+            f"Brownian volatilities differ ({pre.sigma} vs {post.sigma}); "
+            "the path laws are singular", COND_VOLATILITY)
 
     # jump-measure equivalence and integrability
     phi: Optional[DensityRatio] = None
     comp = mean_pre = mean_post = integ_value = 0.0
     if pre.has_jumps != post.has_jumps:
-        return rejected(COND_EQUIVALENCE,
-                        "one side has a jump component and the other does not; "
-                        "the jump measures cannot be equivalent")
+        raise InadmissibleModelError(
+            "one side has a jump component and the other does not; "
+            "the jump measures cannot be equivalent", COND_EQUIVALENCE)
     if pre.has_jumps:
         if pre.jump_support() != post.jump_support():
-            return rejected(COND_EQUIVALENCE,
-                            f"jump supports differ ({pre.jump_support()} vs "
-                            f"{post.jump_support()}); measures are not equivalent")
+            raise InadmissibleModelError(
+                f"jump supports differ ({pre.jump_support()} vs "
+                f"{post.jump_support()}); measures are not equivalent", COND_EQUIVALENCE)
         phi, integ_value, comp, mean_pre, mean_post = _jump_closed_forms(pre, post)
         if math.isinf(integ_value):
-            return rejected(COND_INTEGRABILITY,
-                            f"gamma activities differ ({pre.activity} vs {post.activity}); "
-                            "the integral of (e^(phi/2)-1)^2 against the pre-change "
-                            "jump measure diverges",
-                            phi=phi, integrability_value=integ_value)
+            raise InadmissibleModelError(
+                f"gamma activities differ ({pre.activity} vs {post.activity}); "
+                "the integral of (e^(phi/2)-1)^2 against the pre-change "
+                "jump measure diverges", COND_INTEGRABILITY)
 
     # drift condition
     gap = post.drift_b - pre.drift_b - (post.jump_truncated_mean() - pre.jump_truncated_mean())
@@ -230,16 +224,14 @@ def build_change_model(pre: LevySpec, post: LevySpec) -> ChangeModel:
     else:
         tol = 1e-8 * max(1.0, abs(post.drift_b), abs(pre.drift_b))
         if abs(gap) > tol:
-            return rejected(COND_DRIFT,
-                            f"drift gap {gap:.6g} cannot be absorbed with sigma = 0",
-                            phi=phi, integrability_value=integ_value)
+            raise InadmissibleModelError(
+                f"drift gap {gap:.6g} cannot be absorbed with sigma = 0", COND_DRIFT)
         alpha = 0.0
 
     # total mean drift of the log-likelihood process: the Brownian exposure
     # contributes -+ alpha^2 sigma^2 / 2, the jump part (phi integrals) the rest
     bm_drift = 0.5 * alpha ** 2 * sigma ** 2
-    return ChangeModel(pre=pre, post=post, admissible=True,
-                       message="admissible", alpha=alpha, phi=phi,
+    return ChangeModel(pre=pre, post=post, alpha=alpha, phi=phi,
                        beta_pre=-bm_drift + (mean_pre - comp),
                        beta_post=bm_drift + (mean_post - comp),
                        comp_rate=comp,
@@ -250,7 +242,6 @@ def build_change_model(pre: LevySpec, post: LevySpec) -> ChangeModel:
 
 def phi_eval(model: ChangeModel, x):
     """Log jump-measure density ratio at x (scalar or array)."""
-    model.require_admissible()
     if model.phi is None:
         raise InadmissibleModelError("model has no jump component")
     return model.phi(x)
@@ -265,7 +256,6 @@ def drift_constants(model: ChangeModel) -> Tuple[float, float]:
     read from the stored phi moments. The ``beta_pre``/``beta_post`` fields on
     the model additionally include the Brownian drift -+ alpha^2 sigma^2 / 2.
     """
-    model.require_admissible()
     if model.phi is None:
         raise InadmissibleModelError("drift constants require a jump component")
     return (model.phi_mean_pre - model.comp_rate,

@@ -53,13 +53,11 @@ def _quad_over_support(pre: LevySpec, phi: DensityRatio, combine) -> float:
 
 def comp_rate_quadrature(model: ChangeModel) -> float:
     """Quadrature value of integral (e^phi - 1) dnu_pre."""
-    model.require_admissible()
     return _quad_over_support(model.pre, model.phi, lambda p, a, b: a - b)
 
 
 def integrability_quadrature(model: ChangeModel) -> float:
     """Quadrature value of integral (e^{phi/2} - 1)^2 dnu_pre."""
-    model.require_admissible()
     return _quad_over_support(model.pre, model.phi,
                               lambda p, a, b: a - 2.0 * np.sqrt(a * b) + b)
 
@@ -81,7 +79,6 @@ def truncated_moment_quadrature(spec: LevySpec) -> float:
 def drift_constants_quadrature(model: ChangeModel) -> Tuple[float, float]:
     """Quadrature values of the two integrals of
     :func:`levydetect.model.drift_constants`."""
-    model.require_admissible()
     pre, phi = model.pre, model.phi
     beta_pre = -_quad_over_support(pre, phi, lambda p, a, b: a - b - p * b)
     beta_post = beta_pre + _quad_over_support(pre, phi, lambda p, a, b: p * (a - b))

@@ -58,10 +58,6 @@ class SamplePath:
     def times(self) -> np.ndarray:
         return np.arange(len(self.values)) * self.grid_dt
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.values) - 1
-
 
 def step_ratio(horizon: float, dt: float) -> float:
     """horizon / dt, which a step count rounds; it must be finite and below
@@ -184,14 +180,13 @@ def sample_changed_path(model: ChangeModel, tau: float, horizon: float,
     Pre-change increments up to tau (snapped to the grid), post-change after;
     the path is continuous at tau by construction (no jump is injected there).
     """
-    model.require_admissible()
     if grid_dt <= 0.0:
         raise SpecValidationError("grid_dt must be positive")
-    if horizon < grid_dt:
+    n = grid_steps(horizon, grid_dt)
+    if n < 1:
         raise SpecValidationError("horizon must cover at least one step")
     if tau < 0.0:
         raise SpecValidationError("change point must be nonnegative")
-    n = grid_steps(horizon, grid_dt)
     horizon = n * grid_dt
     gen = rng.generator()
     tau_t = (math.inf if math.isinf(tau)

@@ -16,6 +16,7 @@ from levydetect import kernels
 from levydetect.cli import main as cli_main
 from levydetect.detector import DetectorConfig
 from levydetect.engine import RuleSpec, advance, batch_states
+from levydetect.errors import InadmissibleModelError
 from levydetect.evaluate import (
     compare,
     convergence_study,
@@ -275,19 +276,17 @@ def test_c08_optimality_gap(models):
 def test_c09_admissibility_gate():
     """Rejections name their condition; the gamma scale change carries the
     exact log-scale compensator, cross-checked by quadrature to 1e-8."""
-    gate = build_change_model(LevySpec.gamma_subordinator(1.0, 1.0),
-                              LevySpec.gamma_subordinator(2.0, 1.0))
-    assert not gate.admissible
-    assert gate.violated == COND_INTEGRABILITY
+    with pytest.raises(InadmissibleModelError) as gate:
+        build_change_model(LevySpec.gamma_subordinator(1.0, 1.0),
+                           LevySpec.gamma_subordinator(2.0, 1.0))
+    assert gate.value.violated == COND_INTEGRABILITY
 
-    mismatch = build_change_model(LevySpec.brownian(1.0, 0.0),
-                                  LevySpec.brownian(2.0, 0.0))
-    assert not mismatch.admissible
-    assert mismatch.violated == COND_VOLATILITY
+    with pytest.raises(InadmissibleModelError) as mismatch:
+        build_change_model(LevySpec.brownian(1.0, 0.0), LevySpec.brownian(2.0, 0.0))
+    assert mismatch.value.violated == COND_VOLATILITY
 
     scale = build_change_model(LevySpec.gamma_subordinator(1.0, 1.0),
                                LevySpec.gamma_subordinator(1.0, 2.0))
-    assert scale.admissible
     assert scale.comp_rate == pytest.approx(math.log(2.0), abs=1e-12)
     quad = comp_rate_quadrature(scale)
     assert abs(quad - scale.comp_rate) <= 1e-8

@@ -239,6 +239,7 @@ def test_bad_config_field_exits_two_and_names_it(tmp_path, capsys, block, field,
     ("lorden", "simulation", "horizon", 1e308),
     ("lowerbound", "simulation", "horizon", 1e308),
     ("simulate", "simulation", "horizon", 1e308),
+    ("simulate", "simulation", "horizon", 0.001),
     ("converge", "simulation", "horizon", 1e308),
 ])
 def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,

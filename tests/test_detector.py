@@ -207,9 +207,9 @@ class TestRunRule:
             with pytest.raises(ContractError):
                 run_rule(DetectorConfig(rule, 1.0, delta=1.0), path)
         with pytest.raises(SpecValidationError):
-            DetectorConfig("cusum_grid", -1.0, delta=1.0).validate()
+            DetectorConfig("cusum_grid", -1.0, delta=1.0)
         with pytest.raises(SpecValidationError):
-            DetectorConfig("cusum_grid", 1.0).validate()
+            DetectorConfig("cusum_grid", 1.0)
 
 
 class TestMleChangepoint:

@@ -407,9 +407,9 @@ class TestRunPaths:
 
     def test_invalid_rule_rejected(self):
         with pytest.raises(ContractError):
-            RuleSpec(kind="nope").validate()
+            RuleSpec(kind="nope")
         with pytest.raises(ContractError):
-            RuleSpec(kind="cusum", log_barrier=-1.0).validate()
+            RuleSpec(kind="cusum", log_barrier=-1.0)
 
 
 class TestRunDyadic:
@@ -933,3 +933,28 @@ def test_philox_streams_are_built_only_in_rng():
                  for pattern in patterns if re.search(pattern, path.read_text())]
     rng_text = (pkg / "rng.py").read_text()
     assert all(re.search(pattern, rng_text) for pattern in patterns) and offenders == []
+
+
+def test_batch_size_does_not_change_results(jump_diffusion_model, monkeypatch):
+    """BATCH only cuts the replications into work items: at 1, 7 and 100
+    replications per item, run_paths (CUSUM with its last reflections,
+    Shiryaev-Roberts with its lower-bound sums), run_dyadic and
+    calibrate_barrier give the same bits."""
+    model = jump_diffusion_model
+
+    def runs(batch):
+        monkeypatch.setattr(engine, "BATCH", batch)
+        return (run_paths(model, "pre", RuleSpec(kind="cusum", log_barrier=3.0), 0.1,
+                          300, 150, SEED, "arl", last_reflect=True),
+                run_paths(model, "pre", RuleSpec(kind="sr", log_barrier=math.log(150.0)),
+                          0.1, 300, 150, SEED, "arl", collect_lb=True),
+                run_dyadic(model, "pre", 2.0, 0.05, 400, [4, 2, 1], 150, SEED),
+                calibrate_barrier(model, "cusum_grid", 20.0, 0.05, SEED, delta=0.1,
+                                  n_rep=150))
+    first, *others = [runs(batch) for batch in (1, 7, 100)]
+    for cusum, sr, (stops, strict), cal in others:
+        _assert_same_run(first[0], cusum, "cusum")
+        _assert_same_run(first[1], sr, "sr")
+        for a, b in zip(first[2][0] + first[2][1], stops + strict):
+            assert np.array_equal(a, b)
+        assert cal == first[3]

@@ -198,10 +198,13 @@ class TestLowerBound:
     @pytest.mark.parametrize("delta", [None, math.inf, -0.1])
     def test_fixed_rule_needs_a_positive_delta(self, brownian_model, delta, monkeypatch):
         """The fixed rule's step is config.delta: a missing, infinite or
-        negative one is named before any run."""
+        negative one is named before any run. A missing delta can only come
+        with the continuous rule, the one rule whose config needs none."""
         monkeypatch.setattr(evaluate, "run_paths", None)
+        config = (_grid_cfg(2.0, delta) if delta is not None
+                  else DetectorConfig("cusum_continuous", 2.0))
         with pytest.raises(ContractError, match="delta"):
-            lower_bound_ratio(brownian_model, _grid_cfg(2.0, delta), 500,
+            lower_bound_ratio(brownian_model, config, 500,
                               horizon=50.0, seed=SEED, fixed_steps=1)
 
     def test_equality_for_the_reflected_rule(self, brownian_model):

@@ -1,11 +1,15 @@
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levydetect.cli import main
 from levydetect.errors import (
     InadmissibleModelError,
     SpecValidationError,
@@ -24,6 +28,7 @@ from levydetect.model import (
     COND_EQUIVALENCE,
     COND_INTEGRABILITY,
     COND_VOLATILITY,
+    ChangeModel,
     build_change_model,
     drift_constants,
     phi_eval,
@@ -41,51 +46,51 @@ from levydetect.rng import RngStream
 class TestAdmissibility:
     def test_brownian_drift_change(self):
         m = build_change_model(LevySpec.brownian(1.0, 0.0), LevySpec.brownian(1.0, 1.0))
-        assert m.admissible
         assert m.alpha == pytest.approx(1.0)
         assert m.phi is None
 
     def test_volatility_mismatch_rejected(self):
-        m = build_change_model(LevySpec.brownian(1.0, 0.0), LevySpec.brownian(2.0, 0.0))
-        assert not m.admissible
-        assert m.violated == COND_VOLATILITY
+        with pytest.raises(InadmissibleModelError) as e:
+            build_change_model(LevySpec.brownian(1.0, 0.0), LevySpec.brownian(2.0, 0.0))
+        assert e.value.violated == COND_VOLATILITY
 
     def test_gamma_activity_change_rejected_by_integrability(self):
-        m = build_change_model(LevySpec.gamma_subordinator(1.0, 1.0),
+        with pytest.raises(InadmissibleModelError) as e:
+            build_change_model(LevySpec.gamma_subordinator(1.0, 1.0),
                                LevySpec.gamma_subordinator(2.0, 1.0))
-        assert not m.admissible
-        assert m.violated == COND_INTEGRABILITY
+        assert e.value.violated == COND_INTEGRABILITY
 
     def test_gamma_scale_change_accepted(self, gamma_model):
-        assert gamma_model.admissible
         assert gamma_model.comp_rate == pytest.approx(math.log(2.0))
 
     def test_jumps_versus_no_jumps_rejected(self):
-        m = build_change_model(
-            LevySpec.brownian(1.0, 0.0),
-            LevySpec.jump_diffusion(1.0, 1.0, GaussianJumps(0.0, 1.0)))
-        assert not m.admissible
-        assert m.violated == COND_EQUIVALENCE
+        with pytest.raises(InadmissibleModelError) as e:
+            build_change_model(
+                LevySpec.brownian(1.0, 0.0),
+                LevySpec.jump_diffusion(1.0, 1.0, GaussianJumps(0.0, 1.0)))
+        assert e.value.violated == COND_EQUIVALENCE
 
     def test_support_mismatch_rejected(self):
-        m = build_change_model(
-            LevySpec.compound_poisson(1.0, ExponentialJumps(1.0)),
-            LevySpec.compound_poisson(1.0, TwoSidedExponentialJumps(1.0, 1.0, 0.5)))
-        assert not m.admissible
-        assert m.violated == COND_EQUIVALENCE
+        with pytest.raises(InadmissibleModelError) as e:
+            build_change_model(
+                LevySpec.compound_poisson(1.0, ExponentialJumps(1.0)),
+                LevySpec.compound_poisson(1.0, TwoSidedExponentialJumps(1.0, 1.0, 0.5)))
+        assert e.value.violated == COND_EQUIVALENCE
 
     def test_drift_gap_with_zero_sigma_rejected(self):
-        m = build_change_model(
-            LevySpec.compound_poisson(1.0, GaussianJumps(0.0, 1.0), drift=0.0),
-            LevySpec.compound_poisson(2.0, GaussianJumps(0.0, 1.0), drift=0.5))
-        assert not m.admissible
-        assert m.violated == COND_DRIFT
+        with pytest.raises(InadmissibleModelError) as e:
+            build_change_model(
+                LevySpec.compound_poisson(1.0, GaussianJumps(0.0, 1.0), drift=0.0),
+                LevySpec.compound_poisson(2.0, GaussianJumps(0.0, 1.0), drift=0.5))
+        assert e.value.violated == COND_DRIFT
 
     def test_rejection_symmetric_in_equivalence(self):
         pre = LevySpec.compound_poisson(1.0, ExponentialJumps(1.0))
         post = LevySpec.compound_poisson(1.0, TwoSidedExponentialJumps(1.0, 1.0, 0.5))
-        assert not build_change_model(pre, post).admissible
-        assert not build_change_model(post, pre).admissible
+        for a, b in ((pre, post), (post, pre)):
+            with pytest.raises(InadmissibleModelError) as e:
+                build_change_model(a, b)
+            assert e.value.violated == COND_EQUIVALENCE
 
     def test_identical_specs_raise(self):
         with pytest.raises(SpecValidationError):
@@ -104,11 +109,61 @@ class TestAdmissibility:
 
     def test_malformed_specs_raise(self):
         with pytest.raises(SpecValidationError):
-            LevySpec.brownian(-1.0, 0.0).validate()
+            LevySpec.brownian(-1.0, 0.0)
         with pytest.raises(SpecValidationError):
-            LevySpec.compound_poisson(0.0, GaussianJumps(0.0, 1.0)).validate()
+            LevySpec.compound_poisson(0.0, GaussianJumps(0.0, 1.0))
         with pytest.raises(SpecValidationError):
-            LevySpec.gamma_subordinator(1.0, -2.0).validate()
+            LevySpec.gamma_subordinator(1.0, -2.0)
+
+
+INADMISSIBLE_PAIRS = [
+    (COND_VOLATILITY, LevySpec.brownian(1.0, 0.0), LevySpec.brownian(2.0, 0.0),
+     "Brownian volatilities differ (1.0 vs 2.0); the path laws are singular"),
+    (COND_EQUIVALENCE, LevySpec.brownian(1.0, 0.0),
+     LevySpec.jump_diffusion(1.0, 1.0, GaussianJumps(0.0, 1.0)),
+     "one side has a jump component and the other does not; "
+     "the jump measures cannot be equivalent"),
+    (COND_INTEGRABILITY, LevySpec.gamma_subordinator(1.0, 1.0),
+     LevySpec.gamma_subordinator(2.0, 1.0),
+     "gamma activities differ (1.0 vs 2.0); the integral of (e^(phi/2)-1)^2 "
+     "against the pre-change jump measure diverges"),
+    (COND_DRIFT, LevySpec.compound_poisson(1.0, GaussianJumps(0.0, 1.0), drift=0.0),
+     LevySpec.compound_poisson(2.0, GaussianJumps(0.0, 1.0), drift=0.5),
+     "drift gap 0.5 cannot be absorbed with sigma = 0"),
+]
+
+
+@pytest.mark.parametrize("cond,pre,post,message", INADMISSIBLE_PAIRS,
+                         ids=[p[0] for p in INADMISSIBLE_PAIRS])
+def test_each_condition_raises_with_the_message_the_cli_prints(
+        cond, pre, post, message, tmp_path, capsys):
+    """An inadmissible pair cannot be built: the error names its condition,
+    and ``validate`` prints and records that condition and message."""
+    with pytest.raises(InadmissibleModelError) as e:
+        build_change_model(pre, post)
+    assert (e.value.violated, str(e.value)) == (cond, message)
+    config = tmp_path / "pair.json"
+    config.write_text(json.dumps({"model": {"pre": pre.to_dict(), "post": post.to_dict()}}))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"  condition = {cond}", f"  reason    = {message}"]
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert results == {"admissible": False, "violated_condition": cond, "message": message}
+
+
+def test_no_module_repeats_a_construction_check():
+    """Specs, jump laws, rules and detector configs check themselves when
+    built, and build_change_model raises for an inadmissible pair, so no
+    module calls require_admissible() or validate(), and a ChangeModel
+    carries no verdict of its own."""
+    pkg = Path(__file__).resolve().parents[1] / "src" / "levydetect"
+    offenders = [f"{path.name}: {pattern}" for path in sorted(pkg.glob("*.py"))
+                 for pattern in (r"\.require_admissible\(\)", r"\.validate\(\)")
+                 if re.search(pattern, path.read_text())]
+    assert offenders == []
+    assert {f.name for f in fields(ChangeModel)}.isdisjoint(
+        {"admissible", "message", "violated"})
 
 
 class TestDensityRatio:
@@ -129,9 +184,9 @@ class TestDensityRatio:
             phi_eval(gamma_model, -1.0)
 
     def test_inadmissible_model_raises(self):
-        m = build_change_model(LevySpec.brownian(1.0, 0.0), LevySpec.brownian(2.0, 0.0))
         with pytest.raises(InadmissibleModelError):
-            phi_eval(m, 1.0)
+            phi_eval(build_change_model(LevySpec.brownian(1.0, 0.0),
+                                        LevySpec.brownian(2.0, 0.0)), 1.0)
 
     @pytest.mark.parametrize("fixture", [
         "poisson_model", "gaussian_shift_model", "gamma_model",
@@ -224,10 +279,10 @@ class TestIntegrabilityProbe:
             expected, rel=1e-5)
 
     def test_divergent_for_activity_change(self):
-        m = build_change_model(LevySpec.gamma_subordinator(1.0, 1.0),
+        with pytest.raises(InadmissibleModelError) as e:
+            build_change_model(LevySpec.gamma_subordinator(1.0, 1.0),
                                LevySpec.gamma_subordinator(1.7, 1.0))
-        assert not m.admissible
-        assert m.violated == COND_INTEGRABILITY
+        assert e.value.violated == COND_INTEGRABILITY
 
     @pytest.mark.parametrize("fixture", [
         "poisson_model", "gaussian_shift_model", "jump_diffusion_model",
@@ -244,7 +299,6 @@ class TestIntegrabilityProbe:
         m = build_change_model(
             LevySpec.jump_diffusion(1.0, 1e6, GaussianJumps(0.0, 1.0)),
             LevySpec.jump_diffusion(1.0, 9e6, GaussianJumps(0.0, 1.0)))
-        assert m.admissible
         assert m.integrability_value == 4e6
 
     def test_narrow_mark_shift_value(self):
@@ -253,7 +307,6 @@ class TestIntegrabilityProbe:
         m = build_change_model(
             LevySpec.jump_diffusion(1.0, 1.0, GaussianJumps(0.0, 0.01)),
             LevySpec.jump_diffusion(1.0, 1.0, GaussianJumps(0.5, 0.01)))
-        assert m.admissible
         assert m.integrability_value == pytest.approx(2.0 * (1.0 - math.exp(-312.5)))
 
 
@@ -273,7 +326,6 @@ def test_random_gaussian_pairs_admissible_with_consistent_alpha(
     if pre == post:
         return
     m = build_change_model(pre, post)
-    assert m.admissible
     gap = 0.5 - (post.jump_truncated_mean() - pre.jump_truncated_mean())
     assert m.alpha == pytest.approx(gap, rel=1e-12)
     if mean_shift != 0.0 or abs(lam0 - lam1) > 1e-9 * lam0:

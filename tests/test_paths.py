@@ -79,10 +79,21 @@ class TestShapeAndLedger:
             sample_changed_path(brownian_model, 0.0, 1.0, -0.1, RngStream(SEED, 0))
         with pytest.raises(SpecValidationError):
             sample_changed_path(brownian_model, -1.0, 1.0, 0.1, RngStream(SEED, 0))
-        bad = build_change_model(LevySpec.brownian(1.0, 0.0),
-                                 LevySpec.brownian(2.0, 0.0))
+        with pytest.raises(SpecValidationError):
+            sample_changed_path(brownian_model, 0.0, 0.05, 0.1, RngStream(SEED, 0))
         with pytest.raises(InadmissibleModelError):
-            sample_changed_path(bad, 0.0, 1.0, 0.1, RngStream(SEED, 0))
+            sample_changed_path(build_change_model(LevySpec.brownian(1.0, 0.0),
+                                                   LevySpec.brownian(2.0, 0.0)),
+                                0.0, 1.0, 0.1, RngStream(SEED, 0))
+
+
+def test_horizon_a_hair_below_one_step_is_one_step(brownian_model):
+    """The path and its step count agree on the horizon: grid_steps counts a
+    horizon within 1e-9 steps below a whole step as that step, so the
+    path covers it, as the CLI's check of simulation.horizon expects."""
+    path = sample_changed_path(brownian_model, 0.0, 0.1 * (1.0 - 1e-10), 0.1,
+                               RngStream(SEED, 0))
+    assert len(path.values) == 2 and path.horizon == 0.1
 
 
 class TestReproducibility:
