@@ -18,16 +18,18 @@ only the generator calls run per row, writing into the block, and the
 arithmetic runs once per block, so a block holds the bits of its rows drawn
 one by one.
 
-A :class:`BatchState` holds one batch's streams, carries and steps. It
-advances its rows to a step, or until each reaches a barrier, drawing and
-scanning exactly the sub-blocks they need with one sampler call per
-sub-block, and can be resumed at any step. Sub-blocks are 64 steps wide up
+A :class:`BatchState` holds one batch's streams and steps, and the carries
+of one or more stopping rules. It advances its rows to a step, or until each
+rule reaches its barrier, drawing and scanning exactly the sub-blocks they
+need with one sampler call per sub-block that every rule scans, and can be
+resumed at any step. Sub-blocks are 64 steps wide up
 to step 256 and their width doubles each time the step quadruples (128 up to
 1024, 256 up to 4096, ...), capped at ``CHUNK``: a path that stops at step k
 draws at most max(64, sqrt(64 k)) steps past it, in about 3 sqrt(k / 64)
 sampler calls. :func:`_draw` sums each sub-block once, in place, into the
-cumulative values every scan kernel reads. :func:`run_paths` drives it for one
-stopping rule; :func:`run_dyadic` scans several monitoring strides of one fine
+cumulative values every scan kernel reads. :func:`run_rules` drives it for
+rules that share their paths, and :func:`run_paths` for one rule;
+:func:`run_dyadic` scans several monitoring strides of one fine
 path in its own loop, on the same schedule counted in fine steps, with each
 width rounded up to whole multiples of the least common multiple of the
 strides (:func:`block_end`; the first sub-block is 64 steps for strides 16,
@@ -52,7 +54,7 @@ from .rng import RngStream, stream_id, substream_rows
 
 __all__ = ["RuleSpec", "PathRunResult", "BatchState", "make_u_sampler",
            "substream_components", "sample_u_increments", "block_end", "batch_states",
-           "advance", "run_paths", "run_dyadic"]
+           "advance", "run_rules", "run_paths", "run_dyadic"]
 
 CHUNK = 4096          # widest draw-and-scan sub-block in steps (not a tuning knob)
 SUB_BLOCK = 64        # first sub-block of a path; later ones double up to CHUNK
@@ -270,69 +272,94 @@ def _draw(sampler, gens, rows: np.ndarray, start: int, end: int, u) -> np.ndarra
 
 
 class BatchState:
-    """One batch of replications, resumable at any step: the substream
-    generators, each row's carries (``CARRIES``), its step ``pos`` and the
-    first crossing (``stop``, -1 if none; ``stat``) of the barrier it was last
-    advanced under. The carries ``lastref`` (with ``last_reflect``) and
-    ``num``/``den`` (with ``lb_horizon``: the lower-bound sums over steps
-    strictly before each row's stop or step ``lb_horizon``, whichever comes
-    first) are None unless asked for. With
-    ``records`` it also keeps each row's running maximum ``best`` and
-    ``ladder`` of record highs (row, step, value), so a row can go on under a
-    higher barrier and the step it reached a lower one is a lookup
+    """One batch of replications under one or more stopping rules, resumable
+    at any step. Each sub-block a row draws is sampled and summed once (the
+    carry ``u``; the row's step ``pos``) and every rule scans it with carries
+    of its own (``RULE_CARRIES``, one row per rule in the order of ``rules``)
+    and keeps its own first crossing (``stop``, -1 if none; ``stat``) of the
+    barrier it was last advanced under. The carries ``lastref`` (with
+    ``last_reflect``) and ``num``/``den`` (with ``lb_horizon``: the
+    lower-bound sums over steps strictly before each row's stop or step
+    ``lb_horizon``, whichever comes first) are None unless asked for. With
+    ``records`` each rule also keeps each row's running maximum ``best`` and
+    its ``ladders`` entry of record highs (row, step, value), so a row can go
+    on under a higher barrier and the step it reached a lower one is a lookup
     (:meth:`first_reach`)."""
 
-    CARRIES = ("u", "mn", "logA", "lastref", "num", "den")
+    RULE_CARRIES = ("mn", "logA", "lastref", "num", "den")
 
-    def __init__(self, sampler, rule: RuleSpec, gens, lb_horizon: Optional[int] = None,
-                 records: bool = False, last_reflect: bool = False):
-        b = len(gens)
-        self.sampler, self.rule, self.gens = sampler, rule, gens
-        self.lb_horizon, self.ladder = lb_horizon, []
-        self.pos = np.zeros(b, dtype=np.int64)
-        self.lastref = np.zeros(b, dtype=np.int64) if last_reflect else None
-        self.stop, self.stat = np.full(b, -1, dtype=np.int64), np.full(b, np.nan)
-        self.u, self.mn, self.logA = np.zeros(b), np.zeros(b), np.zeros(b)
+    def __init__(self, sampler, rules: Sequence[RuleSpec], gens,
+                 lb_horizon: Optional[int] = None, records: bool = False,
+                 last_reflect: bool = False):
+        b, k = len(gens), len(rules)
+        self.sampler, self.rules, self.gens = sampler, tuple(rules), gens
+        self.lb_horizon, self.ladders = lb_horizon, [[] for _ in self.rules]
+        self.pos, self.u = np.zeros(b, dtype=np.int64), np.zeros(b)
+        self.lastref = np.zeros((k, b), dtype=np.int64) if last_reflect else None
+        self.stop, self.stat = np.full((k, b), -1, dtype=np.int64), np.full((k, b), np.nan)
+        self.mn, self.logA = np.zeros((k, b)), np.zeros((k, b))
         # k = 0: max(S_0, 1) = (1 - S_0)^+ = 1
-        self.num, self.den = (None, None) if lb_horizon is None else (np.ones(b), np.ones(b))
-        self.best = np.full(b, -np.inf) if records else None
+        self.num, self.den = ((None, None) if lb_horizon is None
+                              else (np.ones((k, b)), np.ones((k, b))))
+        self.best = np.full((k, b), -np.inf) if records else None
 
-    def advance(self, target: int, barrier: float) -> None:
-        """Advance each row that has not reached ``barrier`` to step ``target``,
-        or to the end of the sub-block in which it does. Rows at one step are
-        drawn and scanned together, going on with the schedule from there.
-        Every carry is a sequential accumulate and every draw a function of
-        its step, so results do not depend on where a run stops and resumes."""
+    def advance(self, target: int, barriers: Sequence[float]) -> None:
+        """Advance each row on which some rule has not reached its barrier
+        (one per rule) to step ``target``, or to the end of the sub-block in
+        which the last of them does; a rule whose barrier is -inf keeps no row
+        live. Rows at one step are drawn and scanned together, going on with
+        the schedule from there. With records every rule scans every drawn
+        step, so each can resume; without, a rule that has stopped on a row
+        skips its later steps. Every carry is a sequential accumulate and
+        every draw a function of its step, so results do not depend on where
+        a run stops and resumes, nor on which other rules share the paths."""
+        levels = np.asarray(barriers, dtype=float)[:, None]
         while True:
-            done = self.stop >= 0 if self.best is None else self.best >= barrier
-            live = np.flatnonzero((self.pos < target) & ~done)
+            going = self.stop < 0 if self.best is None else self.best < levels
+            live = np.flatnonzero((self.pos < target) & going.any(axis=0))
             if not live.size:
                 return
-            start = int(self.pos[live].min())
-            rows = live[self.pos[live] == start]
-            self._scan(rows, start, min(block_end(start), target), barrier)
+            at = self.pos[live]
+            start = int(at.min())
+            rows = live[at == start]
+            self._scan(rows, start, min(block_end(start), target), barriers)
 
-    def first_reach(self, barrier: float) -> np.ndarray:
-        """Each row's first step with statistic >= barrier among the steps it
-        has scanned (-1 if none): the step of its first record high at or
-        above the barrier. A state kept without records was advanced under
-        one barrier."""
-        if self.best is None:
-            return self.stop
-        if len(self.ladder) > 1:
-            self.ladder[:] = [tuple(np.concatenate(c) for c in zip(*self.ladder))]
-        rows, steps, values = self.ladder[0]
+    def first_reach(self, rule: int, barrier: float) -> np.ndarray:
+        """Each row's first step with rule ``rule``'s statistic >= barrier
+        among the steps it has scanned (-1 if none): the step of its first
+        record high at or above the barrier, in a state kept with records."""
+        ladder = self.ladders[rule]
+        if len(ladder) > 1:
+            ladder[:] = [tuple(np.concatenate(c) for c in zip(*ladder))]
+        rows, steps, values = ladder[0]
         hit = values >= barrier
         first = np.full(self.pos.size, np.iinfo(np.int64).max)
         np.minimum.at(first, rows[hit], steps[hit])
-        return np.where(self.best >= barrier, first, -1)
+        return np.where(self.best[rule] >= barrier, first, -1)
 
-    def _scan(self, rows: np.ndarray, start: int, end: int, barrier: float) -> None:
-        u, mn, logA, lastref, num, den = carries = [
-            None if (v := getattr(self, c)) is None else v[rows] for c in self.CARRIES]
+    def _scan(self, rows: np.ndarray, start: int, end: int, barriers) -> None:
+        u = self.u[rows]
         uu = _draw(self.sampler, self.gens, rows, start, end, u)
-        rec = () if self.best is None else (self.best[rows],)
-        kind, horizon = self.rule.kind, self.lb_horizon
+        self.u[rows] = u
+        # without records, a rule skips the rows it has stopped on; a row
+        # live under one rule has not stopped on it
+        several = self.best is None and len(barriers) > 1
+        for r, barrier in enumerate(barriers):
+            going = self.stop[r][rows] < 0 if several else None
+            if going is None or going.all():
+                self._scan_rule(r, rows, uu, start, barrier)
+            elif going.any():
+                self._scan_rule(r, rows[going], uu[going], start, barrier)
+        self.pos[rows] = end
+
+    def _scan_rule(self, r: int, rows: np.ndarray, uu: np.ndarray, start: int,
+                   barrier: float) -> None:
+        # a rule's carries are views v[r]: indexed in two steps, as fast as 1-D ones
+        mn, logA, lastref, num, den = carries = [
+            None if (v := getattr(self, c)) is None else v[r][rows]
+            for c in self.RULE_CARRIES]
+        rec = () if self.best is None else (self.best[r][rows],)
+        kind, horizon = self.rules[r].kind, self.lb_horizon
         if kind == "cusum" and horizon is not None:
             out = kernels.lb_cusum_scan(uu, mn, lastref, num, den, start, barrier, horizon)
         else:
@@ -345,16 +372,16 @@ class BatchState:
             if horizon is not None:
                 kernels.lb_until_scan(uu, mn, num, den, start, np.minimum(
                     kernels.crossing_steps(out[0], start), horizon))
-        for c, value in zip(self.CARRIES, carries):
+        for c, value in zip(self.RULE_CARRIES, carries):
             if value is not None:
-                getattr(self, c)[rows] = value
+                getattr(self, c)[r][rows] = value
         if rec:
-            self.best[rows] = rec[0]
-            self.ladder.append((rows[out[3][0]],) + out[3][1:])
+            self.best[r][rows] = rec[0]
+            self.ladders[r].append((rows[out[3][0]],) + out[3][1:])
         off, st, ye = out[:3]
-        self.stop[rows] = np.where(off >= 0, start + 1 + off, -1)
-        self.stat[rows] = np.where(off >= 0, st, ye)   # censored rows keep the last value
-        self.pos[rows] = end
+        hit = off >= 0
+        self.stop[r][rows] = np.where(hit, start + 1 + off, -1)
+        self.stat[r][rows] = np.where(hit, st, ye)   # censored rows keep the last value
 
 
 def _pool_map(fn, items, threads: int) -> list:
@@ -386,28 +413,33 @@ def _dispatch(work, components, n_rep: int, master_seed: int, purpose: str,
     return _pool_map(batch, range(first, n_rep, BATCH), threads)
 
 
-def batch_states(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
+def batch_states(model: ChangeModel, regime: str, rules: Sequence[RuleSpec], dt: float,
                  n_rep: int, master_seed: int, purpose: str,
-                 block: int = 0, threads: int = 1, first: int = 0,
+                 block: int = 0, threads: int = 1,
                  records: bool = False) -> List[BatchState]:
-    """Fresh states of the replications first .. n_rep - 1, one per slice of
-    :func:`_dispatch`, on the streams :func:`run_paths` gives them."""
+    """Fresh states of the replications 0 .. n_rep - 1 under ``rules``, one
+    per slice of :func:`_dispatch`, on the streams :func:`run_rules` gives
+    them; each keeps generators of its own, so it can be resumed."""
     sampler = make_u_sampler(model, regime, dt)
-    return _dispatch(lambda gens, lo: BatchState(sampler, rule, gens, records=records),
+    return _dispatch(lambda gens, lo: BatchState(sampler, rules, gens, records=records),
                      substream_components(model, dt), n_rep, master_seed, purpose,
-                     block, threads, first, keep=True)
+                     block, threads, keep=True)
 
 
-def advance(states, target: int, barrier: float, threads: int = 1) -> None:
+def advance(states, target: int, barriers: Sequence[float], threads: int = 1) -> None:
     """:meth:`BatchState.advance` on every state, inline or on ``threads`` workers."""
-    _pool_map(lambda s: s.advance(target, barrier), states, threads)
+    _pool_map(lambda s: s.advance(target, barriers), states, threads)
 
 
-def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
+def run_rules(model: ChangeModel, regime: str, rules: Sequence[RuleSpec], dt: float,
               n_steps: int, n_rep: int, master_seed: int, purpose: str,
-              block: int = 0, threads: int = 1, collect_lb: bool = False,
-              last_reflect: bool = False) -> PathRunResult:
-    """Monte Carlo run of a stopping rule over ``n_rep`` monitored paths.
+              block: int = 0, threads: int = 1, first: int = 0,
+              collect_lb: bool = False, last_reflect: bool = False) -> List[PathRunResult]:
+    """Monte Carlo run of stopping rules over the monitored paths of the
+    replications first .. n_rep - 1: one result per rule, each equal bit for
+    bit to that rule's own run, since every path is drawn once and each rule
+    scans it with its own carries (:class:`BatchState`). A fixed rule runs
+    alone.
 
     Each row's last reflection (``PathRunResult.last_reflect``, read by
     ``tau_hat``) is kept only with ``last_reflect``; it is None otherwise.
@@ -417,30 +449,45 @@ def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
     uses the stream (master_seed, purpose/block/i), each of its draws depends
     on its step alone, and aggregation is by fixed slices.
     """
-    rule.check_horizon(n_steps)
+    for rule in rules:
+        rule.check_horizon(n_steps)
+    fixed = rules[0].kind == "fixed"
+    if len(rules) > 1 and any(rule.kind == "fixed" for rule in rules):
+        raise ContractError("a fixed rule runs alone")
     sampler = make_u_sampler(model, regime, dt)
-    fixed = rule.kind == "fixed"
-    target = rule.fixed_steps if fixed else n_steps
-    lb = (lambda: np.empty(n_rep)) if collect_lb else (lambda: None)
-    result = PathRunResult(dt, n_steps, np.empty(n_rep, dtype=np.int64), np.empty(n_rep),
-                           np.empty(n_rep, dtype=np.int64) if last_reflect else None,
-                           lb(), lb())
+    target, size = rules[0].fixed_steps if fixed else n_steps, max(n_rep - first, 0)
+    lb = (lambda: np.empty(size)) if collect_lb else (lambda: None)
+    results = [PathRunResult(dt, n_steps, np.empty(size, dtype=np.int64), np.empty(size),
+                             np.empty(size, dtype=np.int64) if last_reflect else None,
+                             lb(), lb()) for _ in rules]
+    barriers = [rule.log_barrier for rule in rules]
 
     def work(gens, lo: int) -> None:
-        state = BatchState(sampler, rule, gens, target if collect_lb else None,
+        state = BatchState(sampler, rules, gens, target if collect_lb else None,
                            last_reflect=last_reflect)
-        state.advance(target, rule.log_barrier)
-        sl = slice(lo, lo + len(gens))
-        result.stop_steps[sl] = rule.fixed_steps if fixed else state.stop
-        result.stat[sl] = state.stat
-        if last_reflect:
-            result.last_reflect[sl] = state.lastref
-        if collect_lb:
-            result.lb_num[sl], result.lb_den[sl] = state.num, state.den
+        state.advance(target, barriers)
+        sl = slice(lo - first, lo - first + len(gens))
+        for r, result in enumerate(results):
+            result.stop_steps[sl] = target if fixed else state.stop[r]
+            result.stat[sl] = state.stat[r]
+            if last_reflect:
+                result.last_reflect[sl] = state.lastref[r]
+            if collect_lb:
+                result.lb_num[sl], result.lb_den[sl] = state.num[r], state.den[r]
 
     _dispatch(work, substream_components(model, dt), n_rep, master_seed, purpose,
-              block, threads)
-    return result
+              block, threads, first)
+    return results
+
+
+def run_paths(model: ChangeModel, regime: str, rule: RuleSpec, dt: float,
+              n_steps: int, n_rep: int, master_seed: int, purpose: str,
+              block: int = 0, threads: int = 1, collect_lb: bool = False,
+              last_reflect: bool = False) -> PathRunResult:
+    """:func:`run_rules` for one rule over the replications 0 .. n_rep - 1."""
+    return run_rules(model, regime, (rule,), dt, n_steps, n_rep, master_seed, purpose,
+                     block=block, threads=threads, collect_lb=collect_lb,
+                     last_reflect=last_reflect)[0]
 
 
 def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,

@@ -15,7 +15,8 @@ Conventions
 * calibration bisects the barrier against the in-control mean on one set of
   in-control paths: the statistic paths do not depend on the barrier, so each
   probe reads its stops off the paths' record highs, and the empirical map is
-  monotone pathwise.
+  monotone pathwise; in a comparison, the rules that share a monitoring step
+  share those paths and their delay paths too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .detector import DetectorConfig, grid_stride, lattice_safe_barrier
 from .engine import (PathRunResult, RuleSpec, advance, batch_states,
-                     block_end, run_dyadic, run_paths)
+                     block_end, run_dyadic, run_paths, run_rules)
 from .errors import (
     ContractError,
     DegenerateRuleError,
@@ -164,7 +165,8 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
                       n_rep: int = 4000, threads: int = 1,
                       block: int = 0) -> CalibrationResult:
     """Bisect the log barrier until the in-control mean run length matches
-    gamma within rel_tol, on one set of in-control paths.
+    gamma within rel_tol, on one set of in-control paths ('calibrate' block
+    ``block``).
 
     The statistic paths do not depend on the barrier, so each path is
     simulated once, as far as the highest barrier probed needs, and a probe
@@ -175,93 +177,139 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
     length truncated at the common step reaches gamma. That truncated mean,
     a lower bound, is its probe value (``lower_bound`` is its index). The
     final acceptance probe runs at four times the probe budget, on the probe
-    paths plus 3 * n_rep new ones, and its report is returned. When no
-    probe of MAX_BISECTIONS meets rel_tol, the result takes the last
-    bracket's midpoint and says so (``converged`` false).
+    paths plus 3 * n_rep new ones, which run once on restarted generators,
+    and its report is returned. When no probe of MAX_BISECTIONS meets
+    rel_tol, the result takes the last bracket's midpoint and says so
+    (``converged`` false).
     """
+    (cal,) = _calibrate(model, (rule,), gamma, rel_tol, seed, delta, n_rep, threads, block)
+    if isinstance(cal, Exception):
+        raise cal
+    return cal
+
+
+def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: float,
+               seed: int, delta: float, n_rep: int, threads: int, block: int) -> list:
+    """:func:`calibrate_barrier` for rules that share the monitoring step
+    ``delta``, on one shared set of paths: per rule its
+    :class:`CalibrationResult`, or the InfeasibleTargetError or NumericalError
+    that ended its bisection. The rules bisect in turn, each advancing the
+    paths under its own barrier while the others get -inf, so they keep no
+    path live but scan every step drawn; each rule's probes thus equal those
+    of its own calibration. Then every rule that has a barrier takes its
+    final probe on the same 3 * n_rep new paths."""
     if gamma < delta:
         raise InfeasibleTargetError(
             f"target {gamma} is below one monitoring step {delta}; "
             "randomized rules are out of scope")
     horizon = HORIZON_FACTOR * gamma
 
-    def config(h: float) -> DetectorConfig:
-        return DetectorConfig(rule=rule, log_barrier=h, delta=delta)
+    def config(i: int, h: float) -> DetectorConfig:
+        return DetectorConfig(rule=rules[i], log_barrier=h, delta=delta)
 
-    spec, dt = _engine_rule(model, config(0.0))
+    specs = [_engine_rule(model, config(i, 0.0))[0] for i in range(len(rules))]
+    dt = float(delta)
     try:
         n_steps = monitoring_steps(horizon, dt)
     except ContractError as exc:
         raise InfeasibleTargetError(
             f"target {gamma} needs a censoring horizon of {horizon}: {exc}") from exc
-    paths = batch_states(model, "pre", spec, dt, n_rep, seed, "calibrate", block=block,
+    paths = batch_states(model, "pre", specs, dt, n_rep, seed, "calibrate", block=block,
                          threads=threads, records=True)
 
-    def stops(h: float, until: int = n_steps) -> np.ndarray:
-        barrier = _effective_barrier(model, config(h))
-        advance(paths, until, barrier, threads)
-        return np.concatenate([p.first_reach(barrier) for p in paths])
+    def barriers(hs: dict) -> List[float]:
+        return [_effective_barrier(model, config(i, hs[i])) if i in hs else -math.inf
+                for i in range(len(rules))]
 
-    def arl_at(h: float) -> EvalReport:
-        result = PathRunResult(dt, n_steps, stops(h), stat=None, last_reflect=None)
-        return _report(result, model, config(h), "in_control", seed, block,
+    def stops(i: int, h: float, until: int = n_steps) -> np.ndarray:
+        levels = barriers({i: h})
+        advance(paths, until, levels, threads)
+        return np.concatenate([p.first_reach(i, levels[i]) for p in paths])
+
+    def report(i: int, h: float, st: np.ndarray) -> EvalReport:
+        result = PathRunResult(dt, n_steps, st, stat=None, last_reflect=None)
+        return _report(result, model, config(i, h), "in_control", seed, block,
                        label="arl_in_control")
 
-    def at_least_gamma(h: float) -> float:
-        """The mean run length at h, or a lower bound of it once that
-        reaches gamma: the mean truncated at a common step t. Each round
-        moves t to the end of the sub-block holding the first step at which
-        that mean could reach gamma (per step it grows by at most the
-        fraction of paths still running)."""
-        t, val, running = 0, 0.0, 1.0
-        while t < n_steps and running > 0.0:
-            t = min(n_steps, block_end(t + math.ceil((gamma - val) / (running * dt)) - 1))
-            st = stops(h, t)
-            hit = (st >= 0) & (st <= t)
-            val = float((np.where(hit, st, t) * dt).mean())
-            if val >= gamma:
-                break
-            running = 1.0 - float(hit.mean())
-        return val
+    def bisect(i: int):
+        """(h_bar, probes, index of the lower-bound probe, converged) of rule i."""
+        def arl_at(h: float) -> float:
+            return report(i, h, stops(i, h)).estimate
 
-    probes: List[Tuple[float, float]] = []
-    lo, lo_val = 0.0, arl_at(0.0).estimate
-    probes.append((lo, lo_val))
-    if lo_val >= gamma * (1.0 + rel_tol):
-        raise InfeasibleTargetError(
-            f"even a zero barrier overshoots the target ({lo_val:.4g} >= {gamma})")
+        def at_least_gamma(h: float) -> float:
+            """The mean run length at h, or a lower bound of it once that
+            reaches gamma: the mean truncated at a common step t. Each round
+            moves t to the end of the sub-block holding the first step at
+            which that mean could reach gamma (per step it grows by at most
+            the fraction of paths still running)."""
+            t, val, running = 0, 0.0, 1.0
+            while t < n_steps and running > 0.0:
+                t = min(n_steps,
+                        block_end(t + math.ceil((gamma - val) / (running * dt)) - 1))
+                st = stops(i, h, t)
+                hit = (st >= 0) & (st <= t)
+                val = float((np.where(hit, st, t) * dt).mean())
+                if val >= gamma:
+                    break
+                running = 1.0 - float(hit.mean())
+            return val
 
-    hi = max(1.0, math.log(max(gamma / delta, 2.0)))
-    hi_val = at_least_gamma(hi)
-    probes.append((hi, hi_val))
-    doublings = 0
-    while hi_val < gamma and doublings < 40:
-        hi *= 2.0
+        probes: List[Tuple[float, float]] = []
+        lo, lo_val = 0.0, arl_at(0.0)
+        probes.append((lo, lo_val))
+        if lo_val >= gamma * (1.0 + rel_tol):
+            raise InfeasibleTargetError(
+                f"even a zero barrier overshoots the target ({lo_val:.4g} >= {gamma})")
+
+        hi = max(1.0, math.log(max(gamma / delta, 2.0)))
         hi_val = at_least_gamma(hi)
         probes.append((hi, hi_val))
-        doublings += 1
-    if hi_val < gamma:
-        raise NumericalError("failed to bracket the target run length")
-    top = len(probes) - 1
+        doublings = 0
+        while hi_val < gamma and doublings < 40:
+            hi *= 2.0
+            hi_val = at_least_gamma(hi)
+            probes.append((hi, hi_val))
+            doublings += 1
+        if hi_val < gamma:
+            raise NumericalError("failed to bracket the target run length")
+        top = len(probes) - 1
 
-    for _ in range(MAX_BISECTIONS):
-        h = 0.5 * (lo + hi)
-        val = arl_at(h).estimate
-        probes.append((h, val))
-        converged = abs(val - gamma) <= rel_tol * gamma
-        if converged:
-            break
-        if val < gamma:
-            lo = h
+        for _ in range(MAX_BISECTIONS):
+            h = 0.5 * (lo + hi)
+            val = arl_at(h)
+            probes.append((h, val))
+            converged = abs(val - gamma) <= rel_tol * gamma
+            if converged:
+                break
+            if val < gamma:
+                lo = h
+            else:
+                hi = h
         else:
-            hi = h
-    else:
-        h = 0.5 * (lo + hi)
+            h = 0.5 * (lo + hi)
+        return h, tuple(probes), top, converged
 
-    paths += batch_states(model, "pre", spec, dt, 4 * n_rep, seed, "calibrate",
-                          block=block, threads=threads, first=n_rep)
-    return CalibrationResult(h_bar=h, report=arl_at(h), probes=tuple(probes),
-                             lower_bound=top, converged=converged)
+    outcomes: list = []
+    for i in range(len(rules)):
+        try:
+            outcomes.append(bisect(i))
+        except (InfeasibleTargetError, NumericalError) as exc:
+            outcomes.append(exc)
+    hs = {i: out[0] for i, out in enumerate(outcomes) if not isinstance(out, Exception)}
+    if hs:
+        levels = barriers(hs)
+        advance(paths, n_steps, levels, threads)
+        fresh = run_rules(model, "pre",
+                          [replace(specs[i], log_barrier=levels[i]) for i in hs],
+                          dt, n_steps, 4 * n_rep, seed, "calibrate", block=block,
+                          threads=threads, first=n_rep)
+        for (i, h), new in zip(hs.items(), fresh):
+            st = np.concatenate([p.first_reach(i, levels[i]) for p in paths]
+                                + [new.stop_steps])
+            _, probes, top, converged = outcomes[i]
+            outcomes[i] = CalibrationResult(h_bar=h, report=report(i, h, st), probes=probes,
+                                            lower_bound=top, converged=converged)
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -475,30 +523,41 @@ def compare(model: ChangeModel, gamma: float, rules: Sequence[Tuple[str, float]]
             n_rep: int, seed: int, rel_tol: float = 0.02,
             threads: int = 1, n_rep_calibrate: int = 4000) -> CompareResult:
     """Calibrate each rule to the same false-alarm budget and compare
-    worst-case delays. Calibration failures flag the row instead of
-    aborting the table: a rule that cannot be calibrated gets NaN numbers,
-    and one whose bisection missed rel_tol keeps its numbers at the last
-    midpoint."""
-    rows = []
-    for i, (rule, delta) in enumerate(rules):
+    worst-case delays.
+
+    Rules that share a monitoring step share their paths: the g-th distinct
+    step, in order of first appearance, calibrates its rules in rule order on
+    'calibrate' block g (:func:`calibrate_barrier`, each rule's probes and
+    final probe bit for bit those of its own calibration on that block), and
+    measures their Lorden delays (:func:`lorden_delay`'s restart run) in one
+    run on the 'delay' block-0 streams. Calibration failures flag the row
+    instead of aborting the table: a rule that cannot be calibrated gets NaN
+    numbers, and one whose bisection missed rel_tol keeps its numbers at the
+    last midpoint."""
+    groups: dict = {}
+    for i, (_, delta) in enumerate(rules):
+        groups.setdefault(float(delta), []).append(i)
+    rows = [CompareRow(rule=rule, delta=delta, h_bar=math.nan, gamma_achieved=math.nan,
+                       gamma_se=math.nan, worst_delay=math.nan, delay_se=math.nan,
+                       calibrated=False) for rule, delta in rules]
+    for block, (delta, idx) in enumerate(groups.items()):
         try:
-            cal = calibrate_barrier(model, rule, gamma, rel_tol, seed,
-                                    delta=delta, n_rep=n_rep_calibrate,
-                                    threads=threads, block=i)
-            cfg = DetectorConfig(rule=rule, log_barrier=cal.h_bar, delta=delta)
-            # Lorden's worst case is one restart run, whatever the change point
-            res = lorden_delay(model, cfg, (0.0,), n_rep,
-                               horizon=HORIZON_FACTOR * gamma, seed=seed,
-                               threads=threads)
-            rows.append(CompareRow(rule=rule, delta=delta, h_bar=cal.h_bar,
-                                   gamma_achieved=cal.report.estimate,
-                                   gamma_se=cal.report.std_error,
-                                   worst_delay=res.worst.estimate,
-                                   delay_se=res.worst.std_error,
-                                   calibrated=cal.converged))
-        except (InfeasibleTargetError, NumericalError):
-            rows.append(CompareRow(rule=rule, delta=delta, h_bar=math.nan,
-                                   gamma_achieved=math.nan, gamma_se=math.nan,
-                                   worst_delay=math.nan, delay_se=math.nan,
-                                   calibrated=False))
+            cals = _calibrate(model, [rules[i][0] for i in idx], gamma, rel_tol, seed,
+                              delta, n_rep_calibrate, threads, block)
+        except InfeasibleTargetError:
+            continue
+        done = [(i, cal) for i, cal in zip(idx, cals) if isinstance(cal, CalibrationResult)]
+        if not done:
+            continue
+        configs = [DetectorConfig(rule=rules[i][0], log_barrier=cal.h_bar, delta=delta)
+                   for i, cal in done]
+        # Lorden's worst case is one restart run, whatever the change point
+        n_steps = monitoring_steps(HORIZON_FACTOR * gamma, delta)
+        delays = run_rules(model, "post", [_engine_rule(model, c)[0] for c in configs],
+                           delta, n_steps, n_rep, seed, "delay", threads=threads)
+        for (i, cal), cfg, res in zip(done, configs, delays):
+            worst = _report(res, model, cfg, "out_of_control", seed, 0, label="delay_worst")
+            rows[i] = replace(rows[i], h_bar=cal.h_bar, gamma_achieved=cal.report.estimate,
+                              gamma_se=cal.report.std_error, worst_delay=worst.estimate,
+                              delay_se=worst.std_error, calibrated=cal.converged)
     return CompareResult(gamma=gamma, rows=tuple(rows))

@@ -179,12 +179,12 @@ def test_c04_equalizer_property(models):
                                return_raw=True)[1].stop_times
 
         def stops(start: float) -> np.ndarray:
-            states = batch_states(model, "post", RuleSpec(kind=kind, log_barrier=h),
+            states = batch_states(model, "post", (RuleSpec(kind=kind, log_barrier=h),),
                                   delta, n_rep, SEED, "delay")
             for state in states:
                 getattr(state, carry)[:] = start
-            advance(states, n_steps, h)
-            return np.concatenate([state.stop for state in states])
+            advance(states, n_steps, [h])
+            return np.concatenate([state.stop[0] for state in states])
 
         for name, start in starts.items():
             raised = stops(start)

@@ -12,8 +12,8 @@ from levydetect import engine, kernels
 from levydetect.detector import DetectorConfig
 from levydetect.engine import RuleSpec, run_dyadic, run_paths, sample_u_increments
 from levydetect.errors import ContractError
-from levydetect.evaluate import (calibrate_barrier, estimate_arl, lorden_delay,
-                                 lower_bound_ratio)
+from levydetect.evaluate import (calibrate_barrier, compare, estimate_arl,
+                                 lorden_delay, lower_bound_ratio)
 from levydetect.families import ExponentialJumps, LevySpec, TwoSidedExponentialJumps
 from levydetect.likelihood import llr_path
 from levydetect.model import build_change_model
@@ -21,6 +21,7 @@ from levydetect.paths import sample_changed_path
 from levydetect.rng import RngStream, stream_id, substream_rows
 
 SEED = 8086
+TWO_RULES = [("cusum_grid", 0.1), ("shiryaev_roberts", 0.1)]     # compare at one step
 
 
 MODEL_FIXTURES = ["brownian_model", "poisson_model", "jump_diffusion_model",
@@ -297,6 +298,26 @@ class TestRunPaths:
                 for other in runs[1:]:
                     _assert_same_run(runs[0], other, fixture)
 
+    @pytest.mark.parametrize("regime", ["pre", "post"])
+    def test_rules_sharing_paths_match_their_own_runs(self, regime, request):
+        """run_rules draws each path once for a CUSUM and an SR rule, and
+        each rule's stops, statistics, last reflections and lower-bound sums
+        are those of its own run_paths, bit for bit, although a path stays
+        live until both rules stop. A fixed rule runs alone."""
+        rules = (RuleSpec(kind="cusum", log_barrier=3.0),
+                 RuleSpec(kind="sr", log_barrier=math.log(150.0)))
+        for fixture in MODEL_FIXTURES:
+            model = request.getfixturevalue(fixture)
+            shared = engine.run_rules(model, regime, rules, 0.1, 600, 300, SEED, "arl",
+                                      collect_lb=True, last_reflect=True)
+            for rule, res in zip(rules, shared):
+                _assert_same_run(run_paths(model, regime, rule, 0.1, 600, 300, SEED, "arl",
+                                           collect_lb=True, last_reflect=True),
+                                 res, fixture)
+        with pytest.raises(ContractError, match="fixed rule runs alone"):
+            engine.run_rules(model, regime, rules + (RuleSpec("fixed", fixed_steps=5),),
+                             0.1, 600, 300, SEED, "arl")
+
     @pytest.mark.parametrize("n_steps", [5, 300])
     def test_censored_lb_sums_stop_at_the_horizon(self, n_steps, request):
         """A CUSUM or SR rule that no path can reach runs to the horizon n
@@ -523,17 +544,17 @@ class TestBatchState:
                               collect_lb=collect_lb, last_reflect=True)
             components = engine.substream_components(model, 0.1)
             state = engine.BatchState(
-                engine.make_u_sampler(model, regime, 0.1), rule,
+                engine.make_u_sampler(model, regime, 0.1), (rule,),
                 [RngStream(SEED, stream_id("arl", i)).substreams(components)
                  for i in range(300)], 600 if collect_lb else None, last_reflect=True)
             for target in (1, 37, 64, 65, 200, 333, 599, 600):
-                engine.advance([state], target, rule.log_barrier)
-            assert np.array_equal(state.stop, whole.stop_steps), fixture
-            assert np.array_equal(state.stat, whole.stat, equal_nan=True), fixture
-            assert np.array_equal(state.lastref, whole.last_reflect), fixture
+                engine.advance([state], target, [rule.log_barrier])
+            assert np.array_equal(state.stop[0], whole.stop_steps), fixture
+            assert np.array_equal(state.stat[0], whole.stat, equal_nan=True), fixture
+            assert np.array_equal(state.lastref[0], whole.last_reflect), fixture
             if collect_lb:
-                assert np.array_equal(state.num, whole.lb_num), fixture
-                assert np.array_equal(state.den, whole.lb_den), fixture
+                assert np.array_equal(state.num[0], whole.lb_num), fixture
+                assert np.array_equal(state.den[0], whole.lb_den), fixture
 
     @pytest.mark.parametrize("regime", ["pre", "post"])
     @pytest.mark.parametrize("kind", ["cusum", "sr"])
@@ -546,20 +567,26 @@ class TestBatchState:
             model = request.getfixturevalue(fixture)
             runs = {h: run_paths(model, regime, RuleSpec(kind=kind, log_barrier=h),
                                  0.1, 600, 300, SEED, "arl") for h in (low, high)}
-            states = engine.batch_states(model, regime, RuleSpec(kind=kind, log_barrier=low),
+            states = engine.batch_states(model, regime,
+                                         (RuleSpec(kind=kind, log_barrier=low),),
                                          0.1, 300, SEED, "arl", records=True)
-            engine.advance(states, 600, low)
-            engine.advance(states, 150, high)
-            engine.advance(states, 600, high)
+            engine.advance(states, 600, [low])
+            engine.advance(states, 150, [high])
+            engine.advance(states, 600, [high])
             for h, run in runs.items():
-                assert np.array_equal(states[0].first_reach(h), run.stop_steps), fixture
+                assert np.array_equal(states[0].first_reach(0, h), run.stop_steps), fixture
 
     def test_calibration_does_not_depend_on_threads(self, brownian_model):
-        """1500 replications span two batches, advanced on one or two workers."""
+        """1500 replications span two batches, advanced on one or two workers,
+        for one rule and for two rules that share their paths."""
         cals = [calibrate_barrier(brownian_model, "cusum_grid", 8.0, 0.02, SEED,
                                   delta=0.1, n_rep=1500, threads=t) for t in (1, 2)]
         assert 1500 > engine.BATCH
         assert cals[0] == cals[1]
+        tables = [compare(brownian_model, 8.0, TWO_RULES, 1500, SEED, threads=t,
+                          n_rep_calibrate=1500) for t in (1, 2)]
+        assert all(row.calibrated for row in tables[0].rows)
+        assert tables[0] == tables[1]
 
 
 class TestStreamRestart:
@@ -599,31 +626,32 @@ class TestStreamRestart:
         assert len(built) <= engine.BATCH * len(components)
         monkeypatch.undo()
         state = engine.BatchState(
-            engine.make_u_sampler(model, "pre", 0.1), rule,
+            engine.make_u_sampler(model, "pre", 0.1), (rule,),
             [RngStream(SEED, stream_id("arl", i)).substreams(components)
              for i in range(2 * engine.BATCH, n_rep)], last_reflect=True)
-        state.advance(600, rule.log_barrier)
-        assert np.array_equal(res.stop_steps[-76:], state.stop)
-        assert np.array_equal(res.stat[-76:], state.stat, equal_nan=True)
-        assert np.array_equal(res.last_reflect[-76:], state.lastref)
+        state.advance(600, [rule.log_barrier])
+        assert np.array_equal(res.stop_steps[-76:], state.stop[0])
+        assert np.array_equal(res.stat[-76:], state.stat[0], equal_nan=True)
+        assert np.array_equal(res.last_reflect[-76:], state.lastref[0])
 
     def test_batch_states_share_no_generator(self, two_sided_model):
         """Calibration resumes its states after their batch ends, so each
         state keeps generators of its own."""
-        states = engine.batch_states(two_sided_model, "pre", RuleSpec("cusum", log_barrier=2.0),
+        states = engine.batch_states(two_sided_model, "pre",
+                                     (RuleSpec("cusum", log_barrier=2.0),),
                                      0.1, 2 * engine.BATCH + 76, SEED, "calibrate")
         gens = [g for state in states for row in state.gens for g in row if g is not None]
         assert len(states) == 3 and len({id(g) for g in gens}) == len(gens)
 
     def test_stream_ids_are_range_checked(self, brownian_model):
         """The last replication's stream id is checked before any batch runs."""
-        rule, top = RuleSpec("cusum", log_barrier=2.0), 1 << 40
-        states = engine.batch_states(brownian_model, "pre", rule, 0.1, top, SEED, "arl",
-                                     first=top - 1)
-        assert len(states) == 1 and len(states[0].gens) == 1
+        rules, top = (RuleSpec("cusum", log_barrier=2.0),), 1 << 40
+        (res,) = engine.run_rules(brownian_model, "pre", rules, 0.1, 10, top, SEED, "arl",
+                                  first=top - 1)
+        assert res.stop_steps.size == 1
         with pytest.raises(ValueError, match="replication index out of range"):
-            engine.batch_states(brownian_model, "pre", rule, 0.1, top + 1, SEED, "arl",
-                                first=top - 1)
+            engine.run_rules(brownian_model, "pre", rules, 0.1, 10, top + 1, SEED, "arl",
+                             first=top - 1)
 
 
 def _count_draws(monkeypatch, purpose: str = "arl") -> list:
@@ -938,8 +966,8 @@ def test_philox_streams_are_built_only_in_rng():
 def test_batch_size_does_not_change_results(jump_diffusion_model, monkeypatch):
     """BATCH only cuts the replications into work items: at 1, 7 and 100
     replications per item, run_paths (CUSUM with its last reflections,
-    Shiryaev-Roberts with its lower-bound sums), run_dyadic and
-    calibrate_barrier give the same bits."""
+    Shiryaev-Roberts with its lower-bound sums), run_dyadic,
+    calibrate_barrier and a two-rule compare give the same bits."""
     model = jump_diffusion_model
 
     def runs(batch):
@@ -950,11 +978,49 @@ def test_batch_size_does_not_change_results(jump_diffusion_model, monkeypatch):
                           0.1, 300, 150, SEED, "arl", collect_lb=True),
                 run_dyadic(model, "pre", 2.0, 0.05, 400, [4, 2, 1], 150, SEED),
                 calibrate_barrier(model, "cusum_grid", 20.0, 0.05, SEED, delta=0.1,
-                                  n_rep=150))
+                                  n_rep=150),
+                compare(model, 20.0, TWO_RULES, 150, SEED, rel_tol=0.05,
+                        n_rep_calibrate=150))
     first, *others = [runs(batch) for batch in (1, 7, 100)]
-    for cusum, sr, (stops, strict), cal in others:
+    assert not any(math.isnan(row.h_bar) for row in first[4].rows)
+    for cusum, sr, (stops, strict), cal, table in others:
         _assert_same_run(first[0], cusum, "cusum")
         _assert_same_run(first[1], sr, "sr")
         for a, b in zip(first[2][0] + first[2][1], stops + strict):
             assert np.array_equal(a, b)
         assert cal == first[3]
+        assert table == first[4]
+
+
+def test_compare_draws_each_path_once(brownian_model, monkeypatch):
+    """Two rules at one step draw each calibration and delay path once: each
+    sampler call draws rows that sit at one step of their streams, up to the
+    end of that step's sub-block at most, so no step is drawn twice, and the
+    pair draws less than 0.7 times what the two rules draw in one-rule
+    comparisons."""
+    calls = _count_draws(monkeypatch, "calibrate")
+
+    def draws(rules) -> int:
+        first, pos = len(calls), {}        # replication (any purpose) -> steps drawn
+        compare(brownian_model, 15.0, rules, 2000, SEED, n_rep_calibrate=1000)
+        for reps, steps in calls[first:]:
+            starts = {pos.get(i, 0) for i in reps}
+            assert len(starts) == 1, f"one call draws from steps {sorted(starts)[:5]}"
+            at = starts.pop()
+            assert steps <= engine.block_end(at) - at, (at, steps)
+            pos.update((i, at + steps) for i in reps)
+        return sum(pos.values())
+    shared, alone = draws(TWO_RULES), draws(TWO_RULES[:1]) + draws(TWO_RULES[1:])
+    assert shared < 0.7 * alone, (shared, alone)
+
+
+def test_first_sub_block_width_does_not_change_compare(brownian_model, monkeypatch):
+    """SUB_BLOCK moves where the shared calibration and delay paths are cut
+    into sub-blocks (and the step at which a bracket-top probe reads its
+    lower bound), and no row of a two-rule compare."""
+    def table(width):
+        monkeypatch.setattr(engine, "SUB_BLOCK", width)
+        return compare(brownian_model, 8.0, TWO_RULES, 600, SEED, n_rep_calibrate=600)
+    first = table(32)
+    assert all(row.calibrated for row in first.rows)
+    assert table(64) == first

@@ -9,6 +9,7 @@ from levydetect.detector import DetectorConfig, lattice_safe_barrier
 from levydetect.errors import AlignmentError, ContractError, InfeasibleTargetError
 from levydetect.evaluate import (
     HORIZON_FACTOR,
+    CompareRow,
     calibrate_barrier,
     compare,
     convergence_study,
@@ -310,6 +311,31 @@ class TestCompare:
         fine = next(r for r in res.rows if r.delta == 0.1)
         assert fine.worst_delay <= coarse.worst_delay + 3.0 * math.hypot(
             fine.delay_se, coarse.delay_se)
+
+    @pytest.mark.parametrize("fixture", ["brownian_model", "poisson_model"])
+    def test_sharing_paths_changes_no_estimator(self, fixture, request):
+        """Two rules at one step share their calibration and delay paths, yet
+        each row is bit for bit its rule's own calibrate_barrier on block 0
+        followed by lorden_delay at the calibrated barrier. At gamma 6.4 and
+        delta 0.1 the lattice pair's CUSUM probes sit on k * log 2 and are
+        nudged."""
+        model = request.getfixturevalue(fixture)
+        gamma, delta, n_rep, n_cal = 6.4, 0.1, 1500, 700
+        rules = [("cusum_grid", delta), ("shiryaev_roberts", delta)]
+        res = compare(model, gamma, rules, n_rep, SEED, n_rep_calibrate=n_cal)
+        cals = []
+        for row, (rule, _) in zip(res.rows, rules):
+            cal = calibrate_barrier(model, rule, gamma, 0.02, SEED, delta=delta,
+                                    n_rep=n_cal, block=0)
+            worst = lorden_delay(model, DetectorConfig(rule, cal.h_bar, delta=delta),
+                                 (0.0,), n_rep, HORIZON_FACTOR * gamma, SEED).worst
+            assert row == CompareRow(rule, delta, cal.h_bar, cal.report.estimate,
+                                     cal.report.std_error, worst.estimate,
+                                     worst.std_error, cal.converged), rule
+            cals.append(cal)
+        if fixture == "poisson_model":
+            assert any(lattice_safe_barrier(h, math.log(2.0)) != h
+                       for h, _ in cals[0].probes)
 
 
 class TestLattice:
