@@ -22,19 +22,20 @@ A :class:`BatchState` holds one batch's streams and steps, and the carries
 of one or more stopping rules. It advances its rows to a step, or until each
 rule reaches its barrier, drawing and scanning exactly the sub-blocks they
 need with one sampler call per sub-block that every rule scans, and can be
-resumed at any step. Sub-blocks are 64 steps wide up
-to step 256 and their width doubles each time the step quadruples (128 up to
-1024, 256 up to 4096, ...), capped at ``CHUNK``: a path that stops at step k
-draws at most max(64, sqrt(64 k)) steps past it, in about 3 sqrt(k / 64)
-sampler calls. :func:`_draw` sums each sub-block once, in place, into the
-cumulative values every scan kernel reads. :func:`run_rules` drives it for
-rules that share their paths, and :func:`run_paths` for one rule;
-:func:`run_dyadic` scans several monitoring strides of one fine
-path in its own loop, on the same schedule counted in fine steps, with each
-width rounded up to whole multiples of the least common multiple of the
-strides (:func:`block_end`; the first sub-block is 64 steps for strides 16,
-8, 4, 2 and 66 for 3, 2, 1). Their results depend on neither the worker
-count, ``CHUNK`` nor ``SUB_BLOCK``."""
+resumed at any step. It sums each sub-block once, in place, into the
+cumulative values every scan kernel reads; this is the engine's one
+draw-and-scan loop. Sub-blocks are 64 steps wide up to step 256 and their
+width doubles each time the step quadruples (128 up to 1024, 256 up to
+4096, ...), capped at ``CHUNK``: a path that stops at step k draws at most
+max(64, sqrt(64 k)) steps past it, in about 3 sqrt(k / 64) sampler calls.
+A rule may watch every s-th step only (its stride); widths are then rounded
+up to whole multiples of the least common multiple of the strides
+(:func:`block_end`; the first sub-block is 64 steps for strides 16, 8, 4, 2
+and 66 for 3, 2, 1). :func:`run_rules` drives it for rules that share their
+paths, :func:`run_paths` for one rule, and :func:`run_dyadic` for the
+nested monitoring grids of one fine path, one strided CUSUM rule per grid.
+Their results depend on neither the worker count, ``CHUNK`` nor
+``SUB_BLOCK``."""
 
 from __future__ import annotations
 
@@ -70,12 +71,16 @@ class RuleSpec:
     kind 'cusum': reflected log-likelihood statistic crossing ``log_barrier``;
     kind 'sr': Shiryaev-Roberts statistic crossing exp(``log_barrier``);
     kind 'fixed': deterministic stop after ``fixed_steps`` monitoring steps.
+    A rule of ``stride`` s > 1 watches every s-th step of the path, steps s,
+    2s, ..., and reports its stop in path steps: the nested grids of
+    :func:`run_dyadic` are such rules on one shared fine path.
     Checked when built; :meth:`check_horizon` checks it against a horizon.
     """
 
     kind: str
     log_barrier: float = math.nan
     fixed_steps: int = 0
+    stride: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in ("cusum", "sr", "fixed"):
@@ -86,12 +91,19 @@ class RuleSpec:
             raise ContractError("cusum log barrier must be >= 0")
         if self.kind == "fixed" and self.fixed_steps < 1:
             raise ContractError("fixed rule needs at least one step")
+        if self.stride < 1 or (self.kind == "fixed" and self.stride > 1):
+            raise ContractError("stride must be a positive step count, and 1 for a "
+                                f"fixed rule; got {self.stride}")
 
     def check_horizon(self, n_steps: int) -> None:
-        """A fixed rule must stop within the ``n_steps``-step horizon."""
+        """A fixed rule must stop within the ``n_steps``-step horizon, and the
+        stride must divide it."""
         if self.kind == "fixed" and self.fixed_steps > n_steps:
             raise ContractError(
                 f"fixed rule of {self.fixed_steps} steps exceeds the {n_steps}-step horizon")
+        if n_steps % self.stride:
+            raise ContractError(
+                f"n_steps {n_steps} not divisible by stride {self.stride}")
 
 
 @dataclass
@@ -264,13 +276,6 @@ def block_end(pos: int, unit: int = 1) -> int:
     return start + width * ((pos - start) // width + 1)
 
 
-def _draw(sampler, gens, rows: np.ndarray, start: int, end: int, u) -> np.ndarray:
-    """Cumulative values of steps start + 1 .. end for the batch rows ``rows``
-    from their carry ``u``: one sampler call, summed once in place."""
-    inc = sampler([gens[i] for i in rows.tolist()], (rows.size, end - start))
-    return kernels.cumulative(inc, u)
-
-
 class BatchState:
     """One batch of replications under one or more stopping rules, resumable
     at any step. Each sub-block a row draws is sampled and summed once (the
@@ -284,7 +289,10 @@ class BatchState:
     ``records`` each rule also keeps each row's running maximum ``best`` and
     its ``ladders`` entry of record highs (row, step, value), so a row can go
     on under a higher barrier and the step it reached a lower one is a lookup
-    (:meth:`first_reach`)."""
+    (:meth:`first_reach`). Sub-blocks are whole multiples of ``unit``, the
+    least common multiple of the rules' strides (:func:`block_end`), so each
+    boundary is a monitoring step of every rule. Last reflections, lower-bound
+    sums and records count steps of the path, so only stride-1 rules keep them."""
 
     RULE_CARRIES = ("mn", "logA", "lastref", "num", "den")
 
@@ -293,6 +301,10 @@ class BatchState:
                  last_reflect: bool = False):
         b, k = len(gens), len(rules)
         self.sampler, self.rules, self.gens = sampler, tuple(rules), gens
+        self.unit = math.lcm(*(rule.stride for rule in rules))
+        if self.unit > 1 and (records or last_reflect or lb_horizon is not None):
+            raise ContractError("strided rules keep no records, last reflections "
+                                "or lower-bound sums")
         self.lb_horizon, self.ladders = lb_horizon, [[] for _ in self.rules]
         self.pos, self.u = np.zeros(b, dtype=np.int64), np.zeros(b)
         self.lastref = np.zeros((k, b), dtype=np.int64) if last_reflect else None
@@ -313,6 +325,8 @@ class BatchState:
         skips its later steps. Every carry is a sequential accumulate and
         every draw a function of its step, so results do not depend on where
         a run stops and resumes, nor on which other rules share the paths."""
+        if target % self.unit:
+            raise ContractError(f"step {target} is off the grid of stride {self.unit}")
         levels = np.asarray(barriers, dtype=float)[:, None]
         while True:
             going = self.stop < 0 if self.best is None else self.best < levels
@@ -322,7 +336,7 @@ class BatchState:
             at = self.pos[live]
             start = int(at.min())
             rows = live[at == start]
-            self._scan(rows, start, min(block_end(start), target), barriers)
+            self._scan(rows, start, min(block_end(start, self.unit), target), barriers)
 
     def first_reach(self, rule: int, barrier: float) -> np.ndarray:
         """Each row's first step with rule ``rule``'s statistic >= barrier
@@ -338,18 +352,21 @@ class BatchState:
         return np.where(self.best[rule] >= barrier, first, -1)
 
     def _scan(self, rows: np.ndarray, start: int, end: int, barriers) -> None:
+        # one sampler call, summed once in place into cumulative values
         u = self.u[rows]
-        uu = _draw(self.sampler, self.gens, rows, start, end, u)
+        uu = kernels.cumulative(self.sampler([self.gens[i] for i in rows.tolist()],
+                                             (rows.size, end - start)), u)
         self.u[rows] = u
         # without records, a rule skips the rows it has stopped on; a row
         # live under one rule has not stopped on it
         several = self.best is None and len(barriers) > 1
         for r, barrier in enumerate(barriers):
+            s = self.rules[r].stride
             going = self.stop[r][rows] < 0 if several else None
             if going is None or going.all():
-                self._scan_rule(r, rows, uu, start, barrier)
+                self._scan_rule(r, rows, uu[:, s - 1::s], start, barrier)
             elif going.any():
-                self._scan_rule(r, rows[going], uu[going], start, barrier)
+                self._scan_rule(r, rows[going], uu[going, s - 1::s], start, barrier)
         self.pos[rows] = end
 
     def _scan_rule(self, r: int, rows: np.ndarray, uu: np.ndarray, start: int,
@@ -380,7 +397,7 @@ class BatchState:
             self.ladders[r].append((rows[out[3][0]],) + out[3][1:])
         off, st, ye = out[:3]
         hit = off >= 0
-        self.stop[r][rows] = np.where(hit, start + 1 + off, -1)
+        self.stop[r][rows] = np.where(hit, start + (1 + off) * self.rules[r].stride, -1)
         self.stat[r][rows] = np.where(hit, st, ye)   # censored rows keep the last value
 
 
@@ -496,41 +513,21 @@ def run_dyadic(model: ChangeModel, regime: str, log_barrier: float, dt: float,
                ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     """Stop times of the grid rule at several monitoring strides over one
     shared fine path per replication: two lists of per-stride arrays, for the
-    usual ``statistic >= barrier`` stop and the strict ``> barrier`` variant
-    (they part ways only when the statistic lands exactly on the barrier).
-    Censored runs report the horizon. All strides see identical trajectories,
-    so nested-grid comparisons hold pathwise. Sub-blocks follow the schedule
-    of :func:`run_paths` in fine steps, each width rounded up to whole units
-    of the least common multiple of the strides, so every boundary falls on
-    every stride's grid; a path stops drawing once every stride has stopped
-    under both conventions, overdrawing by less than one sub-block. Every
-    draw is a function of its step and every carry a sequential accumulate,
-    so the widths move no result. Replication i runs on stream
-    (master_seed, converge/0/i), the streams of ``convergence_study``."""
-    for s in strides:
-        if n_steps % s:
-            raise ContractError(f"n_steps {n_steps} not divisible by stride {s}")
-    sampler = make_u_sampler(model, regime, dt)
-    # global fine step of each stop by convention (>=, >) and stride; -1 = none yet
-    stops = np.full((2, len(strides), n_rep), -1, dtype=np.int64)
+    usual ``statistic >= barrier`` stop and the strict ``> barrier`` variant.
+    Censored runs report the horizon. The strides are CUSUM rules of one
+    :func:`run_rules` (:attr:`RuleSpec.stride`), so all of them see identical
+    trajectories and nested-grid comparisons hold pathwise; replication i
+    runs on stream (master_seed, converge/0/i), the streams of
+    ``convergence_study``. Before its ``>=`` stop a statistic is below the
+    barrier, so the conventions part only where it lands exactly on the
+    barrier there; for doubles ``y > h`` is ``y >= nextafter(h, inf)``, so
+    only then are the strict stops run again, at that barrier."""
+    def run(barrier: float) -> List[PathRunResult]:
+        rules = [RuleSpec("cusum", barrier, stride=s) for s in strides]
+        return run_rules(model, regime, rules, dt, n_steps, n_rep, master_seed,
+                         "converge", threads=threads)
 
-    def run_batch(gens, lo: int) -> None:
-        stop = stops[:, :, lo:lo + len(gens)]
-        alive, start = np.arange(len(gens)), 0
-        u, mins = np.zeros(alive.size), np.zeros((len(strides), alive.size))
-        while start < n_steps and alive.size:
-            end = min(block_end(start, unit=math.lcm(*strides)), n_steps)
-            uu = _draw(sampler, gens, alive, start, end, u)
-            for li, s in enumerate(strides):
-                y = kernels.reflected(uu[:, s - 1::s], mins[li])
-                for conv, crossed in enumerate((y >= log_barrier, y > log_barrier)):
-                    first = kernels.first_crossing(crossed)
-                    new = (first >= 0) & (stop[conv, li, alive] < 0)
-                    stop[conv, li, alive[new]] = start + (first[new] + 1) * s
-            keep = (stop[:, :, alive] < 0).any(axis=(0, 1))
-            alive, u, mins, start = alive[keep], u[keep], mins[:, keep], end
-
-    _dispatch(run_batch, substream_components(model, dt), n_rep, master_seed,
-              "converge", 0, threads)
-    times = np.where(stops >= 0, stops * dt, n_steps * dt)
-    return list(times[0]), list(times[1])
+    results = run(log_barrier)
+    strict = (run(float(np.nextafter(log_barrier, np.inf)))
+              if any((r.stat == log_barrier).any() for r in results) else results)
+    return [r.stop_times for r in results], [r.stop_times for r in strict]

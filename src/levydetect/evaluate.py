@@ -441,13 +441,13 @@ def convergence_study(model: ChangeModel, h_bar: float, dyadic_levels: int,
                       threads: int = 1) -> ConvergenceResult:
     """Stop times of the grid rule across nested dyadic monitoring grids.
 
-    All levels are evaluated on the same fine trajectories, so the
-    nested-grid ordering is checked pathwise and the per-level mean gaps to
-    the finest rule are exact Monte Carlo averages of nonnegative variables.
-    The study also reruns every level with the strict "> barrier" stopping
-    convention and reports how often the two conventions coincide (they can
-    part ways only when the statistic lands exactly on the barrier, which
-    barrier nudging keeps a null event).
+    Each level is a strided CUSUM rule on the same fine trajectories
+    (:func:`run_dyadic`), so the nested-grid ordering is checked pathwise and
+    the per-level mean gaps to the finest rule are exact Monte Carlo averages
+    of nonnegative variables. The study also reports how often the ">= barrier"
+    stops equal the strict "> barrier" ones: they part only where the statistic
+    lands exactly on the barrier, which barrier nudging keeps a null event, and
+    only such a tie runs the levels again under the strict convention.
     """
     if regime not in REGIMES:
         raise ContractError(f"regime must be one of {REGIMES}")

@@ -303,17 +303,21 @@ class TestRunPaths:
         """run_rules draws each path once for a CUSUM and an SR rule, and
         each rule's stops, statistics, last reflections and lower-bound sums
         are those of its own run_paths, bit for bit, although a path stays
-        live until both rules stop. A fixed rule runs alone."""
-        rules = (RuleSpec(kind="cusum", log_barrier=3.0),
-                 RuleSpec(kind="sr", log_barrier=math.log(150.0)))
-        for fixture in MODEL_FIXTURES:
-            model = request.getfixturevalue(fixture)
-            shared = engine.run_rules(model, regime, rules, 0.1, 600, 300, SEED, "arl",
-                                      collect_lb=True, last_reflect=True)
-            for rule, res in zip(rules, shared):
-                _assert_same_run(run_paths(model, regime, rule, 0.1, 600, 300, SEED, "arl",
-                                           collect_lb=True, last_reflect=True),
-                                 res, fixture)
+        live until both rules stop. Beside a rule of stride 4, which moves
+        every sub-block boundary to a multiple of 4, a stride-1 rule keeps
+        its own bits too. A fixed rule runs alone."""
+        cusum = RuleSpec(kind="cusum", log_barrier=3.0)
+        sr = RuleSpec(kind="sr", log_barrier=math.log(150.0))
+        strided = RuleSpec(kind="cusum", log_barrier=2.0, stride=4)
+        for rules, keep in (((cusum, sr), True), ((cusum, strided), False)):
+            for fixture in MODEL_FIXTURES:
+                model = request.getfixturevalue(fixture)
+                shared = engine.run_rules(model, regime, rules, 0.1, 600, 300, SEED, "arl",
+                                          collect_lb=keep, last_reflect=keep)
+                for rule, res in zip(rules, shared):
+                    _assert_same_run(run_paths(model, regime, rule, 0.1, 600, 300, SEED,
+                                               "arl", collect_lb=keep, last_reflect=keep),
+                                     res, fixture)
         with pytest.raises(ContractError, match="fixed rule runs alone"):
             engine.run_rules(model, regime, rules + (RuleSpec("fixed", fixed_steps=5),),
                              0.1, 600, 300, SEED, "arl")
@@ -431,6 +435,28 @@ class TestRunPaths:
             RuleSpec(kind="nope")
         with pytest.raises(ContractError):
             RuleSpec(kind="cusum", log_barrier=-1.0)
+        with pytest.raises(ContractError):
+            RuleSpec("cusum", 1.0, stride=0)
+
+    def test_strided_rules_keep_no_step_carries(self, brownian_model):
+        """The last reflections, lower-bound sums and record highs count
+        steps of the path, so a strided rule runs without them; its stride
+        must divide the horizon and every step its batch is advanced to.
+        A fixed rule watches no grid."""
+        rule = RuleSpec("cusum", 1.0, stride=2)
+        with pytest.raises(ContractError, match="fixed rule"):
+            RuleSpec("fixed", fixed_steps=4, stride=2)
+        for keep in ({"collect_lb": True}, {"last_reflect": True}):
+            with pytest.raises(ContractError, match="strided rules"):
+                run_paths(brownian_model, "post", rule, 0.1, 400, 10, SEED, "arl", **keep)
+        with pytest.raises(ContractError, match="strided rules"):
+            engine.batch_states(brownian_model, "post", (rule,), 0.1, 10, SEED, "calibrate",
+                                records=True)
+        with pytest.raises(ContractError, match="not divisible by stride 2"):
+            run_paths(brownian_model, "post", rule, 0.1, 401, 10, SEED, "arl")
+        states = engine.batch_states(brownian_model, "post", (rule,), 0.1, 10, SEED, "arl")
+        with pytest.raises(ContractError, match="off the grid of stride 2"):
+            engine.advance(states, 3, [1.0])
 
 
 class TestRunDyadic:
@@ -448,7 +474,7 @@ class TestRunDyadic:
                                    500, SEED)
         res = run_paths(brownian_model, "post", RuleSpec(kind="cusum", log_barrier=2.0),
                         0.1, 400, 500, SEED, "converge")
-        assert np.allclose(stops[0], res.stop_times)
+        assert np.array_equal(stops[0], res.stop_times)
         # continuous increment laws: the two stopping conventions coincide
         assert np.array_equal(stops[0], strict[0])
 
@@ -526,6 +552,35 @@ class TestRunDyadic:
         pkg = Path(__file__).resolve().parents[1] / "src" / "levydetect"
         assert sum(path.read_text().count("ThreadPoolExecutor(")
                    for path in pkg.glob("*.py")) == 1
+
+    def test_one_draw_and_scan_loop(self):
+        """Every drawn block is summed in one place, BatchState, and the
+        nested grids are its rules: the engine calls no statistic primitive
+        itself."""
+        pkg = Path(__file__).resolve().parents[1] / "src" / "levydetect"
+        assert sum(path.read_text().count("kernels.cumulative(")
+                   for path in pkg.glob("*.py")) == 1
+        text = (pkg / "engine.py").read_text()
+        assert "kernels.reflected" not in text and "kernels.first_crossing" not in text
+
+    def test_ties_rerun_the_strict_convention(self, brownian_model, monkeypatch):
+        """With steps of +1 or -1 the statistic lands on the barrier 2.0
+        exactly, so the strict stops part from the ">=" ones; both lists
+        still equal the whole-horizon scan of each convention."""
+        make_u_sampler = engine.make_u_sampler
+
+        def signed(*args):
+            draw = make_u_sampler(*args)
+            return lambda gens_rows, size: np.sign(draw(gens_rows, size))
+        monkeypatch.setattr(engine, "make_u_sampler", signed)
+        strides = [4, 2, 1]
+        stops, strict = run_dyadic(brownian_model, "post", 2.0, 0.01, 1200, strides, 60,
+                                   SEED)
+        expected = _whole_horizon_dyadic(brownian_model, "post", 2.0, 0.01, 1200,
+                                         strides, 60)
+        for g, e in zip(stops + strict, expected[0] + expected[1]):
+            assert np.array_equal(g, e)
+        assert any((a != b).any() for a, b in zip(stops, strict))
 
 
 class TestBatchState:
