@@ -823,6 +823,31 @@ def _fresh_state(n):
     return np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
 
 
+def _sr_scan_by_accumulate(uu, logA, log_thresh):
+    """sr_scan's (offset, stat, rend) with the log sums taken by
+    np.logaddexp.accumulate along each row; advances ``logA``."""
+    logr = np.empty_like(uu)
+    logr[:, 0] = logA
+    np.negative(uu[:, :-1], out=logr[:, 1:])
+    np.logaddexp.accumulate(logr, axis=1, out=logr)
+    logA[:] = np.logaddexp(logr[:, -1], -uu[:, -1])
+    logr += uu
+    off = kernels.first_crossing(logr >= log_thresh)
+    return off, kernels.value_at(logr, off), logr[:, -1]
+
+
+def _assert_sr_scan_is_accumulate(uu, logA, start, log_thresh):
+    """Scan a block with sr_scan and with the accumulate, each from its own
+    copy of the carry; offsets, stat, rend and the carry agree bit for bit.
+    Returns sr_scan's result."""
+    want_a = logA.copy()
+    want = _sr_scan_by_accumulate(uu, want_a, log_thresh)
+    got = kernels.sr_scan(uu, logA, start, log_thresh)
+    for x, y in zip(got + (logA,), want + (want_a,)):
+        assert np.array_equal(x, y, equal_nan=True)
+    return got
+
+
 class TestScanKernels:
     def test_cumulative_sums_in_place(self):
         """The block itself becomes the cumulative values, bit for bit those
@@ -910,38 +935,54 @@ class TestScanKernels:
             assert best[i] == top
 
     def test_sr_recursion_oracle(self):
-        rng = np.random.default_rng(5)
-        inc = rng.normal(0.0, 0.3, size=(4, 200))
-        u, a = np.zeros(4), np.zeros(4)
-        off, _, rend = kernels.sr_scan(kernels.cumulative(inc[:, :77].copy(), u), a, 0,
-                                       math.log(1e9))
-        assert np.all(off == -1)
-        off, _, rend = kernels.sr_scan(kernels.cumulative(inc[:, 77:].copy(), u), a, 77,
-                                       math.log(1e9))
-        assert np.all(off == -1)
-        for i in range(4):
-            r = 0.0
-            for x in inc[i]:
-                r = (1.0 + r) * math.exp(x)
-            assert rend[i] == pytest.approx(math.log(r), rel=1e-10)
+        """Along each row below ACROSS_ROWS rows and across the rows from
+        there up, sr_scan gives the bits of np.logaddexp.accumulate, block by
+        block (one block of 1 or 2 steps, or blocks split at step 77; at 500
+        rows a tile holds 32 steps, so both blocks span several), and follows
+        the recursion R_k = (1 + R_{k-1}) e^{x_k}. Every third row starts
+        with a zero increment, so its first step adds two equal logs (0 and
+        -0.0: logaddexp's x == y branch)."""
+        assert kernels.TILE_SIZE // 500 < 77
+        for rows in (4, kernels.ACROSS_ROWS - 1, kernels.ACROSS_ROWS, 500):
+            for widths in ((1,), (2,), (77, 123)):
+                rng = np.random.default_rng(5)
+                inc = rng.normal(0.0, 0.3, size=(rows, sum(widths)))
+                inc[::3, 0] = 0.0
+                u, a = np.zeros(rows), np.zeros(rows)
+                start = 0
+                for w in widths:
+                    off, _, rend = _assert_sr_scan_is_accumulate(
+                        kernels.cumulative(inc[:, start:start + w].copy(), u), a, start,
+                        math.log(1e9))
+                    assert np.all(off == -1)
+                    start += w
+                for i in range(rows):
+                    r = 0.0
+                    for x in inc[i]:
+                        r = (1.0 + r) * math.exp(x)
+                    assert rend[i] == pytest.approx(math.log(r), rel=1e-10)
 
     def test_sr_stops_at_first_crossing(self):
-        rng = np.random.default_rng(11)
-        inc = rng.normal(-0.02, 0.3, size=(64, 257))
-        u, a = np.zeros(64), np.zeros(64)
-        log_thresh = math.log(30.0)
-        off, st, _ = kernels.sr_scan(kernels.cumulative(inc.copy(), u), a, 0, log_thresh)
-        assert (off >= 0).any()
-        for i in range(64):
-            r, stop, stat = 0.0, -1, math.nan
-            for k, x in enumerate(inc[i]):
-                r = (1.0 + r) * math.exp(x)
-                if math.log(r) >= log_thresh:
-                    stop, stat = k, math.log(r)
-                    break
-            assert off[i] == stop
-            if stop >= 0:
-                assert st[i] == pytest.approx(stat, rel=1e-12)
+        """On 8 rows (along each row) and 64 (across the rows), sr_scan stops
+        each row at its first crossing, with the accumulate's bits."""
+        for rows in (8, 64):
+            rng = np.random.default_rng(11)
+            inc = rng.normal(-0.02, 0.3, size=(rows, 257))
+            u, a = np.zeros(rows), np.zeros(rows)
+            log_thresh = math.log(30.0)
+            off, st, _ = _assert_sr_scan_is_accumulate(kernels.cumulative(inc.copy(), u),
+                                                       a, 0, log_thresh)
+            assert (off >= 0).any()
+            for i in range(rows):
+                r, stop, stat = 0.0, -1, math.nan
+                for k, x in enumerate(inc[i]):
+                    r = (1.0 + r) * math.exp(x)
+                    if math.log(r) >= log_thresh:
+                        stop, stat = k, math.log(r)
+                        break
+                assert off[i] == stop
+                if stop >= 0:
+                    assert st[i] == pytest.approx(stat, rel=1e-12)
 
     def test_lb_until_oracle(self):
         rng = np.random.default_rng(17)
@@ -976,12 +1017,14 @@ def _phi_cdf(x):
 
 
 def test_statistics_are_computed_only_in_kernels():
-    """The running minimum and the Shiryaev-Roberts log-sum accumulate live
-    in kernels.py alone; every other module calls its primitives."""
+    """The running minimum and the Shiryaev-Roberts log sums (accumulated
+    along rows or stepped across them) live in kernels.py alone; every other
+    module calls its primitives."""
     pkg = Path(__file__).resolve().parents[1] / "src" / "levydetect"
     offenders = [f"{path.name}: {pattern}"
                  for path in sorted(pkg.glob("*.py")) if path.name != "kernels.py"
-                 for pattern in ("np.minimum.accumulate", "np.logaddexp.accumulate")
+                 for pattern in ("np.minimum.accumulate", "np.logaddexp.accumulate",
+                                 "np.logaddexp(")
                  if pattern in path.read_text()]
     assert (pkg / "kernels.py").exists() and offenders == []
 
@@ -1022,7 +1065,10 @@ def test_batch_size_does_not_change_results(jump_diffusion_model, monkeypatch):
     """BATCH only cuts the replications into work items: at 1, 7 and 100
     replications per item, run_paths (CUSUM with its last reflections,
     Shiryaev-Roberts with its lower-bound sums), run_dyadic,
-    calibrate_barrier and a two-rule compare give the same bits."""
+    calibrate_barrier and a two-rule compare give the same bits. Items of 7
+    rows run the Shiryaev-Roberts log sums along each row and items of 100
+    across the rows (kernels.ACROSS_ROWS), so both paths agree too."""
+    assert 7 < kernels.ACROSS_ROWS <= 100
     model = jump_diffusion_model
 
     def runs(batch):
