@@ -6,7 +6,8 @@ body, a one-screen summary and the exit code. :func:`main` alone writes them
 into the output directory, with summary.json, so a subcommand that raises
 writes nothing. Exit codes: 0 success, 2 config problems, 3 inadmissible
 model (the violated condition is named), 4 numerical failure (for
-``calibrate`` also a bisection that missed ``rel_tol``).
+``calibrate`` also a calibration sample whose run-length level nearest the
+target misses ``rel_tol``).
 
 The summary embeds the fully resolved config and master seed; re-running with
 the summary as config reproduces byte-identical numeric columns, and the
@@ -208,9 +209,7 @@ def _cmd_calibrate(cfg: ExperimentConfig) -> Outcome:
             f"calibration missed the target: achieved {cal.report.estimate:.6g} for "
             f"target {gamma} within rel_tol {det['rel_tol']} (barrier {cal.h_bar:.6g} "
             f"after {len(cal.probes)} probes)")
-    # the bracket-top probe settles only arl >= gamma: its value is a lower bound
-    probe_rows = [{"h_bar": h, "arl": f">={v!r}" if i == cal.lower_bound else v}
-                  for i, (h, v) in enumerate(cal.probes)]
+    probe_rows = [{"h_bar": h, "arl": v} for h, v in cal.probes]
     probe_rows.append({"h_bar": cal.h_bar, "arl": cal.report.estimate})
     body = {"h_bar": cal.h_bar, "achieved": cal.report.estimate,
             "std_error": cal.report.std_error,

@@ -24,18 +24,14 @@ rule reaches its barrier, drawing and scanning exactly the sub-blocks they
 need with one sampler call per sub-block that every rule scans, and can be
 resumed at any step. It sums each sub-block once, in place, into the
 cumulative values every scan kernel reads; this is the engine's one
-draw-and-scan loop. Sub-blocks are 64 steps wide up to step 256 and their
-width doubles each time the step quadruples (128 up to 1024, 256 up to
-4096, ...), capped at ``CHUNK``: a path that stops at step k draws at most
-max(64, sqrt(64 k)) steps past it, in about 3 sqrt(k / 64) sampler calls.
-A rule may watch every s-th step only (its stride); widths are then rounded
-up to whole multiples of the least common multiple of the strides
-(:func:`block_end`; the first sub-block is 64 steps for strides 16, 8, 4, 2
-and 66 for 3, 2, 1). :func:`run_rules` drives it for rules that share their
-paths, :func:`run_paths` for one rule, and :func:`run_dyadic` for the
-nested monitoring grids of one fine path, one strided CUSUM rule per grid.
-Their results depend on neither the worker count, ``CHUNK`` nor
-``SUB_BLOCK``."""
+draw-and-scan loop. Sub-blocks widen as a path goes on, so a path that
+stops at step k draws at most max(64, sqrt(64 k)) steps past it; a rule may
+watch every s-th step only (its stride), and the widths are whole multiples
+of every stride (:func:`block_end`). :func:`run_rules` drives it for rules
+that share their paths, :func:`run_paths` for one rule, and
+:func:`run_dyadic` for nested monitoring grids, one strided CUSUM rule per
+grid of one fine path. Their results depend on neither the worker count,
+``CHUNK`` nor ``SUB_BLOCK``."""
 
 from __future__ import annotations
 
@@ -338,14 +334,18 @@ class BatchState:
             rows = live[at == start]
             self._scan(rows, start, min(block_end(start, self.unit), target), barriers)
 
+    def ladder(self, rule: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rule ``rule``'s record highs over the steps scanned, merged into
+        (row, step, value) arrays; each row's records come in step order."""
+        if len(ladder := self.ladders[rule]) > 1:
+            ladder[:] = [tuple(np.concatenate(c) for c in zip(*ladder))]
+        return ladder[0]
+
     def first_reach(self, rule: int, barrier: float) -> np.ndarray:
         """Each row's first step with rule ``rule``'s statistic >= barrier
         among the steps it has scanned (-1 if none): the step of its first
         record high at or above the barrier, in a state kept with records."""
-        ladder = self.ladders[rule]
-        if len(ladder) > 1:
-            ladder[:] = [tuple(np.concatenate(c) for c in zip(*ladder))]
-        rows, steps, values = ladder[0]
+        rows, steps, values = self.ladder(rule)
         hit = values >= barrier
         first = np.full(self.pos.size, np.iinfo(np.int64).max)
         np.minimum.at(first, rows[hit], steps[hit])

@@ -12,11 +12,12 @@ Conventions
   one run gives it for the whole change-point grid;
 * every estimate is censored at an explicit horizon and the censored count is
   carried in the report, never dropped;
-* calibration bisects the barrier against the in-control mean on one set of
-  in-control paths: the statistic paths do not depend on the barrier, so each
-  probe reads its stops off the paths' record highs, and the empirical map is
-  monotone pathwise; in a comparison, the rules that share a monitoring step
-  share those paths and their delay paths too.
+* calibration inverts the in-control mean run length of one set of
+  in-control paths: the statistic paths do not depend on the barrier, so
+  that mean is a nondecreasing step function of the barrier, held exactly by
+  the paths' record highs, and every probe reads its stops off them; in a
+  comparison, the rules that share a monitoring step share those paths and
+  their delay paths too.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .detector import DetectorConfig, grid_stride, lattice_safe_barrier
-from .engine import (PathRunResult, RuleSpec, advance, batch_states,
-                     block_end, run_dyadic, run_paths, run_rules)
+from .engine import (PathRunResult, RuleSpec, advance, batch_states, run_dyadic,
+                     run_paths, run_rules)
 from .errors import (
     ContractError,
     DegenerateRuleError,
     InfeasibleTargetError,
-    NumericalError,
     SpecValidationError,
 )
 from .model import ChangeModel
@@ -60,7 +60,6 @@ __all__ = [
 REGIMES = ("in_control", "out_of_control")
 _ENGINE_REGIME = {"in_control": "pre", "out_of_control": "post"}
 HORIZON_FACTOR = 20.0      # censoring horizon of calibration and comparison: 20 x target
-MAX_BISECTIONS = 60        # bisection steps of calibration after the bracket
 
 
 def phi_lattice_constant(model: ChangeModel) -> Optional[float]:
@@ -156,31 +155,30 @@ class CalibrationResult:
     h_bar: float
     report: EvalReport
     probes: Tuple[Tuple[float, float], ...]
-    lower_bound: int           # index of the probe whose value is a lower bound
-    converged: bool            # a probe met rel_tol; else h_bar is the last midpoint
+    converged: bool            # the sample's run-length level nearest gamma met rel_tol
 
 
 def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
                       rel_tol: float, seed: int, delta: float,
                       n_rep: int = 4000, threads: int = 1,
                       block: int = 0) -> CalibrationResult:
-    """Bisect the log barrier until the in-control mean run length matches
-    gamma within rel_tol, on one set of in-control paths ('calibrate' block
-    ``block``).
+    """The log barrier at which the in-control mean run length of one set of
+    in-control paths ('calibrate' block ``block``) is nearest gamma.
 
-    The statistic paths do not depend on the barrier, so each path is
-    simulated once, as far as the highest barrier probed needs, and a probe
-    at h reads every stop off the path's ladder of record highs. A probe
-    equals :func:`estimate_arl` at h on the same streams (purpose
-    'calibrate'), except the bracket top: only ``value >= gamma`` matters
-    there, so the paths advance together and stop as soon as their mean run
-    length truncated at the common step reaches gamma. That truncated mean,
-    a lower bound, is its probe value (``lower_bound`` is its index). The
-    final acceptance probe runs at four times the probe budget, on the probe
-    paths plus 3 * n_rep new ones, which run once on restarted generators,
-    and its report is returned. When no probe of MAX_BISECTIONS meets
-    rel_tol, the result takes the last bracket's midpoint and says so
-    (``converged`` false).
+    The statistic paths do not depend on the barrier, so on a fixed sample
+    the mean run length ARL_n(h) is a nondecreasing step function of h,
+    which the paths' ladders of record highs hold exactly. Probe barriers
+    rise from 0 in rounds, each advancing every path from where it stopped,
+    until ARL_n reaches gamma; the step is a secant on log ARL_n. ARL_n(h)
+    for h up to the last round is then read off the ladders, and ``h_bar``
+    is the middle of the interval on which its level is nearest gamma: the
+    last level below gamma or the first at or above it. Every probe, each
+    round and then ``h_bar``, equals :func:`estimate_arl` at its barrier on
+    the same streams (purpose 'calibrate'). ``converged`` says whether the
+    probe at ``h_bar`` is within rel_tol of gamma. The final acceptance
+    probe runs at four times the probe budget, on the probe paths plus
+    3 * n_rep new ones, which run once on restarted generators, and its
+    report is returned.
     """
     (cal,) = _calibrate(model, (rule,), gamma, rel_tol, seed, delta, n_rep, threads, block)
     if isinstance(cal, Exception):
@@ -192,12 +190,12 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
                seed: int, delta: float, n_rep: int, threads: int, block: int) -> list:
     """:func:`calibrate_barrier` for rules that share the monitoring step
     ``delta``, on one shared set of paths: per rule its
-    :class:`CalibrationResult`, or the InfeasibleTargetError or NumericalError
-    that ended its bisection. The rules bisect in turn, each advancing the
-    paths under its own barrier while the others get -inf, so they keep no
-    path live but scan every step drawn; each rule's probes thus equal those
-    of its own calibration. Then every rule that has a barrier takes its
-    final probe on the same 3 * n_rep new paths."""
+    :class:`CalibrationResult`, or the InfeasibleTargetError that ended its
+    rounds. The rules calibrate in turn, each advancing the paths under its
+    own barrier while the others get -inf, so they keep no path live but
+    scan every step drawn; each rule's probes thus equal those of its own
+    calibration. Then every rule that has a barrier takes its final probe on
+    the same 3 * n_rep new paths."""
     if gamma < delta:
         raise InfeasibleTargetError(
             f"target {gamma} is below one monitoring step {delta}; "
@@ -221,9 +219,9 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
         return [_effective_barrier(model, config(i, hs[i])) if i in hs else -math.inf
                 for i in range(len(rules))]
 
-    def stops(i: int, h: float, until: int = n_steps) -> np.ndarray:
+    def stops(i: int, h: float) -> np.ndarray:
         levels = barriers({i: h})
-        advance(paths, until, levels, threads)
+        advance(paths, n_steps, levels, threads)
         return np.concatenate([p.first_reach(i, levels[i]) for p in paths])
 
     def report(i: int, h: float, st: np.ndarray) -> EvalReport:
@@ -231,69 +229,70 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
         return _report(result, model, config(i, h), "in_control", seed, block,
                        label="arl_in_control")
 
-    def bisect(i: int):
-        """(h_bar, probes, index of the lower-bound probe, converged) of rule i."""
-        def arl_at(h: float) -> float:
-            return report(i, h, stops(i, h)).estimate
+    def arl_at(i: int, h: float) -> float:
+        return report(i, h, stops(i, h)).estimate
 
-        def at_least_gamma(h: float) -> float:
-            """The mean run length at h, or a lower bound of it once that
-            reaches gamma: the mean truncated at a common step t. Each round
-            moves t to the end of the sub-block holding the first step at
-            which that mean could reach gamma (per step it grows by at most
-            the fraction of paths still running)."""
-            t, val, running = 0, 0.0, 1.0
-            while t < n_steps and running > 0.0:
-                t = min(n_steps,
-                        block_end(t + math.ceil((gamma - val) / (running * dt)) - 1))
-                st = stops(i, h, t)
-                hit = (st >= 0) & (st <= t)
-                val = float((np.where(hit, st, t) * dt).mean())
-                if val >= gamma:
-                    break
-                running = 1.0 - float(hit.mean())
-            return val
+    def read_off(i: int, top: float) -> float:
+        """The middle of the interval of [0, top] on which ARL_n, once every
+        path has reached ``top`` or the horizon, has its level nearest gamma.
+        A row's stop moves from one record's step to the next one's as h
+        passes the record's value, and to the horizon past its last record,
+        so the sum of the stops at h is the sum of the first records' steps
+        plus every such jump below h. The last jump is exact on a censored
+        row; on any other its value is at or above ``top``, so it is never
+        read."""
+        at, jumps, total = [], [], 0
+        for p in paths:
+            rows, steps, values = p.ladder(i)
+            order = np.argsort(rows, kind="stable")
+            rows, steps = rows[order], steps[order]
+            last = np.append(rows[1:] != rows[:-1], True)
+            nxt = np.append(steps[1:], n_steps)
+            nxt[last] = n_steps
+            at.append(values[order])
+            jumps.append(nxt - steps)
+            total += int(steps[np.insert(last[:-1], 0, True)].sum())
+        at = np.concatenate(at)
+        order = np.argsort(at, kind="stable")
+        at = at[order]
+        sums = total + np.concatenate(([0], np.cumsum(np.concatenate(jumps)[order])))
+        # the level on [0, e_1], then on each (e_k, e_k+1], e the distinct
+        # values in [0, top) (np.unique would import numpy.ma)
+        inner = at[(at >= 0.0) & (at < top)]
+        edges = np.concatenate(([0.0], inner[np.diff(inner, prepend=-1.0) > 0.0], [top]))
+        below = np.searchsorted(at, edges[:-1], side="right")
+        below[0] = np.searchsorted(at, 0.0, side="left")
+        levels = sums[below] * dt / n_rep
+        k = min(int(np.searchsorted(levels, gamma)), len(levels) - 1)
+        if k > 0 and gamma - levels[k - 1] < levels[k] - gamma:
+            k -= 1
+        return float(0.5 * (edges[k] + edges[k + 1]))
 
-        probes: List[Tuple[float, float]] = []
-        lo, lo_val = 0.0, arl_at(0.0)
-        probes.append((lo, lo_val))
-        if lo_val >= gamma * (1.0 + rel_tol):
+    def calibrate(i: int):
+        """(h_bar, probes, converged) of rule i."""
+        probes = [(0.0, arl_at(i, 0.0))]
+        if probes[0][1] >= gamma * (1.0 + rel_tol):
             raise InfeasibleTargetError(
-                f"even a zero barrier overshoots the target ({lo_val:.4g} >= {gamma})")
-
-        hi = max(1.0, math.log(max(gamma / delta, 2.0)))
-        hi_val = at_least_gamma(hi)
-        probes.append((hi, hi_val))
-        doublings = 0
-        while hi_val < gamma and doublings < 40:
-            hi *= 2.0
-            hi_val = at_least_gamma(hi)
-            probes.append((hi, hi_val))
-            doublings += 1
-        if hi_val < gamma:
-            raise NumericalError("failed to bracket the target run length")
-        top = len(probes) - 1
-
-        for _ in range(MAX_BISECTIONS):
-            h = 0.5 * (lo + hi)
-            val = arl_at(h)
-            probes.append((h, val))
-            converged = abs(val - gamma) <= rel_tol * gamma
-            if converged:
-                break
-            if val < gamma:
-                lo = h
+                f"even a zero barrier overshoots the target ({probes[0][1]:.4g} >= {gamma})")
+        while probes[-1][1] < gamma:
+            if len(probes) == 1:
+                h = 0.5
             else:
-                hi = h
-        else:
-            h = 0.5 * (lo + hi)
-        return h, tuple(probes), top, converged
+                # a secant on log ARL_n aimed 0.05 past gamma, so that one
+                # more round mostly reaches it; slopes below 1 count as 1
+                (h0, a0), (h1, a1) = probes[-2:]
+                rate = math.log(a1 / a0) / (h1 - h0)
+                h = h1 + max(0.05, (math.log(gamma / a1) + 0.05) / max(rate, 1.0))
+            probes.append((h, arl_at(i, h)))
+        h = read_off(i, probes[-1][0])
+        probes.append((h, arl_at(i, h)))
+        return h, tuple(probes), abs(probes[-1][1] - gamma) <= rel_tol * gamma
 
     outcomes: list = []
     for i in range(len(rules)):
         try:
-            outcomes.append(bisect(i))
-        except (InfeasibleTargetError, NumericalError) as exc:
+            outcomes.append(calibrate(i))
+        except InfeasibleTargetError as exc:
             outcomes.append(exc)
     hs = {i: out[0] for i, out in enumerate(outcomes) if not isinstance(out, Exception)}
     if hs:
@@ -306,9 +305,9 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
         for (i, h), new in zip(hs.items(), fresh):
             st = np.concatenate([p.first_reach(i, levels[i]) for p in paths]
                                 + [new.stop_steps])
-            _, probes, top, converged = outcomes[i]
+            _, probes, converged = outcomes[i]
             outcomes[i] = CalibrationResult(h_bar=h, report=report(i, h, st), probes=probes,
-                                            lower_bound=top, converged=converged)
+                                            converged=converged)
     return outcomes
 
 
@@ -532,8 +531,8 @@ def compare(model: ChangeModel, gamma: float, rules: Sequence[Tuple[str, float]]
     measures their Lorden delays (:func:`lorden_delay`'s restart run) in one
     run on the 'delay' block-0 streams. Calibration failures flag the row
     instead of aborting the table: a rule that cannot be calibrated gets NaN
-    numbers, and one whose bisection missed rel_tol keeps its numbers at the
-    last midpoint."""
+    numbers, and one whose calibration missed rel_tol keeps its numbers at
+    its h_bar."""
     groups: dict = {}
     for i, (_, delta) in enumerate(rules):
         groups.setdefault(float(delta), []).append(i)

@@ -409,7 +409,8 @@ class TestCalibrate:
 
 
 # Twenty replications per probe leave steps in the empirical run-length map
-# wider than the 2% window at gamma 50: the bisection runs out (seed 42).
+# wider than the 2% window at gamma 50: its levels on either side of the
+# target are 47.64 and 51.02 (seed 42).
 MISSED_TOLERANCE = {
     "model": BM_MODEL,
     "simulation": {"horizon": 200.0, "n_rep": 200, "master_seed": 42},
@@ -422,7 +423,7 @@ def test_calibrate_that_misses_rel_tol_exits_four(tmp_path, capsys):
     code, out = _run(tmp_path, "calibrate", MISSED_TOLERANCE, "cal")
     assert code == 4
     err = capsys.readouterr().err
-    assert "achieved 44.7662" in err and "target 50.0" in err
+    assert "achieved 45.6125" in err and "target 50.0" in err
     assert not os.path.exists(out)
 
 
@@ -456,7 +457,7 @@ def test_compare_flags_a_row_that_misses_rel_tol(tmp_path, capsys):
     summary = json.loads(open(os.path.join(out, "summary.json")).read())
     assert rows[0]["rule"] == "cusum_grid" and rows[0]["calibrated"] == "false"
     assert summary["results"]["rows"][0]["calibrated"] is False
-    assert float(rows[0]["gamma_achieved"]) == pytest.approx(44.7662, abs=1e-4)
+    assert float(rows[0]["gamma_achieved"]) == pytest.approx(45.6125, abs=1e-4)
     assert [r["calibrated"] for r in summary["results"]["rows"]] == [False, False]
     assert summary["results"]["cusum_leads"] is None
     assert "cusum leads: undecided" in capsys.readouterr().out

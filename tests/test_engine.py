@@ -1117,11 +1117,13 @@ def test_compare_draws_each_path_once(brownian_model, monkeypatch):
 
 def test_first_sub_block_width_does_not_change_compare(brownian_model, monkeypatch):
     """SUB_BLOCK moves where the shared calibration and delay paths are cut
-    into sub-blocks (and the step at which a bracket-top probe reads its
-    lower bound), and no row of a two-rule compare."""
-    def table(width):
+    into sub-blocks, and no row of a two-rule compare, nor any probe of a
+    calibration."""
+    def tables(width):
         monkeypatch.setattr(engine, "SUB_BLOCK", width)
-        return compare(brownian_model, 8.0, TWO_RULES, 600, SEED, n_rep_calibrate=600)
-    first = table(32)
-    assert all(row.calibrated for row in first.rows)
-    assert table(64) == first
+        return (compare(brownian_model, 8.0, TWO_RULES, 600, SEED, n_rep_calibrate=600),
+                calibrate_barrier(brownian_model, "cusum_grid", 6.4, 0.02, SEED,
+                                  delta=0.1, n_rep=300))
+    first = tables(32)
+    assert all(row.calibrated for row in first[0].rows)
+    assert tables(64) == first

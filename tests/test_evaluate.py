@@ -6,6 +6,7 @@ import pytest
 
 from levydetect import evaluate
 from levydetect.detector import DetectorConfig, lattice_safe_barrier
+from levydetect.engine import RuleSpec, advance, batch_states
 from levydetect.errors import AlignmentError, ContractError, InfeasibleTargetError
 from levydetect.evaluate import (
     HORIZON_FACTOR,
@@ -16,6 +17,7 @@ from levydetect.evaluate import (
     estimate_arl,
     lorden_delay,
     lower_bound_ratio,
+    monitoring_steps,
     phi_lattice_constant,
 )
 
@@ -106,11 +108,9 @@ class TestCalibrationProbes:
         ("poisson_model", "cusum_grid"),
     ])
     def test_probes_equal_fresh_estimates(self, fixture, rule, request):
-        """Every probe but the bracket top equals estimate_arl on the
-        calibration streams bit for bit, the bracket top is a lower bound of
-        it, and the final report is estimate_arl at four times the budget.
-        At gamma 6.4 and delta 0.1 the bracket top log(64) and the first
-        midpoint sit on the lattice k * log 2 of the intensity-only pair."""
+        """Every probe, each round's and the last one at h_bar, equals
+        estimate_arl on the calibration streams bit for bit, and the final
+        report is estimate_arl at four times the budget."""
         model = request.getfixturevalue(fixture)
         gamma, delta, n_rep, block = 6.4, 0.1, 700, 3
         cal = calibrate_barrier(model, rule, gamma, 0.02, SEED, delta=delta,
@@ -120,18 +120,29 @@ class TestCalibrationProbes:
             return estimate_arl(model, DetectorConfig(rule, h, delta=delta),
                                 "in_control", reps, HORIZON_FACTOR * gamma, SEED,
                                 block=block, purpose="calibrate")
-        assert 0 <= cal.lower_bound < len(cal.probes)
-        for i, (h, value) in enumerate(cal.probes):
-            full = fresh(h, n_rep).estimate
-            if i == cal.lower_bound:
-                assert gamma <= value <= full, h
-            else:
-                assert value == full, h
+        assert cal.probes[-1][0] == cal.h_bar and type(cal.h_bar) is float
+        for h, value in cal.probes:
+            assert value == fresh(h, n_rep).estimate, h
         assert cal.report == fresh(cal.h_bar, 4 * n_rep)
         if fixture == "poisson_model":
-            nudged = [h for h, _ in cal.probes
-                      if lattice_safe_barrier(h, math.log(2.0)) != h]
-            assert len(nudged) >= 2
+            _assert_off_the_lattice(model, cal, gamma, delta, n_rep, block)
+
+
+def _assert_off_the_lattice(model, cal, gamma, delta, n_rep, block):
+    """A CUSUM h_bar of the lattice pair lies strictly between two
+    consecutive record values of its calibration paths, so its stops are
+    those of every barrier up to the upper one, the barrier moved off the
+    lattice k * log 2 included."""
+    states = batch_states(model, "pre", [RuleSpec("cusum", 0.0)], delta, n_rep, SEED,
+                          "calibrate", block=block, records=True)
+    advance(states, monitoring_steps(HORIZON_FACTOR * gamma, delta),
+            [max(h for h, _ in cal.probes)])
+    values = np.unique(np.concatenate([s.ladder(0)[2] for s in states]))
+    j = int(np.searchsorted(values, cal.h_bar))
+    assert 0 < j < values.size and values[j - 1] < cal.h_bar < values[j]
+    for h in (lattice_safe_barrier(cal.h_bar, math.log(2.0)), values[j]):
+        for s in states:
+            assert np.array_equal(s.first_reach(0, h), s.first_reach(0, cal.h_bar)), h
 
 
 class TestLordenDelay:
@@ -316,9 +327,7 @@ class TestCompare:
     def test_sharing_paths_changes_no_estimator(self, fixture, request):
         """Two rules at one step share their calibration and delay paths, yet
         each row is bit for bit its rule's own calibrate_barrier on block 0
-        followed by lorden_delay at the calibrated barrier. At gamma 6.4 and
-        delta 0.1 the lattice pair's CUSUM probes sit on k * log 2 and are
-        nudged."""
+        followed by lorden_delay at the calibrated barrier."""
         model = request.getfixturevalue(fixture)
         gamma, delta, n_rep, n_cal = 6.4, 0.1, 1500, 700
         rules = [("cusum_grid", delta), ("shiryaev_roberts", delta)]
@@ -334,8 +343,7 @@ class TestCompare:
                                      worst.std_error, cal.converged), rule
             cals.append(cal)
         if fixture == "poisson_model":
-            assert any(lattice_safe_barrier(h, math.log(2.0)) != h
-                       for h, _ in cals[0].probes)
+            _assert_off_the_lattice(model, cals[0], gamma, delta, n_cal, 0)
 
 
 class TestLattice:
