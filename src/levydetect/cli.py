@@ -33,6 +33,7 @@ from .errors import (
     InfeasibleTargetError,
     LevyDetectError,
     NumericalError,
+    SampleSizeError,
     SpecValidationError,
     UnsupportedPairError,
 )
@@ -50,7 +51,7 @@ from .evaluate import (
 from .kernels import backend
 from .likelihood import llr_path
 from .paths import grid_steps, sample_changed_path
-from .report import write_csv, write_json
+from .report import format_value, write_csv, write_json
 from .rng import RngStream, stream_id
 
 EXIT_OK = 0
@@ -58,42 +59,42 @@ EXIT_CONFIG = 2
 EXIT_INADMISSIBLE = 3
 EXIT_NUMERICAL = 4
 
-STOP_COLUMNS = ["rule", "h_bar", "delta", "stop_time", "censored",
-                "stat_at_stop", "tau_hat", "seed", "stream_id"]
-
 
 class Outcome(NamedTuple):
     """What a subcommand produced; :func:`main` writes it."""
 
-    files: dict        # CSV name -> (rows, columns; None takes the first row's keys)
+    files: dict        # CSV name -> (rows, columns): write_csv's arguments
     body: dict         # the "results" of summary.json
     title: str         # the screen block: a title line
     lines: list        # and lines printed indented under it
     code: int = EXIT_OK
 
 
-def _stops_rows(cfg: ExperimentConfig, config: DetectorConfig, result,
-                purpose: str, block: int) -> list:
-    """One row per replication; replication i ran on the Philox stream
-    (seed, stream_id(purpose, i, block))."""
-    seed = cfg.simulation["master_seed"]
-    censored = result.censored
-    stop_times = result.stop_times
-    tau_hat = result.tau_hat
-    rows = []
-    for i in range(len(stop_times)):
-        rows.append({
-            "rule": config.rule,
-            "h_bar": config.log_barrier,
-            "delta": result.dt,
-            "stop_time": float(stop_times[i]),
-            "censored": bool(censored[i]),
-            "stat_at_stop": float(result.stat[i]),
-            "tau_hat": float(tau_hat[i]) if config.rule.startswith("cusum") else math.nan,
-            "seed": seed,
-            "stream_id": stream_id(purpose, i, block),
-        })
-    return rows
+def _stops_columns(cfg: ExperimentConfig, config: DetectorConfig, result,
+                   purpose: str, block: int) -> dict:
+    """stops.csv by column, each cell formatted as :func:`report.write_csv`
+    formats it: one row per replication; replication i ran on the Philox
+    stream (seed, stream_id(purpose, i, block))."""
+    n = len(result.stop_steps)
+
+    def same(value) -> list:
+        return [format_value(value)] * n
+
+    def floats(values) -> list:
+        return list(map(repr, values.tolist()))      # repr(nan) is "nan"
+    first = stream_id(purpose, 0, block)
+    return {
+        "rule": same(config.rule),
+        "h_bar": same(config.log_barrier),
+        "delta": same(result.dt),
+        "stop_time": floats(result.stop_times),
+        "censored": ["true" if c else "false" for c in result.censored.tolist()],
+        "stat_at_stop": floats(result.stat),
+        "tau_hat": (floats(result.tau_hat) if config.rule.startswith("cusum")
+                    else same(math.nan)),
+        "seed": same(cfg.simulation["master_seed"]),
+        "stream_id": list(map(str, range(first, first + n))),
+    }
 
 
 def _field_check(field: str, check, *args):
@@ -185,7 +186,7 @@ def _cmd_arl(cfg: ExperimentConfig) -> Outcome:
         sim["master_seed"], threads=sim["threads"], block=block, purpose=purpose,
         return_raw=True)
     files = {"report.csv": ([report.to_row()], None),
-             "stops.csv": (_stops_rows(cfg, config, result, purpose, block), STOP_COLUMNS)}
+             "stops.csv": (_stops_columns(cfg, config, result, purpose, block), None)}
     body = {"report": report.to_dict()}
     return Outcome(files, body, f"run length under {exp['regime']}", [
         f"estimate = {report.estimate:.6g} +- {report.std_error:.2g}",
@@ -353,6 +354,11 @@ def main(argv=None) -> int:
         done = _COMMANDS[args.subcommand](cfg)
     except (SpecValidationError, UnsupportedPairError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SampleSizeError as exc:
+        field = ("experiment.n_rep_calibrate" if exc.purpose == "calibrate"
+                 else "simulation.n_rep")
+        print(f"config error: {field}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, InfeasibleTargetError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from .errors import SpecValidationError
 from .evaluate import HARNESS_RULES, REGIMES
 from .families import LevySpec, reject_unknown_keys
 from .model import ChangeModel, build_change_model
+from .rng import BLOCK_REPLICATIONS
 
 __all__ = ["ExperimentConfig", "DEFAULTS", "FIELDS"]
 
@@ -40,7 +41,13 @@ POSITIVE = ("a finite number > 0", lambda v: _is_finite(v) and v > 0.0)
 NONNEG = ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0.0)
 FINITE = ("a finite number", _is_finite)
 COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
-REPLICATIONS = ("an integer >= 2", lambda v: _is_int(v) and v >= 2)   # a standard error needs two
+# a standard error needs two replications, and each needs a stream id; the
+# final probe of a calibration on n paths runs on 4 n stream ids
+_ID_BITS = BLOCK_REPLICATIONS.bit_length() - 1
+REPLICATIONS = (f"an integer in [2, 2^{_ID_BITS})",
+                lambda v: _is_int(v) and 2 <= v < BLOCK_REPLICATIONS)
+CALIBRATION_PATHS = (f"an integer in [1, 2^{_ID_BITS - 2}]",
+                     lambda v: _is_int(v) and 1 <= v <= BLOCK_REPLICATIONS // 4)
 SEED = ("an integer in [0, 2^64)", lambda v: _is_int(v) and 0 <= v < 2 ** 64)
 BOOL = ("true or false", lambda v: isinstance(v, bool))
 RULE = (f"one of {HARNESS_RULES}", lambda v: isinstance(v, str) and v in HARNESS_RULES)
@@ -84,7 +91,7 @@ FIELDS = {
         "base_delta": (_or_null(POSITIVE), None),  # null: detector.delta
         "rules": (RULE_PAIRS, [["cusum_grid", 0.1], ["shiryaev_roberts", 0.1]]),
         "fixed_steps": (_or_null(COUNT), None),
-        "n_rep_calibrate": (COUNT, 4000),
+        "n_rep_calibrate": (CALIBRATION_PATHS, 4000),
     },
     "output": {
         "dump_llr": (BOOL, False),

@@ -6,9 +6,10 @@ step is known exactly, so runs are simulated directly on the monitoring grid.
 Each replication owns a counter-based stream (reproducible from its index
 alone) and draws each kind of variate from its own substream, so every draw
 is a function of its step index only, whatever the schedule that draws it.
-A run builds its substream generators once per worker and restarts them in
-place on the streams of each batch (:func:`rng.substream_rows`); a restart
-sets the whole Philox state of a fresh generator, so no value can move.
+Each thread keeps the substream generators it has built in a pool and
+restarts them in place on the streams of each batch it runs
+(:func:`rng.substream_rows`); a restart sets the whole Philox state of a
+fresh generator, so no value can move.
 For the jump families one table, :func:`_jump_sides`, names the substreams
 of each side of the jump law, whose closed forms come from the law itself;
 the sampler and :func:`substream_components` both read it; a side whose
@@ -36,22 +37,20 @@ grid of one fine path. Their results depend on neither the worker count,
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import kernels
-from .errors import ContractError
+from .errors import ContractError, SampleSizeError
 from .families import LevySpec
 from .model import ChangeModel
-from .rng import RngStream, stream_id, substream_rows
+from .rng import RngStream, give_back, lease_rows, stream_id, substream_rows
 
 __all__ = ["RuleSpec", "PathRunResult", "BatchState", "make_u_sampler",
            "substream_components", "sample_u_increments", "block_end", "batch_states",
-           "advance", "run_rules", "run_paths", "run_dyadic"]
+           "release", "advance", "run_rules", "run_paths", "run_dyadic"]
 
 CHUNK = 4096          # widest draw-and-scan sub-block in steps (not a tuning knob)
 SUB_BLOCK = 64        # first sub-block of a path; later ones double up to CHUNK
@@ -405,6 +404,8 @@ def _pool_map(fn, items, threads: int) -> list:
     """``fn`` over ``items``, inline or on ``threads`` workers, in order."""
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here, so a one-thread run never loads it (nor logging, nor queue)
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -413,34 +414,39 @@ def _dispatch(work, components, n_rep: int, master_seed: int, purpose: str,
               block: int, threads: int, first: int = 0, keep: bool = False) -> list:
     """``work(gens, lo)`` on each slice [lo, lo + BATCH) of replications first ..
     n_rep - 1, ``gens`` the substreams of stream (master_seed, purpose/block/i).
-    Each worker builds one set of generators per call and restarts it in
-    place for each of its batches (:func:`rng.substream_rows`), unless
-    ``keep``: then each batch gets generators of its own, for work whose
-    result holds them past its batch."""
+    Each batch runs on generators of its thread's pool, restarted in place
+    (:func:`rng.substream_rows`), unless ``keep``: then each batch leases
+    generators of its own from the pool (:func:`rng.lease_rows`), for work
+    whose result holds them past its batch."""
     if n_rep <= first:
         return []
     ids = range(stream_id(purpose, first, block), stream_id(purpose, n_rep - 1, block) + 1)
-    local = threading.local()
+    rows = lease_rows if keep else substream_rows
 
     def batch(lo: int):
-        if keep or not hasattr(local, "rows"):
-            local.rows = []
-        return work(substream_rows(master_seed, ids[lo - first:lo - first + BATCH],
-                                   components, local.rows), lo)
+        return work(rows(master_seed, ids[lo - first:lo - first + BATCH], components), lo)
     return _pool_map(batch, range(first, n_rep, BATCH), threads)
 
 
 def batch_states(model: ChangeModel, regime: str, rules: Sequence[RuleSpec], dt: float,
                  n_rep: int, master_seed: int, purpose: str,
-                 block: int = 0, threads: int = 1,
-                 records: bool = False) -> List[BatchState]:
+                 block: int = 0, records: bool = False) -> List[BatchState]:
     """Fresh states of the replications 0 .. n_rep - 1 under ``rules``, one
     per slice of :func:`_dispatch`, on the streams :func:`run_rules` gives
-    them; each keeps generators of its own, so it can be resumed."""
+    them. Each holds generators leased from this thread's pool, so it can be
+    resumed, until :func:`release` gives them back; the states are made on
+    this thread, so that the generators go back to the pool they came from."""
     sampler = make_u_sampler(model, regime, dt)
     return _dispatch(lambda gens, lo: BatchState(sampler, rules, gens, records=records),
                      substream_components(model, dt), n_rep, master_seed, purpose,
-                     block, threads, keep=True)
+                     block, threads=1, keep=True)
+
+
+def release(states: Sequence[BatchState]) -> None:
+    """Give the generators of ``states`` back to this thread's pool: the
+    states draw no more, but their stops and ladders can still be read."""
+    for state in states:
+        give_back(state.gens)
 
 
 def advance(states, target: int, barriers: Sequence[float], threads: int = 1) -> None:
@@ -474,9 +480,12 @@ def run_rules(model: ChangeModel, regime: str, rules: Sequence[RuleSpec], dt: fl
     sampler = make_u_sampler(model, regime, dt)
     target, size = rules[0].fixed_steps if fixed else n_steps, max(n_rep - first, 0)
     lb = (lambda: np.empty(size)) if collect_lb else (lambda: None)
-    results = [PathRunResult(dt, n_steps, np.empty(size, dtype=np.int64), np.empty(size),
-                             np.empty(size, dtype=np.int64) if last_reflect else None,
-                             lb(), lb()) for _ in rules]
+    try:        # before any path is drawn, so a sample too large fails at once
+        results = [PathRunResult(dt, n_steps, np.empty(size, dtype=np.int64), np.empty(size),
+                                 np.empty(size, dtype=np.int64) if last_reflect else None,
+                                 lb(), lb()) for _ in rules]
+    except MemoryError as exc:
+        raise SampleSizeError(f"{size} replications do not fit in memory", purpose) from exc
     barriers = [rule.log_barrier for rule in rules]
 
     def work(gens, lo: int) -> None:

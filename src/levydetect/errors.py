@@ -49,5 +49,14 @@ class InfeasibleTargetError(LevyDetectError):
     """The requested false-alarm budget is below one monitoring step."""
 
 
+class SampleSizeError(LevyDetectError):
+    """A run's replications do not fit in memory; ``purpose`` names the
+    streams they were to run on (:data:`rng.PURPOSE`)."""
+
+    def __init__(self, message: str, purpose: str):
+        super().__init__(message)
+        self.purpose = purpose
+
+
 class UndefinedEstimateError(LevyDetectError):
     """The change-point estimate is undefined (censored run)."""

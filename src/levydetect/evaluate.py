@@ -29,12 +29,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .detector import DetectorConfig, grid_stride, lattice_safe_barrier
-from .engine import (PathRunResult, RuleSpec, advance, batch_states, run_dyadic,
-                     run_paths, run_rules)
+from .engine import (PathRunResult, RuleSpec, advance, batch_states, release,
+                     run_dyadic, run_paths, run_rules)
 from .errors import (
     ContractError,
     DegenerateRuleError,
     InfeasibleTargetError,
+    SampleSizeError,
     SpecValidationError,
 )
 from .model import ChangeModel
@@ -212,8 +213,13 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
     except ContractError as exc:
         raise InfeasibleTargetError(
             f"target {gamma} needs a censoring horizon of {horizon}: {exc}") from exc
+    try:        # the final probe's stops, first, so a sample too large fails at once
+        final_stops = np.empty(4 * n_rep, dtype=np.int64)
+    except MemoryError as exc:
+        raise SampleSizeError(f"a calibration sample of {n_rep} paths, probed on "
+                              f"{4 * n_rep}, does not fit in memory", "calibrate") from exc
     paths = batch_states(model, "pre", specs, dt, n_rep, seed, "calibrate", block=block,
-                         threads=threads, records=True)
+                         records=True)
 
     def barriers(hs: dict) -> List[float]:
         return [_effective_barrier(model, config(i, hs[i])) if i in hs else -math.inf
@@ -295,19 +301,21 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
         except InfeasibleTargetError as exc:
             outcomes.append(exc)
     hs = {i: out[0] for i, out in enumerate(outcomes) if not isinstance(out, Exception)}
+    levels = barriers(hs)
+    advance(paths, n_steps, levels, threads)
+    # no probe draws further: the final probe's new paths reuse the generators
+    release(paths)
     if hs:
-        levels = barriers(hs)
-        advance(paths, n_steps, levels, threads)
         fresh = run_rules(model, "pre",
                           [replace(specs[i], log_barrier=levels[i]) for i in hs],
                           dt, n_steps, 4 * n_rep, seed, "calibrate", block=block,
                           threads=threads, first=n_rep)
         for (i, h), new in zip(hs.items(), fresh):
-            st = np.concatenate([p.first_reach(i, levels[i]) for p in paths]
-                                + [new.stop_steps])
+            np.concatenate([p.first_reach(i, levels[i]) for p in paths] + [new.stop_steps],
+                           out=final_stops)
             _, probes, converged = outcomes[i]
-            outcomes[i] = CalibrationResult(h_bar=h, report=report(i, h, st), probes=probes,
-                                            converged=converged)
+            outcomes[i] = CalibrationResult(h_bar=h, report=report(i, h, final_stops),
+                                            probes=probes, converged=converged)
     return outcomes
 
 

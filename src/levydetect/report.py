@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Union
 
-__all__ = ["Provenance", "EvalReport", "write_csv", "write_json"]
+__all__ = ["Provenance", "EvalReport", "format_value", "write_csv", "write_json"]
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,8 @@ class EvalReport:
         return out
 
 
-def _format_value(v) -> str:
+def format_value(v) -> str:
+    """A CSV cell: true/false for a bool, repr for a float (so NaN is nan)."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -76,16 +77,20 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def write_csv(path, rows: Sequence[Mapping], columns: Optional[List[str]] = None) -> None:
-    """Write rows with deterministic formatting (repr for floats)."""
-    rows = list(rows)
-    if columns is None:
-        columns = list(rows[0].keys()) if rows else []
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_value(row.get(c, "")) for c in columns))
+def write_csv(path, rows: Union[Sequence[Mapping], Mapping[str, Sequence[str]]],
+              columns: Optional[List[str]] = None) -> None:
+    """Write rows with deterministic formatting (:func:`format_value`).
+    ``rows`` is a sequence of row mappings, or one mapping of each column's
+    name to its cells, already formatted, which gives the columns."""
+    if isinstance(rows, Mapping):
+        columns, lines = list(rows), map(",".join, zip(*rows.values()))
+    else:
+        rows = list(rows)
+        if columns is None:
+            columns = list(rows[0].keys()) if rows else []
+        lines = (",".join(format_value(row.get(c, "")) for c in columns) for row in rows)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(columns), *lines]) + "\n")
 
 
 def write_json(path, payload: Mapping) -> None:

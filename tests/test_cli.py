@@ -1,9 +1,13 @@
 import csv
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import levydetect
 from levydetect.cli import main
 from levydetect.rng import PURPOSE
 
@@ -15,6 +19,8 @@ SIGMA_MISMATCH = {
     "pre": {"family": "brownian", "sigma": 1.0, "drift": 0.0},
     "post": {"family": "brownian", "sigma": 2.0, "drift": 0.0},
 }
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples_config")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(levydetect.__file__)))
 POISSON_MODEL = {
     "pre": {"family": "compound_poisson", "intensity": 1.0,
             "jumps": {"kind": "gaussian", "mean": 0.0, "sd": 1.0}},
@@ -241,6 +247,9 @@ def test_bad_config_field_exits_two_and_names_it(tmp_path, capsys, block, field,
     ("simulate", "simulation", "horizon", 1e308),
     ("simulate", "simulation", "horizon", 0.001),
     ("converge", "simulation", "horizon", 1e308),
+    ("arl", "simulation", "n_rep", 2 ** 40),
+    ("calibrate", "experiment", "n_rep_calibrate", 10 ** 13),
+    ("compare", "experiment", "n_rep_calibrate", 10 ** 13),
 ])
 def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
                                                           block, field, value):
@@ -254,6 +263,38 @@ def test_bad_field_exits_two_on_the_command_that_reads_it(tmp_path, capsys, sub,
     assert code == 2
     assert f"{block}.{field}" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "report.csv"))
+
+
+@pytest.mark.parametrize("sub,block,field", [
+    ("arl", "simulation", "n_rep"),
+    ("lorden", "simulation", "n_rep"),
+    ("lowerbound", "simulation", "n_rep"),
+    ("converge", "simulation", "n_rep"),
+    ("compare", "simulation", "n_rep"),
+    ("calibrate", "experiment", "n_rep_calibrate"),
+    ("compare", "experiment", "n_rep_calibrate"),
+])
+def test_replications_beyond_memory_exit_two_and_write_nothing(tmp_path, sub, block,
+                                                               field):
+    """10^11 replications have stream ids but no room: their stops alone
+    take 745 GiB, more than the child's 4 GiB address space, so the request
+    fails at once, before any path is drawn. A calibration sample of 10^11
+    paths once built 1,024 generators per batch for 10^8 batches, so a hang
+    is the failure the timeout catches."""
+    payload = json.loads(open(os.path.join(EXAMPLES, "converge.json")).read())
+    payload["detector"]["gamma"] = 20.0
+    payload["experiment"]["n_rep_calibrate"] = 100
+    payload[block][field] = 10 ** 11
+    cfg, out = _write_config(tmp_path, "huge.json", payload), str(tmp_path / "huge")
+    cap = 4 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "levydetect.cli", sub, "--config", cfg, "--out", out],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: {block}.{field}: " in proc.stderr
+    assert "not fit in memory" in proc.stderr
+    assert not os.path.exists(out)
 
 
 def test_shiryaev_roberts_takes_a_negative_log_barrier(tmp_path):

@@ -1,14 +1,17 @@
 import math
 import re
 import sys
+import threading
 import typing
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from levydetect import engine, kernels
+from levydetect import engine, kernels, rng
 from levydetect.detector import DetectorConfig
 from levydetect.engine import RuleSpec, run_dyadic, run_paths, sample_u_increments
 from levydetect.errors import ContractError
@@ -18,7 +21,8 @@ from levydetect.families import ExponentialJumps, LevySpec, TwoSidedExponentialJ
 from levydetect.likelihood import llr_path
 from levydetect.model import build_change_model
 from levydetect.paths import sample_changed_path
-from levydetect.rng import RngStream, stream_id, substream_rows
+from levydetect.rng import (RngStream, give_back, lease_rows, stream_id,
+                            substream_rows)
 
 SEED = 8086
 TWO_RULES = [("cusum_grid", 0.1), ("shiryaev_roberts", 0.1)]     # compare at one step
@@ -151,7 +155,8 @@ class TestSamplers:
         """A jump side whose mark coefficient c1 is 0 adds c0 times its count:
         it lists no mark component, builds no mark generator and draws no
         mark, and its increments are still the per-family formula's, bit for
-        bit, in both regimes."""
+        bit, in both regimes. On a fresh thread, whose pool starts empty, a
+        run builds each generator it hands out on its own component."""
         model, components = _ZERO_WEIGHT_PAIRS[pair]() if pair in _ZERO_WEIGHT_PAIRS \
             else (request.getfixturevalue(pair), (engine.COUNT,))
         assert engine.substream_components(model, 0.1) == components
@@ -163,15 +168,10 @@ class TestSamplers:
             fresh = [RngStream(SEED, 4, c).generator() for c in range(5)]
             assert np.array_equal(got, _per_family_increments(model, regime, 0.1,
                                                               fresh, 3000))
-        built, generator = [], RngStream.generator
-
-        def counting_generator(stream):
-            built.append(stream.component)
-            return generator(stream)
-        monkeypatch.setattr(RngStream, "generator", counting_generator)
-        run_paths(model, "pre", RuleSpec(kind="cusum", log_barrier=2.0), 0.1, 300, 40,
-                  SEED, "arl")
-        assert sorted(set(built)) == list(components) and len(built) == 40 * len(components)
+        built = _count_builds(monkeypatch)
+        rule = RuleSpec(kind="cusum", log_barrier=2.0)
+        _on_fresh_thread(lambda: run_paths(model, "pre", rule, 0.1, 300, 40, SEED, "arl"))
+        assert Counter(stream.component for stream in built) == {c: 40 for c in components}
 
     @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
     @pytest.mark.parametrize("regime", ["pre", "post"])
@@ -646,19 +646,23 @@ class TestBatchState:
 
 class TestStreamRestart:
     def test_restart_equals_a_fresh_build(self):
-        """A generator of each component that has drawn normals, gammas of
-        shape 0.1, Poisson counts and one uint32 (which leaves half a word
-        cached), once restarted, has a fresh build's whole state and draws
-        its bits."""
-        components, i = range(5), stream_id("arl", 77, 3)
+        """A pooled generator of each component that has drawn normals,
+        gammas of shape 0.1, Poisson counts and one uint32 (which leaves half
+        a word cached), once restarted, has a fresh build's whole state and
+        draws its bits."""
+        components, i, j = (0, 1, 2, 3, 4), stream_id("arl", 77, 3), stream_id("delay", 5)
 
         def draws(gen):
             return (gen.integers(0, 2 ** 32, dtype=np.uint32), gen.standard_normal(9),
                     gen.standard_gamma(0.1, 9), gen.poisson(2.5, 9))
-        rows = [RngStream(SEED, stream_id("delay", 5)).substreams(components)]
-        for gen in rows[0]:
-            draws(gen)
-        assert substream_rows(SEED, range(i, i + 1), components, rows) == rows
+
+        def restarted():
+            rows = substream_rows(SEED, range(j, j + 1), components)
+            for gen in rows[0]:
+                draws(gen)
+            assert substream_rows(SEED, range(i, i + 1), components) == rows
+            return rows
+        rows = _on_fresh_thread(restarted)
         for c, gen in enumerate(rows[0]):
             fresh = RngStream(SEED, i, c).generator()
             assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
@@ -668,17 +672,16 @@ class TestStreamRestart:
     @pytest.mark.parametrize("fixture", ["brownian_model", "two_sided_model"])
     def test_run_builds_one_set_of_generators_per_worker(self, fixture, request,
                                                          monkeypatch):
-        """On one thread, three batches build one batch of generators; the
-        last, short batch runs on restarted ones and equals a batch state on
-        freshly built substreams."""
+        """On a fresh thread, three batches build one batch of generators;
+        the last, short batch runs on restarted ones and equals a batch state
+        on freshly built substreams."""
         model, rule = request.getfixturevalue(fixture), RuleSpec("cusum", log_barrier=2.0)
         components = engine.substream_components(model, 0.1)
-        built, generator = [], RngStream.generator
-        monkeypatch.setattr(RngStream, "generator",
-                            lambda stream: built.append(stream) or generator(stream))
+        built = _count_builds(monkeypatch)
         n_rep = 2 * engine.BATCH + 76
-        res = run_paths(model, "pre", rule, 0.1, 600, n_rep, SEED, "arl", last_reflect=True)
-        assert len(built) <= engine.BATCH * len(components)
+        res = _on_fresh_thread(lambda: run_paths(model, "pre", rule, 0.1, 600, n_rep, SEED,
+                                                 "arl", last_reflect=True))
+        assert len(built) == engine.BATCH * len(components)
         monkeypatch.undo()
         state = engine.BatchState(
             engine.make_u_sampler(model, "pre", 0.1), (rule,),
@@ -691,12 +694,151 @@ class TestStreamRestart:
 
     def test_batch_states_share_no_generator(self, two_sided_model):
         """Calibration resumes its states after their batch ends, so each
-        state keeps generators of its own."""
+        state leases generators of its own."""
         states = engine.batch_states(two_sided_model, "pre",
                                      (RuleSpec("cusum", log_barrier=2.0),),
                                      0.1, 2 * engine.BATCH + 76, SEED, "calibrate")
         gens = [g for state in states for row in state.gens for g in row if g is not None]
         assert len(states) == 3 and len({id(g) for g in gens}) == len(gens)
+        engine.release(states)
+
+    def test_pool_rows_equal_fresh_builds(self):
+        """Row tuples of several component tuples share one thread's flat
+        list of generators, leases take generators out of it and give them
+        back: every row handed out holds, at each of its components, a
+        generator in the state of a fresh build on its stream (None at the
+        others), and the pool builds only what it lacks."""
+        def check(rows, ids, components):
+            for row, i in zip(rows, ids):
+                fresh = RngStream(SEED, i).substreams(components)
+                assert len(row) == len(fresh)
+                for got, want in zip(row, fresh):
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert (repr(got.bit_generator.state)
+                                == repr(want.bit_generator.state))
+            return rows
+
+        def run():
+            flat, sizes = rng._POOL.flat, []
+            check(substream_rows(SEED, range(0, 3), (0,)), range(0, 3), (0,))
+            sizes.append(len(flat))
+            # row 1 restarts the pool's last generator and builds its second
+            check(substream_rows(SEED, range(10, 12), (1, 2)), range(10, 12), (1, 2))
+            sizes.append(len(flat))
+            leased = check(lease_rows(SEED, range(20, 22), (0, 3, 4)), range(20, 22),
+                           (0, 3, 4))
+            sizes.append(len(flat))
+            rows = check(substream_rows(SEED, range(30, 36), (1, 2)), range(30, 36), (1, 2))
+            assert not ({id(g) for r in rows for g in r if g is not None}
+                        & {id(g) for r in leased for g in r if g is not None})
+            give_back(leased)
+            sizes.append(len(flat))
+            check(substream_rows(SEED, range(40, 48), (0, 3, 4)), range(40, 48), (0, 3, 4))
+            sizes.append(len(flat))
+            check(substream_rows(SEED, range(50, 61), (1, 2)), range(50, 61), (1, 2))
+            sizes.append(len(flat))
+            return leased, sizes
+        leased, sizes = _on_fresh_thread(run)
+        assert leased == [] and sizes == [3, 4, 0, 18, 24, 24]
+
+    @pytest.mark.parametrize("fixture", ["brownian_model", "two_sided_model"])
+    def test_second_runs_build_nothing_and_equal_a_fresh_thread(self, fixture, request,
+                                                                monkeypatch):
+        """On one thread a second estimate_arl and a second compare build no
+        generator, and each run equals the same run on a fresh thread."""
+        model = request.getfixturevalue(fixture)
+        config = DetectorConfig(rule="cusum_grid", log_barrier=2.0, delta=0.1)
+
+        def arl():
+            report, res = estimate_arl(model, config, "in_control", engine.BATCH + 76, 200.0,
+                                       SEED, return_raw=True)
+            return report, res.stop_steps, res.stat, res.last_reflect
+
+        def table():
+            return compare(model, 8.0, TWO_RULES, 300, SEED, n_rep_calibrate=300)
+
+        def twice():
+            out = []
+            for run in (arl, table):
+                first = run()
+                before = len(built)
+                out += [first, run(), len(built) - before]
+            return out
+        built = _count_builds(monkeypatch)
+        arl_1, arl_2, arl_built, table_1, table_2, table_built = _on_fresh_thread(twice)
+        arl_fresh, table_fresh = _on_fresh_thread(arl), _on_fresh_thread(table)
+        assert arl_built == 0 and table_built == 0
+        for got in (arl_1, arl_2):
+            assert got[0] == arl_fresh[0]
+            for a, b in zip(got[1:], arl_fresh[1:]):
+                assert np.array_equal(a, b, equal_nan=True)
+        assert table_1 == table_fresh and table_2 == table_fresh
+        assert any(row.calibrated for row in table_fresh.rows)
+
+    def test_final_probe_on_a_warm_pool_equals_a_cold_run(self, two_sided_model,
+                                                          brownian_model):
+        """A calibration on a thread whose pool other runs have filled, with
+        other component tuples and a lease never given back, equals one on a
+        fresh thread: its probes and its final probe's report."""
+        def calibrate():
+            return calibrate_barrier(two_sided_model, "cusum_grid", 8.0, 0.02, SEED,
+                                     delta=0.1, n_rep=700)
+
+        def warm():
+            run_paths(brownian_model, "pre", RuleSpec("cusum", 2.0), 0.1, 300, 900, SEED,
+                      "arl")
+            engine.batch_states(brownian_model, "pre", (RuleSpec("cusum", 2.0),), 0.1, 100,
+                                SEED, "calibrate")
+            calibrate_barrier(brownian_model, "shiryaev_roberts", 8.0, 0.02, SEED + 1,
+                              delta=0.1, n_rep=300)
+            return calibrate()
+        cold = _on_fresh_thread(calibrate)
+        assert _on_fresh_thread(warm) == cold and cold.report.n_rep == 4 * 700
+
+    def test_no_generator_is_handed_to_two_live_users(self, two_sided_model, monkeypatch):
+        """Runs on the thread of live batch states draw from the rest of its
+        pool, released states draw no more and their generators go back to
+        the pool, which leases them again, and the workers of a threaded run
+        draw from pools of their own."""
+        make_u_sampler, used = engine.make_u_sampler, {}
+
+        def recording_make_u_sampler(*args):
+            draw = make_u_sampler(*args)
+
+            def sampler(gens_rows, size):
+                # the generators themselves are kept, so no id is reused
+                used.setdefault(threading.get_ident(), []).extend(
+                    g for gens in gens_rows for g in gens if g is not None)
+                return draw(gens_rows, size)
+            return sampler
+        monkeypatch.setattr(engine, "make_u_sampler", recording_make_u_sampler)
+        rule, n_rep = RuleSpec("cusum", log_barrier=2.0), 2 * engine.BATCH + 76
+
+        def ids(gens) -> set:
+            return {id(g) for g in gens}
+
+        def leased(states) -> set:
+            return ids(g for s in states for row in s.gens for g in row if g is not None)
+
+        def run():
+            states = engine.batch_states(two_sided_model, "pre", (rule,), 0.1, n_rep, SEED,
+                                         "calibrate")
+            held = leased(states)
+            run_paths(two_sided_model, "pre", rule, 0.1, 300, n_rep, SEED, "arl")
+            during = ids(used.pop(threading.get_ident()))
+            engine.release(states)
+            with pytest.raises(IndexError):
+                engine.advance(states, 300, [rule.log_barrier])
+            again = engine.batch_states(two_sided_model, "pre", (rule,), 0.1, n_rep, SEED,
+                                        "calibrate")
+            return held, during, leased(again)
+        held, during, again = _on_fresh_thread(run)
+        assert held and not held & during and again == held
+        used.clear()
+        run_paths(two_sided_model, "pre", rule, 0.1, 300, n_rep, SEED, "arl", threads=2)
+        pools = [ids(gens) for gens in used.values()]
+        assert len(pools) == 2 and not pools[0] & pools[1]
 
     def test_stream_ids_are_range_checked(self, brownian_model):
         """The last replication's stream id is checked before any batch runs."""
@@ -707,6 +849,20 @@ class TestStreamRestart:
         with pytest.raises(ValueError, match="replication index out of range"):
             engine.run_rules(brownian_model, "pre", rules, 0.1, 10, top + 1, SEED, "arl",
                              first=top - 1)
+
+
+def _on_fresh_thread(fn):
+    """``fn()`` on a new thread, whose generator pool starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=300)
+
+
+def _count_builds(monkeypatch) -> list:
+    """The streams of the generators built from now on, on any thread."""
+    built, generator = [], RngStream.generator
+    monkeypatch.setattr(RngStream, "generator",
+                        lambda stream: built.append(stream) or generator(stream))
+    return built
 
 
 def _count_draws(monkeypatch, purpose: str = "arl") -> list:

@@ -23,6 +23,19 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_import_loads_no_thread_pool():
+    """Only a run on more than one thread starts a thread pool, so importing
+    the package and its CLI loads neither concurrent.futures nor the logging
+    and queue modules it imports."""
+    code = ("import levydetect, levydetect.cli, sys; "
+            "print(sorted(k for k in sys.modules if k in ('logging', 'queue')"
+            " or k.split('.')[0] == 'concurrent'))")
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
     """perfbench/tracer.py wraps package functions by name (detector.run_rule,
     the kernels' scans, the engine and evaluate entry points), so renaming or
