@@ -8,15 +8,7 @@ for run-length calibration, worst-case delay measurement, and the
 lower-bound / nested-grid structure underneath the CUSUM optimality theory.
 """
 
-from .detector import (
-    DetectorConfig,
-    StopResult,
-    cusum_log_stats,
-    drawup,
-    first_passage,
-    mle_changepoint,
-    run_rule,
-)
+from .detector import DetectorConfig, StopResult, run_rule
 from .families import (
     ExponentialJumps,
     GaussianJumps,
@@ -56,11 +48,7 @@ __all__ = [
     "martingale_check",
     "DetectorConfig",
     "StopResult",
-    "cusum_log_stats",
-    "drawup",
-    "first_passage",
     "run_rule",
-    "mle_changepoint",
     "EvalReport",
     "Provenance",
     "kernel_backend",

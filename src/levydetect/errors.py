@@ -57,6 +57,3 @@ class SampleSizeError(LevyDetectError):
         super().__init__(message)
         self.purpose = purpose
 
-
-class UndefinedEstimateError(LevyDetectError):
-    """The change-point estimate is undefined (censored run)."""

@@ -35,8 +35,8 @@ stopped rows).
 
 The four scans the engine runs on cumulative values (:func:`cusum_scan`,
 :func:`lb_cusum_scan`, :func:`sr_scan`, :func:`lb_until_scan`) compose these
-primitives and leave their block as it is; the detector runs the same
-primitives on one row.
+primitives and leave their block as it is; :func:`detector.run_rule` runs
+:func:`cusum_scan` or :func:`sr_scan` once, on a whole path as one row.
 """
 
 from __future__ import annotations

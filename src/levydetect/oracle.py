@@ -1,11 +1,12 @@
-"""Adaptive quadrature over the jump measures' densities: independent
-cross-checks of the closed forms in :mod:`levydetect.model`, for tests and
-acceptance checks. No run imports this module, and scipy is imported only
-when a function is called.
+"""Independent cross-checks for tests and acceptance checks: quadrature of
+the closed forms in :mod:`levydetect.model`, and the Brownian grid CUSUM's
+run lengths in closed form. No run imports this module, and scipy is
+imported only when a quadrature is called.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -19,7 +20,12 @@ __all__ = [
     "integrability_quadrature",
     "truncated_moment_quadrature",
     "drift_constants_quadrature",
+    "brownian_grid_cusum_arl",
 ]
+
+# -zeta(1/2) / sqrt(2 pi): the mean overshoot of a driftless Gaussian walk
+# over a far barrier, in standard deviations of its step
+RHO = 1.4603545088095868 / math.sqrt(2.0 * math.pi)
 
 
 def _quad_over_support(pre: LevySpec, phi: DensityRatio, combine) -> float:
@@ -83,3 +89,12 @@ def drift_constants_quadrature(model: ChangeModel) -> Tuple[float, float]:
     beta_pre = -_quad_over_support(pre, phi, lambda p, a, b: a - b - p * b)
     beta_post = beta_pre + _quad_over_support(pre, phi, lambda p, a, b: p * (a - b))
     return beta_pre, beta_post
+
+
+def brownian_grid_cusum_arl(log_barrier: float, delta: float) -> Tuple[float, float]:
+    """In- and out-of-control ARL (time units) of the CUSUM sampled every
+    ``delta`` on a Brownian pair whose drifts differ by one volatility: the
+    continuous forms at h' = h + 2 rho sqrt(delta) (Siegmund's corrected
+    diffusion; Sequential Analysis, 1985, ch. X)."""
+    h = log_barrier + 2.0 * RHO * math.sqrt(delta)
+    return 2.0 * (math.exp(h) - h - 1.0), 2.0 * (math.exp(-h) + h - 1.0)

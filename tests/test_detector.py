@@ -2,21 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from levydetect import kernels
-from levydetect.detector import (
-    DetectorConfig,
-    StopResult,
-    cusum_log_stats,
-    drawup,
-    first_passage,
-    lattice_safe_barrier,
-    mle_changepoint,
-    run_rule,
-)
-from levydetect.errors import ContractError, SpecValidationError, UndefinedEstimateError
+from levydetect import engine, kernels
+from levydetect.detector import RULES, DetectorConfig, lattice_safe_barrier, run_rule
+from levydetect.errors import ContractError, SpecValidationError
 from levydetect.likelihood import LLRPath, llr_path
 from levydetect.paths import SamplePath, sample_changed_path
 from levydetect.rng import RngStream
@@ -28,38 +19,53 @@ def _llr(u, dt=1.0):
     return LLRPath(grid_dt=dt, u_values=np.asarray(u, dtype=float))
 
 
+def _continuous(log_barrier, u, dt=1.0):
+    return run_rule(DetectorConfig("cusum_continuous", log_barrier), _llr(u, dt))
+
+
+def _drawup(u):
+    """The drawup at each point: the censored statistic of ``cusum_continuous``
+    on each prefix of the path."""
+    return [_continuous(100.0, u[:k + 1]).stat_at_stop for k in range(len(u))]
+
+
 class TestDrawup:
+    """The statistic of ``cusum_continuous``: the path minus its running
+    minimum (inclusive)."""
+
     def test_running_minimum_examples(self):
-        assert np.allclose(drawup(_llr([0.0, -1.0, -0.5])), [0.0, 0.0, 0.5])
+        assert np.allclose(_drawup([0.0, -1.0, -0.5]), [0.0, 0.0, 0.5])
         u = [0.0, 0.5, 1.0, 2.5]
-        assert np.allclose(drawup(_llr(u)), u)
-        assert np.allclose(drawup(_llr([0.0, 2.0, 1.0, 3.0])), [0.0, 2.0, 1.0, 3.0])
+        assert np.allclose(_drawup(u), u)
+        assert np.allclose(_drawup([0.0, 2.0, 1.0, 3.0]), [0.0, 2.0, 1.0, 3.0])
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         u = np.concatenate([[0.0], np.cumsum(rng.normal(size=500))])
-        y = drawup(_llr(u))
+        y = np.array(_drawup(u))
         assert np.all(y >= 0.0)
         assert y[0] == 0.0
 
 
 class TestFirstPassage:
+    """``cusum_continuous`` stops at the first grid point where the drawup
+    reaches the barrier, else is censored at the path horizon."""
+
     def test_flat_path_censors(self):
-        res = first_passage(np.zeros(101), 1.0, 0.1)
+        res = _continuous(1.0, np.zeros(101), 0.1)
         assert res.censored
         assert res.stop_time == pytest.approx(10.0)
 
     def test_unit_ramp(self):
-        t = np.linspace(0.0, 5.0, 501)
-        res = first_passage(t, 2.0, 0.01)
+        res = _continuous(2.0, np.linspace(0.0, 5.0, 501), 0.01)
         assert not res.censored
         assert res.stop_time == pytest.approx(2.0, abs=0.011)
 
     def test_stride_checks_only_every_kth_point(self):
-        y = np.zeros(11)
-        y[3] = 5.0          # spike visible only to stride-1 monitoring
-        fine = first_passage(y, 1.0, 1.0)
-        coarse = first_passage(y[::5], 1.0, 5.0)
+        u = np.zeros(11)
+        u[3] = 5.0          # spike visible only to stride-1 monitoring
+        fine = _continuous(1.0, u)
+        coarse = run_rule(DetectorConfig("cusum_grid", 1.0, delta=5.0), _llr(u))
         assert fine.stop_time == pytest.approx(3.0)
         assert coarse.censored
 
@@ -71,8 +77,8 @@ class TestFirstPassage:
             p = sample_changed_path(poisson_model, 0.0, 50.0, dt, RngStream(SEED, i))
             if not len(p.jump_times):
                 continue
-            y = drawup(llr_path(poisson_model, p))
-            res = first_passage(y, 0.6, dt)
+            res = run_rule(DetectorConfig("cusum_continuous", 0.6),
+                           llr_path(poisson_model, p))
             assert not res.censored
             first_event = p.jump_times[0]
             assert res.stop_time == pytest.approx(
@@ -118,16 +124,23 @@ class TestCusumUpdate:
             brute = max(c[k] - c[m] for m in range(k))
             assert rec[k - 1] == pytest.approx(brute, rel=1e-12, abs=1e-12)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=60))
-    def test_recursion_matches_strict_drawup(self, logs):
-        """cusum_log_stats over the whole path is the scalar recursion."""
-        s, rec = -math.inf, []
-        for ll in logs:
-            s = max(s, 0.0) + ll
-            rec.append(s)
-        stats = cusum_log_stats(np.concatenate([[0.0], np.cumsum(logs)]))
-        assert np.allclose(rec, stats[1:], rtol=1e-12, atol=1e-12)
+
+# multiples of 1/8: every sum is exact, so the CUSUM recursions agree bit for bit
+_EIGHTHS = st.integers(-24, 24).map(lambda i: i / 8.0)
+
+
+def _recursion(rule, x):
+    """Statistic of each step of the scalar recursion over increments ``x``,
+    the origin's first: S_k = max(S_{k-1}, 0) + X_k (floored at 0 for the
+    drawup, which is 0 at the origin) or R_k = (1 + R_{k-1}) e^{X_k}, in logs."""
+    s, r = -math.inf, 0.0
+    stats = [0.0 if rule == "cusum_continuous" else -math.inf]
+    for xk in x:
+        s = max(s, 0.0) + xk
+        r = (1.0 + r) * math.exp(xk)
+        stats.append({"cusum_continuous": max(s, 0.0), "cusum_grid": s,
+                      "shiryaev_roberts": math.log(r)}[rule])
+    return stats
 
 
 class TestRunRule:
@@ -166,11 +179,37 @@ class TestRunRule:
         grid = run_rule(DetectorConfig("cusum_grid", 2.0, delta=0.01), llr)
         assert cont.stop_time == pytest.approx(grid.stop_time)
 
+    @settings(max_examples=400, deadline=None)
+    @given(rule=st.sampled_from(RULES), x=st.lists(_EIGHTHS, max_size=40),
+           stride=st.integers(1, 4), h=_EIGHTHS)
+    def test_scalar_recursions(self, rule, x, stride, h):
+        """Each rule stops where its scalar recursion over the increments
+        between monitored points first reaches the barrier (the drawup at
+        the origin when that barrier is 0), else is censored at the last
+        monitored point with the last statistic."""
+        if rule != "shiryaev_roberts":
+            h = abs(h)
+        if rule == "cusum_continuous":
+            stride = 1
+        u = np.concatenate([[0.0], np.cumsum(x)])
+        res = run_rule(DetectorConfig(rule, h, delta=stride * 0.5), _llr(u, 0.5))
+        stats = _recursion(rule, np.diff(u[::stride]))
+        if rule == "shiryaev_roberts":      # log R is not exact: no near ties
+            assume(all(abs(y - h) > 1e-9 for y in stats))
+        k = next((k for k, y in enumerate(stats) if y >= h), None)
+        assert res.censored == (k is None)
+        k = len(stats) - 1 if k is None else k
+        assert (res.steps_taken, res.stop_time) == (k, k * stride * 0.5)
+        assert res.stat_at_stop == pytest.approx(stats[k], rel=1e-12, abs=1e-9)
+        if rule != "shiryaev_roberts":
+            assert res.stat_at_stop == stats[k]
+
     def test_nonnegative_increments_keep_statistic_above_one(self):
         rng = np.random.default_rng(4)
         u = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 0.5, size=40))])
-        stats = cusum_log_stats(u)
-        assert np.all(stats[1:] >= 0.0)
+        for k in range(1, len(u)):
+            res = run_rule(DetectorConfig("cusum_grid", 100.0, delta=1.0), _llr(u[:k + 1]))
+            assert res.censored and res.stat_at_stop >= 0.0
 
     def test_shiryaev_roberts_recursion(self):
         u = np.array([0.0, 0.3, -0.2, 0.5])
@@ -212,39 +251,47 @@ class TestRunRule:
             DetectorConfig("cusum_grid", 1.0)
 
 
+def _last_reflection(u, hbar):
+    """The ``lastref`` carry of one :func:`kernels.cusum_scan` over the path
+    ``u`` (u[0] = 0 at the origin): 0 for the origin, else a step."""
+    lastref = np.zeros(1, dtype=np.int64)
+    off, _, _ = kernels.cusum_scan(np.asarray(u, dtype=float)[None, 1:], np.zeros(1),
+                                   lastref, 0, hbar)
+    assert off[0] >= 0
+    return int(lastref[0])
+
+
 class TestMleChangepoint:
+    """The change-point estimate (``PathRunResult.tau_hat``) is the
+    ``lastref`` carry of the CUSUM scans: the last step at or before the stop
+    with log statistic <= 0 (the last reflection of the statistic)."""
+
     def test_first_excursion_gives_zero(self):
-        stats = np.array([-math.inf, 0.5, 1.2, 2.1])
-        stop = StopResult(stop_time=3.0, censored=False, stat_at_stop=2.1,
-                          steps_taken=3)
-        assert mle_changepoint(stats, stop) == 0.0
+        # statistics 0.5, 1.2, 2.1
+        assert _last_reflection([0.0, 0.5, 1.2, 2.1], 2.1) == 0
 
     def test_last_reflection_example(self):
-        stats = np.array([-math.inf, -0.2, 0.1, 0.8])
-        stop = StopResult(stop_time=3.0, censored=False, stat_at_stop=0.8,
-                          steps_taken=3)
-        assert mle_changepoint(stats, stop) == pytest.approx(1.0)
+        # statistics -0.2, 0.1, 0.8
+        assert _last_reflection([0.0, -0.2, -0.1, 0.6], 0.75) == 1
 
-    def test_detects_ramp_onset(self, brownian_model):
+    def test_detects_ramp_onset(self):
         """Negative drift then a deterministic ramp: the estimate lands within
         a step of the ramp onset."""
         dt = 0.1
         n_pre, n_post = 50, 40
         u = np.concatenate([[0.0], np.cumsum(np.concatenate([
             np.full(n_pre, -0.3 * dt), np.full(n_post, 1.0)]))])
-        llr = _llr(u, dt=dt)
-        res = run_rule(DetectorConfig("cusum_grid", 2.0, delta=dt), llr)
-        stats = cusum_log_stats(u)
-        tau_hat = mle_changepoint(stats, res)
         onset = n_pre * dt
-        assert abs(tau_hat - onset) <= dt + 1e-12
+        assert abs(_last_reflection(u, 2.0) * dt - onset) <= dt + 1e-12
 
-    def test_censored_raises(self):
-        stats = np.array([-math.inf, -0.2])
-        stop = StopResult(stop_time=1.0, censored=True, stat_at_stop=-0.2,
-                          steps_taken=1)
-        with pytest.raises(UndefinedEstimateError):
-            mle_changepoint(stats, stop)
+    def test_censored_gives_nan(self, brownian_model):
+        rule = engine.RuleSpec(kind="cusum", log_barrier=2.0)
+        res = engine.run_paths(brownian_model, "pre", rule, 0.1, 100, 300, SEED, "arl",
+                               last_reflect=True)
+        assert res.censored.any() and not res.censored.all()
+        assert np.array_equal(np.isnan(res.tau_hat), res.censored)
+        stopped = ~res.censored
+        assert np.array_equal(res.tau_hat[stopped], res.last_reflect[stopped] * 0.1)
 
 
 class TestLatticeBarrier:

@@ -1,5 +1,7 @@
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -34,6 +36,18 @@ def test_import_loads_no_thread_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_export_resolves():
+    """Every name in the package's ``__all__`` and in each module's is
+    defined, so a stale export fails here, not only under ``import *``."""
+    modules = [levydetect] + [importlib.import_module(f"levydetect.{m.name}")
+                              for m in pkgutil.iter_modules(levydetect.__path__)
+                              if not m.name.startswith("__")]
+    assert len(modules) > 10
+    stale = [f"{mod.__name__}.{name}" for mod in modules
+             for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert stale == []
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):

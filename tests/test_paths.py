@@ -1,15 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from levydetect.detector import (
-    DetectorConfig,
-    cusum_log_stats,
-    first_passage,
-    run_rule,
-)
+from levydetect.detector import DetectorConfig, run_rule
 from levydetect.errors import AlignmentError, InadmissibleModelError, SpecValidationError
 from levydetect.families import LevySpec
 from levydetect.likelihood import LLRPath, llr_path
@@ -170,8 +166,10 @@ class TestRestrictToGrid:
         p = sample_changed_path(brownian_model, math.inf, 2.0, 0.1,
                                 RngStream(SEED, 7))
         llr = llr_path(brownian_model, p)
-        assert self._grid(llr, 0.1) == first_passage(cusum_log_stats(llr.u_values),
-                                                     1.0, 0.1)
+        grid = self._grid(llr, 0.1)
+        # the same points: only the drawup floors a censored statistic at 0
+        assert replace(grid, stat_at_stop=max(grid.stat_at_stop, 0.0)) == \
+            run_rule(DetectorConfig("cusum_continuous", 1.0), llr)
 
     def test_single_increment_at_horizon(self, brownian_model):
         p = sample_changed_path(brownian_model, math.inf, 2.0, 0.1,
