@@ -6,10 +6,10 @@ step is known exactly, so runs are simulated directly on the monitoring grid.
 Each replication owns a counter-based stream (reproducible from its index
 alone) and draws each kind of variate from its own substream, so every draw
 is a function of its step index only, whatever the schedule that draws it.
-Each thread keeps the substream generators it has built in a pool and
-restarts them in place on the streams of each batch it runs
-(:func:`rng.substream_rows`); a restart sets the whole Philox state of a
-fresh generator, so no value can move.
+Each batch leases its generators, by component, from its thread's pool,
+which restarts them in place on the batch's streams (:func:`rng.lease`); a
+restart sets the whole Philox state of a fresh generator, so no value can
+move.
 For the jump families one table, :func:`_jump_sides`, names the substreams
 of each side of the jump law, whose closed forms come from the law itself;
 the sampler and :func:`substream_components` both read it; a side whose
@@ -46,7 +46,7 @@ from . import kernels
 from .errors import ContractError, SampleSizeError
 from .families import LevySpec
 from .model import ChangeModel
-from .rng import RngStream, give_back, lease_rows, stream_id, substream_rows
+from .rng import RngStream, give_back, lease, stream_id
 
 __all__ = ["RuleSpec", "PathRunResult", "BatchState", "make_u_sampler",
            "substream_components", "sample_u_increments", "block_end", "batch_states",
@@ -167,19 +167,19 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     """Exact sampler for log-likelihood increments over one monitoring step.
 
     ``regime`` is 'pre' (no change yet) or 'post' (changed from the start).
-    The sampler is called as ``sampler(gens_rows, (rows, steps))`` and
-    returns a ``(rows, steps)`` block: row j holds the next ``steps``
-    increments of the replication whose substream generators, indexed by
-    component (:meth:`RngStream.substreams` of :func:`substream_components`),
-    are ``gens_rows[j]``. Each component feeds one kind of variate, one value
-    per step: BM the Brownian normals (and the gamma family's gamma
-    variates), and each side of a jump law its counts and its marks
-    (:func:`_jump_sides`). That assignment is the stream contract; it makes
-    the increments of successive calls continue one sequence per row whatever
-    the call sizes and whichever rows share a call. Only the generator calls
-    run per row, each writing into its row of the block; the arithmetic then
-    runs once on the block, in place, in the order of operations of the
-    one-row expression.
+    The sampler is called as ``sampler(gens, (rows, steps))`` and returns a
+    ``(rows, steps)`` block: row j holds the next ``steps`` increments of the
+    replication whose generator of component c is ``gens[c][j]``, for each
+    component c of :func:`substream_components` (as :func:`rng.lease` hands
+    them out). Each component feeds one kind of variate, one value per step:
+    BM the Brownian normals (and the gamma family's gamma variates), and
+    each side of a jump law its counts and its marks (:func:`_jump_sides`).
+    That assignment is the stream contract; it makes the increments of
+    successive calls continue one sequence per row whatever the call sizes
+    and whichever rows share a call. Only the generator calls run per row,
+    each writing into its row of the block; the arithmetic then runs once on
+    the block, in place, in the order of operations of the one-row
+    expression.
     """
     if regime not in ("pre", "post"):
         raise ContractError(f"regime must be 'pre' or 'post', got {regime!r}")
@@ -187,10 +187,10 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     bm_sd = _bm_sd(model, dt)
     bm_mean = (0.5 if regime == "post" else -0.5) * (model.alpha * model.sigma) ** 2 * dt
 
-    def brownian(gens_rows, size) -> np.ndarray:    # bm_mean + bm_sd * z
+    def brownian(gens, size) -> np.ndarray:     # bm_mean + bm_sd * z
         z = np.empty(size)
-        for gens, row in zip(gens_rows, z):
-            gens[BM].standard_normal(out=row)
+        for gen, row in zip(gens[BM], z):
+            gen.standard_normal(out=row)
         z *= bm_sd
         z += bm_mean
         return z
@@ -203,10 +203,10 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     if spec.family == "gamma":
         shape, theta, c1 = spec.activity * dt, spec.scale, model.phi.pos[1]
 
-        def draw(gens_rows, size) -> np.ndarray:    # c1 * gamma(shape, theta) - comp_dt
+        def draw(gens, size) -> np.ndarray:     # c1 * gamma(shape, theta) - comp_dt
             g = np.empty(size)
-            for gens, row in zip(gens_rows, g):
-                gens[BM].standard_gamma(shape, out=row)
+            for gen, row in zip(gens[BM], g):
+                gen.standard_gamma(shape, out=row)
             g *= theta                      # gamma(shape, theta), bit for bit
             g *= c1
             g -= comp_dt
@@ -215,24 +215,24 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
 
     sides, has_bm = _jump_sides(model, spec, dt), bm_sd > 0.0
 
-    def side_sum(gens_rows, size, count, mark, rate_dt, c0, marks) -> np.ndarray:
+    def side_sum(gens, size, count, mark, rate_dt, c0, marks) -> np.ndarray:
         n = np.empty(size)                          # counts, exact in a float block
-        for gens, row in zip(gens_rows, n):
-            row[:] = gens[count].poisson(rate_dt, size[1])
+        for gen, row in zip(gens[count], n):
+            row[:] = gen.poisson(rate_dt, size[1])
         if marks is None:                           # c1 = 0: no mark is drawn
             n *= c0
             return n                                # c0 * n
-        m = marks([gens[mark] for gens in gens_rows], n)
+        m = marks(gens[mark], n)
         n *= c0
         n += m
         return n                                    # c0 * n + marks
 
-    def draw(gens_rows, size) -> np.ndarray:
+    def draw(gens, size) -> np.ndarray:
         # (bm + side_0) + side_1 ... - comp_dt: the sides are drawn first, so
         # no more than three blocks are held at once
-        parts = [side_sum(gens_rows, size, *side) for side in sides]
+        parts = [side_sum(gens, size, *side) for side in sides]
         if has_bm:
-            out = brownian(gens_rows, size)
+            out = brownian(gens, size)
         else:
             out = parts.pop(0)
             out += bm_mean
@@ -247,7 +247,7 @@ def sample_u_increments(model: ChangeModel, regime: str, dt: float,
                         n: int, rng: RngStream) -> np.ndarray:
     """n independent log-likelihood increments over one step (one stream)."""
     gens = rng.substreams(substream_components(model, dt))
-    return make_u_sampler(model, regime, dt)([gens], (1, n))[0]
+    return make_u_sampler(model, regime, dt)([g and [g] for g in gens], (1, n))[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -294,7 +294,7 @@ class BatchState:
     def __init__(self, sampler, rules: Sequence[RuleSpec], gens,
                  lb_horizon: Optional[int] = None, records: bool = False,
                  last_reflect: bool = False):
-        b, k = len(gens), len(rules)
+        b, k = len(next(g for g in gens if g is not None)), len(rules)
         self.sampler, self.rules, self.gens = sampler, tuple(rules), gens
         self.unit = math.lcm(*(rule.stride for rule in rules))
         if self.unit > 1 and (records or last_reflect or lb_horizon is not None):
@@ -352,9 +352,12 @@ class BatchState:
 
     def _scan(self, rows: np.ndarray, start: int, end: int, barriers) -> None:
         # one sampler call, summed once in place into cumulative values
+        gens = self.gens
+        if rows.size < self.pos.size:       # some rows are not live
+            live = rows.tolist()
+            gens = [None if g is None else [g[i] for i in live] for g in gens]
         u = self.u[rows]
-        uu = kernels.cumulative(self.sampler([self.gens[i] for i in rows.tolist()],
-                                             (rows.size, end - start)), u)
+        uu = kernels.cumulative(self.sampler(gens, (rows.size, end - start)), u)
         self.u[rows] = u
         # without records, a rule skips the rows it has stopped on; a row
         # live under one rule has not stopped on it
@@ -411,20 +414,18 @@ def _pool_map(fn, items, threads: int) -> list:
 
 
 def _dispatch(work, components, n_rep: int, master_seed: int, purpose: str,
-              block: int, threads: int, first: int = 0, keep: bool = False) -> list:
+              block: int, threads: int, first: int = 0) -> list:
     """``work(gens, lo)`` on each slice [lo, lo + BATCH) of replications first ..
-    n_rep - 1, ``gens`` the substreams of stream (master_seed, purpose/block/i).
-    Each batch runs on generators of its thread's pool, restarted in place
-    (:func:`rng.substream_rows`), unless ``keep``: then each batch leases
-    generators of its own from the pool (:func:`rng.lease_rows`), for work
-    whose result holds them past its batch."""
+    n_rep - 1, ``gens`` the substreams of stream (master_seed, purpose/block/i)
+    leased from the pool of the batch's thread (:func:`rng.lease`). They are
+    the work's: it gives them back (:func:`rng.give_back`) when it is done
+    with them."""
     if n_rep <= first:
         return []
     ids = range(stream_id(purpose, first, block), stream_id(purpose, n_rep - 1, block) + 1)
-    rows = lease_rows if keep else substream_rows
 
     def batch(lo: int):
-        return work(rows(master_seed, ids[lo - first:lo - first + BATCH], components), lo)
+        return work(lease(master_seed, ids[lo - first:lo - first + BATCH], components), lo)
     return _pool_map(batch, range(first, n_rep, BATCH), threads)
 
 
@@ -433,13 +434,13 @@ def batch_states(model: ChangeModel, regime: str, rules: Sequence[RuleSpec], dt:
                  block: int = 0, records: bool = False) -> List[BatchState]:
     """Fresh states of the replications 0 .. n_rep - 1 under ``rules``, one
     per slice of :func:`_dispatch`, on the streams :func:`run_rules` gives
-    them. Each holds generators leased from this thread's pool, so it can be
-    resumed, until :func:`release` gives them back; the states are made on
-    this thread, so that the generators go back to the pool they came from."""
+    them. Each keeps its batch's lease from this thread's pool, so it can be
+    resumed, until :func:`release` gives it back; the states are made on this
+    thread, so that the generators go back to the pool they came from."""
     sampler = make_u_sampler(model, regime, dt)
     return _dispatch(lambda gens, lo: BatchState(sampler, rules, gens, records=records),
                      substream_components(model, dt), n_rep, master_seed, purpose,
-                     block, threads=1, keep=True)
+                     block, threads=1)
 
 
 def release(states: Sequence[BatchState]) -> None:
@@ -489,10 +490,13 @@ def run_rules(model: ChangeModel, regime: str, rules: Sequence[RuleSpec], dt: fl
     barriers = [rule.log_barrier for rule in rules]
 
     def work(gens, lo: int) -> None:
-        state = BatchState(sampler, rules, gens, target if collect_lb else None,
-                           last_reflect=last_reflect)
-        state.advance(target, barriers)
-        sl = slice(lo - first, lo - first + len(gens))
+        try:
+            state = BatchState(sampler, rules, gens, target if collect_lb else None,
+                               last_reflect=last_reflect)
+            state.advance(target, barriers)
+        finally:
+            give_back(gens)
+        sl = slice(lo - first, lo - first + state.pos.size)
         for r, result in enumerate(results):
             result.stop_steps[sl] = target if fixed else state.stop[r]
             result.stat[sl] = state.stat[r]

@@ -19,7 +19,8 @@ positive side first, without the log-intensity term (``phi_pieces``); the
 Hellinger integral at two intensities; the phi-mean; per side the (weight,
 c0, marks) triple of one step's phi-sum (``step_sides``), whose ``marks(gens,
 n)`` draws the c1 part of the phi-sum of a whole block of jump counts ``n``,
-row j from generator ``gens[j]`` (``marks`` is None where c1 is 0: the
+row j from ``gens[j]``, the generators of the side's mark component in row
+order (``marks`` is None where c1 is 0: the
 phi-sum is then c0 * n and no mark is drawn); and ledger jump sizes.
 ``phi`` arguments are the pair's density ratio, whose ``pos``/``neg`` pieces
 include the log-intensity term.

@@ -130,7 +130,9 @@ def first_crossing(crossed: np.ndarray) -> np.ndarray:
 
 def value_at(y: np.ndarray, off: np.ndarray) -> np.ndarray:
     """y at each row's block position ``off`` (NaN where off < 0)."""
-    return np.where(off >= 0, y[np.arange(y.shape[0]), np.maximum(off, 0)], np.nan)
+    v = y[np.arange(y.shape[0]), off]  # off -1 reads the last column, then NaN
+    v[off < 0] = np.nan
+    return v
 
 
 def crossing_steps(off: np.ndarray, start_step: int) -> np.ndarray:
@@ -138,16 +140,14 @@ def crossing_steps(off: np.ndarray, start_step: int) -> np.ndarray:
     return np.where(off >= 0, start_step + 1 + off, _INT_MAX)
 
 
-def _steps(start_step: int, m: int) -> np.ndarray:
-    return start_step + 1 + np.arange(m, dtype=np.int64)
-
-
 def last_reflection(y, start_step, stop, lastref) -> None:
     """Advance ``lastref`` to the last step <= ``stop`` with y <= 0."""
-    gidx = _steps(start_step, y.shape[1])
-    refl = (y <= 0.0) & (gidx[None, :] <= stop[:, None])
-    np.maximum(lastref, np.max(np.where(refl, gidx[None, :], np.int64(-1)), axis=1),
-               out=lastref)
+    m = y.shape[1]
+    back = y[:, ::-1] <= 0.0            # column j: step start_step + m - j
+    back &= np.arange(m) >= m - np.clip(stop - start_step, 0, m)[:, None]
+    j = back.argmax(axis=1)             # the last such step, if any
+    hit = back[np.arange(y.shape[0]), j]
+    np.maximum(lastref, np.where(hit, start_step + m - j, -1), out=lastref)
 
 
 def record_highs(y, start_step, best):
@@ -164,22 +164,23 @@ def record_highs(y, start_step, best):
     return rows, start_step + 1 + cols, y[rows, cols]
 
 
-def _add_terms(terms, invalid, total) -> None:
-    """Add each row's terms, zeroed where ``invalid``, to ``total`` in place:
-    the sequential order of :func:`cumulative`, keeping only the sum."""
-    np.copyto(terms, 0.0, where=invalid)
+def _add_prefix(terms, n, total) -> None:
+    """Add each row's first ``n`` terms to ``total`` in place: the
+    sequential order of :func:`cumulative`, read at the row's last term."""
     terms[:, 0] += total
     np.add.accumulate(terms, axis=1, out=terms)
-    total[:] = terms[:, -1]
+    rows = np.flatnonzero(n)
+    total[rows] = terms[rows, n[rows] - 1]
 
 
 def lb_sums(y, start_step, stop, num, den) -> None:
-    """Add max(S, 1) and (1 - S)^+, S = exp(y), over steps < ``stop``."""
-    invalid = _steps(start_step, y.shape[1])[None, :] >= stop[:, None]
-    s = np.exp(np.minimum(y, 700.0))
-    _add_terms(np.maximum(s, 1.0), invalid, num)
+    """Add max(S, 1) and (1 - S)^+, S = exp(y), over steps < ``stop``;
+    S is computed in place in ``y``."""
+    n = np.clip(stop - start_step - 1, 0, y.shape[1])     # terms before the stop
+    s = np.exp(np.minimum(y, 700.0, out=y), out=y)
+    _add_prefix(np.maximum(s, 1.0), n, num)
     np.subtract(1.0, s, out=s)
-    _add_terms(np.maximum(s, 0.0, out=s), invalid, den)
+    _add_prefix(np.maximum(s, 0.0, out=s), n, den)
 
 
 # --------------------------------------------------------------------------- #
@@ -216,8 +217,9 @@ def lb_cusum_scan(uu, mn, lastref, num, den, start_step, hbar, horizon):
     stop = crossing_steps(off, start_step)
     if lastref is not None:
         last_reflection(y, start_step, stop, lastref)
+    out = off, value_at(y, off), y[:, -1].copy()
     lb_sums(y, start_step, np.minimum(stop, horizon), num, den)
-    return off, value_at(y, off), y[:, -1].copy()
+    return out
 
 
 def sr_scan(uu, logA, start_step, log_thresh, best=None):

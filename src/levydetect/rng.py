@@ -11,15 +11,15 @@ itself. A sampler draws each kind of variate (normals, jump counts, marks)
 from its own component, which makes every draw a function of its step index
 alone: the values do not depend on how many steps are drawn per call.
 
-A generator is restarted on another stream by setting its whole Philox state
-(:func:`substream_rows`): the key, the counter, an empty buffer and no cached
-uint32 are all of a fresh generator's state, so its draws are bit for bit
-those of ``RngStream(...).generator()``. Each thread keeps a pool of the
-generators it has built and restarts them for every batch it runs, whatever
-the run, so a thread builds a generator only when it needs more at once than
-it holds, and no value moves. Work that holds its generators past its batch
-leases them out of the pool (:func:`lease_rows`) and gives them back when it
-ends (:func:`give_back`), so no generator serves two users at once.
+Generators are handed out one way: a lease (:func:`lease`) of the
+substreams of a range of streams, by component, which its user gives back
+when it ends (:func:`give_back`), so no generator serves two users at once.
+Each thread keeps a pool of the generators it has built and restarts them in
+place for every lease, whatever the run, so a thread builds a generator only
+when its pool runs short. A restart sets the whole
+Philox state, the key, the counter, an empty buffer and no cached uint32,
+which is all of a fresh generator's state, so its draws are bit for bit those
+of ``RngStream(...).generator()`` and no value moves.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["RngStream", "stream_id", "substream_rows", "lease_rows", "give_back",
-           "PURPOSE", "BLOCK_REPLICATIONS"]
+__all__ = ["RngStream", "stream_id", "lease", "give_back", "PURPOSE",
+           "BLOCK_REPLICATIONS"]
 
 # purpose code -> high bits of the stream id; blocks of 2^40 replications
 PURPOSE = {
@@ -109,27 +109,14 @@ class RngStream:
 
 
 class _Pool(threading.local):
-    """One thread's generators: ``flat``, those it holds, and per component
-    tuple (c_1, ..., c_j) its row tuples over them, row i holding
-    ``flat[i * j + k]`` at index c_k (None elsewhere). Every component tuple
-    shares ``flat``, so a thread holds as many generators as it has ever had
-    out at once."""
+    """One thread's idle generators: those it has built and holds, on any
+    stream, to restart for its next lease."""
 
     def __init__(self):
-        self.flat: list = []
-        self.rows: dict = {}
+        self.gens: list = []
 
 
 _POOL = _Pool()
-
-
-def _build(master_seed: int, ids: range, components: Tuple[int, ...],
-           positions: range) -> list:
-    """Fresh generators at ``positions`` of the rows of ``ids`` laid out flat,
-    each on its own stream: position i * j + k is component c_k of ids[i]."""
-    width = len(components)
-    return [RngStream(master_seed, ids[p // width], components[p % width]).generator()
-            for p in positions]
 
 
 def _restart(gens, master_seed: int, first_id: int, c: int) -> None:
@@ -145,51 +132,26 @@ def _restart(gens, master_seed: int, first_id: int, c: int) -> None:
         key[1] += 1
 
 
-def _row(gens, components: Tuple[int, ...]) -> tuple:
-    row = [None] * (max(components) + 1)
-    for gen, c in zip(gens, components):
-        row[c] = gen
-    return tuple(row)
-
-
-def substream_rows(master_seed: int, ids: range, components: Tuple[int, ...]) -> list:
+def lease(master_seed: int, ids: range, components: Tuple[int, ...]) -> list:
     """The substreams of ``components`` of the streams (master_seed, i), i in
-    ``ids``, one tuple per row as :meth:`RngStream.substreams` gives them,
-    on generators of this thread's pool: those it holds are restarted in
-    place, and only those it lacks are built. The rows are the caller's until
-    the thread's next call on its pool, which restarts them."""
-    flat, width, n = _POOL.flat, len(components), len(ids)
-    held = len(flat)
-    flat.extend(_build(master_seed, ids, components, range(held, n * width)))
-    rows = _POOL.rows.setdefault(components, [])
-    rows.extend(_row(flat[i * width:(i + 1) * width], components)
-                for i in range(len(rows), n))
-    for k, c in enumerate(components):
-        # generator k of each row that the pool held before this call
-        _restart(flat[k:min(held, n * width):width], master_seed, ids.start, c)
-    return rows[:n]
+    ``ids``, by component: entry c holds component c's generators in ``ids``
+    order, and the components not asked for are None. The generators leave
+    this thread's pool, restarted in place, and are built only when it runs
+    short; no later lease hands them out until :func:`give_back` returns
+    them."""
+    pool, n = _POOL.gens, len(ids)
+    out = [None] * (max(components) + 1)
+    for c in components:
+        kept = max(len(pool) - n, 0)
+        gens = pool[kept:]
+        del pool[kept:]
+        _restart(gens, master_seed, ids.start, c)
+        out[c] = gens + [RngStream(master_seed, i, c).generator() for i in ids[len(gens):]]
+    return out
 
 
-def lease_rows(master_seed: int, ids: range, components: Tuple[int, ...]) -> list:
-    """The rows of :func:`substream_rows`, on generators that leave this
-    thread's pool: no later call hands them out until the caller gives them
-    back (:func:`give_back`). They are taken from the end of the pool and
-    restarted, and built when it runs short; rows never given back simply
-    leave the pool."""
-    flat, width, n = _POOL.flat, len(components), len(ids)
-    kept = max(len(flat) - n * width, 0)
-    gens = flat[kept:]
-    del flat[kept:]
-    for comps, rows in _POOL.rows.items():
-        del rows[kept // len(comps):]
-    for k, c in enumerate(components):
-        _restart(gens[k::width], master_seed, ids.start, c)
-    gens += _build(master_seed, ids, components, range(len(gens), n * width))
-    return [_row(gens[i * width:(i + 1) * width], components) for i in range(n)]
-
-
-def give_back(rows: list) -> None:
-    """Return the generators of leased rows to this thread's pool. ``rows``
-    is emptied, so nothing draws from them again."""
-    _POOL.flat.extend(gen for gens in rows for gen in gens if gen is not None)
-    rows.clear()
+def give_back(gens: list) -> None:
+    """Return the generators of a lease to this thread's pool. ``gens`` is
+    emptied, so nothing draws from them again."""
+    _POOL.gens.extend(gen for comp in gens if comp is not None for gen in comp)
+    gens.clear()

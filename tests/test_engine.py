@@ -21,8 +21,7 @@ from levydetect.families import ExponentialJumps, LevySpec, TwoSidedExponentialJ
 from levydetect.likelihood import llr_path
 from levydetect.model import build_change_model
 from levydetect.paths import sample_changed_path
-from levydetect.rng import (RngStream, give_back, lease_rows, stream_id,
-                            substream_rows)
+from levydetect.rng import RngStream, give_back, lease, stream_id
 
 SEED = 8086
 TWO_RULES = [("cusum_grid", 0.1), ("shiryaev_roberts", 0.1)]     # compare at one step
@@ -63,6 +62,19 @@ def _per_family_increments(model, regime, dt, gens, size):
         out += c0 * npos + (c1 / law.rate_pos) * gens[2].standard_gamma(npos)
         out += c0n * nneg - (c1n / law.rate_neg) * gens[4].standard_gamma(nneg)
     return out - comp_dt
+
+
+def _by_component(rows) -> list:
+    """Rows of :meth:`RngStream.substreams` as the engine hands generators
+    out: entry c lists the rows' generators of component c, in row order
+    (None where the rows have none)."""
+    return [None if g is None else list(column) for g, column in zip(rows[0], zip(*rows))]
+
+
+def _fresh(ids, components) -> list:
+    """Freshly built generators of ``components`` of streams (SEED, i), i in
+    ``ids``, by component."""
+    return _by_component([RngStream(SEED, i).substreams(components) for i in ids])
 
 
 class _RecordingGenerator:
@@ -108,9 +120,9 @@ class TestSamplers:
         per-family expression on fresh generators of the same substreams."""
         model = request.getfixturevalue(fixture)
         rng = RngStream(SEED, stream_id("arl", 5))
-        gens = rng.substreams(engine.substream_components(model, dt))
+        gens = _by_component([rng.substreams(engine.substream_components(model, dt))])
         sampler = engine.make_u_sampler(model, regime, dt)
-        got = np.concatenate([sampler([gens], (1, 700))[0], sampler([gens], (1, 1300))[0]])
+        got = np.concatenate([sampler(gens, (1, 700))[0], sampler(gens, (1, 1300))[0]])
         fresh = [RngStream(SEED, rng.stream_id, c).generator() for c in range(5)]
         assert np.array_equal(got, _per_family_increments(model, regime, dt, fresh, 2000))
 
@@ -128,7 +140,7 @@ class TestSamplers:
         gens = tuple(None if g is None else _RecordingGenerator(g)
                      for g in RngStream(SEED, 9).substreams(components))
         assert [c for c, g in enumerate(gens) if g is not None] == list(components)
-        engine.make_u_sampler(model, regime, dt)([gens], (1, 500))
+        engine.make_u_sampler(model, regime, dt)(_by_component([gens]), (1, 500))
         assert all(gens[c].used for c in components)
 
     @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
@@ -145,10 +157,11 @@ class TestSamplers:
                     for i in range(6)]
         block_gens, row_gens = streams(), streams()
         for rows, steps in (([0, 1, 2, 3, 4, 5], 64), ([4, 1], 128), ([5, 0, 4], 37)):
-            block = sampler([block_gens[i] for i in rows], (len(rows), steps))
+            block = sampler(_by_component([block_gens[i] for i in rows]), (len(rows), steps))
             assert block.shape == (len(rows), steps)
             for j, i in enumerate(rows):
-                assert np.array_equal(block[j], sampler([row_gens[i]], (1, steps))[0])
+                assert np.array_equal(block[j],
+                                      sampler(_by_component([row_gens[i]]), (1, steps))[0])
 
     @pytest.mark.parametrize("pair", ["poisson_model", *_ZERO_WEIGHT_PAIRS])
     def test_zero_weight_marks_are_never_drawn(self, pair, request, monkeypatch):
@@ -163,7 +176,8 @@ class TestSamplers:
         for regime in ("pre", "post"):
             gens = [_RecordingGenerator(RngStream(SEED, 4, c).generator())
                     for c in range(5)]
-            got = engine.make_u_sampler(model, regime, 0.1)([gens], (1, 3000))[0]
+            got = engine.make_u_sampler(model, regime, 0.1)(_by_component([gens]),
+                                                             (1, 3000))[0]
             assert [c for c, g in enumerate(gens) if g.used] == list(components)
             fresh = [RngStream(SEED, 4, c).generator() for c in range(5)]
             assert np.array_equal(got, _per_family_increments(model, regime, 0.1,
@@ -571,7 +585,7 @@ class TestRunDyadic:
 
         def signed(*args):
             draw = make_u_sampler(*args)
-            return lambda gens_rows, size: np.sign(draw(gens_rows, size))
+            return lambda gens, size: np.sign(draw(gens, size))
         monkeypatch.setattr(engine, "make_u_sampler", signed)
         strides = [4, 2, 1]
         stops, strict = run_dyadic(brownian_model, "post", 2.0, 0.01, 1200, strides, 60,
@@ -600,8 +614,8 @@ class TestBatchState:
             components = engine.substream_components(model, 0.1)
             state = engine.BatchState(
                 engine.make_u_sampler(model, regime, 0.1), (rule,),
-                [RngStream(SEED, stream_id("arl", i)).substreams(components)
-                 for i in range(300)], 600 if collect_lb else None, last_reflect=True)
+                _fresh([stream_id("arl", i) for i in range(300)], components),
+                600 if collect_lb else None, last_reflect=True)
             for target in (1, 37, 64, 65, 200, 333, 599, 600):
                 engine.advance([state], target, [rule.log_barrier])
             assert np.array_equal(state.stop[0], whole.stop_steps), fixture
@@ -657,13 +671,16 @@ class TestStreamRestart:
                     gen.standard_gamma(0.1, 9), gen.poisson(2.5, 9))
 
         def restarted():
-            rows = substream_rows(SEED, range(j, j + 1), components)
-            for gen in rows[0]:
-                draws(gen)
-            assert substream_rows(SEED, range(i, i + 1), components) == rows
-            return rows
-        rows = _on_fresh_thread(restarted)
-        for c, gen in enumerate(rows[0]):
+            gens = lease(SEED, range(j, j + 1), components)
+            held = {id(column[0]) for column in gens}
+            for column in gens:
+                draws(column[0])
+            give_back(gens)
+            gens = lease(SEED, range(i, i + 1), components)
+            assert {id(column[0]) for column in gens} == held
+            return gens
+        gens = _on_fresh_thread(restarted)
+        for c, (gen,) in enumerate(gens):
             fresh = RngStream(SEED, i, c).generator()
             assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
             for a, b in zip(draws(gen), draws(fresh)):
@@ -685,8 +702,8 @@ class TestStreamRestart:
         monkeypatch.undo()
         state = engine.BatchState(
             engine.make_u_sampler(model, "pre", 0.1), (rule,),
-            [RngStream(SEED, stream_id("arl", i)).substreams(components)
-             for i in range(2 * engine.BATCH, n_rep)], last_reflect=True)
+            _fresh([stream_id("arl", i) for i in range(2 * engine.BATCH, n_rep)], components),
+            last_reflect=True)
         state.advance(600, [rule.log_barrier])
         assert np.array_equal(res.stop_steps[-76:], state.stop[0])
         assert np.array_equal(res.stat[-76:], state.stat[0], equal_nan=True)
@@ -698,49 +715,72 @@ class TestStreamRestart:
         states = engine.batch_states(two_sided_model, "pre",
                                      (RuleSpec("cusum", log_barrier=2.0),),
                                      0.1, 2 * engine.BATCH + 76, SEED, "calibrate")
-        gens = [g for state in states for row in state.gens for g in row if g is not None]
+        gens = [g for state in states for column in state.gens if column is not None
+                for g in column]
         assert len(states) == 3 and len({id(g) for g in gens}) == len(gens)
         engine.release(states)
 
-    def test_pool_rows_equal_fresh_builds(self):
-        """Row tuples of several component tuples share one thread's flat
-        list of generators, leases take generators out of it and give them
-        back: every row handed out holds, at each of its components, a
-        generator in the state of a fresh build on its stream (None at the
-        others), and the pool builds only what it lacks."""
-        def check(rows, ids, components):
-            for row, i in zip(rows, ids):
-                fresh = RngStream(SEED, i).substreams(components)
-                assert len(row) == len(fresh)
-                for got, want in zip(row, fresh):
-                    assert (got is None) == (want is None)
-                    if got is not None:
-                        assert (repr(got.bit_generator.state)
-                                == repr(want.bit_generator.state))
-            return rows
+    def test_leases_equal_fresh_builds(self):
+        """Leases of several component tuples share one thread's pool: each
+        entry of a lease holds, for its component, generators in the state of
+        fresh builds on its streams (None at the components not asked for),
+        two leases out at once share no generator, and the pool builds only
+        what it lacks."""
+        seen, built = set(), []
+
+        def check(ids, components):
+            gens = lease(SEED, ids, components)
+            assert len(gens) == max(components) + 1
+            for c, column in enumerate(gens):
+                assert (column is None) == (c not in components)
+                if column is not None:
+                    assert ([repr(g.bit_generator.state) for g in column]
+                            == [repr(RngStream(SEED, i, c).generator().bit_generator.state)
+                                for i in ids])
+            held = {id(g) for column in gens if column is not None for g in column}
+            built.append(len(held - seen))
+            seen.update(held)
+            return gens, held
 
         def run():
-            flat, sizes = rng._POOL.flat, []
-            check(substream_rows(SEED, range(0, 3), (0,)), range(0, 3), (0,))
-            sizes.append(len(flat))
-            # row 1 restarts the pool's last generator and builds its second
-            check(substream_rows(SEED, range(10, 12), (1, 2)), range(10, 12), (1, 2))
-            sizes.append(len(flat))
-            leased = check(lease_rows(SEED, range(20, 22), (0, 3, 4)), range(20, 22),
-                           (0, 3, 4))
-            sizes.append(len(flat))
-            rows = check(substream_rows(SEED, range(30, 36), (1, 2)), range(30, 36), (1, 2))
-            assert not ({id(g) for r in rows for g in r if g is not None}
-                        & {id(g) for r in leased for g in r if g is not None})
-            give_back(leased)
-            sizes.append(len(flat))
-            check(substream_rows(SEED, range(40, 48), (0, 3, 4)), range(40, 48), (0, 3, 4))
-            sizes.append(len(flat))
-            check(substream_rows(SEED, range(50, 61), (1, 2)), range(50, 61), (1, 2))
-            sizes.append(len(flat))
-            return leased, sizes
-        leased, sizes = _on_fresh_thread(run)
-        assert leased == [] and sizes == [3, 4, 0, 18, 24, 24]
+            pool = rng._POOL.gens
+            give_back(check(range(0, 3), (0,))[0])
+            # component 1 restarts two of the pool's three, component 2 the
+            # last and builds one
+            give_back(check(range(10, 12), (1, 2))[0])
+            out, out_ids = check(range(20, 22), (0, 3, 4))
+            gens, ids = check(range(30, 36), (1, 2))
+            assert not ids & out_ids
+            give_back(gens)
+            give_back(out)
+            sizes = [len(pool)]
+            give_back(check(range(40, 48), (0, 3, 4))[0])
+            give_back(check(range(50, 61), (1, 2))[0])
+            return out, sizes + [len(pool)]
+        out, sizes = _on_fresh_thread(run)
+        assert out == [] and built == [3, 1, 2, 12, 6, 0] and sizes == [18, 24]
+
+    def test_a_failing_batch_gives_its_generators_back(self, two_sided_model,
+                                                      monkeypatch):
+        """A run whose batch raises gives the batch's generators back to its
+        thread's pool, which keeps the size it had."""
+        rule = RuleSpec("cusum", log_barrier=2.0)
+
+        def failing_make_u_sampler(*args):
+            def sampler(gens, size):
+                raise RuntimeError("sampler failed")
+            return sampler
+
+        def run():
+            run_paths(two_sided_model, "pre", rule, 0.1, 300, 100, SEED, "arl")
+            before = len(rng._POOL.gens)
+            monkeypatch.setattr(engine, "make_u_sampler", failing_make_u_sampler)
+            with pytest.raises(RuntimeError, match="sampler failed"):
+                run_paths(two_sided_model, "pre", rule, 0.1, 300, 100, SEED, "arl")
+            return before, len(rng._POOL.gens)
+        before, after = _on_fresh_thread(run)
+        assert before == 100 * len(engine.substream_components(two_sided_model, 0.1))
+        assert after == before
 
     @pytest.mark.parametrize("fixture", ["brownian_model", "two_sided_model"])
     def test_second_runs_build_nothing_and_equal_a_fresh_thread(self, fixture, request,
@@ -806,11 +846,11 @@ class TestStreamRestart:
         def recording_make_u_sampler(*args):
             draw = make_u_sampler(*args)
 
-            def sampler(gens_rows, size):
+            def sampler(gens, size):
                 # the generators themselves are kept, so no id is reused
                 used.setdefault(threading.get_ident(), []).extend(
-                    g for gens in gens_rows for g in gens if g is not None)
-                return draw(gens_rows, size)
+                    g for column in gens if column is not None for g in column)
+                return draw(gens, size)
             return sampler
         monkeypatch.setattr(engine, "make_u_sampler", recording_make_u_sampler)
         rule, n_rep = RuleSpec("cusum", log_barrier=2.0), 2 * engine.BATCH + 76
@@ -819,7 +859,8 @@ class TestStreamRestart:
             return {id(g) for g in gens}
 
         def leased(states) -> set:
-            return ids(g for s in states for row in s.gens for g in row if g is not None)
+            return ids(g for s in states for column in s.gens if column is not None
+                       for g in column)
 
         def run():
             states = engine.batch_states(two_sided_model, "pre", (rule,), 0.1, n_rep, SEED,
@@ -874,16 +915,16 @@ def _count_draws(monkeypatch, purpose: str = "arl") -> list:
     calls, base = [], stream_id(purpose, 0)
     make_u_sampler = engine.make_u_sampler
 
-    def replication(gens) -> int:
-        gen = next(g for g in gens if g is not None)
-        return int(gen.bit_generator.state["state"]["key"][1]) - base
+    def replications(gens) -> list:
+        column = next(g for g in gens if g is not None)
+        return [int(gen.bit_generator.state["state"]["key"][1]) - base for gen in column]
 
     def counting_make_u_sampler(*args):
         draw = make_u_sampler(*args)
 
-        def sampler(gens_rows, size):
-            calls.append(([replication(g) for g in gens_rows], size[1]))
-            return draw(gens_rows, size)
+        def sampler(gens, size):
+            calls.append((replications(gens), size[1]))
+            return draw(gens, size)
         return sampler
     monkeypatch.setattr(engine, "make_u_sampler", counting_make_u_sampler)
     return calls
@@ -934,8 +975,8 @@ def _whole_horizon_dyadic(model, regime, log_barrier, dt, n_steps, strides, n_re
     each stride under both stopping conventions."""
     sampler = engine.make_u_sampler(model, regime, dt)
     components = engine.substream_components(model, dt)
-    uu = np.cumsum([sampler([RngStream(SEED, stream_id("converge", i)).substreams(
-        components)], (1, n_steps))[0] for i in range(n_rep)], axis=1)
+    uu = np.cumsum([sampler(_fresh([stream_id("converge", i)], components), (1, n_steps))[0]
+                    for i in range(n_rep)], axis=1)
     out, out_strict = [], []
     for s in strides:
         y = kernels.reflected(uu[:, s - 1::s], np.zeros(n_rep))
@@ -1167,6 +1208,109 @@ class TestScanKernels:
             assert state[2][i] == pytest.approx(num, rel=1e-12)
             assert state[3][i] == pytest.approx(den, rel=1e-12)
 
+    def test_kernels_equal_the_masked_formulas(self):
+        """value_at, last_reflection and lb_sums equal, bit for bit, their
+        formulas over (rows, steps) masks: within cusum_scan, lb_cusum_scan
+        (with the last reflection kept or not) and lb_until_scan, and
+        value_at alone at random offsets. Over the random blocks some row stops at the block's first step,
+        some row does not stop, and the horizon falls inside the block."""
+        rng, cases = np.random.default_rng(29), Counter()
+        for _ in range(300):
+            uu, start, carry = _random_block(rng)
+            rows, m = uu.shape
+            block = uu.copy()
+            horizon = start + int(rng.integers(1, m + 2))   # in the block or past it
+            for keep in (False, True):
+                for scan, masked, n_carries, args in (
+                        (kernels.cusum_scan, _masked_cusum_scan, 2, (start, 1.5)),
+                        (kernels.lb_cusum_scan, _masked_lb_cusum_scan, 4,
+                         (start, 1.5, horizon))):
+                    got, want = ([c.copy() for c in carry[:n_carries]] for _ in range(2))
+                    if not keep:
+                        got[1] = want[1] = None
+                    out = scan(uu, *got, *args)
+                    _assert_all_equal(out + tuple(got), masked(uu, *want, *args) + tuple(want))
+            cases.update(first_step=int((out[0] == 0).any()), no_stop=int((out[0] < 0).any()),
+                         horizon_inside=int(horizon <= start + m))
+            stop = np.where(rng.random(rows) < 0.3, np.iinfo(np.int64).max,
+                            start + rng.integers(0, m + 2, size=rows))
+            got, want = ([c.copy() for c in carry] for _ in range(2))
+            kernels.lb_until_scan(uu, got[0], got[2], got[3], start, stop)
+            _masked_lb_sums(kernels.reflected(uu, want[0]), start, stop, want[2], want[3])
+            _assert_all_equal(got, want)
+            off = rng.integers(-1, m, size=rows)
+            _assert_all_equal([kernels.value_at(uu, off)], [_masked_value_at(uu, off)])
+            assert np.array_equal(uu, block)        # the scans leave their block as it is
+        assert all(cases[case] for case in ("first_step", "no_stop", "horizon_inside"))
+
+
+def _masked_value_at(y, off):
+    """value_at as a clamped index and a where over both branches."""
+    return np.where(off >= 0, y[np.arange(y.shape[0]), np.maximum(off, 0)], np.nan)
+
+
+def _masked_last_reflection(y, start_step, stop, lastref):
+    """last_reflection as the max over a (rows, steps) matrix of the steps
+    <= stop with y <= 0, -1 elsewhere."""
+    steps = start_step + 1 + np.arange(y.shape[1], dtype=np.int64)
+    refl = (y <= 0.0) & (steps[None, :] <= stop[:, None])
+    np.maximum(lastref, np.max(np.where(refl, steps[None, :], np.int64(-1)), axis=1),
+               out=lastref)
+
+
+def _masked_lb_sums(y, start_step, stop, num, den):
+    """lb_sums with the terms at steps >= stop zeroed, then summed whole."""
+    invalid = (start_step + 1 + np.arange(y.shape[1]))[None, :] >= stop[:, None]
+    s = np.exp(np.minimum(y, 700.0))
+    for terms, total in ((np.maximum(s, 1.0), num), (np.maximum(1.0 - s, 0.0), den)):
+        np.copyto(terms, 0.0, where=invalid)
+        terms[:, 0] += total
+        np.add.accumulate(terms, axis=1, out=terms)
+        total[:] = terms[:, -1]
+
+
+def _masked_cusum_scan(uu, mn, lastref, start_step, hbar):
+    """cusum_scan composed of the masked formulas."""
+    y = kernels.reflected(uu, mn)
+    off = kernels.first_crossing(y >= hbar)
+    if lastref is not None:
+        _masked_last_reflection(y, start_step, kernels.crossing_steps(off, start_step),
+                                lastref)
+    return off, _masked_value_at(y, off), y[:, -1].copy()
+
+
+def _masked_lb_cusum_scan(uu, mn, lastref, num, den, start_step, hbar, horizon):
+    """lb_cusum_scan composed of the masked formulas."""
+    y = kernels.reflected(uu, mn)
+    off = kernels.first_crossing(y >= hbar)
+    stop = kernels.crossing_steps(off, start_step)
+    if lastref is not None:
+        _masked_last_reflection(y, start_step, stop, lastref)
+    _masked_lb_sums(y, start_step, np.minimum(stop, horizon), num, den)
+    return off, _masked_value_at(y, off), y[:, -1].copy()
+
+
+def _assert_all_equal(got, want) -> None:
+    """Arrays (or Nones) equal bit for bit, pair by pair."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+
+
+def _random_block(rng):
+    """A block of cumulative values whose rows include ones that cross 1.5
+    at the block's first step and ones that never cross it, a start step,
+    and a carry (mn, lastref, num, den) of a path scanned up to it."""
+    rows, m = int(rng.integers(1, 40)), int(rng.integers(1, 300))
+    start = int(rng.integers(0, 1000))
+    inc = rng.normal(rng.uniform(-0.3, 0.1, size=(rows, 1)), 0.4, size=(rows, m))
+    inc[rng.random(rows) < 0.2, 0] = 2.0
+    u = rng.normal(0.0, 1.0, size=rows)
+    mn = np.minimum(u, rng.uniform(-2.0, 0.0, size=rows))
+    carry = (mn, rng.integers(0, start + 1, size=rows),
+             rng.uniform(1.0, 50.0, size=rows), rng.uniform(1.0, 50.0, size=rows))
+    return kernels.cumulative(inc, u), start, carry
+
 
 def _phi_cdf(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
@@ -1206,8 +1350,8 @@ def test_stream_is_the_philox_key_and_components_are_counter_offsets():
 
 def test_philox_streams_are_built_only_in_rng():
     """Every generator comes from RngStream and only rng.py sets a Philox
-    state (the in-place restart of substream_rows), so the stream contract
-    lives in rng.py alone."""
+    state (the in-place restart of a lease), so the stream contract lives in
+    rng.py alone."""
     pkg = Path(__file__).resolve().parents[1] / "src" / "levydetect"
     patterns = (r"np\.random\.Philox", r"np\.random\.Generator\(", r"\.state\s*=(?!=)")
     offenders = [f"{path.name}: {pattern}"
@@ -1215,6 +1359,19 @@ def test_philox_streams_are_built_only_in_rng():
                  for pattern in patterns if re.search(pattern, path.read_text())]
     rng_text = (pkg / "rng.py").read_text()
     assert all(re.search(pattern, rng_text) for pattern in patterns) and offenders == []
+
+
+def test_only_rng_knows_the_philox_state_format():
+    """rng.py alone builds Philox bit generators and sets or reads a
+    generator's Philox state: the restart of a lease sets the whole state,
+    so the state's format is known in one module."""
+    pkg = Path(__file__).resolve().parents[1] / "src" / "levydetect"
+    patterns = ("bit_generator.state", "np.random.Philox(")
+    offenders = [f"{path.name}: {pattern}"
+                 for path in sorted(pkg.glob("*.py")) if path.name != "rng.py"
+                 for pattern in patterns if pattern in path.read_text()]
+    rng_text = (pkg / "rng.py").read_text()
+    assert all(pattern in rng_text for pattern in patterns) and offenders == []
 
 
 def test_batch_size_does_not_change_results(jump_diffusion_model, monkeypatch):
