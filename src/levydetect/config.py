@@ -16,9 +16,9 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .detector import DetectorConfig
+from .detector import HARNESS_RULES, DetectorConfig
 from .errors import SpecValidationError
-from .evaluate import HARNESS_RULES, REGIMES
+from .evaluate import REGIMES
 from .families import LevySpec, reject_unknown_keys
 from .model import ChangeModel, build_change_model
 from .rng import BLOCK_REPLICATIONS

@@ -9,6 +9,9 @@
 * ``shiryaev_roberts``: R_k = (1 + R_{k-1}) L_k run in the log domain,
   crossing exp(log_barrier).
 
+The grid rules, ``HARNESS_RULES``, are the ones the Monte Carlo harness runs;
+they need a delta, and a :class:`DetectorConfig` takes only a finite delta > 0.
+
 :func:`run_rule` runs the engine's :func:`kernels.cusum_scan` or
 :func:`kernels.sr_scan` once, on the whole path as one row. For barriers
 above zero the grid statistic and the drawup cross at the same monitored
@@ -28,10 +31,11 @@ from . import kernels
 from .errors import AlignmentError, ContractError, SpecValidationError
 from .likelihood import LLRPath
 
-__all__ = ["RULES", "DetectorConfig", "check_log_barrier", "StopResult", "grid_stride",
-           "run_rule", "lattice_safe_barrier"]
+__all__ = ["RULES", "HARNESS_RULES", "DetectorConfig", "check_log_barrier", "StopResult",
+           "grid_stride", "run_rule", "lattice_safe_barrier"]
 
 RULES = ("cusum_continuous", "cusum_grid", "shiryaev_roberts")
+HARNESS_RULES = ("cusum_grid", "shiryaev_roberts")    # the grid rules: they need a delta
 BARRIER_NUDGE = 1e-6      # how far lattice_safe_barrier moves a barrier off the lattice
 
 
@@ -50,7 +54,7 @@ class DetectorConfig:
 
     ``log_barrier`` bounds log S for the CUSUM rules and log R for
     Shiryaev-Roberts (so the raw R threshold is exp(log_barrier)). Checked
-    when built; the grid rules need a delta.
+    when built: the grid rules need a delta, and any delta is finite and > 0.
     """
 
     rule: str
@@ -61,8 +65,10 @@ class DetectorConfig:
         if self.rule not in RULES:
             raise SpecValidationError(f"unknown rule {self.rule!r}")
         check_log_barrier(self.rule, self.log_barrier)
-        if self.rule in ("cusum_grid", "shiryaev_roberts") and self.delta is None:
+        if self.rule in HARNESS_RULES and self.delta is None:
             raise SpecValidationError(f"rule {self.rule!r} needs a delta")
+        if self.delta is not None and not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise SpecValidationError(f"delta must be a finite number > 0, got {self.delta!r}")
 
 
 @dataclass(frozen=True)

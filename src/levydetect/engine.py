@@ -108,7 +108,7 @@ class PathRunResult:
     dt: float
     n_steps: int
     stop_steps: np.ndarray        # global step of the stop; -1 = censored
-    stat: np.ndarray              # log statistic at the stop (NaN if censored/fixed)
+    stat: np.ndarray              # log statistic at the stop (the last if censored; NaN if fixed)
     last_reflect: Optional[np.ndarray]  # last step with log-statistic <= 0 (cusum,
                                   # with or without collect_lb; 0 for sr and fixed);
                                   # None unless the run kept it (run_paths' last_reflect)

@@ -17,7 +17,8 @@ Conventions
   that mean is a nondecreasing step function of the barrier, held exactly by
   the paths' record highs, and every probe reads its stops off them; in a
   comparison, the rules that share a monitoring step share those paths and
-  their delay paths too.
+  their delay paths too;
+* every run maps its rule and log barrier to an engine rule in :func:`_engine_rule`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .detector import DetectorConfig, grid_stride, lattice_safe_barrier
+from .detector import (HARNESS_RULES, DetectorConfig, check_log_barrier, grid_stride,
+                       lattice_safe_barrier)
 from .engine import (PathRunResult, RuleSpec, advance, batch_states, release,
                      run_dyadic, run_paths, run_rules)
 from .errors import (
@@ -69,51 +71,36 @@ def phi_lattice_constant(model: ChangeModel) -> Optional[float]:
     if model.phi is None:
         return None
     pieces = [p for p in (model.phi.pos, model.phi.neg) if p is not None]
-    if all(p[1] == 0.0 for p in pieces):
-        c0s = {p[0] for p in pieces}
-        if len(c0s) == 1:
-            c0 = c0s.pop()
-            if c0 > 0.0:
-                return c0
+    c0s = {p[0] for p in pieces}
+    if len(c0s) == 1 and all(p[1] == 0.0 for p in pieces) and min(c0s) > 0.0:
+        return c0s.pop()
     return None
 
 
-_HARNESS_KINDS = {"cusum_grid": "cusum", "shiryaev_roberts": "sr"}
-HARNESS_RULES = tuple(_HARNESS_KINDS)      # the rules the Monte Carlo harness runs
-
-
-def _harness_kind(rule: str) -> str:
-    """Engine rule kind of a rule the harness can run: the harness monitors
-    on a grid of step delta only."""
-    if rule not in _HARNESS_KINDS:
+def _engine_rule(model: ChangeModel, rule: str, log_barrier: float) -> RuleSpec:
+    """The engine rule of a rule the harness runs (it monitors on a grid of
+    step delta only) at a checked log barrier; a CUSUM barrier moves off the
+    lattice of a flat density ratio."""
+    if rule not in HARNESS_RULES:
         raise SpecValidationError(
             f"rule {rule!r} (detector.rule or experiment.rules) is not run "
             f"by the Monte Carlo harness; use one of {list(HARNESS_RULES)}")
-    return _HARNESS_KINDS[rule]
+    check_log_barrier(rule, log_barrier)
+    if rule == "shiryaev_roberts":
+        return RuleSpec(kind="sr", log_barrier=log_barrier)
+    lattice = phi_lattice_constant(model)
+    if lattice is not None:
+        log_barrier = lattice_safe_barrier(log_barrier, lattice)
+    return RuleSpec(kind="cusum", log_barrier=log_barrier)
 
 
-def _effective_barrier(model: ChangeModel, config: DetectorConfig) -> float:
-    if _harness_kind(config.rule) == "cusum":
-        lattice = phi_lattice_constant(model)
-        if lattice is not None:
-            return lattice_safe_barrier(config.log_barrier, lattice)
-    return config.log_barrier
-
-
-def _engine_rule(model: ChangeModel, config: DetectorConfig) -> Tuple[RuleSpec, float]:
-    """Map a detector config onto an engine rule and its monitoring step."""
-    kind = _harness_kind(config.rule)
-    barrier = _effective_barrier(model, config)
-    return RuleSpec(kind=kind, log_barrier=barrier), float(config.delta)
-
-
-def _report(result: PathRunResult, model: ChangeModel, config: DetectorConfig,
+def _report(result: PathRunResult, model: ChangeModel, rule: str,
             regime: str, seed: int, block: int, label: str) -> EvalReport:
     times = result.stop_times
     est = float(times.mean())
     se = float(times.std(ddof=1) / math.sqrt(len(times))) if len(times) > 1 else 0.0
     prov = Provenance(master_seed=seed, grid_dt=result.dt, delta=result.dt,
-                      rule=config.rule, model_digest=model.digest(),
+                      rule=rule, model_digest=model.digest(),
                       regime=regime, stream_block=block)
     return EvalReport(estimate=est, std_error=se, n_rep=len(times),
                       n_censored=int(result.censored.sum()),
@@ -141,12 +128,12 @@ def estimate_arl(model: ChangeModel, config: DetectorConfig, regime: str,
     """
     if regime not in REGIMES:
         raise ContractError(f"regime must be one of {REGIMES}, got {regime!r}")
-    rule, dt = _engine_rule(model, config)
+    rule, dt = _engine_rule(model, config.rule, config.log_barrier), float(config.delta)
     n_steps = monitoring_steps(horizon, dt)
     result = run_paths(model, _ENGINE_REGIME[regime], rule, dt, n_steps, n_rep,
                        seed, purpose, block=block, threads=threads,
                        last_reflect=return_raw)
-    report = _report(result, model, config, regime, seed, block,
+    report = _report(result, model, config.rule, regime, seed, block,
                      label=f"arl_{regime}")
     return (report, result) if return_raw else report
 
@@ -202,11 +189,7 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
             f"target {gamma} is below one monitoring step {delta}; "
             "randomized rules are out of scope")
     horizon = HORIZON_FACTOR * gamma
-
-    def config(i: int, h: float) -> DetectorConfig:
-        return DetectorConfig(rule=rules[i], log_barrier=h, delta=delta)
-
-    specs = [_engine_rule(model, config(i, 0.0))[0] for i in range(len(rules))]
+    specs = [_engine_rule(model, rule, 0.0) for rule in rules]
     dt = float(delta)
     try:
         n_steps = monitoring_steps(horizon, dt)
@@ -222,7 +205,7 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
                          records=True)
 
     def barriers(hs: dict) -> List[float]:
-        return [_effective_barrier(model, config(i, hs[i])) if i in hs else -math.inf
+        return [_engine_rule(model, rules[i], hs[i]).log_barrier if i in hs else -math.inf
                 for i in range(len(rules))]
 
     def stops(i: int, h: float) -> np.ndarray:
@@ -230,13 +213,13 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
         advance(paths, n_steps, levels, threads)
         return np.concatenate([p.first_reach(i, levels[i]) for p in paths])
 
-    def report(i: int, h: float, st: np.ndarray) -> EvalReport:
+    def report(i: int, st: np.ndarray) -> EvalReport:
         result = PathRunResult(dt, n_steps, st, stat=None, last_reflect=None)
-        return _report(result, model, config(i, h), "in_control", seed, block,
+        return _report(result, model, rules[i], "in_control", seed, block,
                        label="arl_in_control")
 
     def arl_at(i: int, h: float) -> float:
-        return report(i, h, stops(i, h)).estimate
+        return report(i, stops(i, h)).estimate
 
     def read_off(i: int, top: float) -> float:
         """The middle of the interval of [0, top] on which ARL_n, once every
@@ -314,7 +297,7 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
             np.concatenate([p.first_reach(i, levels[i]) for p in paths] + [new.stop_steps],
                            out=final_stops)
             _, probes, converged = outcomes[i]
-            outcomes[i] = CalibrationResult(h_bar=h, report=report(i, h, final_stops),
+            outcomes[i] = CalibrationResult(h_bar=h, report=report(i, final_stops),
                                             probes=probes, converged=converged)
     return outcomes
 
@@ -370,16 +353,13 @@ def lower_bound_ratio(model: ChangeModel, config: DetectorConfig, n_rep: int,
     otherwise it is ``config``'s rule. The standard error comes from the
     first-order delta method on the paired per-replication sums.
     """
-    if fixed_steps is not None:
-        delta = config.delta
-        if delta is None or not math.isfinite(delta) or delta <= 0.0:
-            raise ContractError(f"fixed rule needs a finite delta > 0, got delta {delta!r}")
-        rule = RuleSpec(kind="fixed", fixed_steps=fixed_steps)
-        dt = float(delta)
-        rule_name = f"fixed_{fixed_steps}"
+    if fixed_steps is None:
+        rule, rule_name = _engine_rule(model, config.rule, config.log_barrier), config.rule
+    elif config.delta is None:
+        raise ContractError(f"fixed rule needs a delta, and rule {config.rule!r} has none")
     else:
-        rule, dt = _engine_rule(model, config)
-        rule_name = config.rule
+        rule, rule_name = RuleSpec(kind="fixed", fixed_steps=fixed_steps), f"fixed_{fixed_steps}"
+    dt = float(config.delta)
     n_steps = monitoring_steps(horizon, dt)
     result = run_paths(model, "pre", rule, dt, n_steps, n_rep, seed,
                        "lower_bound", threads=threads, collect_lb=True)
@@ -464,19 +444,14 @@ def convergence_study(model: ChangeModel, h_bar: float, dyadic_levels: int,
     has_ref = strides[-1] > 1
     if has_ref:
         strides.append(1)      # finest monitored rule as the reference
-    config = DetectorConfig(rule="cusum_grid", log_barrier=h_bar, delta=base_delta)
-    barrier = _effective_barrier(model, config)
+    barrier = _engine_rule(model, "cusum_grid", h_bar).log_barrier
 
     stops, stops_strict = run_dyadic(model, _ENGINE_REGIME[regime], barrier,
                                      grid_dt, n_steps, strides, n_rep, seed,
                                      threads=threads)
     ref = stops[-1]
-    monotone = np.ones(n_rep, dtype=bool)
-    for a, b in zip(stops[:-1], stops[1:]):
-        monotone &= b <= a
-    agree = np.ones(n_rep, dtype=bool)
-    for a, b in zip(stops, stops_strict):
-        agree &= a == b
+    monotone = (np.diff(stops, axis=0) <= 0.0).all(axis=0)
+    agree = (np.asarray(stops) == np.asarray(stops_strict)).all(axis=0)
 
     levels = []
     for s, st in zip(strides, stops):
@@ -556,14 +531,14 @@ def compare(model: ChangeModel, gamma: float, rules: Sequence[Tuple[str, float]]
         done = [(i, cal) for i, cal in zip(idx, cals) if isinstance(cal, CalibrationResult)]
         if not done:
             continue
-        configs = [DetectorConfig(rule=rules[i][0], log_barrier=cal.h_bar, delta=delta)
-                   for i, cal in done]
         # Lorden's worst case is one restart run, whatever the change point
         n_steps = monitoring_steps(HORIZON_FACTOR * gamma, delta)
-        delays = run_rules(model, "post", [_engine_rule(model, c)[0] for c in configs],
+        delays = run_rules(model, "post",
+                           [_engine_rule(model, rules[i][0], cal.h_bar) for i, cal in done],
                            delta, n_steps, n_rep, seed, "delay", threads=threads)
-        for (i, cal), cfg, res in zip(done, configs, delays):
-            worst = _report(res, model, cfg, "out_of_control", seed, 0, label="delay_worst")
+        for (i, cal), res in zip(done, delays):
+            worst = _report(res, model, rules[i][0], "out_of_control", seed, 0,
+                            label="delay_worst")
             rows[i] = replace(rows[i], h_bar=cal.h_bar, gamma_achieved=cal.report.estimate,
                               gamma_se=cal.report.std_error, worst_delay=worst.estimate,
                               delay_se=worst.std_error, calibrated=cal.converged)

@@ -124,8 +124,8 @@ def _logaddexp_accumulate(a: np.ndarray) -> None:
 
 def first_crossing(crossed: np.ndarray) -> np.ndarray:
     """0-based block position of each row's first True (-1 if none)."""
-    return np.where(crossed.any(axis=1), crossed.argmax(axis=1).astype(np.int64),
-                    np.int64(-1))
+    j = crossed.argmax(axis=1)
+    return np.where(crossed[np.arange(crossed.shape[0]), j], j, np.int64(-1))
 
 
 def value_at(y: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -192,6 +192,16 @@ def _outcome(y, off, start_step, best):
     return out if best is None else out + (record_highs(y, start_step, best),)
 
 
+def _cusum_block(uu, mn, lastref, start_step, hbar):
+    """Reflected block, first crossings of ``hbar`` and their global steps."""
+    y = reflected(uu, mn)
+    off = first_crossing(y >= hbar)
+    stop = crossing_steps(off, start_step)
+    if lastref is not None:
+        last_reflection(y, start_step, stop, lastref)
+    return y, off, stop
+
+
 def cusum_scan(uu, mn, lastref, start_step, hbar, best=None):
     """Advance the reflected log-likelihood statistic; detect barrier crossing.
 
@@ -201,10 +211,7 @@ def cusum_scan(uu, mn, lastref, start_step, hbar, best=None):
     the carry ``best``, a fourth item holds the block's :func:`record_highs`.
     The carry ``lastref`` may be None: the last reflection is then not kept.
     """
-    y = reflected(uu, mn)
-    off = first_crossing(y >= hbar)
-    if lastref is not None:
-        last_reflection(y, start_step, crossing_steps(off, start_step), lastref)
+    y, off, _ = _cusum_block(uu, mn, lastref, start_step, hbar)
     return _outcome(y, off, start_step, best)
 
 
@@ -212,12 +219,8 @@ def lb_cusum_scan(uu, mn, lastref, num, den, start_step, hbar, horizon):
     """:func:`cusum_scan` that also accumulates the lower-bound sums over
     steps strictly before the stop, or before step ``horizon`` if the row
     has not stopped by then."""
-    y = reflected(uu, mn)
-    off = first_crossing(y >= hbar)
-    stop = crossing_steps(off, start_step)
-    if lastref is not None:
-        last_reflection(y, start_step, stop, lastref)
-    out = off, value_at(y, off), y[:, -1].copy()
+    y, off, stop = _cusum_block(uu, mn, lastref, start_step, hbar)
+    out = _outcome(y, off, start_step, None)       # before lb_sums overwrites y
     lb_sums(y, start_step, np.minimum(stop, horizon), num, den)
     return out
 

@@ -242,16 +242,25 @@ def test_c06_lower_bound_inequality(models):
 def test_c07_discretization_convergence(models):
     """Across four dyadic monitoring grids over shared paths, stop times are
     pathwise nonincreasing on all of 1e4 paths and the mean gaps to the
-    finest monitored rule shrink monotonically."""
+    finest monitored rule shrink monotonically. The limit is the continuous
+    rule's: each grid's mean stop, the finest's too, is within 3 SE of the
+    grid rule's delay in closed form (Siegmund's corrected diffusion), which
+    tends to the continuous rule's as the step goes to 0."""
     res = convergence_study(models["brownian"], 2.0, 4, 10000, SEED,
                             base_delta=0.08, grid_dt=0.005, horizon=40.0)
     assert res.monotone_fraction == 1.0
     gaps = [lv.mean_gap for lv in res.levels]
     assert all(g >= 0.0 for g in gaps)
     assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+    zs = []
+    for lv in res.levels + (res.reference,):
+        z = (lv.mean_stop - brownian_grid_cusum_arl(2.0, lv.delta)[1]) / lv.std_error
+        assert abs(z) <= 3.0, f"delta {lv.delta}: {lv.mean_stop} (z {z:.2f})"
+        zs.append(z)
     _announce("criterion 7",
               "monotone on 100% of paths; gaps "
-              + " > ".join(f"{g:.4f}" for g in gaps))
+              + " > ".join(f"{g:.4f}" for g in gaps)
+              + "; delay z vs closed form " + ", ".join(f"{z:+.2f}" for z in zs))
 
 
 def test_c08_optimality_gap(models):

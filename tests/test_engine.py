@@ -1131,33 +1131,36 @@ class TestScanKernels:
             assert got[i] == want
             assert best[i] == top
 
-    def test_sr_recursion_oracle(self):
+    def test_sr_recursion_oracle(self, monkeypatch):
         """Along each row below ACROSS_ROWS rows and across the rows from
         there up, sr_scan gives the bits of np.logaddexp.accumulate, block by
         block (one block of 1 or 2 steps, or blocks split at step 77; at 500
-        rows a tile holds 32 steps, so both blocks span several), and follows
-        the recursion R_k = (1 + R_{k-1}) e^{x_k}. Every third row starts
-        with a zero increment, so its first step adds two equal logs (0 and
-        -0.0: logaddexp's x == y branch)."""
-        assert kernels.TILE_SIZE // 500 < 77
-        for rows in (4, kernels.ACROSS_ROWS - 1, kernels.ACROSS_ROWS, 500):
-            for widths in ((1,), (2,), (77, 123)):
-                rng = np.random.default_rng(5)
-                inc = rng.normal(0.0, 0.3, size=(rows, sum(widths)))
-                inc[::3, 0] = 0.0
-                u, a = np.zeros(rows), np.zeros(rows)
-                start = 0
-                for w in widths:
-                    off, _, rend = _assert_sr_scan_is_accumulate(
-                        kernels.cumulative(inc[:, start:start + w].copy(), u), a, start,
-                        math.log(1e9))
-                    assert np.all(off == -1)
-                    start += w
-                for i in range(rows):
-                    r = 0.0
-                    for x in inc[i]:
-                        r = (1.0 + r) * math.exp(x)
-                    assert rend[i] == pytest.approx(math.log(r), rel=1e-10)
+        rows a tile of the default size holds 32 steps, so both blocks span
+        several), and follows the recursion R_k = (1 + R_{k-1}) e^{x_k}.
+        Every third row starts with a zero increment, so its first step adds
+        two equal logs (0 and -0.0: logaddexp's x == y branch). The tile size
+        does not matter: tiles of one step (sizes 1 and 7) give the same bits."""
+        for tile in (1, 7, 16384):
+            monkeypatch.setattr(kernels, "TILE_SIZE", tile)
+            assert kernels.TILE_SIZE // 500 < 77
+            for rows in (4, kernels.ACROSS_ROWS - 1, kernels.ACROSS_ROWS, 500):
+                for widths in ((1,), (2,), (77, 123)):
+                    rng = np.random.default_rng(5)
+                    inc = rng.normal(0.0, 0.3, size=(rows, sum(widths)))
+                    inc[::3, 0] = 0.0
+                    u, a = np.zeros(rows), np.zeros(rows)
+                    start = 0
+                    for w in widths:
+                        off, _, rend = _assert_sr_scan_is_accumulate(
+                            kernels.cumulative(inc[:, start:start + w].copy(), u), a, start,
+                            math.log(1e9))
+                        assert np.all(off == -1)
+                        start += w
+                    for i in range(rows):
+                        r = 0.0
+                        for x in inc[i]:
+                            r = (1.0 + r) * math.exp(x)
+                        assert rend[i] == pytest.approx(math.log(r), rel=1e-10)
 
     def test_sr_stops_at_first_crossing(self):
         """On 8 rows (along each row) and 64 (across the rows), sr_scan stops

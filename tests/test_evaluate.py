@@ -7,7 +7,8 @@ import pytest
 from levydetect import evaluate
 from levydetect.detector import DetectorConfig, lattice_safe_barrier
 from levydetect.engine import RuleSpec, advance, batch_states
-from levydetect.errors import AlignmentError, ContractError, InfeasibleTargetError
+from levydetect.errors import (AlignmentError, ContractError, InfeasibleTargetError,
+                               SpecValidationError)
 from levydetect.evaluate import (
     HORIZON_FACTOR,
     CompareRow,
@@ -222,16 +223,19 @@ class TestLowerBound:
         assert rep.estimate == 0.25
         assert rep.std_error == 0.0
 
-    @pytest.mark.parametrize("delta", [None, math.inf, -0.1])
+    @pytest.mark.parametrize("delta", [None, math.inf, -0.1, 0.0, math.nan])
     def test_fixed_rule_needs_a_positive_delta(self, brownian_model, delta, monkeypatch):
-        """The fixed rule's step is config.delta: a missing, infinite or
-        negative one is named before any run. A missing delta can only come
-        with the continuous rule, the one rule whose config needs none."""
+        """The fixed rule's step is config.delta. A config takes no delta but
+        a finite one > 0 (a zero one would divide by zero in the run), so only
+        a missing delta is left for the fixed rule to name before any run; it
+        can only come with the continuous rule, whose config needs none."""
         monkeypatch.setattr(evaluate, "run_paths", None)
-        config = (_grid_cfg(2.0, delta) if delta is not None
-                  else DetectorConfig("cusum_continuous", 2.0))
+        if delta is not None:
+            with pytest.raises(SpecValidationError, match="delta"):
+                _grid_cfg(2.0, delta)
+            return
         with pytest.raises(ContractError, match="delta"):
-            lower_bound_ratio(brownian_model, config, 500,
+            lower_bound_ratio(brownian_model, DetectorConfig("cusum_continuous", 2.0), 500,
                               horizon=50.0, seed=SEED, fixed_steps=1)
 
     def test_equality_for_the_reflected_rule(self, brownian_model):
@@ -303,6 +307,13 @@ class TestConvergence:
         with pytest.raises(AlignmentError, match="not an integer multiple"):
             convergence_study(brownian_model, 2.0, 4, 10, SEED,
                               base_delta=0.085, grid_dt=0.01, horizon=10.0)
+
+    def test_negative_barrier_rejected(self, brownian_model, monkeypatch):
+        """The study's barrier is checked as a CUSUM config's is, before any run."""
+        monkeypatch.setattr(evaluate, "run_dyadic", None)
+        with pytest.raises(SpecValidationError, match="log_barrier"):
+            convergence_study(brownian_model, -0.5, 4, 10, SEED,
+                              base_delta=0.08, grid_dt=0.01, horizon=10.0)
 
     def test_horizon_without_a_base_step_rejected(self, brownian_model):
         """Trimmed to whole base steps (8 fine steps), a 0.05 horizon holds
