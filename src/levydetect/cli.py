@@ -26,7 +26,6 @@ from typing import NamedTuple
 from . import __version__
 from .config import ExperimentConfig
 from .detector import DetectorConfig, check_log_barrier, grid_stride
-from .engine import RuleSpec
 from .errors import (
     ContractError,
     InadmissibleModelError,
@@ -244,9 +243,9 @@ def _cmd_lowerbound(cfg: ExperimentConfig) -> Outcome:
     n_steps = _check_horizon(cfg)
     sim, exp = cfg.simulation, cfg.experiment
     fixed_steps = exp["fixed_steps"]
-    if fixed_steps is not None:
-        _field_check("experiment.fixed_steps",
-                     RuleSpec(kind="fixed", fixed_steps=fixed_steps).check_horizon, n_steps)
+    if fixed_steps is not None and fixed_steps > n_steps:
+        raise SpecValidationError(f"experiment.fixed_steps: fixed rule of {fixed_steps} "
+                                  f"steps exceeds the {n_steps}-step horizon")
     model = cfg.change_model()
     config = _field_check("detector.log_barrier", cfg.detector_config)
     lb = lower_bound_ratio(model, config, sim["n_rep"], sim["horizon"],

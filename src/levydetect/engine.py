@@ -64,41 +64,27 @@ class RuleSpec:
     """Stopping rule run by the engine.
 
     kind 'cusum': reflected log-likelihood statistic crossing ``log_barrier``;
-    kind 'sr': Shiryaev-Roberts statistic crossing exp(``log_barrier``);
-    kind 'fixed': deterministic stop after ``fixed_steps`` monitoring steps.
+    kind 'sr': Shiryaev-Roberts statistic crossing exp(``log_barrier``).
+    A barrier of +inf is never crossed: such a rule runs to the horizon, the
+    fixed rule of that many steps.
     A rule of ``stride`` s > 1 watches every s-th step of the path, steps s,
     2s, ..., and reports its stop in path steps: the nested grids of
     :func:`run_dyadic` are such rules on one shared fine path.
-    Checked when built; :meth:`check_horizon` checks it against a horizon.
     """
 
     kind: str
     log_barrier: float = math.nan
-    fixed_steps: int = 0
     stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("cusum", "sr", "fixed"):
+        if self.kind not in ("cusum", "sr"):
             raise ContractError(f"unknown rule kind {self.kind!r}")
-        if self.kind in ("cusum", "sr") and not math.isfinite(self.log_barrier):
-            raise ContractError("rule needs a finite log barrier")
+        if math.isnan(self.log_barrier) or self.log_barrier == -math.inf:
+            raise ContractError("rule needs a finite or +inf log barrier")
         if self.kind == "cusum" and self.log_barrier < 0.0:
             raise ContractError("cusum log barrier must be >= 0")
-        if self.kind == "fixed" and self.fixed_steps < 1:
-            raise ContractError("fixed rule needs at least one step")
-        if self.stride < 1 or (self.kind == "fixed" and self.stride > 1):
-            raise ContractError("stride must be a positive step count, and 1 for a "
-                                f"fixed rule; got {self.stride}")
-
-    def check_horizon(self, n_steps: int) -> None:
-        """A fixed rule must stop within the ``n_steps``-step horizon, and the
-        stride must divide it."""
-        if self.kind == "fixed" and self.fixed_steps > n_steps:
-            raise ContractError(
-                f"fixed rule of {self.fixed_steps} steps exceeds the {n_steps}-step horizon")
-        if n_steps % self.stride:
-            raise ContractError(
-                f"n_steps {n_steps} not divisible by stride {self.stride}")
+        if self.stride < 1:
+            raise ContractError(f"stride must be a positive step count; got {self.stride}")
 
 
 @dataclass
@@ -108,9 +94,9 @@ class PathRunResult:
     dt: float
     n_steps: int
     stop_steps: np.ndarray        # global step of the stop; -1 = censored
-    stat: np.ndarray              # log statistic at the stop (the last if censored; NaN if fixed)
+    stat: np.ndarray              # log statistic at the stop (the last if censored)
     last_reflect: Optional[np.ndarray]  # last step with log-statistic <= 0 (cusum,
-                                  # with or without collect_lb; 0 for sr and fixed);
+                                  # with or without collect_lb; 0 for sr);
                                   # None unless the run kept it (run_paths' last_reflect)
     lb_num: Optional[np.ndarray] = None
     lb_den: Optional[np.ndarray] = None
@@ -382,9 +368,7 @@ class BatchState:
         if kind == "cusum" and horizon is not None:
             out = kernels.lb_cusum_scan(uu, mn, lastref, num, den, start, barrier, horizon)
         else:
-            if kind == "fixed":
-                out = np.full(rows.size, -1, dtype=np.int64), np.nan, np.nan
-            elif kind == "cusum":
+            if kind == "cusum":
                 out = kernels.cusum_scan(uu, mn, lastref, start, barrier, *rec)
             else:
                 out = kernels.sr_scan(uu, logA, start, barrier, *rec)
@@ -462,8 +446,7 @@ def run_rules(model: ChangeModel, regime: str, rules: Sequence[RuleSpec], dt: fl
     """Monte Carlo run of stopping rules over the monitored paths of the
     replications first .. n_rep - 1: one result per rule, each equal bit for
     bit to that rule's own run, since every path is drawn once and each rule
-    scans it with its own carries (:class:`BatchState`). A fixed rule runs
-    alone.
+    scans it with its own carries (:class:`BatchState`).
 
     Each row's last reflection (``PathRunResult.last_reflect``, read by
     ``tau_hat``) is kept only with ``last_reflect``; it is None otherwise.
@@ -473,13 +456,7 @@ def run_rules(model: ChangeModel, regime: str, rules: Sequence[RuleSpec], dt: fl
     uses the stream (master_seed, purpose/block/i), each of its draws depends
     on its step alone, and aggregation is by fixed slices.
     """
-    for rule in rules:
-        rule.check_horizon(n_steps)
-    fixed = rules[0].kind == "fixed"
-    if len(rules) > 1 and any(rule.kind == "fixed" for rule in rules):
-        raise ContractError("a fixed rule runs alone")
-    sampler = make_u_sampler(model, regime, dt)
-    target, size = rules[0].fixed_steps if fixed else n_steps, max(n_rep - first, 0)
+    sampler, size = make_u_sampler(model, regime, dt), max(n_rep - first, 0)
     lb = (lambda: np.empty(size)) if collect_lb else (lambda: None)
     try:        # before any path is drawn, so a sample too large fails at once
         results = [PathRunResult(dt, n_steps, np.empty(size, dtype=np.int64), np.empty(size),
@@ -491,14 +468,14 @@ def run_rules(model: ChangeModel, regime: str, rules: Sequence[RuleSpec], dt: fl
 
     def work(gens, lo: int) -> None:
         try:
-            state = BatchState(sampler, rules, gens, target if collect_lb else None,
+            state = BatchState(sampler, rules, gens, n_steps if collect_lb else None,
                                last_reflect=last_reflect)
-            state.advance(target, barriers)
+            state.advance(n_steps, barriers)
         finally:
             give_back(gens)
         sl = slice(lo - first, lo - first + state.pos.size)
         for r, result in enumerate(results):
-            result.stop_steps[sl] = target if fixed else state.stop[r]
+            result.stop_steps[sl] = state.stop[r]
             result.stat[sl] = state.stat[r]
             if last_reflect:
                 result.last_reflect[sl] = state.lastref[r]

@@ -349,20 +349,26 @@ def lower_bound_ratio(model: ChangeModel, config: DetectorConfig, n_rep: int,
 
     sums over monitored steps strictly before the stop or horizon (k = 0 included).
     The step delta is ``config.delta``. With ``fixed_steps`` the rule is the
-    fixed rule stopping after that many steps (provenance ``fixed_<m>``);
-    otherwise it is ``config``'s rule. The standard error comes from the
-    first-order delta method on the paired per-replication sums.
+    fixed rule stopping after that many steps (provenance ``fixed_<m>``): a
+    rule that never stops, run to a horizon of m steps; otherwise it is
+    ``config``'s rule. The standard error comes from the first-order delta
+    method on the paired per-replication sums.
     """
     if fixed_steps is None:
         rule, rule_name = _engine_rule(model, config.rule, config.log_barrier), config.rule
     elif config.delta is None:
         raise ContractError(f"fixed rule needs a delta, and rule {config.rule!r} has none")
+    elif fixed_steps < 1:
+        raise ContractError("fixed rule needs at least one step")
     else:
-        rule, rule_name = RuleSpec(kind="fixed", fixed_steps=fixed_steps), f"fixed_{fixed_steps}"
+        rule, rule_name = RuleSpec("cusum", math.inf), f"fixed_{fixed_steps}"
     dt = float(config.delta)
     n_steps = monitoring_steps(horizon, dt)
-    result = run_paths(model, "pre", rule, dt, n_steps, n_rep, seed,
-                       "lower_bound", threads=threads, collect_lb=True)
+    steps = n_steps if fixed_steps is None else fixed_steps
+    if steps > n_steps:
+        raise ContractError(f"fixed rule of {steps} steps exceeds the {n_steps}-step horizon")
+    result = run_paths(model, "pre", rule, dt, steps, n_rep, seed, "lower_bound",
+                       threads=threads, collect_lb=True)
     num, den = result.lb_num, result.lb_den
     nbar, dbar = float(num.mean()), float(den.mean())
     if dbar <= 0.0:
@@ -375,7 +381,7 @@ def lower_bound_ratio(model: ChangeModel, config: DetectorConfig, n_rep: int,
                       model_digest=model.digest(), regime="in_control",
                       stream_block=0)
     return EvalReport(estimate=dt * ratio, std_error=se, n_rep=n_rep,
-                      n_censored=int(result.censored.sum()),
+                      n_censored=0 if fixed_steps else int(result.censored.sum()),
                       horizon=n_steps * dt, provenance=prov,
                       label="lower_bound")
 

@@ -336,11 +336,9 @@ class LevySpec:
     def linear_drift(self) -> float:
         """Drift of the path once jumps are taken raw (finite-variation form).
 
-        For the Brownian family this is just ``drift_b``; for jump families it
-        is ``drift_b`` minus the truncated first moment of the jump measure.
+        This is ``drift_b`` minus the truncated first moment of the jump
+        measure, which is 0 for the Brownian family.
         """
-        if self.family == "brownian":
-            return self.drift_b
         return self.drift_b - self.jump_truncated_mean()
 
     def levy_density(self, x):

@@ -237,5 +237,5 @@ def sr_scan(uu, logA, start_step, log_thresh, best=None):
 def lb_until_scan(uu, mn, num, den, start_step, stop):
     """Accumulate the lower-bound sums up to externally supplied global stop
     steps (exclusive); used when the stopping rule is not the reflected
-    statistic itself (fixed-time rules, Shiryaev-Roberts)."""
+    statistic itself (Shiryaev-Roberts)."""
     lb_sums(reflected(uu, mn), start_step, stop, num, den)

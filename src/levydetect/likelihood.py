@@ -38,6 +38,8 @@ class LLRPath:
     u_values: np.ndarray
 
     def __post_init__(self):
+        if not len(self.u_values):
+            raise SpecValidationError("log-likelihood path has no points")
         if self.u_values[0] != 0.0:
             raise SpecValidationError("log-likelihood path must start at 0")
 
@@ -61,9 +63,10 @@ def llr_path(model: ChangeModel, path: SamplePath) -> LLRPath:
         u = np.zeros_like(values)
         # cumulative jump sums aligned to grid points (jump at t_k counts at t_k)
         if len(path.jump_times):
+            if model.phi is None:
+                raise ContractError("path has jumps, and the model's laws have none")
             counts = np.searchsorted(path.jump_times, t, side="right")
-            cum_phi = np.concatenate([[0.0], np.cumsum(model.phi(path.jump_sizes))]) \
-                if model.phi is not None else np.zeros(len(path.jump_times) + 1)
+            cum_phi = np.concatenate([[0.0], np.cumsum(model.phi(path.jump_sizes))])
             cum_size = np.concatenate([[0.0], np.cumsum(path.jump_sizes)])
             jump_phi = cum_phi[counts]
             jump_mass = cum_size[counts]

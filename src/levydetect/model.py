@@ -68,6 +68,8 @@ class DensityRatio:
 
     ``pos`` and ``neg`` hold (c0, c1) with phi(x) = c0 + c1 * x on the
     respective half-line; a missing side means the common support excludes it.
+    When both sides hold one piece, phi is that piece on the whole line, 0
+    included.
     """
 
     pos: Optional[Tuple[float, float]] = None
@@ -80,7 +82,7 @@ class DensityRatio:
         out = np.empty_like(x)
         out.fill(np.nan)
         if self.pos is not None:
-            mask = x > 0.0
+            mask = x >= 0.0 if self.pos == self.neg else x > 0.0
             out[mask] = self.pos[0] + self.pos[1] * x[mask]
         if self.neg is not None:
             mask = x < 0.0

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from typing import List, Mapping, Optional, Sequence, Union
 
@@ -71,8 +70,6 @@ def format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
         return repr(v)
     return str(v)
 

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levydetect import kernels
+from levydetect import engine, kernels
 from levydetect.cli import main as cli_main
 from levydetect.detector import DetectorConfig
 from levydetect.engine import RuleSpec, advance, batch_states
@@ -109,17 +109,50 @@ def test_c01_fails_on_a_broken_reflection():
         assert _c01_worst_error(mutant) > 1e-12, mutant.__name__
 
 
+def _c02_z_scores(models, make_u_sampler) -> dict:
+    """Signed z-score of the mean of exp(U_step) against 1, per family, 1e5
+    draws each, the increments drawn by the samplers that
+    ``make_u_sampler`` makes in place of :func:`engine.make_u_sampler`."""
+    zs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "make_u_sampler", make_u_sampler)
+        for i, (name, model) in enumerate(models.items()):
+            rep = martingale_check(model, 1.0, 100000,
+                                   RngStream(SEED, stream_id("martingale", 0, i)))
+            zs[name] = (rep.estimate - 1.0) / rep.std_error
+    return zs
+
+
 def test_c02_martingale_normalization(models):
     """E[exp(U_step)] = 1 within 3 SE for all four families, 1e5 draws each."""
-    zs = {}
-    for i, (name, model) in enumerate(models.items()):
-        rep = martingale_check(model, 1.0, 100000,
-                               RngStream(SEED, stream_id("martingale", 0, i)))
-        assert rep.within(1.0, n_se=3.0), f"{name}: {rep.estimate} +- {rep.std_error}"
-        zs[name] = abs(rep.estimate - 1.0) / rep.std_error
+    zs = _c02_z_scores(models, engine.make_u_sampler)
+    for name, z in zs.items():
+        assert abs(z) <= 3.0, f"{name}: z = {z:.2f}"
     _announce("criterion 2",
               "unit martingale mean for all four families "
-              + ", ".join(f"{k}: z={v:.2f}" for k, v in zs.items()))
+              + ", ".join(f"{k}: z={abs(v):.2f}" for k, v in zs.items()))
+
+
+def test_c02_fails_on_a_wrong_compensator(models):
+    """Criterion 2 can fail: increments short by 5 % of the jump compensator
+    per step move the mean of exp(U_step) below 1 by more than 3 SE on the
+    families whose compensator rate is not 0."""
+    make = engine.make_u_sampler
+
+    def short_compensator(model, regime, dt):
+        draw, short = make(model, regime, dt), 0.05 * model.comp_rate * dt
+
+        def sampler(gens, size):
+            out = draw(gens, size)
+            out -= short
+            return out
+        return sampler
+
+    zs = _c02_z_scores(models, short_compensator)
+    moved = {name for name, model in models.items() if model.comp_rate != 0.0}
+    assert moved == {"compound_poisson", "gamma"}
+    for name in moved:
+        assert zs[name] < -3.0, f"{name}: z = {zs[name]:.2f}"
 
 
 def test_c03_brownian_run_length_oracle(models):

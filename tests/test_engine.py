@@ -242,9 +242,11 @@ class TestRunPaths:
         assert np.all(res.stop_times == pytest.approx(10.0))
 
     def test_fixed_rule(self, brownian_model):
-        rule = RuleSpec(kind="fixed", fixed_steps=7)
-        res = run_paths(brownian_model, "pre", rule, 0.1, 50, 100, SEED, "arl")
-        assert np.all(res.stop_steps == 7)
+        """The fixed rule of 7 steps is a rule that never stops, run to a
+        horizon of 7 steps."""
+        rule = RuleSpec("cusum", math.inf)
+        res = run_paths(brownian_model, "pre", rule, 0.1, 7, 100, SEED, "arl")
+        assert res.censored.all() and np.all(res.stop_times == pytest.approx(0.7))
 
     def test_one_step_geometric_oracle(self, brownian_model):
         """Zero barrier: the rule stops at the first step whose statistic is
@@ -275,13 +277,14 @@ class TestRunPaths:
         """Draw-and-scan sub-block boundaries fall at different steps for
         each width; the outputs of every family must not move by a single
         bit."""
-        rule = {"cusum": RuleSpec(kind="cusum", log_barrier=3.0),
-                "sr": RuleSpec(kind="sr", log_barrier=math.log(150.0)),
-                "fixed": RuleSpec(kind="fixed", fixed_steps=150)}[kind]
+        # the fixed rule of 150 steps: a rule that never stops, run 150 steps
+        rule, n_steps = {"cusum": (RuleSpec(kind="cusum", log_barrier=3.0), 600),
+                         "sr": (RuleSpec(kind="sr", log_barrier=math.log(150.0)), 600),
+                         "fixed": (RuleSpec("cusum", math.inf), 150)}[kind]
 
         def run(model, chunk):
             monkeypatch.setattr(engine, "CHUNK", chunk)
-            return run_paths(model, regime, rule, 0.1, 600, 300, SEED, "arl",
+            return run_paths(model, regime, rule, 0.1, n_steps, 300, SEED, "arl",
                              collect_lb=collect_lb, last_reflect=True)
         for fixture in MODEL_FIXTURES:
             model = request.getfixturevalue(fixture)
@@ -319,11 +322,14 @@ class TestRunPaths:
         are those of its own run_paths, bit for bit, although a path stays
         live until both rules stop. Beside a rule of stride 4, which moves
         every sub-block boundary to a multiple of 4, a stride-1 rule keeps
-        its own bits too. A fixed rule runs alone."""
+        its own bits too, and so does a rule that never stops, beside a rule
+        that does."""
         cusum = RuleSpec(kind="cusum", log_barrier=3.0)
         sr = RuleSpec(kind="sr", log_barrier=math.log(150.0))
         strided = RuleSpec(kind="cusum", log_barrier=2.0, stride=4)
-        for rules, keep in (((cusum, sr), True), ((cusum, strided), False)):
+        unreachable = RuleSpec("sr", math.inf)
+        for rules, keep in (((cusum, sr), True), ((cusum, strided), False),
+                            ((cusum, unreachable), True)):
             for fixture in MODEL_FIXTURES:
                 model = request.getfixturevalue(fixture)
                 shared = engine.run_rules(model, regime, rules, 0.1, 600, 300, SEED, "arl",
@@ -332,27 +338,29 @@ class TestRunPaths:
                     _assert_same_run(run_paths(model, regime, rule, 0.1, 600, 300, SEED,
                                                "arl", collect_lb=keep, last_reflect=keep),
                                      res, fixture)
-        with pytest.raises(ContractError, match="fixed rule runs alone"):
-            engine.run_rules(model, regime, rules + (RuleSpec("fixed", fixed_steps=5),),
-                             0.1, 600, 300, SEED, "arl")
 
     @pytest.mark.parametrize("n_steps", [5, 300])
     def test_censored_lb_sums_stop_at_the_horizon(self, n_steps, request):
         """A CUSUM or SR rule that no path can reach runs to the horizon n
-        and reports the stop time n * dt, as the fixed rule at n steps does;
-        its lower-bound sums cover the same steps 0 .. n - 1, bit for bit."""
+        and reports the stop time n * dt, as the rule of barrier +inf does;
+        its lower-bound sums cover the same steps 0 .. n - 1, bit for bit,
+        and are those of the fixed rule of n steps (lower_bound_ratio's)."""
         def run(model, rule):
             return run_paths(model, "pre", rule, 0.1, n_steps, 40, SEED, "lower_bound",
                              collect_lb=True)
+        config = DetectorConfig(rule="cusum_grid", log_barrier=2.0, delta=0.1)
         for fixture in MODEL_FIXTURES:
             model = request.getfixturevalue(fixture)
-            fixed = run(model, RuleSpec(kind="fixed", fixed_steps=n_steps))
+            never = run(model, RuleSpec("cusum", math.inf))
+            fixed = lower_bound_ratio(model, config, 40, n_steps * 0.1, SEED,
+                                      fixed_steps=n_steps)
+            assert fixed.estimate == 0.1 * (never.lb_num.mean() / never.lb_den.mean()), fixture
             for kind in ("cusum", "sr"):
                 res = run(model, RuleSpec(kind=kind, log_barrier=1e300))
                 assert res.censored.all(), fixture
-                assert np.array_equal(res.stop_times, fixed.stop_times), fixture
-                assert np.array_equal(res.lb_num, fixed.lb_num), fixture
-                assert np.array_equal(res.lb_den, fixed.lb_den), fixture
+                assert np.array_equal(res.stop_times, never.stop_times), fixture
+                assert np.array_equal(res.lb_num, never.lb_num), fixture
+                assert np.array_equal(res.lb_den, never.lb_den), fixture
 
     @pytest.mark.parametrize("kind,collect_lb", [
         ("cusum", False), ("cusum", True), ("sr", False), ("sr", True), ("fixed", True)])
@@ -362,10 +370,11 @@ class TestRunPaths:
         block (the SR rule with lower-bound sums runs two)."""
         calls = _count_draws(monkeypatch)
         sums = _count_calls(monkeypatch, kernels, "cumulative")
-        rule = {"cusum": RuleSpec(kind="cusum", log_barrier=3.0),
-                "sr": RuleSpec(kind="sr", log_barrier=math.log(150.0)),
-                "fixed": RuleSpec(kind="fixed", fixed_steps=500)}[kind]
-        run_paths(brownian_model, "pre", rule, 0.1, 600, 300, SEED, "arl",
+        # the fixed rule of 500 steps: a rule that never stops, run 500 steps
+        rule, n_steps = {"cusum": (RuleSpec(kind="cusum", log_barrier=3.0), 600),
+                         "sr": (RuleSpec(kind="sr", log_barrier=math.log(150.0)), 600),
+                         "fixed": (RuleSpec("cusum", math.inf), 500)}[kind]
+        run_paths(brownian_model, "pre", rule, 0.1, n_steps, 300, SEED, "arl",
                   collect_lb=collect_lb)
         assert len(calls) > 3 and len(sums) == len(calls)
 
@@ -452,21 +461,27 @@ class TestRunPaths:
         with pytest.raises(ContractError):
             RuleSpec("cusum", 1.0, stride=0)
 
+    @pytest.mark.parametrize("kind", ["cusum", "sr"])
+    def test_barrier_may_be_infinite_but_not_nan(self, kind):
+        """A barrier of +inf is a rule that never stops; NaN and -inf are
+        no barrier."""
+        assert RuleSpec(kind, math.inf).log_barrier == math.inf
+        for barrier in (math.nan, -math.inf):
+            with pytest.raises(ContractError, match="log barrier"):
+                RuleSpec(kind, barrier)
+
     def test_strided_rules_keep_no_step_carries(self, brownian_model):
         """The last reflections, lower-bound sums and record highs count
         steps of the path, so a strided rule runs without them; its stride
-        must divide the horizon and every step its batch is advanced to.
-        A fixed rule watches no grid."""
+        must divide the horizon and every step its batch is advanced to."""
         rule = RuleSpec("cusum", 1.0, stride=2)
-        with pytest.raises(ContractError, match="fixed rule"):
-            RuleSpec("fixed", fixed_steps=4, stride=2)
         for keep in ({"collect_lb": True}, {"last_reflect": True}):
             with pytest.raises(ContractError, match="strided rules"):
                 run_paths(brownian_model, "post", rule, 0.1, 400, 10, SEED, "arl", **keep)
         with pytest.raises(ContractError, match="strided rules"):
             engine.batch_states(brownian_model, "post", (rule,), 0.1, 10, SEED, "calibrate",
                                 records=True)
-        with pytest.raises(ContractError, match="not divisible by stride 2"):
+        with pytest.raises(ContractError, match="off the grid of stride 2"):
             run_paths(brownian_model, "post", rule, 0.1, 401, 10, SEED, "arl")
         states = engine.batch_states(brownian_model, "post", (rule,), 0.1, 10, SEED, "arl")
         with pytest.raises(ContractError, match="off the grid of stride 2"):

@@ -83,11 +83,12 @@ def test_benchmark_tracer_counts_each_scan_of_a_drawn_step(brownian_model, monke
                                               "perfbench"))
     from tracer import Tracer
 
-    rule = {"cusum": engine.RuleSpec(kind="cusum", log_barrier=3.0),
-            "sr": engine.RuleSpec(kind="sr", log_barrier=math.log(150.0)),
-            "fixed": engine.RuleSpec(kind="fixed", fixed_steps=500)}[kind]
+    # the fixed rule of 500 steps: a rule that never stops, run 500 steps
+    rule, n_steps = {"cusum": (engine.RuleSpec(kind="cusum", log_barrier=3.0), 600),
+                     "sr": (engine.RuleSpec(kind="sr", log_barrier=math.log(150.0)), 600),
+                     "fixed": (engine.RuleSpec("cusum", math.inf), 500)}[kind]
     with Tracer().installed() as tracer:
-        engine.run_paths(brownian_model, "pre", rule, 0.1, 600, 300, 8086, "arl",
+        engine.run_paths(brownian_model, "pre", rule, 0.1, n_steps, 300, 8086, "arl",
                          collect_lb=collect_lb)
     draws = tracer.counts["engine.paths.draws"]
     assert draws > 0 and tracer.counts["engine.chunks"] > 0

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from levydetect.errors import ContractError
+from levydetect.errors import ContractError, SpecValidationError
 from levydetect.families import LevySpec
-from levydetect.likelihood import llr_path, martingale_check
+from levydetect.likelihood import LLRPath, llr_path, martingale_check
 from levydetect.model import build_change_model
 from levydetect.paths import sample_changed_path
 from levydetect.rng import RngStream
@@ -56,6 +56,28 @@ class TestLlrPathClosedForms:
                        change_point=math.inf, horizon=1.0)
         u = llr_path(gamma_model, p)
         assert u.u_values[-1] == pytest.approx(0.75 - math.log(2.0))
+
+    def test_jump_of_size_zero_counts_its_ratio(self, poisson_model):
+        """A ledger jump of exactly 0.0 adds phi(0) = log 2 on the
+        intensity-only pair, whose ratio holds on the whole line."""
+        from levydetect.paths import SamplePath
+        p = SamplePath(grid_dt=0.5, values=np.zeros(3), jump_times=np.array([0.7]),
+                       jump_sizes=np.array([0.0]), change_point=0.0, horizon=1.0)
+        u = llr_path(poisson_model, p)
+        assert u.u_values[-1] == pytest.approx(math.log(2.0) - 1.0)
+
+    def test_jumps_under_a_model_without_jumps_are_rejected(self, brownian_model):
+        """A ledger jump is impossible under either law of a Brownian pair."""
+        from levydetect.paths import SamplePath
+        p = SamplePath(grid_dt=0.5, values=np.array([0.0, 1.0, 1.0]),
+                       jump_times=np.array([0.7]), jump_sizes=np.array([1.0]),
+                       change_point=0.0, horizon=1.0)
+        with pytest.raises(ContractError, match="has jumps"):
+            llr_path(brownian_model, p)
+
+    def test_path_without_points_is_rejected(self):
+        with pytest.raises(SpecValidationError, match="no points"):
+            LLRPath(0.1, np.array([]))
 
     def test_u_starts_at_zero(self, jump_diffusion_model):
         p = sample_changed_path(jump_diffusion_model, 1.0, 2.0, 0.01, RngStream(SEED, 3))

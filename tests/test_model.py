@@ -183,6 +183,23 @@ class TestDensityRatio:
         with pytest.raises(SupportError):
             phi_eval(gamma_model, -1.0)
 
+    def test_one_piece_on_the_whole_line_holds_at_zero(self, poisson_model,
+                                                       gaussian_shift_model):
+        """A ratio that is one affine piece on both half-lines is that piece
+        at 0 too, for a scalar and inside an array."""
+        assert phi_eval(poisson_model, 0.0) == math.log(2.0)
+        assert phi_eval(gaussian_shift_model, 0.0) == -0.5
+        assert list(phi_eval(gaussian_shift_model, np.array([-1.0, 0.0, 1.0]))) \
+            == [-1.5, -0.5, 0.5]
+
+    @pytest.mark.parametrize("fixture", ["gamma_model", "exponential_model"])
+    def test_positive_support_excludes_zero(self, fixture, request):
+        """A jump law on the positive half-line has no ratio at 0 or below."""
+        model = request.getfixturevalue(fixture)
+        for x in (0.0, -1.0, np.array([1.0, 0.0])):
+            with pytest.raises(SupportError):
+                phi_eval(model, x)
+
     def test_inadmissible_model_raises(self):
         with pytest.raises(InadmissibleModelError):
             phi_eval(build_change_model(LevySpec.brownian(1.0, 0.0),
