@@ -102,13 +102,14 @@ def run_rule(config: DetectorConfig, llr: LLRPath) -> StopResult:
     delta = stride * llr.grid_dt
     u = llr.u_values[None, ::stride]
     if config.rule == "shiryaev_roberts":   # log R_k = u_k + log sum_{m<k} exp(-u_m)
-        off, stat, end = kernels.sr_scan(u, np.array([-np.inf]), 0, h)
+        off, stat = kernels.sr_scan(u, np.array([-np.inf]), 0, h)
     else:
-        off, stat, end = kernels.cusum_scan(u, np.array([np.inf]), None, 0, h)
-    k = int(off[0])
-    if k < 0:                           # censored at the last monitored point
-        k, stat = u.shape[1] - 1, (np.maximum(end, 0.0) if drawup else end)
-    return StopResult(stop_time=k * delta, censored=bool(off[0] < 0),
+        off, stat = kernels.cusum_scan(u, np.array([np.inf]), None, 0, h)
+    censored = bool(off[0] < 0)
+    k = u.shape[1] - 1 if censored else int(off[0])    # censored at the last point
+    if drawup:                          # floored at 0; a crossing is >= h > 0
+        stat = np.maximum(stat, 0.0)
+    return StopResult(stop_time=k * delta, censored=censored,
                       stat_at_stop=float(stat[0]), steps_taken=k)
 
 

@@ -232,8 +232,12 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
 def sample_u_increments(model: ChangeModel, regime: str, dt: float,
                         n: int, rng: RngStream) -> np.ndarray:
     """n independent log-likelihood increments over one step (one stream)."""
-    gens = rng.substreams(substream_components(model, dt))
-    return make_u_sampler(model, regime, dt)([g and [g] for g in gens], (1, n))[0]
+    gens = lease(rng.master_seed, range(rng.stream_id, rng.stream_id + 1),
+                 substream_components(model, dt))
+    try:
+        return make_u_sampler(model, regime, dt)(gens, (1, n))[0]
+    finally:
+        give_back(gens)
 
 
 # --------------------------------------------------------------------------- #
@@ -262,15 +266,15 @@ class BatchState:
     at any step. Each sub-block a row draws is sampled and summed once (the
     carry ``u``; the row's step ``pos``) and every rule scans it with carries
     of its own (``RULE_CARRIES``, one row per rule in the order of ``rules``)
-    and keeps its own first crossing (``stop``, -1 if none; ``stat``) of the
-    barrier it was last advanced under. The carries ``lastref`` (with
-    ``last_reflect``) and ``num``/``den`` (with ``lb_horizon``: the
-    lower-bound sums over steps strictly before each row's stop or step
-    ``lb_horizon``, whichever comes first) are None unless asked for. With
-    ``records`` each rule also keeps each row's running maximum ``best`` and
-    its ``ladders`` entry of record highs (row, step, value), so a row can go
-    on under a higher barrier and the step it reached a lower one is a lookup
-    (:meth:`first_reach`). Sub-blocks are whole multiples of ``unit``, the
+    and keeps its own first crossing (``stop``, -1 if none; ``stat``, the
+    statistic there, the last value if censored) of the barrier it was last
+    advanced under. The carries ``lastref`` (with ``last_reflect``) and
+    ``num``/``den`` (with ``lb_horizon``: the lower-bound sums over steps
+    strictly before each row's stop or step ``lb_horizon``, whichever comes
+    first) are None unless asked for. With ``records`` each rule also keeps
+    each row's running maximum ``best`` and its ``ladders`` entry of record
+    highs (row, step, value), so a row can go on under a higher barrier and
+    the step it reached a lower one is a lookup (:meth:`first_reach`). Sub-blocks are whole multiples of ``unit``, the
     least common multiple of the rules' strides (:func:`block_end`), so each
     boundary is a monitoring step of every rule. Last reflections, lower-bound
     sums and records count steps of the path, so only stride-1 rules keep them."""
@@ -380,11 +384,10 @@ class BatchState:
                 getattr(self, c)[r][rows] = value
         if rec:
             self.best[r][rows] = rec[0]
-            self.ladders[r].append((rows[out[3][0]],) + out[3][1:])
-        off, st, ye = out[:3]
-        hit = off >= 0
-        self.stop[r][rows] = np.where(hit, start + (1 + off) * self.rules[r].stride, -1)
-        self.stat[r][rows] = np.where(hit, st, ye)   # censored rows keep the last value
+            self.ladders[r].append((rows[out[2][0]],) + out[2][1:])
+        off, st = out[:2]
+        self.stop[r][rows] = np.where(off >= 0, start + (1 + off) * self.rules[r].stride, -1)
+        self.stat[r][rows] = st
 
 
 def _pool_map(fn, items, threads: int) -> list:

@@ -285,8 +285,9 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
             outcomes.append(exc)
     hs = {i: out[0] for i, out in enumerate(outcomes) if not isinstance(out, Exception)}
     levels = barriers(hs)
-    advance(paths, n_steps, levels, threads)
-    # no probe draws further: the final probe's new paths reuse the generators
+    # every rule's rows already stand at or past its h_bar, which is at most
+    # its last probe's barrier, or at the horizon: the final probe draws no
+    # further on them, and its new paths reuse their generators
     release(paths)
     if hs:
         fresh = run_rules(model, "pre",

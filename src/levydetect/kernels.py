@@ -36,7 +36,10 @@ stopped rows).
 The four scans the engine runs on cumulative values (:func:`cusum_scan`,
 :func:`lb_cusum_scan`, :func:`sr_scan`, :func:`lb_until_scan`) compose these
 primitives and leave their block as it is; :func:`detector.run_rule` runs
-:func:`cusum_scan` or :func:`sr_scan` once, on a whole path as one row.
+:func:`cusum_scan` or :func:`sr_scan` once, on a whole path as one row. The
+three that stop return one statistic per row, ``(offset, stat)``: the block
+position of the row's first crossing (-1 if none) and the statistic there,
+or at the block's last point where the row does not cross.
 """
 
 from __future__ import annotations
@@ -128,13 +131,6 @@ def first_crossing(crossed: np.ndarray) -> np.ndarray:
     return np.where(crossed[np.arange(crossed.shape[0]), j], j, np.int64(-1))
 
 
-def value_at(y: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """y at each row's block position ``off`` (NaN where off < 0)."""
-    v = y[np.arange(y.shape[0]), off]  # off -1 reads the last column, then NaN
-    v[off < 0] = np.nan
-    return v
-
-
 def crossing_steps(off: np.ndarray, start_step: int) -> np.ndarray:
     """Global step of each row's crossing (int64 max where none)."""
     return np.where(off >= 0, start_step + 1 + off, _INT_MAX)
@@ -188,7 +184,7 @@ def lb_sums(y, start_step, stop, num, den) -> None:
 # --------------------------------------------------------------------------- #
 
 def _outcome(y, off, start_step, best):
-    out = off, value_at(y, off), y[:, -1].copy()
+    out = off, y[np.arange(y.shape[0]), off]     # off -1 reads the last column
     return out if best is None else out + (record_highs(y, start_step, best),)
 
 
@@ -205,10 +201,10 @@ def _cusum_block(uu, mn, lastref, start_step, hbar):
 def cusum_scan(uu, mn, lastref, start_step, hbar, best=None):
     """Advance the reflected log-likelihood statistic; detect barrier crossing.
 
-    Returns (offset, stat, yend): offset is the 0-based block position of the
-    first step with statistic >= hbar (-1 if none), stat the statistic there,
-    yend the statistic at the last block step (for censor reporting). Given
-    the carry ``best``, a fourth item holds the block's :func:`record_highs`.
+    Returns (offset, stat): offset is the 0-based block position of the first
+    step with statistic >= hbar (-1 if none), stat the statistic there, or at
+    the last block step where the row does not cross. Given the carry
+    ``best``, a third item holds the block's :func:`record_highs`.
     The carry ``lastref`` may be None: the last reflection is then not kept.
     """
     y, off, _ = _cusum_block(uu, mn, lastref, start_step, hbar)
@@ -227,7 +223,7 @@ def lb_cusum_scan(uu, mn, lastref, num, den, start_step, hbar, horizon):
 
 def sr_scan(uu, logA, start_step, log_thresh, best=None):
     """Advance the Shiryaev-Roberts statistic; detect log R >= log_thresh.
-    Returns (offset, stat, rend), and the record highs, as :func:`cusum_scan`
+    Returns (offset, stat), and the record highs, as :func:`cusum_scan`
     does."""
     logr = sr_log(uu, logA)
     off = first_crossing(logr >= log_thresh)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractError, SpecValidationError
 from .families import LevySpec
 from .model import ChangeModel
-from .rng import RngStream
+from .rng import RngStream, give_back, lease
 
 __all__ = [
     "SamplePath",
@@ -188,7 +188,6 @@ def sample_changed_path(model: ChangeModel, tau: float, horizon: float,
     if tau < 0.0:
         raise SpecValidationError("change point must be nonnegative")
     horizon = n * grid_dt
-    gen = rng.generator()
     tau_t = (math.inf if math.isinf(tau)
              else min(round(min(tau, horizon) / grid_dt), n) * grid_dt)
 
@@ -201,15 +200,13 @@ def sample_changed_path(model: ChangeModel, tau: float, horizon: float,
         if tau_t < horizon:
             pieces.append((model.post, tau_t, horizon))
 
-    incs, times, sizes = [], [], []
-    for spec, t0, t1 in pieces:
-        inc, jt, js = _simulate_piece(gen, spec, t0, t1, grid_dt)
-        incs.append(inc)
-        times.append(jt)
-        sizes.append(js)
-    increments = np.concatenate(incs)
-    jump_times = np.concatenate(times)
-    jump_sizes = np.concatenate(sizes)
+    gens = lease(rng.master_seed, range(rng.stream_id, rng.stream_id + 1), (rng.component,))
+    try:
+        gen = gens[rng.component][0]
+        drawn = [_simulate_piece(gen, spec, t0, t1, grid_dt) for spec, t0, t1 in pieces]
+    finally:
+        give_back(gens)
+    increments, jump_times, jump_sizes = (np.concatenate(parts) for parts in zip(*drawn))
 
     values = np.empty(n + 1)
     values[0] = 0.0

@@ -43,11 +43,6 @@ class EvalReport:
         """Is the target inside estimate +- n_se standard errors?"""
         return abs(self.estimate - target) <= n_se * self.std_error
 
-    @property
-    def usable(self) -> bool:
-        """False when every replication censored (estimate carries no signal)."""
-        return self.n_censored < self.n_rep
-
     def to_row(self) -> dict:
         row = {
             "label": self.label,

@@ -100,8 +100,9 @@ class RngStream:
 
     def substreams(self, components: Sequence[int]
                    ) -> Tuple[Optional[np.random.Generator], ...]:
-        """Generators of ``components``, indexed by component number (None at
-        the numbers not asked for)."""
+        """Fresh builds of the generators of ``components``, indexed by
+        component number (None at the numbers not asked for): the reference
+        that a lease's restarted generators draw the bits of."""
         gens = [None] * (max(components) + 1)
         for c in components:
             gens[c] = RngStream(self.master_seed, self.stream_id, c).generator()

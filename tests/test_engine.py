@@ -488,6 +488,32 @@ class TestRunPaths:
             engine.advance(states, 3, [1.0])
 
 
+# every conftest pair but gamma 1 -> 2, where exp(X) has infinite variance
+SR_IDENTITY_FIXTURES = ["brownian_model", "poisson_model", "gaussian_shift_model",
+                        "jump_diffusion_model", "gamma_model_mild", "exponential_model",
+                        "two_sided_model"]
+
+
+class TestShiryaevRobertsIdentity:
+    @pytest.mark.parametrize("fixture", SR_IDENTITY_FIXTURES)
+    def test_in_control_mean_stop_equals_mean_statistic(self, request, fixture):
+        """Under the pre-change law E[exp(X)] = 1, so R_k - k is a martingale
+        and E[N ^ n] = E[R_{N ^ n}] for the grid SR rule (Pollak, Ann.
+        Statist. 13, 1985). At log A = 2 over n = 10 steps of 0.1 some rows
+        stop and others are censored, so the check covers the sampler, the
+        scan, the stop steps and the statistic a censored row reports (its
+        last value). Over 20,000 paths the paired difference is within 3
+        SE of 0: over 25 other seeds the largest |z| of the seven pairs was
+        2.7. Stops one step late, or a compensator 5 % too large, fail it."""
+        n_steps, n_rep = 10, 20000
+        res = run_paths(request.getfixturevalue(fixture), "pre", RuleSpec("sr", 2.0), 0.1,
+                        n_steps, n_rep, 1985, "arl",
+                        block=SR_IDENTITY_FIXTURES.index(fixture))
+        d = np.where(res.censored, n_steps, res.stop_steps) - np.exp(res.stat)
+        z = d.mean() / (d.std(ddof=1) / math.sqrt(n_rep))
+        assert abs(z) <= 3.0, f"z = {z:.2f}"
+
+
 class TestRunDyadic:
     def test_strides_must_divide(self, brownian_model):
         with pytest.raises(ContractError):
@@ -1003,7 +1029,8 @@ def _whole_horizon_dyadic(model, regime, log_barrier, dt, n_steps, strides, n_re
 
 def _cusum_oracle(row, hbar):
     """Plain-loop reflected statistic: (0-based stop index or -1, statistic
-    at the stop, last 1-based step with statistic <= 0)."""
+    at the stop or at the last step if none, last 1-based step with
+    statistic <= 0)."""
     ui, mi, ref = 0.0, 0.0, 0
     for k, x in enumerate(row):
         ui += x
@@ -1013,7 +1040,7 @@ def _cusum_oracle(row, hbar):
         if y >= hbar:
             return k, y, ref
         mi = min(mi, ui)
-    return -1, math.nan, ref
+    return -1, y, ref
 
 
 def _lb_oracle(row, stop_step):
@@ -1036,7 +1063,7 @@ def _fresh_state(n):
 
 
 def _sr_scan_by_accumulate(uu, logA, log_thresh):
-    """sr_scan's (offset, stat, rend) with the log sums taken by
+    """sr_scan's (offset, stat) with the log sums taken by
     np.logaddexp.accumulate along each row; advances ``logA``."""
     logr = np.empty_like(uu)
     logr[:, 0] = logA
@@ -1045,12 +1072,12 @@ def _sr_scan_by_accumulate(uu, logA, log_thresh):
     logA[:] = np.logaddexp(logr[:, -1], -uu[:, -1])
     logr += uu
     off = kernels.first_crossing(logr >= log_thresh)
-    return off, kernels.value_at(logr, off), logr[:, -1]
+    return off, _masked_stat(logr, off)
 
 
 def _assert_sr_scan_is_accumulate(uu, logA, start, log_thresh):
     """Scan a block with sr_scan and with the accumulate, each from its own
-    copy of the carry; offsets, stat, rend and the carry agree bit for bit.
+    copy of the carry; offsets, stat and the carry agree bit for bit.
     Returns sr_scan's result."""
     want_a = logA.copy()
     want = _sr_scan_by_accumulate(uu, want_a, log_thresh)
@@ -1082,18 +1109,18 @@ class TestScanKernels:
         inc = rng.normal(-0.05, 0.3, size=(32, 400))
         hbar = 3.0
         u, mn, lref = _fresh_state(32)
-        off, st, _ = kernels.cusum_scan(kernels.cumulative(inc.copy(), u), mn, lref, 0, hbar)
+        off, st = kernels.cusum_scan(kernels.cumulative(inc.copy(), u), mn, lref, 0, hbar)
         for i in range(32):
             stop, stat, ref = _cusum_oracle(inc[i], hbar)
             assert off[i] == stop
-            if stop >= 0:
-                assert st[i] == stat
+            assert st[i] == stat        # at the stop, or at the last step
             assert lref[i] == ref
         assert (off >= 0).any() and (off < 0).any()
 
     def test_multi_chunk_carry(self):
         """Scanning 300-step chunks and dropping stopped rows gives the
-        first stops, statistics and last reflections of one whole scan."""
+        first stops, statistics (the last ones of rows that never stop) and
+        last reflections of one whole scan."""
         rng = np.random.default_rng(7)
         inc = rng.normal(-0.05, 0.4, size=(16, 900))
         for hbar in (0.8, 2.5):
@@ -1104,17 +1131,17 @@ class TestScanKernels:
             for lo in range(0, 900, 300):
                 cu, cm, cl = u[alive], mn[alive], lref[alive]
                 uu = kernels.cumulative(inc[alive, lo:lo + 300].copy(), cu)
-                o, s, _ = kernels.cusum_scan(uu, cm, cl, lo, hbar)
+                o, s = kernels.cusum_scan(uu, cm, cl, lo, hbar)
                 u[alive], mn[alive], lref[alive] = cu, cm, cl
                 done = o >= 0
                 stops[alive[done]] = lo + 1 + o[done]
-                stats[alive[done]] = s[done]
+                stats[alive] = s
                 alive = alive[~done]
             u1, m1, l1 = _fresh_state(16)
-            o1, s1, _ = kernels.cusum_scan(kernels.cumulative(inc.copy(), u1), m1, l1,
-                                           0, hbar)
+            o1, s1 = kernels.cusum_scan(kernels.cumulative(inc.copy(), u1), m1, l1,
+                                        0, hbar)
             assert np.array_equal(stops, np.where(o1 >= 0, o1 + 1, -1))
-            assert np.array_equal(stats, s1, equal_nan=True)
+            assert np.array_equal(stats, s1)
             assert np.array_equal(lref, l1)
             for i in range(16):
                 stop, stat, ref = _cusum_oracle(inc[i], hbar)
@@ -1153,8 +1180,9 @@ class TestScanKernels:
         rows a tile of the default size holds 32 steps, so both blocks span
         several), and follows the recursion R_k = (1 + R_{k-1}) e^{x_k}.
         Every third row starts with a zero increment, so its first step adds
-        two equal logs (0 and -0.0: logaddexp's x == y branch). The tile size
-        does not matter: tiles of one step (sizes 1 and 7) give the same bits."""
+        two equal logs (0 and -0.0: logaddexp's x == y branch). No row
+        crosses, so each block's stat is its last log R. The tile size does
+        not matter: tiles of one step (sizes 1 and 7) give the same bits."""
         for tile in (1, 7, 16384):
             monkeypatch.setattr(kernels, "TILE_SIZE", tile)
             assert kernels.TILE_SIZE // 500 < 77
@@ -1166,7 +1194,7 @@ class TestScanKernels:
                     u, a = np.zeros(rows), np.zeros(rows)
                     start = 0
                     for w in widths:
-                        off, _, rend = _assert_sr_scan_is_accumulate(
+                        off, stat = _assert_sr_scan_is_accumulate(
                             kernels.cumulative(inc[:, start:start + w].copy(), u), a, start,
                             math.log(1e9))
                         assert np.all(off == -1)
@@ -1175,7 +1203,7 @@ class TestScanKernels:
                         r = 0.0
                         for x in inc[i]:
                             r = (1.0 + r) * math.exp(x)
-                        assert rend[i] == pytest.approx(math.log(r), rel=1e-10)
+                        assert stat[i] == pytest.approx(math.log(r), rel=1e-10)
 
     def test_sr_stops_at_first_crossing(self):
         """On 8 rows (along each row) and 64 (across the rows), sr_scan stops
@@ -1185,19 +1213,19 @@ class TestScanKernels:
             inc = rng.normal(-0.02, 0.3, size=(rows, 257))
             u, a = np.zeros(rows), np.zeros(rows)
             log_thresh = math.log(30.0)
-            off, st, _ = _assert_sr_scan_is_accumulate(kernels.cumulative(inc.copy(), u),
-                                                       a, 0, log_thresh)
+            off, st = _assert_sr_scan_is_accumulate(kernels.cumulative(inc.copy(), u),
+                                                    a, 0, log_thresh)
             assert (off >= 0).any()
             for i in range(rows):
-                r, stop, stat = 0.0, -1, math.nan
+                r, stop = 0.0, -1
                 for k, x in enumerate(inc[i]):
                     r = (1.0 + r) * math.exp(x)
                     if math.log(r) >= log_thresh:
-                        stop, stat = k, math.log(r)
+                        stop = k
                         break
                 assert off[i] == stop
-                if stop >= 0:
-                    assert st[i] == pytest.approx(stat, rel=1e-12)
+                # log R at the stop, or at the last step
+                assert st[i] == pytest.approx(math.log(r), rel=1e-12)
 
     def test_lb_until_oracle(self):
         rng = np.random.default_rng(17)
@@ -1214,8 +1242,8 @@ class TestScanKernels:
         rng = np.random.default_rng(13)
         inc = rng.normal(-0.02, 0.3, size=(64, 257))
         u, *state = (*_fresh_state(64), np.ones(64), np.ones(64))
-        off, _, _ = kernels.lb_cusum_scan(kernels.cumulative(inc.copy(), u), *state, 0,
-                                          1.2, 258)
+        off, _ = kernels.lb_cusum_scan(kernels.cumulative(inc.copy(), u), *state, 0,
+                                       1.2, 258)
         assert (off >= 0).any()
         for i in range(64):
             stop, _, ref = _cusum_oracle(inc[i], 1.2)
@@ -1227,11 +1255,12 @@ class TestScanKernels:
             assert state[3][i] == pytest.approx(den, rel=1e-12)
 
     def test_kernels_equal_the_masked_formulas(self):
-        """value_at, last_reflection and lb_sums equal, bit for bit, their
-        formulas over (rows, steps) masks: within cusum_scan, lb_cusum_scan
-        (with the last reflection kept or not) and lb_until_scan, and
-        value_at alone at random offsets. Over the random blocks some row stops at the block's first step,
-        some row does not stop, and the horizon falls inside the block."""
+        """The reported statistic, last_reflection and lb_sums equal, bit for
+        bit, their formulas over (rows, steps) masks: within cusum_scan,
+        lb_cusum_scan (with the last reflection kept or not) and
+        lb_until_scan. Over the random blocks some row stops at the block's
+        first step, some row does not stop, and the horizon falls inside the
+        block."""
         rng, cases = np.random.default_rng(29), Counter()
         for _ in range(300):
             uu, start, carry = _random_block(rng)
@@ -1256,15 +1285,14 @@ class TestScanKernels:
             kernels.lb_until_scan(uu, got[0], got[2], got[3], start, stop)
             _masked_lb_sums(kernels.reflected(uu, want[0]), start, stop, want[2], want[3])
             _assert_all_equal(got, want)
-            off = rng.integers(-1, m, size=rows)
-            _assert_all_equal([kernels.value_at(uu, off)], [_masked_value_at(uu, off)])
             assert np.array_equal(uu, block)        # the scans leave their block as it is
         assert all(cases[case] for case in ("first_step", "no_stop", "horizon_inside"))
 
 
-def _masked_value_at(y, off):
-    """value_at as a clamped index and a where over both branches."""
-    return np.where(off >= 0, y[np.arange(y.shape[0]), np.maximum(off, 0)], np.nan)
+def _masked_stat(y, off):
+    """The statistic a scan reports, at the crossing or else at the last
+    point, as a clamped index and a where over both branches."""
+    return np.where(off >= 0, y[np.arange(y.shape[0]), np.maximum(off, 0)], y[:, -1])
 
 
 def _masked_last_reflection(y, start_step, stop, lastref):
@@ -1294,7 +1322,7 @@ def _masked_cusum_scan(uu, mn, lastref, start_step, hbar):
     if lastref is not None:
         _masked_last_reflection(y, start_step, kernels.crossing_steps(off, start_step),
                                 lastref)
-    return off, _masked_value_at(y, off), y[:, -1].copy()
+    return off, _masked_stat(y, off)
 
 
 def _masked_lb_cusum_scan(uu, mn, lastref, num, den, start_step, hbar, horizon):
@@ -1305,7 +1333,7 @@ def _masked_lb_cusum_scan(uu, mn, lastref, num, den, start_step, hbar, horizon):
     if lastref is not None:
         _masked_last_reflection(y, start_step, stop, lastref)
     _masked_lb_sums(y, start_step, np.minimum(stop, horizon), num, den)
-    return off, _masked_value_at(y, off), y[:, -1].copy()
+    return off, _masked_stat(y, off)
 
 
 def _assert_all_equal(got, want) -> None:

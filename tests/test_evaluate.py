@@ -61,11 +61,10 @@ class TestEstimateArl:
                            horizon=60.0, seed=SEED, block=1)
         assert a_0.estimate < a_inf.estimate
 
-    def test_all_censored_is_unusable(self, brownian_model):
+    def test_all_censored_counts_every_replication(self, brownian_model):
         rep = estimate_arl(brownian_model, _grid_cfg(9.0), "in_control", 200,
                            horizon=5.0, seed=SEED)
         assert rep.n_censored == rep.n_rep
-        assert not rep.usable
 
     def test_determinism_across_threads(self, brownian_model):
         cfg = _grid_cfg(2.0)
