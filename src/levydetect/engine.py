@@ -4,35 +4,36 @@ The detection statistics are grid functionals of the log-likelihood process,
 and for every catalogue family the law of its increments over a monitoring
 step is known exactly, so runs are simulated directly on the monitoring grid.
 Each replication owns a counter-based stream (reproducible from its index
-alone) and draws each kind of variate from its own substream, so every draw
-is a function of its step index only, whatever the schedule that draws it.
-Each batch leases its generators, by component, from its thread's pool,
-which restarts them in place on the batch's streams (:func:`rng.lease`); a
-restart sets the whole Philox state of a fresh generator, so no value can
-move.
-For the jump families one table, :func:`_jump_sides`, names the substreams
-of each side of the jump law, whose closed forms come from the law itself;
-the sampler and :func:`substream_components` both read it; a side whose
-mark coefficient is 0 has no mark substream, so nothing is drawn only to be
-multiplied by 0. The sampler fills a whole (rows, steps) block per call:
-only the generator calls run per row, writing into the block, and the
-arithmetic runs once per block, so a block holds the bits of its rows drawn
-one by one.
+alone) and draws each kind of variate from its own substream. Each batch
+leases its generators, by component, from its thread's pool, which restarts
+them in place on the batch's streams (:func:`rng.lease`); a restart sets the
+whole Philox state of a fresh generator, so no value can move.
+A Brownian or gamma step draws one variate per step. A compound-Poisson or
+jump-diffusion pair draws its jumps as events: each row keeps an event clock
+(:func:`stream_state`) of pending jump times, sums of exponential gaps drawn
+a chunk at a time (each the inverse of one uniform), and a block adds phi(size) on the step of each of its
+events, one jump size drawn per event, none where phi is constant on the
+law's support. So a row's k-th normal, jump time and jump size are functions
+of k and its stream alone, whatever the schedule that draws them, and a row
+with no event in a block draws nothing for its jumps. The sampler fills a
+whole (rows, steps) block per call: only the generator calls run per row,
+writing into the block, and the arithmetic runs once per block, so a block
+holds the bits of its rows drawn one by one.
 
-A :class:`BatchState` holds one batch's streams and steps, and the carries
-of one or more stopping rules. It advances its rows to a step, or until each
-rule reaches its barrier, drawing and scanning exactly the sub-blocks they
-need with one sampler call per sub-block that every rule scans, and can be
-resumed at any step. It sums each sub-block once, in place, into the
-cumulative values every scan kernel reads; this is the engine's one
-draw-and-scan loop. Sub-blocks widen as a path goes on, so a path that
-stops at step k draws at most max(64, sqrt(64 k)) steps past it; a rule may
-watch every s-th step only (its stride), and the widths are whole multiples
-of every stride (:func:`block_end`). :func:`run_rules` drives it for rules
-that share their paths, :func:`run_paths` for one rule, and
+A :class:`BatchState` holds one batch's streams, steps and event clocks, and
+the carries of one or more stopping rules. It advances its rows to a step,
+or until each rule reaches its barrier, drawing and scanning exactly the
+sub-blocks they need with one sampler call per sub-block that every rule
+scans, and can be resumed at any step. It sums each sub-block once, in
+place, into the cumulative values every scan kernel reads; this is the
+engine's one draw-and-scan loop. Sub-blocks widen as a path goes on, so a
+path that stops at step k draws at most max(64, sqrt(64 k)) steps past it; a
+rule may watch every s-th step only (its stride), and the widths are whole
+multiples of every stride (:func:`block_end`). :func:`run_rules` drives it
+for rules that share their paths, :func:`run_paths` for one rule, and
 :func:`run_dyadic` for nested monitoring grids, one strided CUSUM rule per
 grid of one fine path. Their results depend on neither the worker count,
-``CHUNK`` nor ``SUB_BLOCK``."""
+``CHUNK``, ``SUB_BLOCK`` nor ``GAPS``."""
 
 from __future__ import annotations
 
@@ -44,20 +45,21 @@ import numpy as np
 
 from . import kernels
 from .errors import ContractError, SampleSizeError
-from .families import LevySpec
 from .model import ChangeModel
 from .rng import RngStream, give_back, lease, stream_id
 
 __all__ = ["RuleSpec", "PathRunResult", "BatchState", "make_u_sampler",
-           "substream_components", "sample_u_increments", "block_end", "batch_states",
-           "release", "advance", "run_rules", "run_paths", "run_dyadic"]
+           "substream_components", "stream_state", "sample_u_increments", "block_end",
+           "batch_states", "release", "advance", "run_rules", "run_paths", "run_dyadic"]
 
 CHUNK = 4096          # widest draw-and-scan sub-block in steps (not a tuning knob)
 SUB_BLOCK = 64        # first sub-block of a path; later ones double up to CHUNK
 BATCH = 1024          # replications per work item
+GAPS = 32             # exponential gaps an event clock draws at once (moves no result)
 
 # substream components (see rng.RngStream): what a sampler draws from each
-BM, COUNT, MARK, COUNT_NEG, MARK_NEG = range(5)
+BM, COUNT, MARK = range(3)
+CLOCK = 3             # the entry of a jump pair's stream state past its components
 
 @dataclass(frozen=True)
 class RuleSpec:
@@ -125,47 +127,91 @@ def _bm_sd(model: ChangeModel, dt: float) -> float:
     return abs(model.alpha) * model.sigma * math.sqrt(dt)
 
 
-def _jump_sides(model: ChangeModel, spec: LevySpec, dt: float) -> list:
-    """The stream contract of a compound-Poisson or jump-diffusion pair: one
-    row per side of the jump law of ``spec``, positive side first, (count
-    component, mark component, jump rate * dt, and the law's c0 and marks of
-    the side). ``marks(gens, n)`` draws the c1 part of the phi-sum of a
-    block of ``n`` jumps per step, row j from ``gens[j]``; a step's jumps
-    add c0 * n + marks to its phi-sum. A side whose c1 is 0 has no marks
-    (None): its phi-sum is c0 * n and its mark component is not drawn from."""
-    lam_dt = spec.intensity * dt
-    return [(count, mark, lam_dt * weight, c0, marks)
-            for (count, mark), (weight, c0, marks)
-            in zip(((COUNT, MARK), (COUNT_NEG, MARK_NEG)), spec.jumps.step_sides(model.phi))]
-
-
 def substream_components(model: ChangeModel, dt: float) -> Tuple[int, ...]:
     """The substream components the increment sampler of ``model`` draws
-    from, in increasing order."""
+    from, in increasing order: BM for a Brownian part (and the gamma
+    family's variates); for a jump pair COUNT for its event times, and MARK
+    for its jump sizes unless phi is constant where the jumps land."""
     if model.phi is None or model.pre.family == "gamma":
         return (BM,)
-    jumps = sorted(c for count, mark, *_, marks in _jump_sides(model, model.pre, dt)
-                   for c in ((count,) if marks is None else (count, mark)))
-    return ((BM,) if _bm_sd(model, dt) > 0.0 else ()) + tuple(jumps)
+    return (((BM,) if _bm_sd(model, dt) > 0.0 else ()) + (COUNT,)
+            + (() if model.phi.constant is not None else (MARK,)))
+
+
+def stream_state(gens: list, clock: Optional[np.ndarray] = None) -> list:
+    """What a sampler reads of its rows: ``gens``, their generators by
+    component, and for a jump pair (one with a COUNT entry) the rows' event
+    clock at entry CLOCK: ``clock``, or a new one if None. A clock row is
+    [s, t_1, ..., t_GAPS]: s the steps its row has drawn, and t its current
+    chunk of event times, in steps from the row's start, ascending; those at
+    or before s are spent. A new row is all 0: at step 0, with no event
+    pending."""
+    if len(gens) <= COUNT or gens[COUNT] is None:
+        return gens
+    if clock is None:
+        clock = np.zeros((len(gens[COUNT]), 1 + GAPS))
+    return [*gens, *[None] * (CLOCK - len(gens)), clock]
+
+
+def _advance_clock(gens, clock: np.ndarray, rate_dt: float, width: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Advance the rows' event clocks ``width`` steps, row j drawing from
+    ``gens[j]``. Returns the row and the column of each event of the block,
+    an event at time t in (k - 1, k] falling on step k, each row's in time
+    order (the rows interleave if some drew more than one chunk). A row
+    whose chunk ends within the block draws the next chunk, as many
+    exponential gaps of mean 1 / ``rate_dt`` steps, each -log(1 - u) /
+    ``rate_dt`` of one uniform u, and adds them on, in order, to its last
+    time, until a time lies past the block; a row with no event in the
+    block draws nothing."""
+    start = clock[:, 0].copy()
+    end, times = start + width, clock[:, 1:]
+
+    def binned(t, rows):
+        r, c = ((t > start[rows, None]) & (t <= end[rows, None])).nonzero()
+        return rows[r], (np.ceil(t[r, c]) - start[rows[r]]).astype(np.intp) - 1
+
+    rows = np.arange(len(clock))
+    found = [binned(times, rows)]
+    rows = rows[times[:, -1] <= end]
+    while rows.size:
+        t = np.empty((rows.size, times.shape[1]))
+        for i, row in zip(rows.tolist(), t):
+            gens[i].random(out=row)
+        np.negative(t, out=t)
+        np.log1p(t, out=t)                  # -log(1 - u) / rate_dt, by inversion
+        t /= -rate_dt
+        t[:, 0] += times[rows, -1]
+        np.cumsum(t, axis=1, out=t)
+        times[rows] = t
+        found.append(binned(t, rows))
+        rows = rows[t[:, -1] <= end[rows]]
+    clock[:, 0] = end
+    return found[0] if len(found) == 1 else tuple(np.concatenate(c) for c in zip(*found))
 
 
 def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     """Exact sampler for log-likelihood increments over one monitoring step.
 
     ``regime`` is 'pre' (no change yet) or 'post' (changed from the start).
-    The sampler is called as ``sampler(gens, (rows, steps))`` and returns a
+    The sampler is called as ``sampler(state, (rows, steps))`` and returns a
     ``(rows, steps)`` block: row j holds the next ``steps`` increments of the
-    replication whose generator of component c is ``gens[c][j]``, for each
+    replication whose generator of component c is ``state[c][j]``, for each
     component c of :func:`substream_components` (as :func:`rng.lease` hands
-    them out). Each component feeds one kind of variate, one value per step:
-    BM the Brownian normals (and the gamma family's gamma variates), and
-    each side of a jump law its counts and its marks (:func:`_jump_sides`).
-    That assignment is the stream contract; it makes the increments of
-    successive calls continue one sequence per row whatever the call sizes
-    and whichever rows share a call. Only the generator calls run per row,
-    each writing into its row of the block; the arithmetic then runs once on
-    the block, in place, in the order of operations of the one-row
-    expression.
+    them out), and whose event clock, for a jump pair, is row j of
+    ``state[CLOCK]`` (:func:`stream_state`), which the call advances. BM
+    feeds the Brownian normals (and the gamma family's gamma variates), one
+    per step. A jump pair draws its jumps as events: COUNT feeds each row's
+    exponential gaps between jump times, one uniform inverted per gap, MARK one jump size per event (the
+    law's ``jump_sizes``), and each event adds phi(size) to its step; where
+    phi is constant on the law's support no size is drawn. So a row's k-th
+    jump time and k-th jump size are functions of k and its stream alone.
+    That is the stream contract; it makes the increments of successive calls
+    continue one sequence per row whatever the call sizes and whichever rows
+    share a call. The generator calls run per row, each writing into its row
+    of the block, and only for the rows whose events need them; the
+    arithmetic runs once on the block, in place, in the order of operations
+    of the one-row expression.
     """
     if regime not in ("pre", "post"):
         raise ContractError(f"regime must be 'pre' or 'post', got {regime!r}")
@@ -199,34 +245,25 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
             return g
         return draw
 
-    sides, has_bm = _jump_sides(model, spec, dt), bm_sd > 0.0
+    rate_dt, law, phi = spec.intensity * dt, spec.jumps, model.phi
+    has_bm, constant = bm_sd > 0.0, phi.constant
 
-    def side_sum(gens, size, count, mark, rate_dt, c0, marks) -> np.ndarray:
-        n = np.empty(size)                          # counts, exact in a float block
-        for gen, row in zip(gens[count], n):
-            row[:] = gen.poisson(rate_dt, size[1])
-        if marks is None:                           # c1 = 0: no mark is drawn
-            n *= c0
-            return n                                # c0 * n
-        m = marks(gens[mark], n)
-        n *= c0
-        n += m
-        return n                                    # c0 * n + marks
-
-    def draw(gens, size) -> np.ndarray:
-        # (bm + side_0) + side_1 ... - comp_dt: the sides are drawn first, so
-        # no more than three blocks are held at once
-        parts = [side_sum(gens, size, *side) for side in sides]
-        if has_bm:
-            out = brownian(gens, size)
-        else:
-            out = parts.pop(0)
-            out += bm_mean
-        for part in parts:
-            out += part
+    def jumps(gens, size) -> np.ndarray:
+        # bm_mean + bm_sd * z, + phi(size) on each event's step in each
+        # row's event order, - comp_dt
+        out = brownian(gens, size) if has_bm else np.full(size, bm_mean)
+        rows, cols = _advance_clock(gens[COUNT], gens[CLOCK], rate_dt, size[1])
+        if rows.size:
+            at, values = rows * size[1] + cols, constant
+            if constant is None:            # sizes in row, then event, order
+                at = at[np.argsort(rows, kind="stable")]
+                counts = np.bincount(rows, minlength=size[0]).tolist()
+                values = phi(np.concatenate([law.jump_sizes(gen, n)
+                                             for gen, n in zip(gens[MARK], counts) if n]))
+            np.add.at(out.reshape(-1), at, values)
         out -= comp_dt
         return out
-    return draw
+    return jumps
 
 
 def sample_u_increments(model: ChangeModel, regime: str, dt: float,
@@ -235,7 +272,7 @@ def sample_u_increments(model: ChangeModel, regime: str, dt: float,
     gens = lease(rng.master_seed, range(rng.stream_id, rng.stream_id + 1),
                  substream_components(model, dt))
     try:
-        return make_u_sampler(model, regime, dt)(gens, (1, n))[0]
+        return make_u_sampler(model, regime, dt)(stream_state(gens), (1, n))[0]
     finally:
         give_back(gens)
 
@@ -264,7 +301,8 @@ def block_end(pos: int, unit: int = 1) -> int:
 class BatchState:
     """One batch of replications under one or more stopping rules, resumable
     at any step. Each sub-block a row draws is sampled and summed once (the
-    carry ``u``; the row's step ``pos``) and every rule scans it with carries
+    carry ``u``; the row's step ``pos``; for a jump pair its event clock
+    ``clock``, :func:`stream_state`) and every rule scans it with carries
     of its own (``RULE_CARRIES``, one row per rule in the order of ``rules``)
     and keeps its own first crossing (``stop``, -1 if none; ``stat``, the
     statistic there, the last value if censored) of the barrier it was last
@@ -292,6 +330,8 @@ class BatchState:
                                 "or lower-bound sums")
         self.lb_horizon, self.ladders = lb_horizon, [[] for _ in self.rules]
         self.pos, self.u = np.zeros(b, dtype=np.int64), np.zeros(b)
+        state = stream_state(gens)
+        self.clock = state[CLOCK] if len(state) > CLOCK else None
         self.lastref = np.zeros((k, b), dtype=np.int64) if last_reflect else None
         self.stop, self.stat = np.full((k, b), -1, dtype=np.int64), np.full((k, b), np.nan)
         self.mn, self.logA = np.zeros((k, b)), np.zeros((k, b))
@@ -307,8 +347,9 @@ class BatchState:
         live. Rows at one step are drawn and scanned together, going on with
         the schedule from there. With records every rule scans every drawn
         step, so each can resume; without, a rule that has stopped on a row
-        skips its later steps. Every carry is a sequential accumulate and
-        every draw a function of its step, so results do not depend on where
+        skips its later steps. Every carry is a sequential accumulate, the
+        event clock included, and a row's k-th draw of each kind a function
+        of k and its stream alone, so results do not depend on where
         a run stops and resumes, nor on which other rules share the paths."""
         if target % self.unit:
             raise ContractError(f"step {target} is off the grid of stride {self.unit}")
@@ -342,13 +383,17 @@ class BatchState:
 
     def _scan(self, rows: np.ndarray, start: int, end: int, barriers) -> None:
         # one sampler call, summed once in place into cumulative values
-        gens = self.gens
+        gens, clock = self.gens, self.clock
         if rows.size < self.pos.size:       # some rows are not live
             live = rows.tolist()
             gens = [None if g is None else [g[i] for i in live] for g in gens]
+            clock = None if clock is None else clock[rows]
         u = self.u[rows]
-        uu = kernels.cumulative(self.sampler(gens, (rows.size, end - start)), u)
+        uu = kernels.cumulative(
+            self.sampler(stream_state(gens, clock), (rows.size, end - start)), u)
         self.u[rows] = u
+        if clock is not self.clock:
+            self.clock[rows] = clock
         # without records, a rule skips the rows it has stopped on; a row
         # live under one rule has not stopped on it
         several = self.best is None and len(barriers) > 1
@@ -456,8 +501,8 @@ def run_rules(model: ChangeModel, regime: str, rules: Sequence[RuleSpec], dt: fl
     A censored run's lower-bound sums (``collect_lb``) stop at the horizon.
     Results are bit-identical for any ``threads`` value and any ``CHUNK``
     (the widest sub-block drawn and scanned at once): replication i always
-    uses the stream (master_seed, purpose/block/i), each of its draws depends
-    on its step alone, and aggregation is by fixed slices.
+    uses the stream (master_seed, purpose/block/i), its k-th draw of each kind
+    depends on k alone, and aggregation is by fixed slices.
     """
     sampler, size = make_u_sampler(model, regime, dt), max(n_rep - first, 0)
     lb = (lambda: np.empty(size)) if collect_lb else (lambda: None)

@@ -68,13 +68,8 @@ HORIZON_FACTOR = 20.0      # censoring horizon of calibration and comparison: 20
 def phi_lattice_constant(model: ChangeModel) -> Optional[float]:
     """Constant value of phi when the density ratio is flat (intensity-only
     change), i.e. when the reflected statistic lives on a lattice."""
-    if model.phi is None:
-        return None
-    pieces = [p for p in (model.phi.pos, model.phi.neg) if p is not None]
-    c0s = {p[0] for p in pieces}
-    if len(c0s) == 1 and all(p[1] == 0.0 for p in pieces) and min(c0s) > 0.0:
-        return c0s.pop()
-    return None
+    value = None if model.phi is None else model.phi.constant
+    return value if value is not None and value > 0.0 else None
 
 
 def _engine_rule(model: ChangeModel, rule: str, log_barrier: float) -> RuleSpec:

@@ -16,12 +16,10 @@ jump-measure density ratios are affine per half-line, so every downstream
 likelihood object has a closed form. Each law owns its closed forms against
 a law of its own kind: the pieces (c0, c1) of phi = c0 + c1 * x per side,
 positive side first, without the log-intensity term (``phi_pieces``); the
-Hellinger integral at two intensities; the phi-mean; per side the (weight,
-c0, marks) triple of one step's phi-sum (``step_sides``), whose ``marks(gens,
-n)`` draws the c1 part of the phi-sum of a whole block of jump counts ``n``,
-row j from ``gens[j]``, the generators of the side's mark component in row
-order (``marks`` is None where c1 is 0: the
-phi-sum is then c0 * n and no mark is drawn); and ledger jump sizes.
+Hellinger integral at two intensities; the phi-mean; and jump sizes
+(``jump_sizes``), which both the path simulator and the engine's event
+sampler read: they are drawn jump by jump, so the k-th size a generator
+gives does not depend on how many are drawn at once.
 ``phi`` arguments are the pair's density ratio, whose ``pos``/``neg`` pieces
 include the log-intensity term.
 
@@ -103,26 +101,6 @@ class GaussianJumps:
         c0, c1 = phi.pos
         return c0 + c1 * self.mean
 
-    def step_sides(self, phi) -> list:
-        """The c1 part of n marks' phi-sum is c1 times an N(mean n, sd^2 n)
-        draw: c1 * (mean * n + sd * sqrt(n) * z), z standard normal."""
-        (c0, c1), mean, sd = phi.pos, self.mean, self.sd
-        if c1 == 0.0:
-            return [(1.0, c0, None)]
-
-        def marks(gens, n: np.ndarray) -> np.ndarray:
-            z = np.empty_like(n)
-            for gen, row in zip(gens, z):
-                gen.standard_normal(out=row)
-            t = np.sqrt(n)
-            t *= sd
-            t *= z
-            np.multiply(n, mean, out=z)
-            z += t
-            z *= c1
-            return z
-        return [(1.0, c0, marks)]
-
     def jump_sizes(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return gen.normal(self.mean, self.sd, size=n)
 
@@ -164,25 +142,19 @@ class _ExponentialSides:
         return sum(w * (c0 + s * c1 / r)
                    for (s, w, r), (c0, c1) in zip(self.sides, (phi.pos, phi.neg)))
 
-    def step_sides(self, phi) -> list:
-        """A sum of n Exp(rate) marks is a Gamma(n) draw over the rate."""
-        def gamma_sum(scale: float):
-            def marks(gens, n: np.ndarray) -> np.ndarray:
-                g = np.empty_like(n)
-                for gen, shape, row in zip(gens, n, g):
-                    gen.standard_gamma(shape, out=row)
-                g *= scale
-                return g
-            return marks
-
-        return [(w, c0, gamma_sum(s * (c1 / r)) if c1 != 0.0 else None)
-                for (s, w, r), (c0, c1) in zip(self.sides, (phi.pos, phi.neg))]
-
     def jump_sizes(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """A side by weight (drawn only when there are two), then a magnitude."""
-        up = gen.random(n) < self.sides[0][1] if len(self.sides) > 1 else True
-        mags = [sign * gen.exponential(1.0 / rate, size=n) for sign, _, rate in self.sides]
-        return np.where(up, mags[0], mags[-1])
+        """One exponential, or for two sides one uniform u per jump: below
+        the positive side's weight w the jump is up, and u / w (or
+        (u - w) / (1 - w) down) is uniform given the side, so inverting it
+        gives the magnitude. Each jump takes one draw, so the k-th size of
+        a generator's jumps does not depend on how many are drawn at once."""
+        if len(self.sides) == 1:
+            return gen.exponential(1.0 / self.sides[0][2], size=n)
+        (_, w, rate_pos), (_, _, rate_neg) = self.sides
+        u = gen.random(n)
+        up = u < w
+        v = np.where(up, u / w, (u - w) / (1.0 - w))
+        return np.where(up, -np.log1p(-v) / rate_pos, np.log1p(-v) / rate_neg)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,15 @@ class DensityRatio:
             raise SupportError(f"point {bad} lies outside the common jump support")
         return float(out[0]) if scalar else out
 
+    @property
+    def constant(self) -> Optional[float]:
+        """phi's one value on the common support when it has one (its pieces
+        are one and the same, with c1 = 0), else None."""
+        pieces = {p for p in (self.pos, self.neg) if p is not None}
+        if len(pieces) == 1 and (piece := pieces.pop())[1] == 0.0:
+            return piece[0]
+        return None
+
 
 @dataclass(frozen=True)
 class ChangeModel:

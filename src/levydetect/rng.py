@@ -7,9 +7,10 @@ stream-id space so that distinct estimators never share a stream.
 
 A stream splits into substreams by ``component``: component c is the same
 Philox key started at counter [0, 0, 0, c], so component 0 is the stream
-itself. A sampler draws each kind of variate (normals, jump counts, marks)
-from its own component, which makes every draw a function of its step index
-alone: the values do not depend on how many steps are drawn per call.
+itself. A sampler draws each kind of variate (normals, jump times, jump
+sizes) from its own component, in order, so the k-th variate of each kind is
+a function of k alone: the values do not depend on how many are drawn per
+call.
 
 Generators are handed out one way: a lease (:func:`lease`) of the
 substreams of a range of streams, by component, which its user gives back

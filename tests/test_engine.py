@@ -32,10 +32,9 @@ MODEL_FIXTURES = ["brownian_model", "poisson_model", "jump_diffusion_model",
 
 
 def _per_family_increments(model, regime, dt, gens, size):
-    """The per-family sampler expressions that the engine's table of jump
-    sides replaced, with their order of operations: component 0 Brownian
-    normals (or gamma variates), 1 jump counts, 2 marks, 3 and 4 the
-    negative side of a two-sided law."""
+    """The per-family sampler expressions, with their order of operations:
+    component 0 Brownian normals (or gamma variates); the increments of a
+    jump pair are :func:`_event_increments`."""
     spec = model.pre if regime == "pre" else model.post
     bm_sd = abs(model.alpha) * model.sigma * math.sqrt(dt)
     bm_mean = (0.5 if regime == "post" else -0.5) * (model.alpha * model.sigma) ** 2 * dt
@@ -45,23 +44,31 @@ def _per_family_increments(model, regime, dt, gens, size):
     if spec.family == "gamma":
         return model.phi.pos[1] * gens[0].gamma(spec.activity * dt, spec.scale, size) \
             - comp_dt
-    lam_dt, law, (c0, c1) = spec.intensity * dt, spec.jumps, model.phi.pos
+    return _event_increments(model, regime, dt, gens, size)
+
+
+def _event_increments(model, regime, dt, gens, size):
+    """One row of a jump pair, written plainly: the Brownian part (or its
+    mean) from component 0; the jump times in steps, sums of exponential
+    gaps of mean 1 / (intensity * dt), -log(1 - u) / (intensity * dt) of a
+    uniform u drawn one at a time from component 1;
+    one jump size per jump, drawn one at a time from component 2 (none
+    where phi is constant on the support); each jump adds phi(size) to the
+    step k with its time in (k - 1, k], in time order; then the
+    compensator."""
+    spec = model.pre if regime == "pre" else model.post
+    bm_sd = abs(model.alpha) * model.sigma * math.sqrt(dt)
+    bm_mean = (0.5 if regime == "post" else -0.5) * (model.alpha * model.sigma) ** 2 * dt
     out = bm_mean + bm_sd * gens[0].standard_normal(size) if bm_sd > 0.0 \
         else np.full(size, bm_mean)
-    if law.kind == "gaussian":
-        n = gens[1].poisson(lam_dt, size)
-        z = gens[2].standard_normal(size)
-        out += c0 * n + c1 * (law.mean * n + law.sd * np.sqrt(n) * z)
-    elif law.kind == "exponential":
-        n = gens[1].poisson(lam_dt, size)
-        out += c0 * n + (c1 / law.rate) * gens[2].standard_gamma(n)
-    else:
-        (c0n, c1n), w = model.phi.neg, law.weight_pos
-        npos = gens[1].poisson(lam_dt * w, size)
-        nneg = gens[3].poisson(lam_dt * (1.0 - w), size)
-        out += c0 * npos + (c1 / law.rate_pos) * gens[2].standard_gamma(npos)
-        out += c0n * nneg - (c1n / law.rate_neg) * gens[4].standard_gamma(nneg)
-    return out - comp_dt
+    times, t = [], 0.0
+    while (t := t - np.log1p(-gens[1].random()) / (spec.intensity * dt)) <= size:
+        times.append(t)
+    constant = model.phi.constant
+    for t in times:
+        out[math.ceil(t) - 1] += constant if constant is not None \
+            else model.phi(spec.jumps.jump_sizes(gens[2], 1)[0])
+    return out - model.comp_rate * dt
 
 
 def _by_component(rows) -> list:
@@ -78,14 +85,24 @@ def _fresh(ids, components) -> list:
 
 
 class _RecordingGenerator:
-    """A generator that notes whether anything was drawn from it."""
+    """A generator that counts its draw calls and the values they ask for."""
 
     def __init__(self, gen):
-        self.gen, self.used = gen, False
+        self.gen, self.calls, self.values = gen, 0, 0
+
+    @property
+    def used(self) -> bool:
+        return self.calls > 0
 
     def __getattr__(self, name):
-        self.used = True
-        return getattr(self.gen, name)
+        draw = getattr(self.gen, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            values = draw(*args, **kwargs)
+            self.values += np.size(values)
+            return values
+        return counted
 
 
 def _equal_rates():
@@ -98,32 +115,69 @@ def _equal_rates():
 
 def _equal_negative_rates():
     """Two-sided exponential jumps whose negative side keeps its rate: c1 is
-    0 on that side only."""
+    0 on that side only, so phi is not constant on the support, and each
+    jump's size is drawn."""
     pre = LevySpec.compound_poisson(1.0, TwoSidedExponentialJumps(1.0, 2.0, 0.5))
     jumps = TwoSidedExponentialJumps(1.5, 2.0, 0.6)
     drift = (pre.drift_b - pre.jump_truncated_mean()) + 1.2 * jumps.truncated_mean()
     return (build_change_model(pre, LevySpec.compound_poisson(1.2, jumps, drift=drift)),
-            (engine.COUNT, engine.MARK, engine.COUNT_NEG))
+            (engine.COUNT, engine.MARK))
+
+
+def _two_sided_intensity():
+    """Two-sided exponential jumps of one law, intensity 1 -> 1.5: phi is
+    log 1.5 on both sides."""
+    jumps = TwoSidedExponentialJumps(1.0, 2.0, 0.5)
+    pre = LevySpec.compound_poisson(1.0, jumps)
+    drift = (pre.drift_b - pre.jump_truncated_mean()) + 1.5 * jumps.truncated_mean()
+    return (build_change_model(pre, LevySpec.compound_poisson(1.5, jumps, drift=drift)),
+            (engine.COUNT,))
 
 
 # pairs with a zero mark coefficient: builders of (model, the components it draws from)
 _ZERO_WEIGHT_PAIRS = {"equal_rates": _equal_rates,
-                      "equal_negative_rates": _equal_negative_rates}
+                      "equal_negative_rates": _equal_negative_rates,
+                      "two_sided_intensity": _two_sided_intensity}
+
+
+def _streams(ids, components) -> list:
+    """[substreams, a new event clock or None] of streams (SEED, i), i in ``ids``."""
+    out = []
+    for i in ids:
+        gens = RngStream(SEED, i).substreams(components)
+        state = engine.stream_state(_by_component([gens]))
+        out.append([gens, state[engine.CLOCK] if len(state) > engine.CLOCK else None])
+    return out
+
+
+def _draw(sampler, streams, rows, steps) -> np.ndarray:
+    """One sampler call on the rows ``rows`` of ``streams``, from
+    :func:`_streams`; their clocks carry on."""
+    clock = None if streams[rows[0]][1] is None else \
+        np.concatenate([streams[i][1] for i in rows])
+    state = engine.stream_state(_by_component([streams[i][0] for i in rows]), clock)
+    block = sampler(state, (len(rows), steps))
+    for j, i in enumerate(rows):
+        if streams[i][1] is not None:
+            streams[i][1] = state[engine.CLOCK][j:j + 1]
+    return block
 
 
 class TestSamplers:
-    @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
+    @pytest.mark.parametrize("fixture", MODEL_FIXTURES + ["gaussian_shift_model"])
     @pytest.mark.parametrize("regime", ["pre", "post"])
     @pytest.mark.parametrize("dt", [0.1, 0.5])
     def test_sampler_matches_the_per_family_formula(self, fixture, regime, dt, request):
-        """Bit for bit, over two successive calls, against the written-out
-        per-family expression on fresh generators of the same substreams."""
+        """Bit for bit, over successive calls of different widths (the
+        first, of one step, mostly without a jump), against the written-out
+        per-family expression on fresh generators of the same substreams:
+        for a jump pair, its events drawn one by one."""
         model = request.getfixturevalue(fixture)
         rng = RngStream(SEED, stream_id("arl", 5))
-        gens = _by_component([rng.substreams(engine.substream_components(model, dt))])
+        streams = _streams([rng.stream_id], engine.substream_components(model, dt))
         sampler = engine.make_u_sampler(model, regime, dt)
-        got = np.concatenate([sampler(gens, (1, 700))[0], sampler(gens, (1, 1300))[0]])
-        fresh = [RngStream(SEED, rng.stream_id, c).generator() for c in range(5)]
+        got = np.concatenate([_draw(sampler, streams, [0], w)[0] for w in (1, 699, 1300)])
+        fresh = [RngStream(SEED, rng.stream_id, c).generator() for c in range(3)]
         assert np.array_equal(got, _per_family_increments(model, regime, dt, fresh, 2000))
 
     @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
@@ -140,46 +194,46 @@ class TestSamplers:
         gens = tuple(None if g is None else _RecordingGenerator(g)
                      for g in RngStream(SEED, 9).substreams(components))
         assert [c for c, g in enumerate(gens) if g is not None] == list(components)
-        engine.make_u_sampler(model, regime, dt)(_by_component([gens]), (1, 500))
+        engine.make_u_sampler(model, regime, dt)(
+            engine.stream_state(_by_component([gens])), (1, 500))
         assert all(gens[c].used for c in components)
 
     @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
     @pytest.mark.parametrize("regime", ["pre", "post"])
     def test_block_call_equals_single_row_calls(self, fixture, regime, request):
         """A call over b rows gives, bit for bit, the b rows of single-row
-        calls, also when successive calls draw different subsets of rows."""
+        calls, also when successive calls draw different subsets of rows,
+        each row's event clock carrying on from its last call."""
         model = request.getfixturevalue(fixture)
         components = engine.substream_components(model, 0.1)
         sampler = engine.make_u_sampler(model, regime, 0.1)
-
-        def streams():
-            return [RngStream(SEED, stream_id("arl", i)).substreams(components)
-                    for i in range(6)]
-        block_gens, row_gens = streams(), streams()
+        ids = [stream_id("arl", i) for i in range(6)]
+        block_streams, row_streams = _streams(ids, components), _streams(ids, components)
         for rows, steps in (([0, 1, 2, 3, 4, 5], 64), ([4, 1], 128), ([5, 0, 4], 37)):
-            block = sampler(_by_component([block_gens[i] for i in rows]), (len(rows), steps))
+            block = _draw(sampler, block_streams, rows, steps)
             assert block.shape == (len(rows), steps)
             for j, i in enumerate(rows):
-                assert np.array_equal(block[j],
-                                      sampler(_by_component([row_gens[i]]), (1, steps))[0])
+                assert np.array_equal(block[j], _draw(sampler, row_streams, [i], steps)[0])
 
     @pytest.mark.parametrize("pair", ["poisson_model", *_ZERO_WEIGHT_PAIRS])
     def test_zero_weight_marks_are_never_drawn(self, pair, request, monkeypatch):
-        """A jump side whose mark coefficient c1 is 0 adds c0 times its count:
-        it lists no mark component, builds no mark generator and draws no
-        mark, and its increments are still the per-family formula's, bit for
-        bit, in both regimes. On a fresh thread, whose pool starts empty, a
-        run builds each generator it hands out on its own component."""
+        """A law whose phi is constant on its support (c1 = 0, and one c0
+        wherever its jumps land) adds that constant per jump: it lists no
+        mark component, builds no mark generator and draws no jump size; a
+        law with c1 = 0 on one side only draws each size, for its side. The
+        increments are still the per-family formula's, bit for bit, in both
+        regimes. On a fresh thread, whose pool starts empty, a run builds
+        each generator it hands out on its own component."""
         model, components = _ZERO_WEIGHT_PAIRS[pair]() if pair in _ZERO_WEIGHT_PAIRS \
             else (request.getfixturevalue(pair), (engine.COUNT,))
         assert engine.substream_components(model, 0.1) == components
         for regime in ("pre", "post"):
             gens = [_RecordingGenerator(RngStream(SEED, 4, c).generator())
-                    for c in range(5)]
-            got = engine.make_u_sampler(model, regime, 0.1)(_by_component([gens]),
-                                                             (1, 3000))[0]
+                    for c in range(3)]
+            got = engine.make_u_sampler(model, regime, 0.1)(
+                engine.stream_state(_by_component([gens])), (1, 3000))[0]
             assert [c for c, g in enumerate(gens) if g.used] == list(components)
-            fresh = [RngStream(SEED, 4, c).generator() for c in range(5)]
+            fresh = [RngStream(SEED, 4, c).generator() for c in range(3)]
             assert np.array_equal(got, _per_family_increments(model, regime, 0.1,
                                                               fresh, 3000))
         built = _count_builds(monkeypatch)
@@ -207,6 +261,109 @@ class TestSamplers:
         u = sample_u_increments(gamma_model, "pre", 1.0, n, RngStream(SEED + 2, 0))
         se = u.std(ddof=1) / math.sqrt(n)
         assert abs(u.mean() - gamma_model.beta_pre) <= 3.0 * se
+
+
+JUMP_FIXTURES = ["poisson_model", "gaussian_shift_model", "jump_diffusion_model",
+                 "exponential_model", "two_sided_model"]
+
+
+def _sampled(model, regime, dt, rows, widths) -> np.ndarray:
+    """``rows`` replications' increments over successive sampler calls of
+    ``widths`` steps, on streams (SEED, arl/i); each row's clock carries on."""
+    sampler = engine.make_u_sampler(model, regime, dt)
+    state = engine.stream_state(_fresh([stream_id("arl", i) for i in range(rows)],
+                                       engine.substream_components(model, dt)))
+    return np.concatenate([sampler(state, (rows, w)) for w in widths], axis=1)
+
+
+class TestEventClock:
+    @pytest.mark.parametrize("rate_dt", [0.005, 0.5])
+    def test_counts_per_step_are_poisson(self, poisson_model, rate_dt):
+        """The intensity-only pair adds log 2 per jump, so each step's
+        increment gives its jump count. Over 200,400 steps of 400 rows, the
+        counts have mean and variance rate * dt and P(N = 0) =
+        exp(-rate * dt), and the first step of the rows has mean rate * dt,
+        each within 4 SE. A rate 5 % too high, or events put one step late,
+        fail it at rate * dt = 0.5."""
+        model = poisson_model
+        dt = rate_dt / model.pre.intensity
+        u = _sampled(model, "pre", dt, 400, (64, 200, 237))
+        jumps = u + model.comp_rate * dt
+        n = np.rint(jumps / model.phi.constant)
+        assert n.min() >= 0.0 and np.allclose(jumps, n * model.phi.constant, atol=1e-9)
+        m, size = rate_dt, n.size
+        checks = [(n.mean(), m, math.sqrt(m / size)),
+                  (n.var(), m, math.sqrt((m + 2.0 * m * m) / size)),
+                  ((n == 0).mean(), math.exp(-m),
+                   math.sqrt(math.exp(-m) * (1.0 - math.exp(-m)) / size)),
+                  (n[:, 0].mean(), m, math.sqrt(m / n.shape[0]))]
+        for got, want, se in checks:
+            assert abs(got - want) <= 4.0 * se, (got, want, se)
+
+    @pytest.mark.parametrize("fixture", JUMP_FIXTURES)
+    @pytest.mark.parametrize("regime", ["pre", "post"])
+    def test_phi_sum_per_step_has_its_closed_form_mean(self, fixture, regime, request):
+        """Without its compensator and Brownian mean, a step's increment is
+        its jumps' phi-sum (plus Brownian noise), whose mean is dt times the
+        closed-form phi-mean of the regime (``phi_mean_pre`` or
+        ``phi_mean_post``, which carry the intensity), within 4 SE over
+        200,400 steps."""
+        model, dt = request.getfixturevalue(fixture), 0.1
+        bm_mean = (0.5 if regime == "post" else -0.5) * (model.alpha * model.sigma) ** 2 * dt
+        x = _sampled(model, regime, dt, 400, (64, 200, 237)) + model.comp_rate * dt - bm_mean
+        want = dt * (model.phi_mean_pre if regime == "pre" else model.phi_mean_post)
+        se = x.std(ddof=1) / math.sqrt(x.size)
+        assert abs(x.mean() - want) <= 4.0 * se, (x.mean(), want, se)
+
+    def test_jump_times_are_drawn_by_the_chunk(self, jump_diffusion_model):
+        """At dt = 0.005 a step holds a jump with probability 0.005: over
+        8,000 steps of 200 rows each row draws its gaps GAPS at a time, so
+        it makes N // GAPS + 1 calls on its COUNT generator, N its jumps
+        (one size drawn per jump), far fewer than one call per row and
+        sub-block."""
+        model, dt = jump_diffusion_model, 0.005
+        gens = _fresh([stream_id("arl", i) for i in range(200)],
+                      engine.substream_components(model, dt))
+        counts, marks = ([_RecordingGenerator(g) for g in gens[c]]
+                         for c in (engine.COUNT, engine.MARK))
+        gens[engine.COUNT], gens[engine.MARK] = counts, marks
+        sampler, blocks = engine.make_u_sampler(model, "pre", dt), []
+
+        def counted(state, size):
+            blocks.append(size[0])
+            return sampler(state, size)
+        state = engine.BatchState(counted, (RuleSpec("cusum", math.inf),), gens)
+        state.advance(8000, [math.inf])
+        jumps = np.array([g.values for g in marks])
+        assert (jumps > 0).all() and (jumps > engine.GAPS).any()
+        assert [g.calls for g in counts] == (jumps // engine.GAPS + 1).tolist()
+        assert sum(g.calls for g in counts) < sum(blocks) / 10
+
+    @pytest.mark.parametrize("fixture", ["jump_diffusion_model", "two_sided_model"])
+    def test_gap_chunk_does_not_change_results(self, fixture, request, monkeypatch):
+        """GAPS only sets how many gaps a row's clock draws at once: at 1, 7
+        and 32 gaps per chunk, run_paths (CUSUM with its lower-bound sums
+        and last reflections, Shiryaev-Roberts) and run_dyadic give the same
+        bits, in both regimes."""
+        model = request.getfixturevalue(fixture)
+
+        def runs(gaps):
+            monkeypatch.setattr(engine, "GAPS", gaps)
+            return [(run_paths(model, regime, RuleSpec("cusum", 3.0), 0.1, 600, 300, SEED,
+                               "arl", collect_lb=True, last_reflect=True),
+                     run_paths(model, regime, RuleSpec("sr", math.log(150.0)), 0.1, 600,
+                               300, SEED, "arl"),
+                     run_dyadic(model, regime, 2.0, 0.01, 1200, [4, 2, 1], 60, SEED))
+                    for regime in ("pre", "post")]
+        first, *others = [runs(gaps) for gaps in (1, 7, 32)]
+        assert first[0][0].censored.any() and not first[0][0].censored.all()
+        for other in others:
+            for (cusum, sr, dyadic), (cusum_o, sr_o, dyadic_o) in zip(first, other):
+                _assert_same_run(cusum, cusum_o, fixture)
+                assert np.array_equal(sr.stop_steps, sr_o.stop_steps)
+                assert np.array_equal(sr.stat, sr_o.stat, equal_nan=True)
+                for a, b in zip(dyadic[0] + dyadic[1], dyadic_o[0] + dyadic_o[1]):
+                    assert np.array_equal(a, b)
 
 
 class TestRunPaths:
@@ -1016,8 +1173,8 @@ def _whole_horizon_dyadic(model, regime, log_barrier, dt, n_steps, strides, n_re
     each stride under both stopping conventions."""
     sampler = engine.make_u_sampler(model, regime, dt)
     components = engine.substream_components(model, dt)
-    uu = np.cumsum([sampler(_fresh([stream_id("converge", i)], components), (1, n_steps))[0]
-                    for i in range(n_rep)], axis=1)
+    uu = np.cumsum([sampler(engine.stream_state(_fresh([stream_id("converge", i)], components)),
+                            (1, n_steps))[0] for i in range(n_rep)], axis=1)
     out, out_strict = [], []
     for s in strides:
         y = kernels.reflected(uu[:, s - 1::s], np.zeros(n_rep))

@@ -385,10 +385,11 @@ def _per_kind_law(law, gen, n):
     w, rp, rn = law.weight_pos, law.rate_pos, law.rate_neg
     pos = w * rp * np.exp(-rp * np.abs(x))
     neg = (1.0 - w) * rn * np.exp(-rn * np.abs(x))
-    up = gen.random(n) < w
-    mags = np.where(up, gen.exponential(1.0 / rp, size=n), gen.exponential(1.0 / rn, size=n))
+    # one uniform per jump: its side, and its magnitude by inversion
+    sizes = [-np.log1p(-(u / w)) / rp if u < w else np.log1p(-((u - w) / (1.0 - w))) / rn
+             for u in gen.random(n)]
     return (w * _one_sided(rp) - (1.0 - w) * _one_sided(rn),
-            np.where(x > 0.0, pos, np.where(x < 0.0, neg, 0.0)), np.where(up, mags, -mags))
+            np.where(x > 0.0, pos, np.where(x < 0.0, neg, 0.0)), np.array(sizes))
 
 
 def _per_kind_pair(pre, post):
@@ -484,6 +485,34 @@ class TestCatalogue:
         pre, post = (LevySpec.jump_diffusion(1.0, lam, law, drift=0.5 * i)
                      for i, (lam, law) in enumerate(zip(lams, laws)))
         _assert_catalogue_matches(build_change_model(pre, post))
+
+
+class TestJumpSizes:
+    @pytest.mark.parametrize("law", [GaussianJumps(0.3, 1.2), ExponentialJumps(1.5),
+                                     TwoSidedExponentialJumps(1.5, 0.7, 0.3)])
+    def test_sizes_are_drawn_jump_by_jump(self, law):
+        """Sizes drawn 5, 0, 1 and 122 at a time are those of one draw of
+        128: the k-th size a generator gives is a function of k alone, which
+        the engine's event sampler relies on."""
+        fresh = RngStream(8086, 3).generator
+        gen = fresh()
+        parts = [law.jump_sizes(gen, n) for n in (5, 0, 1, 122)]
+        assert np.array_equal(np.concatenate(parts), law.jump_sizes(fresh(), 128))
+
+    def test_two_sided_sizes_follow_the_mixture(self):
+        """One uniform per jump gives the two-sided law: over 100,000 sizes
+        the share of up-jumps is within 4 SE of the weight, and a KS test
+        against the mixture's distribution function passes."""
+        from scipy.stats import kstest
+        w, rp, rn = 0.3, 1.5, 0.7
+        x = TwoSidedExponentialJumps(rp, rn, w).jump_sizes(RngStream(8086, 4).generator(),
+                                                           100000)
+        assert abs((x > 0).mean() - w) <= 4.0 * math.sqrt(w * (1.0 - w) / x.size)
+
+        def cdf(v):
+            return np.where(v < 0.0, (1.0 - w) * np.exp(rn * np.minimum(v, 0.0)),
+                            1.0 - w * np.exp(-rp * np.maximum(v, 0.0)))
+        assert kstest(x, cdf).pvalue > 0.005
 
 
 class TestDigest:
