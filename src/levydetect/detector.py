@@ -13,7 +13,7 @@ The grid rules, ``HARNESS_RULES``, are the ones the Monte Carlo harness runs;
 they need a delta, and a :class:`DetectorConfig` takes only a finite delta > 0.
 
 :func:`run_rule` runs the engine's :func:`kernels.cusum_scan` or
-:func:`kernels.sr_scan` once, on the whole path as one row. For barriers
+:func:`kernels.sr_scan` once, on the whole path as one column. For barriers
 above zero the grid statistic and the drawup cross at the same monitored
 times; they differ only in whether a new running minimum reads as a negative
 statistic or as zero.
@@ -100,13 +100,13 @@ def run_rule(config: DetectorConfig, llr: LLRPath) -> StopResult:
         return StopResult(stop_time=0.0, censored=False, stat_at_stop=0.0, steps_taken=0)
     stride = 1 if drawup else grid_stride(config.delta, llr.grid_dt)
     delta = stride * llr.grid_dt
-    u = llr.u_values[None, ::stride]
+    u = llr.u_values[::stride, None]
     if config.rule == "shiryaev_roberts":   # log R_k = u_k + log sum_{m<k} exp(-u_m)
         off, stat = kernels.sr_scan(u, np.array([-np.inf]), 0, h)
     else:
         off, stat = kernels.cusum_scan(u, np.array([np.inf]), None, 0, h)
     censored = bool(off[0] < 0)
-    k = u.shape[1] - 1 if censored else int(off[0])    # censored at the last point
+    k = u.shape[0] - 1 if censored else int(off[0])    # censored at the last point
     if drawup:                          # floored at 0; a crossing is >= h > 0
         stat = np.maximum(stat, 0.0)
     return StopResult(stop_time=k * delta, censored=censored,

@@ -24,9 +24,10 @@ A :class:`BatchState` holds one batch's streams, steps and event clocks, and
 the carries of one or more stopping rules. It advances its rows to a step,
 or until each rule reaches its barrier, drawing and scanning exactly the
 sub-blocks they need with one sampler call per sub-block that every rule
-scans, and can be resumed at any step. It sums each sub-block once, in
-place, into the cumulative values every scan kernel reads; this is the
-engine's one draw-and-scan loop. Sub-blocks widen as a path goes on, so a
+scans, and can be resumed at any step. It sums each sampled (rows, steps)
+sub-block once into step-major (steps, rows) cumulative values, which every
+scan kernel reads, a rule of stride s every s-th step, each a contiguous row;
+this is the engine's one draw-and-scan loop. Sub-blocks widen as a path goes on, so a
 path that stops at step k draws at most max(64, sqrt(64 k)) steps past it; a
 rule may watch every s-th step only (its stride), and the widths are whole
 multiples of every stride (:func:`block_end`). :func:`run_rules` drives it
@@ -382,7 +383,7 @@ class BatchState:
         return np.where(self.best[rule] >= barrier, first, -1)
 
     def _scan(self, rows: np.ndarray, start: int, end: int, barriers) -> None:
-        # one sampler call, summed once in place into cumulative values
+        # one sampler call, summed once into step-major cumulative values
         gens, clock = self.gens, self.clock
         if rows.size < self.pos.size:       # some rows are not live
             live = rows.tolist()
@@ -401,9 +402,9 @@ class BatchState:
             s = self.rules[r].stride
             going = self.stop[r][rows] < 0 if several else None
             if going is None or going.all():
-                self._scan_rule(r, rows, uu[:, s - 1::s], start, barrier)
+                self._scan_rule(r, rows, uu[s - 1::s], start, barrier)
             elif going.any():
-                self._scan_rule(r, rows[going], uu[going, s - 1::s], start, barrier)
+                self._scan_rule(r, rows[going], uu[s - 1::s, going], start, barrier)
         self.pos[rows] = end
 
     def _scan_rule(self, r: int, rows: np.ndarray, uu: np.ndarray, start: int,
@@ -435,14 +436,19 @@ class BatchState:
         self.stat[r][rows] = st
 
 
+_EXECUTORS: dict = {}     # worker count -> the process's executor of that many threads
+
+
 def _pool_map(fn, items, threads: int) -> list:
-    """``fn`` over ``items``, inline or on ``threads`` workers, in order."""
+    """``fn`` over ``items``, inline or on ``threads`` workers, in order; the
+    workers, and so their generator pools (:func:`rng.lease`), persist."""
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    # imported here, so a one-thread run never loads it (nor logging, nor queue)
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    if threads not in _EXECUTORS:
+        # imported here, so a one-thread run never loads it (nor logging, nor queue)
+        from concurrent.futures import ThreadPoolExecutor
+        _EXECUTORS.setdefault(threads, ThreadPoolExecutor(max_workers=threads))
+    return list(_EXECUTORS[threads].map(fn, items))
 
 
 def _dispatch(work, components, n_rep: int, master_seed: int, purpose: str,

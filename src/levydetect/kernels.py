@@ -1,23 +1,21 @@
 """Scan kernels: the one place the detection statistics are computed (numpy).
 
 Every statistic is a function of the *cumulative* log-likelihood values of a
-path. The primitives below take 2-D blocks of those values, one row per path,
-and advance per-row carries in place:
+path. The sampler fills a (paths, steps) block of increments, as each path's
+generator writes its own row; :func:`cumulative` sums it into step-major
+(steps, paths) values, the one place a block changes layout. Every other
+primitive reads step-major blocks, one column per path, and advances
+per-path carries in place:
 
-* :func:`cumulative` -- sums an increment block in place into cumulative
-  values, once per drawn block; carry ``u``, the value at the last point.
+* :func:`cumulative` -- sums an increment block into cumulative values, once
+  per drawn block; carry ``u``, the value at the last point.
 * :func:`reflected` -- the CUSUM log statistic, each value minus the minimum
   over *strictly earlier* points; carry ``mn``, the minimum over every point
   so far (the reflection barrier).
 * :func:`sr_log` -- the Shiryaev-Roberts log statistic
   log R_k = u_k + log sum_{m<k} exp(-u_m); carry ``logA``, the log sum over
-  every point so far. Each step of the log-sum recursion waits on the step
-  before it along a row, while rows are independent, so from
-  ``ACROSS_ROWS`` rows up it runs across the rows, one ``np.logaddexp`` call
-  per step over every row, and below that along each row with
-  ``np.logaddexp.accumulate``. Both paths run one ufunc with one operand
-  order, so they give the same bits.
-* :func:`first_crossing` -- block position of each row's first crossing.
+  every point so far.
+* :func:`first_crossing` -- block position of each path's first crossing.
 * :func:`last_reflection` -- carry ``lastref``, the last global step at or
   before the stop with log statistic <= 0 (0 = origin); the CUSUM scans
   skip it when ``lastref`` is None.
@@ -26,20 +24,26 @@ and advance per-row carries in place:
 * :func:`record_highs` -- carry ``best``, the running maximum of the
   statistic; returns the points that raise it (the ladder of record highs).
 
+Each recursion (running sums, minima, maxima and log sums) runs through
+:func:`_accumulate`. A step waits on the one before it, while paths are
+independent, so from ``ACROSS_ROWS`` paths up it makes one ufunc call per
+step over every path, a contiguous row of the block, and below that one
+``ufunc.accumulate`` along the steps; both give the same bits.
+
 Steps are numbered globally from 1; a block of width m covers steps
 ``start_step + 1 .. start_step + m``. Every carry is a sequential accumulate
 (cumulative values continue from their carry), so splitting a path into
-blocks at any points gives bit-identical results. After a row crosses its
+blocks at any points gives bit-identical results. After a path crosses its
 barrier its ``u``/``mn``/``logA`` carries are unspecified (callers drop
-stopped rows).
+stopped paths).
 
 The four scans the engine runs on cumulative values (:func:`cusum_scan`,
 :func:`lb_cusum_scan`, :func:`sr_scan`, :func:`lb_until_scan`) compose these
 primitives and leave their block as it is; :func:`detector.run_rule` runs
-:func:`cusum_scan` or :func:`sr_scan` once, on a whole path as one row. The
-three that stop return one statistic per row, ``(offset, stat)``: the block
-position of the row's first crossing (-1 if none) and the statistic there,
-or at the block's last point where the row does not cross.
+:func:`cusum_scan` or :func:`sr_scan` once, on a whole path as one column.
+The three that stop return one statistic per path, ``(offset, stat)``: the
+block position of the path's first crossing (-1 if none) and the statistic
+there, or at the block's last point where the path does not cross.
 """
 
 from __future__ import annotations
@@ -48,18 +52,15 @@ import numpy as np
 
 _INT_MAX = np.iinfo(np.int64).max
 
-# Rows from which sr_log runs its recursion across rows. Along a row,
-# np.logaddexp.accumulate costs about 40 ns per element on a 2-vCPU Xeon;
-# one np.logaddexp call over one step of every row costs about 17 ns per
-# element at 500 rows, but its fixed cost per call makes it the slower of
-# the two below 21-22 rows (blocks 64 and 256 steps wide). At 32 rows it is
-# about 20 % faster, clear of the crossover.
-ACROSS_ROWS = 32
-# Elements of a step-major tile of the across-rows recursion (128 KB): 16
-# steps of 1,024 rows, 512 of 32. A tile stays in cache while it is
-# transposed in and out; tiles of 64 steps (520 KB at 1,024 rows) raised the
-# peak RSS of a compare run by 0.6 MB.
-TILE_SIZE = 16384
+# Paths from which _accumulate makes one ufunc call per step across the
+# paths (about 0.5 us a call) instead of one accumulate along the steps. On a
+# 2-vCPU Xeon the calls cost the same as the accumulate at 128 paths for add
+# and about 96 for minimum and maximum, and win from 17-20 for logaddexp.
+ACROSS_ROWS = {np.add: 128, np.minimum: 128, np.maximum: 128, np.logaddexp: 32}
+# Paths per tile of cumulative's transposing copy: a whole-block copy maps the
+# paths onto few cache sets at power-of-two widths (3.1-8.9 ns per element at
+# widths 256-4,096, against 1.5-2.3 in tiles of 64 paths).
+TILE_ROWS = 64
 
 
 def backend() -> str:
@@ -71,108 +72,101 @@ def backend() -> str:
 # primitives
 # --------------------------------------------------------------------------- #
 
+def _accumulate(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.accumulate(a, axis=0, out=a)`` on a step-major block, bit for
+    bit: from ``ACROSS_ROWS[ufunc]`` paths up, one call per step over every
+    path, a[k] = ufunc(a[k - 1], a[k]) with the earlier value first."""
+    if a.shape[1] < ACROSS_ROWS[ufunc]:
+        return ufunc.accumulate(a, axis=0, out=a)
+    prev = a[0]
+    for step in a[1:]:                  # views made one at a time
+        ufunc(prev, step, out=step)
+        prev = step
+    return a
+
+
 def cumulative(inc: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Sum an increment block in place into cumulative values continuing
-    from ``u``, in the order of a cumsum with ``u`` prepended; advances ``u``
-    and returns ``inc``."""
-    inc[:, 0] += u
-    np.cumsum(inc, axis=1, out=inc)
-    u[:] = inc[:, -1]
-    return inc
+    """Sum a (paths, steps) increment block, as the sampler fills it, into
+    step-major (steps, paths) cumulative values continuing from ``u``, in the
+    order of a cumsum with ``u`` prepended; advances ``u``."""
+    uu = np.empty(inc.shape[::-1])      # the size of inc, so its memory is reused
+    for lo in range(0, inc.shape[0], TILE_ROWS):
+        uu[:, lo:lo + TILE_ROWS] = inc[lo:lo + TILE_ROWS].T
+    uu[0] += u
+    u[:] = _accumulate(np.add, uu)[-1]
+    return uu
 
 
 def reflected(uu: np.ndarray, mn: np.ndarray) -> np.ndarray:
     """Each value minus the minimum of ``mn`` and the earlier block values."""
     y = np.empty_like(uu)               # strict-past minima, then the statistic
-    y[:, 0] = mn
-    y[:, 1:] = uu[:, :-1]
-    np.minimum.accumulate(y, axis=1, out=y)
-    mn[:] = np.minimum(y[:, -1], uu[:, -1])
+    y[0] = mn
+    y[1:] = uu[:-1]
+    _accumulate(np.minimum, y)
+    mn[:] = np.minimum(y[-1], uu[-1])
     return np.subtract(uu, y, out=y)
 
 
 def sr_log(uu: np.ndarray, logA: np.ndarray) -> np.ndarray:
     """log R = value + log(exp(logA) + sum of exp(-earlier block values))."""
     logr = np.empty_like(uu)            # log sums over earlier points, then log R
-    logr[:, 0] = logA
-    np.negative(uu[:, :-1], out=logr[:, 1:])
-    _logaddexp_accumulate(logr)
-    logA[:] = np.logaddexp(logr[:, -1], -uu[:, -1])
+    logr[0] = logA
+    np.negative(uu[:-1], out=logr[1:])
+    _accumulate(np.logaddexp, logr)
+    logA[:] = np.logaddexp(logr[-1], -uu[-1])
     return np.add(uu, logr, out=logr)
 
 
-def _logaddexp_accumulate(a: np.ndarray) -> None:
-    """``np.logaddexp.accumulate(a, axis=1, out=a)``, bit for bit. From
-    ``ACROSS_ROWS`` rows up, each step is one call over every row of a
-    step-major tile, with the previous output first as in the accumulate;
-    a tile starts at the last step of the one before."""
-    n, m = a.shape
-    if n < ACROSS_ROWS:
-        np.logaddexp.accumulate(a, axis=1, out=a)
-        return
-    w = max(1, TILE_SIZE // n)          # steps per tile
-    t = np.empty((min(m, w + 1), n))
-    for lo in range(0, m - 1, w):
-        hi = min(m, lo + w + 1)
-        tile = t[:hi - lo]
-        np.copyto(tile, a[:, lo:hi].T)
-        # step views are made one at a time: a list of them all raised the
-        # peak RSS of a compare run by 0.6 MB
-        prev = tile[0]
-        for step in tile[1:]:
-            np.logaddexp(prev, step, out=step)
-            prev = step
-        np.copyto(a[:, lo + 1:hi], tile[1:].T)
-
-
 def first_crossing(crossed: np.ndarray) -> np.ndarray:
-    """0-based block position of each row's first True (-1 if none)."""
-    j = crossed.argmax(axis=1)
-    return np.where(crossed[np.arange(crossed.shape[0]), j], j, np.int64(-1))
+    """0-based block position of each path's first True (-1 if none)."""
+    hit = crossed.any(axis=0)           # argmax along the steps copies its input
+    off = np.full(crossed.shape[1], -1, dtype=np.int64)
+    off[hit] = crossed[:, hit].argmax(axis=0)
+    return off
 
 
 def crossing_steps(off: np.ndarray, start_step: int) -> np.ndarray:
-    """Global step of each row's crossing (int64 max where none)."""
+    """Global step of each path's crossing (int64 max where none)."""
     return np.where(off >= 0, start_step + 1 + off, _INT_MAX)
 
 
 def last_reflection(y, start_step, stop, lastref) -> None:
     """Advance ``lastref`` to the last step <= ``stop`` with y <= 0."""
-    m = y.shape[1]
-    back = y[:, ::-1] <= 0.0            # column j: step start_step + m - j
-    back &= np.arange(m) >= m - np.clip(stop - start_step, 0, m)[:, None]
-    j = back.argmax(axis=1)             # the last such step, if any
-    hit = back[np.arange(y.shape[0]), j]
+    m = y.shape[0]
+    back = y[::-1] <= 0.0               # position j: step start_step + m - j
+    back &= np.arange(m)[:, None] >= m - np.clip(stop - start_step, 0, m)
+    j = back.argmax(axis=0)             # the last such step, if any
+    hit = back[j, np.arange(y.shape[1])]
     np.maximum(lastref, np.where(hit, start_step + m - j, -1), out=lastref)
 
 
 def record_highs(y, start_step, best):
-    """Points above ``best`` and every earlier block point: (row, global step,
-    value) of each, row by row in step order; advances ``best``. The first
-    step at which a row's statistic reaches a barrier is the first of its
-    record highs at or above it."""
+    """Points above ``best`` and every earlier block point: (path, global
+    step, value) of each, in step order; advances ``best``. The first step
+    at which a path's statistic reaches a barrier is the first of its record
+    highs at or above it."""
     prev = np.empty_like(y)             # running maxima over strictly earlier points
-    prev[:, 0] = best
-    prev[:, 1:] = y[:, :-1]
-    np.maximum.accumulate(prev, axis=1, out=prev)
-    best[:] = np.maximum(prev[:, -1], y[:, -1])
-    rows, cols = np.nonzero(y > prev)
-    return rows, start_step + 1 + cols, y[rows, cols]
+    prev[0] = best
+    prev[1:] = y[:-1]
+    _accumulate(np.maximum, prev)
+    best[:] = np.maximum(prev[-1], y[-1])
+    steps, paths = np.nonzero(y > prev)
+    return paths, start_step + 1 + steps, y[steps, paths]
 
 
 def _add_prefix(terms, n, total) -> None:
-    """Add each row's first ``n`` terms to ``total`` in place: the
-    sequential order of :func:`cumulative`, read at the row's last term."""
-    terms[:, 0] += total
-    np.add.accumulate(terms, axis=1, out=terms)
-    rows = np.flatnonzero(n)
-    total[rows] = terms[rows, n[rows] - 1]
+    """Add each path's first ``n`` terms to ``total`` in place: the
+    sequential order of :func:`cumulative`, read at the path's last term."""
+    terms[0] += total
+    _accumulate(np.add, terms)
+    paths = np.flatnonzero(n)
+    total[paths] = terms[n[paths] - 1, paths]
 
 
 def lb_sums(y, start_step, stop, num, den) -> None:
     """Add max(S, 1) and (1 - S)^+, S = exp(y), over steps < ``stop``;
     S is computed in place in ``y``."""
-    n = np.clip(stop - start_step - 1, 0, y.shape[1])     # terms before the stop
+    n = np.clip(stop - start_step - 1, 0, y.shape[0])     # terms before the stop
     s = np.exp(np.minimum(y, 700.0, out=y), out=y)
     _add_prefix(np.maximum(s, 1.0), n, num)
     np.subtract(1.0, s, out=s)
@@ -184,7 +178,7 @@ def lb_sums(y, start_step, stop, num, den) -> None:
 # --------------------------------------------------------------------------- #
 
 def _outcome(y, off, start_step, best):
-    out = off, y[np.arange(y.shape[0]), off]     # off -1 reads the last column
+    out = off, y[off, np.arange(y.shape[1])]     # off -1 reads the last step
     return out if best is None else out + (record_highs(y, start_step, best),)
 
 
@@ -203,7 +197,7 @@ def cusum_scan(uu, mn, lastref, start_step, hbar, best=None):
 
     Returns (offset, stat): offset is the 0-based block position of the first
     step with statistic >= hbar (-1 if none), stat the statistic there, or at
-    the last block step where the row does not cross. Given the carry
+    the last block step where the path does not cross. Given the carry
     ``best``, a third item holds the block's :func:`record_highs`.
     The carry ``lastref`` may be None: the last reflection is then not kept.
     """
@@ -213,7 +207,7 @@ def cusum_scan(uu, mn, lastref, start_step, hbar, best=None):
 
 def lb_cusum_scan(uu, mn, lastref, num, den, start_step, hbar, horizon):
     """:func:`cusum_scan` that also accumulates the lower-bound sums over
-    steps strictly before the stop, or before step ``horizon`` if the row
+    steps strictly before the stop, or before step ``horizon`` if the path
     has not stopped by then."""
     y, off, stop = _cusum_block(uu, mn, lastref, start_step, hbar)
     out = _outcome(y, off, start_step, None)       # before lb_sums overwrites y

@@ -64,24 +64,28 @@ def _announce(criterion: str, detail: str) -> None:
 def _c01_worst_error(reflected) -> float:
     """Worst relative error of a reflected-statistic kernel against the
     explicit maximum over all restart points, max_{m<k} (c_k - c_m), over
-    1000 random sequences. Each sequence is split into blocks at 0-3 random
-    points; :func:`kernels.cumulative` sums each block carrying ``u``, and
-    the kernel scans it carrying ``mn``, as the engine does."""
+    1000 random blocks of sequences. The blocks hold 1 sequence, or as many
+    as sit just below or at a row count from which the kernels run a
+    recursion across the rows. Each block's sequences are split into blocks
+    of steps at 0-3 random points; :func:`kernels.cumulative` sums each
+    carrying ``u``, and the kernel scans it carrying ``mn``, as the engine
+    does."""
     rng = np.random.default_rng(SEED)
+    sizes = sorted({1} | {n for s in kernels.ACROSS_ROWS.values() for n in (s - 1, s)})
     worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 51))
-        logs = rng.normal(0.0, 1.5, size=n)
-        c = np.concatenate([[0.0], np.cumsum(logs)])
+    for i in range(1000):
+        rows, n = sizes[i % len(sizes)], int(rng.integers(1, 51))
+        logs = rng.normal(0.0, 1.5, size=(rows, n))
+        c = np.column_stack([np.zeros(rows), np.cumsum(logs, axis=1)])
         cuts = np.sort(rng.integers(1, n + 1, size=int(rng.integers(0, 4))))
-        u, mn, stats = np.zeros(1), np.zeros(1), []
-        for block in np.split(logs, cuts):
-            if len(block):
-                uu = kernels.cumulative(block[None, :].copy(), u)
-                stats.extend(reflected(uu, mn)[0])
-        for k in range(1, n + 1):
-            brute = np.max(c[k] - c[:k])
-            worst = max(worst, abs(stats[k - 1] - brute) / max(1.0, abs(brute)))
+        u, mn, stats = np.zeros(rows), np.zeros(rows), []
+        for block in np.split(logs, cuts, axis=1):
+            if block.shape[1]:
+                stats.append(reflected(kernels.cumulative(block.copy(), u), mn))
+        earlier = np.tril(np.ones((n, n), dtype=bool))      # m < k
+        brute = np.where(earlier, c[:, 1:, None] - c[:, None, :-1], -np.inf).max(axis=2)
+        err = np.abs(np.concatenate(stats).T - brute) / np.maximum(1.0, np.abs(brute))
+        worst = max(worst, float(err.max()))
     return worst
 
 

@@ -255,7 +255,7 @@ def _last_reflection(u, hbar):
     """The ``lastref`` carry of one :func:`kernels.cusum_scan` over the path
     ``u`` (u[0] = 0 at the origin): 0 for the origin, else a step."""
     lastref = np.zeros(1, dtype=np.int64)
-    off, _ = kernels.cusum_scan(np.asarray(u, dtype=float)[None, 1:], np.zeros(1),
+    off, _ = kernels.cusum_scan(np.asarray(u, dtype=float)[1:, None], np.zeros(1),
                                 lastref, 0, hbar)
     assert off[0] >= 0
     return int(lastref[0])

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 import sys
@@ -12,6 +13,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from levydetect import engine, kernels, rng
+from levydetect.config import ExperimentConfig
 from levydetect.detector import DetectorConfig
 from levydetect.engine import RuleSpec, run_dyadic, run_paths, sample_u_increments
 from levydetect.errors import ContractError
@@ -245,7 +247,11 @@ class TestSamplers:
     @pytest.mark.parametrize("regime", ["pre", "post"])
     def test_increment_law_matches_path_route(self, fixture, regime, request):
         """One-step law from the exact sampler agrees with the per-path
-        simulator route (two-sample KS)."""
+        simulator route: two-sample KS p-value above 1e-4, so the twelve
+        cases together fail by chance at most about once in 800 redraws (KS
+        is conservative where a law has an atom). Over seeds 101-125 the
+        smallest of 300 p-values was 0.018; a gamma post-change sampler
+        drawing with the pre-change scale gives p = 6e-16."""
         model = request.getfixturevalue(fixture)
         dt, n = 0.5, 1500
         tau = math.inf if regime == "pre" else 0.0
@@ -254,7 +260,7 @@ class TestSamplers:
                 model, tau, dt, dt, RngStream(SEED, i))).u_values[-1]
             for i in range(n)])
         fast_u = sample_u_increments(model, regime, dt, n, RngStream(SEED + 1, 0))
-        assert ks_2samp(path_u, fast_u).pvalue > 0.005
+        assert ks_2samp(path_u, fast_u).pvalue > 1e-4
 
     def test_mean_matches_drift(self, gamma_model):
         n = 200000
@@ -646,13 +652,13 @@ class TestRunPaths:
 
 
 # every conftest pair but gamma 1 -> 2, where exp(X) has infinite variance
-SR_IDENTITY_FIXTURES = ["brownian_model", "poisson_model", "gaussian_shift_model",
-                        "jump_diffusion_model", "gamma_model_mild", "exponential_model",
-                        "two_sided_model"]
+IDENTITY_FIXTURES = ["brownian_model", "poisson_model", "gaussian_shift_model",
+                     "jump_diffusion_model", "gamma_model_mild", "exponential_model",
+                     "two_sided_model"]
 
 
 class TestShiryaevRobertsIdentity:
-    @pytest.mark.parametrize("fixture", SR_IDENTITY_FIXTURES)
+    @pytest.mark.parametrize("fixture", IDENTITY_FIXTURES)
     def test_in_control_mean_stop_equals_mean_statistic(self, request, fixture):
         """Under the pre-change law E[exp(X)] = 1, so R_k - k is a martingale
         and E[N ^ n] = E[R_{N ^ n}] for the grid SR rule (Pollak, Ann.
@@ -665,10 +671,33 @@ class TestShiryaevRobertsIdentity:
         n_steps, n_rep = 10, 20000
         res = run_paths(request.getfixturevalue(fixture), "pre", RuleSpec("sr", 2.0), 0.1,
                         n_steps, n_rep, 1985, "arl",
-                        block=SR_IDENTITY_FIXTURES.index(fixture))
+                        block=IDENTITY_FIXTURES.index(fixture))
         d = np.where(res.censored, n_steps, res.stop_steps) - np.exp(res.stat)
         z = d.mean() / (d.std(ddof=1) / math.sqrt(n_rep))
         assert abs(z) <= 3.0, f"z = {z:.2f}"
+
+
+class TestCusumIdentity:
+    @pytest.mark.parametrize("fixture", IDENTITY_FIXTURES)
+    def test_in_control_mean_statistic_equals_mean_lower_bound_sum(self, request, fixture):
+        """The grid CUSUM statistic is S_k = e^{X_k} max(S_{k-1}, 1), S_0 = 0.
+        Under the pre-change law E[exp(X)] = 1, so S_k - sum_{j<k} (1 - S_j)^+
+        is a martingale (Moustakides, Ann. Statist. 14, 1986) and
+        E[S_{N ^ n}] = E[sum_{j<N ^ n} (1 - S_j)^+], the lower-bound sum
+        ``lb_den`` (its j = 0 term included). At log h = 2 over n = 100 steps
+        of 0.1 some rows stop and others are censored, so the check covers
+        the sampler, the scan, the stop steps, the statistic a row reports
+        and the lower-bound sums at once. Over 10,000 paths the paired
+        difference is within 3.5 SE of 0: over seeds 101-125 the largest |z|
+        of the seven pairs was 2.42 (175 values, sd 0.96). A compensator 5 %
+        too large fails it on the four pairs that have one."""
+        n_steps, n_rep = 100, 10000
+        res = run_paths(request.getfixturevalue(fixture), "pre", RuleSpec("cusum", 2.0), 0.1,
+                        n_steps, n_rep, 2016, "arl", block=IDENTITY_FIXTURES.index(fixture),
+                        collect_lb=True)
+        d = np.exp(res.stat) - res.lb_den
+        z = d.mean() / (d.std(ddof=1) / math.sqrt(n_rep))
+        assert abs(z) <= 3.5, f"z = {z:.2f}"
 
 
 class TestRunDyadic:
@@ -906,6 +935,20 @@ class TestStreamRestart:
         assert np.array_equal(res.stop_steps[-76:], state.stop[0])
         assert np.array_equal(res.stat[-76:], state.stat[0], equal_nan=True)
         assert np.array_equal(res.last_reflect[-76:], state.lastref[0])
+
+    def test_second_two_thread_run_builds_nothing(self, monkeypatch):
+        """The workers of a two-thread run outlive it, and so do their
+        generator pools: of two estimate_arl calls on two threads with
+        examples_config/poisson.json, the second builds no generator."""
+        cfg = ExperimentConfig.load(str(Path(__file__).resolve().parents[1]
+                                        / "examples_config" / "poisson.json"))
+        model, config, sim = cfg.change_model(), cfg.detector_config(), cfg.simulation
+        built = _count_builds(monkeypatch)
+        for _ in range(2):
+            built.clear()
+            estimate_arl(model, config, "in_control", sim["n_rep"], sim["horizon"],
+                         sim["master_seed"], threads=2)
+        assert built == []
 
     def test_batch_states_share_no_generator(self, two_sided_model):
         """Calibration resumes its states after their batch ends, so each
@@ -1174,10 +1217,10 @@ def _whole_horizon_dyadic(model, regime, log_barrier, dt, n_steps, strides, n_re
     sampler = engine.make_u_sampler(model, regime, dt)
     components = engine.substream_components(model, dt)
     uu = np.cumsum([sampler(engine.stream_state(_fresh([stream_id("converge", i)], components)),
-                            (1, n_steps))[0] for i in range(n_rep)], axis=1)
+                            (1, n_steps))[0] for i in range(n_rep)], axis=1).T
     out, out_strict = [], []
     for s in strides:
-        y = kernels.reflected(uu[:, s - 1::s], np.zeros(n_rep))
+        y = kernels.reflected(uu[s - 1::s], np.zeros(n_rep))
         for stops, crossed in ((out, y >= log_barrier), (out_strict, y > log_barrier)):
             first = kernels.first_crossing(crossed)
             stops.append(np.where(first >= 0, (first + 1) * s * dt, n_steps * dt))
@@ -1219,14 +1262,21 @@ def _fresh_state(n):
     return np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64)
 
 
+def _switch_rows(low: int = 1) -> list:
+    """Row counts from ``low`` up that sit just below and at every row count
+    from which kernels run a recursion across the rows."""
+    return sorted({low} | {n for s in kernels.ACROSS_ROWS.values() for n in (s - 1, s)
+                           if n >= low})
+
+
 def _sr_scan_by_accumulate(uu, logA, log_thresh):
     """sr_scan's (offset, stat) with the log sums taken by
-    np.logaddexp.accumulate along each row; advances ``logA``."""
+    np.logaddexp.accumulate along each path; advances ``logA``."""
     logr = np.empty_like(uu)
-    logr[:, 0] = logA
-    np.negative(uu[:, :-1], out=logr[:, 1:])
-    np.logaddexp.accumulate(logr, axis=1, out=logr)
-    logA[:] = np.logaddexp(logr[:, -1], -uu[:, -1])
+    logr[0] = logA
+    np.negative(uu[:-1], out=logr[1:])
+    np.logaddexp.accumulate(logr, axis=0, out=logr)
+    logA[:] = np.logaddexp(logr[-1], -uu[-1])
     logr += uu
     off = kernels.first_crossing(logr >= log_thresh)
     return off, _masked_stat(logr, off)
@@ -1245,21 +1295,23 @@ def _assert_sr_scan_is_accumulate(uu, logA, start, log_thresh):
 
 
 class TestScanKernels:
-    def test_cumulative_sums_in_place(self):
-        """The block itself becomes the cumulative values, bit for bit those
-        of a cumsum with the carry prepended, and the carry advances to the
-        last of them."""
-        rng = np.random.default_rng(23)
-        inc, u = rng.normal(-0.05, 0.4, size=(6, 150)), rng.normal(size=6)
-        want = np.cumsum(np.column_stack([u, inc]), axis=1)[:, 1:]
-        block, carry = inc.copy(), u.copy()
-        assert kernels.cumulative(block, carry) is block
-        assert np.array_equal(block, want)
-        assert np.array_equal(carry, want[:, -1])
-        parts = [kernels.cumulative(inc[:, lo:hi].copy(), u)
-                 for lo, hi in ((0, 1), (1, 64), (64, 150))]
-        assert np.array_equal(np.concatenate(parts, axis=1), want)
-        assert np.array_equal(u, want[:, -1])
+    def test_cumulative_sums_into_step_major_values(self):
+        """A (rows, steps) block becomes (steps, rows) cumulative values, bit
+        for bit those of a cumsum along each row with the carry prepended,
+        the carry advances to the last of them, and the block is left as it
+        is; below and at every switch, and across tiles of the copy."""
+        for rows in _switch_rows() + [kernels.TILE_ROWS + 5, 300]:
+            rng = np.random.default_rng(23)
+            inc, u = rng.normal(-0.05, 0.4, size=(rows, 150)), rng.normal(size=rows)
+            want = np.cumsum(np.column_stack([u, inc]), axis=1)[:, 1:].T
+            block, carry = inc.copy(), u.copy()
+            assert np.array_equal(kernels.cumulative(block, carry), want)
+            assert np.array_equal(block, inc)
+            assert np.array_equal(carry, want[-1])
+            parts = [kernels.cumulative(inc[:, lo:hi].copy(), u)
+                     for lo, hi in ((0, 1), (1, 64), (64, 150))]
+            assert np.array_equal(np.concatenate(parts), want)
+            assert np.array_equal(u, want[-1])
 
     def test_cusum_sequential_oracle(self):
         rng = np.random.default_rng(3)
@@ -1306,66 +1358,63 @@ class TestScanKernels:
                 assert lref[i] == ref
 
     def test_record_highs_oracle(self):
-        """Scanned in blocks, the record highs of each row are the steps whose
-        statistic is above the statistic at every earlier step."""
-        rng = np.random.default_rng(19)
-        inc = rng.normal(-0.05, 0.4, size=(8, 300))
-        u, mn, lref = _fresh_state(8)
-        best = np.full(8, -np.inf)
-        got = [[] for _ in range(8)]
-        for lo, hi in ((0, 64), (64, 200), (200, 300)):
-            uu = kernels.cumulative(inc[:, lo:hi].copy(), u)
-            *_, (rows, steps, values) = kernels.cusum_scan(uu, mn, lref, lo, math.inf,
-                                                            best)
-            for r, k, v in zip(rows, steps, values):
-                got[r].append((k, v))
-        for i in range(8):
-            ui, mi, top, want = 0.0, 0.0, -math.inf, []
-            for k, x in enumerate(inc[i]):
-                ui += x
-                if ui - mi > top:
-                    top = ui - mi
-                    want.append((k + 1, top))
-                mi = min(mi, ui)
-            assert got[i] == want
-            assert best[i] == top
+        """Scanned in blocks, on 8 paths and just below and at every switch,
+        the record highs of each path are the steps whose statistic is above
+        the statistic at every earlier step."""
+        for n in _switch_rows(8):
+            rng = np.random.default_rng(19)
+            inc = rng.normal(-0.05, 0.4, size=(n, 300))
+            u, mn, lref = _fresh_state(n)
+            best = np.full(n, -np.inf)
+            got = [[] for _ in range(n)]
+            for lo, hi in ((0, 64), (64, 200), (200, 300)):
+                uu = kernels.cumulative(inc[:, lo:hi].copy(), u)
+                *_, (rows, steps, values) = kernels.cusum_scan(uu, mn, lref, lo, math.inf,
+                                                                best)
+                for r, k, v in zip(rows, steps, values):
+                    got[r].append((k, v))
+            for i in range(n):
+                ui, mi, top, want = 0.0, 0.0, -math.inf, []
+                for k, x in enumerate(inc[i]):
+                    ui += x
+                    if ui - mi > top:
+                        top = ui - mi
+                        want.append((k + 1, top))
+                    mi = min(mi, ui)
+                assert got[i] == want
+                assert best[i] == top
 
-    def test_sr_recursion_oracle(self, monkeypatch):
-        """Along each row below ACROSS_ROWS rows and across the rows from
-        there up, sr_scan gives the bits of np.logaddexp.accumulate, block by
-        block (one block of 1 or 2 steps, or blocks split at step 77; at 500
-        rows a tile of the default size holds 32 steps, so both blocks span
-        several), and follows the recursion R_k = (1 + R_{k-1}) e^{x_k}.
-        Every third row starts with a zero increment, so its first step adds
-        two equal logs (0 and -0.0: logaddexp's x == y branch). No row
-        crosses, so each block's stat is its last log R. The tile size does
-        not matter: tiles of one step (sizes 1 and 7) give the same bits."""
-        for tile in (1, 7, 16384):
-            monkeypatch.setattr(kernels, "TILE_SIZE", tile)
-            assert kernels.TILE_SIZE // 500 < 77
-            for rows in (4, kernels.ACROSS_ROWS - 1, kernels.ACROSS_ROWS, 500):
-                for widths in ((1,), (2,), (77, 123)):
-                    rng = np.random.default_rng(5)
-                    inc = rng.normal(0.0, 0.3, size=(rows, sum(widths)))
-                    inc[::3, 0] = 0.0
-                    u, a = np.zeros(rows), np.zeros(rows)
-                    start = 0
-                    for w in widths:
-                        off, stat = _assert_sr_scan_is_accumulate(
-                            kernels.cumulative(inc[:, start:start + w].copy(), u), a, start,
-                            math.log(1e9))
-                        assert np.all(off == -1)
-                        start += w
-                    for i in range(rows):
-                        r = 0.0
-                        for x in inc[i]:
-                            r = (1.0 + r) * math.exp(x)
-                        assert stat[i] == pytest.approx(math.log(r), rel=1e-10)
+    def test_sr_recursion_oracle(self):
+        """Below and at every switch, and at 500 paths, sr_scan gives the bits
+        of np.logaddexp.accumulate along each path, block by block (one block
+        of 1 or 2 steps, or blocks split at step 77), and follows the
+        recursion R_k = (1 + R_{k-1}) e^{x_k}. Every third path starts with a
+        zero increment, so its first step adds two equal logs (0 and -0.0:
+        logaddexp's x == y branch). No path crosses, so each block's stat is
+        its last log R."""
+        for rows in _switch_rows(4) + [500]:
+            for widths in ((1,), (2,), (77, 123)):
+                rng = np.random.default_rng(5)
+                inc = rng.normal(0.0, 0.3, size=(rows, sum(widths)))
+                inc[::3, 0] = 0.0
+                u, a = np.zeros(rows), np.zeros(rows)
+                start = 0
+                for w in widths:
+                    off, stat = _assert_sr_scan_is_accumulate(
+                        kernels.cumulative(inc[:, start:start + w].copy(), u), a, start,
+                        math.log(1e9))
+                    assert np.all(off == -1)
+                    start += w
+                for i in range(rows):
+                    r = 0.0
+                    for x in inc[i]:
+                        r = (1.0 + r) * math.exp(x)
+                    assert stat[i] == pytest.approx(math.log(r), rel=1e-10)
 
     def test_sr_stops_at_first_crossing(self):
-        """On 8 rows (along each row) and 64 (across the rows), sr_scan stops
-        each row at its first crossing, with the accumulate's bits."""
-        for rows in (8, 64):
+        """On 8 paths and just below and at every switch, sr_scan stops each
+        path at its first crossing, with the accumulate's bits."""
+        for rows in _switch_rows(8):
             rng = np.random.default_rng(11)
             inc = rng.normal(-0.02, 0.3, size=(rows, 257))
             u, a = np.zeros(rows), np.zeros(rows)
@@ -1413,15 +1462,17 @@ class TestScanKernels:
 
     def test_kernels_equal_the_masked_formulas(self):
         """The reported statistic, last_reflection and lb_sums equal, bit for
-        bit, their formulas over (rows, steps) masks: within cusum_scan,
+        bit, their formulas over (steps, paths) masks: within cusum_scan,
         lb_cusum_scan (with the last reflection kept or not) and
-        lb_until_scan. Over the random blocks some row stops at the block's
-        first step, some row does not stop, and the horizon falls inside the
+        lb_until_scan. Every other random block has a path count just below
+        or at a switch. Over the blocks some path stops at the block's first
+        step, some path does not stop, and the horizon falls inside the
         block."""
-        rng, cases = np.random.default_rng(29), Counter()
-        for _ in range(300):
-            uu, start, carry = _random_block(rng)
-            rows, m = uu.shape
+        rng, cases, switch_rows = np.random.default_rng(29), Counter(), _switch_rows()
+        for i in range(300):
+            uu, start, carry = _random_block(
+                rng, switch_rows[i // 2 % len(switch_rows)] if i % 2 else None)
+            m, rows = uu.shape
             block = uu.copy()
             horizon = start + int(rng.integers(1, m + 2))   # in the block or past it
             for keep in (False, True):
@@ -1449,27 +1500,27 @@ class TestScanKernels:
 def _masked_stat(y, off):
     """The statistic a scan reports, at the crossing or else at the last
     point, as a clamped index and a where over both branches."""
-    return np.where(off >= 0, y[np.arange(y.shape[0]), np.maximum(off, 0)], y[:, -1])
+    return np.where(off >= 0, y[np.maximum(off, 0), np.arange(y.shape[1])], y[-1])
 
 
 def _masked_last_reflection(y, start_step, stop, lastref):
-    """last_reflection as the max over a (rows, steps) matrix of the steps
+    """last_reflection as the max over a (steps, paths) matrix of the steps
     <= stop with y <= 0, -1 elsewhere."""
-    steps = start_step + 1 + np.arange(y.shape[1], dtype=np.int64)
-    refl = (y <= 0.0) & (steps[None, :] <= stop[:, None])
-    np.maximum(lastref, np.max(np.where(refl, steps[None, :], np.int64(-1)), axis=1),
+    steps = start_step + 1 + np.arange(y.shape[0], dtype=np.int64)
+    refl = (y <= 0.0) & (steps[:, None] <= stop[None, :])
+    np.maximum(lastref, np.max(np.where(refl, steps[:, None], np.int64(-1)), axis=0),
                out=lastref)
 
 
 def _masked_lb_sums(y, start_step, stop, num, den):
     """lb_sums with the terms at steps >= stop zeroed, then summed whole."""
-    invalid = (start_step + 1 + np.arange(y.shape[1]))[None, :] >= stop[:, None]
+    invalid = (start_step + 1 + np.arange(y.shape[0]))[:, None] >= stop[None, :]
     s = np.exp(np.minimum(y, 700.0))
     for terms, total in ((np.maximum(s, 1.0), num), (np.maximum(1.0 - s, 0.0), den)):
         np.copyto(terms, 0.0, where=invalid)
-        terms[:, 0] += total
-        np.add.accumulate(terms, axis=1, out=terms)
-        total[:] = terms[:, -1]
+        terms[0] += total
+        np.add.accumulate(terms, axis=0, out=terms)
+        total[:] = terms[-1]
 
 
 def _masked_cusum_scan(uu, mn, lastref, start_step, hbar):
@@ -1500,11 +1551,12 @@ def _assert_all_equal(got, want) -> None:
         assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
 
 
-def _random_block(rng):
-    """A block of cumulative values whose rows include ones that cross 1.5
-    at the block's first step and ones that never cross it, a start step,
-    and a carry (mn, lastref, num, den) of a path scanned up to it."""
-    rows, m = int(rng.integers(1, 40)), int(rng.integers(1, 300))
+def _random_block(rng, rows=None):
+    """A block of cumulative values of ``rows`` paths (1 to 39 if None),
+    among them ones that cross 1.5 at the block's first step and ones that
+    never cross it, a start step, and a carry (mn, lastref, num, den) of
+    paths scanned up to it."""
+    rows, m = rows or int(rng.integers(1, 40)), int(rng.integers(1, 300))
     start = int(rng.integers(0, 1000))
     inc = rng.normal(rng.uniform(-0.3, 0.1, size=(rows, 1)), 0.4, size=(rows, m))
     inc[rng.random(rows) < 0.2, 0] = 2.0
@@ -1521,8 +1573,10 @@ def _phi_cdf(x):
 
 def test_statistics_are_computed_only_in_kernels():
     """The running minimum and the Shiryaev-Roberts log sums (accumulated
-    along rows or stepped across them) live in kernels.py alone; every other
-    module calls its primitives."""
+    along the steps or stepped across the paths) live in kernels.py alone;
+    every other module calls its primitives. Within kernels.py every
+    accumulate and cumsum call sits in _accumulate, so no recursion can
+    bypass its across-the-paths switch."""
     pkg = Path(__file__).resolve().parents[1] / "src" / "levydetect"
     offenders = [f"{path.name}: {pattern}"
                  for path in sorted(pkg.glob("*.py")) if path.name != "kernels.py"
@@ -1530,6 +1584,14 @@ def test_statistics_are_computed_only_in_kernels():
                                  "np.logaddexp(")
                  if pattern in path.read_text()]
     assert (pkg / "kernels.py").exists() and offenders == []
+    tree = ast.parse((pkg / "kernels.py").read_text())
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_accumulate"
+              for node in ast.walk(fn)}
+    bypasses = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("accumulate", "cumsum") and id(node) not in inside]
+    assert len(inside) > 1 and bypasses == []
 
 
 def test_stream_is_the_philox_key_and_components_are_counter_offsets():
@@ -1578,13 +1640,14 @@ def test_only_rng_knows_the_philox_state_format():
 
 
 def test_batch_size_does_not_change_results(jump_diffusion_model, monkeypatch):
-    """BATCH only cuts the replications into work items: at 1, 7 and 100
+    """BATCH only cuts the replications into work items: at 1, 7, 100 and 150
     replications per item, run_paths (CUSUM with its last reflections,
     Shiryaev-Roberts with its lower-bound sums), run_dyadic,
     calibrate_barrier and a two-rule compare give the same bits. Items of 7
-    rows run the Shiryaev-Roberts log sums along each row and items of 100
-    across the rows (kernels.ACROSS_ROWS), so both paths agree too."""
-    assert 7 < kernels.ACROSS_ROWS <= 100
+    rows run every recursion along the steps, and an item of 150 runs each
+    across the rows until its live rows fall below that recursion's switch
+    (kernels.ACROSS_ROWS), so both ways agree too."""
+    assert 7 < min(kernels.ACROSS_ROWS.values()) and max(kernels.ACROSS_ROWS.values()) <= 150
     model = jump_diffusion_model
 
     def runs(batch):
@@ -1598,7 +1661,7 @@ def test_batch_size_does_not_change_results(jump_diffusion_model, monkeypatch):
                                   n_rep=150),
                 compare(model, 20.0, TWO_RULES, 150, SEED, rel_tol=0.05,
                         n_rep_calibrate=150))
-    first, *others = [runs(batch) for batch in (1, 7, 100)]
+    first, *others = [runs(batch) for batch in (1, 7, 100, 150)]
     assert not any(math.isnan(row.h_bar) for row in first[4].rows)
     for cusum, sr, (stops, strict), cal, table in others:
         _assert_same_run(first[0], cusum, "cusum")
