@@ -17,13 +17,7 @@ from .families import (
 )
 from .kernels import backend as kernel_backend
 from .likelihood import LLRPath, llr_path, martingale_check
-from .model import (
-    ChangeModel,
-    DensityRatio,
-    build_change_model,
-    drift_constants,
-    phi_eval,
-)
+from .model import ChangeModel, DensityRatio, build_change_model
 from .paths import SamplePath, sample_changed_path
 from .report import EvalReport, Provenance
 from .rng import RngStream
@@ -38,8 +32,6 @@ __all__ = [
     "ChangeModel",
     "DensityRatio",
     "build_change_model",
-    "phi_eval",
-    "drift_constants",
     "RngStream",
     "SamplePath",
     "sample_changed_path",

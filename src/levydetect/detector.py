@@ -32,11 +32,10 @@ from .errors import AlignmentError, ContractError, SpecValidationError
 from .likelihood import LLRPath
 
 __all__ = ["RULES", "HARNESS_RULES", "DetectorConfig", "check_log_barrier", "StopResult",
-           "grid_stride", "run_rule", "lattice_safe_barrier"]
+           "grid_stride", "run_rule"]
 
 RULES = ("cusum_continuous", "cusum_grid", "shiryaev_roberts")
 HARNESS_RULES = ("cusum_grid", "shiryaev_roberts")    # the grid rules: they need a delta
-BARRIER_NUDGE = 1e-6      # how far lattice_safe_barrier moves a barrier off the lattice
 
 
 def check_log_barrier(rule: str, log_barrier: float) -> None:
@@ -112,15 +111,3 @@ def run_rule(config: DetectorConfig, llr: LLRPath) -> StopResult:
     return StopResult(stop_time=k * delta, censored=censored,
                       stat_at_stop=float(stat[0]), steps_taken=k)
 
-
-def lattice_safe_barrier(log_barrier: float, phi_constant: float) -> float:
-    """Move a barrier off the lattice {k * phi_constant} of a constant
-    density-ratio model (intensity-only change), where the reflected statistic
-    can land exactly on the barrier and the two stopping conventions
-    (>= h vs > h) part ways."""
-    if phi_constant <= 0.0:
-        return log_barrier
-    k = round(log_barrier / phi_constant)
-    if k > 0 and abs(log_barrier - k * phi_constant) < BARRIER_NUDGE:
-        return k * phi_constant + BARRIER_NUDGE
-    return log_barrier

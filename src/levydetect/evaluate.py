@@ -29,8 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .detector import (HARNESS_RULES, DetectorConfig, check_log_barrier, grid_stride,
-                       lattice_safe_barrier)
+from .detector import HARNESS_RULES, DetectorConfig, check_log_barrier, grid_stride
 from .engine import (PathRunResult, RuleSpec, advance, batch_states, release,
                      run_dyadic, run_paths, run_rules)
 from .errors import (
@@ -58,18 +57,27 @@ __all__ = [
     "compare",
     "CompareRow",
     "CompareResult",
+    "lattice_safe_barrier",
 ]
 
 REGIMES = ("in_control", "out_of_control")
 _ENGINE_REGIME = {"in_control": "pre", "out_of_control": "post"}
 HORIZON_FACTOR = 20.0      # censoring horizon of calibration and comparison: 20 x target
+BARRIER_NUDGE = 1e-6       # how far lattice_safe_barrier moves a barrier off the lattice
 
 
-def phi_lattice_constant(model: ChangeModel) -> Optional[float]:
-    """Constant value of phi when the density ratio is flat (intensity-only
-    change), i.e. when the reflected statistic lives on a lattice."""
-    value = None if model.phi is None else model.phi.constant
-    return value if value is not None and value > 0.0 else None
+def lattice_safe_barrier(log_barrier: float, phi_constant: Optional[float]) -> float:
+    """Move a barrier off the lattice {k * phi_constant} of a constant
+    density-ratio model (intensity-only change), where the reflected statistic
+    can land exactly on the barrier and the two stopping conventions
+    (>= h vs > h) part ways. A barrier is returned unchanged when phi has no
+    constant value (None) or a constant <= 0."""
+    if phi_constant is None or phi_constant <= 0.0:
+        return log_barrier
+    k = round(log_barrier / phi_constant)
+    if k > 0 and abs(log_barrier - k * phi_constant) < BARRIER_NUDGE:
+        return k * phi_constant + BARRIER_NUDGE
+    return log_barrier
 
 
 def _engine_rule(model: ChangeModel, rule: str, log_barrier: float) -> RuleSpec:
@@ -83,10 +91,8 @@ def _engine_rule(model: ChangeModel, rule: str, log_barrier: float) -> RuleSpec:
     check_log_barrier(rule, log_barrier)
     if rule == "shiryaev_roberts":
         return RuleSpec(kind="sr", log_barrier=log_barrier)
-    lattice = phi_lattice_constant(model)
-    if lattice is not None:
-        log_barrier = lattice_safe_barrier(log_barrier, lattice)
-    return RuleSpec(kind="cusum", log_barrier=log_barrier)
+    lattice = None if model.phi is None else model.phi.constant
+    return RuleSpec(kind="cusum", log_barrier=lattice_safe_barrier(log_barrier, lattice))
 
 
 def _report(result: PathRunResult, model: ChangeModel, rule: str,

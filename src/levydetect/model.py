@@ -48,8 +48,6 @@ __all__ = [
     "DensityRatio",
     "ChangeModel",
     "build_change_model",
-    "phi_eval",
-    "drift_constants",
     "COND_VOLATILITY",
     "COND_EQUIVALENCE",
     "COND_INTEGRABILITY",
@@ -109,9 +107,15 @@ class ChangeModel:
 
     ``alpha`` is the Brownian exposure of the log-likelihood process,
     ``comp_rate`` the jump compensator rate integral (e^phi - 1) dnu_pre,
-    ``beta_pre``/``beta_post`` the mean drifts of the log-likelihood process
-    before and after the change, and ``phi`` the jump density ratio
-    (None when neither side jumps).
+    ``phi_mean_pre``/``phi_mean_post`` the integrals of phi against each
+    nu_i, ``beta_pre``/``beta_post`` the mean drifts of the log-likelihood
+    process before and after the change, and ``phi`` the jump density ratio
+    (None when neither side jumps). The jump parts of the two drifts are
+
+        phi_mean_pre  - comp_rate = - integral (e^phi - 1 - phi) dnu_pre  (< 0)
+        phi_mean_post - comp_rate = integral (phi e^phi - e^phi + 1) dnu_pre  (> 0)
+
+    and ``beta_pre``/``beta_post`` add the Brownian drift -+ alpha^2 sigma^2 / 2.
     """
 
     pre: LevySpec
@@ -250,24 +254,3 @@ def build_change_model(pre: LevySpec, post: LevySpec) -> ChangeModel:
                        phi_mean_post=mean_post if phi is not None else math.nan,
                        integrability_value=integ_value)
 
-
-def phi_eval(model: ChangeModel, x):
-    """Log jump-measure density ratio at x (scalar or array)."""
-    if model.phi is None:
-        raise InadmissibleModelError("model has no jump component")
-    return model.phi(x)
-
-
-def drift_constants(model: ChangeModel) -> Tuple[float, float]:
-    """Jump-part drifts of the log-likelihood process before and after the change:
-
-        beta_pre  = - integral (e^phi - 1 - phi) dnu_pre        (< 0)
-        beta_post = beta_pre + integral phi (e^phi - 1) dnu_pre (> 0)
-
-    read from the stored phi moments. The ``beta_pre``/``beta_post`` fields on
-    the model additionally include the Brownian drift -+ alpha^2 sigma^2 / 2.
-    """
-    if model.phi is None:
-        raise InadmissibleModelError("drift constants require a jump component")
-    return (model.phi_mean_pre - model.comp_rate,
-            model.phi_mean_post - model.comp_rate)

@@ -83,8 +83,9 @@ def truncated_moment_quadrature(spec: LevySpec) -> float:
 
 
 def drift_constants_quadrature(model: ChangeModel) -> Tuple[float, float]:
-    """Quadrature values of the two integrals of
-    :func:`levydetect.model.drift_constants`."""
+    """Quadrature values of a model's jump-part drifts ``phi_mean_pre -
+    comp_rate`` and ``phi_mean_post - comp_rate``: -integral (e^phi - 1 - phi)
+    dnu_pre, and that plus integral phi (e^phi - 1) dnu_pre."""
     pre, phi = model.pre, model.phi
     beta_pre = -_quad_over_support(pre, phi, lambda p, a, b: a - b - p * b)
     beta_post = beta_pre + _quad_over_support(pre, phi, lambda p, a, b: p * (a - b))

@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levydetect import engine, kernels
-from levydetect.detector import RULES, DetectorConfig, lattice_safe_barrier, run_rule
+from levydetect.detector import RULES, DetectorConfig, run_rule
 from levydetect.errors import ContractError, SpecValidationError
+from levydetect.evaluate import lattice_safe_barrier
 from levydetect.likelihood import LLRPath, llr_path
 from levydetect.paths import SamplePath, sample_changed_path
 from levydetect.rng import RngStream
@@ -303,3 +304,5 @@ class TestLatticeBarrier:
 
     def test_off_lattice_untouched(self):
         assert lattice_safe_barrier(2.0, math.log(2.0)) == 2.0
+        for constant in (None, 0.0, -math.log(2.0)):    # no lattice to move off
+            assert lattice_safe_barrier(3.0 * math.log(2.0), constant) == 3.0 * math.log(2.0)

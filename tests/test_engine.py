@@ -247,19 +247,22 @@ class TestSamplers:
     @pytest.mark.parametrize("regime", ["pre", "post"])
     def test_increment_law_matches_path_route(self, fixture, regime, request):
         """One-step law from the exact sampler agrees with the per-path
-        simulator route: two-sample KS p-value above 1e-4, so the twelve
-        cases together fail by chance at most about once in 800 redraws (KS
-        is conservative where a law has an atom). Over seeds 101-125 the
-        smallest of 300 p-values was 0.018; a gamma post-change sampler
-        drawing with the pre-change scale gives p = 6e-16."""
+        simulator route: two-sample KS p-value above 1e-4. Each regime draws
+        both routes on streams no other case reads, so the twelve cases are
+        independent and together fail by chance at most about once in 830
+        redraws (KS is conservative where a law has an atom). Over seeds
+        101-125 the smallest of 300 p-values was 0.0029, 8 were below 0.05;
+        a gamma post-change sampler drawing with the pre-change scale gives
+        p = 4e-17."""
         model = request.getfixturevalue(fixture)
         dt, n = 0.5, 1500
-        tau = math.inf if regime == "pre" else 0.0
+        tau, path_seed, fast_seed = ((math.inf, SEED, SEED + 1) if regime == "pre"
+                                     else (0.0, SEED + 3, SEED + 4))
         path_u = np.array([
             llr_path(model, sample_changed_path(
-                model, tau, dt, dt, RngStream(SEED, i))).u_values[-1]
+                model, tau, dt, dt, RngStream(path_seed, i))).u_values[-1]
             for i in range(n)])
-        fast_u = sample_u_increments(model, regime, dt, n, RngStream(SEED + 1, 0))
+        fast_u = sample_u_increments(model, regime, dt, n, RngStream(fast_seed, 0))
         assert ks_2samp(path_u, fast_u).pvalue > 1e-4
 
     def test_mean_matches_drift(self, gamma_model):

@@ -5,21 +5,22 @@ import numpy as np
 import pytest
 
 from levydetect import evaluate
-from levydetect.detector import DetectorConfig, lattice_safe_barrier
+from levydetect.detector import DetectorConfig
 from levydetect.engine import RuleSpec, advance, batch_states
 from levydetect.errors import (AlignmentError, ContractError, InfeasibleTargetError,
                                SpecValidationError)
 from levydetect.evaluate import (
+    BARRIER_NUDGE,
     HORIZON_FACTOR,
     CompareRow,
     calibrate_barrier,
     compare,
     convergence_study,
     estimate_arl,
+    lattice_safe_barrier,
     lorden_delay,
     lower_bound_ratio,
     monitoring_steps,
-    phi_lattice_constant,
 )
 from levydetect.oracle import brownian_grid_cusum_arl
 
@@ -372,6 +373,16 @@ class TestCompare:
 
 
 class TestLattice:
-    def test_constant_ratio_detected(self, poisson_model, gaussian_shift_model):
-        assert phi_lattice_constant(poisson_model) == pytest.approx(math.log(2.0))
-        assert phi_lattice_constant(gaussian_shift_model) is None
+    def test_engine_rule_nudges_lattice_cusum_barriers(self, poisson_model,
+                                                      gaussian_shift_model):
+        """A CUSUM barrier on the lattice k * log 2 of the intensity-only pair
+        (phi = log 2 everywhere) moves up by BARRIER_NUDGE; a barrier off it,
+        any barrier of a pair whose phi is not constant, and a
+        Shiryaev-Roberts barrier stay where they are."""
+        on, off = 3.0 * math.log(2.0), 2.0
+        rule = evaluate._engine_rule
+        assert rule(poisson_model, "cusum_grid", on) == RuleSpec("cusum", on + BARRIER_NUDGE)
+        assert rule(poisson_model, "cusum_grid", off) == RuleSpec("cusum", off)
+        for h in (on, off):
+            assert rule(gaussian_shift_model, "cusum_grid", h) == RuleSpec("cusum", h)
+        assert rule(poisson_model, "shiryaev_roberts", on) == RuleSpec("sr", on)

@@ -30,8 +30,6 @@ from levydetect.model import (
     COND_VOLATILITY,
     ChangeModel,
     build_change_model,
-    drift_constants,
-    phi_eval,
 )
 from levydetect.oracle import (
     comp_rate_quadrature,
@@ -168,28 +166,28 @@ def test_no_module_repeats_a_construction_check():
 
 class TestDensityRatio:
     def test_constant_ratio_for_intensity_change(self, poisson_model):
-        assert phi_eval(poisson_model, 0.5) == pytest.approx(math.log(2.0))
-        assert phi_eval(poisson_model, -3.7) == pytest.approx(math.log(2.0))
+        assert poisson_model.phi(0.5) == pytest.approx(math.log(2.0))
+        assert poisson_model.phi(-3.7) == pytest.approx(math.log(2.0))
 
     def test_gaussian_shift_value(self, gaussian_shift_model):
         # mean 0 -> 1 at unit sd: phi(x) = x - 1/2
-        assert phi_eval(gaussian_shift_model, 0.5) == pytest.approx(0.0, abs=1e-15)
-        assert phi_eval(gaussian_shift_model, 2.0) == pytest.approx(1.5)
+        assert gaussian_shift_model.phi(0.5) == pytest.approx(0.0, abs=1e-15)
+        assert gaussian_shift_model.phi(2.0) == pytest.approx(1.5)
 
     def test_gamma_scale_value(self, gamma_model):
-        assert phi_eval(gamma_model, 3.0) == pytest.approx(1.5)
+        assert gamma_model.phi(3.0) == pytest.approx(1.5)
 
     def test_outside_support_raises(self, gamma_model):
         with pytest.raises(SupportError):
-            phi_eval(gamma_model, -1.0)
+            gamma_model.phi(-1.0)
 
     def test_one_piece_on_the_whole_line_holds_at_zero(self, poisson_model,
                                                        gaussian_shift_model):
         """A ratio that is one affine piece on both half-lines is that piece
         at 0 too, for a scalar and inside an array."""
-        assert phi_eval(poisson_model, 0.0) == math.log(2.0)
-        assert phi_eval(gaussian_shift_model, 0.0) == -0.5
-        assert list(phi_eval(gaussian_shift_model, np.array([-1.0, 0.0, 1.0]))) \
+        assert poisson_model.phi(0.0) == math.log(2.0)
+        assert gaussian_shift_model.phi(0.0) == -0.5
+        assert list(gaussian_shift_model.phi(np.array([-1.0, 0.0, 1.0]))) \
             == [-1.5, -0.5, 0.5]
 
     @pytest.mark.parametrize("fixture", ["gamma_model", "exponential_model"])
@@ -198,12 +196,11 @@ class TestDensityRatio:
         model = request.getfixturevalue(fixture)
         for x in (0.0, -1.0, np.array([1.0, 0.0])):
             with pytest.raises(SupportError):
-                phi_eval(model, x)
+                model.phi(x)
 
-    def test_inadmissible_model_raises(self):
-        with pytest.raises(InadmissibleModelError):
-            phi_eval(build_change_model(LevySpec.brownian(1.0, 0.0),
-                                        LevySpec.brownian(2.0, 0.0)), 1.0)
+    def test_no_ratio_without_jumps(self, brownian_model):
+        """A pair with no jump component has no density ratio to evaluate."""
+        assert brownian_model.phi is None
 
     @pytest.mark.parametrize("fixture", [
         "poisson_model", "gaussian_shift_model", "gamma_model",
@@ -223,8 +220,12 @@ class TestDensityRatio:
 
 
 class TestDriftConstants:
+    """The jump parts of the log-likelihood drifts, read off the model's
+    fields as ``phi_mean_pre - comp_rate`` and ``phi_mean_post - comp_rate``."""
+
     def test_poisson_intensity_closed_forms(self, poisson_model):
-        jump_pre, jump_post = drift_constants(poisson_model)
+        m = poisson_model
+        jump_pre, jump_post = m.phi_mean_pre - m.comp_rate, m.phi_mean_post - m.comp_rate
         assert jump_pre == pytest.approx(math.log(2.0) - 1.0)
         assert jump_post == pytest.approx(2.0 * math.log(2.0) - 1.0)
         assert poisson_model.comp_rate == pytest.approx(1.0)
@@ -239,10 +240,9 @@ class TestDriftConstants:
     ])
     def test_closed_forms_match_quadrature(self, fixture, request):
         model = request.getfixturevalue(fixture)
-        closed = drift_constants(model)
         quad = drift_constants_quadrature(model)
-        assert closed[0] == pytest.approx(quad[0], abs=1e-8)
-        assert closed[1] == pytest.approx(quad[1], abs=1e-8)
+        assert model.phi_mean_pre - model.comp_rate == pytest.approx(quad[0], abs=1e-8)
+        assert model.phi_mean_post - model.comp_rate == pytest.approx(quad[1], abs=1e-8)
 
     @pytest.mark.parametrize("fixture", [
         "poisson_model", "gaussian_shift_model", "gamma_model",
@@ -257,8 +257,14 @@ class TestDriftConstants:
         assert model.beta_pre < 0.0 < model.beta_post
 
     def test_requires_jump_component(self, brownian_model):
-        with pytest.raises(InadmissibleModelError):
-            drift_constants(brownian_model)
+        """Without a jump component the phi moments, and so the jump-part
+        drifts, are NaN, and each beta is the Brownian drift alone."""
+        m = brownian_model
+        assert m.phi is None and m.comp_rate == 0.0
+        assert math.isnan(m.phi_mean_pre - m.comp_rate)
+        assert math.isnan(m.phi_mean_post - m.comp_rate)
+        bm_drift = 0.5 * m.alpha ** 2 * m.sigma ** 2
+        assert (m.beta_pre, m.beta_post) == (-bm_drift, bm_drift) != (0.0, 0.0)
 
 
 class TestDriftCondition:
@@ -346,8 +352,7 @@ def test_random_gaussian_pairs_admissible_with_consistent_alpha(
     gap = 0.5 - (post.jump_truncated_mean() - pre.jump_truncated_mean())
     assert m.alpha == pytest.approx(gap, rel=1e-12)
     if mean_shift != 0.0 or abs(lam0 - lam1) > 1e-9 * lam0:
-        jp, jq = drift_constants(m)
-        assert jp < 0.0 < jq
+        assert m.phi_mean_pre - m.comp_rate < 0.0 < m.phi_mean_post - m.comp_rate
 
 
 # --------------------------------------------------------------------------- #

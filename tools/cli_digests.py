@@ -1,0 +1,73 @@
+"""Digest every CLI subcommand on every example config.
+
+Usage (from anywhere):
+
+    python3 tools/cli_digests.py [--root CHECKOUT]
+
+Runs each of the 8 subcommands on each ``examples_config/*.json`` file of
+CHECKOUT (default: the checkout holding this script), 48 runs, one at a
+time, each in a fresh temporary directory with CHECKOUT's ``src`` first on
+``PYTHONPATH``. Prints one line per run: subcommand, config, exit code, then
+the sha256 of stdout, of stderr and of every file the run wrote, in name
+order. Two trees give the same artifacts, output and exit codes when the
+outputs of this script on both are equal:
+
+    python3 tools/cli_digests.py --root A > a.txt
+    python3 tools/cli_digests.py --root B > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SUBCOMMANDS = ("validate", "simulate", "arl", "calibrate", "lorden", "lowerbound",
+               "converge", "compare")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_run(root: Path, subcommand: str, config: Path) -> str:
+    """One line for one run: the config is copied into an empty directory,
+    which is the working directory, and the run writes its artifacts to
+    ``out`` there; every file in it but the config copy is hashed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    with tempfile.TemporaryDirectory(prefix="cli_digests_") as work:
+        shutil.copy(config, os.path.join(work, config.name))
+        proc = subprocess.run(
+            [sys.executable, "-m", "levydetect.cli", subcommand,
+             "--config", config.name, "--out", "out"],
+            cwd=work, env=env, capture_output=True)
+        written = sorted(p for p in Path(work).rglob("*")
+                         if p.is_file() and p.name != config.name)
+        files = [f"{p.relative_to(work).as_posix()}={_sha(p.read_bytes())}"
+                 for p in written]
+    return " ".join([subcommand, config.name, str(proc.returncode),
+                     f"stdout={_sha(proc.stdout)}", f"stderr={_sha(proc.stderr)}", *files])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose src and examples_config are run")
+    root = parser.parse_args(argv).root.resolve()
+    configs = sorted((root / "examples_config").glob("*.json"))
+    for subcommand in SUBCOMMANDS:
+        for config in configs:
+            print(digest_run(root, subcommand, config), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
