@@ -16,7 +16,7 @@ from .families import (
     TwoSidedExponentialJumps,
 )
 from .kernels import backend as kernel_backend
-from .likelihood import LLRPath, llr_path, martingale_check
+from .likelihood import LLRPath, llr_path
 from .model import ChangeModel, DensityRatio, build_change_model
 from .paths import SamplePath, sample_changed_path
 from .report import EvalReport, Provenance
@@ -37,7 +37,6 @@ __all__ = [
     "sample_changed_path",
     "LLRPath",
     "llr_path",
-    "martingale_check",
     "DetectorConfig",
     "StopResult",
     "run_rule",

@@ -47,10 +47,10 @@ import numpy as np
 from . import kernels
 from .errors import ContractError, SampleSizeError
 from .model import ChangeModel
-from .rng import RngStream, give_back, lease, stream_id
+from .rng import give_back, lease, stream_id
 
 __all__ = ["RuleSpec", "PathRunResult", "BatchState", "make_u_sampler",
-           "substream_components", "stream_state", "sample_u_increments", "block_end",
+           "substream_components", "stream_state", "block_end",
            "batch_states", "release", "advance", "run_rules", "run_paths", "run_dyadic"]
 
 CHUNK = 4096          # widest draw-and-scan sub-block in steps (not a tuning knob)
@@ -265,17 +265,6 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
         out -= comp_dt
         return out
     return jumps
-
-
-def sample_u_increments(model: ChangeModel, regime: str, dt: float,
-                        n: int, rng: RngStream) -> np.ndarray:
-    """n independent log-likelihood increments over one step (one stream)."""
-    gens = lease(rng.master_seed, range(rng.stream_id, rng.stream_id + 1),
-                 substream_components(model, dt))
-    try:
-        return make_u_sampler(model, regime, dt)(stream_state(gens), (1, n))[0]
-    finally:
-        give_back(gens)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,23 +11,15 @@ only at reporting boundaries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import sample_u_increments
 from .errors import ContractError, SpecValidationError
 from .model import ChangeModel
 from .paths import SamplePath
-from .report import EvalReport, Provenance
-from .rng import RngStream
 
-__all__ = [
-    "LLRPath",
-    "llr_path",
-    "martingale_check",
-]
+__all__ = ["LLRPath", "llr_path"]
 
 
 @dataclass(frozen=True)
@@ -82,21 +74,3 @@ def llr_path(model: ChangeModel, path: SamplePath) -> LLRPath:
             u += jump_phi - model.comp_rate * t
     u[0] = 0.0
     return LLRPath(grid_dt=path.grid_dt, u_values=u)
-
-
-def martingale_check(model: ChangeModel, delta: float, n_rep: int,
-                     rng: RngStream) -> EvalReport:
-    """Monte Carlo estimate of the pre-change mean of exp(U_delta).
-
-    The estimate should sit within a few standard errors of 1; use
-    ``report.within(1.0)`` for the 3-SE test.
-    """
-    u = sample_u_increments(model, "pre", delta, n_rep, rng)
-    vals = np.exp(u)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n_rep))
-    prov = Provenance(master_seed=rng.master_seed, grid_dt=delta, delta=delta,
-                      rule="martingale", model_digest=model.digest(),
-                      regime="pre", stream_block=rng.stream_id)
-    return EvalReport(estimate=est, std_error=se, n_rep=n_rep, n_censored=0,
-                      horizon=delta, provenance=prov, label="martingale")

@@ -1,5 +1,6 @@
 import pytest
 
+from levydetect import engine
 from levydetect.families import (
     ExponentialJumps,
     GaussianJumps,
@@ -7,6 +8,19 @@ from levydetect.families import (
     TwoSidedExponentialJumps,
 )
 from levydetect.model import build_change_model
+from levydetect.rng import give_back, lease
+
+
+def u_increments(model, regime, dt, n, stream):
+    """n independent log-likelihood increments over one step, drawn from one
+    stream by the engine's exact sampler. ``engine.make_u_sampler`` is looked
+    up at each call, so a test that patches it draws through its mutant."""
+    gens = lease(stream.master_seed, range(stream.stream_id, stream.stream_id + 1),
+                 engine.substream_components(model, dt))
+    try:
+        return engine.make_u_sampler(model, regime, dt)(engine.stream_state(gens), (1, n))[0]
+    finally:
+        give_back(gens)
 
 
 @pytest.fixture(scope="session")

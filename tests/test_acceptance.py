@@ -26,7 +26,6 @@ from levydetect.evaluate import (
     monitoring_steps,
 )
 from levydetect.families import GaussianJumps, LevySpec
-from levydetect.likelihood import martingale_check
 from levydetect.model import (
     COND_INTEGRABILITY,
     COND_VOLATILITY,
@@ -34,6 +33,8 @@ from levydetect.model import (
 )
 from levydetect.oracle import brownian_grid_cusum_arl, comp_rate_quadrature
 from levydetect.rng import RngStream, stream_id
+
+from conftest import u_increments
 
 SEED = 20260808
 
@@ -122,12 +123,12 @@ def _c02_z_scores(models, make_u_sampler) -> dict:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "make_u_sampler", make_u_sampler)
         for i, (name, model) in enumerate(models.items()):
-            rep = martingale_check(model, 1.0, 100000,
-                                   RngStream(SEED, stream_id("martingale", 0, i)))
-            post = np.exp(-engine.sample_u_increments(
-                model, "post", 1.0, 100000, RngStream(SEED, stream_id("martingale", 1, i))))
-            zs[name] = ((rep.estimate - 1.0) / rep.std_error,
-                        (post.mean() - 1.0) / (post.std(ddof=1) / math.sqrt(post.size)))
+            pre = np.exp(u_increments(model, "pre", 1.0, 100000,
+                                      RngStream(SEED, stream_id("martingale", 0, i))))
+            post = np.exp(-u_increments(model, "post", 1.0, 100000,
+                                        RngStream(SEED, stream_id("martingale", 1, i))))
+            zs[name] = tuple((v.mean() - 1.0) / (v.std(ddof=1) / math.sqrt(v.size))
+                             for v in (pre, post))
     return zs
 
 

@@ -15,7 +15,7 @@ from scipy.stats import ks_2samp
 from levydetect import engine, kernels, rng
 from levydetect.config import ExperimentConfig
 from levydetect.detector import DetectorConfig
-from levydetect.engine import RuleSpec, run_dyadic, run_paths, sample_u_increments
+from levydetect.engine import RuleSpec, run_dyadic, run_paths
 from levydetect.errors import ContractError
 from levydetect.evaluate import (calibrate_barrier, compare, estimate_arl,
                                  lorden_delay, lower_bound_ratio)
@@ -24,6 +24,8 @@ from levydetect.likelihood import llr_path
 from levydetect.model import build_change_model
 from levydetect.paths import sample_changed_path
 from levydetect.rng import RngStream, give_back, lease, stream_id
+
+from conftest import u_increments
 
 SEED = 8086
 TWO_RULES = [("cusum_grid", 0.1), ("shiryaev_roberts", 0.1)]     # compare at one step
@@ -262,12 +264,12 @@ class TestSamplers:
             llr_path(model, sample_changed_path(
                 model, tau, dt, dt, RngStream(path_seed, i))).u_values[-1]
             for i in range(n)])
-        fast_u = sample_u_increments(model, regime, dt, n, RngStream(fast_seed, 0))
+        fast_u = u_increments(model, regime, dt, n, RngStream(fast_seed, 0))
         assert ks_2samp(path_u, fast_u).pvalue > 1e-4
 
     def test_mean_matches_drift(self, gamma_model):
         n = 200000
-        u = sample_u_increments(gamma_model, "pre", 1.0, n, RngStream(SEED + 2, 0))
+        u = u_increments(gamma_model, "pre", 1.0, n, RngStream(SEED + 2, 0))
         se = u.std(ddof=1) / math.sqrt(n)
         assert abs(u.mean() - gamma_model.beta_pre) <= 3.0 * se
 

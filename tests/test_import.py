@@ -25,6 +25,18 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_reference_route_loads_no_engine():
+    """The path route (``sample_changed_path`` -> ``llr_path``) and the
+    single-path detector are the engine's independent check, so importing
+    them, or the package, loads no part of the engine."""
+    code = ("import levydetect, levydetect.paths, levydetect.likelihood, "
+            "levydetect.detector, sys; print('levydetect.engine' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_import_loads_no_thread_pool():
     """Only a run on more than one thread starts a thread pool, so importing
     the package and its CLI loads neither concurrent.futures nor the logging

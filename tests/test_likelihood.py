@@ -5,10 +5,12 @@ import pytest
 
 from levydetect.errors import ContractError, SpecValidationError
 from levydetect.families import LevySpec
-from levydetect.likelihood import LLRPath, llr_path, martingale_check
+from levydetect.likelihood import LLRPath, llr_path
 from levydetect.model import build_change_model
 from levydetect.paths import sample_changed_path
 from levydetect.rng import RngStream
+
+from conftest import u_increments
 
 SEED = 31            # master seed for this module's simulations
 
@@ -191,8 +193,10 @@ class TestMartingale:
     ])
     def test_unit_mean(self, fixture, request):
         model = request.getfixturevalue(fixture)
-        rep = martingale_check(model, 1.0, 50000, RngStream(SEED + 11, 0))
-        assert rep.within(1.0, n_se=3.0)
+        n = 50000
+        vals = np.exp(u_increments(model, "pre", 1.0, n, RngStream(SEED + 11, 0)))
+        se = vals.std(ddof=1) / math.sqrt(n)
+        assert abs(vals.mean() - 1.0) <= 3.0 * se
 
     def test_gamma_analytic_normalizer(self, gamma_model):
         """Second oracle: the moment generating function of the gamma law
@@ -208,12 +212,10 @@ class TestMartingale:
         """The per-path simulator and the engine's exact increment sampler
         give the same law for U over one step."""
         from scipy.stats import ks_2samp
-        from levydetect.engine import sample_u_increments
         n = 2000
         path_u = np.array([
             llr_path(poisson_model, sample_changed_path(
                 poisson_model, math.inf, 1.0, 0.5, RngStream(SEED + 13, i))).u_values[-1]
             for i in range(n)])
-        fast_u = sample_u_increments(poisson_model, "pre", 1.0, n,
-                                     RngStream(SEED + 14, 0))
+        fast_u = u_increments(poisson_model, "pre", 1.0, n, RngStream(SEED + 14, 0))
         assert ks_2samp(path_u, fast_u).pvalue > 0.01
