@@ -305,7 +305,9 @@ class BatchState:
     the step it reached a lower one is a lookup (:meth:`first_reach`). Sub-blocks are whole multiples of ``unit``, the
     least common multiple of the rules' strides (:func:`block_end`), so each
     boundary is a monitoring step of every rule. Last reflections, lower-bound
-    sums and records count steps of the path, so only stride-1 rules keep them."""
+    sums and records count steps of the path, so only stride-1 rules keep them;
+    and the first two stop at the barrier a row was last advanced under, which
+    a higher one would not see, so a state kept with records keeps neither."""
 
     RULE_CARRIES = ("mn", "logA", "lastref", "num", "den")
 
@@ -315,9 +317,10 @@ class BatchState:
         b, k = len(next(g for g in gens if g is not None)), len(rules)
         self.sampler, self.rules, self.gens = sampler, tuple(rules), gens
         self.unit = math.lcm(*(rule.stride for rule in rules))
-        if self.unit > 1 and (records or last_reflect or lb_horizon is not None):
+        barrier_bound = last_reflect or lb_horizon is not None
+        if (self.unit > 1 and (records or barrier_bound)) or (records and barrier_bound):
             raise ContractError("strided rules keep no records, last reflections "
-                                "or lower-bound sums")
+                                "or lower-bound sums, and records keep neither of the others")
         self.lb_horizon, self.ladders = lb_horizon, [[] for _ in self.rules]
         self.pos, self.u = np.zeros(b, dtype=np.int64), np.zeros(b)
         state = stream_state(gens)

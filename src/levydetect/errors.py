@@ -1,7 +1,5 @@
 """Exception taxonomy shared across the package."""
 
-from typing import Optional
-
 
 class LevyDetectError(Exception):
     """Base class for all package errors."""
@@ -16,13 +14,15 @@ class UnsupportedPairError(LevyDetectError):
 
 
 class InadmissibleModelError(LevyDetectError):
-    """A pre/post pair whose path laws are not mutually absolutely continuous,
-    or an operation the pair's model cannot serve; ``violated`` names the
-    failed admissibility condition (None for the latter)."""
+    """A pre/post pair whose path laws are not mutually absolutely continuous;
+    ``violated`` names the failed admissibility condition."""
 
-    def __init__(self, message: str, violated: Optional[str] = None):
+    def __init__(self, message: str, violated: str):
         super().__init__(message)
         self.violated = violated
+
+    def __reduce__(self):       # pickle rebuilds it from both arguments
+        return type(self), (str(self), self.violated)
 
 
 class AlignmentError(SpecValidationError):

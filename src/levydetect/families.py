@@ -25,7 +25,10 @@ include the log-intensity term.
 
 Every jump law and :class:`LevySpec` checks its parameters when it is built,
 ``dataclasses.replace`` included, and raises SpecValidationError for a bad
-one; all are frozen, so one that exists is valid.
+one; all are frozen, so one that exists is valid. A :class:`LevySpec` holds
+only the fields its family reads: one table names them, and its checks,
+``to_dict`` and ``from_dict`` read that table, so a field the family ignores
+is rejected, not carried along.
 """
 
 from __future__ import annotations
@@ -187,8 +190,8 @@ class TwoSidedExponentialJumps(_ExponentialSides):
     support = "two_sided"
 
     def __post_init__(self) -> None:
-        if not (self.rate_pos > 0.0 and self.rate_neg > 0.0):
-            raise SpecValidationError("two-sided exponential rates must be positive")
+        if not (0.0 < self.rate_pos < math.inf and 0.0 < self.rate_neg < math.inf):
+            raise SpecValidationError("two-sided exponential rates must be positive and finite")
         if not (0.0 < self.weight_pos < 1.0):
             raise SpecValidationError(
                 f"two-sided exponential weight must lie in (0, 1), got {self.weight_pos}")
@@ -201,6 +204,10 @@ class TwoSidedExponentialJumps(_ExponentialSides):
 
 JumpLaw = Union[GaussianJumps, ExponentialJumps, TwoSidedExponentialJumps]
 
+# the fields each family reads besides sigma and drift; a spec holds no other
+_FAMILY_FIELDS = {"brownian": (), "compound_poisson": ("intensity", "jumps"),
+                  "jump_diffusion": ("intensity", "jumps"), "gamma": ("activity", "scale")}
+
 
 @dataclass(frozen=True)
 class LevySpec:
@@ -209,7 +216,8 @@ class LevySpec:
     ``drift_b`` is the drift relative to the |x| <= 1 truncation, so the
     observable linear drift of a finite-variation path is
     ``drift_b - integral of x over |x| <= 1 against the jump measure``
-    (see :meth:`linear_drift`).
+    (see :meth:`linear_drift`). Of ``intensity``, ``jumps``, ``activity``
+    and ``scale`` a spec holds exactly the fields its family reads.
     """
 
     family: str
@@ -243,58 +251,44 @@ class LevySpec:
     @classmethod
     def gamma_subordinator(cls, activity: float, scale: float,
                            drift: Optional[float] = None) -> "LevySpec":
-        """Gamma subordinator; ``drift=None`` means a pure subordinator.
-
-        The pure subordinator has zero linear drift, i.e. its
-        truncation-convention drift equals the small-jump first moment
-        a * theta * (1 - exp(-1/theta)).
-        """
-        a = float(activity)
-        theta = float(scale)
-        if drift is None:
-            if a > 0.0 and theta > 0.0:
-                drift = a * theta * (1.0 - math.exp(-1.0 / theta))
-            else:
-                drift = 0.0
-        return cls(family="gamma", sigma=0.0, drift_b=float(drift),
-                   activity=a, scale=theta)
+        """Gamma subordinator; ``drift=None`` means a pure subordinator, whose
+        linear drift is zero: its truncation-convention drift is the
+        small-jump first moment (:meth:`jump_truncated_mean`)."""
+        spec = cls(family="gamma", sigma=0.0, drift_b=0.0 if drift is None else float(drift),
+                   activity=float(activity), scale=float(scale))
+        return spec if drift is not None else replace(spec, drift_b=spec.jump_truncated_mean())
 
     # ------------------------------------------------------------------ #
     # checks (run on every construction, replace() included) and derived quantities
     # ------------------------------------------------------------------ #
 
     def __post_init__(self) -> None:
-        if self.family not in ("brownian", "compound_poisson", "jump_diffusion", "gamma"):
+        if self.family not in _FAMILY_FIELDS:
             raise SpecValidationError(f"unknown family {self.family!r}")
         if self.sigma < 0.0 or not math.isfinite(self.sigma):
             raise SpecValidationError(f"sigma must be nonnegative, got {self.sigma}")
+        if self.family == "brownian" and self.sigma == 0.0:
+            raise SpecValidationError("brownian family needs sigma > 0")
+        if self.family in ("compound_poisson", "gamma") and self.sigma != 0.0:
+            raise SpecValidationError(
+                "gamma subordinator is pure jump (sigma = 0)" if self.family == "gamma"
+                else "compound_poisson has sigma = 0; use jump_diffusion for sigma > 0")
+        for name in ("intensity", "jumps", "activity", "scale"):
+            value = getattr(self, name)
+            if name not in _FAMILY_FIELDS[self.family]:
+                if value is not None:
+                    raise SpecValidationError(f"{self.family} family has no {name}, got {value!r}")
+            elif value is None:
+                raise SpecValidationError(f"{self.family} family needs {name}")
+            elif name != "jumps" and not 0.0 < value < math.inf:
+                raise SpecValidationError(
+                    f"{self.family} {name} must be a finite number > 0, got {value}")
         if not math.isfinite(self.drift_b):
             raise SpecValidationError("drift must be finite")
-        if self.family == "brownian":
-            if self.sigma <= 0.0:
-                raise SpecValidationError("brownian family needs sigma > 0")
-            if self.intensity is not None or self.jumps is not None:
-                raise SpecValidationError("brownian family carries no jump block")
-        if self.family in ("compound_poisson", "jump_diffusion"):
-            if self.intensity is None or not (self.intensity > 0.0):
-                raise SpecValidationError(
-                    f"jump intensity must be positive, got {self.intensity}")
-            if self.jumps is None:
-                raise SpecValidationError("jump size law is required")
-            if self.family == "compound_poisson" and self.sigma != 0.0:
-                raise SpecValidationError(
-                    "compound_poisson has sigma = 0; use jump_diffusion for sigma > 0")
-        if self.family == "gamma":
-            if self.sigma != 0.0:
-                raise SpecValidationError("gamma subordinator is pure jump (sigma = 0)")
-            if self.activity is None or not (self.activity > 0.0):
-                raise SpecValidationError(f"gamma activity must be positive, got {self.activity}")
-            if self.scale is None or not (self.scale > 0.0):
-                raise SpecValidationError(f"gamma scale must be positive, got {self.scale}")
 
     @property
     def has_jumps(self) -> bool:
-        return self.family in ("compound_poisson", "jump_diffusion", "gamma")
+        return bool(_FAMILY_FIELDS[self.family])
 
     def jump_truncated_mean(self) -> float:
         """Closed form of the |x| <= 1 first moment of the jump measure."""
@@ -338,42 +332,33 @@ class LevySpec:
 
     def to_dict(self) -> dict:
         out: dict = {"family": self.family, "sigma": self.sigma, "drift": self.drift_b}
-        if self.family in ("compound_poisson", "jump_diffusion"):
-            out.update(intensity=self.intensity,
-                       jumps={"kind": self.jumps.kind, **asdict(self.jumps)})
-        if self.family == "gamma":
-            out.update(activity=self.activity, scale=self.scale)
+        for name in _FAMILY_FIELDS[self.family]:
+            value = getattr(self, name)
+            out[name] = {"kind": value.kind, **asdict(value)} if name == "jumps" else value
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "LevySpec":
-        """Read a process block; every family reads ``sigma`` and ``drift``,
-        so a nonzero sigma on a pure-jump family is rejected, not dropped."""
+        """Read a process block: ``family``, ``sigma``, ``drift`` and the
+        fields the family reads, each as written, so a nonzero sigma on a
+        pure-jump family is rejected, not dropped."""
         if not isinstance(data, dict):
             raise SpecValidationError(f"process block must be a JSON object, got {data!r}")
         if "family" not in data:
             raise SpecValidationError("process block needs a 'family' key")
         family = data["family"]
-        if not isinstance(family, str) or family not in _FAMILY_KEYS:
+        if not isinstance(family, str) or family not in _FAMILY_FIELDS:
             raise SpecValidationError(f"unknown family {family!r}")
-        reject_unknown_keys(data, ("family", "sigma", "drift", *_FAMILY_KEYS[family]))
+        reject_unknown_keys(data, ("family", "sigma", "drift", *_FAMILY_FIELDS[family]))
         sigma = _number(data, "sigma", 1.0 if family == "brownian" else 0.0)
-        drift = _number(data, "drift", None if family == "gamma" else 0.0)
-        if family == "brownian":
-            spec = cls.brownian(sigma, drift)
-        elif family == "gamma":
-            spec = cls.gamma_subordinator(activity=_number(data, "activity", 0.0),
-                                          scale=_number(data, "scale", 0.0), drift=drift)
-        else:
-            spec = cls.jump_diffusion(sigma, _number(data, "intensity", 0.0),
-                                      _jump_law_from_dict(data.get("jumps")), drift)
-        # the family and sigma as written, so a sigma the family cannot carry is rejected
-        return replace(spec, family=family, sigma=sigma)
+        drift = _number(data, "drift", 0.0)
+        fields = {name: _jump_law_from_dict(data.get(name)) if name == "jumps"
+                  else _number(data, name, None) for name in _FAMILY_FIELDS[family]}
+        spec = cls(family=family, sigma=sigma, drift_b=drift, **fields)
+        if family == "gamma" and "drift" not in data:       # a pure subordinator
+            return replace(spec, drift_b=spec.jump_truncated_mean())
+        return spec
 
-
-# the keys each family reads besides family, sigma and drift
-_FAMILY_KEYS = {"brownian": (), "compound_poisson": ("intensity", "jumps"),
-                "jump_diffusion": ("intensity", "jumps"), "gamma": ("activity", "scale")}
 
 # each jump law and the defaults of the keys it reads besides kind
 _JUMP_LAWS = {"gaussian": (GaussianJumps, {"mean": 0.0, "sd": 1.0}),

@@ -245,24 +245,31 @@ class TestSamplers:
         _on_fresh_thread(lambda: run_paths(model, "pre", rule, 0.1, 300, 40, SEED, "arl"))
         assert Counter(stream.component for stream in built) == {c: 40 for c in components}
 
-    @pytest.mark.parametrize("fixture", MODEL_FIXTURES)
-    @pytest.mark.parametrize("regime", ["pre", "post"])
-    def test_increment_law_matches_path_route(self, fixture, regime, request):
+    @pytest.mark.parametrize("regime,fixture,substeps", [
+        *(pytest.param(regime, fixture, 1, id=f"{regime}-{fixture}")
+          for regime in ("pre", "post") for fixture in MODEL_FIXTURES),
+        pytest.param("pre", "poisson_model", 2, id="pre-poisson_model-half_grid")])
+    def test_increment_law_matches_path_route(self, regime, fixture, substeps, request):
         """One-step law from the exact sampler agrees with the per-path
-        simulator route: two-sample KS p-value above 1e-4. Each regime draws
-        both routes on streams no other case reads, so the twelve cases are
-        independent and together fail by chance at most about once in 830
-        redraws (KS is conservative where a law has an atom). Over seeds
-        101-125 the smallest of 300 p-values was 0.0029, 8 were below 0.05;
-        a gamma post-change sampler drawing with the pre-change scale gives
-        p = 4e-17."""
+        simulator route: two-sample KS p-value above 1e-4. The path is drawn
+        on a grid ``substeps`` times finer than the step, so on the half grid
+        llr_path sums two grid steps. Each case draws both routes on streams
+        no other case reads, so the thirteen cases are independent and
+        together fail by chance at most about once in 770 redraws (KS is
+        conservative where a law has an atom). Over seeds 101-125 the
+        smallest of 300 p-values of the twelve one-step-grid cases was
+        0.0029, 8 were below 0.05, and the smallest of the half-grid case's
+        25 was 0.21. A gamma post-change sampler drawing with the pre-change
+        scale gives p = 4e-17; a half-grid path read after its first grid
+        step only, p = 1e-263."""
         model = request.getfixturevalue(fixture)
         dt, n = 0.5, 1500
-        tau, path_seed, fast_seed = ((math.inf, SEED, SEED + 1) if regime == "pre"
-                                     else (0.0, SEED + 3, SEED + 4))
+        tau, path_seed, fast_seed = {("pre", 1): (math.inf, SEED, SEED + 1),
+                                     ("post", 1): (0.0, SEED + 3, SEED + 4),
+                                     ("pre", 2): (math.inf, SEED + 5, SEED + 6)}[regime, substeps]
         path_u = np.array([
             llr_path(model, sample_changed_path(
-                model, tau, dt, dt, RngStream(path_seed, i))).u_values[-1]
+                model, tau, dt, dt / substeps, RngStream(path_seed, i))).u_values[-1]
             for i in range(n)])
         fast_u = u_increments(model, regime, dt, n, RngStream(fast_seed, 0))
         assert ks_2samp(path_u, fast_u).pvalue > 1e-4
@@ -876,6 +883,21 @@ class TestBatchState:
             engine.advance(states, 600, [high])
             for h, run in runs.items():
                 assert np.array_equal(states[0].first_reach(0, h), run.stop_steps), fixture
+
+    @pytest.mark.parametrize("keep", [{"lb_horizon": 100}, {"last_reflect": True}],
+                             ids=["lb_horizon", "last_reflect"])
+    @pytest.mark.parametrize("kind", ["cusum", "sr"])
+    def test_records_keep_no_lower_bound_sums_or_last_reflections(self, brownian_model,
+                                                                  kind, keep):
+        """Both stop at the barrier a row was last advanced under, which a
+        higher barrier would not see, so a state kept with records refuses
+        them when it is built, before any scan (the CUSUM scan with
+        lower-bound sums keeps no record highs at all)."""
+        gens = _fresh([stream_id("calibrate", i) for i in range(4)],
+                      engine.substream_components(brownian_model, 0.1))
+        with pytest.raises(ContractError, match="records keep neither"):
+            engine.BatchState(engine.make_u_sampler(brownian_model, "pre", 0.1),
+                              (RuleSpec(kind, 2.0),), gens, records=True, **keep)
 
     def test_calibration_does_not_depend_on_threads(self, brownian_model):
         """1500 replications span two batches, advanced on one or two workers,

@@ -207,15 +207,3 @@ class TestMartingale:
         dt = 1.0
         log_mgf = -a * dt * math.log(1.0 - c1 * t0)   # E exp(c1 X_dt)
         assert log_mgf - gamma_model.comp_rate * dt == pytest.approx(0.0, abs=1e-14)
-
-    def test_path_route_agrees_with_increment_route(self, poisson_model):
-        """The per-path simulator and the engine's exact increment sampler
-        give the same law for U over one step."""
-        from scipy.stats import ks_2samp
-        n = 2000
-        path_u = np.array([
-            llr_path(poisson_model, sample_changed_path(
-                poisson_model, math.inf, 1.0, 0.5, RngStream(SEED + 13, i))).u_values[-1]
-            for i in range(n)])
-        fast_u = u_increments(poisson_model, "pre", 1.0, n, RngStream(SEED + 14, 0))
-        assert ks_2samp(path_u, fast_u).pvalue > 0.01

@@ -1,7 +1,8 @@
 import json
 import math
+import pickle
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,54 @@ class TestAdmissibility:
             LevySpec.gamma_subordinator(1.0, -2.0)
 
 
+# one spec of each family, and a valid value of each field a family may read
+ONE_OF_EACH = [LevySpec.brownian(1.0, 0.0),
+               LevySpec.compound_poisson(1.0, GaussianJumps(0.0, 1.0)),
+               LevySpec.jump_diffusion(1.0, 1.0, GaussianJumps(0.0, 1.0)),
+               LevySpec.gamma_subordinator(1.0, 1.0)]
+FIELD_VALUES = {"intensity": 2.0, "jumps": ExponentialJumps(1.0), "activity": 2.0, "scale": 2.0}
+
+
+@pytest.mark.parametrize("spec,name", [
+    (spec, name) for spec in ONE_OF_EACH for name in FIELD_VALUES
+    if getattr(spec, name) is None], ids=lambda v: getattr(v, "family", v))
+def test_a_field_the_family_does_not_read_is_rejected(spec, name):
+    """A spec holds only the fields its family reads, so two specs that
+    differ in an ignored field are not two laws; built directly or by
+    ``replace``, a spec with such a field raises naming it."""
+    given = {f.name: getattr(spec, f.name) for f in fields(LevySpec)}
+    with pytest.raises(SpecValidationError, match=f"{spec.family} family has no {name}"):
+        LevySpec(**dict(given, **{name: FIELD_VALUES[name]}))
+    with pytest.raises(SpecValidationError, match=f"{spec.family} family has no {name}"):
+        replace(spec, **{name: FIELD_VALUES[name]})
+
+
+def test_a_pair_differing_only_in_an_ignored_field_cannot_be_built():
+    """Such a pair is one law twice, which the identical-pair check cannot
+    see; as neither spec can exist, no model of it (beta_pre = beta_post = 0)
+    is built."""
+    pre = LevySpec.brownian(1.0, 0.0)
+    with pytest.raises(SpecValidationError, match="activity"):
+        build_change_model(pre, replace(pre, activity=1.0))
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: LevySpec.compound_poisson(math.inf, GaussianJumps(0.0, 1.0)), "intensity"),
+    (lambda: LevySpec.jump_diffusion(1.0, math.inf, GaussianJumps(0.0, 1.0)), "intensity"),
+    (lambda: LevySpec.gamma_subordinator(math.inf, 1.0), "activity"),
+    (lambda: LevySpec.gamma_subordinator(1.0, math.inf), "scale"),
+    (lambda: LevySpec.gamma_subordinator(1.0, 0.0), "scale"),
+    (lambda: LevySpec.gamma_subordinator(math.nan, 1.0), "activity"),
+    (lambda: TwoSidedExponentialJumps(math.inf, 1.0, 0.5), "rates"),
+], ids=["compound_poisson-inf", "jump_diffusion-inf", "gamma-inf-activity",
+        "gamma-inf-scale", "gamma-zero-scale", "gamma-nan-activity", "two_sided-inf"])
+def test_an_infinite_or_nonpositive_rate_is_rejected_by_name(build, name):
+    """Each rate is a finite number > 0, and its error names it, not the
+    drift derived from it; an infinite intensity would give a NaN beta_post."""
+    with pytest.raises(SpecValidationError, match=name):
+        build()
+
+
 INADMISSIBLE_PAIRS = [
     (COND_VOLATILITY, LevySpec.brownian(1.0, 0.0), LevySpec.brownian(2.0, 0.0),
      "Brownian volatilities differ (1.0 vs 2.0); the path laws are singular"),
@@ -140,6 +189,8 @@ def test_each_condition_raises_with_the_message_the_cli_prints(
     with pytest.raises(InadmissibleModelError) as e:
         build_change_model(pre, post)
     assert (e.value.violated, str(e.value)) == (cond, message)
+    copy = pickle.loads(pickle.dumps(e.value))
+    assert (copy.violated, str(copy)) == (cond, message)
     config = tmp_path / "pair.json"
     config.write_text(json.dumps({"model": {"pre": pre.to_dict(), "post": post.to_dict()}}))
     out = tmp_path / "out"
