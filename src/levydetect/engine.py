@@ -131,9 +131,9 @@ def _bm_sd(model: ChangeModel, dt: float) -> float:
 def substream_components(model: ChangeModel, dt: float) -> Tuple[int, ...]:
     """The substream components the increment sampler of ``model`` draws
     from, in increasing order: BM for a Brownian part (and the gamma
-    family's variates); for a jump pair COUNT for its event times, and MARK
+    measure's variates); for a jump pair COUNT for its event times, and MARK
     for its jump sizes unless phi is constant where the jumps land."""
-    if model.phi is None or model.pre.family == "gamma":
+    if model.phi is None or not model.pre.jumps.finite_activity:
         return (BM,)
     return (((BM,) if _bm_sd(model, dt) > 0.0 else ()) + (COUNT,)
             + (() if model.phi.constant is not None else (MARK,)))
@@ -201,7 +201,7 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     component c of :func:`substream_components` (as :func:`rng.lease` hands
     them out), and whose event clock, for a jump pair, is row j of
     ``state[CLOCK]`` (:func:`stream_state`), which the call advances. BM
-    feeds the Brownian normals (and the gamma family's gamma variates), one
+    feeds the Brownian normals (and the gamma measure's gamma variates), one
     per step. A jump pair draws its jumps as events: COUNT feeds each row's
     exponential gaps between jump times, one uniform inverted per gap, MARK one jump size per event (the
     law's ``jump_sizes``), and each event adds phi(size) to its step; where
@@ -231,10 +231,10 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     if model.phi is None:
         return brownian
 
-    comp_dt = model.comp_rate * dt
+    comp_dt, nu = model.comp_rate * dt, spec.jumps
 
-    if spec.family == "gamma":
-        shape, theta, c1 = spec.activity * dt, spec.scale, model.phi.pos[1]
+    if not nu.finite_activity:
+        shape, theta, c1 = nu.activity * dt, nu.scale, model.phi.pos[1]
 
         def draw(gens, size) -> np.ndarray:     # c1 * gamma(shape, theta) - comp_dt
             g = np.empty(size)
@@ -246,7 +246,7 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
             return g
         return draw
 
-    rate_dt, law, phi = spec.intensity * dt, spec.jumps, model.phi
+    rate_dt, law, phi = nu.intensity * dt, nu.law, model.phi
     has_bm, constant = bm_sd > 0.0, phi.constant
 
     def jumps(gens, size) -> np.ndarray:

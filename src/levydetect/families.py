@@ -1,41 +1,40 @@
-"""Parametric Levy process families.
+"""Parametric Levy processes, each held as its Levy triplet.
 
-A process is described by its Brownian volatility ``sigma``, its drift ``b``
-under the usual |x| <= 1 truncation convention, and a jump part. Four families
-are supported:
+A :class:`LevySpec` is a Brownian volatility ``sigma``, a drift ``b`` under
+the usual |x| <= 1 truncation convention, and a jump measure: None, a
+:class:`FiniteMeasure` (an intensity times a jump law) or a
+:class:`GammaMeasure`. Its family follows from sigma and the measure, so one
+law has one spec (a jump diffusion of sigma 0 is the compound-Poisson spec):
 
-* ``brownian``        -- sigma > 0, no jumps
-* ``compound_poisson``-- finite-activity jumps, sigma = 0
-* ``jump_diffusion``  -- Brownian part plus compound-Poisson jumps
-* ``gamma``           -- gamma subordinator (infinite activity, pure jump)
+* ``brownian``        -- sigma > 0, no jump measure
+* ``compound_poisson``-- a finite measure, sigma = 0
+* ``jump_diffusion``  -- a finite measure, sigma > 0
+* ``gamma``           -- the gamma measure (infinite activity), sigma = 0
 
 Compound-Poisson jump sizes come from one of three parametric laws
 (:class:`GaussianJumps`, :class:`ExponentialJumps`,
 :class:`TwoSidedExponentialJumps`); these are exactly the laws whose
 jump-measure density ratios are affine per half-line, so every downstream
-likelihood object has a closed form. Each law owns its closed forms against
-a law of its own kind: the pieces (c0, c1) of phi = c0 + c1 * x per side,
-positive side first, without the log-intensity term (``phi_pieces``); the
-Hellinger integral at two intensities; the phi-mean; and jump sizes
-(``jump_sizes``), which both the path simulator and the engine's event
-sampler read: they are drawn jump by jump, so the k-th size a generator
-gives does not depend on how many are drawn at once.
-``phi`` arguments are the pair's density ratio, whose ``pos``/``neg`` pieces
-include the log-intensity term.
+likelihood object has a closed form. Each law, and each measure, owns its
+closed forms against one of its own kind: the pieces (c0, c1) of
+phi = c0 + c1 * x per side, positive side first (a measure's include the
+log-rate term); the Hellinger integral; the phi-mean; and a measure also its
+compensator, density, support and |x| <= 1 first moment. A law's jump sizes
+(``jump_sizes``), which the path simulator and the engine's event sampler
+read, are drawn jump by jump, so the k-th size a generator gives does not
+depend on how many are drawn at once. Outside this module, code tells the
+measures apart by ``finite_activity`` alone.
 
-Every jump law and :class:`LevySpec` checks its parameters when it is built,
-``dataclasses.replace`` included, and raises SpecValidationError for a bad
-one; all are frozen, so one that exists is valid. A :class:`LevySpec` holds
-only the fields its family reads: one table names them, and its checks,
-``to_dict`` and ``from_dict`` read that table, so a field the family ignores
-is rejected, not carried along.
+Every law, measure and :class:`LevySpec` checks its parameters when it is
+built, ``dataclasses.replace`` included, and raises SpecValidationError for
+a bad one; all are frozen, so one that exists is valid.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -43,6 +42,8 @@ import numpy as np
 from .errors import SpecValidationError, UnsupportedPairError
 
 __all__ = [
+    "FiniteMeasure",
+    "GammaMeasure",
     "GaussianJumps",
     "ExponentialJumps",
     "TwoSidedExponentialJumps",
@@ -58,6 +59,12 @@ def _std_normal_pdf(z):
     return np.exp(-z ** 2 / 2.0) / _SQRT_2PI
 
 
+def _check_rates(owner: str, **rates: Optional[float]) -> None:
+    for name, value in rates.items():
+        if value is None or not 0.0 < value < math.inf:
+            raise SpecValidationError(f"{owner} {name} must be a finite number > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class GaussianJumps:
     """Jump sizes drawn from N(mean, sd^2), supported on the whole line."""
@@ -69,8 +76,7 @@ class GaussianJumps:
     support = "real"
 
     def __post_init__(self) -> None:
-        if not (self.sd > 0.0) or not math.isfinite(self.sd):
-            raise SpecValidationError(f"gaussian jump sd must be positive, got {self.sd}")
+        _check_rates("gaussian jump", sd=self.sd)
         if not math.isfinite(self.mean):
             raise SpecValidationError("gaussian jump mean must be finite")
 
@@ -170,8 +176,7 @@ class ExponentialJumps(_ExponentialSides):
     support = "positive"
 
     def __post_init__(self) -> None:
-        if not (self.rate > 0.0) or not math.isfinite(self.rate):
-            raise SpecValidationError(f"exponential jump rate must be positive, got {self.rate}")
+        _check_rates("exponential jump", rate=self.rate)
 
     @property
     def sides(self) -> tuple:
@@ -204,49 +209,122 @@ class TwoSidedExponentialJumps(_ExponentialSides):
 
 JumpLaw = Union[GaussianJumps, ExponentialJumps, TwoSidedExponentialJumps]
 
-# the fields each family reads besides sigma and drift; a spec holds no other
-_FAMILY_FIELDS = {"brownian": (), "compound_poisson": ("intensity", "jumps"),
-                  "jump_diffusion": ("intensity", "jumps"), "gamma": ("activity", "scale")}
+
+@dataclass(frozen=True)
+class FiniteMeasure:
+    """``intensity`` times a jump law: jumps at that rate, sizes from ``law``."""
+
+    intensity: float
+    law: JumpLaw
+
+    finite_activity = True
+    kind = property(lambda self: self.law.kind)
+    support = property(lambda self: self.law.support)
+
+    def __post_init__(self) -> None:
+        _check_rates("jump", intensity=self.intensity)
+
+    def density(self, x):
+        return self.intensity * self.law.density(x)
+
+    def truncated_mean(self) -> float:
+        return self.intensity * self.law.truncated_mean()
+
+    def phi_pieces(self, other: "FiniteMeasure") -> list:
+        log_rate = math.log(other.intensity / self.intensity)
+        return [(log_rate + c0, c1) for c0, c1 in self.law.phi_pieces(other.law)]
+
+    def hellinger(self, other: "FiniteMeasure") -> float:
+        return self.law.hellinger(self.intensity, other.law, other.intensity)
+
+    def compensator(self, other: "FiniteMeasure") -> float:
+        return other.intensity - self.intensity
+
+    def phi_mean(self, phi) -> float:
+        return self.intensity * self.law.phi_mean(phi)
+
+    def to_dict(self) -> dict:
+        return {"intensity": self.intensity,
+                "jumps": {"kind": self.law.kind, **asdict(self.law)}}
+
+
+@dataclass(frozen=True)
+class GammaMeasure:
+    """a e^{-x / theta} / x dx on (0, inf), the jump measure of a gamma
+    subordinator of activity a and scale theta: infinite activity."""
+
+    activity: float
+    scale: float
+
+    finite_activity = False
+    kind = "gamma"
+    support = "positive"
+
+    def __post_init__(self) -> None:
+        _check_rates("gamma", activity=self.activity, scale=self.scale)
+
+    def density(self, x):
+        x = np.asarray(x, dtype=float)
+        safe = np.where(x > 0.0, x, 1.0)
+        return np.where(x > 0.0, self.activity * np.exp(-safe / self.scale) / safe, 0.0)
+
+    def truncated_mean(self) -> float:
+        a, theta = self.activity, self.scale
+        return a * theta * (1.0 - math.exp(-1.0 / theta))
+
+    def phi_pieces(self, other: "GammaMeasure") -> list:
+        return [(math.log(other.activity / self.activity), 1.0 / self.scale - 1.0 / other.scale)]
+
+    def hellinger(self, other: "GammaMeasure") -> float:
+        """a log(1 + (p0 - p1)^2 / (4 p0 p1)), p = 1 / theta; inf at two activities."""
+        if self.activity != other.activity:
+            return math.inf
+        p0, p1 = 1.0 / self.scale, 1.0 / other.scale
+        return self.activity * math.log1p((p0 - p1) ** 2 / (4.0 * p0 * p1))
+
+    def compensator(self, other: "GammaMeasure") -> float:
+        return self.activity * math.log(other.scale / self.scale)     # Frullani
+
+    def phi_mean(self, phi) -> float:
+        return phi.pos[1] * self.activity * self.scale
+
+    def to_dict(self) -> dict:
+        return {"activity": self.activity, "scale": self.scale}
+
+
+# the family of (sigma > 0, the jump measure's finite_activity, None without one)
+_FAMILIES = {(True, None): "brownian", (False, True): "compound_poisson",
+             (True, True): "jump_diffusion", (False, False): "gamma"}
+# the jump measure of each family and the keys a process block gives it
+_FAMILY_KEYS = {"brownian": (None, ()), "gamma": (GammaMeasure, ("activity", "scale")),
+                "compound_poisson": (FiniteMeasure, ("intensity", "jumps")),
+                "jump_diffusion": (FiniteMeasure, ("intensity", "jumps"))}
 
 
 @dataclass(frozen=True)
 class LevySpec:
-    """One process: volatility, truncation-convention drift, and jump block.
+    """One process as its Levy triplet: volatility, drift ``drift_b`` under
+    the |x| <= 1 truncation, and jump measure ``jumps`` (None, a
+    :class:`FiniteMeasure` or a :class:`GammaMeasure`); :meth:`linear_drift`
+    is the observable drift of a finite-variation path."""
 
-    ``drift_b`` is the drift relative to the |x| <= 1 truncation, so the
-    observable linear drift of a finite-variation path is
-    ``drift_b - integral of x over |x| <= 1 against the jump measure``
-    (see :meth:`linear_drift`). Of ``intensity``, ``jumps``, ``activity``
-    and ``scale`` a spec holds exactly the fields its family reads.
-    """
-
-    family: str
     sigma: float = 0.0
     drift_b: float = 0.0
-    intensity: Optional[float] = None       # compound-Poisson jump rate
-    jumps: Optional[JumpLaw] = None
-    activity: Optional[float] = None        # gamma subordinator activity a
-    scale: Optional[float] = None           # gamma subordinator scale theta
-
-    # ------------------------------------------------------------------ #
-    # constructors
-    # ------------------------------------------------------------------ #
+    jumps: Union[FiniteMeasure, GammaMeasure, None] = None
 
     @classmethod
     def brownian(cls, sigma: float, drift: float = 0.0) -> "LevySpec":
-        return cls(family="brownian", sigma=float(sigma), drift_b=float(drift))
+        return cls(float(sigma), float(drift))
 
     @classmethod
     def compound_poisson(cls, intensity: float, jumps: JumpLaw,
                          drift: float = 0.0) -> "LevySpec":
-        return cls(family="compound_poisson", sigma=0.0, drift_b=float(drift),
-                   intensity=float(intensity), jumps=jumps)
+        return cls(0.0, float(drift), FiniteMeasure(float(intensity), jumps))
 
     @classmethod
     def jump_diffusion(cls, sigma: float, intensity: float, jumps: JumpLaw,
                        drift: float = 0.0) -> "LevySpec":
-        return cls(family="jump_diffusion", sigma=float(sigma), drift_b=float(drift),
-                   intensity=float(intensity), jumps=jumps)
+        return cls(float(sigma), float(drift), FiniteMeasure(float(intensity), jumps))
 
     @classmethod
     def gamma_subordinator(cls, activity: float, scale: float,
@@ -254,109 +332,60 @@ class LevySpec:
         """Gamma subordinator; ``drift=None`` means a pure subordinator, whose
         linear drift is zero: its truncation-convention drift is the
         small-jump first moment (:meth:`jump_truncated_mean`)."""
-        spec = cls(family="gamma", sigma=0.0, drift_b=0.0 if drift is None else float(drift),
-                   activity=float(activity), scale=float(scale))
-        return spec if drift is not None else replace(spec, drift_b=spec.jump_truncated_mean())
+        jumps = GammaMeasure(float(activity), float(scale))
+        return cls(0.0, jumps.truncated_mean() if drift is None else float(drift), jumps)
 
-    # ------------------------------------------------------------------ #
-    # checks (run on every construction, replace() included) and derived quantities
-    # ------------------------------------------------------------------ #
-
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILY_FIELDS:
-            raise SpecValidationError(f"unknown family {self.family!r}")
+    def __post_init__(self) -> None:        # run by replace() too
         if self.sigma < 0.0 or not math.isfinite(self.sigma):
             raise SpecValidationError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.family == "brownian" and self.sigma == 0.0:
-            raise SpecValidationError("brownian family needs sigma > 0")
-        if self.family in ("compound_poisson", "gamma") and self.sigma != 0.0:
-            raise SpecValidationError(
-                "gamma subordinator is pure jump (sigma = 0)" if self.family == "gamma"
-                else "compound_poisson has sigma = 0; use jump_diffusion for sigma > 0")
-        for name in ("intensity", "jumps", "activity", "scale"):
-            value = getattr(self, name)
-            if name not in _FAMILY_FIELDS[self.family]:
-                if value is not None:
-                    raise SpecValidationError(f"{self.family} family has no {name}, got {value!r}")
-            elif value is None:
-                raise SpecValidationError(f"{self.family} family needs {name}")
-            elif name != "jumps" and not 0.0 < value < math.inf:
-                raise SpecValidationError(
-                    f"{self.family} {name} must be a finite number > 0, got {value}")
+        if self.family is None:
+            raise SpecValidationError("brownian family needs sigma > 0" if self.jumps is None
+                                      else "gamma subordinator is pure jump (sigma = 0)")
         if not math.isfinite(self.drift_b):
             raise SpecValidationError("drift must be finite")
 
     @property
-    def has_jumps(self) -> bool:
-        return bool(_FAMILY_FIELDS[self.family])
+    def family(self) -> str:
+        """The family name that sigma > 0 and the kind of jump measure give."""
+        finite = None if self.jumps is None else self.jumps.finite_activity
+        return _FAMILIES.get((self.sigma > 0.0, finite))
 
     def jump_truncated_mean(self) -> float:
         """Closed form of the |x| <= 1 first moment of the jump measure."""
-        if self.family in ("compound_poisson", "jump_diffusion"):
-            return self.intensity * self.jumps.truncated_mean()
-        if self.family == "gamma":
-            a, theta = self.activity, self.scale
-            return a * theta * (1.0 - math.exp(-1.0 / theta))
-        return 0.0
+        return 0.0 if self.jumps is None else self.jumps.truncated_mean()
 
     def linear_drift(self) -> float:
-        """Drift of the path once jumps are taken raw (finite-variation form).
-
-        This is ``drift_b`` minus the truncated first moment of the jump
-        measure, which is 0 for the Brownian family.
-        """
+        """Drift of the path once jumps are taken raw (finite-variation form):
+        ``drift_b`` minus the truncated first moment of the jump measure."""
         return self.drift_b - self.jump_truncated_mean()
 
-    def levy_density(self, x):
-        """Jump-measure density at x (intensity-weighted for finite activity)."""
-        x = np.asarray(x, dtype=float)
-        if self.family in ("compound_poisson", "jump_diffusion"):
-            return self.intensity * self.jumps.density(x)
-        if self.family == "gamma":
-            a, theta = self.activity, self.scale
-            safe = np.where(x > 0.0, x, 1.0)
-            return np.where(x > 0.0, a * np.exp(-safe / theta) / safe, 0.0)
-        return np.zeros_like(x)
-
-    def jump_support(self) -> str:
-        """Support label of the jump measure: real / positive / two_sided / none."""
-        if self.family == "gamma":
-            return "positive"
-        if self.jumps is not None:
-            return self.jumps.support
-        return "none"
-
-    # ------------------------------------------------------------------ #
-    # serialization (consumed by the CLI config layer)
-    # ------------------------------------------------------------------ #
-
     def to_dict(self) -> dict:
-        out: dict = {"family": self.family, "sigma": self.sigma, "drift": self.drift_b}
-        for name in _FAMILY_FIELDS[self.family]:
-            value = getattr(self, name)
-            out[name] = {"kind": value.kind, **asdict(value)} if name == "jumps" else value
-        return out
+        return {"family": self.family, "sigma": self.sigma, "drift": self.drift_b,
+                **({} if self.jumps is None else self.jumps.to_dict())}
 
     @classmethod
     def from_dict(cls, data: dict) -> "LevySpec":
         """Read a process block: ``family``, ``sigma``, ``drift`` and the
-        fields the family reads, each as written, so a nonzero sigma on a
+        keys the family reads, each as written, so a nonzero sigma on a
         pure-jump family is rejected, not dropped."""
         if not isinstance(data, dict):
             raise SpecValidationError(f"process block must be a JSON object, got {data!r}")
         if "family" not in data:
             raise SpecValidationError("process block needs a 'family' key")
         family = data["family"]
-        if not isinstance(family, str) or family not in _FAMILY_FIELDS:
+        if not isinstance(family, str) or family not in _FAMILY_KEYS:
             raise SpecValidationError(f"unknown family {family!r}")
-        reject_unknown_keys(data, ("family", "sigma", "drift", *_FAMILY_FIELDS[family]))
+        measure, keys = _FAMILY_KEYS[family]
+        reject_unknown_keys(data, ("family", "sigma", "drift", *keys))
         sigma = _number(data, "sigma", 1.0 if family == "brownian" else 0.0)
-        drift = _number(data, "drift", 0.0)
-        fields = {name: _jump_law_from_dict(data.get(name)) if name == "jumps"
-                  else _number(data, name, None) for name in _FAMILY_FIELDS[family]}
-        spec = cls(family=family, sigma=sigma, drift_b=drift, **fields)
-        if family == "gamma" and "drift" not in data:       # a pure subordinator
-            return replace(spec, drift_b=spec.jump_truncated_mean())
+        jumps = None if measure is None else measure(*(
+            _jump_law_from_dict(data.get(key)) if key == "jumps" else _number(data, key, None)
+            for key in keys))
+        pure = family == "gamma" and "drift" not in data        # a pure subordinator
+        spec = cls(sigma, jumps.truncated_mean() if pure else _number(data, "drift", 0.0), jumps)
+        if family == "compound_poisson" and sigma > 0.0:
+            raise SpecValidationError(
+                "compound_poisson has sigma = 0; use jump_diffusion for sigma > 0")
         return spec
 
 

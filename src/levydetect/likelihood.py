@@ -3,7 +3,7 @@
 ``llr_path`` turns a simulated trajectory into the log-likelihood-ratio
 process U on the same grid. The Brownian exposure reads the continuous part
 (grid increment minus ledger jumps), compound-Poisson jumps contribute
-phi(jump) per ledger entry, and the gamma subordinator uses the affine closed
+phi(jump) per ledger entry, and the gamma measure uses the affine closed
 form in the full increment, so the sub-threshold jumps hidden from its ledger
 still enter U exactly. Everything stays in the log domain; exp(U) is formed
 only at reporting boundaries.
@@ -47,7 +47,7 @@ def llr_path(model: ChangeModel, path: SamplePath) -> LLRPath:
 
     t = path.times
     values = path.values
-    if model.pre.family == "gamma":
+    if model.phi is not None and not model.pre.jumps.finite_activity:
         c1 = model.phi.pos[1]
         d0 = model.pre.linear_drift()
         u = c1 * (values - d0 * t) - model.comp_rate * t

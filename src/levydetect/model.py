@@ -20,7 +20,7 @@ checks again.
 The catalogue is restricted to pairs whose density ratio is affine per
 half-line, so ``phi``, the integrability integral, and the drift constants of
 the log-likelihood process all have closed forms, and building a model runs no
-quadrature; the jump-size laws of :mod:`levydetect.families` own theirs. The
+quadrature; the jump measures of :mod:`levydetect.families` own theirs. The
 quadrature cross-checks of those closed forms live in :mod:`levydetect.oracle`,
 which no run imports.
 """
@@ -153,37 +153,6 @@ class ChangeModel:
 
 
 # --------------------------------------------------------------------------- #
-# closed forms: phi, integrability and the moments of phi
-# --------------------------------------------------------------------------- #
-
-def _jump_closed_forms(pre: LevySpec, post: LevySpec) -> tuple:
-    """(phi, integrability, comp_rate, phi_mean_pre, phi_mean_post) of two
-    jump parts on one support: the integrals of (e^{phi/2} - 1)^2 (``inf``
-    when gamma activities differ) and of e^phi - 1 against nu_pre, and of phi
-    against each nu_i. Raises UnsupportedPairError outside the affine
-    catalogue (different jump kinds, unequal Gaussian sd)."""
-    if pre.family == "gamma":
-        a, t0, t1 = pre.activity, pre.scale, post.scale
-        p0, p1 = 1.0 / t0, 1.0 / t1
-        c1 = p0 - p1
-        integ = (a * math.log1p((p0 - p1) ** 2 / (4.0 * p0 * p1))
-                 if a == post.activity else math.inf)
-        return (DensityRatio(pos=(math.log(post.activity / a), c1)), integ,
-                a * math.log(t1 / t0), c1 * a * t0, c1 * a * t1)   # comp: Frullani
-
-    j0, j1 = pre.jumps, post.jumps
-    if j0.kind != j1.kind:
-        raise UnsupportedPairError(
-            f"jump kinds {j0.kind!r} and {j1.kind!r} share a support but their "
-            "density ratio is not affine; pair is outside the catalogue")
-    lam0, lam1 = pre.intensity, post.intensity
-    log_lam = math.log(lam1 / lam0)
-    phi = DensityRatio(*((log_lam + c0, c1) for c0, c1 in j0.phi_pieces(j1)))
-    return (phi, j0.hellinger(lam0, j1, lam1), lam1 - lam0,
-            lam0 * j0.phi_mean(phi), lam1 * j1.phi_mean(phi))
-
-
-# --------------------------------------------------------------------------- #
 # public operations
 # --------------------------------------------------------------------------- #
 
@@ -200,12 +169,6 @@ def build_change_model(pre: LevySpec, post: LevySpec) -> ChangeModel:
         raise SpecValidationError("pre and post specifications are identical; "
                                   "there is no change to detect")
 
-    groups = {"brownian": "bm-cp", "compound_poisson": "bm-cp",
-              "jump_diffusion": "bm-cp", "gamma": "gamma"}
-    if groups[pre.family] != groups[post.family]:
-        raise UnsupportedPairError(
-            f"families {pre.family!r} and {post.family!r} cannot be paired")
-
     # volatility condition
     if pre.sigma != post.sigma:
         raise InadmissibleModelError(
@@ -213,21 +176,29 @@ def build_change_model(pre: LevySpec, post: LevySpec) -> ChangeModel:
             "the path laws are singular", COND_VOLATILITY)
 
     # jump-measure equivalence and integrability
+    nu0, nu1 = pre.jumps, post.jumps
     phi: Optional[DensityRatio] = None
     comp = mean_pre = mean_post = integ_value = 0.0
-    if pre.has_jumps != post.has_jumps:
+    if (nu0 is None) != (nu1 is None):
         raise InadmissibleModelError(
             "one side has a jump component and the other does not; "
             "the jump measures cannot be equivalent", COND_EQUIVALENCE)
-    if pre.has_jumps:
-        if pre.jump_support() != post.jump_support():
+    if nu0 is not None:
+        if nu0.support != nu1.support:
             raise InadmissibleModelError(
-                f"jump supports differ ({pre.jump_support()} vs "
-                f"{post.jump_support()}); measures are not equivalent", COND_EQUIVALENCE)
-        phi, integ_value, comp, mean_pre, mean_post = _jump_closed_forms(pre, post)
+                f"jump supports differ ({nu0.support} vs {nu1.support}); "
+                "measures are not equivalent", COND_EQUIVALENCE)
+        if nu0.kind != nu1.kind:
+            raise UnsupportedPairError(
+                f"jump kinds {nu0.kind!r} and {nu1.kind!r} share a support but their "
+                "density ratio is not affine; pair is outside the catalogue")
+        # each measure's closed forms against one of its own kind
+        phi = DensityRatio(*nu0.phi_pieces(nu1))
+        integ_value, comp = nu0.hellinger(nu1), nu0.compensator(nu1)
+        mean_pre, mean_post = nu0.phi_mean(phi), nu1.phi_mean(phi)
         if math.isinf(integ_value):
             raise InadmissibleModelError(
-                f"gamma activities differ ({pre.activity} vs {post.activity}); "
+                f"gamma activities differ ({nu0.activity} vs {nu1.activity}); "
                 "the integral of (e^(phi/2)-1)^2 against the pre-change "
                 "jump measure diverges", COND_INTEGRABILITY)
 

@@ -45,7 +45,7 @@ def _quad_over_support(pre: LevySpec, phi: DensityRatio, combine) -> float:
             x = sign * u
             p = phi(x)
             with np.errstate(divide="ignore"):
-                l = np.log(pre.levy_density(x))
+                l = np.log(pre.jumps.density(x))
             return combine(p, np.exp(p + l), np.exp(l))
 
         inner, inner_err = integrate.quad(g, 1e-12, 1.0, limit=200)
@@ -70,15 +70,15 @@ def integrability_quadrature(model: ChangeModel) -> float:
 
 def truncated_moment_quadrature(spec: LevySpec) -> float:
     """Quadrature value of integral_{|x|<=1} x dnu(x)."""
-    if not spec.has_jumps:
+    if (nu := spec.jumps) is None:
         return 0.0
     from scipy import integrate
 
-    lo = 1e-12 if spec.family == "gamma" else 0.0
-    pos, _ = integrate.quad(lambda x: x * float(spec.levy_density(x)), lo, 1.0, limit=200)
+    lo = 0.0 if nu.finite_activity else 1e-12
+    pos, _ = integrate.quad(lambda x: x * float(nu.density(x)), lo, 1.0, limit=200)
     neg = 0.0
-    if spec.jump_support() in ("real", "two_sided"):
-        neg, _ = integrate.quad(lambda x: x * float(spec.levy_density(x)), -1.0, 0.0, limit=200)
+    if nu.support in ("real", "two_sided"):
+        neg, _ = integrate.quad(lambda x: x * float(nu.density(x)), -1.0, 0.0, limit=200)
     return pos + neg
 
 

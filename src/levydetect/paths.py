@@ -4,7 +4,7 @@ A trajectory switches from the pre-change to the post-change law at the
 change point tau (snapped to the simulation grid; tau = inf means no change).
 Brownian parts are sampled exactly at grid points, compound-Poisson jumps at
 exact event times, and gamma subordinator increments from their exact marginal
-law per step. For the gamma family the ledger records only jumps above a
+law per step. For the gamma measure the ledger records only jumps above a
 truncation threshold; the jumps hidden below it are recovered exactly in
 distribution through a stick-breaking decomposition of each step increment,
 so the ledger always sums to at most the step increment.
@@ -29,7 +29,7 @@ __all__ = [
     "gamma_ledger_threshold",
 ]
 
-# Ledger budget for the gamma family: expected recorded jumps per unit time.
+# Ledger budget for the gamma measure: expected recorded jumps per unit time.
 GAMMA_LEDGER_RATE = 1.0e3
 _MIN_THRESHOLD = 1.0e-300
 
@@ -139,25 +139,25 @@ def _simulate_piece(gen: np.random.Generator, spec: LevySpec, t0: float, t1: flo
     n = int(round((t1 - t0) / grid_dt))
     if n == 0:
         return np.empty(0), np.empty(0), np.empty(0)
-    drift = spec.linear_drift()
-    if spec.family != "gamma":
+    drift, nu = spec.linear_drift(), spec.jumps
+    if nu is None or nu.finite_activity:
         if spec.sigma > 0.0:
             inc = gen.normal(drift * grid_dt, spec.sigma * math.sqrt(grid_dt), size=n)
         else:
             inc = np.full(n, drift * grid_dt)
-        if spec.jumps is None:           # Brownian: no jump law
+        if nu is None:                   # Brownian: no jump measure
             return inc, np.empty(0), np.empty(0)
-        times = _poisson_events(gen, spec.intensity, t0, t1)
-        sizes = spec.jumps.jump_sizes(gen, len(times))
+        times = _poisson_events(gen, nu.intensity, t0, t1)
+        sizes = nu.law.jump_sizes(gen, len(times))
         # embed jumps exactly into the covering step increments
         idx = np.ceil((times - t0) / grid_dt - 1e-12).astype(int) - 1
         idx = np.clip(idx, 0, n - 1)
         np.add.at(inc, idx, sizes)
         return inc, times, sizes
     # gamma subordinator
-    shape = spec.activity * grid_dt
-    inc = gen.gamma(shape, spec.scale, size=n) + drift * grid_dt
-    threshold = gamma_ledger_threshold(spec.activity, spec.scale)
+    shape = nu.activity * grid_dt
+    inc = gen.gamma(shape, nu.scale, size=n) + drift * grid_dt
+    threshold = gamma_ledger_threshold(nu.activity, nu.scale)
     all_times, all_sizes = [], []
     for k in range(n):
         jumps = _gamma_step_jumps(gen, inc[k] - drift * grid_dt, shape, threshold)

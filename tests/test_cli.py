@@ -327,6 +327,8 @@ def test_shiryaev_roberts_takes_a_negative_log_barrier(tmp_path):
      "model.post: compound_poisson has sigma = 0"),
     ({"pre": BM_MODEL["pre"], "post": BM_MODEL["post"], "mid": BM_MODEL["pre"]},
      "unknown key 'model.mid'"),
+    ({"pre": dict(BM_MODEL["pre"], sigma=-1.0), "post": BM_MODEL["post"]},
+     "model.pre: sigma must be nonnegative"),
 ])
 def test_bad_model_field_exits_two_and_names_it(tmp_path, capsys, model, expected):
     payload = dict(TestArl.PAYLOAD, model=model,

@@ -46,7 +46,7 @@ def _per_family_increments(model, regime, dt, gens, size):
         return bm_mean + bm_sd * gens[0].standard_normal(size)
     comp_dt = model.comp_rate * dt
     if spec.family == "gamma":
-        return model.phi.pos[1] * gens[0].gamma(spec.activity * dt, spec.scale, size) \
+        return model.phi.pos[1] * gens[0].gamma(spec.jumps.activity * dt, spec.jumps.scale, size) \
             - comp_dt
     return _event_increments(model, regime, dt, gens, size)
 
@@ -66,12 +66,12 @@ def _event_increments(model, regime, dt, gens, size):
     out = bm_mean + bm_sd * gens[0].standard_normal(size) if bm_sd > 0.0 \
         else np.full(size, bm_mean)
     times, t = [], 0.0
-    while (t := t - np.log1p(-gens[1].random()) / (spec.intensity * dt)) <= size:
+    while (t := t - np.log1p(-gens[1].random()) / (spec.jumps.intensity * dt)) <= size:
         times.append(t)
     constant = model.phi.constant
     for t in times:
         out[math.ceil(t) - 1] += constant if constant is not None \
-            else model.phi(spec.jumps.jump_sizes(gens[2], 1)[0])
+            else model.phi(spec.jumps.law.jump_sizes(gens[2], 1)[0])
     return out - model.comp_rate * dt
 
 
@@ -304,7 +304,7 @@ class TestEventClock:
         each within 4 SE. A rate 5 % too high, or events put one step late,
         fail it at rate * dt = 0.5."""
         model = poisson_model
-        dt = rate_dt / model.pre.intensity
+        dt = rate_dt / model.pre.jumps.intensity
         u = _sampled(model, "pre", dt, 400, (64, 200, 237))
         jumps = u + model.comp_rate * dt
         n = np.rint(jumps / model.phi.constant)

@@ -1,9 +1,11 @@
+import ast
 import importlib
 import math
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,30 @@ def test_reference_route_loads_no_engine():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_only_families_names_a_family():
+    """A spec's family follows from its sigma and jump measure in
+    families.py; every other module picks per-law code from the measure's
+    ``finite_activity``, so none reads an attribute named ``family`` or
+    compares with a family name. The modules are parsed, not run."""
+    names = {"brownian", "compound_poisson", "jump_diffusion", "gamma"}
+
+    def operands(node):
+        for op in (node.left, *node.comparators):
+            yield from op.elts if isinstance(op, (ast.Tuple, ast.List, ast.Set)) else (op,)
+
+    offenders = []
+    for path in sorted(Path(_SRC, "levydetect").glob("*.py")):
+        if path.name == "families.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "family" or (
+                    isinstance(node, ast.Compare) and any(
+                        isinstance(op, ast.Constant) and op.value in names
+                        for op in operands(node))):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert offenders == []
 
 
 def test_import_loads_no_thread_pool():

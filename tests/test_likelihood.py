@@ -114,9 +114,9 @@ class TestAdditivity:
         u_bm = llr_path(bm_pair, cont).u_values
 
         # jump component: same marks, zero-drift compound Poisson pair
-        pre_j = LevySpec.compound_poisson(model.pre.intensity, model.pre.jumps,
+        pre_j = LevySpec.compound_poisson(model.pre.jumps.intensity, model.pre.jumps.law,
                                           drift=model.pre.jump_truncated_mean())
-        post_j = LevySpec.compound_poisson(model.post.intensity, model.post.jumps,
+        post_j = LevySpec.compound_poisson(model.post.jumps.intensity, model.post.jumps.law,
                                            drift=model.post.jump_truncated_mean())
         cp_pair = build_change_model(pre_j, post_j)
         jumps_only = SamplePath(grid_dt=p.grid_dt, values=cum_jumps,
@@ -201,8 +201,8 @@ class TestMartingale:
     def test_gamma_analytic_normalizer(self, gamma_model):
         """Second oracle: the moment generating function of the gamma law
         makes E exp(U_t) = 1 exactly in closed form."""
-        a, t0 = gamma_model.pre.activity, gamma_model.pre.scale
-        t1 = gamma_model.post.scale
+        a, t0 = gamma_model.pre.jumps.activity, gamma_model.pre.jumps.scale
+        t1 = gamma_model.post.jumps.scale
         c1 = gamma_model.phi.pos[1]
         dt = 1.0
         log_mgf = -a * dt * math.log(1.0 - c1 * t0)   # E exp(c1 X_dt)

@@ -2,7 +2,7 @@ import json
 import math
 import pickle
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -102,48 +102,63 @@ class TestAdmissibility:
                 LevySpec.compound_poisson(1.0, GaussianJumps(0.0, 2.0)))
 
     def test_gamma_cannot_pair_with_brownian(self):
-        with pytest.raises(UnsupportedPairError):
+        """The gamma measure is pure jump, so against a Brownian law the
+        volatilities differ."""
+        with pytest.raises(InadmissibleModelError) as e:
             build_change_model(LevySpec.gamma_subordinator(1.0, 1.0),
                                LevySpec.brownian(1.0, 0.0))
+        assert e.value.violated == COND_VOLATILITY
 
-    def test_malformed_specs_raise(self):
-        with pytest.raises(SpecValidationError):
-            LevySpec.brownian(-1.0, 0.0)
-        with pytest.raises(SpecValidationError):
-            LevySpec.compound_poisson(0.0, GaussianJumps(0.0, 1.0))
-        with pytest.raises(SpecValidationError):
-            LevySpec.gamma_subordinator(1.0, -2.0)
+    @pytest.mark.parametrize("law,violated", [
+        (GaussianJumps(0.0, 1.0), COND_EQUIVALENCE),
+        (TwoSidedExponentialJumps(1.0, 1.0, 0.5), COND_EQUIVALENCE),
+        (ExponentialJumps(1.0), None)], ids=["gaussian", "two_sided", "exponential"])
+    def test_a_jump_law_against_the_gamma_measure(self, law, violated):
+        """A law that charges the negative half-line is not equivalent to the
+        gamma measure; an exponential law shares its support, but the pair's
+        density ratio is not affine, so it lies outside the catalogue."""
+        pair = (LevySpec.compound_poisson(1.0, law), LevySpec.gamma_subordinator(1.0, 1.0))
+        for pre, post in (pair, pair[::-1]):
+            with pytest.raises(UnsupportedPairError if violated is None
+                               else InadmissibleModelError) as e:
+                build_change_model(pre, post)
+            assert getattr(e.value, "violated", None) == violated
 
 
-# one spec of each family, and a valid value of each field a family may read
+# one spec of each family, and a valid value of each key a process block may read
 ONE_OF_EACH = [LevySpec.brownian(1.0, 0.0),
                LevySpec.compound_poisson(1.0, GaussianJumps(0.0, 1.0)),
                LevySpec.jump_diffusion(1.0, 1.0, GaussianJumps(0.0, 1.0)),
                LevySpec.gamma_subordinator(1.0, 1.0)]
-FIELD_VALUES = {"intensity": 2.0, "jumps": ExponentialJumps(1.0), "activity": 2.0, "scale": 2.0}
+FIELD_VALUES = {"intensity": 2.0, "jumps": {"kind": "exponential", "rate": 1.0},
+                "activity": 2.0, "scale": 2.0}
 
 
 @pytest.mark.parametrize("spec,name", [
     (spec, name) for spec in ONE_OF_EACH for name in FIELD_VALUES
-    if getattr(spec, name) is None], ids=lambda v: getattr(v, "family", v))
+    if name not in spec.to_dict()], ids=lambda v: getattr(v, "family", v))
 def test_a_field_the_family_does_not_read_is_rejected(spec, name):
-    """A spec holds only the fields its family reads, so two specs that
-    differ in an ignored field are not two laws; built directly or by
-    ``replace``, a spec with such a field raises naming it."""
-    given = {f.name: getattr(spec, f.name) for f in fields(LevySpec)}
-    with pytest.raises(SpecValidationError, match=f"{spec.family} family has no {name}"):
-        LevySpec(**dict(given, **{name: FIELD_VALUES[name]}))
-    with pytest.raises(SpecValidationError, match=f"{spec.family} family has no {name}"):
-        replace(spec, **{name: FIELD_VALUES[name]})
+    """A spec holds sigma, the drift and one jump measure, so it has no
+    place for a field its family ignores; a process block with such a key
+    raises naming it, so two blocks that differ in an ignored key are not
+    two laws."""
+    with pytest.raises(SpecValidationError, match=f"unknown key '{name}'"):
+        LevySpec.from_dict(dict(spec.to_dict(), **{name: FIELD_VALUES[name]}))
 
 
 def test_a_pair_differing_only_in_an_ignored_field_cannot_be_built():
-    """Such a pair is one law twice, which the identical-pair check cannot
-    see; as neither spec can exist, no model of it (beta_pre = beta_post = 0)
-    is built."""
-    pre = LevySpec.brownian(1.0, 0.0)
-    with pytest.raises(SpecValidationError, match="activity"):
-        build_change_model(pre, replace(pre, activity=1.0))
+    """A jump diffusion of sigma 0 and the compound-Poisson process of its
+    measure differ only in the family name, which the law ignores: they are
+    one spec, so the pair raises the identical-pair error, not a model with
+    beta_pre = beta_post = 0, and a jump_diffusion block of sigma 0 reads as
+    compound_poisson."""
+    cp = LevySpec.compound_poisson(1.0, GaussianJumps(0.0, 1.0))
+    jd = LevySpec.jump_diffusion(0.0, 1.0, GaussianJumps(0.0, 1.0))
+    assert jd == cp
+    with pytest.raises(SpecValidationError, match="pre and post specifications are identical"):
+        build_change_model(cp, jd)
+    block = dict(cp.to_dict(), family="jump_diffusion")
+    assert LevySpec.from_dict(block).to_dict()["family"] == "compound_poisson"
 
 
 @pytest.mark.parametrize("build,name", [
@@ -154,8 +169,11 @@ def test_a_pair_differing_only_in_an_ignored_field_cannot_be_built():
     (lambda: LevySpec.gamma_subordinator(1.0, 0.0), "scale"),
     (lambda: LevySpec.gamma_subordinator(math.nan, 1.0), "activity"),
     (lambda: TwoSidedExponentialJumps(math.inf, 1.0, 0.5), "rates"),
+    (lambda: LevySpec.compound_poisson(0.0, GaussianJumps(0.0, 1.0)), "intensity"),
+    (lambda: LevySpec.gamma_subordinator(1.0, -2.0), "scale"),
 ], ids=["compound_poisson-inf", "jump_diffusion-inf", "gamma-inf-activity",
-        "gamma-inf-scale", "gamma-zero-scale", "gamma-nan-activity", "two_sided-inf"])
+        "gamma-inf-scale", "gamma-zero-scale", "gamma-nan-activity", "two_sided-inf",
+        "compound_poisson-zero", "gamma-negative-scale"])
 def test_an_infinite_or_nonpositive_rate_is_rejected_by_name(build, name):
     """Each rate is a finite number > 0, and its error names it, not the
     drift derived from it; an infinite intensity would give a NaN beta_post."""
@@ -260,13 +278,13 @@ class TestDensityRatio:
     def test_ratio_matches_densities_pointwise(self, fixture, request):
         """exp(phi) times the pre density equals the post density on a grid."""
         model = request.getfixturevalue(fixture)
-        if model.pre.jump_support() == "positive":
+        if model.pre.jumps.support == "positive":
             grid = np.linspace(1e-3, 8.0, 1000)
         else:
             grid = np.concatenate([np.linspace(-6.0, -1e-3, 500),
                                    np.linspace(1e-3, 6.0, 500)])
-        lhs = np.exp(model.phi(grid)) * model.pre.levy_density(grid)
-        rhs = model.post.levy_density(grid)
+        lhs = np.exp(model.phi(grid)) * model.pre.jumps.density(grid)
+        rhs = model.post.jumps.density(grid)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-300)
 
 
@@ -451,14 +469,15 @@ def _per_kind_law(law, gen, n):
 def _per_kind_pair(pre, post):
     """(phi.pos, phi.neg, integrability, comp_rate, phi_mean_pre,
     phi_mean_post) of an admissible jump pair by the per-kind expressions."""
+    nu0, nu1 = pre.jumps, post.jumps
     if pre.family == "gamma":
-        a, t0, t1 = pre.activity, pre.scale, post.scale
+        a, t0, t1 = nu0.activity, nu0.scale, nu1.scale
         c1 = 1.0 / t0 - 1.0 / t1
         p0, p1 = 1.0 / t0, 1.0 / t1
-        return ((math.log(post.activity / a), c1), None,
+        return ((math.log(nu1.activity / a), c1), None,
                 a * math.log1p((p0 - p1) ** 2 / (4.0 * p0 * p1)),
                 a * math.log(t1 / t0), c1 * a * t0, c1 * a * t1)
-    j0, j1, lam0, lam1 = pre.jumps, post.jumps, pre.intensity, post.intensity
+    j0, j1, lam0, lam1 = nu0.law, nu1.law, nu0.intensity, nu1.intensity
     log_lam = math.log(lam1 / lam0)
     if j0.kind == "gaussian":
         s2 = j0.sd ** 2
@@ -500,20 +519,21 @@ def _assert_catalogue_matches(model):
     assert model.beta_pre == -bm + (mean_pre - comp)
     assert model.beta_post == bm + (mean_post - comp)
     for i, spec in enumerate((pre, post)):
+        nu = spec.jumps
         if spec.family == "gamma":
-            a, t = spec.activity, spec.scale
+            a, t = nu.activity, nu.scale
             safe = np.where(GRID > 0.0, GRID, 1.0)
             assert spec.jump_truncated_mean() == a * t * (1.0 - math.exp(-1.0 / t))
-            assert np.array_equal(spec.levy_density(GRID), np.where(
+            assert np.array_equal(nu.density(GRID), np.where(
                 GRID > 0.0, a * np.exp(-safe / t) / safe, 0.0))
             continue
         for n in (0, 1, 257):
             fresh = RngStream(8086, 10 * i + n).generator
-            mean, density, sizes = _per_kind_law(spec.jumps, fresh(), n)
-            assert np.array_equal(spec.jumps.jump_sizes(fresh(), n), sizes)
-        assert spec.jumps.truncated_mean() == mean
-        assert spec.jump_truncated_mean() == spec.intensity * mean
-        assert np.array_equal(spec.levy_density(GRID), spec.intensity * density)
+            mean, density, sizes = _per_kind_law(nu.law, fresh(), n)
+            assert np.array_equal(nu.law.jump_sizes(fresh(), n), sizes)
+        assert nu.law.truncated_mean() == mean
+        assert spec.jump_truncated_mean() == nu.intensity * mean
+        assert np.array_equal(nu.density(GRID), nu.intensity * density)
 
 
 class TestCatalogue:

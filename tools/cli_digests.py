@@ -2,7 +2,7 @@
 
 Usage (from anywhere):
 
-    python3 tools/cli_digests.py [--root CHECKOUT]
+    python3 tools/cli_digests.py [--root CHECKOUT] [--against LISTING]
 
 Runs each of the 8 subcommands on each ``examples_config/*.json`` file of
 CHECKOUT (default: the checkout holding this script), 48 runs, one at a
@@ -13,14 +13,17 @@ order. Two trees give the same artifacts, output and exit codes when the
 outputs of this script on both are equal:
 
     python3 tools/cli_digests.py --root A > a.txt
-    python3 tools/cli_digests.py --root B > b.txt
-    diff a.txt b.txt
+    python3 tools/cli_digests.py --root B --against a.txt
+
+With ``--against`` the script exits 1 when its lines differ from the saved
+listing, naming the first line that differs on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -61,11 +64,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout whose src and examples_config are run")
-    root = parser.parse_args(argv).root.resolve()
+    parser.add_argument("--against", type=Path,
+                        help="saved listing that every line must match")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
     configs = sorted((root / "examples_config").glob("*.json"))
+    lines = []
     for subcommand in SUBCOMMANDS:
         for config in configs:
-            print(digest_run(root, subcommand, config), flush=True)
+            lines.append(digest_run(root, subcommand, config))
+            print(lines[-1], flush=True)
+    if args.against is None:
+        return 0
+    saved = args.against.read_text().splitlines()
+    for n, (line, want) in enumerate(itertools.zip_longest(lines, saved), 1):
+        if line != want:
+            print(f"line {n} differs from {args.against}:\n  saved: {want}\n  run:   {line}",
+                  file=sys.stderr)
+            return 1
     return 0
 
 
