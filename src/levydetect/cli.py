@@ -40,12 +40,10 @@ from .evaluate import (
     calibrate_barrier,
     compare,
     convergence_study,
-    dyadic_horizon_steps,
     dyadic_strides,
     estimate_arl,
     lorden_delay,
     lower_bound_ratio,
-    monitoring_steps,
 )
 from .kernels import backend
 from .likelihood import llr_path
@@ -105,8 +103,8 @@ def _field_check(field: str, check, *args):
 
 
 def _check_horizon(cfg: ExperimentConfig) -> int:
-    """The horizon in monitoring steps of detector.delta (at least one)."""
-    return _field_check("simulation.horizon", monitoring_steps,
+    """The horizon in whole monitoring steps of detector.delta."""
+    return _field_check("simulation.horizon", grid_steps,
                         cfg.simulation["horizon"], float(cfg.detector["delta"]))
 
 
@@ -140,9 +138,6 @@ def _cmd_simulate(cfg: ExperimentConfig) -> Outcome:
     model = cfg.change_model()
     sim, tau = cfg.simulation, cfg.experiment["tau"]
     n = _field_check("simulation.horizon", grid_steps, sim["horizon"], sim["grid_dt"])
-    if n == 0:
-        raise SpecValidationError(f"simulation.horizon: {sim['horizon']} is shorter than "
-                                  f"one grid step {sim['grid_dt']}")
     rng = RngStream(sim["master_seed"], stream_id("path", 0))
     try:
         path = sample_changed_path(model, math.inf if tau is None else tau,
@@ -273,7 +268,7 @@ def _cmd_converge(cfg: ExperimentConfig) -> Outcome:
     grid_dt, horizon = float(sim["grid_dt"]), float(sim["horizon"])
     # the study's own checks, run first so that a failure names its field
     base_stride = _field_check(base_field, grid_stride, base_delta, grid_dt)
-    _field_check("simulation.horizon", dyadic_horizon_steps, horizon, grid_dt, base_stride)
+    _field_check("simulation.horizon", grid_steps, horizon, grid_dt, base_stride)
     _field_check(base_field, dyadic_strides, base_stride, exp["dyadic_levels"])
     try:
         res = convergence_study(model, float(det["log_barrier"]),

@@ -11,7 +11,10 @@ Conventions
   for Shiryaev-Roberts); that delay does not depend on the change point, so
   one run gives it for the whole change-point grid;
 * every estimate is censored at an explicit horizon and the censored count is
-  carried in the report, never dropped;
+  carried in the report, never dropped; a horizon T on steps of width d
+  covers the floor(T / d) whole steps that fit, to 1e-9 of a step
+  (:func:`paths.grid_steps`), and the report's ``horizon`` is their end;
+  a convergence study covers whole base steps;
 * calibration inverts the in-control mean run length of one set of
   in-control paths: the statistic paths do not depend on the barrier, so
   that mean is a nondecreasing step function of the barrier, held exactly by
@@ -40,12 +43,11 @@ from .errors import (
     SpecValidationError,
 )
 from .model import ChangeModel
-from .paths import step_ratio
+from .paths import grid_steps
 from .report import EvalReport, Provenance
 
 __all__ = [
     "estimate_arl",
-    "monitoring_steps",
     "calibrate_barrier",
     "CalibrationResult",
     "lorden_delay",
@@ -109,14 +111,6 @@ def _report(result: PathRunResult, model: ChangeModel, rule: str,
                       provenance=prov, label=label)
 
 
-def monitoring_steps(horizon: float, dt: float) -> int:
-    """The horizon in monitoring steps of width dt (at least one)."""
-    n_steps = int(round(step_ratio(horizon, dt)))
-    if n_steps < 1:
-        raise ContractError(f"horizon {horizon} is shorter than one monitoring step {dt}")
-    return n_steps
-
-
 def estimate_arl(model: ChangeModel, config: DetectorConfig, regime: str,
                  n_rep: int, horizon: float, seed: int, threads: int = 1,
                  block: int = 0, purpose: str = "arl",
@@ -130,7 +124,7 @@ def estimate_arl(model: ChangeModel, config: DetectorConfig, regime: str,
     if regime not in REGIMES:
         raise ContractError(f"regime must be one of {REGIMES}, got {regime!r}")
     rule, dt = _engine_rule(model, config.rule, config.log_barrier), float(config.delta)
-    n_steps = monitoring_steps(horizon, dt)
+    n_steps = grid_steps(horizon, dt)
     result = run_paths(model, _ENGINE_REGIME[regime], rule, dt, n_steps, n_rep,
                        seed, purpose, block=block, threads=threads,
                        last_reflect=return_raw)
@@ -193,7 +187,7 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
     specs = [_engine_rule(model, rule, 0.0) for rule in rules]
     dt = float(delta)
     try:
-        n_steps = monitoring_steps(horizon, dt)
+        n_steps = grid_steps(horizon, dt)
     except ContractError as exc:
         raise InfeasibleTargetError(
             f"target {gamma} needs a censoring horizon of {horizon}: {exc}") from exc
@@ -365,7 +359,7 @@ def lower_bound_ratio(model: ChangeModel, config: DetectorConfig, n_rep: int,
     else:
         rule, rule_name = RuleSpec("cusum", math.inf), f"fixed_{fixed_steps}"
     dt = float(config.delta)
-    n_steps = monitoring_steps(horizon, dt)
+    n_steps = grid_steps(horizon, dt)
     steps = n_steps if fixed_steps is None else fixed_steps
     if steps > n_steps:
         raise ContractError(f"fixed rule of {steps} steps exceeds the {n_steps}-step horizon")
@@ -408,16 +402,6 @@ class ConvergenceResult:
     n_rep: int
 
 
-def dyadic_horizon_steps(horizon: float, grid_dt: float, base_stride: int) -> int:
-    """The horizon in fine steps, trimmed to whole base steps (at least one)."""
-    n_steps = int(round(step_ratio(horizon, grid_dt)))
-    n_steps -= n_steps % base_stride
-    if n_steps < 1:
-        raise ContractError(f"horizon {horizon} is shorter than one base step "
-                            f"of {base_stride} fine steps")
-    return n_steps
-
-
 def dyadic_strides(base_stride: int, dyadic_levels: int) -> List[int]:
     """The base stride halved level by level, coarsest first."""
     strides = []
@@ -434,7 +418,8 @@ def convergence_study(model: ChangeModel, h_bar: float, dyadic_levels: int,
                       n_rep: int, seed: int, base_delta: float, grid_dt: float,
                       horizon: float, regime: str = "out_of_control",
                       threads: int = 1) -> ConvergenceResult:
-    """Stop times of the grid rule across nested dyadic monitoring grids.
+    """Stop times of the grid rule across nested dyadic monitoring grids,
+    censored at the end of the whole base steps that fit in the horizon.
 
     Each level is a strided CUSUM rule on the same fine trajectories
     (:func:`run_dyadic`), so the nested-grid ordering is checked pathwise and
@@ -447,7 +432,7 @@ def convergence_study(model: ChangeModel, h_bar: float, dyadic_levels: int,
     if regime not in REGIMES:
         raise ContractError(f"regime must be one of {REGIMES}")
     base_stride = grid_stride(base_delta, grid_dt)
-    n_steps = dyadic_horizon_steps(horizon, grid_dt, base_stride)
+    n_steps = grid_steps(horizon, grid_dt, base_stride)
     strides = dyadic_strides(base_stride, dyadic_levels)
     has_ref = strides[-1] > 1
     if has_ref:
@@ -493,9 +478,9 @@ class CompareResult:
     gamma: float
     rows: Tuple[CompareRow, ...]
 
-    def cusum_leads(self, n_se: float = 3.0) -> Optional[bool]:
+    def cusum_leads(self) -> Optional[bool]:
         """Does every competitor's worst delay dominate the CUSUM's, within
-        the combined Monte Carlo uncertainty? Only rows calibrated to the
+        three combined Monte Carlo standard errors? Only rows calibrated to the
         common budget, with a finite delay, are weighed; None when no such
         CUSUM row or no such competitor is left."""
         rows = [r for r in self.rows if r.calibrated and math.isfinite(r.worst_delay)]
@@ -505,7 +490,7 @@ class CompareResult:
             return None
         c = min(cusum, key=lambda r: r.worst_delay)
         return all(c.worst_delay <= o.worst_delay
-                   + n_se * math.hypot(c.delay_se, o.delay_se)
+                   + 3.0 * math.hypot(c.delay_se, o.delay_se)
                    for o in others)
 
 
@@ -540,7 +525,7 @@ def compare(model: ChangeModel, gamma: float, rules: Sequence[Tuple[str, float]]
         if not done:
             continue
         # Lorden's worst case is one restart run, whatever the change point
-        n_steps = monitoring_steps(HORIZON_FACTOR * gamma, delta)
+        n_steps = grid_steps(HORIZON_FACTOR * gamma, delta)
         delays = run_rules(model, "post",
                            [_engine_rule(model, rules[i][0], cal.h_bar) for i, cal in done],
                            delta, n_steps, n_rep, seed, "delay", threads=threads)

@@ -59,6 +59,13 @@ def _std_normal_pdf(z):
     return np.exp(-z ** 2 / 2.0) / _SQRT_2PI
 
 
+def _unsign_zeros(obj, *fields: str) -> None:
+    """Write a field's -0.0 as 0.0, so that equal specs digest alike."""
+    for name in fields:
+        if getattr(obj, name) == 0.0:
+            object.__setattr__(obj, name, abs(getattr(obj, name)))
+
+
 def _check_rates(owner: str, **rates: Optional[float]) -> None:
     for name, value in rates.items():
         if value is None or not 0.0 < value < math.inf:
@@ -79,6 +86,7 @@ class GaussianJumps:
         _check_rates("gaussian jump", sd=self.sd)
         if not math.isfinite(self.mean):
             raise SpecValidationError("gaussian jump mean must be finite")
+        _unsign_zeros(self, "mean")
 
     def density(self, x):
         return _std_normal_pdf((np.asarray(x, dtype=float) - self.mean) / self.sd) / self.sd
@@ -343,6 +351,7 @@ class LevySpec:
                                       else "gamma subordinator is pure jump (sigma = 0)")
         if not math.isfinite(self.drift_b):
             raise SpecValidationError("drift must be finite")
+        _unsign_zeros(self, "sigma", "drift_b")
 
     @property
     def family(self) -> str:

@@ -188,6 +188,11 @@ def build_change_model(pre: LevySpec, post: LevySpec) -> ChangeModel:
             raise InadmissibleModelError(
                 f"jump supports differ ({nu0.support} vs {nu1.support}); "
                 "measures are not equivalent", COND_EQUIVALENCE)
+        if nu0.finite_activity != nu1.finite_activity:
+            raise InadmissibleModelError(
+                "a finite jump measure against the gamma measure, whose density "
+                "a e^(-x/theta)/x is not integrable near 0: the integral of "
+                "(sqrt(dnu_post) - sqrt(dnu_pre))^2 diverges", COND_INTEGRABILITY)
         if nu0.kind != nu1.kind:
             raise UnsupportedPairError(
                 f"jump kinds {nu0.kind!r} and {nu1.kind!r} share a support but their "

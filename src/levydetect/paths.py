@@ -1,7 +1,9 @@
 """Path simulation with an explicit jump ledger.
 
-A trajectory switches from the pre-change to the post-change law at the
-change point tau (snapped to the simulation grid; tau = inf means no change).
+A trajectory covers the :func:`grid_steps` whole steps of the simulation
+grid that fit in its horizon, and switches from the pre-change to the
+post-change law at the change point tau (snapped to that grid; tau = inf
+means no change).
 Brownian parts are sampled exactly at grid points, compound-Poisson jumps at
 exact event times, and gamma subordinator increments from their exact marginal
 law per step. For the gamma measure the ledger records only jumps above a
@@ -59,20 +61,26 @@ class SamplePath:
         return np.arange(len(self.values)) * self.grid_dt
 
 
-def step_ratio(horizon: float, dt: float) -> float:
-    """horizon / dt, which a step count rounds; it must be finite and below
-    2^63 so that the count fits an int64."""
+def grid_steps(horizon: float, dt: float, unit: int = 1) -> int:
+    """The largest multiple of ``unit`` steps of width dt that fits in
+    [0, horizon]: floor(horizon / dt) trimmed to whole units, where a
+    horizon within 1e-9 of a step below a whole step counts that step
+    (n * dt can represent as a hair above the horizon it was made from).
+    Every horizon of the package turns into steps here, so no run goes
+    past its horizon.
+
+    Raises ContractError, naming the horizon, when horizon / dt is not a
+    finite number below 2^63 (the count must fit an int64) or when not even
+    ``unit`` steps fit."""
     ratio = horizon / dt
     if not ratio < 2.0 ** 63:
         raise ContractError(
             f"horizon {horizon} is not a finite number of steps {dt} below 2^63")
-    return ratio
-
-
-def grid_steps(horizon: float, grid_dt: float) -> int:
-    """Number of whole grid steps covering [0, horizon] (floor, with an
-    epsilon guard against n*dt representing as a hair above horizon)."""
-    return int(math.floor(step_ratio(horizon, grid_dt) + 1e-9))
+    n = int(math.floor(ratio + 1e-9))
+    n -= n % unit
+    if n < unit:
+        raise ContractError(f"horizon {horizon} is shorter than {unit} step(s) of {dt}")
+    return n
 
 
 def gamma_ledger_threshold(activity: float, scale: float) -> float:
@@ -133,12 +141,11 @@ def _gamma_step_jumps(gen: np.random.Generator, increment: float, shape: float,
     return np.asarray(out)
 
 
-def _simulate_piece(gen: np.random.Generator, spec: LevySpec, t0: float, t1: float,
+def _simulate_piece(gen: np.random.Generator, spec: LevySpec, k0: int, k1: int,
                     grid_dt: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Increments over grid steps spanning [t0, t1] plus the jump ledger."""
-    n = int(round((t1 - t0) / grid_dt))
-    if n == 0:
-        return np.empty(0), np.empty(0), np.empty(0)
+    """Increments over grid steps k0 < k1 (times k0 * grid_dt to k1 * grid_dt)
+    plus the jump ledger."""
+    t0, t1, n = k0 * grid_dt, k1 * grid_dt, k1 - k0
     drift, nu = spec.linear_drift(), spec.jumps
     if nu is None or nu.finite_activity:
         if spec.sigma > 0.0:
@@ -175,7 +182,9 @@ def _simulate_piece(gen: np.random.Generator, spec: LevySpec, t0: float, t1: flo
 
 def sample_changed_path(model: ChangeModel, tau: float, horizon: float,
                         grid_dt: float, rng: RngStream) -> SamplePath:
-    """Simulate one trajectory under the change-at-tau law.
+    """Simulate one trajectory under the change-at-tau law on the
+    :func:`grid_steps` whole steps of grid_dt that fit in the horizon (the
+    path's ``horizon`` is their end).
 
     Pre-change increments up to tau (snapped to the grid), post-change after;
     the path is continuous at tau by construction (no jump is injected there).
@@ -183,27 +192,17 @@ def sample_changed_path(model: ChangeModel, tau: float, horizon: float,
     if grid_dt <= 0.0:
         raise SpecValidationError("grid_dt must be positive")
     n = grid_steps(horizon, grid_dt)
-    if n < 1:
-        raise SpecValidationError("horizon must cover at least one step")
     if tau < 0.0:
         raise SpecValidationError("change point must be nonnegative")
     horizon = n * grid_dt
-    tau_t = (math.inf if math.isinf(tau)
-             else min(round(min(tau, horizon) / grid_dt), n) * grid_dt)
-
-    pieces = []
-    if math.isinf(tau_t):
-        pieces.append((model.pre, 0.0, horizon))
-    else:
-        if tau_t > 0.0:
-            pieces.append((model.pre, 0.0, tau_t))
-        if tau_t < horizon:
-            pieces.append((model.post, tau_t, horizon))
+    k = min(round(min(tau, horizon) / grid_dt), n)      # tau's step
+    pieces = [(spec, k0, k1) for spec, k0, k1 in ((model.pre, 0, k), (model.post, k, n))
+              if k0 < k1]
 
     gens = lease(rng.master_seed, range(rng.stream_id, rng.stream_id + 1), (rng.component,))
     try:
         gen = gens[rng.component][0]
-        drawn = [_simulate_piece(gen, spec, t0, t1, grid_dt) for spec, t0, t1 in pieces]
+        drawn = [_simulate_piece(gen, spec, k0, k1, grid_dt) for spec, k0, k1 in pieces]
     finally:
         give_back(gens)
     increments, jump_times, jump_sizes = (np.concatenate(parts) for parts in zip(*drawn))
@@ -213,5 +212,6 @@ def sample_changed_path(model: ChangeModel, tau: float, horizon: float,
     np.cumsum(increments, out=values[1:])
     return SamplePath(grid_dt=grid_dt, values=values, jump_times=jump_times,
                       jump_sizes=jump_sizes,
-                      change_point=tau_t, horizon=horizon,
+                      change_point=math.inf if math.isinf(tau) else k * grid_dt,
+                      horizon=horizon,
                       model_digest=model.digest())

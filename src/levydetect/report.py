@@ -39,10 +39,6 @@ class EvalReport:
     provenance: Provenance
     label: str = ""
 
-    def within(self, target: float, n_se: float = 3.0) -> bool:
-        """Is the target inside estimate +- n_se standard errors?"""
-        return abs(self.estimate - target) <= n_se * self.std_error
-
     def to_row(self) -> dict:
         row = {
             "label": self.label,

@@ -23,7 +23,6 @@ from levydetect.evaluate import (
     estimate_arl,
     lorden_delay,
     lower_bound_ratio,
-    monitoring_steps,
 )
 from levydetect.families import GaussianJumps, LevySpec
 from levydetect.model import (
@@ -32,6 +31,7 @@ from levydetect.model import (
     build_change_model,
 )
 from levydetect.oracle import brownian_grid_cusum_arl, comp_rate_quadrature
+from levydetect.paths import grid_steps
 from levydetect.rng import RngStream, stream_id
 
 from conftest import u_increments
@@ -227,7 +227,7 @@ def test_c04_equalizer_property(models):
     the worst case at every change point, and the Lorden delay reports its
     one run, uncensored, at each of {0, 1, 5}."""
     model, delta, n_rep, horizon = models["brownian"], 0.05, 10000, 60.0
-    n_steps = monitoring_steps(horizon, delta)
+    n_steps = grid_steps(horizon, delta)
     lines = []
     for rule, kind, h, carry, starts in (
             ("cusum_grid", "cusum", 2.0, "mn", {f"w={w:g}": -w for w in (0.5, 1.0, 1.5)}),
@@ -338,7 +338,7 @@ def test_c08_optimality_gap(models):
         for r in res.rows:
             assert abs(r.gamma_achieved - 50.0) <= 0.02 * 50.0 \
                 + 3.0 * r.gamma_se, f"{name}/{r.rule} calibration off"
-        assert res.cusum_leads(n_se=3.0)
+        assert res.cusum_leads()
         cusum = next(r for r in res.rows if r.rule == "cusum_grid")
         sr = next(r for r in res.rows if r.rule == "shiryaev_roberts")
         assert cusum.worst_delay <= sr.worst_delay + 3.0 * math.hypot(

@@ -356,6 +356,30 @@ def test_flags_are_checked_like_the_config_fields(tmp_path, capsys, flag, value,
     assert not os.path.exists(os.path.join(out, "report.csv"))
 
 
+def test_every_command_censors_at_the_whole_steps_that_fit(tmp_path):
+    """A horizon of 10.06 on steps of 0.1 holds 100 whole steps, and every
+    command runs to their end, 10.0: arl and lowerbound rounded it to 101
+    steps, a censoring horizon of 10.1 past the configured one. At barrier
+    9 no in-control path stops, so each report reads its horizon."""
+    payload = {
+        "model": BM_MODEL,
+        "simulation": {"horizon": 10.06, "grid_dt": 0.1, "n_rep": 50, "master_seed": 5},
+        "detector": {"rule": "cusum_grid", "delta": 0.1, "log_barrier": 9.0},
+        "experiment": {"regime": "in_control", "base_delta": 0.4, "dyadic_levels": 2},
+    }
+    results = {}
+    for sub in ("simulate", "arl", "lowerbound", "converge"):
+        code, out = _run(tmp_path, sub, payload, sub)
+        assert code == 0, sub
+        with open(os.path.join(out, "summary.json")) as fh:
+            results[sub] = json.load(fh)["results"]
+    assert results["simulate"]["n_grid_points"] == 101
+    arl, lb = results["arl"]["report"], results["lowerbound"]["lower_bound"]
+    assert arl["n_censored"] == lb["n_censored"] == 50
+    assert arl["horizon"] == lb["horizon"] == results["lowerbound"]["delay"]["horizon"] == 10.0
+    assert results["converge"]["levels"][-1]["mean_stop"] == 10.0
+
+
 class TestConverge:
     def test_monotone_levels(self, tmp_path):
         payload = {

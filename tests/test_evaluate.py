@@ -20,9 +20,9 @@ from levydetect.evaluate import (
     lattice_safe_barrier,
     lorden_delay,
     lower_bound_ratio,
-    monitoring_steps,
 )
 from levydetect.oracle import brownian_grid_cusum_arl
+from levydetect.paths import grid_steps
 
 SEED = 424242
 
@@ -51,7 +51,7 @@ class TestEstimateArl:
         rep = estimate_arl(brownian_model, _grid_cfg(0.0, dt), "in_control",
                            20000, horizon=100.0, seed=SEED)
         p = 1.0 - 0.5 * (1.0 + math.erf(0.5 * math.sqrt(dt) / math.sqrt(2.0)))
-        assert rep.within(dt / p, n_se=3.0)
+        assert abs(rep.estimate - dt / p) <= 3.0 * rep.std_error
         assert rep.n_censored == 0
 
     def test_out_of_control_shorter_than_in_control(self, brownian_model):
@@ -151,7 +151,7 @@ def _assert_off_the_lattice(model, cal, gamma, delta, n_rep, block):
     lattice k * log 2 included."""
     states = batch_states(model, "pre", [RuleSpec("cusum", 0.0)], delta, n_rep, SEED,
                           "calibrate", block=block, records=True)
-    advance(states, monitoring_steps(HORIZON_FACTOR * gamma, delta),
+    advance(states, grid_steps(HORIZON_FACTOR * gamma, delta),
             [max(h for h, _ in cal.probes)])
     values = np.unique(np.concatenate([s.ladder(0)[2] for s in states]))
     j = int(np.searchsorted(values, cal.h_bar))
@@ -336,7 +336,7 @@ class TestCompare:
                       [("cusum_grid", 0.1), ("shiryaev_roberts", 0.1)],
                       4000, SEED, n_rep_calibrate=2500)
         assert all(r.calibrated for r in res.rows)
-        assert res.cusum_leads(n_se=3.0)
+        assert res.cusum_leads()
 
     def test_finer_monitoring_detects_no_later(self, brownian_model):
         """Same budget, two monitoring steps: the finer grid rule's delay is

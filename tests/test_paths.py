@@ -6,11 +6,12 @@ import pytest
 from scipy.stats import ks_2samp
 
 from levydetect.detector import DetectorConfig, run_rule
-from levydetect.errors import AlignmentError, InadmissibleModelError, SpecValidationError
+from levydetect.errors import (AlignmentError, ContractError, InadmissibleModelError,
+                               SpecValidationError)
 from levydetect.families import LevySpec
 from levydetect.likelihood import LLRPath, llr_path
 from levydetect.model import build_change_model
-from levydetect.paths import gamma_ledger_threshold, sample_changed_path
+from levydetect.paths import gamma_ledger_threshold, grid_steps, sample_changed_path
 from levydetect.rng import RngStream
 
 SEED = 20260808
@@ -75,12 +76,28 @@ class TestShapeAndLedger:
             sample_changed_path(brownian_model, 0.0, 1.0, -0.1, RngStream(SEED, 0))
         with pytest.raises(SpecValidationError):
             sample_changed_path(brownian_model, -1.0, 1.0, 0.1, RngStream(SEED, 0))
-        with pytest.raises(SpecValidationError):
+        with pytest.raises(ContractError, match="horizon 0.05 "):
             sample_changed_path(brownian_model, 0.0, 0.05, 0.1, RngStream(SEED, 0))
         with pytest.raises(InadmissibleModelError):
             sample_changed_path(build_change_model(LevySpec.brownian(1.0, 0.0),
                                                    LevySpec.brownian(2.0, 0.0)),
                                 0.0, 1.0, 0.1, RngStream(SEED, 0))
+
+
+@pytest.mark.parametrize("horizon,dt,unit,steps", [
+    (10.0, 0.01, 1, 1000), (0.1 * (1.0 - 1e-10), 0.1, 1, 1), (10.06, 0.1, 1, 100),
+    (10.36, 0.1, 4, 100), (0.06, 0.1, 1, None)],
+    ids=["whole", "a_hair_short", "floored", "whole_units", "shorter_than_a_step"])
+def test_grid_steps_counts_the_whole_steps_that_fit(horizon, dt, unit, steps):
+    """The largest multiple of unit steps that fits, never one past the
+    horizon: rounding gave 101 steps for 10.06 / 0.1, and rounding then
+    trimming to units of 4 gave 104 for 10.36 / 0.1. A horizon that holds
+    no unit raises, naming itself."""
+    if steps is None:
+        with pytest.raises(ContractError, match=f"horizon {horizon} "):
+            grid_steps(horizon, dt, unit)
+    else:
+        assert grid_steps(horizon, dt, unit) == steps
 
 
 def test_horizon_a_hair_below_one_step_is_one_step(brownian_model):

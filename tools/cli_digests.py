@@ -5,9 +5,11 @@ Usage (from anywhere):
     python3 tools/cli_digests.py [--root CHECKOUT] [--against LISTING]
 
 Runs each of the 8 subcommands on each ``examples_config/*.json`` file of
-CHECKOUT (default: the checkout holding this script), 48 runs, one at a
-time, each in a fresh temporary directory with CHECKOUT's ``src`` first on
-``PYTHONPATH``. Prints one line per run: subcommand, config, exit code, then
+CHECKOUT (default: the checkout holding this script), 48 runs, as many at a
+time as this process may use CPUs (``os.sched_getaffinity``), each in a
+fresh temporary directory with CHECKOUT's ``src`` first on ``PYTHONPATH``.
+Prints one line per run, in subcommand then config order whatever order
+the runs end in: subcommand, config, exit code, then
 the sha256 of stdout, of stderr and of every file the run wrote, in name
 order. Two trees give the same artifacts, output and exit codes when the
 outputs of this script on both are equal:
@@ -29,6 +31,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SUBCOMMANDS = ("validate", "simulate", "arl", "calibrate", "lorden", "lowerbound",
@@ -69,11 +72,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
     configs = sorted((root / "examples_config").glob("*.json"))
+    runs = [(subcommand, config) for subcommand in SUBCOMMANDS for config in configs]
     lines = []
-    for subcommand in SUBCOMMANDS:
-        for config in configs:
-            lines.append(digest_run(root, subcommand, config))
-            print(lines[-1], flush=True)
+    # each worker thread waits on one child process; map yields in run order
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        for line in pool.map(lambda run: digest_run(root, *run), runs):
+            lines.append(line)
+            print(line, flush=True)
     if args.against is None:
         return 0
     saved = args.against.read_text().splitlines()
