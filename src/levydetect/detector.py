@@ -79,7 +79,10 @@ class StopResult:
 
 
 def grid_stride(delta: float, grid_dt: float) -> int:
-    """``delta`` in whole steps of ``grid_dt`` (to 1e-9 relative), else AlignmentError."""
+    """``delta`` in whole steps of ``grid_dt`` (to 1e-9 relative), else
+    AlignmentError; SpecValidationError if grid_dt is not a finite number > 0."""
+    if not 0.0 < grid_dt < math.inf:
+        raise SpecValidationError(f"step {grid_dt!r} is not a finite number > 0")
     k = delta / grid_dt
     stride = int(round(k))
     if stride < 1 or abs(k - stride) > 1e-9 * max(1.0, abs(k)):

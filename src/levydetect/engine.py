@@ -20,17 +20,18 @@ whole (rows, steps) block per call: only the generator calls run per row,
 writing into the block, and the arithmetic runs once per block, so a block
 holds the bits of its rows drawn one by one.
 
-A :class:`BatchState` holds one batch's streams, steps and event clocks, and
-the carries of one or more stopping rules. It advances its rows to a step,
-or until each rule reaches its barrier, drawing and scanning exactly the
-sub-blocks they need with one sampler call per sub-block that every rule
-scans, and can be resumed at any step. It sums each sampled (rows, steps)
-sub-block once into step-major (steps, rows) cumulative values, which every
-scan kernel reads, a rule of stride s every s-th step, each a contiguous row;
-this is the engine's one draw-and-scan loop. Sub-blocks widen as a path goes on, so a
-path that stops at step k draws at most max(64, sqrt(64 k)) steps past it; a
-rule may watch every s-th step only (its stride), and the widths are whole
-multiples of every stride (:func:`block_end`). :func:`run_rules` drives it
+A :class:`BatchState` holds one batch's generators, event clocks, steps and
+the carries of one or more stopping rules, all indexed by row. It advances
+its rows to a step, or until each rule reaches its barrier, drawing and
+scanning exactly the sub-blocks they need with one sampler call per
+sub-block that every rule scans, and can be resumed at any step. It sums
+each sampled (rows, steps) sub-block once into step-major (steps, rows)
+cumulative values, which every scan kernel reads, a rule of stride s every
+s-th step, each a contiguous row; this is the engine's one draw-and-scan
+loop. Sub-blocks widen as a path goes on, so a path that stops at step k
+draws at most max(64, sqrt(64 k)) steps past it; a rule may watch every s-th
+step only (its stride), and the widths are whole multiples of every stride
+(:func:`block_end`). :func:`run_rules` drives it
 for rules that share their paths, :func:`run_paths` for one rule, and
 :func:`run_dyadic` for nested monitoring grids, one strided CUSUM rule per
 grid of one fine path. Their results depend on neither the worker count,
@@ -90,6 +91,11 @@ class RuleSpec:
             raise ContractError(f"stride must be a positive step count; got {self.stride}")
 
 
+def stop_times(stop_steps: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """Global stop steps as times on a grid of step ``dt``; -1 (censored) is step ``n_steps``."""
+    return np.where(stop_steps < 0, n_steps, stop_steps) * dt
+
+
 @dataclass
 class PathRunResult:
     """Per-replication outcomes of one engine run."""
@@ -110,8 +116,7 @@ class PathRunResult:
 
     @property
     def stop_times(self) -> np.ndarray:
-        return np.where(self.censored, self.n_steps * self.dt,
-                        self.stop_steps * self.dt)
+        return stop_times(self.stop_steps, self.dt, self.n_steps)
 
     @property
     def tau_hat(self) -> np.ndarray:
@@ -139,22 +144,19 @@ def substream_components(model: ChangeModel, dt: float) -> Tuple[int, ...]:
             + (() if model.phi.constant is not None else (MARK,)))
 
 
-def stream_state(gens: list, clock: Optional[np.ndarray] = None) -> list:
-    """What a sampler reads of its rows: ``gens``, their generators by
-    component, and for a jump pair (one with a COUNT entry) the rows' event
-    clock at entry CLOCK: ``clock``, or a new one if None. A clock row is
+def stream_state(gens: list) -> list:
+    """What a sampler reads of the rows of a lease ``gens``, fresh, every entry
+    indexed by row: their generators by component, and for a jump pair (one
+    with a COUNT entry) their new event clocks at entry CLOCK. A clock row is
     [s, t_1, ..., t_GAPS]: s the steps its row has drawn, and t its current
-    chunk of event times, in steps from the row's start, ascending; those at
-    or before s are spent. A new row is all 0: at step 0, with no event
-    pending."""
+    chunk of event times, in steps from the row's start, ascending; those at or
+    before s are spent. A new row is all 0: at step 0, with no event pending."""
     if len(gens) <= COUNT or gens[COUNT] is None:
         return gens
-    if clock is None:
-        clock = np.zeros((len(gens[COUNT]), 1 + GAPS))
-    return [*gens, *[None] * (CLOCK - len(gens)), clock]
+    return [*gens, *[None] * (CLOCK - len(gens)), np.zeros((len(gens[COUNT]), 1 + GAPS))]
 
 
-def _advance_clock(gens, clock: np.ndarray, rate_dt: float, width: int
+def _advance_clock(gens: np.ndarray, clock: np.ndarray, rate_dt: float, width: int
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Advance the rows' event clocks ``width`` steps, row j drawing from
     ``gens[j]``. Returns the row and the column of each event of the block,
@@ -177,8 +179,8 @@ def _advance_clock(gens, clock: np.ndarray, rate_dt: float, width: int
     rows = rows[times[:, -1] <= end]
     while rows.size:
         t = np.empty((rows.size, times.shape[1]))
-        for i, row in zip(rows.tolist(), t):
-            gens[i].random(out=row)
+        for gen, row in zip(gens[rows], t):
+            gen.random(out=row)
         np.negative(t, out=t)
         np.log1p(t, out=t)                  # -log(1 - u) / rate_dt, by inversion
         t /= -rate_dt
@@ -198,9 +200,9 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
     The sampler is called as ``sampler(state, (rows, steps))`` and returns a
     ``(rows, steps)`` block: row j holds the next ``steps`` increments of the
     replication whose generator of component c is ``state[c][j]``, for each
-    component c of :func:`substream_components` (as :func:`rng.lease` hands
-    them out), and whose event clock, for a jump pair, is row j of
-    ``state[CLOCK]`` (:func:`stream_state`), which the call advances. BM
+    component c of :func:`substream_components`, and whose event clock, for
+    a jump pair, is row j of ``state[CLOCK]`` (:func:`stream_state`, each
+    entry sliced with the same rows), which the call advances. BM
     feeds the Brownian normals (and the gamma measure's gamma variates), one
     per step. A jump pair draws its jumps as events: COUNT feeds each row's
     exponential gaps between jump times, one uniform inverted per gap, MARK one jump size per event (the
@@ -258,9 +260,9 @@ def make_u_sampler(model: ChangeModel, regime: str, dt: float) -> Callable:
             at, values = rows * size[1] + cols, constant
             if constant is None:            # sizes in row, then event, order
                 at = at[np.argsort(rows, kind="stable")]
-                counts = np.bincount(rows, minlength=size[0]).tolist()
-                values = phi(np.concatenate([law.jump_sizes(gen, n)
-                                             for gen, n in zip(gens[MARK], counts) if n]))
+                hit = (counts := np.bincount(rows)).nonzero()[0]
+                values = phi(np.concatenate([law.jump_sizes(gen, n) for gen, n
+                                             in zip(gens[MARK][hit], counts[hit].tolist())]))
             np.add.at(out.reshape(-1), at, values)
         out -= comp_dt
         return out
@@ -291,8 +293,8 @@ def block_end(pos: int, unit: int = 1) -> int:
 class BatchState:
     """One batch of replications under one or more stopping rules, resumable
     at any step. Each sub-block a row draws is sampled and summed once (the
-    carry ``u``; the row's step ``pos``; for a jump pair its event clock
-    ``clock``, :func:`stream_state`) and every rule scans it with carries
+    carry ``u``; the row's step ``pos``; its row of the stream state
+    ``streams``, :func:`stream_state`) and every rule scans it with carries
     of its own (``RULE_CARRIES``, one row per rule in the order of ``rules``)
     and keeps its own first crossing (``stop``, -1 if none; ``stat``, the
     statistic there, the last value if censored) of the barrier it was last
@@ -315,7 +317,7 @@ class BatchState:
                  lb_horizon: Optional[int] = None, records: bool = False,
                  last_reflect: bool = False):
         b, k = len(next(g for g in gens if g is not None)), len(rules)
-        self.sampler, self.rules, self.gens = sampler, tuple(rules), gens
+        self.sampler, self.rules, self.streams = sampler, tuple(rules), stream_state(gens)
         self.unit = math.lcm(*(rule.stride for rule in rules))
         barrier_bound = last_reflect or lb_horizon is not None
         if (self.unit > 1 and (records or barrier_bound)) or (records and barrier_bound):
@@ -323,8 +325,6 @@ class BatchState:
                                 "or lower-bound sums, and records keep neither of the others")
         self.lb_horizon, self.ladders = lb_horizon, [[] for _ in self.rules]
         self.pos, self.u = np.zeros(b, dtype=np.int64), np.zeros(b)
-        state = stream_state(gens)
-        self.clock = state[CLOCK] if len(state) > CLOCK else None
         self.lastref = np.zeros((k, b), dtype=np.int64) if last_reflect else None
         self.stop, self.stat = np.full((k, b), -1, dtype=np.int64), np.full((k, b), np.nan)
         self.mn, self.logA = np.zeros((k, b)), np.zeros((k, b))
@@ -376,17 +376,14 @@ class BatchState:
 
     def _scan(self, rows: np.ndarray, start: int, end: int, barriers) -> None:
         # one sampler call, summed once into step-major cumulative values
-        gens, clock = self.gens, self.clock
-        if rows.size < self.pos.size:       # some rows are not live
-            live = rows.tolist()
-            gens = [None if g is None else [g[i] for i in live] for g in gens]
-            clock = None if clock is None else clock[rows]
+        every = rows.size == self.pos.size
+        streams = self.streams if every else [None if s is None else s[rows]
+                                              for s in self.streams]
         u = self.u[rows]
-        uu = kernels.cumulative(
-            self.sampler(stream_state(gens, clock), (rows.size, end - start)), u)
+        uu = kernels.cumulative(self.sampler(streams, (rows.size, end - start)), u)
         self.u[rows] = u
-        if clock is not self.clock:
-            self.clock[rows] = clock
+        if not every and len(streams) > CLOCK:  # the sampler moves clocks in place
+            self.streams[CLOCK][rows] = streams[CLOCK]
         # without records, a rule skips the rows it has stopped on; a row
         # live under one rule has not stopped on it
         several = self.best is None and len(barriers) > 1
@@ -477,7 +474,8 @@ def release(states: Sequence[BatchState]) -> None:
     """Give the generators of ``states`` back to this thread's pool: the
     states draw no more, but their stops and ladders can still be read."""
     for state in states:
-        give_back(state.gens)
+        del state.streams[CLOCK:]           # the event clocks, not a lease's
+        give_back(state.streams)
 
 
 def advance(states, target: int, barriers: Sequence[float], threads: int = 1) -> None:

@@ -33,8 +33,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .detector import HARNESS_RULES, DetectorConfig, check_log_barrier, grid_stride
-from .engine import (PathRunResult, RuleSpec, advance, batch_states, release,
-                     run_dyadic, run_paths, run_rules)
+from .engine import (RuleSpec, advance, batch_states, release, run_dyadic, run_paths,
+                     run_rules, stop_times)
 from .errors import (
     ContractError,
     DegenerateRuleError,
@@ -97,17 +97,16 @@ def _engine_rule(model: ChangeModel, rule: str, log_barrier: float) -> RuleSpec:
     return RuleSpec(kind="cusum", log_barrier=lattice_safe_barrier(log_barrier, lattice))
 
 
-def _report(result: PathRunResult, model: ChangeModel, rule: str,
-            regime: str, seed: int, block: int, label: str) -> EvalReport:
-    times = result.stop_times
+def _report(stop_steps: np.ndarray, dt: float, n_steps: int, model: ChangeModel,
+            rule: str, regime: str, seed: int, block: int, label: str) -> EvalReport:
+    times = stop_times(stop_steps, dt, n_steps)
     est = float(times.mean())
     se = float(times.std(ddof=1) / math.sqrt(len(times))) if len(times) > 1 else 0.0
-    prov = Provenance(master_seed=seed, grid_dt=result.dt, delta=result.dt,
+    prov = Provenance(master_seed=seed, grid_dt=dt, delta=dt,
                       rule=rule, model_digest=model.digest(),
                       regime=regime, stream_block=block)
     return EvalReport(estimate=est, std_error=se, n_rep=len(times),
-                      n_censored=int(result.censored.sum()),
-                      horizon=result.n_steps * result.dt,
+                      n_censored=int((stop_steps < 0).sum()), horizon=n_steps * dt,
                       provenance=prov, label=label)
 
 
@@ -128,8 +127,8 @@ def estimate_arl(model: ChangeModel, config: DetectorConfig, regime: str,
     result = run_paths(model, _ENGINE_REGIME[regime], rule, dt, n_steps, n_rep,
                        seed, purpose, block=block, threads=threads,
                        last_reflect=return_raw)
-    report = _report(result, model, config.rule, regime, seed, block,
-                     label=f"arl_{regime}")
+    report = _report(result.stop_steps, dt, n_steps, model, config.rule, regime, seed,
+                     block, label=f"arl_{regime}")
     return (report, result) if return_raw else report
 
 
@@ -143,10 +142,9 @@ class CalibrationResult:
 
 def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
                       rel_tol: float, seed: int, delta: float,
-                      n_rep: int = 4000, threads: int = 1,
-                      block: int = 0) -> CalibrationResult:
+                      n_rep: int = 4000, threads: int = 1) -> CalibrationResult:
     """The log barrier at which the in-control mean run length of one set of
-    in-control paths ('calibrate' block ``block``) is nearest gamma.
+    in-control paths ('calibrate' block 0) is nearest gamma.
 
     The statistic paths do not depend on the barrier, so on a fixed sample
     the mean run length ARL_n(h) is a nondecreasing step function of h,
@@ -163,7 +161,7 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
     3 * n_rep new ones, which run once on restarted generators, and its
     report is returned.
     """
-    (cal,) = _calibrate(model, (rule,), gamma, rel_tol, seed, delta, n_rep, threads, block)
+    (cal,) = _calibrate(model, (rule,), gamma, rel_tol, seed, delta, n_rep, threads, 0)
     if isinstance(cal, Exception):
         raise cal
     return cal
@@ -172,9 +170,9 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
 def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: float,
                seed: int, delta: float, n_rep: int, threads: int, block: int) -> list:
     """:func:`calibrate_barrier` for rules that share the monitoring step
-    ``delta``, on one shared set of paths: per rule its
-    :class:`CalibrationResult`, or the InfeasibleTargetError that ended its
-    rounds. The rules calibrate in turn, each advancing the paths under its
+    ``delta``, on one shared set of paths ('calibrate' block ``block``): per
+    rule its :class:`CalibrationResult`, or the InfeasibleTargetError that
+    ended its rounds. The rules calibrate in turn, each advancing the paths under its
     own barrier while the others get -inf, so they keep no path live but
     scan every step drawn; each rule's probes thus equal those of its own
     calibration. Then every rule that has a barrier takes its final probe on
@@ -209,8 +207,7 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
         return np.concatenate([p.first_reach(i, levels[i]) for p in paths])
 
     def report(i: int, st: np.ndarray) -> EvalReport:
-        result = PathRunResult(dt, n_steps, st, stat=None, last_reflect=None)
-        return _report(result, model, rules[i], "in_control", seed, block,
+        return _report(st, dt, n_steps, model, rules[i], "in_control", seed, block,
                        label="arl_in_control")
 
     def arl_at(i: int, h: float) -> float:
@@ -530,8 +527,8 @@ def compare(model: ChangeModel, gamma: float, rules: Sequence[Tuple[str, float]]
                            [_engine_rule(model, rules[i][0], cal.h_bar) for i, cal in done],
                            delta, n_steps, n_rep, seed, "delay", threads=threads)
         for (i, cal), res in zip(done, delays):
-            worst = _report(res, model, rules[i][0], "out_of_control", seed, 0,
-                            label="delay_worst")
+            worst = _report(res.stop_steps, delta, n_steps, model, rules[i][0],
+                            "out_of_control", seed, 0, label="delay_worst")
             rows[i] = replace(rows[i], h_bar=cal.h_bar, gamma_achieved=cal.report.estimate,
                               gamma_se=cal.report.std_error, worst_delay=worst.estimate,
                               delay_se=worst.std_error, calibrated=cal.converged)

@@ -69,9 +69,12 @@ def grid_steps(horizon: float, dt: float, unit: int = 1) -> int:
     Every horizon of the package turns into steps here, so no run goes
     past its horizon.
 
-    Raises ContractError, naming the horizon, when horizon / dt is not a
-    finite number below 2^63 (the count must fit an int64) or when not even
-    ``unit`` steps fit."""
+    Raises SpecValidationError, naming dt, unless it is a finite number > 0,
+    and ContractError, naming the horizon, when horizon / dt is not a number
+    below 2^63 (the count must fit an int64) or when not even ``unit`` steps
+    fit."""
+    if not 0.0 < dt < math.inf:
+        raise SpecValidationError(f"step {dt!r} is not a finite number > 0")
     ratio = horizon / dt
     if not ratio < 2.0 ** 63:
         raise ContractError(
@@ -189,11 +192,9 @@ def sample_changed_path(model: ChangeModel, tau: float, horizon: float,
     Pre-change increments up to tau (snapped to the grid), post-change after;
     the path is continuous at tau by construction (no jump is injected there).
     """
-    if grid_dt <= 0.0:
-        raise SpecValidationError("grid_dt must be positive")
     n = grid_steps(horizon, grid_dt)
-    if tau < 0.0:
-        raise SpecValidationError("change point must be nonnegative")
+    if not tau >= 0.0:
+        raise SpecValidationError(f"change point must be a number >= 0, got {tau!r}")
     horizon = n * grid_dt
     k = min(round(min(tau, horizon) / grid_dt), n)      # tau's step
     pieces = [(spec, k0, k1) for spec, k0, k1 in ((model.pre, 0, k), (model.post, k, n))

@@ -15,6 +15,8 @@ call.
 Generators are handed out one way: a lease (:func:`lease`) of the
 substreams of a range of streams, by component, which its user gives back
 when it ends (:func:`give_back`), so no generator serves two users at once.
+A lease holds each component's generators as a 1-D object array, so its
+user picks some rows' generators with the row arrays of its other fields.
 Each thread keeps a pool of the generators it has built and restarts them in
 place for every lease, whatever the run, so a thread builds a generator only
 when its pool runs short. A restart sets the whole
@@ -136,11 +138,11 @@ def _restart(gens, master_seed: int, first_id: int, c: int) -> None:
 
 def lease(master_seed: int, ids: range, components: Tuple[int, ...]) -> list:
     """The substreams of ``components`` of the streams (master_seed, i), i in
-    ``ids``, by component: entry c holds component c's generators in ``ids``
-    order, and the components not asked for are None. The generators leave
-    this thread's pool, restarted in place, and are built only when it runs
-    short; no later lease hands them out until :func:`give_back` returns
-    them."""
+    ``ids``, by component: entry c is a 1-D object array of component c's
+    generators in ``ids`` order, and the components not asked for are None.
+    The generators leave this thread's pool, restarted in place, and are
+    built only when it runs short; no later lease hands them out until
+    :func:`give_back` returns them."""
     pool, n = _POOL.gens, len(ids)
     out = [None] * (max(components) + 1)
     for c in components:
@@ -148,7 +150,9 @@ def lease(master_seed: int, ids: range, components: Tuple[int, ...]) -> list:
         gens = pool[kept:]
         del pool[kept:]
         _restart(gens, master_seed, ids.start, c)
-        out[c] = gens + [RngStream(master_seed, i, c).generator() for i in ids[len(gens):]]
+        gens += [RngStream(master_seed, i, c).generator() for i in ids[len(gens):]]
+        # np.fromiter: np.array would probe every generator for an array protocol
+        out[c] = np.fromiter(gens, dtype=object, count=n)
     return out
 
 

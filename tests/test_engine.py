@@ -76,10 +76,11 @@ def _event_increments(model, regime, dt, gens, size):
 
 
 def _by_component(rows) -> list:
-    """Rows of :meth:`RngStream.substreams` as the engine hands generators
-    out: entry c lists the rows' generators of component c, in row order
-    (None where the rows have none)."""
-    return [None if g is None else list(column) for g, column in zip(rows[0], zip(*rows))]
+    """Rows of :meth:`RngStream.substreams` as :func:`rng.lease` hands
+    generators out: entry c is a 1-D object array of the rows' generators of
+    component c, in row order (None where the rows have none)."""
+    return [None if g is None else np.array(column, dtype=object)
+            for g, column in zip(rows[0], zip(*rows))]
 
 
 def _fresh(ids, components) -> list:
@@ -145,25 +146,19 @@ _ZERO_WEIGHT_PAIRS = {"equal_rates": _equal_rates,
 
 
 def _streams(ids, components) -> list:
-    """[substreams, a new event clock or None] of streams (SEED, i), i in ``ids``."""
-    out = []
-    for i in ids:
-        gens = RngStream(SEED, i).substreams(components)
-        state = engine.stream_state(_by_component([gens]))
-        out.append([gens, state[engine.CLOCK] if len(state) > engine.CLOCK else None])
-    return out
+    """The fresh stream state of streams (SEED, i), i in ``ids``."""
+    return engine.stream_state(_fresh(ids, components))
 
 
 def _draw(sampler, streams, rows, steps) -> np.ndarray:
     """One sampler call on the rows ``rows`` of ``streams``, from
-    :func:`_streams`; their clocks carry on."""
-    clock = None if streams[rows[0]][1] is None else \
-        np.concatenate([streams[i][1] for i in rows])
-    state = engine.stream_state(_by_component([streams[i][0] for i in rows]), clock)
+    :func:`_streams`, each entry sliced with them as the engine does; their
+    clocks carry on."""
+    rows = np.asarray(rows)
+    state = [None if s is None else s[rows] for s in streams]
     block = sampler(state, (len(rows), steps))
-    for j, i in enumerate(rows):
-        if streams[i][1] is not None:
-            streams[i][1] = state[engine.CLOCK][j:j + 1]
+    if len(state) > engine.CLOCK:
+        streams[engine.CLOCK][rows] = state[engine.CLOCK]
     return block
 
 
@@ -344,7 +339,8 @@ class TestEventClock:
                       engine.substream_components(model, dt))
         counts, marks = ([_RecordingGenerator(g) for g in gens[c]]
                          for c in (engine.COUNT, engine.MARK))
-        gens[engine.COUNT], gens[engine.MARK] = counts, marks
+        gens[engine.COUNT], gens[engine.MARK] = (np.array(g, dtype=object)
+                                                 for g in (counts, marks))
         sampler, blocks = engine.make_u_sampler(model, "pre", dt), []
 
         def counted(state, size):
@@ -983,8 +979,8 @@ class TestStreamRestart:
         states = engine.batch_states(two_sided_model, "pre",
                                      (RuleSpec("cusum", log_barrier=2.0),),
                                      0.1, 2 * engine.BATCH + 76, SEED, "calibrate")
-        gens = [g for state in states for column in state.gens if column is not None
-                for g in column]
+        gens = [g for state in states for column in state.streams[:engine.CLOCK]
+                if column is not None for g in column]
         assert len(states) == 3 and len({id(g) for g in gens}) == len(gens)
         engine.release(states)
 
@@ -1127,8 +1123,8 @@ class TestStreamRestart:
             return {id(g) for g in gens}
 
         def leased(states) -> set:
-            return ids(g for s in states for column in s.gens if column is not None
-                       for g in column)
+            return ids(g for s in states for column in s.streams[:engine.CLOCK]
+                       if column is not None for g in column)
 
         def run():
             states = engine.batch_states(two_sided_model, "pre", (rule,), 0.1, n_rep, SEED,

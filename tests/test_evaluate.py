@@ -126,11 +126,13 @@ class TestCalibrationProbes:
     def test_probes_equal_fresh_estimates(self, fixture, rule, request):
         """Every probe, each round's and the last one at h_bar, equals
         estimate_arl on the calibration streams bit for bit, and the final
-        report is estimate_arl at four times the budget."""
+        report is estimate_arl at four times the budget. The calibration
+        runs on 'calibrate' block 3, as compare's second monitoring step
+        does."""
         model = request.getfixturevalue(fixture)
         gamma, delta, n_rep, block = 6.4, 0.1, 700, 3
-        cal = calibrate_barrier(model, rule, gamma, 0.02, SEED, delta=delta,
-                                n_rep=n_rep, block=block)
+        (cal,) = evaluate._calibrate(model, (rule,), gamma, 0.02, SEED, delta, n_rep, 1,
+                                     block)
 
         def fresh(h, reps):
             return estimate_arl(model, DetectorConfig(rule, h, delta=delta),
@@ -361,7 +363,7 @@ class TestCompare:
         cals = []
         for row, (rule, _) in zip(res.rows, rules):
             cal = calibrate_barrier(model, rule, gamma, 0.02, SEED, delta=delta,
-                                    n_rep=n_cal, block=0)
+                                    n_rep=n_cal)
             worst = lorden_delay(model, DetectorConfig(rule, cal.h_bar, delta=delta),
                                  (0.0,), n_rep, HORIZON_FACTOR * gamma, SEED).worst
             assert row == CompareRow(rule, delta, cal.h_bar, cal.report.estimate,

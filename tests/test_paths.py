@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from levydetect.detector import DetectorConfig, run_rule
+from levydetect.detector import DetectorConfig, grid_stride, run_rule
 from levydetect.errors import (AlignmentError, ContractError, InadmissibleModelError,
                                SpecValidationError)
 from levydetect.families import LevySpec
@@ -74,8 +74,9 @@ class TestShapeAndLedger:
     def test_validation_errors(self, brownian_model):
         with pytest.raises(SpecValidationError):
             sample_changed_path(brownian_model, 0.0, 1.0, -0.1, RngStream(SEED, 0))
-        with pytest.raises(SpecValidationError):
-            sample_changed_path(brownian_model, -1.0, 1.0, 0.1, RngStream(SEED, 0))
+        for tau in (-1.0, math.nan):
+            with pytest.raises(SpecValidationError, match="change point"):
+                sample_changed_path(brownian_model, tau, 1.0, 0.1, RngStream(SEED, 0))
         with pytest.raises(ContractError, match="horizon 0.05 "):
             sample_changed_path(brownian_model, 0.0, 0.05, 0.1, RngStream(SEED, 0))
         with pytest.raises(InadmissibleModelError):
@@ -98,6 +99,19 @@ def test_grid_steps_counts_the_whole_steps_that_fit(horizon, dt, unit, steps):
             grid_steps(horizon, dt, unit)
     else:
         assert grid_steps(horizon, dt, unit) == steps
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("count", [lambda step: grid_steps(10.0, step),
+                                   lambda step: grid_stride(0.08, step)],
+                         ids=["grid_steps", "grid_stride"])
+def test_a_step_that_is_not_a_finite_positive_number_is_named(count, step):
+    """Every step becomes a count in grid_steps or grid_stride, and both
+    refuse a step that is not a finite number > 0 by name before dividing
+    by it, where 0 would divide by zero and -0.1 would read as a horizon
+    too short."""
+    with pytest.raises(SpecValidationError, match=f"step {step!r} is not a finite number > 0"):
+        count(step)
 
 
 def test_horizon_a_hair_below_one_step_is_one_step(brownian_model):

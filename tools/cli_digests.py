@@ -63,22 +63,34 @@ def digest_run(root: Path, subcommand: str, config: Path) -> str:
                      f"stdout={_sha(proc.stdout)}", f"stderr={_sha(proc.stderr)}", *files])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def digests(root: Path):
+    """The listing lines of the 48 runs of ``root``, in run order."""
+    configs = sorted((root / "examples_config").glob("*.json"))
+    runs = [(subcommand, config) for subcommand in SUBCOMMANDS for config in configs]
+    # each worker thread waits on one child process; map yields in run order
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        yield from pool.map(lambda run: digest_run(root, *run), runs)
+
+
+def listing_main(description: str, root_help: str, lines_of, argv=None) -> int:
+    """The command line of a listing tool: prints each line of
+    ``lines_of(root)`` as it comes and, with ``--against``, exits 1 naming
+    the first line that differs from the saved listing; a ``RuntimeError``
+    from ``lines_of`` is printed and exits 1."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
-                        help="checkout whose src and examples_config are run")
+                        help=root_help)
     parser.add_argument("--against", type=Path,
                         help="saved listing that every line must match")
     args = parser.parse_args(argv)
-    root = args.root.resolve()
-    configs = sorted((root / "examples_config").glob("*.json"))
-    runs = [(subcommand, config) for subcommand in SUBCOMMANDS for config in configs]
     lines = []
-    # each worker thread waits on one child process; map yields in run order
-    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
-        for line in pool.map(lambda run: digest_run(root, *run), runs):
+    try:
+        for line in lines_of(args.root.resolve()):
             lines.append(line)
             print(line, flush=True)
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     if args.against is None:
         return 0
     saved = args.against.read_text().splitlines()
@@ -88,6 +100,11 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
     return 0
+
+
+def main(argv=None) -> int:
+    return listing_main(__doc__.splitlines()[0],
+                        "checkout whose src and examples_config are run", digests, argv)
 
 
 if __name__ == "__main__":
