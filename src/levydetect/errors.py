@@ -50,8 +50,9 @@ class InfeasibleTargetError(LevyDetectError):
 
 
 class SampleSizeError(LevyDetectError):
-    """A run's replications do not fit in memory; ``purpose`` names the
-    streams they were to run on (:data:`rng.PURPOSE`)."""
+    """A run's replications do not fit in memory, or are too few (under
+    two) for an estimator's standard error; ``purpose`` names the streams
+    they were to run on (:data:`rng.PURPOSE`)."""
 
     def __init__(self, message: str, purpose: str):
         super().__init__(message)

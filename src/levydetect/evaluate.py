@@ -17,8 +17,9 @@ Conventions
   a convergence study covers whole base steps;
 * calibration inverts the in-control mean run length of one set of
   in-control paths: the statistic paths do not depend on the barrier, so
-  that mean is a nondecreasing step function of the barrier, held exactly by
-  the paths' record highs, and every probe reads its stops off them; in a
+  that mean is a nondecreasing step function of the barrier that moves only
+  at the paths' record highs, and every probe, like the bisection for the
+  level nearest the target, reads its stops off them; in a
   comparison, the rules that share a monitoring step share those paths and
   their delay paths too;
 * every run maps its rule and log barrier to an engine rule in :func:`_engine_rule`.
@@ -26,6 +27,7 @@ Conventions
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -97,6 +99,13 @@ def _engine_rule(model: ChangeModel, rule: str, log_barrier: float) -> RuleSpec:
     return RuleSpec(kind="cusum", log_barrier=lattice_safe_barrier(log_barrier, lattice))
 
 
+def _check_replications(n_rep: int, purpose: str) -> None:
+    """A Monte Carlo estimate needs two replications for its standard error."""
+    if n_rep < 2:
+        raise SampleSizeError(f"{n_rep} replications give no standard error; "
+                              "run at least 2", purpose)
+
+
 def _report(stop_steps: np.ndarray, dt: float, n_steps: int, model: ChangeModel,
             rule: str, regime: str, seed: int, block: int, label: str) -> EvalReport:
     times = stop_times(stop_steps, dt, n_steps)
@@ -122,6 +131,7 @@ def estimate_arl(model: ChangeModel, config: DetectorConfig, regime: str,
     """
     if regime not in REGIMES:
         raise ContractError(f"regime must be one of {REGIMES}, got {regime!r}")
+    _check_replications(n_rep, purpose)
     rule, dt = _engine_rule(model, config.rule, config.log_barrier), float(config.delta)
     n_steps = grid_steps(horizon, dt)
     result = run_paths(model, _ENGINE_REGIME[regime], rule, dt, n_steps, n_rep,
@@ -150,10 +160,11 @@ def calibrate_barrier(model: ChangeModel, rule: str, gamma: float,
     the mean run length ARL_n(h) is a nondecreasing step function of h,
     which the paths' ladders of record highs hold exactly. Probe barriers
     rise from 0 in rounds, each advancing every path from where it stopped,
-    until ARL_n reaches gamma; the step is a secant on log ARL_n. ARL_n(h)
-    for h up to the last round is then read off the ladders, and ``h_bar``
-    is the middle of the interval on which its level is nearest gamma: the
-    last level below gamma or the first at or above it. Every probe, each
+    until ARL_n reaches gamma; the step is a secant on log ARL_n. Between 0
+    and the last round's barrier, ARL_n changes only at record values, so a
+    bisection over the intervals between them finds the level nearest gamma,
+    the last level below it or the first at or above it, and ``h_bar`` is
+    the middle of that interval. Every probe, each
     round and then ``h_bar``, equals :func:`estimate_arl` at its barrier on
     the same streams (purpose 'calibrate'). ``converged`` says whether the
     probe at ``h_bar`` is within rel_tol of gamma. The final acceptance
@@ -201,51 +212,32 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
         return [_engine_rule(model, rules[i], hs[i]).log_barrier if i in hs else -math.inf
                 for i in range(len(rules))]
 
-    def stops(i: int, h: float) -> np.ndarray:
-        levels = barriers({i: h})
-        advance(paths, n_steps, levels, threads)
-        return np.concatenate([p.first_reach(i, levels[i]) for p in paths])
+    def stops(i: int, level: float) -> np.ndarray:
+        return np.concatenate([p.first_reach(i, level) for p in paths])
 
     def report(i: int, st: np.ndarray) -> EvalReport:
         return _report(st, dt, n_steps, model, rules[i], "in_control", seed, block,
                        label="arl_in_control")
 
     def arl_at(i: int, h: float) -> float:
-        return report(i, stops(i, h)).estimate
+        levels = barriers({i: h})
+        advance(paths, n_steps, levels, threads)
+        return report(i, stops(i, levels[i])).estimate
 
     def read_off(i: int, top: float) -> float:
         """The middle of the interval of [0, top] on which ARL_n, once every
         path has reached ``top`` or the horizon, has its level nearest gamma.
-        A row's stop moves from one record's step to the next one's as h
-        passes the record's value, and to the horizon past its last record,
-        so the sum of the stops at h is the sum of the first records' steps
-        plus every such jump below h. The last jump is exact on a censored
-        row; on any other its value is at or above ``top``, so it is never
-        read."""
-        at, jumps, total = [], [], 0
-        for p in paths:
-            rows, steps, values = p.ladder(i)
-            order = np.argsort(rows, kind="stable")
-            rows, steps = rows[order], steps[order]
-            last = np.append(rows[1:] != rows[:-1], True)
-            nxt = np.append(steps[1:], n_steps)
-            nxt[last] = n_steps
-            at.append(values[order])
-            jumps.append(nxt - steps)
-            total += int(steps[np.insert(last[:-1], 0, True)].sum())
-        at = np.concatenate(at)
-        order = np.argsort(at, kind="stable")
-        at = at[order]
-        sums = total + np.concatenate(([0], np.cumsum(np.concatenate(jumps)[order])))
-        # the level on [0, e_1], then on each (e_k, e_k+1], e the distinct
-        # values in [0, top) (np.unique would import numpy.ma)
-        inner = at[(at >= 0.0) & (at < top)]
+        ARL_n is constant on [0, e_1] and on each (e_k, e_k+1], e the distinct
+        record values in [0, top) and then top, so interval k's level is the
+        mean run length at e_k+1, which draws nothing."""
+        at = np.concatenate([p.ladder(i)[2] for p in paths])
+        inner = np.sort(at[(at >= 0.0) & (at < top)])   # np.unique would import numpy.ma
         edges = np.concatenate(([0.0], inner[np.diff(inner, prepend=-1.0) > 0.0], [top]))
-        below = np.searchsorted(at, edges[:-1], side="right")
-        below[0] = np.searchsorted(at, 0.0, side="left")
-        levels = sums[below] * dt / n_rep
-        k = min(int(np.searchsorted(levels, gamma)), len(levels) - 1)
-        if k > 0 and gamma - levels[k - 1] < levels[k] - gamma:
+
+        def level(k: int) -> float:
+            return report(i, stops(i, edges[k + 1])).estimate
+        k = min(bisect.bisect_left(range(len(edges) - 1), gamma, key=level), len(edges) - 2)
+        if k > 0 and gamma - level(k - 1) < level(k) - gamma:
             k -= 1
         return float(0.5 * (edges[k] + edges[k + 1]))
 
@@ -287,8 +279,7 @@ def _calibrate(model: ChangeModel, rules: Sequence[str], gamma: float, rel_tol: 
                           dt, n_steps, 4 * n_rep, seed, "calibrate", block=block,
                           threads=threads, first=n_rep)
         for (i, h), new in zip(hs.items(), fresh):
-            np.concatenate([p.first_reach(i, levels[i]) for p in paths] + [new.stop_steps],
-                           out=final_stops)
+            np.concatenate([stops(i, levels[i]), new.stop_steps], out=final_stops)
             _, probes, converged = outcomes[i]
             outcomes[i] = CalibrationResult(h_bar=h, report=report(i, final_stops),
                                             probes=probes, converged=converged)
@@ -347,6 +338,7 @@ def lower_bound_ratio(model: ChangeModel, config: DetectorConfig, n_rep: int,
     ``config``'s rule. The standard error comes from the first-order delta
     method on the paired per-replication sums.
     """
+    _check_replications(n_rep, "lower_bound")
     if fixed_steps is None:
         rule, rule_name = _engine_rule(model, config.rule, config.log_barrier), config.rule
     elif config.delta is None:
@@ -428,6 +420,7 @@ def convergence_study(model: ChangeModel, h_bar: float, dyadic_levels: int,
     """
     if regime not in REGIMES:
         raise ContractError(f"regime must be one of {REGIMES}")
+    _check_replications(n_rep, "converge")
     base_stride = grid_stride(base_delta, grid_dt)
     n_steps = grid_steps(horizon, grid_dt, base_stride)
     strides = dyadic_strides(base_stride, dyadic_levels)
@@ -506,6 +499,7 @@ def compare(model: ChangeModel, gamma: float, rules: Sequence[Tuple[str, float]]
     instead of aborting the table: a rule that cannot be calibrated gets NaN
     numbers, and one whose calibration missed rel_tol keeps its numbers at
     its h_bar."""
+    _check_replications(n_rep, "delay")
     groups: dict = {}
     for i, (_, delta) in enumerate(rules):
         groups.setdefault(float(delta), []).append(i)

@@ -6,9 +6,9 @@ import pytest
 
 from levydetect import evaluate
 from levydetect.detector import DetectorConfig
-from levydetect.engine import RuleSpec, advance, batch_states
+from levydetect.engine import RuleSpec, advance, batch_states, release, stop_times
 from levydetect.errors import (AlignmentError, ContractError, InfeasibleTargetError,
-                               SpecValidationError)
+                               SampleSizeError, SpecValidationError)
 from levydetect.evaluate import (
     BARRIER_NUDGE,
     HORIZON_FACTOR,
@@ -43,6 +43,29 @@ def test_brownian_grid_closed_form_matches_exact_run_lengths(h, delta, exact_in,
     arl_in, arl_out = brownian_grid_cusum_arl(h, delta)
     assert arl_in == pytest.approx(exact_in, rel=5e-4)
     assert arl_out == pytest.approx(exact_out, rel=5e-4)
+
+
+@pytest.mark.parametrize("n_rep", [0, 1])
+@pytest.mark.parametrize("entry, purpose", [
+    (lambda m, n: estimate_arl(m, _grid_cfg(1.0), "in_control", n, 10.0, SEED), "arl"),
+    (lambda m, n: lower_bound_ratio(m, _grid_cfg(1.0), n, 10.0, SEED), "lower_bound"),
+    (lambda m, n: convergence_study(m, 1.0, 2, n, SEED, 0.1, 0.025, 10.0), "converge"),
+    (lambda m, n: compare(m, 5.0, [("cusum_grid", 0.1)], n, SEED, n_rep_calibrate=100),
+     "delay"),
+], ids=["estimate_arl", "lower_bound_ratio", "convergence_study", "compare"])
+def test_fewer_than_two_replications_rejected(brownian_model, entry, purpose, n_rep,
+                                              monkeypatch):
+    """An estimator's standard error needs two replications: with fewer, each
+    entry point raises SampleSizeError naming its streams before drawing a
+    path. One replication used to report a standard error of 0 or raise
+    numpy's degrees-of-freedom warning, and zero its empty-slice warning."""
+    def drawn(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+    for name in ("run_paths", "run_rules", "run_dyadic", "batch_states"):
+        monkeypatch.setattr(evaluate, name, drawn)
+    with pytest.raises(SampleSizeError, match=f"^{n_rep} replications") as info:
+        entry(brownian_model, n_rep)
+    assert info.value.purpose == purpose
 
 
 class TestEstimateArl:
@@ -161,6 +184,38 @@ def _assert_off_the_lattice(model, cal, gamma, delta, n_rep, block):
     for h in (lattice_safe_barrier(cal.h_bar, math.log(2.0)), values[j]):
         for s in states:
             assert np.array_equal(s.first_reach(0, h), s.first_reach(0, cal.h_bar)), h
+
+
+class TestReadOff:
+    @pytest.mark.parametrize("rule", ["cusum_grid", "shiryaev_roberts"])
+    @pytest.mark.parametrize("fixture", ["brownian_model", "poisson_model"])
+    def test_h_bar_is_the_middle_of_the_nearest_level(self, fixture, rule, request):
+        """With the paths advanced to the last round's barrier, the sample's
+        mean run length is read on every interval [0, e_1], (e_k, e_k+1] up
+        to that barrier, e the distinct record values, at its right end; h_bar
+        is the middle of the interval whose level is nearest gamma, of the
+        last level below gamma and the first at or above it, the latter on a
+        tie."""
+        model = request.getfixturevalue(fixture)
+        gamma, delta, n_rep = 20.0, 0.1, 200
+        cal = calibrate_barrier(model, rule, gamma, 0.02, SEED, delta, n_rep=n_rep)
+        top = cal.probes[-2][0]
+        n_steps = grid_steps(HORIZON_FACTOR * gamma, delta)
+        states = batch_states(model, "pre", [evaluate._engine_rule(model, rule, 0.0)],
+                              delta, n_rep, SEED, "calibrate", records=True)
+        advance(states, n_steps, [evaluate._engine_rule(model, rule, top).log_barrier])
+        release(states)
+        values = np.concatenate([s.ladder(0)[2] for s in states])
+        edges = np.concatenate(([0.0], np.unique(values[(values >= 0.0) & (values < top)]),
+                                [top]))
+        levels = [stop_times(np.concatenate([s.first_reach(0, e) for s in states]),
+                             delta, n_steps).mean() for e in edges[1:]]
+        below = [k for k, level in enumerate(levels) if level < gamma]
+        above = [k for k, level in enumerate(levels) if level >= gamma]
+        k = min(below[-1:] + above[:1], key=lambda k: (abs(levels[k] - gamma),
+                                                       levels[k] < gamma))
+        assert len(levels) > 2
+        assert cal.h_bar == 0.5 * (edges[k] + edges[k + 1])
 
 
 class TestLordenDelay:
